@@ -41,10 +41,7 @@ def _coefficient_values(mesh, field):
         if field.mesh is not mesh and field.mesh.n != mesh.n:
             raise ValueError("coefficient field lives on a different mesh")
         return field.values
-    values = np.asarray(field, dtype=float)
-    if values.shape != (mesh.n_elements,):
-        raise ValueError("coefficient field lives on a different mesh")
-    return values
+    return CoefficientField(mesh, field).values
 
 
 def assemble_stiffness(mesh, field=None, full=False):
@@ -153,10 +150,6 @@ class DiscreteForms:
         return self.pair.fine
 
 
-def build_forms(pair, field_a, field_b, tau):
-    return DiscreteForms(pair, field_a, field_b, tau)
-
-
 def norms(forms, v):
     """L2, H1, a-, b- norms and the tau-weighted energy of an interior dof vector."""
     v = np.asarray(v, dtype=float)
@@ -172,21 +165,3 @@ def h1_norm(forms, v):
     v = np.asarray(v, dtype=float)
     return float(np.sqrt(max(v @ (forms._h1_matrix @ v), 0.0)))
 
-
-def save_coefficient_csv(path, pair, field):
-    """Write a field as 'n,r,count' header plus one value per line in element order."""
-    lines = ["%d,%d,%d" % (pair.coarse.n, pair.r, field.values.size)]
-    lines += [np.format_float_scientific(v, precision=17) for v in field.values]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_coefficient_csv(path):
-    """Read a field written by save_coefficient_csv; returns (n, r, values)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        n, r, count = (int(s) for s in header)
-        values = np.array([float(fh.readline()) for _ in range(count)])
-    if values.size != 2 * (n * r) ** 2:
-        raise ValueError("coefficient file does not match its mesh header")
-    return n, r, values

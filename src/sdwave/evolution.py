@@ -1,13 +1,12 @@
 """Backward Euler time steppers: fine FEM, ideal and localized GFEM, auxiliary problem."""
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .assembly import assemble_load, h1_norm, norms
+from .assembly import assemble_load, h1_norm
 
 
 @dataclass(frozen=True)
@@ -42,26 +41,20 @@ class Trajectory:
             raise ValueError("trajectory contains non-finite states")
 
 
-class _LoadProvider:
-    def __init__(self, forms, f):
-        self.forms = forms
-        self.f = f
-        self._constant = None
-        if not callable(f):
-            self._constant = assemble_load(forms.fine, f)
-
-    def __call__(self, t):
-        if self._constant is not None:
-            return self._constant
-        return assemble_load(self.forms.fine, self.f, t)
+def _load(forms, f):
+    """t -> fine load vector, assembled once when f is a constant."""
+    if callable(f):
+        return lambda t: assemble_load(forms.fine, f, t)
+    constant = assemble_load(forms.fine, f)
+    return lambda t: constant
 
 
 def fine_fem_solve(forms, f, u0, u1, grid):
     """Reference backward Euler FEM for the damped wave equation."""
     tau = grid.tau
     lhs = (forms.M / tau**2 + forms.K_A / tau + forms.K_B).tocsc()
-    fact = linalg.factor(lhs)
-    load = _LoadProvider(forms, f)
+    fact = linalg.Factorization(lhs)
+    load = _load(forms, f)
 
     states = np.zeros((grid.n_steps + 1, forms.fine.n_dofs))
     states[0] = u0
@@ -85,48 +78,17 @@ def discrete_energy(forms, trajectory):
     return np.array(out)
 
 
-def galerkin_wave_solve(basis, forms, f, grid, alpha0, alpha1, scheme="galerkin"):
-    """Damped wave scheme posed in the span of the given basis, no fine correction.
+def _gfem_steps(scheme, Q, M_ms, A_ms, B_ms, forms, f, grid, alpha0, alpha1,
+                correction=None):
+    """Backward Euler in the span of Q, the one loop behind every coarse-space scheme.
 
-    Used for the coarse FEM baseline (basis = prolongation) and for the
-    single-coefficient corrected bases.
+    Step n solves (M/tau + A + tau B) alpha^n = tau Q^T F^n + Q^T K_A u^{n-1}
+    + M (2 alpha^{n-1} - alpha^{n-2}) / tau and sets u^n = Q alpha^n plus
+    correction(n, alpha, K_A u^{n-1}), the fine-scale part, when one is given.
     """
     tau = grid.tau
-    M_b = (basis.T @ forms.M @ basis).toarray()
-    A_b = (basis.T @ forms.K_A @ basis).toarray()
-    B_b = (basis.T @ forms.K_B @ basis).toarray()
-    lhs = scipy.linalg.lu_factor(M_b / tau**2 + A_b / tau + B_b)
-    load = _LoadProvider(forms, f)
-
-    n_coeff = basis.shape[1]
-    alpha = np.zeros((grid.n_steps + 1, n_coeff))
-    alpha[0] = alpha0
-    alpha[1] = alpha1
-    states = np.zeros((grid.n_steps + 1, forms.fine.n_dofs))
-    states[0] = basis @ alpha[0]
-    states[1] = basis @ alpha[1]
-    for n in range(2, grid.n_steps + 1):
-        rhs = (basis.T @ load(n * tau)
-               + M_b @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau**2
-               + A_b @ alpha[n - 1] / tau)
-        alpha[n] = scipy.linalg.lu_solve(lhs, rhs)
-        states[n] = basis @ alpha[n]
-    return Trajectory(scheme, grid, states, alpha=alpha)
-
-
-def _coarse_wave_factor(correctors, tau):
-    lhs = correctors.M_ms / tau + correctors.A_ms + tau * correctors.B_ms
-    return scipy.linalg.lu_factor(lhs)
-
-
-def ideal_gfem_solve(correctors, interp, forms, f, grid, alpha0, alpha1):
-    """GFEM with global correctors: coarse multiscale step plus one fine-scale
-    solve per time step; initial data lives in the multiscale space."""
-    tau = grid.tau
-    Q = correctors.Q
-    lhs = _coarse_wave_factor(correctors, tau)
-    saddle = linalg.factor_saddle(forms.K_tilde, interp.matrix)
-    load = _LoadProvider(forms, f)
+    lhs = scipy.linalg.lu_factor(M_ms / tau + A_ms + tau * B_ms)
+    load = _load(forms, f)
 
     alpha = np.zeros((grid.n_steps + 1, Q.shape[1]))
     alpha[0] = alpha0
@@ -138,50 +100,55 @@ def ideal_gfem_solve(correctors, interp, forms, f, grid, alpha0, alpha1):
         memory = forms.K_A @ states[n - 1]
         rhs = (tau * (Q.T @ load(n * tau))
                + Q.T @ memory
-               + correctors.M_ms @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau)
+               + M_ms @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau)
         alpha[n] = scipy.linalg.lu_solve(lhs, rhs)
-        w, _ = saddle.solve(memory)
-        states[n] = Q @ alpha[n] + w
-    return Trajectory("ideal_gfem", grid, states, alpha=alpha)
+        states[n] = Q @ alpha[n]
+        if correction is not None:
+            states[n] += correction(n, alpha, memory)
+    return Trajectory(scheme, grid, states, alpha=alpha)
 
 
-def _check_transients(correctors, transients):
-    for tc in transients.values():
-        if tc.config != correctors.config:
-            raise ValueError("transient correctors were built for another config")
+def _multiscale(correctors):
+    return correctors.Q, correctors.M_ms, correctors.A_ms, correctors.B_ms
+
+
+def galerkin_wave_solve(basis, forms, f, grid, alpha0, alpha1, scheme="galerkin"):
+    """Damped wave scheme posed in the span of the given basis, no fine correction.
+
+    Used for the coarse FEM baseline (basis = prolongation) and for the
+    single-coefficient corrected bases.
+    """
+    grams = [(basis.T @ mat @ basis).toarray() for mat in (forms.M, forms.K_A, forms.K_B)]
+    return _gfem_steps(scheme, basis, *grams, forms, f, grid, alpha0, alpha1)
+
+
+def ideal_gfem_solve(correctors, interp, forms, f, grid, alpha0, alpha1):
+    """GFEM with global correctors: coarse multiscale step plus one fine-scale
+    solve per time step; initial data lives in the multiscale space."""
+    saddle = linalg.factor_saddle(forms.K_tilde, interp.matrix)
+    return _gfem_steps("ideal_gfem", *_multiscale(correctors), forms, f, grid,
+                       alpha0, alpha1,
+                       lambda n, alpha, memory: saddle.solve(memory)[0])
 
 
 def localized_gfem_solve(correctors, transients, interp, forms, f, grid,
                          alpha0, alpha1):
     """Localized GFEM: the fine-scale part is superposed from the stored
     per-node correction sequences weighted by the coarse coefficient history."""
-    _check_transients(correctors, transients)
-    tau = grid.tau
-    Q = correctors.Q
-    lhs = _coarse_wave_factor(correctors, tau)
-    load = _LoadProvider(forms, f)
-
+    if any(tc.config != correctors.config for tc in transients.values()):
+        raise ValueError("transient correctors were built for another config")
     items = [(tc.x_dof, tc.dofs, tc.xi) for tc in transients.values()]
 
-    alpha = np.zeros((grid.n_steps + 1, Q.shape[1]))
-    alpha[0] = alpha0
-    alpha[1] = alpha1
-    states = np.zeros((grid.n_steps + 1, forms.fine.n_dofs))
-    states[0] = Q @ alpha[0]
-    states[1] = Q @ alpha[1]
-    for n in range(2, grid.n_steps + 1):
-        rhs = (tau * (Q.T @ load(n * tau))
-               + Q.T @ (forms.K_A @ states[n - 1])
-               + correctors.M_ms @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau)
-        alpha[n] = scipy.linalg.lu_solve(lhs, rhs)
-
+    def superpose(n, alpha, memory):
         w = np.zeros(forms.fine.n_dofs)
         for x_dof, dofs, xi in items:
             lmax = min(n, xi.shape[0])
             coeff = alpha[n - np.arange(1, lmax + 1), x_dof]
             w[dofs] += xi[:lmax].T @ coeff
-        states[n] = Q @ alpha[n] + w
-    return Trajectory("localized_gfem", grid, states, alpha=alpha)
+        return w
+
+    return _gfem_steps("localized_gfem", *_multiscale(correctors), forms, f, grid,
+                       alpha0, alpha1, superpose)
 
 
 def localized_gfem_solve_direct(correctors, interp, forms, f, grid, alpha0, alpha1):
@@ -189,50 +156,35 @@ def localized_gfem_solve_direct(correctors, interp, forms, f, grid, alpha0, alph
     from .lod import _PatchSolver, form_matrix, patch_fine_dofs
     from .mesh import node_patch
 
-    tau = grid.tau
-    Q = correctors.Q
-    pair = correctors.pair
-    coarse = pair.coarse
-    lhs = _coarse_wave_factor(correctors, tau)
-    load = _LoadProvider(forms, f)
-
-    solvers = []
+    coarse = correctors.pair.coarse
+    matrix = form_matrix(forms, correctors.config.form_choice)
+    patches = []
     for d in range(coarse.n_dofs):
         vertex = coarse.interior_nodes[d]
-        dofs = patch_fine_dofs(pair, node_patch(coarse, vertex, correctors.config.k))
-        solver = _PatchSolver(pair, interp,
-                              form_matrix(forms, correctors.config.form_choice), dofs)
-        q_x = np.asarray(Q[:, d].todense()).ravel()
-        r1 = (forms.K_A @ q_x)[dofs]
-        K_A_patch = forms.K_A[dofs][:, dofs].tocsr()
-        solvers.append((d, dofs, solver, r1, K_A_patch, np.zeros(dofs.size)))
+        dofs = patch_fine_dofs(correctors.pair,
+                               node_patch(coarse, vertex, correctors.config.k))
+        q_x = np.asarray(correctors.Q[:, d].todense()).ravel()
+        patches.append([dofs, _PatchSolver(correctors.pair, interp, matrix, dofs),
+                        (forms.K_A @ q_x)[dofs], forms.K_A[dofs][:, dofs].tocsr(),
+                        np.zeros(dofs.size)])
 
-    alpha = np.zeros((grid.n_steps + 1, Q.shape[1]))
-    alpha[0] = alpha0
-    alpha[1] = alpha1
-    states = np.zeros((grid.n_steps + 1, forms.fine.n_dofs))
-    states[0] = Q @ alpha[0]
-    states[1] = Q @ alpha[1]
-    for n in range(2, grid.n_steps + 1):
-        rhs = (tau * (Q.T @ load(n * tau))
-               + Q.T @ (forms.K_A @ states[n - 1])
-               + correctors.M_ms @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau)
-        alpha[n] = scipy.linalg.lu_solve(lhs, rhs)
-
+    def patch_solves(n, alpha, memory):
         w = np.zeros(forms.fine.n_dofs)
-        for i, (d, dofs, solver, r1, K_A_patch, w_prev) in enumerate(solvers):
-            w_next = solver.solve(K_A_patch @ w_prev + alpha[n - 1, d] * r1)
-            solvers[i] = (d, dofs, solver, r1, K_A_patch, w_next)
-            w[dofs] += w_next
-        states[n] = Q @ alpha[n] + w
-    return Trajectory("localized_gfem_direct", grid, states, alpha=alpha)
+        for d, patch in enumerate(patches):
+            dofs, solver, r1, K_A_patch, w_prev = patch
+            patch[4] = solver.solve(K_A_patch @ w_prev + alpha[n - 1, d] * r1)
+            w[dofs] += patch[4]
+        return w
+
+    return _gfem_steps("localized_gfem_direct", *_multiscale(correctors), forms, f,
+                       grid, alpha0, alpha1, patch_solves)
 
 
 def aux_fine_solve(forms, f, z0, grid):
     """First-order auxiliary problem on the fine mesh."""
     tau = grid.tau
-    fact = linalg.factor(forms.K_tilde)
-    load = _LoadProvider(forms, f)
+    fact = linalg.Factorization(forms.K_tilde)
+    load = _load(forms, f)
     states = np.zeros((grid.n_steps + 1, forms.fine.n_dofs))
     states[0] = z0
     for n in range(1, grid.n_steps + 1):
@@ -246,7 +198,7 @@ def aux_gfem_solve(correctors, interp, forms, f, alpha0, grid):
     Q = correctors.Q
     lhs = scipy.linalg.lu_factor(correctors.A_ms + tau * correctors.B_ms)
     saddle = linalg.factor_saddle(forms.K_tilde, interp.matrix)
-    load = _LoadProvider(forms, f)
+    load = _load(forms, f)
 
     alpha = np.zeros((grid.n_steps + 1, Q.shape[1]))
     alpha[0] = alpha0
@@ -261,7 +213,7 @@ def aux_gfem_solve(correctors, interp, forms, f, alpha0, grid):
 
 
 # ----------------------------------------------------------------------------
-# error norms and export
+# error norms
 
 def rel_h1_final(forms, trajectory, reference):
     """Relative H1 distance of the final states."""
@@ -280,20 +232,3 @@ def rel_l2h1(forms, trajectory, reference):
         den += tau * h1_norm(forms, reference.states[n]) ** 2
     return np.sqrt(num / den) if den > 0 else np.sqrt(num)
 
-
-def trajectory_csv(trajectory, forms, path):
-    """Write step, time and solution norms, one row per time level."""
-    lines = ["step,time,l2,h1"]
-    for n, t in enumerate(trajectory.grid.times()):
-        report = norms(forms, trajectory.states[n])
-        lines.append("%d,%.6f,%.12e,%.12e" % (n, t, report.l2, report.h1))
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
-
-
-def save_final_state(trajectory, path):
-    """Binary dump of the final dof vector."""
-    with open(path, "wb") as fh:
-        np.save(fh, trajectory.states[-1])

@@ -5,21 +5,20 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from xml.etree import ElementTree
 
 import numpy as np
 
-from . import lod
-from .assembly import CoefficientField, build_forms
-from .evolution import (TimeGrid, aux_fine_solve, fine_fem_solve,
-                        galerkin_wave_solve, ideal_gfem_solve,
-                        localized_gfem_solve, rel_h1_final, rel_l2h1)
+from .assembly import CoefficientField, DiscreteForms
+from .evolution import (TimeGrid, fine_fem_solve, galerkin_wave_solve,
+                        ideal_gfem_solve, localized_gfem_solve, rel_h1_final,
+                        rel_l2h1)
 from .interpolation import build_interpolator
 from .lod import (CorrectorConfig, build_corrector_set, cache_key,
                   load_corrector_cache, save_corrector_cache,
                   transients_for_all_nodes)
-from .mesh import build_uniform_mesh, prolongation, refine, saturating_k
+from .mesh import Mesh, NestedMeshPair, prolongation, saturating_k
 from .rb import rb_gfem_solve
 
 log = logging.getLogger("sdwave")
@@ -126,13 +125,12 @@ class _Problem:
 
     def __init__(self, cfg, q=None):
         q = cfg.q if q is None else q
-        coarse = build_uniform_mesh(2 ** q)
-        self.pair = refine(coarse, 2 ** (cfg.p - q))
+        self.pair = NestedMeshPair(Mesh(2 ** q), 2 ** (cfg.p - q))
         self.field_a = random_field(self.pair.fine, cfg.lo, cfg.hi, cfg.seed,
                                     cfg.law, cfg.block)
         self.field_b = random_field(self.pair.fine, cfg.lo, cfg.hi, cfg.seed + 1,
                                     cfg.law, cfg.block)
-        self.forms = build_forms(self.pair, self.field_a, self.field_b, cfg.tau)
+        self.forms = DiscreteForms(self.pair, self.field_a, self.field_b, cfg.tau)
         self.interp = build_interpolator(self.pair)
         self.grid = TimeGrid(cfg.tau, cfg.n_steps)
         self.zeros = np.zeros(self.pair.coarse.n_dofs)
@@ -141,12 +139,12 @@ class _Problem:
 def _corrector_pipeline(cfg, problem, k, form_choice, counters, transients=True):
     """Correctors (and transient sequences) with optional disk caching."""
     config = CorrectorConfig(k=k, tau=cfg.tau, form_choice=form_choice)
-    key = cache_key(problem.pair, cfg.seed, cfg.tau, k, form_choice)
+    key = cache_key(problem.forms, config, cfg.n_steps, cfg.stop_tol)
     if cfg.cache:
         cached = load_corrector_cache(cfg.cache, key, problem.pair)
         if cached is not None and (cached[1] is not None or not transients):
             counters["cache_hits"] += 1
-            return cached[0], cached[1]
+            return cached
     counters["cache_misses"] += 1
     correctors = build_corrector_set(problem.pair, problem.interp, problem.forms,
                                      config, workers=cfg.workers)

@@ -23,6 +23,14 @@ class DegenerateConstraintError(ValueError):
     """Raised when the constraint rows are rank deficient after zero-row removal."""
 
 
+class InaccurateSolveError(SingularSystemError):
+    """Raised when a direct solve misses its residual tolerance after refinement."""
+
+
+class ConstraintViolationError(InaccurateSolveError):
+    """Raised when a saddle solution violates its constraints beyond tolerance."""
+
+
 def _find_pivot(matrix):
     # dense rank-revealing QR, only affordable for small systems
     n = matrix.shape[0]
@@ -79,13 +87,9 @@ class Factorization:
             # one step of iterative refinement
             x = x + self._raw_solve(residual)
             residual = b - self.matrix @ x
-        assert np.linalg.norm(residual) <= tol * norm_b, "direct solve residual too large"
+        if not np.linalg.norm(residual) <= tol * norm_b:
+            raise InaccurateSolveError("direct solve residual too large")
         return x
-
-
-def factor(matrix):
-    """Factor a symmetric (quasi-)definite sparse matrix for repeated solves."""
-    return Factorization(matrix)
 
 
 class SaddleFactorization:
@@ -131,8 +135,8 @@ class SaddleFactorization:
         mu = np.zeros(self.m_original)
         mu[self.kept_rows] = sol[self.n :]
         norm_r = np.linalg.norm(r)
-        if norm_r > 0.0:
-            assert np.max(np.abs(self.C @ w)) <= tol * norm_r, "constraint violated"
+        if norm_r > 0.0 and not np.max(np.abs(self.C @ w)) <= tol * norm_r:
+            raise ConstraintViolationError("constraint violated")
         return w, mu
 
 

@@ -1,6 +1,8 @@
 """Patch-localized correctors, multiscale basis, transient corrections, decay diagnostics."""
 
+import hashlib
 import os
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -263,17 +265,26 @@ def project_initial_data(correctors, u_coarse):
 # ----------------------------------------------------------------------------
 # binary corrector cache
 
-def cache_key(pair, seed, tau, k, form_choice):
-    return "n%d_r%d_seed%d_tau%.6g_k%d_%s" % (
-        pair.coarse.n, pair.r, seed, tau, k, form_choice
-    )
+def cache_key(forms, config, horizon, stop_tol):
+    """File key for a corrector set (and its transients) built from these inputs.
+
+    The digest covers everything the cached arrays depend on: both coefficient
+    arrays, the exact time step, the patch size, the form, the mesh pair, and
+    the transient horizon and stop tolerance.
+    """
+    pair = forms.pair
+    digest = hashlib.sha256()
+    digest.update(forms.a_values.tobytes())
+    digest.update(forms.b_values.tobytes())
+    digest.update(repr((float(config.tau).hex(), config.k, config.form_choice,
+                        pair.coarse.n, pair.r, horizon, float(stop_tol).hex())).encode())
+    return "k%d_%s_%s" % (config.k, config.form_choice, digest.hexdigest())
 
 
-def save_corrector_cache(cache_dir, key, correctors, transients=None, bases=None):
+def save_corrector_cache(cache_dir, key, correctors, transients=None):
     os.makedirs(cache_dir, exist_ok=True)
     payload = {
-        "coarse_n": correctors.pair.coarse.n,
-        "r": correctors.pair.r,
+        "key": np.array(key),
         "k": correctors.config.k,
         "tau": correctors.config.tau,
         "form_choice": np.array(correctors.config.form_choice),
@@ -292,13 +303,6 @@ def save_corrector_cache(cache_dir, key, correctors, transients=None, bases=None
         for d, tc in transients.items():
             payload["xi_%d" % d] = tc.xi
             payload["dofs_%d" % d] = tc.dofs
-    if bases is not None:
-        payload["rb_dofs_list"] = np.array(sorted(bases), dtype=np.int64)
-        for d, basis in bases.items():
-            payload["rb_Z_%d" % d] = basis.Z
-            payload["rb_ahat_%d" % d] = basis.a_hat
-            payload["rb_khat_%d" % d] = basis.k_hat
-            payload["rb_msel_%d" % d] = np.array(basis.m_selected)
     path = os.path.join(cache_dir, key + ".npz")
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
@@ -308,41 +312,39 @@ def save_corrector_cache(cache_dir, key, correctors, transients=None, bases=None
 
 
 def load_corrector_cache(cache_dir, key, pair):
+    """(correctors, transients or None) stored under key, or None on a miss.
+
+    A file that was written under another key or cannot be read in full
+    (corrupt, truncated) is a miss.
+    """
     path = os.path.join(cache_dir, key + ".npz")
     if not os.path.exists(path):
         return None
-    with np.load(path, allow_pickle=False) as data:
-        if int(data["coarse_n"]) != pair.coarse.n or int(data["r"]) != pair.r:
-            return None
-        config = CorrectorConfig(
-            k=int(data["k"]), tau=float(data["tau"]),
-            form_choice=str(data["form_choice"]),
-        )
-
-        def csr(name):
-            return sparse.csr_matrix(
-                (data[name + "_data"], data[name + "_indices"], data[name + "_indptr"]),
-                shape=tuple(data[name + "_shape"]),
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            if str(data["key"]) != key:
+                return None
+            config = CorrectorConfig(
+                k=int(data["k"]), tau=float(data["tau"]),
+                form_choice=str(data["form_choice"]),
             )
 
-        correctors = CorrectorSet(config, pair, csr("phi"), csr("Q"),
-                                  data["M_ms"], data["A_ms"], data["B_ms"])
-        transients = None
-        if "transient_dofs_list" in data:
-            transients = {}
-            for d in data["transient_dofs_list"]:
-                d = int(d)
-                transients[d] = TransientCorrectors(
-                    d, data["dofs_%d" % d], data["xi_%d" % d], config
+            def csr(name):
+                return sparse.csr_matrix(
+                    (data[name + "_data"], data[name + "_indices"], data[name + "_indptr"]),
+                    shape=tuple(data[name + "_shape"]),
                 )
-        bases = None
-        if "rb_dofs_list" in data:
-            from .rb import ReducedBasis
-            bases = {}
-            for d in data["rb_dofs_list"]:
-                d = int(d)
-                bases[d] = ReducedBasis(
-                    d, data["rb_Z_%d" % d], data["rb_ahat_%d" % d],
-                    data["rb_khat_%d" % d], int(data["rb_msel_%d" % d]),
-                )
-    return correctors, transients, bases
+
+            correctors = CorrectorSet(config, pair, csr("phi"), csr("Q"),
+                                      data["M_ms"], data["A_ms"], data["B_ms"])
+            transients = None
+            if "transient_dofs_list" in data:
+                transients = {}
+                for d in data["transient_dofs_list"]:
+                    d = int(d)
+                    transients[d] = TransientCorrectors(
+                        d, data["dofs_%d" % d], data["xi_%d" % d], config
+                    )
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    return correctors, transients

@@ -142,16 +142,6 @@ class NestedMeshPair:
         self._prolongation = None
 
 
-def build_uniform_mesh(n):
-    """Criss-cross mesh of the unit square with n subdivisions per side."""
-    return Mesh(n)
-
-
-def refine(coarse, r):
-    """Nest a fine mesh of width H/r inside the given coarse mesh."""
-    return NestedMeshPair(coarse, r)
-
-
 def _grow(mesh, mask, layers):
     nt = mesh.n_elements
     for _ in range(layers):

@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
-from sdwave.assembly import build_forms
+from sdwave.assembly import DiscreteForms
 from sdwave.harness import random_field
 from sdwave.interpolation import build_interpolator
-from sdwave.mesh import build_uniform_mesh, refine
+from sdwave.mesh import Mesh, NestedMeshPair
 
 TAU = 0.02
 
 
 class ProblemBundle:
     def __init__(self, q, r, seed=1, tau=TAU, lo=0.1, hi=1000.0):
-        self.pair = refine(build_uniform_mesh(q), r)
+        self.pair = NestedMeshPair(Mesh(q), r)
         self.field_a = random_field(self.pair.fine, lo, hi, seed)
         self.field_b = random_field(self.pair.fine, lo, hi, seed + 1)
-        self.forms = build_forms(self.pair, self.field_a, self.field_b, tau)
+        self.forms = DiscreteForms(self.pair, self.field_a, self.field_b, tau)
         self.interp = build_interpolator(self.pair)
         self.tau = tau
 

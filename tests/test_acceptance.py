@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from sdwave.assembly import build_forms, h1_norm
+from sdwave.assembly import DiscreteForms, h1_norm
 from sdwave.evolution import (TimeGrid, aux_fine_solve, aux_gfem_solve,
                               discrete_energy, fine_fem_solve,
                               ideal_gfem_solve, localized_gfem_solve,
@@ -20,7 +20,7 @@ from sdwave.interpolation import build_interpolator
 from sdwave.lod import (CorrectorConfig, build_corrector_set,
                         compute_transient_correctors, decay_profile,
                         transients_for_all_nodes, _PatchSolver, form_matrix)
-from sdwave.mesh import build_uniform_mesh, refine, saturating_k
+from sdwave.mesh import Mesh, NestedMeshPair, saturating_k
 from sdwave.rb import snapshot_singular_values
 
 TAU = 0.02
@@ -37,11 +37,11 @@ def _report(num, name, ok, detail, elapsed, budget):
 
 class _Problem:
     def __init__(self, q_exp, p_exp):
-        coarse = build_uniform_mesh(2 ** q_exp)
-        self.pair = refine(coarse, 2 ** (p_exp - q_exp))
+        coarse = Mesh(2 ** q_exp)
+        self.pair = NestedMeshPair(coarse, 2 ** (p_exp - q_exp))
         self.field_a = random_field(self.pair.fine, 1e-1, 1e3, SEED)
         self.field_b = random_field(self.pair.fine, 1e-1, 1e3, SEED + 1)
-        self.forms = build_forms(self.pair, self.field_a, self.field_b, TAU)
+        self.forms = DiscreteForms(self.pair, self.field_a, self.field_b, TAU)
         self.interp = build_interpolator(self.pair)
         self.zeros_c = np.zeros(self.pair.coarse.n_dofs)
         self.zeros_f = np.zeros(self.pair.fine.n_dofs)
@@ -81,10 +81,10 @@ def exph_rows():
 
 def test_criterion_1_oracle_collapse():
     tic = time.perf_counter()
-    pair = refine(build_uniform_mesh(8), 1)
+    pair = NestedMeshPair(Mesh(8), 1)
     field_a = random_field(pair.fine, 1e-1, 1e3, SEED)
     field_b = random_field(pair.fine, 1e-1, 1e3, SEED + 1)
-    forms = build_forms(pair, field_a, field_b, TAU)
+    forms = DiscreteForms(pair, field_a, field_b, TAU)
     interp = build_interpolator(pair)
     grid = TimeGrid(TAU, 25)
     cs = build_corrector_set(pair, interp, forms, CorrectorConfig(k=2, tau=TAU))
@@ -118,10 +118,10 @@ def test_criterion_2_auxiliary_exactness(request):
 
 def test_criterion_3_superposition_identity():
     tic = time.perf_counter()
-    pair = refine(build_uniform_mesh(8), 4)
+    pair = NestedMeshPair(Mesh(8), 4)
     field_a = random_field(pair.fine, 1e-1, 1e3, SEED)
     field_b = random_field(pair.fine, 1e-1, 1e3, SEED + 1)
-    forms = build_forms(pair, field_a, field_b, TAU)
+    forms = DiscreteForms(pair, field_a, field_b, TAU)
     interp = build_interpolator(pair)
     cfg = CorrectorConfig(k=2, tau=TAU)
     cs = build_corrector_set(pair, interp, forms, cfg)

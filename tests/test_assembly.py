@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from sdwave.assembly import (CoefficientField, assemble_load, assemble_mass,
-                             assemble_stiffness, build_forms, element_rhs,
-                             load_coefficient_csv, norms,
-                             save_coefficient_csv)
+from sdwave.assembly import (CoefficientField, DiscreteForms, assemble_load,
+                             assemble_mass, assemble_stiffness, element_rhs,
+                             norms)
 from sdwave.harness import random_field
-from sdwave.mesh import build_uniform_mesh, refine
+from sdwave.mesh import Mesh, NestedMeshPair
 
 
 def test_unit_stiffness_stencil():
     # closed-form P1 stencil on right triangles: diagonal 4, axis neighbors -1
     for n in (4, 8):
-        m = build_uniform_mesh(n)
+        m = Mesh(n)
         K = assemble_stiffness(m)
         np.testing.assert_allclose(K.diagonal(), 4.0)
         center = m.dof_index[(n // 2) * (n + 1) + n // 2]
@@ -23,7 +22,7 @@ def test_unit_stiffness_stencil():
 
 
 def test_stiffness_scaling_linearity():
-    m = build_uniform_mesh(4)
+    m = Mesh(4)
     values = np.linspace(1.0, 2.0, m.n_elements)
     K1 = assemble_stiffness(m, values)
     K3 = assemble_stiffness(m, 3.0 * values)
@@ -32,13 +31,13 @@ def test_stiffness_scaling_linearity():
 
 
 def test_stiffness_row_sums_before_elimination():
-    m = build_uniform_mesh(6)
+    m = Mesh(6)
     K = assemble_stiffness(m, full=True)
     assert np.abs(np.asarray(K.sum(axis=1))).max() <= 1e-13
 
 
 def test_assembled_matrices_bitwise_symmetric():
-    pair = refine(build_uniform_mesh(3), 2)
+    pair = NestedMeshPair(Mesh(3), 2)
     field = random_field(pair.fine, 0.1, 1000.0, 9)
     K = assemble_stiffness(pair.fine, field, full=True)
     M = assemble_mass(pair.fine, full=True)
@@ -47,19 +46,19 @@ def test_assembled_matrices_bitwise_symmetric():
 
 
 def test_mass_total_and_diagonal():
-    m = build_uniform_mesh(8)
+    m = Mesh(8)
     assert abs(assemble_mass(m, full=True).sum() - 1.0) <= 1e-14
     Mi = assemble_mass(m)
     np.testing.assert_allclose(Mi.diagonal(), m.h ** 2 / 2.0, rtol=1e-14)
 
 
 def test_mass_empty_at_n1():
-    M = assemble_mass(build_uniform_mesh(1))
+    M = assemble_mass(Mesh(1))
     assert M.shape == (0, 0)
 
 
 def test_load_constant_and_linearity():
-    m = build_uniform_mesh(8)
+    m = Mesh(8)
     L1 = assemble_load(m, 1.0)
     np.testing.assert_allclose(L1, m.h ** 2, rtol=1e-14)
     assert np.all(assemble_load(m, 0.0) == 0.0)
@@ -67,7 +66,7 @@ def test_load_constant_and_linearity():
 
 
 def test_load_callable_and_nonfinite():
-    m = build_uniform_mesh(4)
+    m = Mesh(4)
     L = assemble_load(m, lambda x, y, t: x + t, t=2.0)
     assert L.shape == (m.n_dofs,)
     with pytest.raises(ValueError):
@@ -75,18 +74,24 @@ def test_load_callable_and_nonfinite():
 
 
 def test_coefficient_field_validation():
-    m = build_uniform_mesh(2)
+    m = Mesh(2)
     with pytest.raises(ValueError):
         CoefficientField(m, np.zeros(m.n_elements))
     with pytest.raises(ValueError):
         CoefficientField(m, np.ones(3))
     f = CoefficientField(m, np.full(m.n_elements, 2.0))
     assert f.bounds == (2.0, 2.0)
+    # raw arrays are held to the same rule as fields
+    pair = NestedMeshPair(m, 1)
+    with pytest.raises(ValueError):
+        DiscreteForms(pair, -np.ones(m.n_elements), np.full(m.n_elements, np.nan), 0.1)
+    with pytest.raises(ValueError):
+        assemble_stiffness(m, np.full(m.n_elements, np.inf))
 
 
 def test_mismatched_mesh_rejected():
-    m = build_uniform_mesh(4)
-    other = random_field(build_uniform_mesh(8), 0.5, 2.0, 0)
+    m = Mesh(4)
+    other = random_field(Mesh(8), 0.5, 2.0, 0)
     with pytest.raises(ValueError):
         assemble_stiffness(m, other)
 
@@ -129,10 +134,3 @@ def test_norms_report(problem44):
     k1 = v @ (forms.K_1 @ v)
     assert lo * k1 <= rep.a ** 2 <= hi * k1
 
-
-def test_coefficient_csv_roundtrip(tmp_path, problem44):
-    path = tmp_path / "field.csv"
-    save_coefficient_csv(path, problem44.pair, problem44.field_a)
-    n, r, values = load_coefficient_csv(path)
-    assert (n, r) == (problem44.pair.coarse.n, problem44.pair.r)
-    np.testing.assert_array_equal(values, problem44.field_a.values)

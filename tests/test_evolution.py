@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from sdwave.assembly import build_forms, h1_norm
+from sdwave.assembly import DiscreteForms, h1_norm
 from sdwave.evolution import (TimeGrid, Trajectory, aux_fine_solve,
                               aux_gfem_solve, discrete_energy, fine_fem_solve,
                               galerkin_wave_solve, ideal_gfem_solve,
                               localized_gfem_solve,
                               localized_gfem_solve_direct, rel_h1_final,
-                              rel_l2h1, save_final_state, trajectory_csv)
+                              rel_l2h1)
 from sdwave.harness import random_field
 from sdwave.linalg import factor_saddle
 from sdwave.lod import (CorrectorConfig, build_corrector_set,
                         transients_for_all_nodes)
-from sdwave.mesh import build_uniform_mesh, prolongation, refine, saturating_k
+from sdwave.mesh import Mesh, NestedMeshPair, prolongation, saturating_k
 
 TAU = 0.02
 
@@ -42,9 +42,9 @@ def test_fine_fem_zero_data_zero_source(problem44):
 def test_fine_fem_single_dof_recurrence():
     # coarse n=2, h=1/2: one interior dof with M = 1/8, K_A = K_B = 4, F = 1/4;
     # the scalar backward difference recurrence is reproduced exactly
-    pair = refine(build_uniform_mesh(2), 1)
+    pair = NestedMeshPair(Mesh(2), 1)
     ones = np.ones(pair.fine.n_elements)
-    forms = build_forms(pair, ones, ones, TAU)
+    forms = DiscreteForms(pair, ones, ones, TAU)
     grid = TimeGrid(TAU, 600)
     traj = fine_fem_solve(forms, 1.0, np.zeros(1), np.zeros(1), grid)
     u = [0.0, 0.0]
@@ -181,10 +181,10 @@ def test_aux_convergence_rate():
     # aux GFEM error behaves like H times the accumulated source norm
     errs = []
     for q in (2, 3, 4):
-        pair = refine(build_uniform_mesh(2 ** q), 2 ** (5 - q))
+        pair = NestedMeshPair(Mesh(2 ** q), 2 ** (5 - q))
         A = random_field(pair.fine, 0.1, 1000.0, 1)
         B = random_field(pair.fine, 0.1, 1000.0, 2)
-        forms = build_forms(pair, A, B, TAU)
+        forms = DiscreteForms(pair, A, B, TAU)
         from sdwave.interpolation import build_interpolator
         interp = build_interpolator(pair)
         cs = build_corrector_set(pair, interp, forms,
@@ -207,22 +207,6 @@ def test_fem_baseline_collapses_at_r1(problem81):
     zeros = np.zeros(problem81.n_fine_dofs)
     ref = fine_fem_solve(problem81.forms, 1.0, zeros, zeros, grid)
     assert rel_l2h1(problem81.forms, fem, ref) <= 1e-10
-
-
-def test_trajectory_export(tmp_path, problem44):
-    grid = TimeGrid(TAU, 4)
-    zeros = np.zeros(problem44.n_fine_dofs)
-    traj = fine_fem_solve(problem44.forms, 1.0, zeros, zeros, grid)
-    csv_path = tmp_path / "traj.csv"
-    trajectory_csv(traj, problem44.forms, csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "step,time,l2,h1"
-    assert len(lines) == grid.n_steps + 2
-    assert float(lines[1].split(",")[2]) == 0.0
-
-    bin_path = tmp_path / "final.npy"
-    save_final_state(traj, bin_path)
-    np.testing.assert_array_equal(np.load(bin_path), traj.states[-1])
 
 
 def test_error_norms_zero_for_identical(problem44):

@@ -9,13 +9,38 @@ from sdwave.cli import main
 from sdwave.harness import (CSV_HEADER, ExperimentConfig, config_from_sources,
                             emit, random_field, run_exp_H, run_exp_k,
                             run_exp_rb)
-from sdwave.mesh import build_uniform_mesh
+from sdwave.mesh import Mesh
 
 MICRO = dict(p=3, q=2, kmax=2, tau=0.1, T=0.5, seed=1)
 
+# (method, param) -> (rel_h1_final, rel_l2h1) of the micro runs below, as
+# recorded from the separate per-scheme loops that the shared stepper replaced.
+# Rows at 1/H = 8 (h = H) are round-off, so they are held to an absolute 1e-13.
+PINNED_K = {("gfem_k", 2): (0.07946108734894217, 0.06683286290111115)}
+PINNED_H = {
+    ("fem", 4): (0.7048301508085808, 0.7157712426728957),
+    ("fem", 8): (2.5846163747459963e-15, 2.1684244224270247e-15),
+    ("gfem", 4): (0.21779070949332047, 0.2147787844454392),
+    ("gfem", 8): (3.137205972454848e-15, 2.829431945084952e-15),
+    ("lod_a", 4): (0.3085007344744371, 0.29386343798144626),
+    ("lod_a", 8): (2.5846163747459963e-15, 2.1684244224270247e-15),
+    ("lod_b", 4): (0.6916531501722815, 0.7112608679641595),
+    ("lod_b", 8): (2.5846163747459963e-15, 2.1684244224270247e-15),
+}
+PINNED_RB = {("rb", 1): (0.032770090141106094, 0.023757856081438353),
+             ("rb", 5): (0.0, 0.0)}
+
+
+def assert_pinned(rows, pinned):
+    got = {(r["method"], r["param"]): (r["rel_h1_final"], r["rel_l2h1"]) for r in rows}
+    assert set(got) == set(pinned)
+    for key, expected in pinned.items():
+        np.testing.assert_allclose(got[key], expected, rtol=1e-12, atol=1e-13,
+                                   err_msg=str(key))
+
 
 def test_random_field_determinism_and_bounds():
-    mesh = build_uniform_mesh(8)
+    mesh = Mesh(8)
     f1 = random_field(mesh, 0.1, 1000.0, 7)
     f2 = random_field(mesh, 0.1, 1000.0, 7)
     np.testing.assert_array_equal(f1.values, f2.values)
@@ -26,7 +51,7 @@ def test_random_field_determinism_and_bounds():
 
 
 def test_random_field_validation():
-    mesh = build_uniform_mesh(4)
+    mesh = Mesh(4)
     with pytest.raises(ValueError):
         random_field(mesh, 1.0, 1.0, 0)
     with pytest.raises(ValueError):
@@ -36,13 +61,13 @@ def test_random_field_validation():
 
 
 def test_random_field_near_constant_limit():
-    mesh = build_uniform_mesh(4)
+    mesh = Mesh(4)
     f = random_field(mesh, 1.0, 1.0 + 1e-9, 3)
     assert f.bounds[1] - f.bounds[0] <= 1e-9
 
 
 def test_random_field_blocks():
-    mesh = build_uniform_mesh(8)
+    mesh = Mesh(8)
     f = random_field(mesh, 0.1, 1000.0, 5, block=4)
     values = f.values.reshape(-1, 2)
     assert np.all(values[:, 0] == values[:, 1])  # both triangles of a cell agree
@@ -52,7 +77,7 @@ def test_random_field_blocks():
 
 
 def test_uniform_law():
-    mesh = build_uniform_mesh(8)
+    mesh = Mesh(8)
     f = random_field(mesh, 10.0, 20.0, 6, law="uniform")
     assert 10.0 <= f.bounds[0] and f.bounds[1] <= 20.0
 
@@ -60,19 +85,19 @@ def test_uniform_law():
 def test_near_constant_field_gfem_error_matches_fem_level():
     # without coefficient variation the coarse FEM has no multiscale handicap,
     # so the two methods land at the same error level against the fine solve
-    from sdwave.assembly import build_forms
+    from sdwave.assembly import DiscreteForms
     from sdwave.evolution import (TimeGrid, fine_fem_solve,
                                   galerkin_wave_solve, localized_gfem_solve,
                                   rel_l2h1)
     from sdwave.interpolation import build_interpolator
     from sdwave.lod import (CorrectorConfig, build_corrector_set,
                             transients_for_all_nodes)
-    from sdwave.mesh import prolongation, refine
+    from sdwave.mesh import NestedMeshPair, prolongation
 
-    pair = refine(build_uniform_mesh(4), 2)
+    pair = NestedMeshPair(Mesh(4), 2)
     A = random_field(pair.fine, 1.0, 1.0 + 1e-9, 1)
     B = random_field(pair.fine, 1.0, 1.0 + 1e-9, 2)
-    forms = build_forms(pair, A, B, 0.02)
+    forms = DiscreteForms(pair, A, B, 0.02)
     interp = build_interpolator(pair)
     cs = build_corrector_set(pair, interp, forms, CorrectorConfig(k=2, tau=0.02))
     seq = transients_for_all_nodes(pair, interp, forms, cs, horizon=10)
@@ -142,7 +167,7 @@ def test_exp_k_micro_deterministic(tmp_path):
     emit(rows2, tmp_path, "b")
     assert _strip_runtime(tmp_path / "a.csv") == _strip_runtime(tmp_path / "b.csv")
     assert meta1["cache_misses"] > 0 and meta1["cache_hits"] == 0
-    assert rows1[0]["rel_h1_final"] >= 0.0
+    assert_pinned(rows1, PINNED_K)
 
 
 def test_exp_k_cache_hit(tmp_path):
@@ -153,6 +178,32 @@ def test_exp_k_cache_hit(tmp_path):
     assert meta2["cache_hits"] > 0
     for r1, r2 in zip(rows1, rows2):
         assert r1["rel_h1_final"] == r2["rel_h1_final"]
+
+
+@pytest.mark.parametrize("change", [dict(hi=1e1), dict(T=1.0)],
+                         ids=["contrast", "final_time"])
+def test_cache_not_served_for_changed_inputs(tmp_path, change):
+    # a cache filled at one contrast or horizon must not answer for another
+    common = dict(p=4, q=2, kmax=2, T=0.5, seed=1)
+    cache = str(tmp_path / "cache")
+    run_exp_k(ExperimentConfig(cache=cache, **common))
+    changed = dict(common, **change)
+    rows, meta = run_exp_k(ExperimentConfig(cache=cache, **changed))
+    fresh, _ = run_exp_k(ExperimentConfig(**changed))
+    assert meta["cache_hits"] == 0
+    assert [r["rel_h1_final"] for r in rows] == [r["rel_h1_final"] for r in fresh]
+
+
+def test_truncated_cache_file_is_a_miss(tmp_path):
+    cache = tmp_path / "cache"
+    cfg = ExperimentConfig(cache=str(cache), **MICRO)
+    rows1, _ = run_exp_k(cfg)
+    for path in cache.glob("*.npz"):
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+    rows2, meta2 = run_exp_k(cfg)
+    assert meta2["cache_hits"] == 0
+    assert [r["rel_h1_final"] for r in rows2] == [r["rel_h1_final"] for r in rows1]
 
 
 def test_exp_H_micro(tmp_path):
@@ -169,6 +220,7 @@ def test_exp_H_micro(tmp_path):
             assert r["rel_h1_final"] <= fem_err
         if r["method"] == "gfem" and r["param"] == 8:  # H = h: oracle collapse
             assert r["rel_h1_final"] <= 1e-8
+    assert_pinned(rows, PINNED_H)
 
 
 def test_exp_rb_micro(tmp_path):
@@ -176,12 +228,13 @@ def test_exp_rb_micro(tmp_path):
     rows, _ = run_exp_rb(cfg)
     gaps = {r["param"]: r["rel_h1_final"] for r in rows}
     assert gaps[5] == 0.0  # horizon reached, nothing to compress
+    assert_pinned(rows, PINNED_RB)
 
 
 def test_exp_k_saturated_patch_matches_ideal():
     # once the patches cover the domain the sweep hits the reference itself
-    from sdwave.mesh import saturating_k, build_uniform_mesh as bum
-    cfg = ExperimentConfig(p=4, q=2, kmax=saturating_k(bum(4)), tau=0.1, T=0.4,
+    from sdwave.mesh import saturating_k
+    cfg = ExperimentConfig(p=4, q=2, kmax=saturating_k(Mesh(4)), tau=0.1, T=0.4,
                            seed=1)
     rows, _ = run_exp_k(cfg)
     last = max(rows, key=lambda r: r["param"])

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from sdwave.assembly import build_forms, h1_norm
+from sdwave.assembly import DiscreteForms, h1_norm
 from sdwave.interpolation import build_interpolator, kernel_constraints
 from sdwave.lod import patch_fine_dofs
-from sdwave.mesh import build_uniform_mesh, element_patch, prolongation, refine
+from sdwave.mesh import Mesh, NestedMeshPair, element_patch, prolongation
 
 
 @pytest.mark.parametrize("q,r", [(2, 2), (4, 4), (8, 2)])
 def test_projection_property(q, r):
-    pair = refine(build_uniform_mesh(q), r)
+    pair = NestedMeshPair(Mesh(q), r)
     interp = build_interpolator(pair)
     P = prolongation(pair)
     E = interp.matrix @ P - sparse.eye(pair.coarse.n_dofs)
@@ -60,10 +60,10 @@ def test_local_stability_estimate():
     # ||v - I_H v||_L2 <= C H ||v||_H1 with an empirically stable constant
     estimates = []
     for q, p in ((3, 5), (4, 6)):
-        pair = refine(build_uniform_mesh(2 ** q), 2 ** (p - q))
+        pair = NestedMeshPair(Mesh(2 ** q), 2 ** (p - q))
         interp = build_interpolator(pair)
         P = prolongation(pair)
-        forms = build_forms(pair, np.ones(pair.fine.n_elements),
+        forms = DiscreteForms(pair, np.ones(pair.fine.n_elements),
                             np.ones(pair.fine.n_elements), 0.02)
         rng = np.random.default_rng(22)
         worst = 0.0

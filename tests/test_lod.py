@@ -1,7 +1,9 @@
+import shutil
+
 import numpy as np
 import pytest
 
-from sdwave.assembly import h1_norm
+from sdwave.assembly import DiscreteForms, h1_norm
 from sdwave.harness import random_field
 from sdwave.linalg import factor_saddle
 from sdwave.lod import (CorrectorConfig, build_corrector_set, cache_key,
@@ -10,9 +12,7 @@ from sdwave.lod import (CorrectorConfig, build_corrector_set, cache_key,
                         load_corrector_cache, patch_fine_dofs,
                         project_initial_data, save_corrector_cache,
                         transients_for_all_nodes)
-from sdwave.mesh import build_uniform_mesh, element_patch, node_patch, \
-    prolongation, refine, saturating_k
-from sdwave.rb import build_rb
+from sdwave.mesh import element_patch, node_patch, prolongation, saturating_k
 
 TAU = 0.02
 
@@ -254,18 +254,42 @@ def test_project_initial_data_r1(problem81):
 
 def test_cache_roundtrip(tmp_path, problem44, transient_node):
     cs, tc = transient_node
-    transients = {tc.x_dof: tc}
-    basis = build_rb(tc.xi, problem44.interp, problem44.forms, tc.dofs, x_dof=tc.x_dof)
-    key = cache_key(problem44.pair, 1, TAU, cs.config.k, cs.config.form_choice)
-    save_corrector_cache(tmp_path, key, cs, transients, {tc.x_dof: basis})
+    key = cache_key(problem44.forms, cs.config, 25, 0.0)
+    path = save_corrector_cache(tmp_path, key, cs, {tc.x_dof: tc})
     loaded = load_corrector_cache(tmp_path, key, problem44.pair)
     assert loaded is not None
-    cs2, transients2, bases2 = loaded
+    cs2, transients2 = loaded
     assert cs2.config == cs.config
     assert np.abs((cs2.Q - cs.Q).toarray()).max() == 0.0
     np.testing.assert_array_equal(cs2.A_ms, cs.A_ms)
     np.testing.assert_array_equal(transients2[tc.x_dof].xi, tc.xi)
     np.testing.assert_array_equal(transients2[tc.x_dof].dofs, tc.dofs)
-    np.testing.assert_array_equal(bases2[tc.x_dof].Z, basis.Z)
-    assert bases2[tc.x_dof].m_selected == basis.m_selected
     assert load_corrector_cache(tmp_path, "missing", problem44.pair) is None
+    # a file copied under another key is not served for it
+    other = cache_key(problem44.forms, cs.config, 26, 0.0)
+    shutil.copy(path, tmp_path / (other + ".npz"))
+    assert load_corrector_cache(tmp_path, other, problem44.pair) is None
+    # neither is an unreadable one
+    data = open(path, "rb").read()
+    for size in (0, 10, len(data) // 2, len(data) - 1):
+        with open(path, "wb") as fh:
+            fh.write(data[:size])
+        assert load_corrector_cache(tmp_path, key, problem44.pair) is None
+
+
+def test_cache_key_covers_every_input(problem44):
+    forms = problem44.forms
+    config = CorrectorConfig(k=2, tau=TAU)
+    base = cache_key(forms, config, 10, 1e-12)
+    assert cache_key(forms, CorrectorConfig(k=2, tau=TAU), 10, 1e-12) == base
+    scaled = DiscreteForms(problem44.pair, 10.0 * problem44.field_a.values,
+                           problem44.field_b, TAU)
+    variants = [
+        cache_key(scaled, config, 10, 1e-12),
+        cache_key(forms, CorrectorConfig(k=3, tau=TAU), 10, 1e-12),
+        cache_key(forms, CorrectorConfig(k=2, tau=TAU, form_choice="a_only"), 10, 1e-12),
+        cache_key(forms, CorrectorConfig(k=2, tau=TAU * (1 + 1e-12)), 10, 1e-12),
+        cache_key(forms, config, 11, 1e-12),
+        cache_key(forms, config, 10, 1e-10),
+    ]
+    assert len(set(variants + [base])) == len(variants) + 1

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from sdwave.mesh import (build_uniform_mesh, element_patch, node_patch,
-                         prolongation, refine, saturating_k)
+from sdwave.mesh import (Mesh, NestedMeshPair, element_patch, node_patch,
+                         prolongation, saturating_k)
 
 
 @pytest.mark.parametrize("n,nv,nt,ni", [(1, 4, 2, 0), (2, 9, 8, 1), (16, 289, 512, 225)])
 def test_counts(n, nv, nt, ni):
-    m = build_uniform_mesh(n)
+    m = Mesh(n)
     assert m.n_vertices == nv
     assert m.n_elements == nt
     assert m.n_dofs == ni
@@ -16,22 +16,22 @@ def test_counts(n, nv, nt, ni):
 
 def test_invalid_subdivisions():
     with pytest.raises(ValueError):
-        build_uniform_mesh(0)
+        Mesh(0)
 
 
 def test_orientation_and_area():
-    m = build_uniform_mesh(16)
+    m = Mesh(16)
     assert np.all(m.areas() > 0)
     assert abs(m.areas().sum() - 1.0) <= 1e-14
 
 
 def test_shape_regularity_constant():
-    assert abs(build_uniform_mesh(5).shape_regularity - (np.sqrt(2.0) - 1.0)) < 1e-15
+    assert abs(Mesh(5).shape_regularity - (np.sqrt(2.0) - 1.0)) < 1e-15
 
 
 @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (4, 4)])
 def test_refine_fibers(n, r):
-    pair = refine(build_uniform_mesh(n), r)
+    pair = NestedMeshPair(Mesh(n), r)
     assert pair.fine.n == r * n
     sizes = {f.size for f in pair.fibers}
     assert sizes == {r * r}
@@ -40,7 +40,7 @@ def test_refine_fibers(n, r):
 
 
 def test_parent_containment():
-    pair = refine(build_uniform_mesh(4), 4)
+    pair = NestedMeshPair(Mesh(4), 4)
     fine, coarse = pair.fine, pair.coarse
     g = coarse.gradients()
     for t in range(fine.n_elements):
@@ -63,7 +63,7 @@ def _brute_force_neighbors(mesh, elems):
 
 
 def test_element_patch_against_brute_force():
-    m = build_uniform_mesh(8)
+    m = Mesh(8)
     center = 2 * (4 * 8 + 4)
     expected = _brute_force_neighbors(m, {center})
     assert set(element_patch(m, center, 1).tolist()) == expected
@@ -72,7 +72,7 @@ def test_element_patch_against_brute_force():
 
 
 def test_patch_monotone_and_saturating():
-    m = build_uniform_mesh(6)
+    m = Mesh(6)
     rng = np.random.default_rng(4)
     for t in rng.integers(0, m.n_elements, size=8):
         prev = set()
@@ -84,7 +84,7 @@ def test_patch_monotone_and_saturating():
 
 
 def test_node_patch_incidence():
-    m = build_uniform_mesh(8)
+    m = Mesh(8)
     center = 4 * 9 + 4
     patch = node_patch(m, center, 1)
     # on the diagonal mesh an interior node touches exactly 6 elements
@@ -99,13 +99,13 @@ def test_node_patch_incidence():
 
 
 def test_prolongation_identity_at_r1():
-    pair = refine(build_uniform_mesh(4), 1)
+    pair = NestedMeshPair(Mesh(4), 1)
     P = prolongation(pair)
     assert (P - sparse.eye(pair.coarse.n_dofs)).nnz == 0
 
 
 def test_prolongation_partition_of_unity():
-    pair = refine(build_uniform_mesh(4), 4)
+    pair = NestedMeshPair(Mesh(4), 4)
     P = prolongation(pair)
     sums = np.asarray(P.sum(axis=1)).ravel()
     fine, r = pair.fine, pair.r
@@ -119,7 +119,7 @@ def test_prolongation_partition_of_unity():
 
 
 def test_prolongation_edge_midpoint():
-    pair = refine(build_uniform_mesh(2), 2)
+    pair = NestedMeshPair(Mesh(2), 2)
     P = prolongation(pair)
     fine, coarse = pair.fine, pair.coarse
     center_dof = coarse.dof_index[1 * 3 + 1]
@@ -128,7 +128,7 @@ def test_prolongation_edge_midpoint():
 
 
 def test_prolongation_samples_identity_on_coarse_nodes():
-    pair = refine(build_uniform_mesh(4), 2)
+    pair = NestedMeshPair(Mesh(4), 2)
     P = prolongation(pair)
     for dof, vert in enumerate(pair.coarse.interior_nodes):
         i, j = vert % (pair.coarse.n + 1), vert // (pair.coarse.n + 1)
