@@ -19,7 +19,7 @@ from .lod import (CorrectorConfig, build_corrector_set, cache_key,
                   load_corrector_cache, save_corrector_cache,
                   transients_for_all_nodes)
 from .mesh import Mesh, NestedMeshPair, prolongation, saturating_k
-from .rb import rb_gfem_solve
+from .rb import node_reductions, rb_gfem_solve
 
 log = logging.getLogger("sdwave")
 
@@ -54,6 +54,10 @@ class ExperimentConfig:
             raise ValueError("coefficient range must satisfy 0 < lo < hi")
         if self.tau <= 0:
             raise ValueError("time step must be positive")
+        if not self.M or min(self.M) < 1:
+            raise ValueError("snapshot counts M must be >= 1")
+        if self.kmax < 2:
+            raise ValueError("kmax must be >= 2: the patch sweep starts at k = 2")
 
     @property
     def n_steps(self):
@@ -251,12 +255,16 @@ def run_exp_rb(cfg):
     reference = localized_gfem_solve(correctors, seq, problem.interp, problem.forms,
                                      1.0, problem.grid, problem.zeros, problem.zeros)
 
+    # one basis per node, built from max(M) snapshots; each M takes its prefix
+    reductions = node_reductions(seq, problem.interp, problem.forms, cfg.M,
+                                 tol_rel=cfg.rb_tol)
     rows = []
     for m in cfg.M:
         tic = time.perf_counter()
         trajectory = rb_gfem_solve(correctors, seq, problem.interp, problem.forms,
                                    1.0, problem.grid, problem.zeros, problem.zeros,
-                                   m, tol_rel=cfg.rb_tol, stop_tol=cfg.stop_tol)
+                                   m, tol_rel=cfg.rb_tol, stop_tol=cfg.stop_tol,
+                                   reductions=reductions)
         rows.append({
             "param": m,
             "rel_h1_final": rel_h1_final(problem.forms, trajectory, reference),

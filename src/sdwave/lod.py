@@ -121,26 +121,34 @@ def build_corrector_set(pair, interp, forms, config, workers=1):
     coarse = pair.coarse
     matrix = form_matrix(forms, config.form_choice)
 
-    solvers = {}
-
-    def patch_solver(t):
-        patch = element_patch(coarse, t, config.k)
-        dofs = patch_fine_dofs(pair, patch)
+    # elements that share a patch share its factorization: collect the distinct
+    # patches first, so that each is factored exactly once even across threads
+    element_keys = []
+    distinct = {}
+    for t in range(coarse.n_elements):
+        dofs = patch_fine_dofs(pair, element_patch(coarse, t, config.k))
         key = dofs.tobytes()
-        if key not in solvers:
-            solvers[key] = _PatchSolver(pair, interp, matrix, dofs)
-        return solvers[key]
+        distinct.setdefault(key, dofs)
+        element_keys.append(key)
 
-    def one_element(t):
+    def patch_solver(dofs):
+        return _PatchSolver(pair, interp, matrix, dofs)
+
+    def one_element(t, solver):
         return compute_element_correctors(pair, interp, forms, t, config,
-                                          solver=patch_solver(t))
+                                          solver=solver)
+
+    def run(mapper):
+        solvers = dict(zip(distinct, mapper(patch_solver, distinct.values())))
+        return list(mapper(one_element, range(coarse.n_elements),
+                           [solvers[key] for key in element_keys]))
 
     if workers > 1:
         # patch solves are independent; assembly below keeps a fixed order
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            contributions = list(pool.map(one_element, range(coarse.n_elements)))
+            contributions = run(pool.map)
     else:
-        contributions = [one_element(t) for t in range(coarse.n_elements)]
+        contributions = run(map)
 
     rows = []
     cols = []

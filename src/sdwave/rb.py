@@ -22,14 +22,29 @@ class ReducedBasis:
     k_hat: np.ndarray      # Z^T K_A Z
     m_selected: int
 
+    def prefix(self, m):
+        """The basis that build_rb returns for the first m of the snapshots.
 
-def _patch_matrices(forms, dofs):
-    a_tilde = forms.K_tilde[dofs][:, dofs].tocsr()
-    k_a = forms.K_A[dofs][:, dofs].tocsr()
-    return a_tilde, k_a
+        Gram-Schmidt is sequential and stops at its first rejection, so that
+        basis is exactly the leading min(m, m_selected) columns of this one.
+        """
+        m = min(m, self.m_selected)
+        return ReducedBasis(self.x_dof, self.Z[:, :m], self.a_hat[:m, :m],
+                            self.k_hat[:m, :m], m)
 
 
-def build_rb(snapshots, interp, forms, dofs, tol_rel=1e-10, x_dof=-1):
+class _PatchBlocks:
+    """Restrictions of the forms and the kernel constraints to one patch."""
+
+    def __init__(self, interp, forms, dofs):
+        self.a_tilde = forms.K_tilde[dofs][:, dofs].tocsr()
+        self.k_a = forms.K_A[dofs][:, dofs].tocsr()
+        self.h1 = forms._h1_matrix[dofs][:, dofs].tocsr()
+        self.C = kernel_constraints(interp, dofs)
+        self.gram_c = scipy.linalg.cho_factor((self.C @ self.C.T).toarray())
+
+
+def build_rb(snapshots, interp, forms, dofs, tol_rel=1e-10, x_dof=-1, blocks=None):
     """Gram-Schmidt in the energy inner product with tolerance-gated truncation.
 
     A snapshot is rejected once its orthogonalized remainder falls below
@@ -41,9 +56,9 @@ def build_rb(snapshots, interp, forms, dofs, tol_rel=1e-10, x_dof=-1):
     snapshots = np.atleast_2d(np.asarray(snapshots, dtype=float))
     if snapshots.shape[0] == 0:
         raise EmptyBasisError("no snapshots supplied")
-    a_tilde, k_a = _patch_matrices(forms, dofs)
-    C = kernel_constraints(interp, dofs)
-    gram_c = scipy.linalg.cho_factor((C @ C.T).toarray())
+    if blocks is None:
+        blocks = _PatchBlocks(interp, forms, dofs)
+    a_tilde, C, gram_c = blocks.a_tilde, blocks.C, blocks.gram_c
 
     def kernel_project(v):
         return v - C.T @ scipy.linalg.cho_solve(gram_c, C @ v)
@@ -75,7 +90,7 @@ def build_rb(snapshots, interp, forms, dofs, tol_rel=1e-10, x_dof=-1):
 
     Z = np.column_stack(basis)
     a_hat = Z.T @ (a_tilde @ Z)
-    k_hat = Z.T @ (k_a @ Z)
+    k_hat = Z.T @ (blocks.k_a @ Z)
     return ReducedBasis(x_dof, Z, a_hat, k_hat, consumed)
 
 
@@ -101,15 +116,84 @@ def snapshot_singular_values(snapshots, forms, dofs):
     snapshots = np.atleast_2d(np.asarray(snapshots, dtype=float))
     if snapshots.shape[0] == 0:
         raise ValueError("need at least one snapshot")
-    a_tilde, _ = _patch_matrices(forms, dofs)
+    a_tilde = forms.K_tilde[dofs][:, dofs]
     chol = scipy.linalg.cholesky(a_tilde.toarray(), lower=False)
     return scipy.linalg.svdvals(chol @ snapshots.T)
 
 
+@dataclass
+class NodeReduction:
+    """One node's reduced basis, built once for every M up to n_snapshots."""
+    n_snapshots: int       # leading snapshots the basis was built from
+    a_tilde: object        # patch block of K_A + tau K_B, for the projection
+    basis: ReducedBasis    # None when the first snapshot carries no energy
+    w_h1: np.ndarray       # Z^T H1 Z, for the stop test in coordinates
+    norm1: float           # H1 norm of the first snapshot
+
+
+def node_reductions(transients, interp, forms, m_values, tol_rel=1e-10):
+    """Per-node reduced bases for a sweep over the snapshot counts m_values.
+
+    Each node whose sequence is longer than the smallest count gets one basis
+    from its first min(max(m_values), length) snapshots; compress_transients
+    takes the prefix of it for each count.
+    """
+    m_values = tuple(m_values)
+    if not m_values or min(m_values) < 1:
+        raise ValueError("snapshot counts must be >= 1")
+    out = {}
+    for d, tc in transients.items():
+        length = tc.xi.shape[0]
+        if min(m_values) >= length:
+            continue
+        n = min(max(m_values), length)
+        blocks = _PatchBlocks(interp, forms, tc.dofs)
+        try:
+            basis = build_rb(tc.xi[:n], interp, forms, tc.dofs, tol_rel=tol_rel,
+                             x_dof=d, blocks=blocks)
+        except EmptyBasisError:
+            out[d] = NodeReduction(n, blocks.a_tilde, None, None, 0.0)
+            continue
+        first = tc.xi[0]
+        out[d] = NodeReduction(n, blocks.a_tilde, basis,
+                               basis.Z.T @ (blocks.h1 @ basis.Z),
+                               np.sqrt(max(first @ (blocks.h1 @ first), 0.0)))
+    return out
+
+
+def _continuation(node, kept, steps, stop_tol):
+    """Up to `steps` members after `kept`, stepped in basis coordinates as
+    c <- a_hat^-1 k_hat c and lifted with one product at the end.
+
+    The sequence ends with the first member whose H1 norm, c^T (Z^T H1 Z) c,
+    falls to stop_tol times that of the first snapshot.
+    """
+    basis = node.basis.prefix(kept.shape[0])
+    m = basis.m_selected
+    G = np.linalg.solve(basis.a_hat, basis.k_hat)
+    c = basis.Z.T @ (node.a_tilde @ kept[-1])
+    coeffs = np.empty((m, steps))
+    for j in range(steps):
+        c = G @ c
+        coeffs[:, j] = c
+    energy = np.einsum("ij,ij->j", coeffs, node.w_h1[:m, :m] @ coeffs)
+    below = np.flatnonzero(np.sqrt(np.maximum(energy, 0.0)) <= stop_tol * node.norm1)
+    n = below[0] + 1 if below.size else steps
+    return (basis.Z @ coeffs[:, :n]).T, basis
+
+
 def compress_transients(transients, interp, forms, m_max, tol_rel=1e-10,
-                        stop_tol=1e-12, horizon=None):
+                        stop_tol=1e-12, horizon=None, reductions=None):
     """Replace each correction sequence by its first m_max members plus
-    reduced-basis continuations; returns (sequences, bases per node)."""
+    reduced-basis continuations; returns (sequences, bases per node).
+
+    reductions (from node_reductions) lets a sweep over m_max share one basis
+    per node; without it the bases are built here for this m_max alone.
+    """
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
+    if reductions is None:
+        reductions = node_reductions(transients, interp, forms, (m_max,), tol_rel)
     compressed = {}
     bases = {}
     for d, tc in transients.items():
@@ -117,44 +201,28 @@ def compress_transients(transients, interp, forms, m_max, tol_rel=1e-10,
         m_avail = min(m_max, stored.shape[0])
         kept = stored[:m_avail]
         target = horizon if horizon is not None else stored.shape[0]
-
-        if m_avail >= stored.shape[0] or kept.shape[0] == 0:
+        if m_avail >= stored.shape[0]:
             compressed[d] = TransientCorrectors(d, tc.dofs, kept, tc.config)
             continue
-
-        a_tilde, _ = _patch_matrices(forms, tc.dofs)
-        first_sq = float(kept[0] @ (a_tilde @ kept[0]))
-        if first_sq == 0.0:
-            compressed[d] = TransientCorrectors(d, tc.dofs, kept, tc.config)
-            continue
-
-        basis = build_rb(kept, interp, forms, tc.dofs, tol_rel=tol_rel, x_dof=d)
-        bases[d] = basis
-
-        h1_patch = forms._h1_matrix[tc.dofs][:, tc.dofs].tocsr()
-        norm1 = np.sqrt(max(kept[0] @ (h1_patch @ kept[0]), 0.0))
-        c = basis.Z.T @ (a_tilde @ kept[-1])
-        rows = [kept]
-        extra = []
-        for _ in range(m_avail, target):
-            c = rb_step(basis, c)
-            xi = lift(basis, c)
-            extra.append(xi)
-            if np.sqrt(max(xi @ (h1_patch @ xi), 0.0)) <= stop_tol * norm1:
-                break
-        if extra:
-            rows.append(np.array(extra))
-        compressed[d] = TransientCorrectors(d, tc.dofs, np.vstack(rows), tc.config)
+        node = reductions.get(d)
+        if node is None or node.n_snapshots < m_avail:
+            raise ValueError("no reduced basis of %d snapshots for node %d"
+                             % (m_avail, d))
+        rows = kept
+        if node.basis is not None and target > m_avail:
+            extra, bases[d] = _continuation(node, kept, target - m_avail, stop_tol)
+            rows = np.vstack([kept, extra])
+        compressed[d] = TransientCorrectors(d, tc.dofs, rows, tc.config)
     return compressed, bases
 
 
 def rb_gfem_solve(correctors, transients, interp, forms, f, grid, alpha0, alpha1,
-                  m_max, tol_rel=1e-10, stop_tol=1e-12):
+                  m_max, tol_rel=1e-10, stop_tol=1e-12, reductions=None):
     """Localized GFEM where corrections beyond the first m_max steps come from
     the per-node reduced bases."""
     compressed, _ = compress_transients(transients, interp, forms, m_max,
                                         tol_rel=tol_rel, stop_tol=stop_tol,
-                                        horizon=grid.n_steps)
+                                        horizon=grid.n_steps, reductions=reductions)
     trajectory = localized_gfem_solve(correctors, compressed, interp, forms, f,
                                       grid, alpha0, alpha1)
     trajectory.scheme = "rb_gfem"

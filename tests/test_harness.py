@@ -121,6 +121,22 @@ def test_config_validation():
     assert cfg.n_steps == 50
 
 
+@pytest.mark.parametrize("M", [(-1,), (0, 5), ()])
+def test_exp_rb_rejects_snapshot_counts_below_one(M):
+    # M = -1 used to keep stored[:-1] and report a perfect gap of 0.0
+    with pytest.raises(ValueError):
+        run_exp_rb(ExperimentConfig(p=3, q=2, tau=0.1, T=0.5, seed=1, M=M))
+
+
+def test_cli_rejects_kmax_below_two(tmp_path):
+    # kmax = 1 used to write an empty exp_k.csv and exit 0
+    out = tmp_path / "out"
+    with pytest.raises(ValueError):
+        main(["exp-k", "--p", "3", "--q", "2", "--kmax", "1", "--tau", "0.1",
+              "--T", "0.5", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_config_sources(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"p": 4, "q": 3, "seed": 9}))
@@ -229,6 +245,20 @@ def test_exp_rb_micro(tmp_path):
     gaps = {r["param"]: r["rel_h1_final"] for r in rows}
     assert gaps[5] == 0.0  # horizon reached, nothing to compress
     assert_pinned(rows, PINNED_RB)
+
+
+@pytest.mark.parametrize("run, extra", [(run_exp_k, dict(kmax=2)),
+                                        (run_exp_rb, dict(M=(1, 2)))],
+                         ids=["exp-k", "exp-rb"])
+def test_high_contrast_runs(run, extra):
+    # contrast 1e10 between the coefficient bounds still gives usable errors
+    cfg = ExperimentConfig(p=4, q=2, tau=0.1, T=0.5, seed=1, lo=1e-2, hi=1e8,
+                           **extra)
+    rows, _ = run(cfg)
+    assert rows
+    for r in rows:
+        errors = np.array([r["rel_h1_final"], r["rel_l2h1"]])
+        assert np.all(np.isfinite(errors)) and np.all(errors > 0.0), r
 
 
 def test_exp_k_saturated_patch_matches_ideal():

@@ -130,6 +130,26 @@ def test_workers_agree(problem44):
         np.testing.assert_array_equal(one[d].xi, two[d].xi)
 
 
+@pytest.mark.parametrize("k", [1, None], ids=["k1", "saturating"])
+def test_workers_factor_each_patch_once(problem44, monkeypatch, k):
+    # concurrent elements on one patch must not each factor it
+    from sdwave import linalg
+    pair = problem44.pair
+    k = k or saturating_k(pair.coarse)
+    calls = []
+
+    def counting(A, C):
+        calls.append(A.shape[0])
+        return factor_saddle(A, C)
+
+    monkeypatch.setattr(linalg, "factor_saddle", counting)
+    build_corrector_set(pair, problem44.interp, problem44.forms,
+                        CorrectorConfig(k=k, tau=TAU), workers=2)
+    patches = {patch_fine_dofs(pair, element_patch(pair.coarse, t, k)).tobytes()
+               for t in range(pair.coarse.n_elements)}
+    assert len(calls) == len(patches)
+
+
 def test_transients_vanish_at_r1(problem81):
     cfg = CorrectorConfig(k=2, tau=TAU)
     cs = build_corrector_set(problem81.pair, problem81.interp, problem81.forms, cfg)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from sdwave.evolution import TimeGrid, localized_gfem_solve, rel_h1_final
-from sdwave.lod import (CorrectorConfig, build_corrector_set,
-                        compute_transient_correctors,
+from sdwave.lod import (CorrectorConfig, TransientCorrectors,
+                        build_corrector_set, compute_transient_correctors,
                         transients_for_all_nodes)
-from sdwave.rb import (EmptyBasisError, build_rb, lift, rb_gfem_solve,
-                       rb_step, snapshot_singular_values)
+from sdwave.rb import (EmptyBasisError, build_rb, compress_transients, lift,
+                       node_reductions, rb_gfem_solve, rb_step,
+                       snapshot_singular_values)
 
 TAU = 0.02
 
@@ -50,6 +51,27 @@ def test_zero_first_snapshot_rejected(problem44, snapshots44):
     with pytest.raises(EmptyBasisError):
         build_rb(np.zeros((1, tc.dofs.size)), problem44.interp, problem44.forms,
                  tc.dofs)
+    # a node whose sequence carries no energy keeps its stored members only
+    zero = TransientCorrectors(tc.x_dof, tc.dofs, np.zeros((6, tc.dofs.size)),
+                               tc.config)
+    reductions = node_reductions({tc.x_dof: zero}, problem44.interp,
+                                 problem44.forms, (2, 4))
+    assert reductions[tc.x_dof].basis is None
+    compressed, bases = compress_transients({tc.x_dof: zero}, problem44.interp,
+                                            problem44.forms, 2, horizon=6,
+                                            reductions=reductions)
+    assert compressed[tc.x_dof].xi.shape == (2, tc.dofs.size) and not bases
+
+
+def test_basis_prefix_is_the_smaller_basis(problem44, snapshots44):
+    # Gram-Schmidt is sequential and stops at its first rejection
+    _, tc = snapshots44
+    big = build_rb(tc.xi, problem44.interp, problem44.forms, tc.dofs)
+    for m in (1, 3, 5, 10, tc.xi.shape[0]):
+        small = build_rb(tc.xi[:m], problem44.interp, problem44.forms, tc.dofs)
+        assert small.m_selected == min(m, big.m_selected)
+        np.testing.assert_array_equal(small.Z, big.Z[:, :small.m_selected])
+        np.testing.assert_array_equal(big.prefix(m).Z, small.Z)
 
 
 def test_basis_invariants(problem44, snapshots44):
@@ -143,3 +165,48 @@ def test_rb_gfem_gap_shrinks_with_m(problem44, localized44):
                              grid, zc, zc, m_max=m)
         gaps.append(rel_h1_final(problem44.forms, traj, reference))
     assert gaps[2] < gaps[1] < gaps[0]
+
+
+def _oracle_sequence(problem, tc, m, horizon, stop_tol=1e-12):
+    """Per-M basis, continuation stepped with rb_step and lifted one by one."""
+    kept = tc.xi[:m]
+    if m >= tc.xi.shape[0]:
+        return kept
+    basis = build_rb(kept, problem.interp, problem.forms, tc.dofs)
+    atilde = problem.forms.K_tilde[tc.dofs][:, tc.dofs]
+    nrm = _patch_norm(problem, tc.dofs)
+    c = basis.Z.T @ (atilde @ kept[-1])
+    rows = list(kept)
+    for _ in range(m, horizon):
+        c = rb_step(basis, c)
+        rows.append(lift(basis, c))
+        if nrm(rows[-1]) <= stop_tol * nrm(kept[0]):
+            break
+    return np.array(rows)
+
+
+def test_shared_basis_compression_matches_oracle(problem44, localized44):
+    _, seq, grid, _ = localized44
+    reductions = node_reductions(seq, problem44.interp, problem44.forms, (1, 5, 10))
+    assert set(reductions) == set(seq)
+    for m in (1, 5, 10):
+        compressed, _ = compress_transients(seq, problem44.interp, problem44.forms,
+                                            m, horizon=grid.n_steps,
+                                            reductions=reductions)
+        for d, tc in seq.items():
+            expected = _oracle_sequence(problem44, tc, m, grid.n_steps)
+            got = compressed[d].xi
+            assert got.shape == expected.shape
+            np.testing.assert_array_equal(got[:m], tc.xi[:m])
+            scale = np.abs(expected).max()
+            assert np.abs(got - expected).max() <= 1e-10 * scale, (d, m)
+
+
+def test_compression_rejects_bases_built_too_small(problem44, localized44):
+    _, seq, grid, _ = localized44
+    reductions = node_reductions(seq, problem44.interp, problem44.forms, (1, 5))
+    with pytest.raises(ValueError):
+        compress_transients(seq, problem44.interp, problem44.forms, 10,
+                            horizon=grid.n_steps, reductions=reductions)
+    with pytest.raises(ValueError):
+        compress_transients(seq, problem44.interp, problem44.forms, 0)
