@@ -79,33 +79,99 @@ def discrete_energy(forms, trajectory):
 
 
 def _gfem_steps(scheme, Q, M_ms, A_ms, B_ms, forms, f, grid, alpha0, alpha1,
-                correction=None):
+                fine_scale=None):
     """Backward Euler in the span of Q, the one loop behind every coarse-space scheme.
 
     Step n solves (M/tau + A + tau B) alpha^n = tau Q^T F^n + Q^T K_A u^{n-1}
-    + M (2 alpha^{n-1} - alpha^{n-2}) / tau and sets u^n = Q alpha^n plus
-    correction(n, alpha, K_A u^{n-1}), the fine-scale part, when one is given.
+    + M (2 alpha^{n-1} - alpha^{n-2}) / tau, where u^n = Q alpha^n + w^n. The
+    fine-scale part w enters only through fine_scale: fine_scale.memory(n, alpha)
+    returns Q^T K_A u^{n-1} and fine_scale.states(alpha) the fine states after
+    the loop. Without one, w = 0.
     """
     tau = grid.tau
+    QT = Q.T
+    if fine_scale is None:
+        fine_scale = _PerStep(Q, forms, grid)
     lhs = scipy.linalg.lu_factor(M_ms / tau + A_ms + tau * B_ms)
     load = _load(forms, f)
 
     alpha = np.zeros((grid.n_steps + 1, Q.shape[1]))
     alpha[0] = alpha0
     alpha[1] = alpha1
-    states = np.zeros((grid.n_steps + 1, forms.fine.n_dofs))
-    states[0] = Q @ alpha[0]
-    states[1] = Q @ alpha[1]
     for n in range(2, grid.n_steps + 1):
-        memory = forms.K_A @ states[n - 1]
-        rhs = (tau * (Q.T @ load(n * tau))
-               + Q.T @ memory
+        rhs = (tau * (QT @ load(n * tau))
+               + fine_scale.memory(n, alpha)
                + M_ms @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau)
         alpha[n] = scipy.linalg.lu_solve(lhs, rhs)
-        states[n] = Q @ alpha[n]
-        if correction is not None:
-            states[n] += correction(n, alpha, memory)
-    return Trajectory(scheme, grid, states, alpha=alpha)
+    return Trajectory(scheme, grid, fine_scale.states(alpha), alpha=alpha)
+
+
+class _PerStep:
+    """Fine-scale part computed in every step as w^n = correct(n, alpha, K_A u^{n-1});
+    w = 0 without correct. Initial states carry no fine-scale part.
+
+    w^n depends on step n - 1 alone, so it is computed with the memory term of
+    step n, before alpha^n is solved.
+    """
+
+    def __init__(self, Q, forms, grid, correct=None):
+        self.Q, self.QT, self.K_A, self.correct = Q, Q.T, forms.K_A, correct
+        self.w = np.zeros((grid.n_steps + 1, Q.shape[0]))
+
+    def memory(self, n, alpha):
+        fine = self.K_A @ (self.Q @ alpha[n - 1] + self.w[n - 1])
+        if self.correct is not None:
+            self.w[n] = self.correct(n, alpha, fine)
+        return self.QT @ fine
+
+    def states(self, alpha):
+        self.w += (self.Q @ alpha.T).T
+        return self.w
+
+
+class _Superposition:
+    """Fine-scale part superposed from stored per-node correction sequences,
+    w^n = sum_x sum_{l=1}^{n-1} alpha_x^{n-l} xi_x^l (alpha^0 never enters).
+
+    The coarse step sees w only through Q^T K_A w^{n-1}, so the loop runs on
+    the coarse memory matrices Gamma_l, column x = Q^T K_A xi_x^l, and the fine
+    states are filled once after it, one Toeplitz product per node.
+    """
+
+    def __init__(self, correctors, transients, forms, grid):
+        Q = self.Q = correctors.Q
+        n_coarse = Q.shape[1]
+        self.items = [(tc.x_dof, tc.dofs, tc.xi) for tc in transients.values()]
+        lags = min(max((xi.shape[0] for _, _, xi in self.items), default=0),
+                   grid.n_steps - 2)
+        # lag-major, gamma[l, x] = Gamma_l[:, x]; lag 0 is the coarse part A_ms
+        self.gamma = np.zeros((lags + 1, n_coarse, n_coarse))
+        self.gamma[0] = correctors.A_ms.T
+        QT_K_A = (Q.T @ forms.K_A).toarray()
+        for x, dofs, xi in self.items:
+            length = min(xi.shape[0], lags)
+            self.gamma[1:length + 1, x] = xi[:length] @ QT_K_A[:, dofs].T
+        # reverse time: row N - m holds alpha^m, so the lags 0, 1, ... of step n
+        # are consecutive rows and the memory term is one matrix-vector product
+        self.past = np.zeros((grid.n_steps, n_coarse))
+
+    def memory(self, n, alpha):
+        start = self.past.shape[0] - (n - 1)
+        self.past[start] = alpha[n - 1]
+        terms = min(n - 1, self.gamma.shape[0])
+        gamma = self.gamma[:terms].reshape(-1, self.gamma.shape[2])
+        return gamma.T @ self.past[start:start + terms].ravel()
+
+    def states(self, alpha):
+        self.gamma = self.past = None
+        states = np.ascontiguousarray((self.Q @ alpha.T).T)
+        n_steps = alpha.shape[0] - 1
+        for x, dofs, xi in self.items:
+            length = min(xi.shape[0], n_steps - 1)
+            # row i, column l - 1: the weight alpha_x^{i+2-l} of xi^l in w^{i+2}
+            weights = scipy.linalg.toeplitz(alpha[1:n_steps, x], np.zeros(length))
+            states[2:, dofs] += weights @ xi[:length]
+        return states
 
 
 def _multiscale(correctors):
@@ -128,7 +194,8 @@ def ideal_gfem_solve(correctors, interp, forms, f, grid, alpha0, alpha1):
     saddle = linalg.factor_saddle(forms.K_tilde, interp.matrix)
     return _gfem_steps("ideal_gfem", *_multiscale(correctors), forms, f, grid,
                        alpha0, alpha1,
-                       lambda n, alpha, memory: saddle.solve(memory)[0])
+                       _PerStep(correctors.Q, forms, grid,
+                                lambda n, alpha, memory: saddle.solve(memory)[0]))
 
 
 def localized_gfem_solve(correctors, transients, interp, forms, f, grid,
@@ -137,18 +204,8 @@ def localized_gfem_solve(correctors, transients, interp, forms, f, grid,
     per-node correction sequences weighted by the coarse coefficient history."""
     if any(tc.config != correctors.config for tc in transients.values()):
         raise ValueError("transient correctors were built for another config")
-    items = [(tc.x_dof, tc.dofs, tc.xi) for tc in transients.values()]
-
-    def superpose(n, alpha, memory):
-        w = np.zeros(forms.fine.n_dofs)
-        for x_dof, dofs, xi in items:
-            lmax = min(n, xi.shape[0])
-            coeff = alpha[n - np.arange(1, lmax + 1), x_dof]
-            w[dofs] += xi[:lmax].T @ coeff
-        return w
-
     return _gfem_steps("localized_gfem", *_multiscale(correctors), forms, f, grid,
-                       alpha0, alpha1, superpose)
+                       alpha0, alpha1, _Superposition(correctors, transients, forms, grid))
 
 
 def localized_gfem_solve_direct(correctors, interp, forms, f, grid, alpha0, alpha1):
@@ -177,7 +234,8 @@ def localized_gfem_solve_direct(correctors, interp, forms, f, grid, alpha0, alph
         return w
 
     return _gfem_steps("localized_gfem_direct", *_multiscale(correctors), forms, f,
-                       grid, alpha0, alpha1, patch_solves)
+                       grid, alpha0, alpha1,
+                       _PerStep(correctors.Q, forms, grid, patch_solves))
 
 
 def aux_fine_solve(forms, f, z0, grid):
@@ -196,6 +254,7 @@ def aux_gfem_solve(correctors, interp, forms, f, alpha0, grid):
     """GFEM for the auxiliary problem; reproduces the fine solution when f = 0."""
     tau = grid.tau
     Q = correctors.Q
+    QT = Q.T
     lhs = scipy.linalg.lu_factor(correctors.A_ms + tau * correctors.B_ms)
     saddle = linalg.factor_saddle(forms.K_tilde, interp.matrix)
     load = _load(forms, f)
@@ -206,7 +265,7 @@ def aux_gfem_solve(correctors, interp, forms, f, alpha0, grid):
     states[0] = Q @ alpha[0]
     for n in range(1, grid.n_steps + 1):
         memory = forms.K_A @ states[n - 1]
-        alpha[n] = scipy.linalg.lu_solve(lhs, tau * (Q.T @ load(n * tau)) + Q.T @ memory)
+        alpha[n] = scipy.linalg.lu_solve(lhs, tau * (QT @ load(n * tau)) + QT @ memory)
         w, _ = saddle.solve(memory)
         states[n] = Q @ alpha[n] + w
     return Trajectory("aux_gfem", grid, states, alpha=alpha)

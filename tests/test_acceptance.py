@@ -154,6 +154,7 @@ def test_criterion_3_superposition_identity():
             time.perf_counter() - tic, 30.0)
 
 
+@pytest.mark.acceptance
 def test_criterion_4_localization_decay():
     tic = time.perf_counter()
     cfg = ExperimentConfig(p=6, q=4, kmax=6, tau=TAU, T=1.0, seed=SEED)
@@ -167,6 +168,7 @@ def test_criterion_4_localization_decay():
             time.perf_counter() - tic, 600.0)
 
 
+@pytest.mark.acceptance
 def test_criterion_5_h_convergence(request):
     tic = time.perf_counter()
     rows = request.getfixturevalue("exph_rows")
@@ -192,6 +194,7 @@ def test_criterion_5_h_convergence(request):
             detail, time.perf_counter() - tic, 1200.0)
 
 
+@pytest.mark.acceptance
 def test_criterion_6_rb_compression(request):
     tic = time.perf_counter()
     exph = request.getfixturevalue("exph_rows")

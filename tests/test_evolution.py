@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from sdwave.assembly import DiscreteForms, h1_norm
+from sdwave.assembly import DiscreteForms, assemble_load, h1_norm
 from sdwave.evolution import (TimeGrid, Trajectory, aux_fine_solve,
                               aux_gfem_solve, discrete_energy, fine_fem_solve,
                               galerkin_wave_solve, ideal_gfem_solve,
@@ -119,6 +120,92 @@ def test_superposition_path_matches_direct_debug_path(problem44):
     direct = localized_gfem_solve_direct(cs, problem44.interp, problem44.forms,
                                          1.0, grid, zc, zc)
     assert rel_l2h1(problem44.forms, loc, direct) <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def k2_44(problem44):
+    return build_corrector_set(problem44.pair, problem44.interp, problem44.forms,
+                               CorrectorConfig(k=2, tau=TAU))
+
+
+def test_localized_nonzero_initial_data_matches_direct_and_ideal(problem44, k2_44,
+                                                                 saturated44):
+    # alpha^0 enters no fine-scale correction: states[1] carries none, so w^n
+    # sums the lags l <= n - 1 only, as the direct and ideal schemes do
+    rng = np.random.default_rng(43)
+    alpha0, alpha1 = rng.standard_normal((2, problem44.n_coarse_dofs))
+    grid = TimeGrid(TAU, 12)
+    forms, interp = problem44.forms, problem44.interp
+
+    seq = transients_for_all_nodes(problem44.pair, interp, forms, k2_44,
+                                   horizon=12, stop_tol=0.0)
+    loc = localized_gfem_solve(k2_44, seq, interp, forms, 1.0, grid, alpha0, alpha1)
+    direct = localized_gfem_solve_direct(k2_44, interp, forms, 1.0, grid,
+                                         alpha0, alpha1)
+    assert rel_l2h1(forms, loc, direct) <= 1e-9
+
+    seq = transients_for_all_nodes(problem44.pair, interp, forms, saturated44,
+                                   horizon=12, stop_tol=0.0)
+    loc = localized_gfem_solve(saturated44, seq, interp, forms, 1.0, grid,
+                               alpha0, alpha1)
+    ideal = ideal_gfem_solve(saturated44, interp, forms, 1.0, grid, alpha0, alpha1)
+    assert rel_l2h1(forms, loc, ideal) <= 1e-8
+
+
+def _per_step_superposition(correctors, transients, forms, f, grid, alpha0, alpha1):
+    """Oracle for localized_gfem_solve: the fine-scale part re-summed from every
+    stored sequence in every step, w^n = sum_x sum_{l=1}^{n-1} alpha_x^{n-l} xi_x^l,
+    and fed back through Q^T K_A u^{n-1}."""
+    tau = grid.tau
+    Q = correctors.Q
+    lhs = scipy.linalg.lu_factor(correctors.M_ms / tau + correctors.A_ms
+                                 + tau * correctors.B_ms)
+    alpha = np.zeros((grid.n_steps + 1, Q.shape[1]))
+    alpha[0] = alpha0
+    alpha[1] = alpha1
+    states = np.zeros((grid.n_steps + 1, forms.fine.n_dofs))
+    states[0] = Q @ alpha0
+    states[1] = Q @ alpha1
+    for n in range(2, grid.n_steps + 1):
+        rhs = (tau * (Q.T @ assemble_load(forms.fine, f, n * tau))
+               + Q.T @ (forms.K_A @ states[n - 1])
+               + correctors.M_ms @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau)
+        alpha[n] = scipy.linalg.lu_solve(lhs, rhs)
+        states[n] = Q @ alpha[n]
+        for tc in transients.values():
+            lags = np.arange(1, min(n - 1, tc.xi.shape[0]) + 1)
+            states[n, tc.dofs] += tc.xi[lags - 1].T @ alpha[n - lags, tc.x_dof]
+    return alpha, states
+
+
+def _pulse(x, y, t):
+    return np.sin(20.0 * t) * (1.0 + x * y)
+
+
+@pytest.mark.parametrize("horizon, stop_tol, f, data", [
+    (12, 0.3, 1.0, False),      # sequences of mixed lengths, some shorter than N
+    (20, 0.0, 1.0, False),      # sequences longer than the time grid
+    (12, 0.0, _pulse, False),   # time-dependent source
+    (12, 0.0, 1.0, True),       # nonzero initial data
+], ids=["mixed-lengths", "long-sequences", "time-dependent-f", "initial-data"])
+def test_localized_matches_per_step_superposition(problem44, k2_44, horizon,
+                                                  stop_tol, f, data):
+    grid = TimeGrid(TAU, 12)
+    forms, interp = problem44.forms, problem44.interp
+    seq = transients_for_all_nodes(problem44.pair, interp, forms, k2_44,
+                                   horizon=horizon, stop_tol=stop_tol)
+    lengths = sorted(tc.xi.shape[0] for tc in seq.values())
+    if stop_tol > 0:
+        assert lengths[0] < grid.n_steps and lengths[0] < lengths[-1]
+    rng = np.random.default_rng(44)
+    alpha0, alpha1 = (rng.standard_normal((2, problem44.n_coarse_dofs)) if data
+                      else np.zeros((2, problem44.n_coarse_dofs)))
+
+    loc = localized_gfem_solve(k2_44, seq, interp, forms, f, grid, alpha0, alpha1)
+    alpha, states = _per_step_superposition(k2_44, seq, forms, f, grid,
+                                            alpha0, alpha1)
+    assert np.linalg.norm(loc.alpha - alpha) <= 1e-12 * np.linalg.norm(alpha)
+    assert np.linalg.norm(loc.states - states) <= 1e-12 * np.linalg.norm(states)
 
 
 def test_transient_config_mismatch_rejected(problem44, saturated44):
