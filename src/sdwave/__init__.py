@@ -10,7 +10,7 @@ from .interpolation import Interpolator, build_interpolator, kernel_constraints
 from .linalg import (ConstraintViolationError, DegenerateConstraintError,
                      Factorization, InaccurateSolveError, SingularSystemError,
                      factor_saddle, solve_saddle)
-from .lod import (CorrectorConfig, CorrectorSet, TransientCorrectors,
+from .lod import (CorrectorConfig, CorrectorSet, Patch, TransientCorrectors,
                   build_corrector_set, compute_element_correctors,
                   compute_transient_correctors, decay_profile,
                   project_initial_data, transients_for_all_nodes)

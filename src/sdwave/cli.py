@@ -30,7 +30,8 @@ def _add_common(sub):
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--svg", action="store_const", const=True, help="also write an SVG plot")
     sub.add_argument("--cache", help="corrector cache directory")
-    sub.add_argument("--workers", type=int, help="concurrent patch solves")
+    sub.add_argument("--workers", type=int, choices=[1],
+                     help="patch solves run serially; only 1 is accepted")
 
 
 def build_parser():
@@ -55,7 +56,7 @@ def main(argv=None):
     overrides = {
         key: getattr(args, key)
         for key in ("p", "q", "kmax", "tau", "T", "seed", "lo", "hi", "law",
-                    "block", "scale", "out", "svg", "cache", "workers")
+                    "block", "scale", "out", "svg", "cache")
         if getattr(args, key) is not None
     }
     if args.M is not None:

@@ -7,6 +7,8 @@ import scipy.linalg
 
 from . import linalg
 from .assembly import assemble_load, h1_norm
+from .lod import Patch, patch_fine_dofs
+from .mesh import node_patch
 
 
 @dataclass(frozen=True)
@@ -210,27 +212,23 @@ def localized_gfem_solve(correctors, transients, interp, forms, f, grid,
 
 def localized_gfem_solve_direct(correctors, interp, forms, f, grid, alpha0, alpha1):
     """Debug variant: per-node fine-scale systems solved directly in every step."""
-    from .lod import _PatchSolver, form_matrix, patch_fine_dofs
-    from .mesh import node_patch
-
     coarse = correctors.pair.coarse
-    matrix = form_matrix(forms, correctors.config.form_choice)
+    config = correctors.config
     patches = []
     for d in range(coarse.n_dofs):
         vertex = coarse.interior_nodes[d]
-        dofs = patch_fine_dofs(correctors.pair,
-                               node_patch(coarse, vertex, correctors.config.k))
+        patch = Patch(interp, forms,
+                      patch_fine_dofs(correctors.pair, node_patch(coarse, vertex, config.k)),
+                      config.form_choice)
         q_x = np.asarray(correctors.Q[:, d].todense()).ravel()
-        patches.append([dofs, _PatchSolver(correctors.pair, interp, matrix, dofs),
-                        (forms.K_A @ q_x)[dofs], forms.K_A[dofs][:, dofs].tocsr(),
-                        np.zeros(dofs.size)])
+        patches.append((patch, (forms.K_A @ q_x)[patch.dofs]))
+    w_prev = [np.zeros(patch.dofs.size) for patch, _ in patches]
 
     def patch_solves(n, alpha, memory):
         w = np.zeros(forms.fine.n_dofs)
-        for d, patch in enumerate(patches):
-            dofs, solver, r1, K_A_patch, w_prev = patch
-            patch[4] = solver.solve(K_A_patch @ w_prev + alpha[n - 1, d] * r1)
-            w[dofs] += patch[4]
+        for d, (patch, r1) in enumerate(patches):
+            w_prev[d] = patch.solve(patch.k_a @ w_prev[d] + alpha[n - 1, d] * r1)
+            w[patch.dofs] += w_prev[d]
         return w
 
     return _gfem_steps("localized_gfem_direct", *_multiscale(correctors), forms, f,

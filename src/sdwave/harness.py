@@ -43,7 +43,6 @@ class ExperimentConfig:
     out: str = "out"
     svg: bool = False
     cache: str = None
-    workers: int = 1
     stop_tol: float = 1e-12
     rb_tol: float = 1e-10
 
@@ -58,6 +57,12 @@ class ExperimentConfig:
             raise ValueError("snapshot counts M must be >= 1")
         if self.kmax < 2:
             raise ValueError("kmax must be >= 2: the patch sweep starts at k = 2")
+        steps = self.T / self.tau
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * abs(steps)):
+            raise ValueError("T = %r is not a whole number of time steps tau = %r"
+                             % (self.T, self.tau))
+        if round(steps) < 2:
+            raise ValueError("T / tau must be at least 2 time steps")
 
     @property
     def n_steps(self):
@@ -72,7 +77,10 @@ def scale_preset(experiment, scale):
     paper = {"exp-k": dict(p=7, q=4, kmax=7),
              "exp-H": dict(p=8, q=5),
              "exp-rb": dict(p=8, q=5, M=(1, 5, 10, 15, 50))}
-    return (desk if scale == "desk" else paper)[experiment]
+    presets = {"desk": desk, "paper": paper}
+    if scale not in presets:
+        raise ValueError("scale must be 'desk' or 'paper', got %r" % (scale,))
+    return presets[scale][experiment]
 
 
 def config_from_sources(experiment, json_path=None, overrides=None):
@@ -93,7 +101,11 @@ def config_from_sources(experiment, json_path=None, overrides=None):
     if unknown:
         raise ValueError("unknown config keys: %s" % ", ".join(sorted(unknown)))
     if "M" in values:
-        values["M"] = tuple(int(m) for m in values["M"])
+        M = values["M"]
+        if not isinstance(M, (list, tuple)) or not all(
+                isinstance(m, int) and not isinstance(m, bool) for m in M):
+            raise ValueError("M must be a list of integers, got %r" % (M,))
+        values["M"] = tuple(M)
     return ExperimentConfig(**values)
 
 
@@ -151,12 +163,12 @@ def _corrector_pipeline(cfg, problem, k, form_choice, counters, transients=True)
             return cached
     counters["cache_misses"] += 1
     correctors = build_corrector_set(problem.pair, problem.interp, problem.forms,
-                                     config, workers=cfg.workers)
+                                     config)
     seq = None
     if transients:
         seq = transients_for_all_nodes(problem.pair, problem.interp, problem.forms,
                                        correctors, horizon=cfg.n_steps,
-                                       stop_tol=cfg.stop_tol, workers=cfg.workers)
+                                       stop_tol=cfg.stop_tol)
     if cfg.cache:
         save_corrector_cache(cfg.cache, key, correctors, seq)
     return correctors, seq

@@ -3,8 +3,8 @@
 import hashlib
 import os
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -32,14 +32,6 @@ class CorrectorConfig:
             raise ValueError("unknown form choice %r" % (self.form_choice,))
 
 
-def form_matrix(forms, choice):
-    if choice == "a_plus_tau_b":
-        return forms.K_tilde
-    if choice == "a_only":
-        return forms.K_A
-    return forms.K_B
-
-
 def form_values(forms, choice):
     if choice == "a_plus_tau_b":
         return forms.tilde_values
@@ -60,31 +52,67 @@ def patch_fine_dofs(pair, coarse_elements):
     return fine.dof_index[np.flatnonzero(ok)]
 
 
-class _PatchSolver:
-    """Saddle factorization of a patch form with fine-scale kernel constraints."""
+# the patch block each form choice factors
+_FORM_BLOCKS = dict(zip(FORM_CHOICES, ("k_tilde", "k_a", "k_b")))
 
-    def __init__(self, pair, interp, matrix, dofs):
+
+class Patch:
+    """The forms and the fine-scale kernel constraints restricted to the fine
+    dofs of one coarse patch, each built on first use, and the saddle
+    factorization of the chosen form's block for the patch solves."""
+
+    def __init__(self, interp, forms, dofs, form_choice="a_plus_tau_b"):
+        if form_choice not in FORM_CHOICES:
+            raise ValueError("unknown form choice %r" % (form_choice,))
+        self.interp = interp
+        self.forms = forms
         self.dofs = dofs
-        self.A = matrix[dofs][:, dofs].tocsr()
-        self.C = kernel_constraints(interp, dofs)
-        self.fact = linalg.factor_saddle(self.A, self.C)
+        self.form_choice = form_choice
+
+    def _restrict(self, matrix):
+        return matrix[self.dofs][:, self.dofs].tocsr()
+
+    @cached_property
+    def k_tilde(self):
+        return self._restrict(self.forms.K_tilde)
+
+    @cached_property
+    def k_a(self):
+        return self._restrict(self.forms.K_A)
+
+    @cached_property
+    def k_b(self):
+        return self._restrict(self.forms.K_B)
+
+    @cached_property
+    def h1(self):
+        return self._restrict(self.forms._h1_matrix)
+
+    @cached_property
+    def C(self):
+        return kernel_constraints(self.interp, self.dofs)
+
+    @cached_property
+    def saddle(self):
+        block = getattr(self, _FORM_BLOCKS[self.form_choice])
+        return linalg.factor_saddle(block, self.C)
 
     def solve(self, rhs_patch):
-        w, _ = self.fact.solve(rhs_patch)
+        """The fine-scale part w of the saddle solve with patch right-hand side."""
+        w, _ = self.saddle.solve(rhs_patch)
         return w
 
 
-def compute_element_correctors(pair, interp, forms, t_coarse, config, solver=None):
+def compute_element_correctors(pair, interp, forms, t_coarse, config, patch=None):
     """Per-vertex corrector contributions of one coarse element on its patch.
 
     Returns a dict mapping the coarse dof of each interior vertex of T to the
     zero-extended fine dof vector of its contribution.
     """
     coarse = pair.coarse
-    if solver is None:
-        patch = element_patch(coarse, t_coarse, config.k)
-        dofs = patch_fine_dofs(pair, patch)
-        solver = _PatchSolver(pair, interp, form_matrix(forms, config.form_choice), dofs)
+    if patch is None:
+        dofs = patch_fine_dofs(pair, element_patch(coarse, t_coarse, config.k))
+        patch = Patch(interp, forms, dofs, config.form_choice)
 
     tilde = form_values(forms, config.form_choice)
     P = prolongation(pair)
@@ -95,10 +123,10 @@ def compute_element_correctors(pair, interp, forms, t_coarse, config, solver=Non
         if dof < 0:
             continue
         lam = np.asarray(P[:, dof].todense()).ravel()
-        rhs = element_rhs(pair, tilde, t_coarse, lam)[solver.dofs]
-        w = solver.solve(rhs)
+        rhs = element_rhs(pair, tilde, t_coarse, lam)[patch.dofs]
+        w = patch.solve(rhs)
         full = np.zeros(pair.fine.n_dofs)
-        full[solver.dofs] = w
+        full[patch.dofs] = w
         out[dof] = full
     return out
 
@@ -114,51 +142,30 @@ class CorrectorSet:
     B_ms: np.ndarray
 
 
-def build_corrector_set(pair, interp, forms, config, workers=1):
+def build_corrector_set(pair, interp, forms, config):
     """Assemble all element correctors and the modified coarse basis."""
     if abs(config.tau - forms.tau) > 1e-15 * max(1.0, forms.tau):
         raise ValueError("corrector config and forms disagree on the time step")
     coarse = pair.coarse
-    matrix = form_matrix(forms, config.form_choice)
 
-    # elements that share a patch share its factorization: collect the distinct
-    # patches first, so that each is factored exactly once even across threads
-    element_keys = []
-    distinct = {}
-    for t in range(coarse.n_elements):
-        dofs = patch_fine_dofs(pair, element_patch(coarse, t, config.k))
-        key = dofs.tobytes()
-        distinct.setdefault(key, dofs)
-        element_keys.append(key)
-
-    def patch_solver(dofs):
-        return _PatchSolver(pair, interp, matrix, dofs)
-
-    def one_element(t, solver):
-        return compute_element_correctors(pair, interp, forms, t, config,
-                                          solver=solver)
-
-    def run(mapper):
-        solvers = dict(zip(distinct, mapper(patch_solver, distinct.values())))
-        return list(mapper(one_element, range(coarse.n_elements),
-                           [solvers[key] for key in element_keys]))
-
-    if workers > 1:
-        # patch solves are independent; assembly below keeps a fixed order
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            contributions = run(pool.map)
-    else:
-        contributions = run(map)
-
+    # elements with the same patch dofs share one Patch, so each is factored once
+    patches = {}
     rows = []
     cols = []
     vals = []
-    for contrib in contributions:
+    for t in range(coarse.n_elements):
+        dofs = patch_fine_dofs(pair, element_patch(coarse, t, config.k))
+        key = dofs.tobytes()
+        if key not in patches:
+            patches[key] = Patch(interp, forms, dofs, config.form_choice)
+        contrib = compute_element_correctors(pair, interp, forms, t, config,
+                                             patch=patches[key])
         for dof, vec in contrib.items():
             nz = np.flatnonzero(vec)
             rows.append(nz)
             cols.append(np.full(nz.size, dof, dtype=np.int64))
             vals.append(vec[nz])
+    del patches  # free the factorizations before the assembly adds its own peak
     if rows:
         phi = sparse.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -195,43 +202,31 @@ def compute_transient_correctors(pair, interp, forms, correctors, x_dof, horizon
     config = correctors.config
     coarse = pair.coarse
     vertex = coarse.interior_nodes[x_dof]
-    patch = node_patch(coarse, vertex, config.k)
-    dofs = patch_fine_dofs(pair, patch)
-    solver = _PatchSolver(pair, interp, form_matrix(forms, config.form_choice), dofs)
-
-    K_A_patch = forms.K_A[dofs][:, dofs].tocsr()
-    H1_patch = forms._h1_matrix[dofs][:, dofs].tocsr()
+    patch = Patch(interp, forms,
+                  patch_fine_dofs(pair, node_patch(coarse, vertex, config.k)),
+                  config.form_choice)
 
     q_x = np.asarray(correctors.Q[:, x_dof].todense()).ravel()
-    rhs = (forms.K_A @ q_x)[dofs]
+    rhs = (forms.K_A @ q_x)[patch.dofs]
 
     steps = []
-    xi = solver.solve(rhs)
+    xi = patch.solve(rhs)
     steps.append(xi)
-    norm1 = np.sqrt(max(xi @ (H1_patch @ xi), 0.0))
+    norm1 = np.sqrt(max(xi @ (patch.h1 @ xi), 0.0))
     for _ in range(1, horizon):
-        if np.sqrt(max(steps[-1] @ (H1_patch @ steps[-1]), 0.0)) <= stop_tol * norm1:
+        if np.sqrt(max(steps[-1] @ (patch.h1 @ steps[-1]), 0.0)) <= stop_tol * norm1:
             break
-        xi = solver.solve(K_A_patch @ steps[-1])
+        xi = patch.solve(patch.k_a @ steps[-1])
         steps.append(xi)
-    return TransientCorrectors(x_dof, dofs, np.array(steps), config)
+    return TransientCorrectors(x_dof, patch.dofs, np.array(steps), config)
 
 
 def transients_for_all_nodes(pair, interp, forms, correctors, horizon,
-                             stop_tol=1e-12, workers=1):
+                             stop_tol=1e-12):
     """Transient correctors for every interior coarse node."""
-    n_dofs = pair.coarse.n_dofs
-
-    def one(d):
-        return compute_transient_correctors(pair, interp, forms, correctors, d,
+    return {d: compute_transient_correctors(pair, interp, forms, correctors, d,
                                             horizon, stop_tol)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            items = list(pool.map(one, range(n_dofs)))
-    else:
-        items = [one(d) for d in range(n_dofs)]
-    return {tc.x_dof: tc for tc in items}
+            for d in range(pair.coarse.n_dofs)}
 
 
 def _element_h1_energies(mesh, v_full):

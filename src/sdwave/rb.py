@@ -6,8 +6,7 @@ import numpy as np
 import scipy.linalg
 
 from .evolution import localized_gfem_solve
-from .interpolation import kernel_constraints
-from .lod import TransientCorrectors
+from .lod import Patch, TransientCorrectors
 
 
 class EmptyBasisError(ValueError):
@@ -33,32 +32,23 @@ class ReducedBasis:
                             self.k_hat[:m, :m], m)
 
 
-class _PatchBlocks:
-    """Restrictions of the forms and the kernel constraints to one patch."""
-
-    def __init__(self, interp, forms, dofs):
-        self.a_tilde = forms.K_tilde[dofs][:, dofs].tocsr()
-        self.k_a = forms.K_A[dofs][:, dofs].tocsr()
-        self.h1 = forms._h1_matrix[dofs][:, dofs].tocsr()
-        self.C = kernel_constraints(interp, dofs)
-        self.gram_c = scipy.linalg.cho_factor((self.C @ self.C.T).toarray())
-
-
-def build_rb(snapshots, interp, forms, dofs, tol_rel=1e-10, x_dof=-1, blocks=None):
+def build_rb(snapshots, interp, forms, dofs, tol_rel=1e-10, x_dof=-1, patch=None):
     """Gram-Schmidt in the energy inner product with tolerance-gated truncation.
 
     A snapshot is rejected once its orthogonalized remainder falls below
     tol_rel times its own energy norm; collection stops at the first
     rejection. Near-dependent snapshots leave rounding noise outside the
     fine-scale space, so accepted directions are projected back onto the
-    interpolation kernel before they join the basis.
+    interpolation kernel before they join the basis. patch (an lod.Patch on
+    dofs) supplies the restricted forms and constraints.
     """
     snapshots = np.atleast_2d(np.asarray(snapshots, dtype=float))
     if snapshots.shape[0] == 0:
         raise EmptyBasisError("no snapshots supplied")
-    if blocks is None:
-        blocks = _PatchBlocks(interp, forms, dofs)
-    a_tilde, C, gram_c = blocks.a_tilde, blocks.C, blocks.gram_c
+    if patch is None:
+        patch = Patch(interp, forms, dofs)
+    a_tilde, C = patch.k_tilde, patch.C
+    gram_c = scipy.linalg.cho_factor((C @ C.T).toarray())
 
     def kernel_project(v):
         return v - C.T @ scipy.linalg.cho_solve(gram_c, C @ v)
@@ -90,7 +80,7 @@ def build_rb(snapshots, interp, forms, dofs, tol_rel=1e-10, x_dof=-1, blocks=Non
 
     Z = np.column_stack(basis)
     a_hat = Z.T @ (a_tilde @ Z)
-    k_hat = Z.T @ (blocks.k_a @ Z)
+    k_hat = Z.T @ (patch.k_a @ Z)
     return ReducedBasis(x_dof, Z, a_hat, k_hat, consumed)
 
 
@@ -147,17 +137,17 @@ def node_reductions(transients, interp, forms, m_values, tol_rel=1e-10):
         if min(m_values) >= length:
             continue
         n = min(max(m_values), length)
-        blocks = _PatchBlocks(interp, forms, tc.dofs)
+        patch = Patch(interp, forms, tc.dofs)
         try:
             basis = build_rb(tc.xi[:n], interp, forms, tc.dofs, tol_rel=tol_rel,
-                             x_dof=d, blocks=blocks)
+                             x_dof=d, patch=patch)
         except EmptyBasisError:
-            out[d] = NodeReduction(n, blocks.a_tilde, None, None, 0.0)
+            out[d] = NodeReduction(n, patch.k_tilde, None, None, 0.0)
             continue
         first = tc.xi[0]
-        out[d] = NodeReduction(n, blocks.a_tilde, basis,
-                               basis.Z.T @ (blocks.h1 @ basis.Z),
-                               np.sqrt(max(first @ (blocks.h1 @ first), 0.0)))
+        out[d] = NodeReduction(n, patch.k_tilde, basis,
+                               basis.Z.T @ (patch.h1 @ basis.Z),
+                               np.sqrt(max(first @ (patch.h1 @ first), 0.0)))
     return out
 
 

@@ -19,7 +19,7 @@ from sdwave.harness import ExperimentConfig, random_field, run_exp_H, \
 from sdwave.interpolation import build_interpolator
 from sdwave.lod import (CorrectorConfig, build_corrector_set,
                         compute_transient_correctors, decay_profile,
-                        transients_for_all_nodes, _PatchSolver, form_matrix)
+                        transients_for_all_nodes, Patch)
 from sdwave.mesh import Mesh, NestedMeshPair, saturating_k
 from sdwave.rb import snapshot_singular_values
 
@@ -133,8 +133,7 @@ def test_criterion_3_superposition_identity():
     for x_dof in range(pair.coarse.n_dofs):
         tc = compute_transient_correctors(pair, interp, forms, cs, x_dof,
                                           horizon=n_steps, stop_tol=0.0)
-        solver = _PatchSolver(pair, interp, form_matrix(forms, cfg.form_choice),
-                              tc.dofs)
+        solver = Patch(interp, forms, tc.dofs, cfg.form_choice)
         K_A_patch = forms.K_A[tc.dofs][:, tc.dofs]
         H1p = (forms.K_1 + forms.M)[tc.dofs][:, tc.dofs]
         q_x = np.asarray(cs.Q[:, x_dof].todense()).ravel()

@@ -137,6 +137,57 @@ def test_cli_rejects_kmax_below_two(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("T, tau", [(1.0, 0.03), (0.03, 0.02), (0.02, 0.02),
+                                    (0.0, 0.02), (-1.0, 0.02), (float("inf"), 0.02)],
+                         ids=["not-whole", "rounds-up", "one-step", "zero",
+                              "negative", "infinite"])
+def test_config_rejects_partial_or_too_few_steps(T, tau):
+    # T = 1, tau = 0.03 used to stop at 0.99 and T = 0.03 to run to 0.04
+    with pytest.raises(ValueError):
+        ExperimentConfig(p=3, q=2, tau=tau, T=T)
+
+
+def test_config_accepts_whole_step_counts():
+    # T / tau lands off an integer by round-off only
+    assert ExperimentConfig(tau=0.02, T=0.2).n_steps == 10
+    assert ExperimentConfig(tau=0.1, T=0.3).n_steps == 3
+    assert ExperimentConfig(tau=0.02, T=8.0).n_steps == 400
+
+
+@pytest.mark.parametrize("sources", [dict(overrides={"scale": "dsek"}),
+                                     dict(file={"scale": "dsek"})],
+                         ids=["flag", "file"])
+def test_config_rejects_unknown_scale(tmp_path, sources):
+    # a misspelt scale used to run the paper sizes
+    path = None
+    if "file" in sources:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(sources["file"]))
+    with pytest.raises(ValueError):
+        config_from_sources("exp-rb", path and str(path), sources.get("overrides"))
+
+
+@pytest.mark.parametrize("M", ["15", 15, [1.5, 5], [True, 5], [1, "5"]],
+                         ids=["string", "scalar", "float", "bool", "mixed"])
+def test_config_rejects_M_not_a_list_of_integers(tmp_path, M):
+    # "M": "15" used to be read digit by digit as (1, 5)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"M": M}))
+    with pytest.raises(ValueError):
+        config_from_sources("exp-rb", str(path))
+    assert config_from_sources("exp-rb", None, {"M": [1, 15]}).M == (1, 15)
+
+
+def test_cli_workers_accepts_only_one(tmp_path):
+    out = tmp_path / "out"
+    argv = ["exp-k", "--p", "3", "--q", "2", "--kmax", "2", "--tau", "0.1",
+            "--T", "0.5", "--out", str(out)]
+    with pytest.raises(SystemExit):
+        main(argv + ["--workers", "2"])
+    assert not out.exists()
+    assert main(argv + ["--workers", "1"]) == 0
+
+
 def test_config_sources(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"p": 4, "q": 3, "seed": 9}))

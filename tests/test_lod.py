@@ -6,12 +6,11 @@ import pytest
 from sdwave.assembly import DiscreteForms, h1_norm
 from sdwave.harness import random_field
 from sdwave.linalg import factor_saddle
-from sdwave.lod import (CorrectorConfig, build_corrector_set, cache_key,
+from sdwave.lod import (CorrectorConfig, Patch, build_corrector_set, cache_key,
                         compute_element_correctors,
                         compute_transient_correctors, decay_profile,
                         load_corrector_cache, patch_fine_dofs,
-                        project_initial_data, save_corrector_cache,
-                        transients_for_all_nodes)
+                        project_initial_data, save_corrector_cache)
 from sdwave.mesh import element_patch, node_patch, prolongation, saturating_k
 
 TAU = 0.02
@@ -116,26 +115,8 @@ def test_corrector_support(problem44):
         assert support <= allowed
 
 
-def test_workers_agree(problem44):
-    cfg = CorrectorConfig(k=2, tau=TAU)
-    cs1 = build_corrector_set(problem44.pair, problem44.interp, problem44.forms, cfg)
-    cs2 = build_corrector_set(problem44.pair, problem44.interp, problem44.forms,
-                              cfg, workers=2)
-    assert np.abs((cs1.Q - cs2.Q).toarray()).max() <= 1e-14
-    one = transients_for_all_nodes(problem44.pair, problem44.interp,
-                                   problem44.forms, cs1, horizon=4)
-    two = transients_for_all_nodes(problem44.pair, problem44.interp,
-                                   problem44.forms, cs1, horizon=4, workers=2)
-    for d in one:
-        np.testing.assert_array_equal(one[d].xi, two[d].xi)
-
-
-@pytest.mark.parametrize("k", [1, None], ids=["k1", "saturating"])
-def test_workers_factor_each_patch_once(problem44, monkeypatch, k):
-    # concurrent elements on one patch must not each factor it
+def _counting_factor_saddle(monkeypatch):
     from sdwave import linalg
-    pair = problem44.pair
-    k = k or saturating_k(pair.coarse)
     calls = []
 
     def counting(A, C):
@@ -143,11 +124,74 @@ def test_workers_factor_each_patch_once(problem44, monkeypatch, k):
         return factor_saddle(A, C)
 
     monkeypatch.setattr(linalg, "factor_saddle", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, None], ids=["k1", "saturating"])
+def test_each_distinct_patch_factored_once(problem44, monkeypatch, k):
+    # elements on one patch (all of them once the patches saturate) share its
+    # factorization; an element with no interior vertex solves nothing, so
+    # its patch is never factored
+    pair = problem44.pair
+    coarse = pair.coarse
+    k = k or saturating_k(coarse)
+    calls = _counting_factor_saddle(monkeypatch)
     build_corrector_set(pair, problem44.interp, problem44.forms,
-                        CorrectorConfig(k=k, tau=TAU), workers=2)
-    patches = {patch_fine_dofs(pair, element_patch(pair.coarse, t, k)).tobytes()
-               for t in range(pair.coarse.n_elements)}
+                        CorrectorConfig(k=k, tau=TAU))
+    patches = {patch_fine_dofs(pair, element_patch(coarse, t, k)).tobytes()
+               for t in range(coarse.n_elements)
+               if np.any(coarse.dof_index[coarse.triangles[t]] >= 0)}
     assert len(calls) == len(patches)
+
+
+@pytest.fixture
+def node_dofs(problem44):
+    coarse = problem44.pair.coarse
+    vertex = coarse.interior_nodes[coarse.n_dofs // 2]
+    return patch_fine_dofs(problem44.pair, node_patch(coarse, vertex, 2))
+
+
+def test_patch_blocks_equal_direct_slices(problem44, node_dofs):
+    forms, interp = problem44.forms, problem44.interp
+    patch = Patch(interp, forms, node_dofs)
+    for block, full in ((patch.k_tilde, forms.K_tilde), (patch.k_a, forms.K_A),
+                        (patch.k_b, forms.K_B), (patch.h1, forms.K_1 + forms.M)):
+        direct = full[node_dofs][:, node_dofs].tocsr()
+        assert block.format == "csr"
+        np.testing.assert_array_equal(block.indptr, direct.indptr)
+        np.testing.assert_array_equal(block.indices, direct.indices)
+        np.testing.assert_array_equal(block.data, direct.data)
+    from sdwave.interpolation import kernel_constraints
+    assert (patch.C != kernel_constraints(interp, node_dofs)).nnz == 0
+
+
+def test_patch_reading_blocks_does_not_factor(problem44, node_dofs, monkeypatch):
+    calls = _counting_factor_saddle(monkeypatch)
+    patch = Patch(problem44.interp, problem44.forms, node_dofs)
+    assert patch.k_a.nnz > 0 and patch.h1.nnz > 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("choice, block", [("a_plus_tau_b", "k_tilde"),
+                                           ("a_only", "k_a"), ("b_only", "k_b")])
+def test_patch_factors_once_for_many_solves(problem44, node_dofs, monkeypatch,
+                                            choice, block):
+    forms, interp = problem44.forms, problem44.interp
+    calls = _counting_factor_saddle(monkeypatch)
+    patch = Patch(interp, forms, node_dofs, choice)
+    rng = np.random.default_rng(36)
+    for _ in range(5):
+        r = rng.standard_normal(node_dofs.size)
+        w = patch.solve(r)
+        # the fine-scale part of the saddle solve on the chosen form's block
+        expected, _ = factor_saddle(getattr(patch, block), patch.C).solve(r)
+        np.testing.assert_array_equal(w, expected)
+    assert calls == [node_dofs.size]
+
+
+def test_patch_rejects_unknown_form(problem44, node_dofs):
+    with pytest.raises(ValueError):
+        Patch(problem44.interp, problem44.forms, node_dofs, "c_only")
 
 
 def test_transients_vanish_at_r1(problem81):
@@ -214,9 +258,7 @@ def test_superposition_identity_scripted(problem44, transient_node):
     # reproduces the per-step fine-scale solves
     cs, tc = transient_node
     pair, forms, interp = problem44.pair, problem44.forms, problem44.interp
-    from sdwave.lod import _PatchSolver, form_matrix
-    solver = _PatchSolver(pair, interp, form_matrix(forms, cs.config.form_choice),
-                          tc.dofs)
+    solver = Patch(interp, forms, tc.dofs, cs.config.form_choice)
     K_A_patch = forms.K_A[tc.dofs][:, tc.dofs]
     q_x = np.asarray(cs.Q[:, tc.x_dof].todense()).ravel()
     r1 = (forms.K_A @ q_x)[tc.dofs]
