@@ -1,7 +1,5 @@
 """P1 assembly of mass, stiffness and load, coefficient fields, discrete norms."""
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sparse
 
@@ -116,15 +114,6 @@ def element_rhs(pair, tilde_values, t_coarse, v):
     return fine.restrict(out)
 
 
-@dataclass
-class NormReport:
-    l2: float
-    h1: float
-    a: float
-    b: float
-    energy: float
-
-
 class DiscreteForms:
     """Assembled fine-grid forms for one coefficient pair and time step."""
 
@@ -148,17 +137,6 @@ class DiscreteForms:
     @property
     def fine(self):
         return self.pair.fine
-
-
-def norms(forms, v):
-    """L2, H1, a-, b- norms and the tau-weighted energy of an interior dof vector."""
-    v = np.asarray(v, dtype=float)
-    l2 = np.sqrt(max(v @ (forms.M @ v), 0.0))
-    h1 = np.sqrt(max(v @ (forms._h1_matrix @ v), 0.0))
-    a = np.sqrt(max(v @ (forms.K_A @ v), 0.0))
-    b = np.sqrt(max(v @ (forms.K_B @ v), 0.0))
-    energy = float(v @ (forms.K_tilde @ v))
-    return NormReport(float(l2), float(h1), float(a), float(b), energy)
 
 
 def h1_norm(forms, v):

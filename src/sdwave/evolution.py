@@ -7,8 +7,7 @@ import scipy.linalg
 
 from . import linalg
 from .assembly import assemble_load, h1_norm
-from .lod import Patch, patch_fine_dofs
-from .mesh import node_patch
+from .lod import transient_patch
 
 
 @dataclass(frozen=True)
@@ -200,8 +199,7 @@ def ideal_gfem_solve(correctors, interp, forms, f, grid, alpha0, alpha1):
                                 lambda n, alpha, memory: saddle.solve(memory)[0]))
 
 
-def localized_gfem_solve(correctors, transients, interp, forms, f, grid,
-                         alpha0, alpha1):
+def localized_gfem_solve(correctors, transients, forms, f, grid, alpha0, alpha1):
     """Localized GFEM: the fine-scale part is superposed from the stored
     per-node correction sequences weighted by the coarse coefficient history."""
     if any(tc.config != correctors.config for tc in transients.values()):
@@ -212,16 +210,8 @@ def localized_gfem_solve(correctors, transients, interp, forms, f, grid,
 
 def localized_gfem_solve_direct(correctors, interp, forms, f, grid, alpha0, alpha1):
     """Debug variant: per-node fine-scale systems solved directly in every step."""
-    coarse = correctors.pair.coarse
-    config = correctors.config
-    patches = []
-    for d in range(coarse.n_dofs):
-        vertex = coarse.interior_nodes[d]
-        patch = Patch(interp, forms,
-                      patch_fine_dofs(correctors.pair, node_patch(coarse, vertex, config.k)),
-                      config.form_choice)
-        q_x = np.asarray(correctors.Q[:, d].todense()).ravel()
-        patches.append((patch, (forms.K_A @ q_x)[patch.dofs]))
+    patches = [transient_patch(correctors.pair, interp, forms, correctors, d)
+               for d in range(correctors.pair.coarse.n_dofs)]
     w_prev = [np.zeros(patch.dofs.size) for patch, _ in patches]
 
     def patch_solves(n, alpha, memory):

@@ -57,6 +57,12 @@ class ExperimentConfig:
             raise ValueError("snapshot counts M must be >= 1")
         if self.kmax < 2:
             raise ValueError("kmax must be >= 2: the patch sweep starts at k = 2")
+        if not self.block >= 0:
+            raise ValueError("block must be >= 0 (0: one value per fine element)")
+        if not self.stop_tol >= 0:
+            raise ValueError("stop_tol must be >= 0")
+        if not 0 < self.rb_tol < 1:
+            raise ValueError("rb_tol must lie in (0, 1)")
         steps = self.T / self.tau
         if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * abs(steps)):
             raise ValueError("T = %r is not a whole number of time steps tau = %r"
@@ -190,9 +196,8 @@ def run_exp_k(cfg):
         tic = time.perf_counter()
         correctors, seq = _corrector_pipeline(cfg, problem, k, "a_plus_tau_b",
                                               counters)
-        trajectory = localized_gfem_solve(correctors, seq, problem.interp,
-                                          problem.forms, 1.0, problem.grid,
-                                          problem.zeros, problem.zeros)
+        trajectory = localized_gfem_solve(correctors, seq, problem.forms, 1.0,
+                                          problem.grid, problem.zeros, problem.zeros)
         rows.append({
             "param": k,
             "rel_h1_final": rel_h1_final(problem.forms, trajectory, reference),
@@ -236,9 +241,9 @@ def run_exp_H(cfg):
         tic = time.perf_counter()
         correctors, seq = _corrector_pipeline(cfg, problem, k, "a_plus_tau_b",
                                               counters)
-        record("gfem", localized_gfem_solve(correctors, seq, problem.interp,
-                                            problem.forms, 1.0, problem.grid,
-                                            problem.zeros, problem.zeros), tic)
+        record("gfem", localized_gfem_solve(correctors, seq, problem.forms, 1.0,
+                                            problem.grid, problem.zeros,
+                                            problem.zeros), tic)
 
         tic = time.perf_counter()
         P = prolongation(problem.pair)
@@ -264,8 +269,8 @@ def run_exp_rb(cfg):
     k = cfg.q
 
     correctors, seq = _corrector_pipeline(cfg, problem, k, "a_plus_tau_b", counters)
-    reference = localized_gfem_solve(correctors, seq, problem.interp, problem.forms,
-                                     1.0, problem.grid, problem.zeros, problem.zeros)
+    reference = localized_gfem_solve(correctors, seq, problem.forms, 1.0,
+                                     problem.grid, problem.zeros, problem.zeros)
 
     # one basis per node, built from max(M) snapshots; each M takes its prefix
     reductions = node_reductions(seq, problem.interp, problem.forms, cfg.M,
@@ -273,10 +278,9 @@ def run_exp_rb(cfg):
     rows = []
     for m in cfg.M:
         tic = time.perf_counter()
-        trajectory = rb_gfem_solve(correctors, seq, problem.interp, problem.forms,
-                                   1.0, problem.grid, problem.zeros, problem.zeros,
-                                   m, tol_rel=cfg.rb_tol, stop_tol=cfg.stop_tol,
-                                   reductions=reductions)
+        trajectory = rb_gfem_solve(correctors, seq, reductions, problem.forms, 1.0,
+                                   problem.grid, problem.zeros, problem.zeros, m,
+                                   stop_tol=cfg.stop_tol)
         rows.append({
             "param": m,
             "rel_h1_final": rel_h1_final(problem.forms, trajectory, reference),

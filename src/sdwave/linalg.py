@@ -151,8 +151,3 @@ def factorizes(matrix):
 def factor_saddle(A, C):
     """Factor the saddle system once for repeated right-hand sides."""
     return SaddleFactorization(A, C)
-
-
-def solve_saddle(A, C, r):
-    """Solve A w + C^T mu = r subject to C w = 0."""
-    return SaddleFactorization(A, C).solve(r)

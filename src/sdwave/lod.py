@@ -103,18 +103,14 @@ class Patch:
         return w
 
 
-def compute_element_correctors(pair, interp, forms, t_coarse, config, patch=None):
+def compute_element_correctors(pair, forms, t_coarse, patch):
     """Per-vertex corrector contributions of one coarse element on its patch.
 
-    Returns a dict mapping the coarse dof of each interior vertex of T to the
-    zero-extended fine dof vector of its contribution.
+    Returns a dict mapping the coarse dof of each interior vertex of T to its
+    contribution on patch.dofs.
     """
     coarse = pair.coarse
-    if patch is None:
-        dofs = patch_fine_dofs(pair, element_patch(coarse, t_coarse, config.k))
-        patch = Patch(interp, forms, dofs, config.form_choice)
-
-    tilde = form_values(forms, config.form_choice)
+    tilde = form_values(forms, patch.form_choice)
     P = prolongation(pair)
 
     out = {}
@@ -123,11 +119,7 @@ def compute_element_correctors(pair, interp, forms, t_coarse, config, patch=None
         if dof < 0:
             continue
         lam = np.asarray(P[:, dof].todense()).ravel()
-        rhs = element_rhs(pair, tilde, t_coarse, lam)[patch.dofs]
-        w = patch.solve(rhs)
-        full = np.zeros(pair.fine.n_dofs)
-        full[patch.dofs] = w
-        out[dof] = full
+        out[dof] = patch.solve(element_rhs(pair, tilde, t_coarse, lam)[patch.dofs])
     return out
 
 
@@ -148,24 +140,25 @@ def build_corrector_set(pair, interp, forms, config):
         raise ValueError("corrector config and forms disagree on the time step")
     coarse = pair.coarse
 
-    # elements with the same patch dofs share one Patch, so each is factored once
+    # elements with the same patch dofs share one Patch, so each is factored
+    # once, and it is dropped after its last element
+    element_dofs = [patch_fine_dofs(pair, element_patch(coarse, t, config.k))
+                    for t in range(coarse.n_elements)]
+    last = {dofs.tobytes(): t for t, dofs in enumerate(element_dofs)}
     patches = {}
     rows = []
     cols = []
     vals = []
-    for t in range(coarse.n_elements):
-        dofs = patch_fine_dofs(pair, element_patch(coarse, t, config.k))
+    for t, dofs in enumerate(element_dofs):
         key = dofs.tobytes()
         if key not in patches:
             patches[key] = Patch(interp, forms, dofs, config.form_choice)
-        contrib = compute_element_correctors(pair, interp, forms, t, config,
-                                             patch=patches[key])
-        for dof, vec in contrib.items():
-            nz = np.flatnonzero(vec)
-            rows.append(nz)
+        patch = patches.pop(key) if last[key] == t else patches[key]
+        for dof, w in compute_element_correctors(pair, forms, t, patch).items():
+            nz = np.flatnonzero(w)
+            rows.append(patch.dofs[nz])
             cols.append(np.full(nz.size, dof, dtype=np.int64))
-            vals.append(vec[nz])
-    del patches  # free the factorizations before the assembly adds its own peak
+            vals.append(w[nz])
     if rows:
         phi = sparse.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -191,6 +184,18 @@ class TransientCorrectors:
     config: CorrectorConfig
 
 
+def transient_patch(pair, interp, forms, correctors, x_dof):
+    """The Patch of coarse node x_dof and the first right-hand side
+    (K_A q_x)[patch.dofs] of its fine-scale correction sequence."""
+    config = correctors.config
+    vertex = pair.coarse.interior_nodes[x_dof]
+    patch = Patch(interp, forms,
+                  patch_fine_dofs(pair, node_patch(pair.coarse, vertex, config.k)),
+                  config.form_choice)
+    q_x = np.asarray(correctors.Q[:, x_dof].todense()).ravel()
+    return patch, (forms.K_A @ q_x)[patch.dofs]
+
+
 def compute_transient_correctors(pair, interp, forms, correctors, x_dof, horizon,
                                  stop_tol=1e-12):
     """Fine-scale correction sequence of one coarse node on its patch.
@@ -199,15 +204,7 @@ def compute_transient_correctors(pair, interp, forms, correctors, x_dof, horizon
     factorized left-hand side; iteration stops at the horizon or once the
     H1 norm has dropped below stop_tol relative to the first step.
     """
-    config = correctors.config
-    coarse = pair.coarse
-    vertex = coarse.interior_nodes[x_dof]
-    patch = Patch(interp, forms,
-                  patch_fine_dofs(pair, node_patch(coarse, vertex, config.k)),
-                  config.form_choice)
-
-    q_x = np.asarray(correctors.Q[:, x_dof].todense()).ravel()
-    rhs = (forms.K_A @ q_x)[patch.dofs]
+    patch, rhs = transient_patch(pair, interp, forms, correctors, x_dof)
 
     steps = []
     xi = patch.solve(rhs)
@@ -218,7 +215,7 @@ def compute_transient_correctors(pair, interp, forms, correctors, x_dof, horizon
             break
         xi = patch.solve(patch.k_a @ steps[-1])
         steps.append(xi)
-    return TransientCorrectors(x_dof, patch.dofs, np.array(steps), config)
+    return TransientCorrectors(x_dof, patch.dofs, np.array(steps), correctors.config)
 
 
 def transients_for_all_nodes(pair, interp, forms, correctors, horizon,
@@ -240,7 +237,7 @@ def _element_h1_energies(mesh, v_full):
     return semi + mass
 
 
-def decay_profile(v, pair, x_dof, forms):
+def decay_profile(v, pair, x_dof):
     """H1 norm of v outside growing node patches, as (j, value) rows."""
     coarse = pair.coarse
     fine = pair.fine
@@ -258,11 +255,6 @@ def decay_profile(v, pair, x_dof, forms):
         if patch.size == coarse.n_elements:
             break
     return np.array(rows)
-
-
-def project_initial_data(correctors, u_coarse):
-    """Representative in the multiscale space with the given coarse coefficients."""
-    return correctors.Q @ np.asarray(u_coarse, dtype=float)
 
 
 # ----------------------------------------------------------------------------

@@ -32,7 +32,7 @@ class ReducedBasis:
                             self.k_hat[:m, :m], m)
 
 
-def build_rb(snapshots, interp, forms, dofs, tol_rel=1e-10, x_dof=-1, patch=None):
+def build_rb(snapshots, patch, tol_rel=1e-10, x_dof=-1):
     """Gram-Schmidt in the energy inner product with tolerance-gated truncation.
 
     A snapshot is rejected once its orthogonalized remainder falls below
@@ -40,13 +40,13 @@ def build_rb(snapshots, interp, forms, dofs, tol_rel=1e-10, x_dof=-1, patch=None
     rejection. Near-dependent snapshots leave rounding noise outside the
     fine-scale space, so accepted directions are projected back onto the
     interpolation kernel before they join the basis. patch (an lod.Patch on
-    dofs) supplies the restricted forms and constraints.
+    the snapshots' dofs) supplies the restricted forms and constraints.
     """
+    if not 0.0 <= tol_rel < 1.0:
+        raise ValueError("tol_rel must lie in [0, 1), got %r" % (tol_rel,))
     snapshots = np.atleast_2d(np.asarray(snapshots, dtype=float))
     if snapshots.shape[0] == 0:
         raise EmptyBasisError("no snapshots supplied")
-    if patch is None:
-        patch = Patch(interp, forms, dofs)
     a_tilde, C = patch.k_tilde, patch.C
     gram_c = scipy.linalg.cho_factor((C @ C.T).toarray())
 
@@ -139,8 +139,7 @@ def node_reductions(transients, interp, forms, m_values, tol_rel=1e-10):
         n = min(max(m_values), length)
         patch = Patch(interp, forms, tc.dofs)
         try:
-            basis = build_rb(tc.xi[:n], interp, forms, tc.dofs, tol_rel=tol_rel,
-                             x_dof=d, patch=patch)
+            basis = build_rb(tc.xi[:n], patch, tol_rel=tol_rel, x_dof=d)
         except EmptyBasisError:
             out[d] = NodeReduction(n, patch.k_tilde, None, None, 0.0)
             continue
@@ -172,18 +171,16 @@ def _continuation(node, kept, steps, stop_tol):
     return (basis.Z @ coeffs[:, :n]).T, basis
 
 
-def compress_transients(transients, interp, forms, m_max, tol_rel=1e-10,
-                        stop_tol=1e-12, horizon=None, reductions=None):
+def compress_transients(transients, reductions, m_max, stop_tol=1e-12,
+                        horizon=None):
     """Replace each correction sequence by its first m_max members plus
     reduced-basis continuations; returns (sequences, bases per node).
 
-    reductions (from node_reductions) lets a sweep over m_max share one basis
-    per node; without it the bases are built here for this m_max alone.
+    reductions (from node_reductions) holds one basis per node, shared by
+    every m_max up to the snapshot count it was built from.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    if reductions is None:
-        reductions = node_reductions(transients, interp, forms, (m_max,), tol_rel)
     compressed = {}
     bases = {}
     for d, tc in transients.items():
@@ -206,15 +203,14 @@ def compress_transients(transients, interp, forms, m_max, tol_rel=1e-10,
     return compressed, bases
 
 
-def rb_gfem_solve(correctors, transients, interp, forms, f, grid, alpha0, alpha1,
-                  m_max, tol_rel=1e-10, stop_tol=1e-12, reductions=None):
+def rb_gfem_solve(correctors, transients, reductions, forms, f, grid, alpha0,
+                  alpha1, m_max, stop_tol=1e-12):
     """Localized GFEM where corrections beyond the first m_max steps come from
-    the per-node reduced bases."""
-    compressed, _ = compress_transients(transients, interp, forms, m_max,
-                                        tol_rel=tol_rel, stop_tol=stop_tol,
-                                        horizon=grid.n_steps, reductions=reductions)
-    trajectory = localized_gfem_solve(correctors, compressed, interp, forms, f,
-                                      grid, alpha0, alpha1)
+    the per-node reduced bases in reductions (from node_reductions)."""
+    compressed, _ = compress_transients(transients, reductions, m_max,
+                                        stop_tol=stop_tol, horizon=grid.n_steps)
+    trajectory = localized_gfem_solve(correctors, compressed, forms, f, grid,
+                                      alpha0, alpha1)
     trajectory.scheme = "rb_gfem"
     trajectory.meta["m_max"] = m_max
     return trajectory

@@ -90,7 +90,7 @@ def test_criterion_1_oracle_collapse():
     cs = build_corrector_set(pair, interp, forms, CorrectorConfig(k=2, tau=TAU))
     seq = transients_for_all_nodes(pair, interp, forms, cs, horizon=25)
     zc = np.zeros(pair.coarse.n_dofs)
-    lod = localized_gfem_solve(cs, seq, interp, forms, 1.0, grid, zc, zc)
+    lod = localized_gfem_solve(cs, seq, forms, 1.0, grid, zc, zc)
     ref = fine_fem_solve(forms, 1.0, np.zeros(pair.fine.n_dofs),
                          np.zeros(pair.fine.n_dofs), grid)
     gap = rel_l2h1(forms, lod, ref)
@@ -249,7 +249,7 @@ def test_criterion_9_decay_profiles(request):
 
     slopes = {}
     for name, vec in (("phi", phi), ("xi1", xi1)):
-        prof = decay_profile(vec, prob.pair, tc.x_dof, prob.forms)
+        prof = decay_profile(vec, prob.pair, tc.x_dof)
         mask = prof[:, 1] > 1e-12
         slopes[name] = float(np.polyfit(prof[mask, 0], np.log(prof[mask, 1]), 1)[0])
     ok = slopes["phi"] < 0.0 and slopes["xi1"] < 0.0

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from sdwave.assembly import (CoefficientField, DiscreteForms, assemble_load,
-                             assemble_mass, assemble_stiffness, element_rhs,
-                             norms)
+                             assemble_mass, assemble_stiffness, element_rhs)
 from sdwave.harness import random_field
 from sdwave.mesh import Mesh, NestedMeshPair
 
@@ -120,17 +119,13 @@ def test_element_rhs_locality(problem44):
     assert set(np.flatnonzero(out).tolist()) <= support_dofs
 
 
-def test_norms_report(problem44):
+def test_forms_energy_and_coefficient_bounds(problem44):
     forms = problem44.forms
-    zero = np.zeros(problem44.n_fine_dofs)
-    rep0 = norms(forms, zero)
-    assert (rep0.l2, rep0.h1, rep0.a, rep0.b, rep0.energy) == (0, 0, 0, 0, 0)
-
     rng = np.random.default_rng(14)
     v = rng.standard_normal(problem44.n_fine_dofs)
-    rep = norms(forms, v)
-    assert rep.energy == pytest.approx(rep.a ** 2 + forms.tau * rep.b ** 2, rel=1e-12)
+    a = v @ (forms.K_A @ v)
+    b = v @ (forms.K_B @ v)
+    assert v @ (forms.K_tilde @ v) == pytest.approx(a + forms.tau * b, rel=1e-12)
     lo, hi = problem44.field_a.bounds
     k1 = v @ (forms.K_1 @ v)
-    assert lo * k1 <= rep.a ** 2 <= hi * k1
-
+    assert lo * k1 <= a <= hi * k1

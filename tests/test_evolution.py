@@ -88,8 +88,7 @@ def test_oracle_collapse_at_r1(problem81):
     zc = np.zeros(problem81.n_coarse_dofs)
     seq = transients_for_all_nodes(problem81.pair, problem81.interp,
                                    problem81.forms, cs, horizon=10)
-    loc = localized_gfem_solve(cs, seq, problem81.interp, problem81.forms,
-                               1.0, grid, zc, zc)
+    loc = localized_gfem_solve(cs, seq, problem81.forms, 1.0, grid, zc, zc)
     zeros = np.zeros(problem81.n_fine_dofs)
     ref = fine_fem_solve(problem81.forms, 1.0, zeros, zeros, grid)
     assert rel_l2h1(problem81.forms, loc, ref) <= 1e-8
@@ -101,8 +100,7 @@ def test_localized_saturated_matches_ideal(problem44, saturated44):
     seq = transients_for_all_nodes(problem44.pair, problem44.interp,
                                    problem44.forms, saturated44,
                                    horizon=12, stop_tol=0.0)
-    loc = localized_gfem_solve(saturated44, seq, problem44.interp,
-                               problem44.forms, 1.0, grid, zc, zc)
+    loc = localized_gfem_solve(saturated44, seq, problem44.forms, 1.0, grid, zc, zc)
     ideal = ideal_gfem_solve(saturated44, problem44.interp, problem44.forms,
                              1.0, grid, zc, zc)
     assert rel_l2h1(problem44.forms, loc, ideal) <= 1e-8
@@ -115,8 +113,7 @@ def test_superposition_path_matches_direct_debug_path(problem44):
                                    problem44.forms, cs, horizon=12, stop_tol=0.0)
     grid = TimeGrid(TAU, 12)
     zc = np.zeros(problem44.n_coarse_dofs)
-    loc = localized_gfem_solve(cs, seq, problem44.interp, problem44.forms,
-                               1.0, grid, zc, zc)
+    loc = localized_gfem_solve(cs, seq, problem44.forms, 1.0, grid, zc, zc)
     direct = localized_gfem_solve_direct(cs, problem44.interp, problem44.forms,
                                          1.0, grid, zc, zc)
     assert rel_l2h1(problem44.forms, loc, direct) <= 1e-9
@@ -139,15 +136,14 @@ def test_localized_nonzero_initial_data_matches_direct_and_ideal(problem44, k2_4
 
     seq = transients_for_all_nodes(problem44.pair, interp, forms, k2_44,
                                    horizon=12, stop_tol=0.0)
-    loc = localized_gfem_solve(k2_44, seq, interp, forms, 1.0, grid, alpha0, alpha1)
+    loc = localized_gfem_solve(k2_44, seq, forms, 1.0, grid, alpha0, alpha1)
     direct = localized_gfem_solve_direct(k2_44, interp, forms, 1.0, grid,
                                          alpha0, alpha1)
     assert rel_l2h1(forms, loc, direct) <= 1e-9
 
     seq = transients_for_all_nodes(problem44.pair, interp, forms, saturated44,
                                    horizon=12, stop_tol=0.0)
-    loc = localized_gfem_solve(saturated44, seq, interp, forms, 1.0, grid,
-                               alpha0, alpha1)
+    loc = localized_gfem_solve(saturated44, seq, forms, 1.0, grid, alpha0, alpha1)
     ideal = ideal_gfem_solve(saturated44, interp, forms, 1.0, grid, alpha0, alpha1)
     assert rel_l2h1(forms, loc, ideal) <= 1e-8
 
@@ -201,7 +197,7 @@ def test_localized_matches_per_step_superposition(problem44, k2_44, horizon,
     alpha0, alpha1 = (rng.standard_normal((2, problem44.n_coarse_dofs)) if data
                       else np.zeros((2, problem44.n_coarse_dofs)))
 
-    loc = localized_gfem_solve(k2_44, seq, interp, forms, f, grid, alpha0, alpha1)
+    loc = localized_gfem_solve(k2_44, seq, forms, f, grid, alpha0, alpha1)
     alpha, states = _per_step_superposition(k2_44, seq, forms, f, grid,
                                             alpha0, alpha1)
     assert np.linalg.norm(loc.alpha - alpha) <= 1e-12 * np.linalg.norm(alpha)
@@ -216,8 +212,7 @@ def test_transient_config_mismatch_rejected(problem44, saturated44):
     grid = TimeGrid(TAU, 4)
     zc = np.zeros(problem44.n_coarse_dofs)
     with pytest.raises(ValueError):
-        localized_gfem_solve(saturated44, seq, problem44.interp,
-                             problem44.forms, 1.0, grid, zc, zc)
+        localized_gfem_solve(saturated44, seq, problem44.forms, 1.0, grid, zc, zc)
 
 
 def test_steady_state_b_orthogonality(problem44, saturated44):

@@ -105,7 +105,7 @@ def test_near_constant_field_gfem_error_matches_fem_level():
     zc = np.zeros(pair.coarse.n_dofs)
     ref = fine_fem_solve(forms, 1.0, np.zeros(pair.fine.n_dofs),
                          np.zeros(pair.fine.n_dofs), grid)
-    gfem = localized_gfem_solve(cs, seq, interp, forms, 1.0, grid, zc, zc)
+    gfem = localized_gfem_solve(cs, seq, forms, 1.0, grid, zc, zc)
     fem = galerkin_wave_solve(prolongation(pair), forms, 1.0, grid, zc, zc)
     e_gfem = rel_l2h1(forms, gfem, ref)
     e_fem = rel_l2h1(forms, fem, ref)
@@ -145,6 +145,22 @@ def test_config_rejects_partial_or_too_few_steps(T, tau):
     # T = 1, tau = 0.03 used to stop at 0.99 and T = 0.03 to run to 0.04
     with pytest.raises(ValueError):
         ExperimentConfig(p=3, q=2, tau=tau, T=T)
+
+
+@pytest.mark.parametrize("bad", [dict(rb_tol=2.0), dict(rb_tol=1.0), dict(rb_tol=0.0),
+                                 dict(rb_tol=-1.0), dict(rb_tol=float("nan")),
+                                 dict(stop_tol=-1e-12), dict(stop_tol=float("nan")),
+                                 dict(block=-1)],
+                         ids=["rb_tol-2", "rb_tol-1", "rb_tol-0", "rb_tol-negative",
+                              "rb_tol-nan", "stop_tol-negative", "stop_tol-nan",
+                              "block-negative"])
+def test_config_rejects_bad_tolerances(tmp_path, bad):
+    # rb_tol = 2 ran the whole offline stage before failing in the basis
+    # assembly, rb_tol = -1 accepted every direction, block = -1 ran as 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        config_from_sources("exp-rb", str(path), dict(MICRO))
 
 
 def test_config_accepts_whole_step_counts():

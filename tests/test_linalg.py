@@ -11,7 +11,7 @@ import scipy.sparse as sparse
 import sdwave
 from sdwave.linalg import (ConstraintViolationError, DegenerateConstraintError,
                            Factorization, InaccurateSolveError,
-                           SingularSystemError, factor_saddle, solve_saddle)
+                           SingularSystemError, factor_saddle)
 
 
 def test_identity_solve():
@@ -55,14 +55,14 @@ def test_saddle_hand_example():
     # eliminate by hand: w1 = 0 from the constraint, then w2 = 1 and mu = 1
     A = sparse.eye(2, format="csr")
     C = sparse.csr_matrix(np.array([[1.0, 0.0]]))
-    w, mu = solve_saddle(A, C, np.array([1.0, 1.0]))
+    w, mu = factor_saddle(A, C).solve(np.array([1.0, 1.0]))
     np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(mu, [1.0], atol=1e-12)
 
 
 def test_saddle_no_constraints_reduces_to_solve():
     A = sparse.diags([2.0, 4.0]).tocsr()
-    w, mu = solve_saddle(A, sparse.csr_matrix((0, 2)), np.array([2.0, 4.0]))
+    w, mu = factor_saddle(A, sparse.csr_matrix((0, 2))).solve(np.array([2.0, 4.0]))
     np.testing.assert_allclose(w, [1.0, 1.0])
     assert mu.size == 0
 
@@ -70,14 +70,14 @@ def test_saddle_no_constraints_reduces_to_solve():
 def test_saddle_zero_rhs():
     A = sparse.eye(3, format="csr")
     C = sparse.csr_matrix(np.array([[1.0, 1.0, 0.0]]))
-    w, mu = solve_saddle(A, C, np.zeros(3))
+    w, mu = factor_saddle(A, C).solve(np.zeros(3))
     assert np.all(w == 0.0) and np.all(mu == 0.0)
 
 
 def test_saddle_drops_zero_rows():
     A = sparse.eye(2, format="csr")
     C = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    w, mu = solve_saddle(A, C, np.array([1.0, 1.0]))
+    w, mu = factor_saddle(A, C).solve(np.array([1.0, 1.0]))
     np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(mu, [1.0, 0.0], atol=1e-12)
 
@@ -88,7 +88,7 @@ def test_saddle_constraint_residual():
     A = sparse.csc_matrix(R @ R.T + 30.0 * np.eye(30))
     C = sparse.csr_matrix(rng.standard_normal((4, 30)))
     r = rng.standard_normal(30)
-    w, mu = solve_saddle(A, C, r)
+    w, mu = factor_saddle(A, C).solve(r)
     norm_r = np.linalg.norm(r)
     assert np.max(np.abs(C @ w)) <= 1e-10 * norm_r
     assert np.linalg.norm(A @ w + C.T @ mu - r) <= 1e-10 * norm_r

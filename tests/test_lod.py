@@ -1,4 +1,5 @@
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from sdwave.lod import (CorrectorConfig, Patch, build_corrector_set, cache_key,
                         compute_element_correctors,
                         compute_transient_correctors, decay_profile,
                         load_corrector_cache, patch_fine_dofs,
-                        project_initial_data, save_corrector_cache)
+                        save_corrector_cache)
 from sdwave.mesh import element_patch, node_patch, prolongation, saturating_k
 
 TAU = 0.02
@@ -32,9 +33,10 @@ def test_tau_mismatch_rejected(problem44):
 
 
 def test_element_correctors_vanish_at_r1(problem81):
-    contrib = compute_element_correctors(problem81.pair, problem81.interp,
-                                         problem81.forms, 30,
-                                         CorrectorConfig(k=2, tau=TAU))
+    pair = problem81.pair
+    patch = Patch(problem81.interp, problem81.forms,
+                  patch_fine_dofs(pair, element_patch(pair.coarse, 30, 2)))
+    contrib = compute_element_correctors(pair, problem81.forms, 30, patch)
     assert contrib
     for vec in contrib.values():
         assert np.abs(vec).max() <= 1e-12
@@ -142,6 +144,31 @@ def test_each_distinct_patch_factored_once(problem44, monkeypatch, k):
                for t in range(coarse.n_elements)
                if np.any(coarse.dof_index[coarse.triangles[t]] >= 0)}
     assert len(calls) == len(patches)
+
+
+def test_element_patch_freed_after_its_element(problem44, monkeypatch):
+    # with every element patch distinct, at most the patch being solved on and
+    # the one before it may be alive, not one per element so far
+    from sdwave import lod
+    pair = problem44.pair
+    coarse = pair.coarse
+    keys = {patch_fine_dofs(pair, element_patch(coarse, t, 1)).tobytes()
+            for t in range(coarse.n_elements)}
+    assert len(keys) == coarse.n_elements
+    live = weakref.WeakSet()
+    counts = []
+
+    class CountedPatch(Patch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live.add(self)
+            counts.append(len(live))
+
+    monkeypatch.setattr(lod, "Patch", CountedPatch)
+    build_corrector_set(pair, problem44.interp, problem44.forms,
+                        CorrectorConfig(k=1, tau=TAU))
+    assert len(counts) == coarse.n_elements
+    assert max(counts) <= 2
 
 
 @pytest.fixture
@@ -279,17 +306,17 @@ def test_superposition_identity_scripted(problem44, transient_node):
 
 def test_decay_profile_examples(problem44, transient_node):
     cs, tc = transient_node
-    pair, forms = problem44.pair, problem44.forms
+    pair = problem44.pair
     xi1 = np.zeros(problem44.n_fine_dofs)
     xi1[tc.dofs] = tc.xi[0]
-    prof = decay_profile(xi1, pair, tc.x_dof, forms)
+    prof = decay_profile(xi1, pair, tc.x_dof)
     assert np.all(np.diff(prof[:, 1]) <= 1e-14)
     assert prof[-1, 1] == 0.0
     # support inside N^2(x) means the profile vanishes from j = 2 on
     assert prof[prof[:, 0] >= 2, 1].max() <= 1e-12
 
     phi = np.asarray(cs.phi[:, tc.x_dof].todense()).ravel()
-    prof_phi = decay_profile(phi, pair, tc.x_dof, forms)
+    prof_phi = decay_profile(phi, pair, tc.x_dof)
     mask = prof_phi[:, 1] > 1e-12
     slope = np.polyfit(prof_phi[mask, 0], np.log(prof_phi[mask, 1]), 1)[0]
     assert slope < 0.0
@@ -297,11 +324,10 @@ def test_decay_profile_examples(problem44, transient_node):
 
 def test_project_initial_data(problem44, saturated_set):
     interp = problem44.interp
-    assert np.all(project_initial_data(saturated_set,
-                                       np.zeros(problem44.n_coarse_dofs)) == 0.0)
+    assert np.all(saturated_set.Q @ np.zeros(problem44.n_coarse_dofs) == 0.0)
     rng = np.random.default_rng(34)
     u = rng.standard_normal(problem44.n_coarse_dofs)
-    lifted = project_initial_data(saturated_set, u)
+    lifted = saturated_set.Q @ u
     assert np.abs(interp.matrix @ lifted - u).max() <= 1e-10
 
 
@@ -311,7 +337,7 @@ def test_project_initial_data_r1(problem81):
     P = prolongation(problem81.pair)
     rng = np.random.default_rng(35)
     u = rng.standard_normal(problem81.n_coarse_dofs)
-    assert np.abs(project_initial_data(cs, u) - P @ u).max() <= 1e-12
+    assert np.abs(cs.Q @ u - P @ u).max() <= 1e-12
 
 
 def test_cache_roundtrip(tmp_path, problem44, transient_node):

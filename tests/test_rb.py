@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sdwave.evolution import TimeGrid, localized_gfem_solve, rel_h1_final
-from sdwave.lod import (CorrectorConfig, TransientCorrectors,
+from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
                         build_corrector_set, compute_transient_correctors,
                         transients_for_all_nodes)
 from sdwave.rb import (EmptyBasisError, build_rb, compress_transients, lift,
@@ -23,6 +23,10 @@ def snapshots44(problem44):
     return cs, tc
 
 
+def _patch(problem, tc):
+    return Patch(problem.interp, problem.forms, tc.dofs)
+
+
 def _patch_norm(problem, dofs):
     H1p = (problem.forms.K_1 + problem.forms.M)[dofs][:, dofs]
     return lambda v: np.sqrt(max(v @ (H1p @ v), 0.0))
@@ -31,15 +35,24 @@ def _patch_norm(problem, dofs):
 def test_duplicate_snapshots_collapse(problem44, snapshots44):
     _, tc = snapshots44
     stacked = np.vstack([tc.xi[0], tc.xi[0]])
-    basis = build_rb(stacked, problem44.interp, problem44.forms, tc.dofs)
+    basis = build_rb(stacked, _patch(problem44, tc))
     assert basis.Z.shape[1] == 1
     assert basis.m_selected == 1
 
 
+@pytest.mark.parametrize("tol_rel", [-1e-10, 1.0, 2.0, float("nan")],
+                         ids=["negative", "one", "two", "nan"])
+def test_build_rb_rejects_tolerance_outside_unit_interval(problem44, snapshots44,
+                                                          tol_rel):
+    _, tc = snapshots44
+    with pytest.raises(ValueError, match="tol_rel"):
+        build_rb(tc.xi, _patch(problem44, tc), tol_rel=tol_rel)
+
+
 def test_orthonormal_snapshots_all_accepted(problem44, snapshots44):
     _, tc = snapshots44
-    pre = build_rb(tc.xi[:6], problem44.interp, problem44.forms, tc.dofs, tol_rel=0.0)
-    again = build_rb(pre.Z.T, problem44.interp, problem44.forms, tc.dofs)
+    pre = build_rb(tc.xi[:6], _patch(problem44, tc), tol_rel=0.0)
+    again = build_rb(pre.Z.T, _patch(problem44, tc))
     assert again.Z.shape[1] == 6
     atilde = problem44.forms.K_tilde[tc.dofs][:, tc.dofs]
     overlap = np.abs(again.Z.T @ (atilde @ pre.Z))
@@ -49,26 +62,24 @@ def test_orthonormal_snapshots_all_accepted(problem44, snapshots44):
 def test_zero_first_snapshot_rejected(problem44, snapshots44):
     _, tc = snapshots44
     with pytest.raises(EmptyBasisError):
-        build_rb(np.zeros((1, tc.dofs.size)), problem44.interp, problem44.forms,
-                 tc.dofs)
+        build_rb(np.zeros((1, tc.dofs.size)), _patch(problem44, tc))
     # a node whose sequence carries no energy keeps its stored members only
     zero = TransientCorrectors(tc.x_dof, tc.dofs, np.zeros((6, tc.dofs.size)),
                                tc.config)
     reductions = node_reductions({tc.x_dof: zero}, problem44.interp,
                                  problem44.forms, (2, 4))
     assert reductions[tc.x_dof].basis is None
-    compressed, bases = compress_transients({tc.x_dof: zero}, problem44.interp,
-                                            problem44.forms, 2, horizon=6,
-                                            reductions=reductions)
+    compressed, bases = compress_transients({tc.x_dof: zero}, reductions, 2,
+                                            horizon=6)
     assert compressed[tc.x_dof].xi.shape == (2, tc.dofs.size) and not bases
 
 
 def test_basis_prefix_is_the_smaller_basis(problem44, snapshots44):
     # Gram-Schmidt is sequential and stops at its first rejection
     _, tc = snapshots44
-    big = build_rb(tc.xi, problem44.interp, problem44.forms, tc.dofs)
+    big = build_rb(tc.xi, _patch(problem44, tc))
     for m in (1, 3, 5, 10, tc.xi.shape[0]):
-        small = build_rb(tc.xi[:m], problem44.interp, problem44.forms, tc.dofs)
+        small = build_rb(tc.xi[:m], _patch(problem44, tc))
         assert small.m_selected == min(m, big.m_selected)
         np.testing.assert_array_equal(small.Z, big.Z[:, :small.m_selected])
         np.testing.assert_array_equal(big.prefix(m).Z, small.Z)
@@ -76,7 +87,7 @@ def test_basis_prefix_is_the_smaller_basis(problem44, snapshots44):
 
 def test_basis_invariants(problem44, snapshots44):
     _, tc = snapshots44
-    basis = build_rb(tc.xi, problem44.interp, problem44.forms, tc.dofs)
+    basis = build_rb(tc.xi, _patch(problem44, tc))
     m = basis.Z.shape[1]
     assert np.abs(basis.a_hat - np.eye(m)).max() <= 1e-10
     # basis columns stay fine-scale
@@ -89,7 +100,7 @@ def test_basis_invariants(problem44, snapshots44):
 
 def test_projection_consistency(problem44, snapshots44):
     _, tc = snapshots44
-    basis = build_rb(tc.xi, problem44.interp, problem44.forms, tc.dofs)
+    basis = build_rb(tc.xi, _patch(problem44, tc))
     atilde = problem44.forms.K_tilde[tc.dofs][:, tc.dofs]
     nrm = _patch_norm(problem44, tc.dofs)
     for l in range(basis.m_selected):
@@ -99,7 +110,7 @@ def test_projection_consistency(problem44, snapshots44):
 
 def test_rb_step_zero_and_shape(problem44, snapshots44):
     _, tc = snapshots44
-    basis = build_rb(tc.xi[:5], problem44.interp, problem44.forms, tc.dofs)
+    basis = build_rb(tc.xi[:5], _patch(problem44, tc))
     assert np.all(rb_step(basis, np.zeros(basis.Z.shape[1])) == 0.0)
     with pytest.raises(ValueError):
         rb_step(basis, np.zeros(basis.Z.shape[1] + 1))
@@ -107,7 +118,7 @@ def test_rb_step_zero_and_shape(problem44, snapshots44):
 
 def test_full_basis_recursion_matches_direct(problem44, snapshots44):
     _, tc = snapshots44
-    basis = build_rb(tc.xi, problem44.interp, problem44.forms, tc.dofs, tol_rel=0.0)
+    basis = build_rb(tc.xi, _patch(problem44, tc), tol_rel=0.0)
     atilde = problem44.forms.K_tilde[tc.dofs][:, tc.dofs]
     nrm = _patch_norm(problem44, tc.dofs)
     c = basis.Z.T @ (atilde @ tc.xi[0])
@@ -118,7 +129,7 @@ def test_full_basis_recursion_matches_direct(problem44, snapshots44):
 
 def test_recursion_contracts(problem44, snapshots44):
     _, tc = snapshots44
-    basis = build_rb(tc.xi, problem44.interp, problem44.forms, tc.dofs)
+    basis = build_rb(tc.xi, _patch(problem44, tc))
     eigs = np.linalg.eigvals(np.linalg.solve(basis.a_hat, basis.k_hat))
     assert np.abs(eigs).max() < 1.0
 
@@ -143,16 +154,17 @@ def localized44(problem44):
                                    problem44.forms, cs, horizon=20, stop_tol=0.0)
     grid = TimeGrid(TAU, 20)
     zc = np.zeros(problem44.n_coarse_dofs)
-    reference = localized_gfem_solve(cs, seq, problem44.interp, problem44.forms,
-                                     1.0, grid, zc, zc)
+    reference = localized_gfem_solve(cs, seq, problem44.forms, 1.0, grid, zc, zc)
     return cs, seq, grid, reference
 
 
 def test_rb_gfem_uncompressed_is_identical(problem44, localized44):
     cs, seq, grid, reference = localized44
     zc = np.zeros(problem44.n_coarse_dofs)
-    traj = rb_gfem_solve(cs, seq, problem44.interp, problem44.forms, 1.0,
-                         grid, zc, zc, m_max=grid.n_steps)
+    reductions = node_reductions(seq, problem44.interp, problem44.forms,
+                                 (grid.n_steps,))
+    traj = rb_gfem_solve(cs, seq, reductions, problem44.forms, 1.0, grid, zc, zc,
+                         m_max=grid.n_steps)
     assert rel_h1_final(problem44.forms, traj, reference) <= 1e-12
 
 
@@ -161,8 +173,9 @@ def test_rb_gfem_gap_shrinks_with_m(problem44, localized44):
     zc = np.zeros(problem44.n_coarse_dofs)
     gaps = []
     for m in (1, 5, 10):
-        traj = rb_gfem_solve(cs, seq, problem44.interp, problem44.forms, 1.0,
-                             grid, zc, zc, m_max=m)
+        reductions = node_reductions(seq, problem44.interp, problem44.forms, (m,))
+        traj = rb_gfem_solve(cs, seq, reductions, problem44.forms, 1.0, grid, zc, zc,
+                             m_max=m)
         gaps.append(rel_h1_final(problem44.forms, traj, reference))
     assert gaps[2] < gaps[1] < gaps[0]
 
@@ -172,7 +185,7 @@ def _oracle_sequence(problem, tc, m, horizon, stop_tol=1e-12):
     kept = tc.xi[:m]
     if m >= tc.xi.shape[0]:
         return kept
-    basis = build_rb(kept, problem.interp, problem.forms, tc.dofs)
+    basis = build_rb(kept, _patch(problem, tc))
     atilde = problem.forms.K_tilde[tc.dofs][:, tc.dofs]
     nrm = _patch_norm(problem, tc.dofs)
     c = basis.Z.T @ (atilde @ kept[-1])
@@ -190,9 +203,8 @@ def test_shared_basis_compression_matches_oracle(problem44, localized44):
     reductions = node_reductions(seq, problem44.interp, problem44.forms, (1, 5, 10))
     assert set(reductions) == set(seq)
     for m in (1, 5, 10):
-        compressed, _ = compress_transients(seq, problem44.interp, problem44.forms,
-                                            m, horizon=grid.n_steps,
-                                            reductions=reductions)
+        compressed, _ = compress_transients(seq, reductions, m,
+                                            horizon=grid.n_steps)
         for d, tc in seq.items():
             expected = _oracle_sequence(problem44, tc, m, grid.n_steps)
             got = compressed[d].xi
@@ -206,7 +218,6 @@ def test_compression_rejects_bases_built_too_small(problem44, localized44):
     _, seq, grid, _ = localized44
     reductions = node_reductions(seq, problem44.interp, problem44.forms, (1, 5))
     with pytest.raises(ValueError):
-        compress_transients(seq, problem44.interp, problem44.forms, 10,
-                            horizon=grid.n_steps, reductions=reductions)
+        compress_transients(seq, reductions, 10, horizon=grid.n_steps)
     with pytest.raises(ValueError):
-        compress_transients(seq, problem44.interp, problem44.forms, 0)
+        compress_transients(seq, reductions, 0)

@@ -15,9 +15,10 @@ from sdwave.evolution import TimeGrid, localized_gfem_solve
 from sdwave.harness import random_field
 from sdwave.interpolation import build_interpolator
 from sdwave.linalg import Factorization
-from sdwave.lod import (CorrectorConfig, TransientCorrectors, build_corrector_set,
-                        cache_key, load_corrector_cache, patch_fine_dofs,
-                        save_corrector_cache, transients_for_all_nodes)
+from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
+                        build_corrector_set, cache_key, load_corrector_cache,
+                        patch_fine_dofs, save_corrector_cache,
+                        transients_for_all_nodes)
 from sdwave.mesh import Mesh, NestedMeshPair, element_patch
 from sdwave.rb import build_rb
 
@@ -77,8 +78,8 @@ def test_observers_read_what_the_functions_return(tmp_path):
     assert tracer.count["lod.transient_rows"] == 2 * rows
 
     zeros = np.zeros(pair.coarse.n_dofs)
-    trajectory = localized_gfem_solve(correctors, seq, interp, forms, 1.0,
-                                      TimeGrid(0.1, 5), zeros, zeros)
+    trajectory = localized_gfem_solve(correctors, seq, forms, 1.0, TimeGrid(0.1, 5),
+                                      zeros, zeros)
     observe("evolution.localized_gfem_solve", (), trajectory)
     assert tracer.count["online_steps"] == 4
 
@@ -91,7 +92,7 @@ def test_observers_read_what_the_functions_return(tmp_path):
     assert tracer.patch_dof_sets == {dofs.tobytes()}
 
     tc = seq[0]
-    basis = build_rb(tc.xi, interp, forms, tc.dofs, x_dof=tc.x_dof)
+    basis = build_rb(tc.xi, Patch(interp, forms, tc.dofs), x_dof=tc.x_dof)
     observe("rb.build_rb", (), basis)
     assert tracer.m_selected == [basis.m_selected] and tracer.count["rb.basis_mb"] > 0
 
