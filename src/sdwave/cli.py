@@ -23,7 +23,7 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, help="coefficient seed")
     sub.add_argument("--contrast-lo", dest="lo", type=float, help="coefficient lower bound")
     sub.add_argument("--contrast-hi", dest="hi", type=float, help="coefficient upper bound")
-    sub.add_argument("--law", choices=["uniform", "loguniform"], help="value distribution")
+    sub.add_argument("--law", choices=harness.LAWS, help="value distribution")
     sub.add_argument("--block", type=int, help="block granularity in fine cells (0: per element)")
     sub.add_argument("--M", help="comma separated snapshot counts for exp-rb")
     sub.add_argument("--scale", choices=["desk", "paper"], help="problem size preset")

@@ -1,6 +1,6 @@
 """Backward Euler time steppers: fine FEM, ideal and localized GFEM, auxiliary problem."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -31,11 +31,9 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    scheme: str
     grid: TimeGrid
     states: np.ndarray                 # (n_steps + 1, fine dofs)
     alpha: np.ndarray = None           # coarse coefficients where applicable
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.states)):
@@ -65,7 +63,7 @@ def fine_fem_solve(forms, f, u0, u1, grid):
                + forms.M @ (2.0 * states[n - 1] - states[n - 2]) / tau**2
                + forms.K_A @ states[n - 1] / tau)
         states[n] = fact.solve(rhs)
-    return Trajectory("fine_fem", grid, states)
+    return Trajectory(grid, states)
 
 
 def discrete_energy(forms, trajectory):
@@ -79,7 +77,7 @@ def discrete_energy(forms, trajectory):
     return np.array(out)
 
 
-def _gfem_steps(scheme, Q, M_ms, A_ms, B_ms, forms, f, grid, alpha0, alpha1,
+def _gfem_steps(Q, M_ms, A_ms, B_ms, forms, f, grid, alpha0, alpha1,
                 fine_scale=None):
     """Backward Euler in the span of Q, the one loop behind every coarse-space scheme.
 
@@ -104,7 +102,7 @@ def _gfem_steps(scheme, Q, M_ms, A_ms, B_ms, forms, f, grid, alpha0, alpha1,
                + fine_scale.memory(n, alpha)
                + M_ms @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau)
         alpha[n] = scipy.linalg.lu_solve(lhs, rhs)
-    return Trajectory(scheme, grid, fine_scale.states(alpha), alpha=alpha)
+    return Trajectory(grid, fine_scale.states(alpha), alpha=alpha)
 
 
 class _PerStep:
@@ -179,22 +177,21 @@ def _multiscale(correctors):
     return correctors.Q, correctors.M_ms, correctors.A_ms, correctors.B_ms
 
 
-def galerkin_wave_solve(basis, forms, f, grid, alpha0, alpha1, scheme="galerkin"):
+def galerkin_wave_solve(basis, forms, f, grid, alpha0, alpha1):
     """Damped wave scheme posed in the span of the given basis, no fine correction.
 
     Used for the coarse FEM baseline (basis = prolongation) and for the
     single-coefficient corrected bases.
     """
     grams = [(basis.T @ mat @ basis).toarray() for mat in (forms.M, forms.K_A, forms.K_B)]
-    return _gfem_steps(scheme, basis, *grams, forms, f, grid, alpha0, alpha1)
+    return _gfem_steps(basis, *grams, forms, f, grid, alpha0, alpha1)
 
 
 def ideal_gfem_solve(correctors, interp, forms, f, grid, alpha0, alpha1):
     """GFEM with global correctors: coarse multiscale step plus one fine-scale
     solve per time step; initial data lives in the multiscale space."""
-    saddle = linalg.factor_saddle(forms.K_tilde, interp.matrix)
-    return _gfem_steps("ideal_gfem", *_multiscale(correctors), forms, f, grid,
-                       alpha0, alpha1,
+    saddle = linalg.factor_saddle(forms.K_tilde, interp)
+    return _gfem_steps(*_multiscale(correctors), forms, f, grid, alpha0, alpha1,
                        _PerStep(correctors.Q, forms, grid,
                                 lambda n, alpha, memory: saddle.solve(memory)[0]))
 
@@ -204,8 +201,8 @@ def localized_gfem_solve(correctors, transients, forms, f, grid, alpha0, alpha1)
     per-node correction sequences weighted by the coarse coefficient history."""
     if any(tc.config != correctors.config for tc in transients.values()):
         raise ValueError("transient correctors were built for another config")
-    return _gfem_steps("localized_gfem", *_multiscale(correctors), forms, f, grid,
-                       alpha0, alpha1, _Superposition(correctors, transients, forms, grid))
+    return _gfem_steps(*_multiscale(correctors), forms, f, grid, alpha0, alpha1,
+                       _Superposition(correctors, transients, forms, grid))
 
 
 def localized_gfem_solve_direct(correctors, interp, forms, f, grid, alpha0, alpha1):
@@ -221,8 +218,7 @@ def localized_gfem_solve_direct(correctors, interp, forms, f, grid, alpha0, alph
             w[patch.dofs] += w_prev[d]
         return w
 
-    return _gfem_steps("localized_gfem_direct", *_multiscale(correctors), forms, f,
-                       grid, alpha0, alpha1,
+    return _gfem_steps(*_multiscale(correctors), forms, f, grid, alpha0, alpha1,
                        _PerStep(correctors.Q, forms, grid, patch_solves))
 
 
@@ -235,7 +231,7 @@ def aux_fine_solve(forms, f, z0, grid):
     states[0] = z0
     for n in range(1, grid.n_steps + 1):
         states[n] = fact.solve(tau * load(n * tau) + forms.K_A @ states[n - 1])
-    return Trajectory("aux_fine", grid, states)
+    return Trajectory(grid, states)
 
 
 def aux_gfem_solve(correctors, interp, forms, f, alpha0, grid):
@@ -244,7 +240,7 @@ def aux_gfem_solve(correctors, interp, forms, f, alpha0, grid):
     Q = correctors.Q
     QT = Q.T
     lhs = scipy.linalg.lu_factor(correctors.A_ms + tau * correctors.B_ms)
-    saddle = linalg.factor_saddle(forms.K_tilde, interp.matrix)
+    saddle = linalg.factor_saddle(forms.K_tilde, interp)
     load = _load(forms, f)
 
     alpha = np.zeros((grid.n_steps + 1, Q.shape[1]))
@@ -256,7 +252,7 @@ def aux_gfem_solve(correctors, interp, forms, f, alpha0, grid):
         alpha[n] = scipy.linalg.lu_solve(lhs, tau * (QT @ load(n * tau)) + QT @ memory)
         w, _ = saddle.solve(memory)
         states[n] = Q @ alpha[n] + w
-    return Trajectory("aux_gfem", grid, states, alpha=alpha)
+    return Trajectory(grid, states, alpha=alpha)
 
 
 # ----------------------------------------------------------------------------

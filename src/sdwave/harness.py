@@ -24,6 +24,7 @@ from .rb import node_reductions, rb_gfem_solve
 log = logging.getLogger("sdwave")
 
 CSV_HEADER = "param,rel_h1_final,rel_l2h1,runtime_s,method"
+LAWS = ("uniform", "loguniform")
 
 
 @dataclass
@@ -63,6 +64,8 @@ class ExperimentConfig:
             raise ValueError("stop_tol must be >= 0")
         if not 0 < self.rb_tol < 1:
             raise ValueError("rb_tol must lie in (0, 1)")
+        if self.law not in LAWS:
+            raise ValueError("law must be one of %s, got %r" % (LAWS, self.law))
         steps = self.T / self.tau
         if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * abs(steps)):
             raise ValueError("T = %r is not a whole number of time steps tau = %r"
@@ -119,8 +122,8 @@ def random_field(mesh, lo, hi, seed, law="loguniform", block=0):
     """Seeded random coefficient, constant per fine element or per cell block."""
     if not (0 < lo < hi):
         raise ValueError("coefficient range must satisfy 0 < lo < hi")
-    if law not in ("uniform", "loguniform"):
-        raise ValueError("law must be 'uniform' or 'loguniform'")
+    if law not in LAWS:
+        raise ValueError("law must be one of %s, got %r" % (LAWS, law))
     rng = np.random.default_rng(seed)
 
     def draw(size):
@@ -163,7 +166,7 @@ def _corrector_pipeline(cfg, problem, k, form_choice, counters, transients=True)
     config = CorrectorConfig(k=k, tau=cfg.tau, form_choice=form_choice)
     key = cache_key(problem.forms, config, cfg.n_steps, cfg.stop_tol)
     if cfg.cache:
-        cached = load_corrector_cache(cfg.cache, key, problem.pair)
+        cached = load_corrector_cache(cfg.cache, key, problem.pair, config)
         if cached is not None and (cached[1] is not None or not transients):
             counters["cache_hits"] += 1
             return cached
@@ -216,14 +219,15 @@ def run_exp_H(cfg):
     counters = {"cache_hits": 0, "cache_misses": 0}
     rows = []
 
-    fine_problem = _Problem(cfg, q=cfg.q)
+    # the reference's problem is also the sweep's last, at q = cfg.q
+    fine_problem = _Problem(cfg)
     reference = fine_fem_solve(fine_problem.forms, 1.0,
                                np.zeros(fine_problem.pair.fine.n_dofs),
                                np.zeros(fine_problem.pair.fine.n_dofs),
                                fine_problem.grid)
 
     for q in range(2, cfg.q + 1):
-        problem = _Problem(cfg, q=q)
+        problem = fine_problem if q == cfg.q else _Problem(cfg, q=q)
         k = q  # k = log2(1/H)
         param = 2 ** q
 
@@ -248,7 +252,7 @@ def run_exp_H(cfg):
         tic = time.perf_counter()
         P = prolongation(problem.pair)
         record("fem", galerkin_wave_solve(P, problem.forms, 1.0, problem.grid,
-                                          problem.zeros, problem.zeros, "fem"), tic)
+                                          problem.zeros, problem.zeros), tic)
 
         for choice, method in (("a_only", "lod_a"), ("b_only", "lod_b")):
             tic = time.perf_counter()
@@ -256,7 +260,7 @@ def run_exp_H(cfg):
                                             transients=False)
             record(method, galerkin_wave_solve(single.Q, problem.forms, 1.0,
                                                problem.grid, problem.zeros,
-                                               problem.zeros, method), tic)
+                                               problem.zeros), tic)
     meta = dict(counters, wall_s=time.perf_counter() - started)
     return rows, meta
 

@@ -13,14 +13,9 @@ _GRAM_INV_PATTERN = 0.25 * np.array(
 )
 
 
-class Interpolator:
-    def __init__(self, pair, matrix):
-        self.pair = pair
-        self.matrix = matrix
-
-
 def build_interpolator(pair):
-    """Assemble the fine-to-coarse interpolation matrix for a nested pair."""
+    """The fine-to-coarse interpolation matrix of a nested pair, sparse
+    (coarse dofs x fine dofs), CSR with sorted indices."""
     coarse = pair.coarse
     fine = pair.fine
     ntc = coarse.n_elements
@@ -87,7 +82,7 @@ def build_interpolator(pair):
 
     matrix = (averaging @ projected)[:, fine.interior_nodes].tocsr()
     matrix.sort_indices()
-    return Interpolator(pair, matrix)
+    return matrix
 
 
 def kernel_constraints(interp, patch_dofs):
@@ -98,6 +93,6 @@ def kernel_constraints(interp, patch_dofs):
     patch_dofs = np.asarray(patch_dofs, dtype=np.int64)
     if patch_dofs.size == 0:
         raise ValueError("patch must contain at least one fine dof")
-    C = interp.matrix[:, patch_dofs].tocsr()
+    C = interp[:, patch_dofs].tocsr()
     row_weight = np.abs(C).sum(axis=1).A.ravel()
     return C[np.flatnonzero(row_weight > 0.0)].tocsr()

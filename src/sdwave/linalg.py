@@ -20,7 +20,7 @@ class SingularSystemError(RuntimeError):
 
 
 class DegenerateConstraintError(ValueError):
-    """Raised when the constraint rows are rank deficient after zero-row removal."""
+    """Raised when the constraint rows are rank deficient (a zero row included)."""
 
 
 class InaccurateSolveError(SingularSystemError):
@@ -93,25 +93,12 @@ class Factorization:
 
 
 class SaddleFactorization:
-    """Factorization of [[A, C^T], [C, 0]] with zero constraint rows dropped."""
+    """Factorization of [[A, C^T], [C, 0]]; every row of C must be nonzero."""
 
     def __init__(self, A, C):
         A = A.tocsr()
-        self.n = A.shape[0]
-        self.m_original = C.shape[0] if C is not None else 0
-
-        if C is None or C.shape[0] == 0:
-            self.kept_rows = np.empty(0, dtype=np.int64)
-            self._fact = Factorization(A)
-            self.A = self._fact.matrix
-            self.C = sparse.csr_matrix((0, self.n))
-            return
-
         C = C.tocsr()
-        row_weight = np.abs(C).sum(axis=1).A.ravel()
-        self.kept_rows = np.flatnonzero(row_weight > 0.0)
-        C = C[self.kept_rows]
-        self.A = A
+        self.n = A.shape[0]
         self.C = C
         kkt = sparse.bmat([[A, C.T], [C, None]], format="csc")
         try:
@@ -125,19 +112,13 @@ class SaddleFactorization:
 
     def solve(self, r, tol=SADDLE_TOL):
         r = np.asarray(r, dtype=float)
-        m = self.C.shape[0]
-        if m == 0:
-            w = self._fact.solve(r, tol=tol)
-            return w, np.zeros(self.m_original)
-        rhs = np.concatenate([r, np.zeros(m)])
+        rhs = np.concatenate([r, np.zeros(self.C.shape[0])])
         sol = self._fact.solve(rhs, tol=tol)
         w = sol[: self.n]
-        mu = np.zeros(self.m_original)
-        mu[self.kept_rows] = sol[self.n :]
         norm_r = np.linalg.norm(r)
         if norm_r > 0.0 and not np.max(np.abs(self.C @ w)) <= tol * norm_r:
             raise ConstraintViolationError("constraint violated")
-        return w, mu
+        return w, sol[self.n :]
 
 
 def factorizes(matrix):

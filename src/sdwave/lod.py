@@ -127,11 +127,15 @@ def compute_element_correctors(pair, forms, t_coarse, patch):
 class CorrectorSet:
     config: CorrectorConfig
     pair: object
-    phi: sparse.csr_matrix      # fine dofs x coarse dofs
     Q: sparse.csr_matrix        # modified basis, columns lambda_x - phi_x
     M_ms: np.ndarray
     A_ms: np.ndarray
     B_ms: np.ndarray
+
+    @property
+    def phi(self):
+        """The correctors, fine dofs x coarse dofs: prolongation minus Q."""
+        return (prolongation(self.pair) - self.Q).tocsr()
 
 
 def build_corrector_set(pair, interp, forms, config):
@@ -173,7 +177,7 @@ def build_corrector_set(pair, interp, forms, config):
     M_ms = (Q.T @ forms.M @ Q).toarray()
     A_ms = (Q.T @ forms.K_A @ Q).toarray()
     B_ms = (Q.T @ forms.K_B @ Q).toarray()
-    return CorrectorSet(config, pair, phi.tocsr(), Q, M_ms, A_ms, B_ms)
+    return CorrectorSet(config, pair, Q, M_ms, A_ms, B_ms)
 
 
 @dataclass
@@ -278,21 +282,17 @@ def cache_key(forms, config, horizon, stop_tol):
 
 def save_corrector_cache(cache_dir, key, correctors, transients=None):
     os.makedirs(cache_dir, exist_ok=True)
+    Q = correctors.Q.tocsr()
     payload = {
         "key": np.array(key),
-        "k": correctors.config.k,
-        "tau": correctors.config.tau,
-        "form_choice": np.array(correctors.config.form_choice),
         "M_ms": correctors.M_ms,
         "A_ms": correctors.A_ms,
         "B_ms": correctors.B_ms,
+        "Q_data": Q.data,
+        "Q_indices": Q.indices,
+        "Q_indptr": Q.indptr,
+        "Q_shape": np.array(Q.shape),
     }
-    for name, mat in (("phi", correctors.phi), ("Q", correctors.Q)):
-        csr = mat.tocsr()
-        payload[name + "_data"] = csr.data
-        payload[name + "_indices"] = csr.indices
-        payload[name + "_indptr"] = csr.indptr
-        payload[name + "_shape"] = np.array(csr.shape)
     if transients is not None:
         payload["transient_dofs_list"] = np.array(sorted(transients), dtype=np.int64)
         for d, tc in transients.items():
@@ -306,31 +306,25 @@ def save_corrector_cache(cache_dir, key, correctors, transients=None):
     return path
 
 
-def load_corrector_cache(cache_dir, key, pair):
+def load_corrector_cache(cache_dir, key, pair, config):
     """(correctors, transients or None) stored under key, or None on a miss.
 
-    A file that was written under another key or cannot be read in full
-    (corrupt, truncated) is a miss.
+    key must be the cache_key built from config, which the file does not
+    repeat. A file that was written under another key or cannot be read in
+    full (corrupt, truncated) is a miss.
     """
     path = os.path.join(cache_dir, key + ".npz")
     if not os.path.exists(path):
         return None
     try:
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             if str(data["key"]) != key:
                 return None
-            config = CorrectorConfig(
-                k=int(data["k"]), tau=float(data["tau"]),
-                form_choice=str(data["form_choice"]),
+            Q = sparse.csr_matrix(
+                (data["Q_data"], data["Q_indices"], data["Q_indptr"]),
+                shape=tuple(data["Q_shape"]),
             )
-
-            def csr(name):
-                return sparse.csr_matrix(
-                    (data[name + "_data"], data[name + "_indices"], data[name + "_indptr"]),
-                    shape=tuple(data[name + "_shape"]),
-                )
-
-            correctors = CorrectorSet(config, pair, csr("phi"), csr("Q"),
+            correctors = CorrectorSet(config, pair, Q,
                                       data["M_ms"], data["A_ms"], data["B_ms"])
             transients = None
             if "transient_dofs_list" in data:

@@ -15,7 +15,6 @@ class EmptyBasisError(ValueError):
 
 @dataclass
 class ReducedBasis:
-    x_dof: int
     Z: np.ndarray          # (patch dofs, m), orthonormal in the weighted product
     a_hat: np.ndarray      # Z^T (K_A + tau K_B) Z, identity up to roundoff
     k_hat: np.ndarray      # Z^T K_A Z
@@ -28,11 +27,10 @@ class ReducedBasis:
         basis is exactly the leading min(m, m_selected) columns of this one.
         """
         m = min(m, self.m_selected)
-        return ReducedBasis(self.x_dof, self.Z[:, :m], self.a_hat[:m, :m],
-                            self.k_hat[:m, :m], m)
+        return ReducedBasis(self.Z[:, :m], self.a_hat[:m, :m], self.k_hat[:m, :m], m)
 
 
-def build_rb(snapshots, patch, tol_rel=1e-10, x_dof=-1):
+def build_rb(snapshots, patch, tol_rel=1e-10):
     """Gram-Schmidt in the energy inner product with tolerance-gated truncation.
 
     A snapshot is rejected once its orthogonalized remainder falls below
@@ -81,7 +79,7 @@ def build_rb(snapshots, patch, tol_rel=1e-10, x_dof=-1):
     Z = np.column_stack(basis)
     a_hat = Z.T @ (a_tilde @ Z)
     k_hat = Z.T @ (patch.k_a @ Z)
-    return ReducedBasis(x_dof, Z, a_hat, k_hat, consumed)
+    return ReducedBasis(Z, a_hat, k_hat, consumed)
 
 
 def rb_step(basis, c_prev):
@@ -96,8 +94,9 @@ def lift(basis, c):
     return basis.Z @ np.asarray(c, dtype=float)
 
 
-def snapshot_singular_values(snapshots, forms, dofs):
-    """Singular values of the snapshot family in the energy inner product.
+def snapshot_singular_values(snapshots, patch):
+    """Singular values of the snapshot family in the energy inner product of
+    patch (an lod.Patch on the snapshots' dofs).
 
     Uses a Cholesky factor of the patch energy matrix instead of the Gram
     matrix: squaring through the Gram eigenproblem floors the small values
@@ -106,8 +105,7 @@ def snapshot_singular_values(snapshots, forms, dofs):
     snapshots = np.atleast_2d(np.asarray(snapshots, dtype=float))
     if snapshots.shape[0] == 0:
         raise ValueError("need at least one snapshot")
-    a_tilde = forms.K_tilde[dofs][:, dofs]
-    chol = scipy.linalg.cholesky(a_tilde.toarray(), lower=False)
+    chol = scipy.linalg.cholesky(patch.k_tilde.toarray(), lower=False)
     return scipy.linalg.svdvals(chol @ snapshots.T)
 
 
@@ -139,7 +137,7 @@ def node_reductions(transients, interp, forms, m_values, tol_rel=1e-10):
         n = min(max(m_values), length)
         patch = Patch(interp, forms, tc.dofs)
         try:
-            basis = build_rb(tc.xi[:n], patch, tol_rel=tol_rel, x_dof=d)
+            basis = build_rb(tc.xi[:n], patch, tol_rel=tol_rel)
         except EmptyBasisError:
             out[d] = NodeReduction(n, patch.k_tilde, None, None, 0.0)
             continue
@@ -168,13 +166,13 @@ def _continuation(node, kept, steps, stop_tol):
     energy = np.einsum("ij,ij->j", coeffs, node.w_h1[:m, :m] @ coeffs)
     below = np.flatnonzero(np.sqrt(np.maximum(energy, 0.0)) <= stop_tol * node.norm1)
     n = below[0] + 1 if below.size else steps
-    return (basis.Z @ coeffs[:, :n]).T, basis
+    return (basis.Z @ coeffs[:, :n]).T
 
 
 def compress_transients(transients, reductions, m_max, stop_tol=1e-12,
                         horizon=None):
     """Replace each correction sequence by its first m_max members plus
-    reduced-basis continuations; returns (sequences, bases per node).
+    reduced-basis continuations; returns the sequences per node.
 
     reductions (from node_reductions) holds one basis per node, shared by
     every m_max up to the snapshot count it was built from.
@@ -182,7 +180,6 @@ def compress_transients(transients, reductions, m_max, stop_tol=1e-12,
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     compressed = {}
-    bases = {}
     for d, tc in transients.items():
         stored = tc.xi
         m_avail = min(m_max, stored.shape[0])
@@ -197,20 +194,16 @@ def compress_transients(transients, reductions, m_max, stop_tol=1e-12,
                              % (m_avail, d))
         rows = kept
         if node.basis is not None and target > m_avail:
-            extra, bases[d] = _continuation(node, kept, target - m_avail, stop_tol)
-            rows = np.vstack([kept, extra])
+            rows = np.vstack([kept, _continuation(node, kept, target - m_avail,
+                                                  stop_tol)])
         compressed[d] = TransientCorrectors(d, tc.dofs, rows, tc.config)
-    return compressed, bases
+    return compressed
 
 
 def rb_gfem_solve(correctors, transients, reductions, forms, f, grid, alpha0,
                   alpha1, m_max, stop_tol=1e-12):
     """Localized GFEM where corrections beyond the first m_max steps come from
     the per-node reduced bases in reductions (from node_reductions)."""
-    compressed, _ = compress_transients(transients, reductions, m_max,
-                                        stop_tol=stop_tol, horizon=grid.n_steps)
-    trajectory = localized_gfem_solve(correctors, compressed, forms, f, grid,
-                                      alpha0, alpha1)
-    trajectory.scheme = "rb_gfem"
-    trajectory.meta["m_max"] = m_max
-    return trajectory
+    compressed = compress_transients(transients, reductions, m_max,
+                                     stop_tol=stop_tol, horizon=grid.n_steps)
+    return localized_gfem_solve(correctors, compressed, forms, f, grid, alpha0, alpha1)

@@ -215,7 +215,7 @@ def test_criterion_7_snapshot_spectrum(request):
     tic = time.perf_counter()
     prob = request.getfixturevalue("prob_q4")
     _, tc = request.getfixturevalue("transient_center_q4")
-    sv = snapshot_singular_values(tc.xi, prob.forms, tc.dofs)
+    sv = snapshot_singular_values(tc.xi, Patch(prob.interp, prob.forms, tc.dofs))
     rel = sv / sv[0]
     worst_tail = float(rel[29:].max())
     _report(7, "snapshot singular value decay", worst_tail <= 1e-10,

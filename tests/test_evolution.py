@@ -30,7 +30,7 @@ def test_time_grid_validation():
 
 def test_trajectory_rejects_nonfinite():
     with pytest.raises(ValueError):
-        Trajectory("x", TimeGrid(0.1, 2), np.array([[0.0], [np.nan], [0.0]]))
+        Trajectory(TimeGrid(0.1, 2), np.array([[0.0], [np.nan], [0.0]]))
 
 
 def test_fine_fem_zero_data_zero_source(problem44):
@@ -221,7 +221,7 @@ def test_steady_state_b_orthogonality(problem44, saturated44):
     grid = TimeGrid(0.05, 200)
     zc = np.zeros(problem44.n_coarse_dofs)
     traj = ideal_gfem_solve(saturated44, interp, forms, 1.0, grid, zc, zc)
-    saddle = factor_saddle(forms.K_tilde, interp.matrix)
+    saddle = factor_saddle(forms.K_tilde, interp)
     rng = np.random.default_rng(41)
 
     def residual(u):
@@ -285,7 +285,7 @@ def test_fem_baseline_collapses_at_r1(problem81):
     grid = TimeGrid(TAU, 8)
     zc = np.zeros(problem81.n_coarse_dofs)
     P = prolongation(problem81.pair)
-    fem = galerkin_wave_solve(P, problem81.forms, 1.0, grid, zc, zc, "fem")
+    fem = galerkin_wave_solve(P, problem81.forms, 1.0, grid, zc, zc)
     zeros = np.zeros(problem81.n_fine_dofs)
     ref = fine_fem_solve(problem81.forms, 1.0, zeros, zeros, grid)
     assert rel_l2h1(problem81.forms, fem, ref) <= 1e-10

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -147,6 +148,16 @@ def test_config_rejects_partial_or_too_few_steps(T, tau):
         ExperimentConfig(p=3, q=2, tau=tau, T=T)
 
 
+@pytest.mark.parametrize("law", ["logunifrom", "normal", "Uniform", ""],
+                         ids=["typo", "other", "case", "empty"])
+def test_config_rejects_unknown_law(tmp_path, law):
+    # the JSON key used to reach random_field only after the meshes were built
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"law": law}))
+    with pytest.raises(ValueError, match="law"):
+        config_from_sources("exp-k", str(path), dict(MICRO))
+
+
 @pytest.mark.parametrize("bad", [dict(rb_tol=2.0), dict(rb_tol=1.0), dict(rb_tol=0.0),
                                  dict(rb_tol=-1.0), dict(rb_tol=float("nan")),
                                  dict(stop_tol=-1e-12), dict(stop_tol=float("nan")),
@@ -223,7 +234,7 @@ def test_emit_csv_and_svg(tmp_path):
         {"param": 2, "rel_h1_final": 0.8, "rel_l2h1": 0.7, "runtime_s": 0.1, "method": "fem"},
     ]
     paths = emit(rows, tmp_path, "demo", svg=True)
-    lines = open(paths[0]).read().strip().splitlines()
+    lines = Path(paths[0]).read_text().strip().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 4
     assert lines[1].startswith("2,") and lines[1].endswith(",fem")
@@ -233,11 +244,11 @@ def test_emit_csv_and_svg(tmp_path):
 
 def test_emit_empty_report(tmp_path):
     paths = emit([], tmp_path, "empty")
-    assert open(paths[0]).read() == CSV_HEADER + "\n"
+    assert Path(paths[0]).read_text() == CSV_HEADER + "\n"
 
 
 def _strip_runtime(path):
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     return [",".join(col for i, col in enumerate(line.split(",")) if i != 3)
             for line in lines]
 
@@ -347,7 +358,7 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert printed[0].endswith("exp_k.csv")
     assert os.path.exists(printed[0])
     assert os.path.exists(printed[1])
-    lines = open(printed[0]).read().strip().splitlines()
+    lines = Path(printed[0]).read_text().strip().splitlines()
     assert lines[0] == CSV_HEADER
 
 

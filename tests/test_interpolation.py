@@ -13,13 +13,13 @@ def test_projection_property(q, r):
     pair = NestedMeshPair(Mesh(q), r)
     interp = build_interpolator(pair)
     P = prolongation(pair)
-    E = interp.matrix @ P - sparse.eye(pair.coarse.n_dofs)
+    E = interp @ P - sparse.eye(pair.coarse.n_dofs)
     assert np.abs(E.toarray()).max() <= 1e-14
 
 
 def test_constants_reproduced_away_from_boundary(problem44):
     interp, pair = problem44.interp, problem44.pair
-    values = interp.matrix @ np.ones(pair.fine.n_dofs)
+    values = interp @ np.ones(pair.fine.n_dofs)
     coarse = pair.coarse
     for dof, vert in enumerate(coarse.interior_nodes):
         i, j = vert % (coarse.n + 1), vert // (coarse.n + 1)
@@ -31,9 +31,19 @@ def test_kernel_constraints_full_patch(problem44):
     interp = problem44.interp
     all_dofs = np.arange(problem44.n_fine_dofs)
     C = kernel_constraints(interp, all_dofs)
-    assert C.shape == interp.matrix.shape
+    assert C.shape == interp.shape
     with pytest.raises(ValueError):
         kernel_constraints(interp, np.array([], dtype=int))
+
+
+def test_kernel_constraints_are_the_nonzero_patch_rows(problem44):
+    interp = problem44.interp
+    dofs = patch_fine_dofs(problem44.pair, element_patch(problem44.pair.coarse, 0, 1))
+    restricted = interp[:, dofs].toarray()
+    nonzero = np.flatnonzero(np.abs(restricted).sum(axis=1) > 0.0)
+    C = kernel_constraints(interp, dofs)
+    assert C.shape[0] == nonzero.size < interp.shape[0]
+    np.testing.assert_array_equal(C.toarray(), restricted[nonzero])
 
 
 def test_coarse_functions_are_not_fine_scale(problem44):
@@ -69,7 +79,7 @@ def test_local_stability_estimate():
         worst = 0.0
         for _ in range(8):
             v = rng.standard_normal(pair.fine.n_dofs)
-            diff = v - P @ (interp.matrix @ v)
+            diff = v - P @ (interp @ v)
             l2 = np.sqrt(diff @ (forms.M @ diff))
             worst = max(worst, l2 * pair.coarse.n / h1_norm(forms, v))
         estimates.append(worst)

@@ -60,13 +60,6 @@ def test_saddle_hand_example():
     np.testing.assert_allclose(mu, [1.0], atol=1e-12)
 
 
-def test_saddle_no_constraints_reduces_to_solve():
-    A = sparse.diags([2.0, 4.0]).tocsr()
-    w, mu = factor_saddle(A, sparse.csr_matrix((0, 2))).solve(np.array([2.0, 4.0]))
-    np.testing.assert_allclose(w, [1.0, 1.0])
-    assert mu.size == 0
-
-
 def test_saddle_zero_rhs():
     A = sparse.eye(3, format="csr")
     C = sparse.csr_matrix(np.array([[1.0, 1.0, 0.0]]))
@@ -74,12 +67,12 @@ def test_saddle_zero_rhs():
     assert np.all(w == 0.0) and np.all(mu == 0.0)
 
 
-def test_saddle_drops_zero_rows():
+def test_saddle_rejects_zero_rows():
+    # kernel_constraints drops the zero rows; a zero row left in is degenerate
     A = sparse.eye(2, format="csr")
     C = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    w, mu = factor_saddle(A, C).solve(np.array([1.0, 1.0]))
-    np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(mu, [1.0, 0.0], atol=1e-12)
+    with pytest.raises(DegenerateConstraintError):
+        factor_saddle(A, C)
 
 
 def test_saddle_constraint_residual():

@@ -1,5 +1,7 @@
+import builtins
 import shutil
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,7 +64,7 @@ def saturated_set(problem44):
 def test_saturated_matches_global_solve(problem44, saturated_set):
     pair, forms, interp = problem44.pair, problem44.forms, problem44.interp
     P = prolongation(pair)
-    saddle = factor_saddle(forms.K_tilde, interp.matrix)
+    saddle = factor_saddle(forms.K_tilde, interp)
     for dof in range(0, pair.coarse.n_dofs, 2):
         lam = np.asarray(P[:, dof].todense()).ravel()
         w, _ = saddle.solve(forms.K_tilde @ lam)
@@ -71,7 +73,7 @@ def test_saturated_matches_global_solve(problem44, saturated_set):
 
 
 def test_fine_scale_membership(problem44, saturated_set):
-    residual = problem44.interp.matrix @ saturated_set.phi
+    residual = problem44.interp @ saturated_set.phi
     assert np.abs(residual.toarray()).max() <= 1e-10
 
 
@@ -82,7 +84,7 @@ def test_modified_basis_has_full_rank(problem44, saturated_set):
 
 def test_saturated_energy_orthogonality(problem44, saturated_set):
     pair, forms, interp = problem44.pair, problem44.forms, problem44.interp
-    saddle = factor_saddle(forms.K_tilde, interp.matrix)
+    saddle = factor_saddle(forms.K_tilde, interp)
     rng = np.random.default_rng(31)
     q = saturated_set.Q @ rng.standard_normal(pair.coarse.n_dofs)
     w, _ = saddle.solve(forms.K_tilde @ rng.standard_normal(pair.fine.n_dofs))
@@ -94,7 +96,7 @@ def test_a_only_orthogonality(problem44):
     pair, forms, interp = problem44.pair, problem44.forms, problem44.interp
     cfg = CorrectorConfig(k=saturating_k(pair.coarse), tau=TAU, form_choice="a_only")
     cs = build_corrector_set(pair, interp, forms, cfg)
-    saddle = factor_saddle(forms.K_A, interp.matrix)
+    saddle = factor_saddle(forms.K_A, interp)
     rng = np.random.default_rng(32)
     q = cs.Q @ rng.standard_normal(pair.coarse.n_dofs)
     w, _ = saddle.solve(forms.K_A @ rng.standard_normal(pair.fine.n_dofs))
@@ -249,7 +251,7 @@ def test_transient_decay_and_membership(problem44, transient_node):
     assert np.all(h1s[1:] < h1s[:-1])
     full = np.zeros(problem44.n_fine_dofs)
     full[tc.dofs] = tc.xi[0]
-    assert np.abs(interp.matrix @ full).max() <= 1e-10
+    assert np.abs(interp @ full).max() <= 1e-10
 
 
 def test_first_step_matches_direct_global_solve(problem44):
@@ -260,7 +262,7 @@ def test_first_step_matches_direct_global_solve(problem44):
     dof = pair.coarse.n_dofs // 2
     tc = compute_transient_correctors(pair, interp, forms, cs, dof, horizon=2)
     q_x = np.asarray(cs.Q[:, dof].todense()).ravel()
-    w, _ = factor_saddle(forms.K_tilde, interp.matrix).solve(forms.K_A @ q_x)
+    w, _ = factor_saddle(forms.K_tilde, interp).solve(forms.K_A @ q_x)
     xi1 = np.zeros(pair.fine.n_dofs)
     xi1[tc.dofs] = tc.xi[0]
     assert h1_norm(forms, xi1 - w) <= 1e-9 * h1_norm(forms, w)
@@ -328,7 +330,7 @@ def test_project_initial_data(problem44, saturated_set):
     rng = np.random.default_rng(34)
     u = rng.standard_normal(problem44.n_coarse_dofs)
     lifted = saturated_set.Q @ u
-    assert np.abs(interp.matrix @ lifted - u).max() <= 1e-10
+    assert np.abs(interp @ lifted - u).max() <= 1e-10
 
 
 def test_project_initial_data_r1(problem81):
@@ -344,7 +346,7 @@ def test_cache_roundtrip(tmp_path, problem44, transient_node):
     cs, tc = transient_node
     key = cache_key(problem44.forms, cs.config, 25, 0.0)
     path = save_corrector_cache(tmp_path, key, cs, {tc.x_dof: tc})
-    loaded = load_corrector_cache(tmp_path, key, problem44.pair)
+    loaded = load_corrector_cache(tmp_path, key, problem44.pair, cs.config)
     assert loaded is not None
     cs2, transients2 = loaded
     assert cs2.config == cs.config
@@ -352,17 +354,40 @@ def test_cache_roundtrip(tmp_path, problem44, transient_node):
     np.testing.assert_array_equal(cs2.A_ms, cs.A_ms)
     np.testing.assert_array_equal(transients2[tc.x_dof].xi, tc.xi)
     np.testing.assert_array_equal(transients2[tc.x_dof].dofs, tc.dofs)
-    assert load_corrector_cache(tmp_path, "missing", problem44.pair) is None
+    assert load_corrector_cache(tmp_path, "missing", problem44.pair, cs.config) is None
     # a file copied under another key is not served for it
     other = cache_key(problem44.forms, cs.config, 26, 0.0)
     shutil.copy(path, tmp_path / (other + ".npz"))
-    assert load_corrector_cache(tmp_path, other, problem44.pair) is None
+    assert load_corrector_cache(tmp_path, other, problem44.pair, cs.config) is None
     # neither is an unreadable one
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     for size in (0, 10, len(data) // 2, len(data) - 1):
         with open(path, "wb") as fh:
             fh.write(data[:size])
-        assert load_corrector_cache(tmp_path, key, problem44.pair) is None
+        assert load_corrector_cache(tmp_path, key, problem44.pair, cs.config) is None
+
+
+def test_cache_miss_closes_the_file(tmp_path, problem44, transient_node,
+                                    monkeypatch):
+    # a truncated entry fails inside np.load, after the file was opened
+    cs, tc = transient_node
+    key = cache_key(problem44.forms, cs.config, 25, 0.0)
+    path = save_corrector_cache(tmp_path, key, cs, {tc.x_dof: tc})
+    data = Path(path).read_bytes()
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    for size in (10, len(data) // 2, len(data) - 1):
+        Path(path).write_bytes(data[:size])
+        with monkeypatch.context() as patched:
+            patched.setattr(builtins, "open", recording_open)
+            assert load_corrector_cache(tmp_path, key, problem44.pair, cs.config) is None
+    assert opened and all(fh.closed for fh in opened)
 
 
 def test_cache_key_covers_every_input(problem44):

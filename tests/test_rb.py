@@ -69,9 +69,8 @@ def test_zero_first_snapshot_rejected(problem44, snapshots44):
     reductions = node_reductions({tc.x_dof: zero}, problem44.interp,
                                  problem44.forms, (2, 4))
     assert reductions[tc.x_dof].basis is None
-    compressed, bases = compress_transients({tc.x_dof: zero}, reductions, 2,
-                                            horizon=6)
-    assert compressed[tc.x_dof].xi.shape == (2, tc.dofs.size) and not bases
+    compressed = compress_transients({tc.x_dof: zero}, reductions, 2, horizon=6)
+    assert compressed[tc.x_dof].xi.shape == (2, tc.dofs.size)
 
 
 def test_basis_prefix_is_the_smaller_basis(problem44, snapshots44):
@@ -91,7 +90,7 @@ def test_basis_invariants(problem44, snapshots44):
     m = basis.Z.shape[1]
     assert np.abs(basis.a_hat - np.eye(m)).max() <= 1e-10
     # basis columns stay fine-scale
-    IH = problem44.interp.matrix
+    IH = problem44.interp
     for j in range(m):
         full = np.zeros(problem44.n_fine_dofs)
         full[tc.dofs] = basis.Z[:, j]
@@ -136,13 +135,13 @@ def test_recursion_contracts(problem44, snapshots44):
 
 def test_singular_values(problem44, snapshots44):
     _, tc = snapshots44
-    single = snapshot_singular_values(tc.xi[:1], problem44.forms, tc.dofs)
+    single = snapshot_singular_values(tc.xi[:1], _patch(problem44, tc))
     atilde = problem44.forms.K_tilde[tc.dofs][:, tc.dofs]
     assert single[0] == pytest.approx(np.sqrt(tc.xi[0] @ (atilde @ tc.xi[0])), rel=1e-12)
     dup = snapshot_singular_values(np.vstack([tc.xi[0], tc.xi[0]]),
-                                   problem44.forms, tc.dofs)
+                                   _patch(problem44, tc))
     assert dup[1] <= 1e-12 * dup[0]
-    sv = snapshot_singular_values(tc.xi, problem44.forms, tc.dofs)
+    sv = snapshot_singular_values(tc.xi, _patch(problem44, tc))
     assert np.all(np.diff(sv) <= 0.0)
 
 
@@ -203,8 +202,7 @@ def test_shared_basis_compression_matches_oracle(problem44, localized44):
     reductions = node_reductions(seq, problem44.interp, problem44.forms, (1, 5, 10))
     assert set(reductions) == set(seq)
     for m in (1, 5, 10):
-        compressed, _ = compress_transients(seq, reductions, m,
-                                            horizon=grid.n_steps)
+        compressed = compress_transients(seq, reductions, m, horizon=grid.n_steps)
         for d, tc in seq.items():
             expected = _oracle_sequence(problem44, tc, m, grid.n_steps)
             got = compressed[d].xi

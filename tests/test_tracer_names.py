@@ -71,10 +71,10 @@ def test_observers_read_what_the_functions_return(tmp_path):
 
     key = cache_key(forms, config, 5, 1e-12)
     save_corrector_cache(tmp_path, key, correctors, seq)
-    loaded = load_corrector_cache(tmp_path, key, pair)
+    loaded = load_corrector_cache(tmp_path, key, pair, config)
     assert isinstance(loaded[1], dict) and set(loaded[1]) == set(seq)
     assert all(isinstance(tc, TransientCorrectors) for tc in loaded[1].values())
-    observe("lod.load_corrector_cache", (tmp_path, key, pair), loaded)
+    observe("lod.load_corrector_cache", (tmp_path, key, pair, config), loaded)
     assert tracer.count["lod.transient_rows"] == 2 * rows
 
     zeros = np.zeros(pair.coarse.n_dofs)
@@ -92,7 +92,7 @@ def test_observers_read_what_the_functions_return(tmp_path):
     assert tracer.patch_dof_sets == {dofs.tobytes()}
 
     tc = seq[0]
-    basis = build_rb(tc.xi, Patch(interp, forms, tc.dofs), x_dof=tc.x_dof)
+    basis = build_rb(tc.xi, Patch(interp, forms, tc.dofs))
     observe("rb.build_rb", (), basis)
     assert tracer.m_selected == [basis.m_selected] and tracer.count["rb.basis_mb"] > 0
 
