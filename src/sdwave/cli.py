@@ -13,6 +13,14 @@ RUNNERS = {
 }
 
 
+def _counts(text):
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected comma separated integers, got %r" % text) from None
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="JSON file with config keys; flags override")
     sub.add_argument("--p", type=int, help="fine mesh exponent, h = 2^-p")
@@ -25,7 +33,7 @@ def _add_common(sub):
     sub.add_argument("--contrast-hi", dest="hi", type=float, help="coefficient upper bound")
     sub.add_argument("--law", choices=harness.LAWS, help="value distribution")
     sub.add_argument("--block", type=int, help="block granularity in fine cells (0: per element)")
-    sub.add_argument("--M", help="comma separated snapshot counts for exp-rb")
+    sub.add_argument("--M", type=_counts, help="comma separated snapshot counts for exp-rb")
     sub.add_argument("--scale", choices=["desk", "paper"], help="problem size preset")
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--svg", action="store_const", const=True, help="also write an SVG plot")
@@ -56,11 +64,9 @@ def main(argv=None):
     overrides = {
         key: getattr(args, key)
         for key in ("p", "q", "kmax", "tau", "T", "seed", "lo", "hi", "law",
-                    "block", "scale", "out", "svg", "cache")
+                    "block", "M", "scale", "out", "svg", "cache")
         if getattr(args, key) is not None
     }
-    if args.M is not None:
-        overrides["M"] = tuple(int(s) for s in str(args.M).split(","))
 
     cfg = harness.config_from_sources(args.experiment, args.config, overrides)
     rows, meta = RUNNERS[args.experiment](cfg)

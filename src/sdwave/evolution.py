@@ -40,11 +40,11 @@ class Trajectory:
             raise ValueError("trajectory contains non-finite states")
 
 
-def _load(forms, f):
-    """t -> fine load vector, assembled once when f is a constant."""
+def _load(forms, f, project=lambda fine: fine):
+    """t -> project(fine load vector), formed once when f is a constant."""
     if callable(f):
-        return lambda t: assemble_load(forms.fine, f, t)
-    constant = assemble_load(forms.fine, f)
+        return lambda t: project(assemble_load(forms.fine, f, t))
+    constant = project(assemble_load(forms.fine, f))
     return lambda t: constant
 
 
@@ -92,13 +92,13 @@ def _gfem_steps(Q, M_ms, A_ms, B_ms, forms, f, grid, alpha0, alpha1,
     if fine_scale is None:
         fine_scale = _PerStep(Q, forms, grid)
     lhs = scipy.linalg.lu_factor(M_ms / tau + A_ms + tau * B_ms)
-    load = _load(forms, f)
+    load = _load(forms, f, lambda fine: tau * (QT @ fine))
 
     alpha = np.zeros((grid.n_steps + 1, Q.shape[1]))
     alpha[0] = alpha0
     alpha[1] = alpha1
     for n in range(2, grid.n_steps + 1):
-        rhs = (tau * (QT @ load(n * tau))
+        rhs = (load(n * tau)
                + fine_scale.memory(n, alpha)
                + M_ms @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau)
         alpha[n] = scipy.linalg.lu_solve(lhs, rhs)
@@ -128,13 +128,17 @@ class _PerStep:
         return self.w
 
 
+# steps per block of the memory term: Gamma is read once per block
+_BLOCK = 16
+
+
 class _Superposition:
     """Fine-scale part superposed from stored per-node correction sequences,
     w^n = sum_x sum_{l=1}^{n-1} alpha_x^{n-l} xi_x^l (alpha^0 never enters).
 
     The coarse step sees w only through Q^T K_A w^{n-1}, so the loop runs on
     the coarse memory matrices Gamma_l, column x = Q^T K_A xi_x^l, and the fine
-    states are filled once after it, one Toeplitz product per node.
+    states are filled once after it, one triangular Toeplitz product per node.
     """
 
     def __init__(self, correctors, transients, forms, grid):
@@ -151,26 +155,50 @@ class _Superposition:
             length = min(xi.shape[0], lags)
             self.gamma[1:length + 1, x] = xi[:length] @ QT_K_A[:, dofs].T
         # reverse time: row N - m holds alpha^m, so the lags 0, 1, ... of step n
-        # are consecutive rows and the memory term is one matrix-vector product
-        self.past = np.zeros((grid.n_steps, n_coarse))
+        # are consecutive rows; row N (alpha^0, which never enters) and the
+        # rows past it stay zero, so a window may run past alpha^1
+        self.n_steps = grid.n_steps
+        self.past = np.zeros((grid.n_steps + _BLOCK, n_coarse))
+        self.known = None
 
     def memory(self, n, alpha):
-        start = self.past.shape[0] - (n - 1)
-        self.past[start] = alpha[n - 1]
-        terms = min(n - 1, self.gamma.shape[0])
-        gamma = self.gamma[:terms].reshape(-1, self.gamma.shape[2])
-        return gamma.T @ self.past[start:start + terms].ravel()
+        n_coarse = self.past.shape[1]
+        row = self.n_steps - (n - 1)
+        self.past[row] = alpha[n - 1]
+        lags = self.gamma.shape[0]
+        gamma = self.gamma.reshape(-1, n_coarse)
+        j = (n - 2) % _BLOCK
+        if j == 0:
+            # one product gives steps n .. n + b - 1 every term whose alpha is
+            # known now: the window of step n + i starts i rows early, on rows
+            # of alphas still to come, which read zero
+            b = min(_BLOCK, self.n_steps - n + 1)
+            terms = min(n + b - 2, lags)
+            flat = self.past.ravel()
+            windows = np.stack([flat[(row - i) * n_coarse:(row - i + terms) * n_coarse]
+                                for i in range(b)])
+            self.known = windows @ gamma[:terms * n_coarse]
+        # the lags inside the block, alpha^{n-1} .. alpha^{n-j}
+        inner = min(j, lags)
+        return (self.known[j]
+                + gamma[:inner * n_coarse].T @ self.past[row:row + inner].ravel())
 
     def states(self, alpha):
-        self.gamma = self.past = None
-        states = np.ascontiguousarray((self.Q @ alpha.T).T)
+        self.gamma = self.past = self.known = None
+        # time runs along the rows of one fine dof, so a node adds contiguous runs
+        states = self.Q @ alpha.T
         n_steps = alpha.shape[0] - 1
         for x, dofs, xi in self.items:
             length = min(xi.shape[0], n_steps - 1)
-            # row i, column l - 1: the weight alpha_x^{i+2-l} of xi^l in w^{i+2}
+            # row i, column l - 1: the weight alpha_x^{i+2-l} of xi^l in w^{i+2};
+            # the leading length x length block T is lower triangular
             weights = scipy.linalg.toeplitz(alpha[1:n_steps, x], np.zeros(length))
-            states[2:, dofs] += weights @ xi[:length]
-        return states
+            # xi^T T^T = (T xi)^T, with xi^T and T^T the Fortran views of xi and T
+            states[dofs, 2:length + 2] += scipy.linalg.blas.dtrmm(
+                1.0, weights[:length].T, xi[:length].T, side=1, lower=0)
+            if length < n_steps - 1:
+                states[dofs, length + 2:] += xi[:length].T @ weights[length:].T
+        return np.ascontiguousarray(states.T)
 
 
 def _multiscale(correctors):
@@ -241,7 +269,7 @@ def aux_gfem_solve(correctors, interp, forms, f, alpha0, grid):
     QT = Q.T
     lhs = scipy.linalg.lu_factor(correctors.A_ms + tau * correctors.B_ms)
     saddle = linalg.factor_saddle(forms.K_tilde, interp)
-    load = _load(forms, f)
+    load = _load(forms, f, lambda fine: tau * (QT @ fine))
 
     alpha = np.zeros((grid.n_steps + 1, Q.shape[1]))
     alpha[0] = alpha0
@@ -249,7 +277,7 @@ def aux_gfem_solve(correctors, interp, forms, f, alpha0, grid):
     states[0] = Q @ alpha[0]
     for n in range(1, grid.n_steps + 1):
         memory = forms.K_A @ states[n - 1]
-        alpha[n] = scipy.linalg.lu_solve(lhs, tau * (QT @ load(n * tau)) + QT @ memory)
+        alpha[n] = scipy.linalg.lu_solve(lhs, load(n * tau) + QT @ memory)
         w, _ = saddle.solve(memory)
         states[n] = Q @ alpha[n] + w
     return Trajectory(grid, states, alpha=alpha)

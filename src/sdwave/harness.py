@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, fields
@@ -48,6 +49,10 @@ class ExperimentConfig:
     rb_tol: float = 1e-10
 
     def __post_init__(self):
+        for name in ("p", "q", "kmax", "seed", "block"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
         if self.p < self.q or self.q < 1:
             raise ValueError("need p >= q >= 1")
         if self.lo <= 0 or self.lo >= self.hi:
@@ -196,21 +201,26 @@ def run_exp_k(cfg):
 
     rows = []
     for k in range(2, cfg.kmax + 1):
-        tic = time.perf_counter()
-        correctors, seq = _corrector_pipeline(cfg, problem, k, "a_plus_tau_b",
-                                              counters)
-        trajectory = localized_gfem_solve(correctors, seq, problem.forms, 1.0,
-                                          problem.grid, problem.zeros, problem.zeros)
-        rows.append({
-            "param": k,
-            "rel_h1_final": rel_h1_final(problem.forms, trajectory, reference),
-            "rel_l2h1": rel_l2h1(problem.forms, trajectory, reference),
-            "runtime_s": time.perf_counter() - tic,
-            "method": "gfem_k",
-        })
+        rows.append(_exp_k_row(cfg, problem, k, reference, counters))
         log.info("exp-k k=%d rel_h1=%.3e", k, rows[-1]["rel_h1_final"])
     meta = dict(counters, wall_s=time.perf_counter() - started)
     return rows, meta
+
+
+def _exp_k_row(cfg, problem, k, reference, counters):
+    """The exp-k row of patch size k; its correctors and sequences are freed on
+    return, before the next patch size loads its own."""
+    tic = time.perf_counter()
+    correctors, seq = _corrector_pipeline(cfg, problem, k, "a_plus_tau_b", counters)
+    trajectory = localized_gfem_solve(correctors, seq, problem.forms, 1.0,
+                                      problem.grid, problem.zeros, problem.zeros)
+    return {
+        "param": k,
+        "rel_h1_final": rel_h1_final(problem.forms, trajectory, reference),
+        "rel_l2h1": rel_l2h1(problem.forms, trajectory, reference),
+        "runtime_s": time.perf_counter() - tic,
+        "method": "gfem_k",
+    }
 
 
 def run_exp_H(cfg):

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from sdwave.assembly import DiscreteForms, assemble_load, h1_norm
-from sdwave.evolution import (TimeGrid, Trajectory, aux_fine_solve,
+from sdwave.evolution import (_BLOCK, TimeGrid, Trajectory, aux_fine_solve,
                               aux_gfem_solve, discrete_energy, fine_fem_solve,
                               galerkin_wave_solve, ideal_gfem_solve,
                               localized_gfem_solve,
@@ -178,21 +178,35 @@ def _pulse(x, y, t):
     return np.sin(20.0 * t) * (1.0 + x * y)
 
 
-@pytest.mark.parametrize("horizon, stop_tol, f, data", [
-    (12, 0.3, 1.0, False),      # sequences of mixed lengths, some shorter than N
-    (20, 0.0, 1.0, False),      # sequences longer than the time grid
-    (12, 0.0, _pulse, False),   # time-dependent source
-    (12, 0.0, 1.0, True),       # nonzero initial data
-], ids=["mixed-lengths", "long-sequences", "time-dependent-f", "initial-data"])
-def test_localized_matches_per_step_superposition(problem44, k2_44, horizon,
+# two whole blocks of the memory term and a remainder
+MULTI_BLOCK = 2 * _BLOCK + 5
+
+
+@pytest.mark.parametrize("n_steps, horizon, stop_tol, f, data", [
+    (12, 12, 0.3, 1.0, False),      # sequences of mixed lengths, some shorter than N
+    (12, 20, 0.0, 1.0, False),      # sequences longer than the time grid
+    (12, 12, 0.0, _pulse, False),   # time-dependent source
+    (12, 12, 0.0, 1.0, True),       # nonzero initial data
+    (MULTI_BLOCK, MULTI_BLOCK + 8, 0.1, 1.0, False),
+    (MULTI_BLOCK, MULTI_BLOCK + 8, 0.1, 1.0, True),
+    (MULTI_BLOCK, MULTI_BLOCK + 8, 0.0, _pulse, True),
+    (2, 12, 0.0, 1.0, True),        # the one step of the shortest grid
+], ids=["mixed-lengths", "long-sequences", "time-dependent-f", "initial-data",
+        "multi-block-mixed-lengths", "multi-block-initial-data",
+        "multi-block-long-sequences", "two-steps"])
+def test_localized_matches_per_step_superposition(problem44, k2_44, n_steps, horizon,
                                                   stop_tol, f, data):
-    grid = TimeGrid(TAU, 12)
+    grid = TimeGrid(TAU, n_steps)
     forms, interp = problem44.forms, problem44.interp
     seq = transients_for_all_nodes(problem44.pair, interp, forms, k2_44,
                                    horizon=horizon, stop_tol=stop_tol)
     lengths = sorted(tc.xi.shape[0] for tc in seq.values())
     if stop_tol > 0:
         assert lengths[0] < grid.n_steps and lengths[0] < lengths[-1]
+    if n_steps == MULTI_BLOCK:
+        # blocks cut through sequences shorter than one block and longer than N
+        assert lengths[-1] > n_steps
+        assert (lengths[0] < _BLOCK) == (stop_tol > 0)
     rng = np.random.default_rng(44)
     alpha0, alpha1 = (rng.standard_normal((2, problem44.n_coarse_dofs)) if data
                       else np.zeros((2, problem44.n_coarse_dofs)))

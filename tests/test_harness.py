@@ -1,11 +1,14 @@
+import gc
 import json
 import os
+import weakref
 from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
+from sdwave import harness
 from sdwave.cli import main
 from sdwave.harness import (CSV_HEADER, ExperimentConfig, config_from_sources,
                             emit, random_field, run_exp_H, run_exp_k,
@@ -205,6 +208,35 @@ def test_config_rejects_M_not_a_list_of_integers(tmp_path, M):
     assert config_from_sources("exp-rb", None, {"M": [1, 15]}).M == (1, 15)
 
 
+@pytest.mark.parametrize("bad", [dict(kmax=2.5), dict(p=5.0), dict(q=True),
+                                 dict(seed="1"), dict(seed=False), dict(block=1.5)],
+                         ids=["kmax-float", "p-whole-float", "q-bool", "seed-string",
+                              "seed-bool", "block-float"])
+def test_config_rejects_non_integer_values(tmp_path, monkeypatch, bad):
+    # {"kmax": 2.5} used to run the saturating corrector set and the ideal
+    # reference before range() raised TypeError
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built before the config was checked")
+
+    monkeypatch.setattr(harness, "Mesh", no_mesh)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(MICRO, out=str(tmp_path / "out"), **bad)))
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        main(["exp-k", "--config", str(path)])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("M", ["1,,5", "1,5,", "a", "1.5"])
+def test_cli_rejects_malformed_M_as_usage_error(tmp_path, capsys, M):
+    # "--M 1,,5" used to end in a ValueError traceback from int("")
+    with pytest.raises(SystemExit) as exc:
+        main(["exp-rb", "--p", "3", "--q", "2", "--tau", "0.1", "--T", "0.5",
+              "--M", M, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert repr(M) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_workers_accepts_only_one(tmp_path):
     out = tmp_path / "out"
     argv = ["exp-k", "--p", "3", "--q", "2", "--kmax", "2", "--tau", "0.1",
@@ -262,6 +294,29 @@ def test_exp_k_micro_deterministic(tmp_path):
     assert _strip_runtime(tmp_path / "a.csv") == _strip_runtime(tmp_path / "b.csv")
     assert meta1["cache_misses"] > 0 and meta1["cache_hits"] == 0
     assert_pinned(rows1, PINNED_K)
+
+
+def test_exp_k_frees_each_patch_size_before_the_next(monkeypatch):
+    # the k = 2 sequences used to stay bound while k = 3 loaded its own,
+    # which set the peak memory of a long run
+    pipeline = harness._corrector_pipeline
+    previous = []
+    checked = []
+
+    def tracked(cfg, problem, k, form_choice, counters, transients=True):
+        if transients and previous:
+            gc.collect()
+            checked.append(k)
+            assert all(ref() is None for ref in previous), k
+        correctors, seq = pipeline(cfg, problem, k, form_choice, counters, transients)
+        if transients:
+            previous[:] = [weakref.ref(correctors)] + [weakref.ref(tc)
+                                                      for tc in seq.values()]
+        return correctors, seq
+
+    monkeypatch.setattr(harness, "_corrector_pipeline", tracked)
+    run_exp_k(ExperimentConfig(**dict(MICRO, p=4, kmax=3)))
+    assert checked == [3]
 
 
 def test_exp_k_cache_hit(tmp_path):
