@@ -100,18 +100,39 @@ def element_rhs(pair, tilde_values, t_coarse, v):
     Assembled over the fine elements whose parent is T; v and the result are
     interior fine dof vectors.
     """
+    dofs, block = element_rhs_block(pair, tilde_values, t_coarse,
+                                    np.asarray(v, dtype=float)[:, None], [0])
+    out = np.zeros(pair.fine.n_dofs)
+    out[dofs] = block[:, 0]
+    return out
+
+
+def element_rhs_block(pair, tilde_values, t_coarse, V, columns):
+    """element_rhs of the given columns of V (interior fine dofs x any, dense
+    or sparse), assembled on the fine elements of T only.
+
+    Reads only the rows of V at the interior fine dofs of T's closure, and
+    returns those dofs (ascending) with the (dofs, columns) block there.
+    """
     fine = pair.fine
     elems = pair.fibers[t_coarse]
     tri = fine.triangles[elems]
+    verts, local = np.unique(tri, return_inverse=True)
+    local = local.ravel()
+    dofs = fine.dof_index[verts]
+    inside = dofs >= 0
+    values = np.zeros((verts.size, len(columns)))
+    rows = V[dofs[inside]][:, columns]
+    values[inside] = rows.toarray() if sparse.issparse(rows) else rows
     g = fine.gradients()[elems]  # (m, 3, 2)
-    areas = fine.areas()[elems]
-    coeff = tilde_values[elems]
+    weight = (tilde_values[elems] * fine.areas()[elems])[:, None]
 
-    v_full = fine.expand(np.asarray(v, dtype=float))
-    grad_v = np.einsum("mi,mid->md", v_full[tri], g)
-    w = (coeff * areas)[:, None] * np.einsum("md,mid->mi", grad_v, g)
-    out = np.bincount(tri.ravel(), weights=w.ravel(), minlength=fine.n_vertices)
-    return fine.restrict(out)
+    out = np.empty_like(values)
+    for j in range(len(columns)):
+        grad_v = np.einsum("mi,mid->md", values[local, j].reshape(tri.shape), g)
+        w = weight * np.einsum("md,mid->mi", grad_v, g)
+        out[:, j] = np.bincount(local, weights=w.ravel(), minlength=verts.size)
+    return dofs[inside], out[inside]
 
 
 class DiscreteForms:
@@ -139,7 +160,13 @@ class DiscreteForms:
         return self.pair.fine
 
 
-def h1_norm(forms, v):
-    v = np.asarray(v, dtype=float)
-    return float(np.sqrt(max(v @ (forms._h1_matrix @ v), 0.0)))
+def h1_norms(forms, states):
+    """The H1 norm of each row of states, from one sparse product."""
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    products = np.ascontiguousarray((forms._h1_matrix @ states.T).T)
+    return [float(np.sqrt(max(v @ hv, 0.0))) for v, hv in zip(states, products)]
 
+
+def h1_norm(forms, v):
+    """The H1 norm of v."""
+    return h1_norms(forms, v)[0]

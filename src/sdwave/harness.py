@@ -237,42 +237,49 @@ def run_exp_H(cfg):
                                fine_problem.grid)
 
     for q in range(2, cfg.q + 1):
-        problem = fine_problem if q == cfg.q else _Problem(cfg, q=q)
-        k = q  # k = log2(1/H)
-        param = 2 ** q
-
-        def record(method, trajectory, tic):
-            rows.append({
-                "param": param,
-                "rel_h1_final": rel_h1_final(problem.forms, trajectory, reference),
-                "rel_l2h1": rel_l2h1(problem.forms, trajectory, reference),
-                "runtime_s": time.perf_counter() - tic,
-                "method": method,
-            })
-            log.info("exp-H 1/H=%d %s rel_h1=%.3e", param, method,
-                     rows[-1]["rel_h1_final"])
-
-        tic = time.perf_counter()
-        correctors, seq = _corrector_pipeline(cfg, problem, k, "a_plus_tau_b",
-                                              counters)
-        record("gfem", localized_gfem_solve(correctors, seq, problem.forms, 1.0,
-                                            problem.grid, problem.zeros,
-                                            problem.zeros), tic)
-
-        tic = time.perf_counter()
-        P = prolongation(problem.pair)
-        record("fem", galerkin_wave_solve(P, problem.forms, 1.0, problem.grid,
-                                          problem.zeros, problem.zeros), tic)
-
-        for choice, method in (("a_only", "lod_a"), ("b_only", "lod_b")):
-            tic = time.perf_counter()
-            single, _ = _corrector_pipeline(cfg, problem, k, choice, counters,
-                                            transients=False)
-            record(method, galerkin_wave_solve(single.Q, problem.forms, 1.0,
-                                               problem.grid, problem.zeros,
-                                               problem.zeros), tic)
+        rows += _exp_H_level(cfg, q, fine_problem, reference, counters)
     meta = dict(counters, wall_s=time.perf_counter() - started)
     return rows, meta
+
+
+def _exp_H_level(cfg, q, fine_problem, reference, counters):
+    """The exp-H rows of coarse level q; its problem, correctors and sequences
+    are freed on return, before the next level loads its own."""
+    problem = fine_problem if q == cfg.q else _Problem(cfg, q=q)
+    k = q  # k = log2(1/H)
+    param = 2 ** q
+    rows = []
+
+    def record(method, trajectory, tic):
+        rows.append({
+            "param": param,
+            "rel_h1_final": rel_h1_final(problem.forms, trajectory, reference),
+            "rel_l2h1": rel_l2h1(problem.forms, trajectory, reference),
+            "runtime_s": time.perf_counter() - tic,
+            "method": method,
+        })
+        log.info("exp-H 1/H=%d %s rel_h1=%.3e", param, method,
+                 rows[-1]["rel_h1_final"])
+
+    tic = time.perf_counter()
+    correctors, seq = _corrector_pipeline(cfg, problem, k, "a_plus_tau_b", counters)
+    record("gfem", localized_gfem_solve(correctors, seq, problem.forms, 1.0,
+                                        problem.grid, problem.zeros,
+                                        problem.zeros), tic)
+
+    tic = time.perf_counter()
+    P = prolongation(problem.pair)
+    record("fem", galerkin_wave_solve(P, problem.forms, 1.0, problem.grid,
+                                      problem.zeros, problem.zeros), tic)
+
+    for choice, method in (("a_only", "lod_a"), ("b_only", "lod_b")):
+        tic = time.perf_counter()
+        single, _ = _corrector_pipeline(cfg, problem, k, choice, counters,
+                                        transients=False)
+        record(method, galerkin_wave_solve(single.Q, problem.forms, 1.0,
+                                           problem.grid, problem.zeros,
+                                           problem.zeros), tic)
+    return rows
 
 
 def run_exp_rb(cfg):

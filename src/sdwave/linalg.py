@@ -76,18 +76,28 @@ class Factorization:
         with self._lock:
             return self._lu.solve(b)
 
-    def solve(self, b, tol=SOLVE_TOL):
-        b = np.asarray(b, dtype=float)
-        norm_b = np.linalg.norm(b)
-        if norm_b == 0.0:
-            return np.zeros_like(b)
-        x = self._raw_solve(b)
+    def _misses(self, b, x, tol=SOLVE_TOL):
+        """Per column of the (n, c) blocks b and x, whether x misses the residual
+        tolerance tol * ||b|| of its own column (a NaN misses)."""
         residual = b - self.matrix @ x
-        if np.linalg.norm(residual) > tol * norm_b:
-            # one step of iterative refinement
-            x = x + self._raw_solve(residual)
-            residual = b - self.matrix @ x
-        if not np.linalg.norm(residual) <= tol * norm_b:
+        return ~(np.linalg.norm(residual, axis=0) <= tol * np.linalg.norm(b, axis=0))
+
+    def solve(self, b, tol=SOLVE_TOL):
+        """x with matrix @ x = b, for a vector b or column by column of an
+        (n, c) block; each column is held to its own residual tolerance."""
+        b = np.asarray(b, dtype=float)
+        x = self._raw_solve(b)
+        # column views of b and x, a single column for a vector
+        cols_b = b.reshape(b.shape[0], -1)
+        cols_x = x.reshape(cols_b.shape)
+        cols_x[:, np.linalg.norm(cols_b, axis=0) == 0.0] = 0.0
+        miss = self._misses(cols_b, cols_x, tol)
+        if miss.any():
+            # one step of iterative refinement on the columns that missed
+            cols_x[:, miss] += self._raw_solve(
+                cols_b[:, miss] - self.matrix @ cols_x[:, miss])
+            miss = self._misses(cols_b, cols_x, tol)
+        if miss.any():
             raise InaccurateSolveError("direct solve residual too large")
         return x
 
@@ -110,15 +120,31 @@ class SaddleFactorization:
                 ) from err
             raise
 
+    def _check_constraints(self, r, w, tol):
+        # r and w are (n, c) blocks; a zero column of r constrains nothing
+        norm_r = np.linalg.norm(r, axis=0)
+        violated = (norm_r > 0.0) & ~(np.max(np.abs(self.C @ w), axis=0) <= tol * norm_r)
+        if violated.any():
+            raise ConstraintViolationError("constraint violated")
+
     def solve(self, r, tol=SADDLE_TOL):
+        """(w, mu) for a vector r or column by column of an (n, c) block."""
         r = np.asarray(r, dtype=float)
-        rhs = np.concatenate([r, np.zeros(self.C.shape[0])])
+        rhs = np.concatenate([r, np.zeros((self.C.shape[0],) + r.shape[1:])])
         sol = self._fact.solve(rhs, tol=tol)
         w = sol[: self.n]
-        norm_r = np.linalg.norm(r)
-        if norm_r > 0.0 and not np.max(np.abs(self.C @ w)) <= tol * norm_r:
-            raise ConstraintViolationError("constraint violated")
+        self._check_constraints(r.reshape(self.n, -1), w.reshape(self.n, -1), tol)
         return w, sol[self.n :]
+
+    def count_accurate(self, rhs, sol, tol=SADDLE_TOL):
+        """How many leading columns of sol, unchecked solves of the full
+        right-hand sides rhs = [r; 0] (both (n + constraints, c) blocks), pass
+        the residual test of solve. Raises ConstraintViolationError where one
+        of those breaks its constraints, as solve would."""
+        miss = np.flatnonzero(self._fact._misses(rhs, sol, tol))
+        good = miss[0] if miss.size else rhs.shape[1]
+        self._check_constraints(rhs[: self.n, :good], sol[: self.n, :good], tol)
+        return int(good)
 
 
 def factorizes(matrix):

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from . import linalg
-from .assembly import MASS_PATTERN, element_rhs
+from .assembly import MASS_PATTERN, element_rhs_block
 from .interpolation import kernel_constraints
 from .mesh import element_patch, node_patch, prolongation
 
@@ -107,20 +107,21 @@ def compute_element_correctors(pair, forms, t_coarse, patch):
     """Per-vertex corrector contributions of one coarse element on its patch.
 
     Returns a dict mapping the coarse dof of each interior vertex of T to its
-    contribution on patch.dofs.
+    contribution on patch.dofs. The vertices' right-hand sides are assembled
+    on T and solved as one block.
     """
     coarse = pair.coarse
-    tilde = form_values(forms, patch.form_choice)
-    P = prolongation(pair)
-
-    out = {}
-    for vertex in coarse.triangles[t_coarse]:
-        dof = coarse.dof_index[vertex]
-        if dof < 0:
-            continue
-        lam = np.asarray(P[:, dof].todense()).ravel()
-        out[dof] = patch.solve(element_rhs(pair, tilde, t_coarse, lam)[patch.dofs])
-    return out
+    dofs = coarse.dof_index[coarse.triangles[t_coarse]]
+    dofs = dofs[dofs >= 0]
+    if dofs.size == 0:
+        return {}
+    fine_dofs, rhs = element_rhs_block(pair, form_values(forms, patch.form_choice),
+                                       t_coarse, prolongation(pair), dofs)
+    # T's closure lies in every patch N^k(T), so its fine dofs are patch dofs
+    block = np.zeros((patch.dofs.size, dofs.size))
+    block[np.searchsorted(patch.dofs, fine_dofs)] = rhs
+    w = patch.solve(block)
+    return {dof: w[:, j] for j, dof in enumerate(dofs)}
 
 
 @dataclass
@@ -200,6 +201,10 @@ def transient_patch(pair, interp, forms, correctors, x_dof):
     return patch, (forms.K_A @ q_x)[patch.dofs]
 
 
+# members of a transient sequence solved between two checks
+_BLOCK = 16
+
+
 def compute_transient_correctors(pair, interp, forms, correctors, x_dof, horizon,
                                  stop_tol=1e-12):
     """Fine-scale correction sequence of one coarse node on its patch.
@@ -207,19 +212,54 @@ def compute_transient_correctors(pair, interp, forms, correctors, x_dof, horizon
     The first step projects the modified hat function, later steps reuse the
     factorized left-hand side; iteration stops at the horizon or once the
     H1 norm has dropped below stop_tol relative to the first step.
-    """
-    patch, rhs = transient_patch(pair, interp, forms, correctors, x_dof)
 
-    steps = []
-    xi = patch.solve(rhs)
-    steps.append(xi)
-    norm1 = np.sqrt(max(xi @ (patch.h1 @ xi), 0.0))
-    for _ in range(1, horizon):
-        if np.sqrt(max(steps[-1] @ (patch.h1 @ steps[-1]), 0.0)) <= stop_tol * norm1:
+    Members are solved in blocks of _BLOCK with bare LU solves. After a block
+    the stop test picks the members to keep, and only those are checked, with
+    the tolerances of the checked solve; members past the stop are dropped
+    unchecked. The first member, and the first one that misses its residual
+    test, starts a block through the checked solve, so the kept members are
+    those of one checked solve per step.
+    """
+    patch, first = transient_patch(pair, interp, forms, correctors, x_dof)
+    saddle = patch.saddle
+    solve_bare = saddle._fact._raw_solve
+    n = patch.dofs.size
+    xi = np.empty((horizon, n))
+    # one full right-hand side [K_A xi^{l-1}; 0] and bare solution per row
+    rhs = np.zeros((_BLOCK, n + saddle.C.shape[0]))
+    sol = np.empty_like(rhs)
+    length = 0        # members kept so far
+    checked = 1       # solve the block's first member through the checked solve
+    while True:
+        size = min(_BLOCK, horizon - length)
+        for i in range(size):
+            rhs[i, :n] = first if length + i == 0 else patch.k_a @ xi[length + i - 1]
+            if i < checked:
+                xi[length + i] = saddle.solve(rhs[i, :n])[0]
+            else:
+                sol[i] = solve_bare(rhs[i])
+                xi[length + i] = sol[i, :n]
+        members = xi[length:length + size]
+        h1_members = np.ascontiguousarray((patch.h1 @ members.T).T)
+        kept, stop = size, False
+        for i in range(size):
+            norm = np.sqrt(max(members[i] @ h1_members[i], 0.0))
+            if length + i == 0:
+                norm1 = norm
+            if length + i + 1 < horizon and norm <= stop_tol * norm1:
+                kept, stop = i + 1, True
+                break
+        accurate = checked + saddle.count_accurate(rhs[checked:kept].T,
+                                                    sol[checked:kept].T)
+        if accurate < kept:
+            # replay the first member that missed through the checked solve
+            length, checked = length + accurate, 1
+            continue
+        length, checked = length + kept, 0
+        if stop or length == horizon:
             break
-        xi = patch.solve(patch.k_a @ steps[-1])
-        steps.append(xi)
-    return TransientCorrectors(x_dof, patch.dofs, np.array(steps), correctors.config)
+    xi = xi if length == horizon else xi[:length].copy()
+    return TransientCorrectors(x_dof, patch.dofs, xi, correctors.config)
 
 
 def transients_for_all_nodes(pair, interp, forms, correctors, horizon,

@@ -148,6 +148,30 @@ def test_localized_nonzero_initial_data_matches_direct_and_ideal(problem44, k2_4
     assert rel_l2h1(forms, loc, ideal) <= 1e-8
 
 
+def test_error_norms_equal_per_state_h1_norms(problem44):
+    # the error norms take the states' H1 energies from one sparse product
+    # per block of steps; they equal bit for bit the sums of one H1 norm per
+    # state
+    forms = problem44.forms
+    rng = np.random.default_rng(40)
+    grid = TimeGrid(TAU, 2 * _BLOCK + 5)
+    shape = (grid.n_steps + 1, problem44.n_fine_dofs)
+    trajectory = Trajectory(grid, rng.standard_normal(shape))
+    reference = Trajectory(grid, rng.standard_normal(shape))
+
+    def norm(v):
+        return float(np.sqrt(max(v @ (forms._h1_matrix @ v), 0.0)))
+
+    num = den = 0.0
+    for n in range(1, grid.n_steps + 1):
+        num += TAU * norm(trajectory.states[n] - reference.states[n]) ** 2
+        den += TAU * norm(reference.states[n]) ** 2
+    assert rel_l2h1(forms, trajectory, reference) == np.sqrt(num / den)
+    final = norm(trajectory.states[-1] - reference.states[-1]) / norm(reference.states[-1])
+    assert rel_h1_final(forms, trajectory, reference) == final
+    assert h1_norm(forms, reference.states[3]) == norm(reference.states[3])
+
+
 def _per_step_superposition(correctors, transients, forms, f, grid, alpha0, alpha1):
     """Oracle for localized_gfem_solve: the fine-scale part re-summed from every
     stored sequence in every step, w^n = sum_x sum_{l=1}^{n-1} alpha_x^{n-l} xi_x^l,

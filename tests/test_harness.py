@@ -319,6 +319,30 @@ def test_exp_k_frees_each_patch_size_before_the_next(monkeypatch):
     assert checked == [3]
 
 
+def test_exp_H_frees_each_level_before_the_next(monkeypatch):
+    # level q's problem, correctors and sequences used to stay bound while
+    # level q + 1 loaded its own
+    pipeline = harness._corrector_pipeline
+    levels = []     # weak references to what each level's pipeline calls made
+
+    def tracked(cfg, problem, k, form_choice, counters, transients=True):
+        if transients:      # a level's first call
+            gc.collect()
+            assert all(ref() is None for ref in (levels[-1] if levels else [])), k
+            levels.append([])
+        correctors, seq = pipeline(cfg, problem, k, form_choice, counters, transients)
+        levels[-1].append(weakref.ref(correctors))
+        levels[-1].extend(weakref.ref(tc) for tc in (seq or {}).values())
+        if k < cfg.q:       # the last level's problem is the reference's
+            levels[-1].append(weakref.ref(problem))
+        return correctors, seq
+
+    monkeypatch.setattr(harness, "_corrector_pipeline", tracked)
+    run_exp_H(ExperimentConfig(p=4, q=4, tau=0.1, T=0.5, seed=1))
+    # correctors, sequences, the two single-form sets and one problem per call
+    assert [len(refs) for refs in levels] == [1 + 9 + 2 + 3, 1 + 49 + 2 + 3, 1 + 225 + 2]
+
+
 def test_exp_k_cache_hit(tmp_path):
     cfg = ExperimentConfig(cache=str(tmp_path / "cache"), **MICRO)
     rows1, meta1 = run_exp_k(cfg)

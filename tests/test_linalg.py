@@ -109,7 +109,8 @@ def test_concurrent_solves_deterministic():
 
 def test_accuracy_checks_survive_python_O():
     # a corrupted triangular solve and a corrupted saddle solution must raise
-    # even when assert statements are compiled away
+    # even when assert statements are compiled away, for a single vector and
+    # for one bad column of a block
     assert issubclass(ConstraintViolationError, InaccurateSolveError)
     assert issubclass(InaccurateSolveError, SingularSystemError)
     script = textwrap.dedent("""
@@ -119,24 +120,51 @@ def test_accuracy_checks_survive_python_O():
         from sdwave.linalg import (ConstraintViolationError, Factorization,
                                    InaccurateSolveError, SaddleFactorization)
 
+        def attempt(label, call, error):
+            try:
+                print(label, "returned", call())
+            except error:
+                print(label, "raised")
+
         print("optimize", sys.flags.optimize)
         fact = Factorization(sparse.eye(3, format="csc"))
-        fact._raw_solve = lambda b: np.full(3, 14.0)
-        try:
-            print("solve returned", fact.solve(np.array([1.0, 2.0, 3.0])))
-        except InaccurateSolveError:
-            print("solve raised")
-        saddle = SaddleFactorization(sparse.eye(2, format="csr"),
-                                     sparse.csr_matrix(np.array([[1.0, 0.0]])))
+        fact._raw_solve = lambda b: np.full(np.shape(b), 14.0)
+        attempt("solve", lambda: fact.solve(np.array([1.0, 2.0, 3.0])),
+                InaccurateSolveError)
+        # exact on the first column of the block, halved everywhere else, so
+        # the refinement step cannot mend the second column
+        good = np.array([[1.0], [2.0], [3.0]])
+        fact._raw_solve = lambda b: np.where(b == good, b, 0.5 * b)
+        block = np.hstack([good, [[4.0], [5.0], [6.0]]])
+        attempt("block solve", lambda: fact.solve(block), InaccurateSolveError)
+
+        C = sparse.csr_matrix(np.array([[1.0, 0.0]]))
+        saddle = SaddleFactorization(sparse.eye(2, format="csr"), C)
         saddle._fact.solve = lambda rhs, tol: np.array([1.0, 1.0, 0.0])
-        try:
-            print("saddle returned", saddle.solve(np.array([1.0, 1.0]))[0])
-        except ConstraintViolationError:
-            print("saddle raised")
+        attempt("saddle", lambda: saddle.solve(np.array([1.0, 1.0]))[0],
+                ConstraintViolationError)
+        # column 0 keeps w_1 = 0, column 1 breaks it
+        saddle._fact.solve = lambda rhs, tol: np.array([[0.0, 1.0], [1.0, 1.0],
+                                                        [1.0, 0.0]])
+        attempt("block saddle", lambda: saddle.solve(np.ones((2, 2)))[0],
+                ConstraintViolationError)
+
+        # bare solves of [r; 0]: column 0 exact, column 1 off by 14 in w_2
+        saddle = SaddleFactorization(sparse.eye(2, format="csr"), C)
+        rhs = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+        sol = np.array([[0.0, 0.0], [1.0, 15.0], [1.0, 1.0]])
+        attempt("count", lambda: saddle.count_accurate(rhs, sol), InaccurateSolveError)
+        # a residual test that passes everything leaves the constraint test
+        saddle._fact._misses = lambda b, x, tol: np.zeros(b.shape[1], dtype=bool)
+        sol[0, 1] = 1.0
+        attempt("count", lambda: saddle.count_accurate(rhs, sol),
+                ConstraintViolationError)
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(sdwave.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["optimize 1", "solve raised", "saddle raised"]
+    assert proc.stdout.split("\n")[:7] == [
+        "optimize 1", "solve raised", "block solve raised", "saddle raised",
+        "block saddle raised", "count returned 1", "count raised"]

@@ -6,14 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdwave.assembly import DiscreteForms, h1_norm
+from sdwave import linalg, lod
+from sdwave.assembly import DiscreteForms, element_rhs, h1_norm
 from sdwave.harness import random_field
-from sdwave.linalg import factor_saddle
+from sdwave.linalg import (ConstraintViolationError, Factorization,
+                           SaddleFactorization, factor_saddle)
 from sdwave.lod import (CorrectorConfig, Patch, build_corrector_set, cache_key,
                         compute_element_correctors,
                         compute_transient_correctors, decay_profile,
-                        load_corrector_cache, patch_fine_dofs,
-                        save_corrector_cache)
+                        form_values, load_corrector_cache, patch_fine_dofs,
+                        save_corrector_cache, transient_patch)
 from sdwave.mesh import element_patch, node_patch, prolongation, saturating_k
 
 TAU = 0.02
@@ -304,6 +306,181 @@ def test_superposition_identity_scripted(problem44, transient_node):
         err = np.sqrt((w_direct - w_super) @ (H1p @ (w_direct - w_super)))
         ref = np.sqrt(w_direct @ (H1p @ w_direct))
         assert err <= 1e-9 * ref
+
+
+def _per_step_sequence(patch, rhs, horizon, stop_tol):
+    # the sequence as one checked solve per step computes it, the oracle for
+    # the blocked loop of compute_transient_correctors
+    steps = [patch.solve(rhs)]
+    norm1 = np.sqrt(max(steps[0] @ (patch.h1 @ steps[0]), 0.0))
+    for _ in range(1, horizon):
+        if np.sqrt(max(steps[-1] @ (patch.h1 @ steps[-1]), 0.0)) <= stop_tol * norm1:
+            break
+        steps.append(patch.solve(patch.k_a @ steps[-1]))
+    return np.array(steps)
+
+
+def _assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def k2_set(problem44):
+    return build_corrector_set(problem44.pair, problem44.interp, problem44.forms,
+                               CorrectorConfig(k=2, tau=TAU))
+
+
+def _blocked_and_per_step(problem, correctors, horizon, stop_tol):
+    args = (problem.pair, problem.interp, problem.forms, correctors,
+            problem.n_coarse_dofs // 2)
+    tc = compute_transient_correctors(*args, horizon=horizon, stop_tol=stop_tol)
+    patch, rhs = lod.transient_patch(*args)
+    return tc.xi, _per_step_sequence(patch, rhs, horizon, stop_tol)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 16, 17, 33])
+def test_blocked_sequence_equals_per_step(problem44, k2_set, horizon):
+    blocked, per_step = _blocked_and_per_step(problem44, k2_set, horizon, 0.0)
+    assert blocked.shape[0] == horizon
+    _assert_bitwise(blocked, per_step)
+
+
+def _mid_block_stop_tol(problem, correctors, member):
+    # a stop_tol that stops the sequence at the given member (1-based)
+    patch, rhs = transient_patch(problem.pair, problem.interp, problem.forms,
+                                 correctors, problem.n_coarse_dofs // 2)
+    steps = _per_step_sequence(patch, rhs, member + 5, 0.0)
+    norms = np.sqrt(np.einsum("li,li->l", steps, (patch.h1 @ steps.T).T))
+    return 0.5 * (norms[member - 2] + norms[member - 1]) / norms[0]
+
+
+def test_blocked_sequence_stops_mid_block(problem44, k2_set):
+    stop_tol = _mid_block_stop_tol(problem44, k2_set, 20)
+    blocked, per_step = _blocked_and_per_step(problem44, k2_set, 40, stop_tol)
+    assert blocked.shape[0] == 20
+    _assert_bitwise(blocked, per_step)
+
+
+def test_blocked_sequence_zero_first_rhs(problem44, k2_set, monkeypatch):
+    def zero_rhs(*args):
+        patch, rhs = transient_patch(*args)
+        return patch, np.zeros_like(rhs)
+
+    monkeypatch.setattr(lod, "transient_patch", zero_rhs)
+    blocked, per_step = _blocked_and_per_step(problem44, k2_set, 17, 1e-12)
+    assert blocked.shape[0] == 1 and not blocked.any()
+    _assert_bitwise(blocked, per_step)
+
+
+def _perturb_bare_solve(monkeypatch, call, shift):
+    """Make the given call of Factorization._raw_solve (1-based) return its
+    solution plus shift(solution); returns the list of checked saddle solves."""
+    raw_solve = Factorization._raw_solve
+    saddle_solve = SaddleFactorization.solve
+    calls = []
+    checked = []
+
+    def perturbed(self, b):
+        x = raw_solve(self, b)
+        calls.append(None)
+        return x + shift(x) if len(calls) == call else x
+
+    def counted(self, r, tol=linalg.SADDLE_TOL):
+        checked.append(None)
+        return saddle_solve(self, r, tol)
+
+    monkeypatch.setattr(Factorization, "_raw_solve", perturbed)
+    monkeypatch.setattr(SaddleFactorization, "solve", counted)
+    return checked
+
+
+def _shift_first(x):
+    shift = np.zeros_like(x)
+    shift[0] = 1e-3 * np.abs(x).max()
+    return shift
+
+
+def test_blocked_sequence_replays_a_residual_miss(problem44, k2_set, monkeypatch):
+    # member 1 is the first raw solve, so call 20 is member 20, mid-block
+    _, per_step = _blocked_and_per_step(problem44, k2_set, 33, 0.0)
+    checked = _perturb_bare_solve(monkeypatch, 20, _shift_first)
+    args = (problem44.pair, problem44.interp, problem44.forms, k2_set,
+            problem44.n_coarse_dofs // 2)
+    tc = compute_transient_correctors(*args, horizon=33, stop_tol=0.0)
+    # member 1 and the replayed member 20 went through the checked solve
+    assert len(checked) == 2
+    _assert_bitwise(tc.xi, per_step)
+
+
+def _pass_every_residual_test(monkeypatch):
+    monkeypatch.setattr(Factorization, "_misses",
+                        lambda self, b, x, tol: np.zeros(b.shape[1], dtype=bool))
+
+
+@pytest.mark.parametrize("test", ["residual", "constraint"])
+def test_blocked_sequence_drops_members_past_the_stop_unchecked(problem44, k2_set,
+                                                                monkeypatch, test):
+    stop_tol = _mid_block_stop_tol(problem44, k2_set, 20)
+    _, per_step = _blocked_and_per_step(problem44, k2_set, 40, stop_tol)
+    if test == "constraint":
+        _pass_every_residual_test(monkeypatch)
+    # member 25 lies in the stop's block; corrupt it so that it fails the test
+    checked = _perturb_bare_solve(monkeypatch, 25, lambda x: np.full_like(x, 1.0))
+    args = (problem44.pair, problem44.interp, problem44.forms, k2_set,
+            problem44.n_coarse_dofs // 2)
+    tc = compute_transient_correctors(*args, horizon=40, stop_tol=stop_tol)
+    assert len(checked) == 1
+    _assert_bitwise(tc.xi, per_step)
+
+
+def test_blocked_sequence_raises_on_a_kept_constraint_violation(problem44, k2_set,
+                                                                monkeypatch):
+    # a residual test that passes everything leaves the constraint test to
+    # catch a corrupted member
+    _pass_every_residual_test(monkeypatch)
+    _perturb_bare_solve(monkeypatch, 5, lambda x: np.full_like(x, 1.0))
+    args = (problem44.pair, problem44.interp, problem44.forms, k2_set,
+            problem44.n_coarse_dofs // 2)
+    with pytest.raises(ConstraintViolationError):
+        compute_transient_correctors(*args, horizon=16, stop_tol=0.0)
+
+
+def _whole_grid_element_rhs(pair, tilde_values, t_coarse, v):
+    # element_rhs as it was assembled before it moved onto T: over the whole
+    # fine grid, from a full-length v
+    fine = pair.fine
+    elems = pair.fibers[t_coarse]
+    tri = fine.triangles[elems]
+    g = fine.gradients()[elems]
+    grad_v = np.einsum("mi,mid->md", fine.expand(v)[tri], g)
+    w = (tilde_values[elems] * fine.areas()[elems])[:, None] * np.einsum(
+        "md,mid->mi", grad_v, g)
+    return fine.restrict(np.bincount(tri.ravel(), weights=w.ravel(),
+                                     minlength=fine.n_vertices))
+
+
+@pytest.mark.parametrize("k", [1, 2, None], ids=["k1", "k2", "saturating"])
+def test_element_block_solve_equals_per_vertex_solves(problem44, k):
+    # one block solve per element, on a right-hand side built on T, gives bit
+    # for bit the per-vertex solves of the whole-grid right-hand sides
+    pair, forms = problem44.pair, problem44.forms
+    coarse = pair.coarse
+    k = k or saturating_k(coarse)
+    P = prolongation(pair)
+    tilde = form_values(forms, "a_plus_tau_b")
+    for t in (0, 5, coarse.n_elements // 2):
+        patch = Patch(problem44.interp, forms,
+                      patch_fine_dofs(pair, element_patch(coarse, t, k)))
+        got = compute_element_correctors(pair, forms, t, patch)
+        dofs = [d for d in coarse.dof_index[coarse.triangles[t]] if d >= 0]
+        assert list(got) == dofs
+        for dof in dofs:
+            lam = np.asarray(P[:, dof].todense()).ravel()
+            rhs = _whole_grid_element_rhs(pair, tilde, t, lam)
+            _assert_bitwise(element_rhs(pair, tilde, t, lam), rhs)
+            _assert_bitwise(np.ascontiguousarray(got[dof]),
+                            patch.solve(rhs[patch.dofs]))
 
 
 def test_decay_profile_examples(problem44, transient_node):
