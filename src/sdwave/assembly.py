@@ -122,8 +122,8 @@ def element_rhs_block(pair, tilde_values, t_coarse, V, columns):
     dofs = fine.dof_index[verts]
     inside = dofs >= 0
     values = np.zeros((verts.size, len(columns)))
-    rows = V[dofs[inside]][:, columns]
-    values[inside] = rows.toarray() if sparse.issparse(rows) else rows
+    rows = V[dofs[inside]]
+    values[inside] = (rows.toarray() if sparse.issparse(rows) else rows)[:, columns]
     g = fine.gradients()[elems]  # (m, 3, 2)
     weight = (tilde_values[elems] * fine.areas()[elems])[:, None]
 

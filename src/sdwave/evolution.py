@@ -236,7 +236,8 @@ def localized_gfem_solve(correctors, transients, forms, f, grid, alpha0, alpha1)
 
 def localized_gfem_solve_direct(correctors, interp, forms, f, grid, alpha0, alpha1):
     """Debug variant: per-node fine-scale systems solved directly in every step."""
-    patches = [transient_patch(correctors.pair, interp, forms, correctors, d)
+    Q_csc = correctors.Q.tocsc()
+    patches = [transient_patch(correctors.pair, interp, forms, correctors, d, Q_csc)
                for d in range(correctors.pair.coarse.n_dofs)]
     w_prev = [np.zeros(patch.dofs.size) for patch, _ in patches]
 

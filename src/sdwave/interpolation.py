@@ -7,6 +7,8 @@ arithmetic averaging of the per-element values at every interior coarse node.
 import numpy as np
 import scipy.sparse as sparse
 
+from . import linalg
+
 # inverse of the barycentric Gram pattern [[2,1,1],[1,2,1],[1,1,2]]
 _GRAM_INV_PATTERN = 0.25 * np.array(
     [[3.0, -1.0, -1.0], [-1.0, 3.0, -1.0], [-1.0, -1.0, 3.0]]
@@ -89,10 +91,12 @@ def kernel_constraints(interp, patch_dofs):
     """Rows of the interpolation matrix restricted to a patch, zero rows removed.
 
     C w = 0 characterizes the fine-scale functions supported on the patch.
+    patch_dofs must be ascending fine dofs.
     """
-    patch_dofs = np.asarray(patch_dofs, dtype=np.int64)
-    if patch_dofs.size == 0:
-        raise ValueError("patch must contain at least one fine dof")
-    C = interp[:, patch_dofs].tocsr()
-    row_weight = np.abs(C).sum(axis=1).A.ravel()
-    return C[np.flatnonzero(row_weight > 0.0)].tocsr()
+    patch_dofs = linalg._check_indices(patch_dofs, interp.shape[1], "patch dofs")
+    in_patch = np.zeros(interp.shape[1], dtype=bool)
+    in_patch[patch_dofs] = True
+    # the rows with a nonzero entry in a patch column
+    hits = np.concatenate(([0], np.cumsum(in_patch[interp.indices] & (interp.data != 0.0))))
+    rows = np.flatnonzero(hits[interp.indptr[1:]] > hits[interp.indptr[:-1]])
+    return linalg._submatrix(interp, rows, patch_dofs)

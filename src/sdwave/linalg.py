@@ -48,7 +48,7 @@ def _find_pivot(matrix):
 
 def _splu(matrix):
     try:
-        return spla.splu(matrix.tocsc())
+        return spla.splu(matrix)
     except RuntimeError as err:
         if "singular" in str(err).lower():
             raise SingularSystemError(
@@ -57,14 +57,82 @@ def _splu(matrix):
         raise
 
 
+def _check_indices(index, size, what):
+    """index as an array, after checking that it is a non-empty 1-D integer
+    array, strictly ascending and within [0, size); raises ValueError."""
+    index = np.asarray(index)
+    if index.ndim != 1 or index.size == 0 or not np.issubdtype(index.dtype, np.integer):
+        raise ValueError("%s must be a non-empty 1-D integer array" % what)
+    signed = index.astype(np.int64)
+    if signed[0] < 0 or signed[-1] >= size or np.any(np.diff(signed) <= 0):
+        raise ValueError("%s must be strictly ascending within [0, %d)" % (what, size))
+    return index
+
+
+def _submatrix(A, rows, cols):
+    """A[rows][:, cols] of a canonical CSR A, gathered through a column map.
+
+    cols must be strictly ascending; rows may be any row indices. The
+    indptr, indices and data are those scipy's fancy indexing gives,
+    explicit zeros included.
+    """
+    rows = np.asarray(rows)
+    where = np.full(A.shape[1], -1, dtype=np.int64)
+    where[cols] = np.arange(len(cols))
+    starts = A.indptr[rows]
+    counts = A.indptr[rows + 1] - starts
+    ends = np.cumsum(counts, dtype=np.int64)
+    # positions in A of the rows' entries, row after row
+    pos = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
+    new_cols = where[A.indices[pos]]
+    keep = new_cols >= 0
+    indptr = np.concatenate(([0], np.cumsum(keep)))[np.concatenate(([0], ends))]
+    return sparse.csr_matrix((A.data[pos[keep]], new_cols[keep], indptr),
+                             shape=(len(rows), len(cols)))
+
+
+def _saddle_matrix(A, C):
+    """The CSC of [[A, C^T], [C, 0]] from the CSC of A and the CSR of C.
+
+    For canonical A and C, indptr, indices and data are those scipy.sparse's
+    block constructor gives, explicit zeros included; splu sums the
+    duplicates of any other input.
+    """
+    n = A.shape[0]
+    if A.shape != (n, n) or C.shape[1] != n:
+        raise ValueError("saddle blocks must be n x n and constraints x n")
+    c_cols = C.tocsc()
+    a_counts = np.diff(A.indptr)
+    c_counts = np.diff(c_cols.indptr)
+    indptr = np.concatenate(([0], np.cumsum(a_counts + c_counts, dtype=np.int64)))
+    indptr = np.concatenate((indptr, indptr[-1] + C.indptr[1:]))
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1], dtype=np.result_type(A.dtype, C.dtype))
+    # column j < n holds A's column j, then C's column j below it; column
+    # n + i holds row i of C
+    a_pos = np.arange(A.nnz) + np.repeat(indptr[:n] - A.indptr[:-1], a_counts)
+    c_pos = np.arange(c_cols.nnz) + np.repeat(indptr[:n] + a_counts - c_cols.indptr[:-1],
+                                              c_counts)
+    indices[a_pos] = A.indices
+    data[a_pos] = A.data
+    indices[c_pos] = c_cols.indices + n
+    data[c_pos] = c_cols.data
+    indices[indptr[n]:] = C.indices
+    data[indptr[n]:] = C.data
+    size = n + C.shape[0]
+    return sparse.csc_matrix((data, indices, indptr), shape=(size, size))
+
+
 class Factorization:
     """Reusable direct factorization; solves are serialized by a lock."""
 
     def __init__(self, matrix):
+        # SuperLU and the residuals share one CSC copy: a CSC matvec adds each
+        # row's products in the same column order as a CSR one
         matrix = matrix.tocsc()
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
-        self.matrix = matrix.tocsr()
+        self.matrix = matrix
         self._lu = _splu(matrix)
         self._lock = threading.Lock()
 
@@ -106,11 +174,10 @@ class SaddleFactorization:
     """Factorization of [[A, C^T], [C, 0]]; every row of C must be nonzero."""
 
     def __init__(self, A, C):
-        A = A.tocsr()
         C = C.tocsr()
         self.n = A.shape[0]
         self.C = C
-        kkt = sparse.bmat([[A, C.T], [C, None]], format="csc")
+        kkt = _saddle_matrix(A.tocsc(), C)
         try:
             self._fact = Factorization(kkt)
         except SingularSystemError as err:

@@ -66,11 +66,12 @@ class Patch:
             raise ValueError("unknown form choice %r" % (form_choice,))
         self.interp = interp
         self.forms = forms
-        self.dofs = dofs
+        # the blocks are gathered, and element blocks placed, by ascending dofs
+        self.dofs = linalg._check_indices(dofs, forms.fine.n_dofs, "patch dofs")
         self.form_choice = form_choice
 
     def _restrict(self, matrix):
-        return matrix[self.dofs][:, self.dofs].tocsr()
+        return linalg._submatrix(matrix, self.dofs, self.dofs)
 
     @cached_property
     def k_tilde(self):
@@ -189,16 +190,24 @@ class TransientCorrectors:
     config: CorrectorConfig
 
 
-def transient_patch(pair, interp, forms, correctors, x_dof):
+def transient_patch(pair, interp, forms, correctors, x_dof, Q_csc=None):
     """The Patch of coarse node x_dof and the first right-hand side
-    (K_A q_x)[patch.dofs] of its fine-scale correction sequence."""
+    (K_A q_x)[patch.dofs] of its fine-scale correction sequence.
+
+    Q_csc is correctors.Q in CSC, made once by callers that build many nodes.
+    """
     config = correctors.config
     vertex = pair.coarse.interior_nodes[x_dof]
     patch = Patch(interp, forms,
                   patch_fine_dofs(pair, node_patch(pair.coarse, vertex, config.k)),
                   config.form_choice)
-    q_x = np.asarray(correctors.Q[:, x_dof].todense()).ravel()
-    return patch, (forms.K_A @ q_x)[patch.dofs]
+    Q = correctors.Q.tocsc() if Q_csc is None else Q_csc
+    span = slice(Q.indptr[x_dof], Q.indptr[x_dof + 1])
+    q_x = np.zeros(Q.shape[0])
+    q_x[Q.indices[span]] = Q.data[span]
+    # the patch rows of K_A, each summed in the order of a whole-grid product
+    k_a_rows = linalg._submatrix(forms.K_A, patch.dofs, np.arange(forms.K_A.shape[1]))
+    return patch, k_a_rows @ q_x
 
 
 # members of a transient sequence solved between two checks
@@ -206,7 +215,7 @@ _BLOCK = 16
 
 
 def compute_transient_correctors(pair, interp, forms, correctors, x_dof, horizon,
-                                 stop_tol=1e-12):
+                                 stop_tol=1e-12, Q_csc=None):
     """Fine-scale correction sequence of one coarse node on its patch.
 
     The first step projects the modified hat function, later steps reuse the
@@ -218,9 +227,9 @@ def compute_transient_correctors(pair, interp, forms, correctors, x_dof, horizon
     the tolerances of the checked solve; members past the stop are dropped
     unchecked. The first member, and the first one that misses its residual
     test, starts a block through the checked solve, so the kept members are
-    those of one checked solve per step.
+    those of one checked solve per step. Q_csc is as for transient_patch.
     """
-    patch, first = transient_patch(pair, interp, forms, correctors, x_dof)
+    patch, first = transient_patch(pair, interp, forms, correctors, x_dof, Q_csc)
     saddle = patch.saddle
     solve_bare = saddle._fact._raw_solve
     n = patch.dofs.size
@@ -265,8 +274,9 @@ def compute_transient_correctors(pair, interp, forms, correctors, x_dof, horizon
 def transients_for_all_nodes(pair, interp, forms, correctors, horizon,
                              stop_tol=1e-12):
     """Transient correctors for every interior coarse node."""
+    Q_csc = correctors.Q.tocsc()
     return {d: compute_transient_correctors(pair, interp, forms, correctors, d,
-                                            horizon, stop_tol)
+                                            horizon, stop_tol, Q_csc)
             for d in range(pair.coarse.n_dofs)}
 
 

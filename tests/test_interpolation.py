@@ -5,7 +5,8 @@ import scipy.sparse as sparse
 from sdwave.assembly import DiscreteForms, h1_norm
 from sdwave.interpolation import build_interpolator, kernel_constraints
 from sdwave.lod import patch_fine_dofs
-from sdwave.mesh import Mesh, NestedMeshPair, element_patch, prolongation
+from sdwave.mesh import (Mesh, NestedMeshPair, element_patch, prolongation,
+                         saturating_k)
 
 
 @pytest.mark.parametrize("q,r", [(2, 2), (4, 4), (8, 2)])
@@ -44,6 +45,45 @@ def test_kernel_constraints_are_the_nonzero_patch_rows(problem44):
     C = kernel_constraints(interp, dofs)
     assert C.shape[0] == nonzero.size < interp.shape[0]
     np.testing.assert_array_equal(C.toarray(), restricted[nonzero])
+
+
+def _parent_kernel_constraints(interp, dofs):
+    # the constraint rows by scipy fancy indexing, the reference for the gather
+    C = interp[:, dofs].tocsr()
+    row_weight = np.abs(C).sum(axis=1).A.ravel()
+    return C[np.flatnonzero(row_weight > 0.0)].tocsr()
+
+
+@pytest.mark.parametrize("k", [1, 2, None], ids=["k1", "k2", "saturating"])
+@pytest.mark.parametrize("stored_zeros", [False, True], ids=["plain", "stored-zeros"])
+def test_kernel_constraints_equal_fancy_indexing(problem44, k, stored_zeros):
+    pair, interp = problem44.pair, problem44.interp
+    coarse = pair.coarse
+    if stored_zeros:
+        # explicit zeros, and one row that holds nothing else
+        interp = interp.copy()
+        interp.data[::3] = 0.0
+        interp.data[interp.indptr[1]:interp.indptr[2]] = 0.0
+    dropped = 0
+    for t in range(coarse.n_elements):
+        dofs = patch_fine_dofs(pair, element_patch(coarse, t, k or saturating_k(coarse)))
+        C, ref = kernel_constraints(interp, dofs), _parent_kernel_constraints(interp, dofs)
+        assert C.format == ref.format == "csr" and C.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(C, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (t, name)
+        dropped += C.shape[0] < interp.shape[0]
+    # a patch short of the whole mesh drops the rows of the nodes far from
+    # it, and every patch drops the row of stored zeros
+    assert (dropped > 0) == (k is not None or stored_zeros)
+
+
+@pytest.mark.parametrize("dofs", [[[1, 2]], [3, 2, 5], [2, 2, 5], [-1, 4], [0, 10**6],
+                                  [0.0, 1.0]],
+                         ids=["2d", "unsorted", "duplicate", "negative", "beyond", "float"])
+def test_kernel_constraints_reject_malformed_dofs(problem44, dofs):
+    with pytest.raises(ValueError, match="patch dofs"):
+        kernel_constraints(problem44.interp, np.array(dofs))
 
 
 def test_coarse_functions_are_not_fine_scale(problem44):

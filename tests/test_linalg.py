@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sparse
 
 import sdwave
+from sdwave import linalg
 from sdwave.linalg import (ConstraintViolationError, DegenerateConstraintError,
                            Factorization, InaccurateSolveError,
                            SingularSystemError, factor_saddle)
@@ -85,6 +86,61 @@ def test_saddle_constraint_residual():
     norm_r = np.linalg.norm(r)
     assert np.max(np.abs(C @ w)) <= 1e-10 * norm_r
     assert np.linalg.norm(A @ w + C.T @ mu - r) <= 1e-10 * norm_r
+
+
+def _parent_saddle_matrix(A, C):
+    # the saddle matrix as sparse.bmat builds it, the reference for the gather
+    A = A.tocsr()
+    C = C.tocsr()
+    return sparse.bmat([[A, C.T], [C, None]], format="csc")
+
+
+def _assert_same_csc(a, b):
+    assert a.format == b.format == "csc" and a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def _sparse_block(rng, rows, cols, density):
+    return rng.standard_normal((rows, cols)) * (rng.random((rows, cols)) < density)
+
+
+@pytest.mark.parametrize("case", ["csr", "csc", "nonsymmetric", "stored-zeros"])
+def test_saddle_matrix_equals_bmat(case):
+    rng = np.random.default_rng(4)
+    dense = _sparse_block(rng, 20, 20, 0.2)
+    if case != "nonsymmetric":
+        dense = dense + dense.T
+    A = sparse.csr_matrix(dense + 20.0 * np.eye(20))
+    if case == "stored-zeros":
+        # zero some off-diagonal entries, keeping them stored
+        rows = np.repeat(np.arange(20), np.diff(A.indptr))
+        off = np.flatnonzero(rows != A.indices)
+        A.data[off[::2]] = 0.0
+        assert A.nnz > np.count_nonzero(A.data)
+    if case == "csc":
+        A = A.tocsc()
+    C = sparse.csr_matrix(_sparse_block(rng, 4, 20, 0.5) + np.eye(4, 20))
+    reference = _parent_saddle_matrix(A, C)
+    _assert_same_csc(linalg._saddle_matrix(A.tocsc(), C), reference)
+    # what SuperLU factors
+    _assert_same_csc(factor_saddle(A, C)._fact.matrix, reference)
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["empty-row", "stored-zero-row"])
+def test_saddle_matrix_with_zero_constraint_row(stored):
+    rng = np.random.default_rng(5)
+    A = sparse.csr_matrix(_sparse_block(rng, 6, 6, 0.3) + 6.0 * np.eye(6))
+    dense = np.eye(3, 6)
+    dense[1] = 0.0
+    C = sparse.csr_matrix(dense)
+    if stored:
+        C = sparse.csr_matrix((np.array([1.0, 0.0, 1.0]), np.array([0, 3, 2]),
+                               np.array([0, 1, 2, 3])), shape=(3, 6))
+    _assert_same_csc(linalg._saddle_matrix(A.tocsc(), C), _parent_saddle_matrix(A, C))
+    with pytest.raises(DegenerateConstraintError):
+        factor_saddle(A, C)
 
 
 def test_degenerate_constraints_detected():

@@ -182,18 +182,37 @@ def node_dofs(problem44):
     return patch_fine_dofs(problem44.pair, node_patch(coarse, vertex, 2))
 
 
+def _assert_same_csr(a, b):
+    assert a.format == b.format == "csr" and a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
 def test_patch_blocks_equal_direct_slices(problem44, node_dofs):
-    forms, interp = problem44.forms, problem44.interp
-    patch = Patch(interp, forms, node_dofs)
-    for block, full in ((patch.k_tilde, forms.K_tilde), (patch.k_a, forms.K_A),
-                        (patch.k_b, forms.K_B), (patch.h1, forms.K_1 + forms.M)):
-        direct = full[node_dofs][:, node_dofs].tocsr()
-        assert block.format == "csr"
-        np.testing.assert_array_equal(block.indptr, direct.indptr)
-        np.testing.assert_array_equal(block.indices, direct.indices)
-        np.testing.assert_array_equal(block.data, direct.data)
+    forms, interp, pair = problem44.forms, problem44.interp, problem44.pair
+    coarse = pair.coarse
+    dof_sets = [node_dofs]
+    for k in (1, 2, saturating_k(coarse)):
+        dof_sets += [patch_fine_dofs(pair, element_patch(coarse, t, k))
+                     for t in (0, 5, coarse.n_elements - 1)]
     from sdwave.interpolation import kernel_constraints
-    assert (patch.C != kernel_constraints(interp, node_dofs)).nnz == 0
+    for dofs in dof_sets:
+        patch = Patch(interp, forms, dofs)
+        for block, full in ((patch.k_tilde, forms.K_tilde), (patch.k_a, forms.K_A),
+                            (patch.k_b, forms.K_B), (patch.h1, forms.K_1 + forms.M)):
+            _assert_same_csr(block, full[dofs][:, dofs].tocsr())
+        _assert_same_csr(patch.C, kernel_constraints(interp, dofs))
+
+
+@pytest.mark.parametrize("dofs", [
+    [], [[1, 2], [3, 4]], [1.0, 2.0], [True, False], [3, 2, 5], [2, 2, 5], [-1, 0, 3],
+    [0, 10**6]], ids=["empty", "2d", "float", "bool", "unsorted", "duplicate",
+                      "negative", "beyond"])
+def test_patch_rejects_malformed_dofs(problem44, dofs):
+    # the blocks are gathered, and element blocks placed, by ascending dofs
+    with pytest.raises(ValueError, match="patch dofs"):
+        Patch(problem44.interp, problem44.forms, np.array(dofs))
 
 
 def test_patch_reading_blocks_does_not_factor(problem44, node_dofs, monkeypatch):
@@ -329,6 +348,16 @@ def _assert_bitwise(a, b):
 def k2_set(problem44):
     return build_corrector_set(problem44.pair, problem44.interp, problem44.forms,
                                CorrectorConfig(k=2, tau=TAU))
+
+
+def test_transient_patch_first_rhs_is_the_whole_grid_product(problem44, k2_set):
+    pair, forms = problem44.pair, problem44.forms
+    Q_csc = k2_set.Q.tocsc()
+    for x_dof in (0, pair.coarse.n_dofs // 2, pair.coarse.n_dofs - 1):
+        q_x = np.asarray(k2_set.Q[:, x_dof].todense()).ravel()
+        for csc in (None, Q_csc):
+            patch, rhs = transient_patch(pair, problem44.interp, forms, k2_set, x_dof, csc)
+            _assert_bitwise(rhs, (forms.K_A @ q_x)[patch.dofs])
 
 
 def _blocked_and_per_step(problem, correctors, horizon, stop_tol):

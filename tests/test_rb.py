@@ -219,3 +219,12 @@ def test_compression_rejects_bases_built_too_small(problem44, localized44):
         compress_transients(seq, reductions, 10, horizon=grid.n_steps)
     with pytest.raises(ValueError):
         compress_transients(seq, reductions, 0)
+
+
+def test_node_reductions_reject_corrupt_dofs(problem44, snapshots44):
+    # patch dofs read back from a corrupt cache, out of order or out of range
+    _, tc = snapshots44
+    for dofs in (tc.dofs[::-1], tc.dofs + problem44.n_fine_dofs):
+        corrupt = TransientCorrectors(tc.x_dof, dofs, tc.xi, tc.config)
+        with pytest.raises(ValueError, match="patch dofs"):
+            node_reductions({tc.x_dof: corrupt}, problem44.interp, problem44.forms, (5,))
