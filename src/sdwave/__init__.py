@@ -1,7 +1,7 @@
 """Multiscale solver for the strongly damped wave equation with rough coefficients."""
 
 from .assembly import (CoefficientField, DiscreteForms, assemble_load,
-                       assemble_mass, assemble_stiffness, element_rhs)
+                       assemble_mass, assemble_stiffness)
 from .evolution import (TimeGrid, Trajectory, aux_fine_solve, aux_gfem_solve,
                         fine_fem_solve, galerkin_wave_solve, ideal_gfem_solve,
                         localized_gfem_solve)

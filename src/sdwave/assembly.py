@@ -18,7 +18,6 @@ class CoefficientField:
             raise ValueError("coefficient values must be finite and strictly positive")
         self.mesh = mesh
         self.values = values
-        self.bounds = (float(values.min()), float(values.max()))
 
 
 def _symmetric_csr(rows, cols, vals, ndof):
@@ -94,22 +93,10 @@ def assemble_load(mesh, f, t=0.0, full=False):
     return load[mesh.interior_nodes]
 
 
-def element_rhs(pair, tilde_values, t_coarse, v):
-    """Functional z -> integral over coarse element T of (A + tau B) grad v . grad z.
-
-    Assembled over the fine elements whose parent is T; v and the result are
-    interior fine dof vectors.
-    """
-    dofs, block = element_rhs_block(pair, tilde_values, t_coarse,
-                                    np.asarray(v, dtype=float)[:, None], [0])
-    out = np.zeros(pair.fine.n_dofs)
-    out[dofs] = block[:, 0]
-    return out
-
-
 def element_rhs_block(pair, tilde_values, t_coarse, V, columns):
-    """element_rhs of the given columns of V (interior fine dofs x any, dense
-    or sparse), assembled on the fine elements of T only.
+    """The functionals z -> integral over coarse element T of
+    (A + tau B) grad v . grad z, for v the given columns of V (interior fine
+    dofs x any, dense or sparse), assembled on the fine elements of T only.
 
     Reads only the rows of V at the interior fine dofs of T's closure, and
     returns those dofs (ascending) with the (dofs, columns) block there.
@@ -166,7 +153,3 @@ def h1_norms(forms, states):
     products = np.ascontiguousarray((forms._h1_matrix @ states.T).T)
     return [float(np.sqrt(max(v @ hv, 0.0))) for v, hv in zip(states, products)]
 
-
-def h1_norm(forms, v):
-    """The H1 norm of v."""
-    return h1_norms(forms, v)[0]

@@ -21,13 +21,6 @@ class TimeGrid:
         if self.n_steps < 2:
             raise ValueError("need at least two time steps")
 
-    @property
-    def final_time(self):
-        return self.tau * self.n_steps
-
-    def times(self):
-        return self.tau * np.arange(self.n_steps + 1)
-
 
 @dataclass
 class Trajectory:

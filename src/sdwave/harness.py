@@ -16,7 +16,7 @@ from .evolution import (TimeGrid, fine_fem_solve, galerkin_wave_solve,
                         ideal_gfem_solve, localized_gfem_solve, rel_h1_final,
                         rel_l2h1)
 from .interpolation import build_interpolator
-from .lod import (CorrectorConfig, build_corrector_set, cache_key,
+from .lod import (STOP_TOL, CorrectorConfig, build_corrector_set, cache_key,
                   load_corrector_cache, save_corrector_cache,
                   transients_for_all_nodes)
 from .mesh import Mesh, NestedMeshPair, prolongation, saturating_k
@@ -45,8 +45,6 @@ class ExperimentConfig:
     out: str = "out"
     svg: bool = False
     cache: str = None
-    stop_tol: float = 1e-12
-    rb_tol: float = 1e-10
 
     def __post_init__(self):
         for name in ("p", "q", "kmax", "seed", "block"):
@@ -65,10 +63,6 @@ class ExperimentConfig:
             raise ValueError("kmax must be >= 2: the patch sweep starts at k = 2")
         if not self.block >= 0:
             raise ValueError("block must be >= 0 (0: one value per fine element)")
-        if not self.stop_tol >= 0:
-            raise ValueError("stop_tol must be >= 0")
-        if not 0 < self.rb_tol < 1:
-            raise ValueError("rb_tol must lie in (0, 1)")
         if self.law not in LAWS:
             raise ValueError("law must be one of %s, got %r" % (LAWS, self.law))
         steps = self.T / self.tau
@@ -169,7 +163,7 @@ class _Problem:
 def _corrector_pipeline(cfg, problem, k, form_choice, counters, transients=True):
     """Correctors (and transient sequences) with optional disk caching."""
     config = CorrectorConfig(k=k, tau=cfg.tau, form_choice=form_choice)
-    key = cache_key(problem.forms, config, cfg.n_steps, cfg.stop_tol)
+    key = cache_key(problem.forms, config, cfg.n_steps, STOP_TOL)
     if cfg.cache:
         cached = load_corrector_cache(cfg.cache, key, problem.pair, config)
         if cached is not None and (cached[1] is not None or not transients):
@@ -181,11 +175,22 @@ def _corrector_pipeline(cfg, problem, k, form_choice, counters, transients=True)
     seq = None
     if transients:
         seq = transients_for_all_nodes(problem.pair, problem.interp, problem.forms,
-                                       correctors, horizon=cfg.n_steps,
-                                       stop_tol=cfg.stop_tol)
+                                       correctors, horizon=cfg.n_steps)
     if cfg.cache:
         save_corrector_cache(cfg.cache, key, correctors, seq)
     return correctors, seq
+
+
+def _row(problem, reference, param, method, trajectory, tic):
+    """The CSV row of trajectory: its errors against reference, then the
+    seconds since tic, read after the error norms."""
+    return {
+        "param": param,
+        "rel_h1_final": rel_h1_final(problem.forms, trajectory, reference),
+        "rel_l2h1": rel_l2h1(problem.forms, trajectory, reference),
+        "runtime_s": time.perf_counter() - tic,
+        "method": method,
+    }
 
 
 def run_exp_k(cfg):
@@ -214,13 +219,7 @@ def _exp_k_row(cfg, problem, k, reference, counters):
     correctors, seq = _corrector_pipeline(cfg, problem, k, "a_plus_tau_b", counters)
     trajectory = localized_gfem_solve(correctors, seq, problem.forms, 1.0,
                                       problem.grid, problem.zeros, problem.zeros)
-    return {
-        "param": k,
-        "rel_h1_final": rel_h1_final(problem.forms, trajectory, reference),
-        "rel_l2h1": rel_l2h1(problem.forms, trajectory, reference),
-        "runtime_s": time.perf_counter() - tic,
-        "method": "gfem_k",
-    }
+    return _row(problem, reference, k, "gfem_k", trajectory, tic)
 
 
 def run_exp_H(cfg):
@@ -250,35 +249,27 @@ def _exp_H_level(cfg, q, fine_problem, reference, counters):
     param = 2 ** q
     rows = []
 
-    def record(method, trajectory, tic):
-        rows.append({
-            "param": param,
-            "rel_h1_final": rel_h1_final(problem.forms, trajectory, reference),
-            "rel_l2h1": rel_l2h1(problem.forms, trajectory, reference),
-            "runtime_s": time.perf_counter() - tic,
-            "method": method,
-        })
-        log.info("exp-H 1/H=%d %s rel_h1=%.3e", param, method,
-                 rows[-1]["rel_h1_final"])
-
     tic = time.perf_counter()
     correctors, seq = _corrector_pipeline(cfg, problem, k, "a_plus_tau_b", counters)
-    record("gfem", localized_gfem_solve(correctors, seq, problem.forms, 1.0,
-                                        problem.grid, problem.zeros,
-                                        problem.zeros), tic)
+    trajectory = localized_gfem_solve(correctors, seq, problem.forms, 1.0,
+                                      problem.grid, problem.zeros, problem.zeros)
+    rows.append(_row(problem, reference, param, "gfem", trajectory, tic))
 
     tic = time.perf_counter()
-    P = prolongation(problem.pair)
-    record("fem", galerkin_wave_solve(P, problem.forms, 1.0, problem.grid,
-                                      problem.zeros, problem.zeros), tic)
+    trajectory = galerkin_wave_solve(prolongation(problem.pair), problem.forms, 1.0,
+                                     problem.grid, problem.zeros, problem.zeros)
+    rows.append(_row(problem, reference, param, "fem", trajectory, tic))
 
     for choice, method in (("a_only", "lod_a"), ("b_only", "lod_b")):
         tic = time.perf_counter()
         single, _ = _corrector_pipeline(cfg, problem, k, choice, counters,
                                         transients=False)
-        record(method, galerkin_wave_solve(single.Q, problem.forms, 1.0,
-                                           problem.grid, problem.zeros,
-                                           problem.zeros), tic)
+        trajectory = galerkin_wave_solve(single.Q, problem.forms, 1.0, problem.grid,
+                                         problem.zeros, problem.zeros)
+        rows.append(_row(problem, reference, param, method, trajectory, tic))
+    for row in rows:
+        log.info("exp-H 1/H=%d %s rel_h1=%.3e", param, row["method"],
+                 row["rel_h1_final"])
     return rows
 
 
@@ -294,21 +285,13 @@ def run_exp_rb(cfg):
                                      problem.grid, problem.zeros, problem.zeros)
 
     # one basis per node, built from max(M) snapshots; each M takes its prefix
-    reductions = node_reductions(seq, problem.interp, problem.forms, cfg.M,
-                                 tol_rel=cfg.rb_tol)
+    reductions = node_reductions(seq, problem.interp, problem.forms, cfg.M)
     rows = []
     for m in cfg.M:
         tic = time.perf_counter()
         trajectory = rb_gfem_solve(correctors, seq, reductions, problem.forms, 1.0,
-                                   problem.grid, problem.zeros, problem.zeros, m,
-                                   stop_tol=cfg.stop_tol)
-        rows.append({
-            "param": m,
-            "rel_h1_final": rel_h1_final(problem.forms, trajectory, reference),
-            "rel_l2h1": rel_l2h1(problem.forms, trajectory, reference),
-            "runtime_s": time.perf_counter() - tic,
-            "method": "rb",
-        })
+                                   problem.grid, problem.zeros, problem.zeros, m)
+        rows.append(_row(problem, reference, m, "rb", trajectory, tic))
         log.info("exp-rb M=%d gap=%.3e", m, rows[-1]["rel_h1_final"])
     meta = dict(counters, wall_s=time.perf_counter() - started)
     return rows, meta

@@ -136,10 +136,6 @@ class Factorization:
         self._lu = _splu(matrix)
         self._lock = threading.Lock()
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
     def _raw_solve(self, b):
         with self._lock:
             return self._lu.solve(b)
@@ -171,7 +167,8 @@ class Factorization:
 
 
 class SaddleFactorization:
-    """Factorization of [[A, C^T], [C, 0]]; every row of C must be nonzero."""
+    """Factorization of [[A, C^T], [C, 0]]; every row of C must be nonzero.
+    A C without rows leaves the system unconstrained."""
 
     def __init__(self, A, C):
         C = C.tocsr()
@@ -188,9 +185,11 @@ class SaddleFactorization:
             raise
 
     def _check_constraints(self, r, w, tol):
-        # r and w are (n, c) blocks; a zero column of r constrains nothing
+        # r and w are (n, c) blocks; a zero column of r, or a C without rows,
+        # constrains nothing
         norm_r = np.linalg.norm(r, axis=0)
-        violated = (norm_r > 0.0) & ~(np.max(np.abs(self.C @ w), axis=0) <= tol * norm_r)
+        worst = np.max(np.abs(self.C @ w), axis=0, initial=0.0)
+        violated = (norm_r > 0.0) & ~(worst <= tol * norm_r)
         if violated.any():
             raise ConstraintViolationError("constraint violated")
 

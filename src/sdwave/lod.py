@@ -16,6 +16,9 @@ from .mesh import element_patch, node_patch, prolongation
 
 FORM_CHOICES = ("a_plus_tau_b", "a_only", "b_only")
 
+# a correction sequence ends once its H1 norm falls to STOP_TOL times its first
+STOP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CorrectorConfig:
@@ -40,12 +43,17 @@ def form_values(forms, choice):
     return forms.b_values
 
 
+def _fine_mask(pair, coarse_elements):
+    """Mask over the fine elements whose parent is one of coarse_elements."""
+    in_patch = np.zeros(pair.coarse.n_elements, dtype=bool)
+    in_patch[coarse_elements] = True
+    return in_patch[pair.parent_map]
+
+
 def patch_fine_dofs(pair, coarse_elements):
     """Interior fine dofs of functions supported on the given coarse elements."""
     fine = pair.fine
-    mask = np.zeros(fine.n_elements, dtype=bool)
-    for t in np.asarray(coarse_elements).ravel():
-        mask[pair.fibers[t]] = True
+    mask = _fine_mask(pair, coarse_elements)
     outside = fine._vert_elem.dot((~mask).astype(np.int8))
     inside = fine._vert_elem.dot(mask.astype(np.int8))
     ok = (outside == 0) & (inside > 0) & (fine.dof_index >= 0)
@@ -215,7 +223,7 @@ _BLOCK = 16
 
 
 def compute_transient_correctors(pair, interp, forms, correctors, x_dof, horizon,
-                                 stop_tol=1e-12, Q_csc=None):
+                                 stop_tol=STOP_TOL, Q_csc=None):
     """Fine-scale correction sequence of one coarse node on its patch.
 
     The first step projects the modified hat function, later steps reuse the
@@ -272,7 +280,7 @@ def compute_transient_correctors(pair, interp, forms, correctors, x_dof, horizon
 
 
 def transients_for_all_nodes(pair, interp, forms, correctors, horizon,
-                             stop_tol=1e-12):
+                             stop_tol=STOP_TOL):
     """Transient correctors for every interior coarse node."""
     Q_csc = correctors.Q.tocsc()
     return {d: compute_transient_correctors(pair, interp, forms, correctors, d,
@@ -301,10 +309,7 @@ def decay_profile(v, pair, x_dof):
     rows = []
     for j in range(1, coarse.n + 1):
         patch = node_patch(coarse, vertex, j)
-        mask = np.zeros(fine.n_elements, dtype=bool)
-        for t in patch:
-            mask[pair.fibers[t]] = True
-        outside = float(energies[~mask].sum())
+        outside = float(energies[~_fine_mask(pair, patch)].sum())
         rows.append((j, np.sqrt(max(outside, 0.0))))
         if patch.size == coarse.n_elements:
             break

@@ -3,10 +3,6 @@
 import numpy as np
 import scipy.sparse as sparse
 
-# diam(inscribed ball) / diam(K) for a right isosceles triangle, the same
-# for every element of the criss-cross mesh
-GAMMA_RIGHT_ISOSCELES = np.sqrt(2.0) - 1.0
-
 
 class Mesh:
     """Criss-cross triangulation of the unit square with n cells per side.
@@ -45,8 +41,6 @@ class Mesh:
         self.interior_nodes = np.flatnonzero(interior)
         self.dof_index = np.full((n + 1) * (n + 1), -1, dtype=np.int64)
         self.dof_index[self.interior_nodes] = np.arange(self.interior_nodes.size)
-
-        self.shape_regularity = GAMMA_RIGHT_ISOSCELES
 
         # element <-> vertex incidence for patch growth
         nt = self.triangles.shape[0]
@@ -108,10 +102,6 @@ class Mesh:
         full[self.interior_nodes] = v_interior
         return full
 
-    def restrict(self, v_full):
-        """Drop boundary vertices from a full nodal vector."""
-        return v_full[self.interior_nodes]
-
 
 class NestedMeshPair:
     """Coarse mesh of width H and its uniform refinement of width h = H / r."""
@@ -147,7 +137,7 @@ def _grow(mesh, mask, layers):
     for _ in range(layers):
         if mask.sum() == nt:
             break
-        verts = mesh._elem_vert.T.dot(mask.astype(np.int8)) > 0
+        verts = mesh._vert_elem.dot(mask.astype(np.int8)) > 0
         mask = mesh._elem_vert.dot(verts.astype(np.int8)) > 0
     return mask
 

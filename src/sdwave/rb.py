@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg
 
 from .evolution import localized_gfem_solve
-from .lod import Patch, TransientCorrectors
+from .lod import STOP_TOL, Patch, TransientCorrectors
 
 
 class EmptyBasisError(ValueError):
@@ -169,10 +169,10 @@ def _continuation(node, kept, steps, stop_tol):
     return (basis.Z @ coeffs[:, :n]).T
 
 
-def compress_transients(transients, reductions, m_max, stop_tol=1e-12,
-                        horizon=None):
+def compress_transients(transients, reductions, m_max, horizon, stop_tol=STOP_TOL):
     """Replace each correction sequence by its first m_max members plus
-    reduced-basis continuations; returns the sequences per node.
+    reduced-basis continuations up to the horizon; returns the sequences per
+    node.
 
     reductions (from node_reductions) holds one basis per node, shared by
     every m_max up to the snapshot count it was built from.
@@ -184,7 +184,6 @@ def compress_transients(transients, reductions, m_max, stop_tol=1e-12,
         stored = tc.xi
         m_avail = min(m_max, stored.shape[0])
         kept = stored[:m_avail]
-        target = horizon if horizon is not None else stored.shape[0]
         if m_avail >= stored.shape[0]:
             compressed[d] = TransientCorrectors(d, tc.dofs, kept, tc.config)
             continue
@@ -193,17 +192,17 @@ def compress_transients(transients, reductions, m_max, stop_tol=1e-12,
             raise ValueError("no reduced basis of %d snapshots for node %d"
                              % (m_avail, d))
         rows = kept
-        if node.basis is not None and target > m_avail:
-            rows = np.vstack([kept, _continuation(node, kept, target - m_avail,
+        if node.basis is not None and horizon > m_avail:
+            rows = np.vstack([kept, _continuation(node, kept, horizon - m_avail,
                                                   stop_tol)])
         compressed[d] = TransientCorrectors(d, tc.dofs, rows, tc.config)
     return compressed
 
 
 def rb_gfem_solve(correctors, transients, reductions, forms, f, grid, alpha0,
-                  alpha1, m_max, stop_tol=1e-12):
+                  alpha1, m_max, stop_tol=STOP_TOL):
     """Localized GFEM where corrections beyond the first m_max steps come from
     the per-node reduced bases in reductions (from node_reductions)."""
-    compressed = compress_transients(transients, reductions, m_max,
-                                     stop_tol=stop_tol, horizon=grid.n_steps)
+    compressed = compress_transients(transients, reductions, m_max, grid.n_steps,
+                                     stop_tol=stop_tol)
     return localized_gfem_solve(correctors, compressed, forms, f, grid, alpha0, alpha1)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from sdwave.assembly import DiscreteForms, h1_norm
+from sdwave.assembly import DiscreteForms, h1_norms
 from sdwave.evolution import (TimeGrid, aux_fine_solve, aux_gfem_solve,
                               discrete_energy, fine_fem_solve,
                               ideal_gfem_solve, localized_gfem_solve,
@@ -108,8 +108,8 @@ def test_criterion_2_auxiliary_exactness(request):
     grid = TimeGrid(TAU, 25)
     fine = aux_fine_solve(prob.forms, 0.0, z0, grid)
     gfem = aux_gfem_solve(sat, prob.interp, prob.forms, 0.0, alpha0, grid)
-    worst = max(h1_norm(prob.forms, fine.states[n] - gfem.states[n])
-                / h1_norm(prob.forms, fine.states[n])
+    worst = max(h1_norms(prob.forms, [fine.states[n] - gfem.states[n]])[0]
+                / h1_norms(prob.forms, [fine.states[n]])[0]
                 for n in range(1, grid.n_steps + 1))
     _report(2, "auxiliary problem reproduced exactly", worst <= 1e-9,
             "max per-step rel err %.2e <= 1e-9" % worst,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sdwave.assembly import (CoefficientField, DiscreteForms, assemble_load,
-                             assemble_mass, assemble_stiffness, element_rhs)
+                             assemble_mass, assemble_stiffness, element_rhs_block)
 from sdwave.harness import random_field
 from sdwave.mesh import Mesh, NestedMeshPair
 
@@ -79,7 +79,7 @@ def test_coefficient_field_validation():
     with pytest.raises(ValueError):
         CoefficientField(m, np.ones(3))
     f = CoefficientField(m, np.full(m.n_elements, 2.0))
-    assert f.bounds == (2.0, 2.0)
+    assert np.all(f.values == 2.0)
     # raw arrays are held to the same rule as fields
     pair = NestedMeshPair(m, 1)
     with pytest.raises(ValueError):
@@ -99,10 +99,12 @@ def test_element_rhs_zero_and_partition(problem44):
     pair, forms = problem44.pair, problem44.forms
     rng = np.random.default_rng(12)
     v = rng.standard_normal(pair.fine.n_dofs)
-    assert np.all(element_rhs(pair, forms.tilde_values, 0, np.zeros_like(v)) == 0.0)
+    _, out = element_rhs_block(pair, forms.tilde_values, 0, np.zeros((v.size, 1)), [0])
+    assert np.all(out == 0.0)
     total = np.zeros_like(v)
     for T in range(pair.coarse.n_elements):
-        total += element_rhs(pair, forms.tilde_values, T, v)
+        dofs, out = element_rhs_block(pair, forms.tilde_values, T, v[:, None], [0])
+        total[dofs] += out[:, 0]
     ref = forms.K_tilde @ v
     assert np.abs(total - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -114,9 +116,9 @@ def test_element_rhs_locality(problem44):
     rng = np.random.default_rng(13)
     v = rng.standard_normal(pair.fine.n_dofs)
     T = pair.coarse.n_elements // 2
-    out = element_rhs(pair, forms.tilde_values, T, v)
+    dofs, out = element_rhs_block(pair, forms.tilde_values, T, v[:, None], [0])
     support_dofs = set(patch_fine_dofs(pair, element_patch(pair.coarse, T, 1)).tolist())
-    assert set(np.flatnonzero(out).tolist()) <= support_dofs
+    assert np.any(out) and set(dofs.tolist()) <= support_dofs
 
 
 def test_forms_energy_and_coefficient_bounds(problem44):
@@ -126,6 +128,6 @@ def test_forms_energy_and_coefficient_bounds(problem44):
     a = v @ (forms.K_A @ v)
     b = v @ (forms.K_B @ v)
     assert v @ (forms.K_tilde @ v) == pytest.approx(a + forms.tau * b, rel=1e-12)
-    lo, hi = problem44.field_a.bounds
+    lo, hi = problem44.field_a.values.min(), problem44.field_a.values.max()
     k1 = v @ (forms.K_1 @ v)
     assert lo * k1 <= a <= hi * k1

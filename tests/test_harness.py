@@ -1,6 +1,9 @@
 import gc
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import weakref
 from pathlib import Path
 from xml.etree import ElementTree
@@ -48,8 +51,9 @@ def test_random_field_determinism_and_bounds():
     f1 = random_field(mesh, 0.1, 1000.0, 7)
     f2 = random_field(mesh, 0.1, 1000.0, 7)
     np.testing.assert_array_equal(f1.values, f2.values)
-    assert f1.bounds[0] >= 0.1 and f1.bounds[1] <= 1000.0
-    assert f1.bounds[1] / f1.bounds[0] > 100.0  # high contrast realized
+    lo, hi = f1.values.min(), f1.values.max()
+    assert lo >= 0.1 and hi <= 1000.0
+    assert hi / lo > 100.0  # high contrast realized
     f3 = random_field(mesh, 0.1, 1000.0, 8)
     assert not np.array_equal(f1.values, f3.values)
 
@@ -67,7 +71,7 @@ def test_random_field_validation():
 def test_random_field_near_constant_limit():
     mesh = Mesh(4)
     f = random_field(mesh, 1.0, 1.0 + 1e-9, 3)
-    assert f.bounds[1] - f.bounds[0] <= 1e-9
+    assert f.values.max() - f.values.min() <= 1e-9
 
 
 def test_random_field_blocks():
@@ -83,7 +87,7 @@ def test_random_field_blocks():
 def test_uniform_law():
     mesh = Mesh(8)
     f = random_field(mesh, 10.0, 20.0, 6, law="uniform")
-    assert 10.0 <= f.bounds[0] and f.bounds[1] <= 20.0
+    assert 10.0 <= f.values.min() and f.values.max() <= 20.0
 
 
 def test_near_constant_field_gfem_error_matches_fem_level():
@@ -169,8 +173,9 @@ def test_config_rejects_unknown_law(tmp_path, law):
                               "rb_tol-nan", "stop_tol-negative", "stop_tol-nan",
                               "block-negative"])
 def test_config_rejects_bad_tolerances(tmp_path, bad):
-    # rb_tol = 2 ran the whole offline stage before failing in the basis
-    # assembly, rb_tol = -1 accepted every direction, block = -1 ran as 0
+    # block = -1 ran as 0; rb_tol and stop_tol are no config keys (the
+    # defaults of node_reductions and lod.STOP_TOL), so a file that sets one
+    # is rejected as naming an unknown key
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(bad))
     with pytest.raises(ValueError, match=next(iter(bad))):
@@ -447,3 +452,38 @@ def test_cli_config_file(tmp_path, capsys):
     rc = main(["exp-k", "--config", str(cfg_path), "--kmax", "2"])
     assert rc == 0
     assert os.path.exists(tmp_path / "o" / "exp_k.csv")
+
+
+def test_checks_and_cli_survive_python_O(tmp_path):
+    # every input check raises instead of asserting, so python -O keeps it,
+    # and a run under -O writes the CSV a plain run writes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = textwrap.dedent("""
+        import sys
+        from sdwave.harness import ExperimentConfig
+
+        print("optimize", sys.flags.optimize)
+        try:
+            ExperimentConfig(p=3, q=2, T=0.03)
+            print("accepted")
+        except ValueError:
+            print("raised")
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["optimize 1", "raised"]
+
+    argv = ["exp-rb", "--p", "4", "--q", "2", "--M", "1,5", "--T", "0.2"]
+    proc = subprocess.run([sys.executable, "-O", "-m", "sdwave.cli", *argv,
+                           "--out", str(tmp_path / "O")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    got, expected = (np.genfromtxt(tmp_path / out / "exp_rb.csv", delimiter=",",
+                                   names=True, dtype=None, encoding="utf-8")
+                     for out in ("O", "plain"))
+    assert got.size == expected.size == 2
+    for column in ("param", "rel_h1_final", "rel_l2h1"):
+        np.testing.assert_allclose(got[column], expected[column], rtol=1e-12)

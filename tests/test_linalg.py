@@ -10,6 +10,7 @@ import scipy.sparse as sparse
 
 import sdwave
 from sdwave import linalg
+from sdwave.interpolation import kernel_constraints
 from sdwave.linalg import (ConstraintViolationError, DegenerateConstraintError,
                            Factorization, InaccurateSolveError,
                            SingularSystemError, factor_saddle)
@@ -74,6 +75,25 @@ def test_saddle_rejects_zero_rows():
     C = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(DegenerateConstraintError):
         factor_saddle(A, C)
+
+
+def test_saddle_without_constraint_rows():
+    # patch dofs that meet no nonzero interpolation entry give a 0-row C; the
+    # constraint check raised numpy's ValueError on the empty maximum
+    interp = sparse.csr_matrix(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0]]))
+    C = kernel_constraints(interp, np.array([1, 3]))
+    assert C.shape == (0, 2)
+    saddle = factor_saddle(sparse.eye(2, format="csr"), C)
+    r = np.array([3.0, -2.0])
+    w, mu = saddle.solve(r)
+    np.testing.assert_array_equal(w, r)
+    assert mu.shape == (0,)
+    w, mu = saddle.solve(np.column_stack([r, 2.0 * r]))
+    np.testing.assert_array_equal(w, np.column_stack([r, 2.0 * r]))
+    assert mu.shape == (0, 2)
+    rhs = np.column_stack([r, r, r])
+    sol = np.column_stack([r, r, r + 1.0])
+    assert saddle.count_accurate(rhs, sol) == 2
 
 
 def test_saddle_constraint_residual():

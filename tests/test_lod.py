@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sdwave import linalg, lod
-from sdwave.assembly import DiscreteForms, element_rhs, h1_norm
+from sdwave.assembly import DiscreteForms, element_rhs_block, h1_norms
 from sdwave.harness import random_field
 from sdwave.linalg import (ConstraintViolationError, Factorization,
                            SaddleFactorization, factor_saddle)
@@ -48,11 +48,10 @@ def test_element_correctors_vanish_at_r1(problem81):
 
 def test_constant_on_element_gives_zero_rhs(problem44):
     # gradient of a constant vanishes on the element, so no correction is driven
-    from sdwave.assembly import element_rhs
     pair, forms = problem44.pair, problem44.forms
     t_inner = 2 * (1 * pair.coarse.n + 1)  # cell (1,1): closure avoids the boundary
-    out = element_rhs(pair, forms.tilde_values, t_inner,
-                      np.ones(pair.fine.n_dofs))
+    _, out = element_rhs_block(pair, forms.tilde_values, t_inner,
+                               np.ones((pair.fine.n_dofs, 1)), [0])
     assert np.abs(out).max() <= 1e-13
 
 
@@ -71,7 +70,7 @@ def test_saturated_matches_global_solve(problem44, saturated_set):
         lam = np.asarray(P[:, dof].todense()).ravel()
         w, _ = saddle.solve(forms.K_tilde @ lam)
         phi = np.asarray(saturated_set.phi[:, dof].todense()).ravel()
-        assert h1_norm(forms, w - phi) <= 1e-9 * h1_norm(forms, w)
+        assert h1_norms(forms, [w - phi])[0] <= 1e-9 * h1_norms(forms, [w])[0]
 
 
 def test_fine_scale_membership(problem44, saturated_set):
@@ -90,7 +89,7 @@ def test_saturated_energy_orthogonality(problem44, saturated_set):
     rng = np.random.default_rng(31)
     q = saturated_set.Q @ rng.standard_normal(pair.coarse.n_dofs)
     w, _ = saddle.solve(forms.K_tilde @ rng.standard_normal(pair.fine.n_dofs))
-    rel = abs(q @ (forms.K_tilde @ w)) / (h1_norm(forms, q) * h1_norm(forms, w))
+    rel = abs(q @ (forms.K_tilde @ w)) / np.prod(h1_norms(forms, [q, w]))
     assert rel <= 1e-9
 
 
@@ -102,7 +101,7 @@ def test_a_only_orthogonality(problem44):
     rng = np.random.default_rng(32)
     q = cs.Q @ rng.standard_normal(pair.coarse.n_dofs)
     w, _ = saddle.solve(forms.K_A @ rng.standard_normal(pair.fine.n_dofs))
-    rel = abs(q @ (forms.K_A @ w)) / (h1_norm(forms, q) * h1_norm(forms, w))
+    rel = abs(q @ (forms.K_A @ w)) / np.prod(h1_norms(forms, [q, w]))
     assert rel <= 1e-9
 
 
@@ -286,7 +285,7 @@ def test_first_step_matches_direct_global_solve(problem44):
     w, _ = factor_saddle(forms.K_tilde, interp).solve(forms.K_A @ q_x)
     xi1 = np.zeros(pair.fine.n_dofs)
     xi1[tc.dofs] = tc.xi[0]
-    assert h1_norm(forms, xi1 - w) <= 1e-9 * h1_norm(forms, w)
+    assert h1_norms(forms, [xi1 - w])[0] <= 1e-9 * h1_norms(forms, [w])[0]
 
 
 def test_a_only_first_step_degenerates(problem44):
@@ -300,7 +299,7 @@ def test_a_only_first_step_degenerates(problem44):
     xi1 = np.zeros(pair.fine.n_dofs)
     xi1[tc.dofs] = tc.xi[0]
     q_x = np.asarray(cs.Q[:, dof].todense()).ravel()
-    assert h1_norm(forms, xi1) <= 1e-9 * h1_norm(forms, q_x)
+    assert h1_norms(forms, [xi1])[0] <= 1e-9 * h1_norms(forms, [q_x])[0]
 
 
 def test_superposition_identity_scripted(problem44, transient_node):
@@ -476,8 +475,8 @@ def test_blocked_sequence_raises_on_a_kept_constraint_violation(problem44, k2_se
 
 
 def _whole_grid_element_rhs(pair, tilde_values, t_coarse, v):
-    # element_rhs as it was assembled before it moved onto T: over the whole
-    # fine grid, from a full-length v
+    # the element right-hand side as it was assembled before it moved onto T:
+    # over the whole fine grid, from a full-length v
     fine = pair.fine
     elems = pair.fibers[t_coarse]
     tri = fine.triangles[elems]
@@ -485,8 +484,8 @@ def _whole_grid_element_rhs(pair, tilde_values, t_coarse, v):
     grad_v = np.einsum("mi,mid->md", fine.expand(v)[tri], g)
     w = (tilde_values[elems] * fine.areas()[elems])[:, None] * np.einsum(
         "md,mid->mi", grad_v, g)
-    return fine.restrict(np.bincount(tri.ravel(), weights=w.ravel(),
-                                     minlength=fine.n_vertices))
+    return np.bincount(tri.ravel(), weights=w.ravel(),
+                       minlength=fine.n_vertices)[fine.interior_nodes]
 
 
 @pytest.mark.parametrize("k", [1, 2, None], ids=["k1", "k2", "saturating"])
@@ -507,9 +506,27 @@ def test_element_block_solve_equals_per_vertex_solves(problem44, k):
         for dof in dofs:
             lam = np.asarray(P[:, dof].todense()).ravel()
             rhs = _whole_grid_element_rhs(pair, tilde, t, lam)
-            _assert_bitwise(element_rhs(pair, tilde, t, lam), rhs)
+            fine_dofs, block = element_rhs_block(pair, tilde, t, lam[:, None], [0])
+            on_t = np.zeros_like(rhs)
+            on_t[fine_dofs] = block[:, 0]
+            _assert_bitwise(on_t, rhs)
             _assert_bitwise(np.ascontiguousarray(got[dof]),
                             patch.solve(rhs[patch.dofs]))
+
+
+def test_fine_mask_matches_fiber_loop(problem44):
+    # the mask of a patch's fine elements, as it was set fiber by fiber
+    pair = problem44.pair
+    coarse = pair.coarse
+    patches = [element_patch(coarse, t, k) for t in (0, 13, coarse.n_elements - 1)
+               for k in (1, 2, saturating_k(coarse))]
+    patches += [node_patch(coarse, x, k) for x in coarse.interior_nodes[::4]
+                for k in (1, 3)]
+    for elems in patches:
+        expected = np.zeros(pair.fine.n_elements, dtype=bool)
+        for t in elems:
+            expected[pair.fibers[t]] = True
+        np.testing.assert_array_equal(lod._fine_mask(pair, elems), expected)
 
 
 def test_decay_profile_examples(problem44, transient_node):

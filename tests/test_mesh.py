@@ -25,10 +25,6 @@ def test_orientation_and_area():
     assert abs(m.areas().sum() - 1.0) <= 1e-14
 
 
-def test_shape_regularity_constant():
-    assert abs(Mesh(5).shape_regularity - (np.sqrt(2.0) - 1.0)) < 1e-15
-
-
 @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (4, 4)])
 def test_refine_fibers(n, r):
     pair = NestedMeshPair(Mesh(n), r)

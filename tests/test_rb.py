@@ -218,7 +218,7 @@ def test_compression_rejects_bases_built_too_small(problem44, localized44):
     with pytest.raises(ValueError):
         compress_transients(seq, reductions, 10, horizon=grid.n_steps)
     with pytest.raises(ValueError):
-        compress_transients(seq, reductions, 0)
+        compress_transients(seq, reductions, 0, horizon=grid.n_steps)
 
 
 def test_node_reductions_reject_corrupt_dofs(problem44, snapshots44):
