@@ -3,6 +3,8 @@
 import numpy as np
 import scipy.sparse as sparse
 
+from .interpolation import build_interpolator
+
 # consistent P1 mass matrix is area/12 * MASS_PATTERN
 MASS_PATTERN = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
 
@@ -123,7 +125,7 @@ def element_rhs_block(pair, tilde_values, t_coarse, V, columns):
 
 
 class DiscreteForms:
-    """Assembled fine-grid forms for one coefficient pair and time step."""
+    """Assembled fine-grid forms and interpolator for one coefficient pair and time step."""
 
     def __init__(self, pair, field_a, field_b, tau):
         if tau <= 0.0:
@@ -141,6 +143,7 @@ class DiscreteForms:
         self.K_1 = assemble_stiffness(fine)
         self.K_tilde = (self.K_A + tau * self.K_B).tocsr()
         self._h1_matrix = (self.K_1 + self.M).tocsr()
+        self.interp = build_interpolator(pair)
 
     @property
     def fine(self):

@@ -3,6 +3,7 @@
 import argparse
 import logging
 import sys
+from dataclasses import fields
 
 from . import harness
 
@@ -34,7 +35,7 @@ def _add_common(sub):
     sub.add_argument("--law", choices=harness.LAWS, help="value distribution")
     sub.add_argument("--block", type=int, help="block granularity in fine cells (0: per element)")
     sub.add_argument("--M", type=_counts, help="comma separated snapshot counts for exp-rb")
-    sub.add_argument("--scale", choices=["desk", "paper"], help="problem size preset")
+    sub.add_argument("--scale", choices=harness.SCALES, help="problem size preset")
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--svg", action="store_const", const=True, help="also write an SVG plot")
     sub.add_argument("--cache", help="corrector cache directory")
@@ -61,12 +62,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
 
-    overrides = {
-        key: getattr(args, key)
-        for key in ("p", "q", "kmax", "tau", "T", "seed", "lo", "hi", "law",
-                    "block", "M", "scale", "out", "svg", "cache")
-        if getattr(args, key) is not None
-    }
+    # every config field has a flag of the same dest
+    overrides = {f.name: getattr(args, f.name) for f in fields(harness.ExperimentConfig)
+                 if getattr(args, f.name) is not None}
 
     cfg = harness.config_from_sources(args.experiment, args.config, overrides)
     rows, meta = RUNNERS[args.experiment](cfg)

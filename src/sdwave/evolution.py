@@ -138,7 +138,7 @@ class _Superposition:
     def __init__(self, correctors, transients, forms, grid):
         Q = self.Q = correctors.Q
         n_coarse = Q.shape[1]
-        self.items = [(tc.x_dof, tc.dofs, tc.xi) for tc in transients.values()]
+        self.items = [(x, tc.dofs, tc.xi) for x, tc in transients.items()]
         lags = min(max((xi.shape[0] for _, _, xi in self.items), default=0),
                    grid.n_steps - 2)
         # lag-major, gamma[l, x] = Gamma_l[:, x]; lag 0 is the coarse part A_ms
@@ -209,10 +209,10 @@ def galerkin_wave_solve(basis, forms, f, grid, alpha0, alpha1):
     return _gfem_steps(basis, *grams, forms, f, grid, alpha0, alpha1)
 
 
-def ideal_gfem_solve(correctors, interp, forms, f, grid, alpha0, alpha1):
+def ideal_gfem_solve(correctors, forms, f, grid, alpha0, alpha1):
     """GFEM with global correctors: coarse multiscale step plus one fine-scale
     solve per time step; initial data lives in the multiscale space."""
-    saddle = linalg.factor_saddle(forms.K_tilde, interp)
+    saddle = linalg.factor_saddle(forms.K_tilde, forms.interp)
     return _gfem_steps(*_multiscale(correctors), forms, f, grid, alpha0, alpha1,
                        _PerStep(correctors.Q, forms, grid,
                                 lambda n, alpha, memory: saddle.solve(memory)[0]))
@@ -227,11 +227,11 @@ def localized_gfem_solve(correctors, transients, forms, f, grid, alpha0, alpha1)
                        _Superposition(correctors, transients, forms, grid))
 
 
-def localized_gfem_solve_direct(correctors, interp, forms, f, grid, alpha0, alpha1):
+def localized_gfem_solve_direct(correctors, forms, f, grid, alpha0, alpha1):
     """Debug variant: per-node fine-scale systems solved directly in every step."""
     Q_csc = correctors.Q.tocsc()
-    patches = [transient_patch(correctors.pair, interp, forms, correctors, d, Q_csc)
-               for d in range(correctors.pair.coarse.n_dofs)]
+    patches = [transient_patch(forms, correctors, d, Q_csc)
+               for d in range(forms.pair.coarse.n_dofs)]
     w_prev = [np.zeros(patch.dofs.size) for patch, _ in patches]
 
     def patch_solves(n, alpha, memory):
@@ -257,13 +257,13 @@ def aux_fine_solve(forms, f, z0, grid):
     return Trajectory(grid, states)
 
 
-def aux_gfem_solve(correctors, interp, forms, f, alpha0, grid):
+def aux_gfem_solve(correctors, forms, f, alpha0, grid):
     """GFEM for the auxiliary problem; reproduces the fine solution when f = 0."""
     tau = grid.tau
     Q = correctors.Q
     QT = Q.T
     lhs = scipy.linalg.lu_factor(correctors.A_ms + tau * correctors.B_ms)
-    saddle = linalg.factor_saddle(forms.K_tilde, interp)
+    saddle = linalg.factor_saddle(forms.K_tilde, forms.interp)
     load = _load(forms, f, lambda fine: tau * (QT @ fine))
 
     alpha = np.zeros((grid.n_steps + 1, Q.shape[1]))

@@ -15,7 +15,6 @@ from .assembly import CoefficientField, DiscreteForms
 from .evolution import (TimeGrid, fine_fem_solve, galerkin_wave_solve,
                         ideal_gfem_solve, localized_gfem_solve, rel_h1_final,
                         rel_l2h1)
-from .interpolation import build_interpolator
 from .lod import (STOP_TOL, CorrectorConfig, build_corrector_set, cache_key,
                   load_corrector_cache, save_corrector_cache,
                   transients_for_all_nodes)
@@ -26,6 +25,7 @@ log = logging.getLogger("sdwave")
 
 CSV_HEADER = "param,rel_h1_final,rel_l2h1,runtime_s,method"
 LAWS = ("uniform", "loguniform")
+SCALES = ("desk", "paper")
 
 
 @dataclass
@@ -85,10 +85,9 @@ def scale_preset(experiment, scale):
     paper = {"exp-k": dict(p=7, q=4, kmax=7),
              "exp-H": dict(p=8, q=5),
              "exp-rb": dict(p=8, q=5, M=(1, 5, 10, 15, 50))}
-    presets = {"desk": desk, "paper": paper}
-    if scale not in presets:
-        raise ValueError("scale must be 'desk' or 'paper', got %r" % (scale,))
-    return presets[scale][experiment]
+    if scale not in SCALES:
+        raise ValueError("scale must be one of %s, got %r" % (SCALES, scale))
+    return dict(zip(SCALES, (desk, paper)))[scale][experiment]
 
 
 def config_from_sources(experiment, json_path=None, overrides=None):
@@ -145,7 +144,7 @@ def random_field(mesh, lo, hi, seed, law="loguniform", block=0):
 
 
 class _Problem:
-    """Shared per-experiment state: meshes, coefficients, forms, interpolation."""
+    """Shared per-experiment state: meshes, coefficients, forms, time grid."""
 
     def __init__(self, cfg, q=None):
         q = cfg.q if q is None else q
@@ -155,7 +154,6 @@ class _Problem:
         self.field_b = random_field(self.pair.fine, cfg.lo, cfg.hi, cfg.seed + 1,
                                     cfg.law, cfg.block)
         self.forms = DiscreteForms(self.pair, self.field_a, self.field_b, cfg.tau)
-        self.interp = build_interpolator(self.pair)
         self.grid = TimeGrid(cfg.tau, cfg.n_steps)
         self.zeros = np.zeros(self.pair.coarse.n_dofs)
 
@@ -170,12 +168,10 @@ def _corrector_pipeline(cfg, problem, k, form_choice, counters, transients=True)
             counters["cache_hits"] += 1
             return cached
     counters["cache_misses"] += 1
-    correctors = build_corrector_set(problem.pair, problem.interp, problem.forms,
-                                     config)
+    correctors = build_corrector_set(problem.forms, config)
     seq = None
     if transients:
-        seq = transients_for_all_nodes(problem.pair, problem.interp, problem.forms,
-                                       correctors, horizon=cfg.n_steps)
+        seq = transients_for_all_nodes(problem.forms, correctors, horizon=cfg.n_steps)
     if cfg.cache:
         save_corrector_cache(cfg.cache, key, correctors, seq)
     return correctors, seq
@@ -201,8 +197,8 @@ def run_exp_k(cfg):
 
     sat, _ = _corrector_pipeline(cfg, problem, saturating_k(problem.pair.coarse),
                                  "a_plus_tau_b", counters, transients=False)
-    reference = ideal_gfem_solve(sat, problem.interp, problem.forms, 1.0,
-                                 problem.grid, problem.zeros, problem.zeros)
+    reference = ideal_gfem_solve(sat, problem.forms, 1.0, problem.grid, problem.zeros,
+                                 problem.zeros)
 
     rows = []
     for k in range(2, cfg.kmax + 1):
@@ -285,7 +281,7 @@ def run_exp_rb(cfg):
                                      problem.grid, problem.zeros, problem.zeros)
 
     # one basis per node, built from max(M) snapshots; each M takes its prefix
-    reductions = node_reductions(seq, problem.interp, problem.forms, cfg.M)
+    reductions = node_reductions(seq, problem.forms, cfg.M)
     rows = []
     for m in cfg.M:
         tic = time.perf_counter()

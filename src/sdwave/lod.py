@@ -69,10 +69,9 @@ class Patch:
     dofs of one coarse patch, each built on first use, and the saddle
     factorization of the chosen form's block for the patch solves."""
 
-    def __init__(self, interp, forms, dofs, form_choice="a_plus_tau_b"):
+    def __init__(self, forms, dofs, form_choice="a_plus_tau_b"):
         if form_choice not in FORM_CHOICES:
             raise ValueError("unknown form choice %r" % (form_choice,))
-        self.interp = interp
         self.forms = forms
         # the blocks are gathered, and element blocks placed, by ascending dofs
         self.dofs = linalg._check_indices(dofs, forms.fine.n_dofs, "patch dofs")
@@ -99,7 +98,7 @@ class Patch:
 
     @cached_property
     def C(self):
-        return kernel_constraints(self.interp, self.dofs)
+        return kernel_constraints(self.forms.interp, self.dofs)
 
     @cached_property
     def saddle(self):
@@ -112,19 +111,20 @@ class Patch:
         return w
 
 
-def compute_element_correctors(pair, forms, t_coarse, patch):
+def compute_element_correctors(patch, t_coarse):
     """Per-vertex corrector contributions of one coarse element on its patch.
 
     Returns a dict mapping the coarse dof of each interior vertex of T to its
     contribution on patch.dofs. The vertices' right-hand sides are assembled
     on T and solved as one block.
     """
+    pair = patch.forms.pair
     coarse = pair.coarse
     dofs = coarse.dof_index[coarse.triangles[t_coarse]]
     dofs = dofs[dofs >= 0]
     if dofs.size == 0:
         return {}
-    fine_dofs, rhs = element_rhs_block(pair, form_values(forms, patch.form_choice),
+    fine_dofs, rhs = element_rhs_block(pair, form_values(patch.forms, patch.form_choice),
                                        t_coarse, prolongation(pair), dofs)
     # T's closure lies in every patch N^k(T), so its fine dofs are patch dofs
     block = np.zeros((patch.dofs.size, dofs.size))
@@ -148,10 +148,11 @@ class CorrectorSet:
         return (prolongation(self.pair) - self.Q).tocsr()
 
 
-def build_corrector_set(pair, interp, forms, config):
+def build_corrector_set(forms, config):
     """Assemble all element correctors and the modified coarse basis."""
     if abs(config.tau - forms.tau) > 1e-15 * max(1.0, forms.tau):
         raise ValueError("corrector config and forms disagree on the time step")
+    pair = forms.pair
     coarse = pair.coarse
 
     # elements with the same patch dofs share one Patch, so each is factored
@@ -166,9 +167,9 @@ def build_corrector_set(pair, interp, forms, config):
     for t, dofs in enumerate(element_dofs):
         key = dofs.tobytes()
         if key not in patches:
-            patches[key] = Patch(interp, forms, dofs, config.form_choice)
+            patches[key] = Patch(forms, dofs, config.form_choice)
         patch = patches.pop(key) if last[key] == t else patches[key]
-        for dof, w in compute_element_correctors(pair, forms, t, patch).items():
+        for dof, w in compute_element_correctors(patch, t).items():
             nz = np.flatnonzero(w)
             rows.append(patch.dofs[nz])
             cols.append(np.full(nz.size, dof, dtype=np.int64))
@@ -192,22 +193,21 @@ def build_corrector_set(pair, interp, forms, config):
 
 @dataclass
 class TransientCorrectors:
-    x_dof: int
     dofs: np.ndarray
     xi: np.ndarray              # (steps, patch dofs)
     config: CorrectorConfig
 
 
-def transient_patch(pair, interp, forms, correctors, x_dof, Q_csc=None):
+def transient_patch(forms, correctors, x_dof, Q_csc=None):
     """The Patch of coarse node x_dof and the first right-hand side
     (K_A q_x)[patch.dofs] of its fine-scale correction sequence.
 
     Q_csc is correctors.Q in CSC, made once by callers that build many nodes.
     """
     config = correctors.config
+    pair = forms.pair
     vertex = pair.coarse.interior_nodes[x_dof]
-    patch = Patch(interp, forms,
-                  patch_fine_dofs(pair, node_patch(pair.coarse, vertex, config.k)),
+    patch = Patch(forms, patch_fine_dofs(pair, node_patch(pair.coarse, vertex, config.k)),
                   config.form_choice)
     Q = correctors.Q.tocsc() if Q_csc is None else Q_csc
     span = slice(Q.indptr[x_dof], Q.indptr[x_dof + 1])
@@ -222,8 +222,8 @@ def transient_patch(pair, interp, forms, correctors, x_dof, Q_csc=None):
 _BLOCK = 16
 
 
-def compute_transient_correctors(pair, interp, forms, correctors, x_dof, horizon,
-                                 stop_tol=STOP_TOL, Q_csc=None):
+def compute_transient_correctors(forms, correctors, x_dof, horizon, stop_tol=STOP_TOL,
+                                 Q_csc=None):
     """Fine-scale correction sequence of one coarse node on its patch.
 
     The first step projects the modified hat function, later steps reuse the
@@ -237,7 +237,7 @@ def compute_transient_correctors(pair, interp, forms, correctors, x_dof, horizon
     test, starts a block through the checked solve, so the kept members are
     those of one checked solve per step. Q_csc is as for transient_patch.
     """
-    patch, first = transient_patch(pair, interp, forms, correctors, x_dof, Q_csc)
+    patch, first = transient_patch(forms, correctors, x_dof, Q_csc)
     saddle = patch.saddle
     solve_bare = saddle._fact._raw_solve
     n = patch.dofs.size
@@ -276,16 +276,14 @@ def compute_transient_correctors(pair, interp, forms, correctors, x_dof, horizon
         if stop or length == horizon:
             break
     xi = xi if length == horizon else xi[:length].copy()
-    return TransientCorrectors(x_dof, patch.dofs, xi, correctors.config)
+    return TransientCorrectors(patch.dofs, xi, correctors.config)
 
 
-def transients_for_all_nodes(pair, interp, forms, correctors, horizon,
-                             stop_tol=STOP_TOL):
-    """Transient correctors for every interior coarse node."""
+def transients_for_all_nodes(forms, correctors, horizon, stop_tol=STOP_TOL):
+    """Transient correctors for every interior coarse node, keyed by its dof."""
     Q_csc = correctors.Q.tocsc()
-    return {d: compute_transient_correctors(pair, interp, forms, correctors, d,
-                                            horizon, stop_tol, Q_csc)
-            for d in range(pair.coarse.n_dofs)}
+    return {d: compute_transient_correctors(forms, correctors, d, horizon, stop_tol, Q_csc)
+            for d in range(forms.pair.coarse.n_dofs)}
 
 
 def _element_h1_energies(mesh, v_full):
@@ -387,7 +385,7 @@ def load_corrector_cache(cache_dir, key, pair, config):
                 for d in data["transient_dofs_list"]:
                     d = int(d)
                     transients[d] = TransientCorrectors(
-                        d, data["dofs_%d" % d], data["xi_%d" % d], config
+                        data["dofs_%d" % d], data["xi_%d" % d], config
                     )
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None

@@ -8,6 +8,9 @@ import scipy.linalg
 from .evolution import localized_gfem_solve
 from .lod import STOP_TOL, Patch, TransientCorrectors
 
+# Gram-Schmidt stops at a remainder of RB_TOL times its snapshot's energy norm
+RB_TOL = 1e-10
+
 
 class EmptyBasisError(ValueError):
     """Raised when the first snapshot carries no energy."""
@@ -30,7 +33,7 @@ class ReducedBasis:
         return ReducedBasis(self.Z[:, :m], self.a_hat[:m, :m], self.k_hat[:m, :m], m)
 
 
-def build_rb(snapshots, patch, tol_rel=1e-10):
+def build_rb(snapshots, patch, tol_rel=RB_TOL):
     """Gram-Schmidt in the energy inner product with tolerance-gated truncation.
 
     A snapshot is rejected once its orthogonalized remainder falls below
@@ -119,7 +122,7 @@ class NodeReduction:
     norm1: float           # H1 norm of the first snapshot
 
 
-def node_reductions(transients, interp, forms, m_values, tol_rel=1e-10):
+def node_reductions(transients, forms, m_values, tol_rel=RB_TOL):
     """Per-node reduced bases for a sweep over the snapshot counts m_values.
 
     Each node whose sequence is longer than the smallest count gets one basis
@@ -135,7 +138,7 @@ def node_reductions(transients, interp, forms, m_values, tol_rel=1e-10):
         if min(m_values) >= length:
             continue
         n = min(max(m_values), length)
-        patch = Patch(interp, forms, tc.dofs)
+        patch = Patch(forms, tc.dofs)
         try:
             basis = build_rb(tc.xi[:n], patch, tol_rel=tol_rel)
         except EmptyBasisError:
@@ -185,7 +188,7 @@ def compress_transients(transients, reductions, m_max, horizon, stop_tol=STOP_TO
         m_avail = min(m_max, stored.shape[0])
         kept = stored[:m_avail]
         if m_avail >= stored.shape[0]:
-            compressed[d] = TransientCorrectors(d, tc.dofs, kept, tc.config)
+            compressed[d] = TransientCorrectors(tc.dofs, kept, tc.config)
             continue
         node = reductions.get(d)
         if node is None or node.n_snapshots < m_avail:
@@ -195,7 +198,7 @@ def compress_transients(transients, reductions, m_max, horizon, stop_tol=STOP_TO
         if node.basis is not None and horizon > m_avail:
             rows = np.vstack([kept, _continuation(node, kept, horizon - m_avail,
                                                   stop_tol)])
-        compressed[d] = TransientCorrectors(d, tc.dofs, rows, tc.config)
+        compressed[d] = TransientCorrectors(tc.dofs, rows, tc.config)
     return compressed
 
 

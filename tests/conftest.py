@@ -1,9 +1,7 @@
-import numpy as np
 import pytest
 
 from sdwave.assembly import DiscreteForms
 from sdwave.harness import random_field
-from sdwave.interpolation import build_interpolator
 from sdwave.mesh import Mesh, NestedMeshPair
 
 TAU = 0.02
@@ -15,7 +13,6 @@ class ProblemBundle:
         self.field_a = random_field(self.pair.fine, lo, hi, seed)
         self.field_b = random_field(self.pair.fine, lo, hi, seed + 1)
         self.forms = DiscreteForms(self.pair, self.field_a, self.field_b, tau)
-        self.interp = build_interpolator(self.pair)
         self.tau = tau
 
     @property

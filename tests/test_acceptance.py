@@ -12,11 +12,9 @@ import pytest
 from sdwave.assembly import DiscreteForms, h1_norms
 from sdwave.evolution import (TimeGrid, aux_fine_solve, aux_gfem_solve,
                               discrete_energy, fine_fem_solve,
-                              ideal_gfem_solve, localized_gfem_solve,
-                              rel_h1_final, rel_l2h1)
+                              localized_gfem_solve, rel_l2h1)
 from sdwave.harness import ExperimentConfig, random_field, run_exp_H, \
     run_exp_k, run_exp_rb
-from sdwave.interpolation import build_interpolator
 from sdwave.lod import (CorrectorConfig, build_corrector_set,
                         compute_transient_correctors, decay_profile,
                         transients_for_all_nodes, Patch)
@@ -42,7 +40,6 @@ class _Problem:
         self.field_a = random_field(self.pair.fine, 1e-1, 1e3, SEED)
         self.field_b = random_field(self.pair.fine, 1e-1, 1e3, SEED + 1)
         self.forms = DiscreteForms(self.pair, self.field_a, self.field_b, TAU)
-        self.interp = build_interpolator(self.pair)
         self.zeros_c = np.zeros(self.pair.coarse.n_dofs)
         self.zeros_f = np.zeros(self.pair.fine.n_dofs)
 
@@ -56,20 +53,19 @@ def prob_q4():
 @pytest.fixture(scope="session")
 def sat_q4(prob_q4):
     cfg = CorrectorConfig(k=saturating_k(prob_q4.pair.coarse), tau=TAU)
-    return build_corrector_set(prob_q4.pair, prob_q4.interp, prob_q4.forms, cfg)
+    return build_corrector_set(prob_q4.forms, cfg)
 
 
 @pytest.fixture(scope="session")
 def transient_center_q4(prob_q4):
     cfg = CorrectorConfig(k=4, tau=TAU)
-    cs = build_corrector_set(prob_q4.pair, prob_q4.interp, prob_q4.forms, cfg)
+    cs = build_corrector_set(prob_q4.forms, cfg)
     coarse = prob_q4.pair.coarse
     center = (coarse.n // 2) * (coarse.n + 1) + coarse.n // 2
     x_dof = int(coarse.dof_index[center])
-    tc = compute_transient_correctors(prob_q4.pair, prob_q4.interp,
-                                      prob_q4.forms, cs, x_dof,
+    tc = compute_transient_correctors(prob_q4.forms, cs, x_dof,
                                       horizon=100, stop_tol=0.0)
-    return cs, tc
+    return x_dof, tc
 
 
 @pytest.fixture(scope="session")
@@ -85,10 +81,9 @@ def test_criterion_1_oracle_collapse():
     field_a = random_field(pair.fine, 1e-1, 1e3, SEED)
     field_b = random_field(pair.fine, 1e-1, 1e3, SEED + 1)
     forms = DiscreteForms(pair, field_a, field_b, TAU)
-    interp = build_interpolator(pair)
     grid = TimeGrid(TAU, 25)
-    cs = build_corrector_set(pair, interp, forms, CorrectorConfig(k=2, tau=TAU))
-    seq = transients_for_all_nodes(pair, interp, forms, cs, horizon=25)
+    cs = build_corrector_set(forms, CorrectorConfig(k=2, tau=TAU))
+    seq = transients_for_all_nodes(forms, cs, horizon=25)
     zc = np.zeros(pair.coarse.n_dofs)
     lod = localized_gfem_solve(cs, seq, forms, 1.0, grid, zc, zc)
     ref = fine_fem_solve(forms, 1.0, np.zeros(pair.fine.n_dofs),
@@ -107,7 +102,7 @@ def test_criterion_2_auxiliary_exactness(request):
     z0 = sat.Q @ alpha0
     grid = TimeGrid(TAU, 25)
     fine = aux_fine_solve(prob.forms, 0.0, z0, grid)
-    gfem = aux_gfem_solve(sat, prob.interp, prob.forms, 0.0, alpha0, grid)
+    gfem = aux_gfem_solve(sat, prob.forms, 0.0, alpha0, grid)
     worst = max(h1_norms(prob.forms, [fine.states[n] - gfem.states[n]])[0]
                 / h1_norms(prob.forms, [fine.states[n]])[0]
                 for n in range(1, grid.n_steps + 1))
@@ -122,18 +117,17 @@ def test_criterion_3_superposition_identity():
     field_a = random_field(pair.fine, 1e-1, 1e3, SEED)
     field_b = random_field(pair.fine, 1e-1, 1e3, SEED + 1)
     forms = DiscreteForms(pair, field_a, field_b, TAU)
-    interp = build_interpolator(pair)
     cfg = CorrectorConfig(k=2, tau=TAU)
-    cs = build_corrector_set(pair, interp, forms, cfg)
+    cs = build_corrector_set(forms, cfg)
     n_steps = 20
     rng = np.random.default_rng(7)
     alpha = rng.uniform(-1.0, 1.0, (n_steps + 1, pair.coarse.n_dofs))
 
     worst = 0.0
     for x_dof in range(pair.coarse.n_dofs):
-        tc = compute_transient_correctors(pair, interp, forms, cs, x_dof,
+        tc = compute_transient_correctors(forms, cs, x_dof,
                                           horizon=n_steps, stop_tol=0.0)
-        solver = Patch(interp, forms, tc.dofs, cfg.form_choice)
+        solver = Patch(forms, tc.dofs, cfg.form_choice)
         K_A_patch = forms.K_A[tc.dofs][:, tc.dofs]
         H1p = (forms.K_1 + forms.M)[tc.dofs][:, tc.dofs]
         q_x = np.asarray(cs.Q[:, x_dof].todense()).ravel()
@@ -215,7 +209,7 @@ def test_criterion_7_snapshot_spectrum(request):
     tic = time.perf_counter()
     prob = request.getfixturevalue("prob_q4")
     _, tc = request.getfixturevalue("transient_center_q4")
-    sv = snapshot_singular_values(tc.xi, Patch(prob.interp, prob.forms, tc.dofs))
+    sv = snapshot_singular_values(tc.xi, Patch(prob.forms, tc.dofs))
     rel = sv / sv[0]
     worst_tail = float(rel[29:].max())
     _report(7, "snapshot singular value decay", worst_tail <= 1e-10,
@@ -241,15 +235,15 @@ def test_criterion_9_decay_profiles(request):
     tic = time.perf_counter()
     prob = request.getfixturevalue("prob_q4")
     sat = request.getfixturevalue("sat_q4")
-    cs, tc = request.getfixturevalue("transient_center_q4")
+    x_dof, tc = request.getfixturevalue("transient_center_q4")
 
-    phi = np.asarray(sat.phi[:, tc.x_dof].todense()).ravel()
+    phi = np.asarray(sat.phi[:, x_dof].todense()).ravel()
     xi1 = np.zeros(prob.pair.fine.n_dofs)
     xi1[tc.dofs] = tc.xi[0]
 
     slopes = {}
     for name, vec in (("phi", phi), ("xi1", xi1)):
-        prof = decay_profile(vec, prob.pair, tc.x_dof)
+        prof = decay_profile(vec, prob.pair, x_dof)
         mask = prof[:, 1] > 1e-12
         slopes[name] = float(np.polyfit(prof[mask, 0], np.log(prof[mask, 1]), 1)[0])
     ok = slopes["phi"] < 0.0 and slopes["xi1"] < 0.0

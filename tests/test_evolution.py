@@ -66,25 +66,22 @@ def test_energy_dissipation(problem44):
 @pytest.fixture(scope="module")
 def saturated44(problem44):
     cfg = CorrectorConfig(k=saturating_k(problem44.pair.coarse), tau=TAU)
-    return build_corrector_set(problem44.pair, problem44.interp,
-                               problem44.forms, cfg)
+    return build_corrector_set(problem44.forms, cfg)
 
 
 def test_ideal_gfem_zero_problem(problem44, saturated44):
     grid = TimeGrid(TAU, 5)
     zc = np.zeros(problem44.n_coarse_dofs)
-    traj = ideal_gfem_solve(saturated44, problem44.interp, problem44.forms,
-                            0.0, grid, zc, zc)
+    traj = ideal_gfem_solve(saturated44, problem44.forms, 0.0, grid, zc, zc)
     assert np.all(traj.states == 0.0)
 
 
 def test_oracle_collapse_at_r1(problem81):
     cfg = CorrectorConfig(k=2, tau=TAU)
-    cs = build_corrector_set(problem81.pair, problem81.interp, problem81.forms, cfg)
+    cs = build_corrector_set(problem81.forms, cfg)
     grid = TimeGrid(TAU, 10)
     zc = np.zeros(problem81.n_coarse_dofs)
-    seq = transients_for_all_nodes(problem81.pair, problem81.interp,
-                                   problem81.forms, cs, horizon=10)
+    seq = transients_for_all_nodes(problem81.forms, cs, horizon=10)
     loc = localized_gfem_solve(cs, seq, problem81.forms, 1.0, grid, zc, zc)
     zeros = np.zeros(problem81.n_fine_dofs)
     ref = fine_fem_solve(problem81.forms, 1.0, zeros, zeros, grid)
@@ -94,32 +91,27 @@ def test_oracle_collapse_at_r1(problem81):
 def test_localized_saturated_matches_ideal(problem44, saturated44):
     grid = TimeGrid(TAU, 12)
     zc = np.zeros(problem44.n_coarse_dofs)
-    seq = transients_for_all_nodes(problem44.pair, problem44.interp,
-                                   problem44.forms, saturated44,
+    seq = transients_for_all_nodes(problem44.forms, saturated44,
                                    horizon=12, stop_tol=0.0)
     loc = localized_gfem_solve(saturated44, seq, problem44.forms, 1.0, grid, zc, zc)
-    ideal = ideal_gfem_solve(saturated44, problem44.interp, problem44.forms,
-                             1.0, grid, zc, zc)
+    ideal = ideal_gfem_solve(saturated44, problem44.forms, 1.0, grid, zc, zc)
     assert rel_l2h1(problem44.forms, loc, ideal) <= 1e-8
 
 
 def test_superposition_path_matches_direct_debug_path(problem44):
     cfg = CorrectorConfig(k=2, tau=TAU)
-    cs = build_corrector_set(problem44.pair, problem44.interp, problem44.forms, cfg)
-    seq = transients_for_all_nodes(problem44.pair, problem44.interp,
-                                   problem44.forms, cs, horizon=12, stop_tol=0.0)
+    cs = build_corrector_set(problem44.forms, cfg)
+    seq = transients_for_all_nodes(problem44.forms, cs, horizon=12, stop_tol=0.0)
     grid = TimeGrid(TAU, 12)
     zc = np.zeros(problem44.n_coarse_dofs)
     loc = localized_gfem_solve(cs, seq, problem44.forms, 1.0, grid, zc, zc)
-    direct = localized_gfem_solve_direct(cs, problem44.interp, problem44.forms,
-                                         1.0, grid, zc, zc)
+    direct = localized_gfem_solve_direct(cs, problem44.forms, 1.0, grid, zc, zc)
     assert rel_l2h1(problem44.forms, loc, direct) <= 1e-9
 
 
 @pytest.fixture(scope="module")
 def k2_44(problem44):
-    return build_corrector_set(problem44.pair, problem44.interp, problem44.forms,
-                               CorrectorConfig(k=2, tau=TAU))
+    return build_corrector_set(problem44.forms, CorrectorConfig(k=2, tau=TAU))
 
 
 def test_localized_nonzero_initial_data_matches_direct_and_ideal(problem44, k2_44,
@@ -129,19 +121,16 @@ def test_localized_nonzero_initial_data_matches_direct_and_ideal(problem44, k2_4
     rng = np.random.default_rng(43)
     alpha0, alpha1 = rng.standard_normal((2, problem44.n_coarse_dofs))
     grid = TimeGrid(TAU, 12)
-    forms, interp = problem44.forms, problem44.interp
+    forms = problem44.forms
 
-    seq = transients_for_all_nodes(problem44.pair, interp, forms, k2_44,
-                                   horizon=12, stop_tol=0.0)
+    seq = transients_for_all_nodes(forms, k2_44, horizon=12, stop_tol=0.0)
     loc = localized_gfem_solve(k2_44, seq, forms, 1.0, grid, alpha0, alpha1)
-    direct = localized_gfem_solve_direct(k2_44, interp, forms, 1.0, grid,
-                                         alpha0, alpha1)
+    direct = localized_gfem_solve_direct(k2_44, forms, 1.0, grid, alpha0, alpha1)
     assert rel_l2h1(forms, loc, direct) <= 1e-9
 
-    seq = transients_for_all_nodes(problem44.pair, interp, forms, saturated44,
-                                   horizon=12, stop_tol=0.0)
+    seq = transients_for_all_nodes(forms, saturated44, horizon=12, stop_tol=0.0)
     loc = localized_gfem_solve(saturated44, seq, forms, 1.0, grid, alpha0, alpha1)
-    ideal = ideal_gfem_solve(saturated44, interp, forms, 1.0, grid, alpha0, alpha1)
+    ideal = ideal_gfem_solve(saturated44, forms, 1.0, grid, alpha0, alpha1)
     assert rel_l2h1(forms, loc, ideal) <= 1e-8
 
 
@@ -189,9 +178,9 @@ def _per_step_superposition(correctors, transients, forms, f, grid, alpha0, alph
                + correctors.M_ms @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau)
         alpha[n] = scipy.linalg.lu_solve(lhs, rhs)
         states[n] = Q @ alpha[n]
-        for tc in transients.values():
+        for x, tc in transients.items():
             lags = np.arange(1, min(n - 1, tc.xi.shape[0]) + 1)
-            states[n, tc.dofs] += tc.xi[lags - 1].T @ alpha[n - lags, tc.x_dof]
+            states[n, tc.dofs] += tc.xi[lags - 1].T @ alpha[n - lags, x]
     return alpha, states
 
 
@@ -218,9 +207,8 @@ MULTI_BLOCK = 2 * _BLOCK + 5
 def test_localized_matches_per_step_superposition(problem44, k2_44, n_steps, horizon,
                                                   stop_tol, f, data):
     grid = TimeGrid(TAU, n_steps)
-    forms, interp = problem44.forms, problem44.interp
-    seq = transients_for_all_nodes(problem44.pair, interp, forms, k2_44,
-                                   horizon=horizon, stop_tol=stop_tol)
+    forms = problem44.forms
+    seq = transients_for_all_nodes(forms, k2_44, horizon=horizon, stop_tol=stop_tol)
     lengths = sorted(tc.xi.shape[0] for tc in seq.values())
     if stop_tol > 0:
         assert lengths[0] < grid.n_steps and lengths[0] < lengths[-1]
@@ -240,10 +228,8 @@ def test_localized_matches_per_step_superposition(problem44, k2_44, n_steps, hor
 
 
 def test_transient_config_mismatch_rejected(problem44, saturated44):
-    other = build_corrector_set(problem44.pair, problem44.interp,
-                                problem44.forms, CorrectorConfig(k=2, tau=TAU))
-    seq = transients_for_all_nodes(problem44.pair, problem44.interp,
-                                   problem44.forms, other, horizon=4)
+    other = build_corrector_set(problem44.forms, CorrectorConfig(k=2, tau=TAU))
+    seq = transients_for_all_nodes(problem44.forms, other, horizon=4)
     grid = TimeGrid(TAU, 4)
     zc = np.zeros(problem44.n_coarse_dofs)
     with pytest.raises(ValueError):
@@ -252,11 +238,11 @@ def test_transient_config_mismatch_rejected(problem44, saturated44):
 
 def test_steady_state_b_orthogonality(problem44, saturated44):
     # the solution drifts toward b-orthogonality against the fine-scale space
-    forms, interp = problem44.forms, problem44.interp
+    forms = problem44.forms
     grid = TimeGrid(0.05, 200)
     zc = np.zeros(problem44.n_coarse_dofs)
-    traj = ideal_gfem_solve(saturated44, interp, forms, 1.0, grid, zc, zc)
-    saddle = factor_saddle(forms.K_tilde, interp)
+    traj = ideal_gfem_solve(saturated44, forms, 1.0, grid, zc, zc)
+    saddle = factor_saddle(forms.K_tilde, forms.interp)
     rng = np.random.default_rng(41)
 
     def residual(u):
@@ -277,8 +263,7 @@ def test_aux_exactness_without_source(problem44, saturated44):
     z0 = saturated44.Q @ alpha0
     grid = TimeGrid(TAU, 20)
     fine = aux_fine_solve(problem44.forms, 0.0, z0, grid)
-    gfem = aux_gfem_solve(saturated44, problem44.interp, problem44.forms,
-                          0.0, alpha0, grid)
+    gfem = aux_gfem_solve(saturated44, problem44.forms, 0.0, alpha0, grid)
     for n in range(1, 21):
         err = h1_norms(problem44.forms, [fine.states[n] - gfem.states[n]])[0]
         assert err <= 1e-9 * h1_norms(problem44.forms, [fine.states[n]])[0]
@@ -289,7 +274,7 @@ def test_aux_zero(problem44, saturated44):
     fine = aux_fine_solve(problem44.forms, 0.0,
                           np.zeros(problem44.n_fine_dofs), grid)
     assert np.all(fine.states == 0.0)
-    gfem = aux_gfem_solve(saturated44, problem44.interp, problem44.forms, 0.0,
+    gfem = aux_gfem_solve(saturated44, problem44.forms, 0.0,
                           np.zeros(problem44.n_coarse_dofs), grid)
     assert np.all(gfem.states == 0.0)
 
@@ -302,14 +287,10 @@ def test_aux_convergence_rate():
         A = random_field(pair.fine, 0.1, 1000.0, 1)
         B = random_field(pair.fine, 0.1, 1000.0, 2)
         forms = DiscreteForms(pair, A, B, TAU)
-        from sdwave.interpolation import build_interpolator
-        interp = build_interpolator(pair)
-        cs = build_corrector_set(pair, interp, forms,
-                                 CorrectorConfig(k=saturating_k(pair.coarse), tau=TAU))
+        cs = build_corrector_set(forms, CorrectorConfig(k=saturating_k(pair.coarse), tau=TAU))
         grid = TimeGrid(TAU, 25)
         fine = aux_fine_solve(forms, 1.0, np.zeros(pair.fine.n_dofs), grid)
-        gfem = aux_gfem_solve(cs, interp, forms, 1.0,
-                              np.zeros(pair.coarse.n_dofs), grid)
+        gfem = aux_gfem_solve(cs, forms, 1.0, np.zeros(pair.coarse.n_dofs), grid)
         errs.append(h1_norms(forms, [fine.states[-1] - gfem.states[-1]])[0]
                     / h1_norms(forms, [fine.states[-1]])[0])
     rate = -np.polyfit(np.arange(2, 5), np.log2(errs), 1)[0]

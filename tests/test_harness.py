@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -11,7 +12,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from sdwave import harness
+from sdwave import cli, harness, interpolation
 from sdwave.cli import main
 from sdwave.harness import (CSV_HEADER, ExperimentConfig, config_from_sources,
                             emit, random_field, run_exp_H, run_exp_k,
@@ -97,7 +98,6 @@ def test_near_constant_field_gfem_error_matches_fem_level():
     from sdwave.evolution import (TimeGrid, fine_fem_solve,
                                   galerkin_wave_solve, localized_gfem_solve,
                                   rel_l2h1)
-    from sdwave.interpolation import build_interpolator
     from sdwave.lod import (CorrectorConfig, build_corrector_set,
                             transients_for_all_nodes)
     from sdwave.mesh import NestedMeshPair, prolongation
@@ -106,9 +106,8 @@ def test_near_constant_field_gfem_error_matches_fem_level():
     A = random_field(pair.fine, 1.0, 1.0 + 1e-9, 1)
     B = random_field(pair.fine, 1.0, 1.0 + 1e-9, 2)
     forms = DiscreteForms(pair, A, B, 0.02)
-    interp = build_interpolator(pair)
-    cs = build_corrector_set(pair, interp, forms, CorrectorConfig(k=2, tau=0.02))
-    seq = transients_for_all_nodes(pair, interp, forms, cs, horizon=10)
+    cs = build_corrector_set(forms, CorrectorConfig(k=2, tau=0.02))
+    seq = transients_for_all_nodes(forms, cs, horizon=10)
     grid = TimeGrid(0.02, 10)
     zc = np.zeros(pair.coarse.n_dofs)
     ref = fine_fem_solve(forms, 1.0, np.zeros(pair.fine.n_dofs),
@@ -444,6 +443,69 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert os.path.exists(printed[1])
     lines = Path(printed[0]).read_text().strip().splitlines()
     assert lines[0] == CSV_HEADER
+
+
+# field -> (its flag and value, the value it sets), each unlike the exp-k
+# defaults and desk preset
+FLAG_VALUES = {
+    "p": (["--p", "4"], 4),
+    "q": (["--q", "3"], 3),
+    "kmax": (["--kmax", "3"], 3),
+    "tau": (["--tau", "0.05"], 0.05),
+    "T": (["--T", "0.5"], 0.5),
+    "seed": (["--seed", "7"], 7),
+    "lo": (["--contrast-lo", "0.5"], 0.5),
+    "hi": (["--contrast-hi", "50"], 50.0),
+    "law": (["--law", "uniform"], "uniform"),
+    "block": (["--block", "2"], 2),
+    "M": (["--M", "2,3"], (2, 3)),
+    "scale": (["--scale", "paper"], "paper"),
+    "out": (["--out", "elsewhere"], "elsewhere"),
+    "svg": (["--svg"], True),
+    "cache": (["--cache", "cachedir"], "cachedir"),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_cli_flag_reaches_config(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    configs = []
+
+    def record(cfg):
+        configs.append(cfg)
+        return [], {}
+
+    monkeypatch.setitem(cli.RUNNERS, "exp-k", record)
+    flag, value = FLAG_VALUES[name]
+    assert main(["exp-k"]) == 0
+    assert main(["exp-k", *flag]) == 0
+    assert getattr(configs[0], name) != value
+    assert getattr(configs[1], name) == value
+
+
+@pytest.mark.parametrize("run,cfg,problems", [(run_exp_k, MICRO, 1),
+                                              (run_exp_H, dict(MICRO, q=3), 2)],
+                         ids=["exp-k", "exp-H"])
+def test_one_interpolator_per_problem(monkeypatch, run, cfg, problems):
+    # the forms build the interpolator; the drivers and solvers read forms.interp
+    counts = {"interp": 0, "problem": 0}
+    build, init = interpolation.build_interpolator, harness._Problem.__init__
+
+    def counted_build(pair):
+        counts["interp"] += 1
+        return build(pair)
+
+    def counted_init(self, *args, **kwargs):
+        counts["problem"] += 1
+        init(self, *args, **kwargs)
+
+    # every name an sdwave module could call it by
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sdwave" and getattr(module, "build_interpolator", None) is build:
+            monkeypatch.setattr(module, "build_interpolator", counted_build)
+    monkeypatch.setattr(harness._Problem, "__init__", counted_init)
+    run(ExperimentConfig(**cfg))
+    assert counts == {"interp": problems, "problem": problems}
 
 
 def test_cli_config_file(tmp_path, capsys):

@@ -18,8 +18,21 @@ def test_projection_property(q, r):
     assert np.abs(E.toarray()).max() <= 1e-14
 
 
+@pytest.mark.parametrize("q,r", [(2, 2), (4, 4), (8, 1)])
+def test_forms_carry_the_pair_interpolator(q, r):
+    pair = NestedMeshPair(Mesh(q), r)
+    ones = np.ones(pair.fine.n_elements)
+    held = DiscreteForms(pair, ones, ones, 0.02).interp
+    built = build_interpolator(pair)
+    assert held.format == built.format == "csr"
+    assert held.shape == built.shape
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(held, attr), getattr(built, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+
+
 def test_constants_reproduced_away_from_boundary(problem44):
-    interp, pair = problem44.interp, problem44.pair
+    interp, pair = problem44.forms.interp, problem44.pair
     values = interp @ np.ones(pair.fine.n_dofs)
     coarse = pair.coarse
     for dof, vert in enumerate(coarse.interior_nodes):
@@ -29,7 +42,7 @@ def test_constants_reproduced_away_from_boundary(problem44):
 
 
 def test_kernel_constraints_full_patch(problem44):
-    interp = problem44.interp
+    interp = problem44.forms.interp
     all_dofs = np.arange(problem44.n_fine_dofs)
     C = kernel_constraints(interp, all_dofs)
     assert C.shape == interp.shape
@@ -38,7 +51,7 @@ def test_kernel_constraints_full_patch(problem44):
 
 
 def test_kernel_constraints_are_the_nonzero_patch_rows(problem44):
-    interp = problem44.interp
+    interp = problem44.forms.interp
     dofs = patch_fine_dofs(problem44.pair, element_patch(problem44.pair.coarse, 0, 1))
     restricted = interp[:, dofs].toarray()
     nonzero = np.flatnonzero(np.abs(restricted).sum(axis=1) > 0.0)
@@ -57,7 +70,7 @@ def _parent_kernel_constraints(interp, dofs):
 @pytest.mark.parametrize("k", [1, 2, None], ids=["k1", "k2", "saturating"])
 @pytest.mark.parametrize("stored_zeros", [False, True], ids=["plain", "stored-zeros"])
 def test_kernel_constraints_equal_fancy_indexing(problem44, k, stored_zeros):
-    pair, interp = problem44.pair, problem44.interp
+    pair, interp = problem44.pair, problem44.forms.interp
     coarse = pair.coarse
     if stored_zeros:
         # explicit zeros, and one row that holds nothing else
@@ -83,11 +96,11 @@ def test_kernel_constraints_equal_fancy_indexing(problem44, k, stored_zeros):
                          ids=["2d", "unsorted", "duplicate", "negative", "beyond", "float"])
 def test_kernel_constraints_reject_malformed_dofs(problem44, dofs):
     with pytest.raises(ValueError, match="patch dofs"):
-        kernel_constraints(problem44.interp, np.array(dofs))
+        kernel_constraints(problem44.forms.interp, np.array(dofs))
 
 
 def test_coarse_functions_are_not_fine_scale(problem44):
-    pair, interp = problem44.pair, problem44.interp
+    pair, interp = problem44.pair, problem44.forms.interp
     P = prolongation(pair)
     patch = element_patch(pair.coarse, 0, 2)
     dofs = patch_fine_dofs(pair, patch)
@@ -99,7 +112,7 @@ def test_coarse_functions_are_not_fine_scale(problem44):
 
 
 def test_kernel_trivial_at_r1(problem81):
-    pair, interp = problem81.pair, problem81.interp
+    pair, interp = problem81.pair, problem81.forms.interp
     patch = element_patch(pair.coarse, 10, 2)
     dofs = patch_fine_dofs(pair, patch)
     C = kernel_constraints(interp, dofs).toarray()
@@ -111,7 +124,6 @@ def test_local_stability_estimate():
     estimates = []
     for q, p in ((3, 5), (4, 6)):
         pair = NestedMeshPair(Mesh(2 ** q), 2 ** (p - q))
-        interp = build_interpolator(pair)
         P = prolongation(pair)
         forms = DiscreteForms(pair, np.ones(pair.fine.n_elements),
                             np.ones(pair.fine.n_elements), 0.02)
@@ -119,7 +131,7 @@ def test_local_stability_estimate():
         worst = 0.0
         for _ in range(8):
             v = rng.standard_normal(pair.fine.n_dofs)
-            diff = v - P @ (interp @ v)
+            diff = v - P @ (forms.interp @ v)
             l2 = np.sqrt(diff @ (forms.M @ diff))
             worst = max(worst, l2 * pair.coarse.n / h1_norms(forms, [v])[0])
         estimates.append(worst)

@@ -8,7 +8,6 @@ import pytest
 
 from sdwave import linalg, lod
 from sdwave.assembly import DiscreteForms, element_rhs_block, h1_norms
-from sdwave.harness import random_field
 from sdwave.linalg import (ConstraintViolationError, Factorization,
                            SaddleFactorization, factor_saddle)
 from sdwave.lod import (CorrectorConfig, Patch, build_corrector_set, cache_key,
@@ -32,15 +31,13 @@ def test_config_validation():
 
 def test_tau_mismatch_rejected(problem44):
     with pytest.raises(ValueError):
-        build_corrector_set(problem44.pair, problem44.interp, problem44.forms,
-                            CorrectorConfig(k=2, tau=0.5))
+        build_corrector_set(problem44.forms, CorrectorConfig(k=2, tau=0.5))
 
 
 def test_element_correctors_vanish_at_r1(problem81):
     pair = problem81.pair
-    patch = Patch(problem81.interp, problem81.forms,
-                  patch_fine_dofs(pair, element_patch(pair.coarse, 30, 2)))
-    contrib = compute_element_correctors(pair, problem81.forms, 30, patch)
+    patch = Patch(problem81.forms, patch_fine_dofs(pair, element_patch(pair.coarse, 30, 2)))
+    contrib = compute_element_correctors(patch, 30)
     assert contrib
     for vec in contrib.values():
         assert np.abs(vec).max() <= 1e-12
@@ -58,14 +55,13 @@ def test_constant_on_element_gives_zero_rhs(problem44):
 @pytest.fixture(scope="module")
 def saturated_set(problem44):
     cfg = CorrectorConfig(k=saturating_k(problem44.pair.coarse), tau=TAU)
-    return build_corrector_set(problem44.pair, problem44.interp,
-                               problem44.forms, cfg)
+    return build_corrector_set(problem44.forms, cfg)
 
 
 def test_saturated_matches_global_solve(problem44, saturated_set):
-    pair, forms, interp = problem44.pair, problem44.forms, problem44.interp
+    pair, forms = problem44.pair, problem44.forms
     P = prolongation(pair)
-    saddle = factor_saddle(forms.K_tilde, interp)
+    saddle = factor_saddle(forms.K_tilde, forms.interp)
     for dof in range(0, pair.coarse.n_dofs, 2):
         lam = np.asarray(P[:, dof].todense()).ravel()
         w, _ = saddle.solve(forms.K_tilde @ lam)
@@ -74,7 +70,7 @@ def test_saturated_matches_global_solve(problem44, saturated_set):
 
 
 def test_fine_scale_membership(problem44, saturated_set):
-    residual = problem44.interp @ saturated_set.phi
+    residual = problem44.forms.interp @ saturated_set.phi
     assert np.abs(residual.toarray()).max() <= 1e-10
 
 
@@ -84,8 +80,8 @@ def test_modified_basis_has_full_rank(problem44, saturated_set):
 
 
 def test_saturated_energy_orthogonality(problem44, saturated_set):
-    pair, forms, interp = problem44.pair, problem44.forms, problem44.interp
-    saddle = factor_saddle(forms.K_tilde, interp)
+    pair, forms = problem44.pair, problem44.forms
+    saddle = factor_saddle(forms.K_tilde, forms.interp)
     rng = np.random.default_rng(31)
     q = saturated_set.Q @ rng.standard_normal(pair.coarse.n_dofs)
     w, _ = saddle.solve(forms.K_tilde @ rng.standard_normal(pair.fine.n_dofs))
@@ -94,10 +90,10 @@ def test_saturated_energy_orthogonality(problem44, saturated_set):
 
 
 def test_a_only_orthogonality(problem44):
-    pair, forms, interp = problem44.pair, problem44.forms, problem44.interp
+    pair, forms = problem44.pair, problem44.forms
     cfg = CorrectorConfig(k=saturating_k(pair.coarse), tau=TAU, form_choice="a_only")
-    cs = build_corrector_set(pair, interp, forms, cfg)
-    saddle = factor_saddle(forms.K_A, interp)
+    cs = build_corrector_set(forms, cfg)
+    saddle = factor_saddle(forms.K_A, forms.interp)
     rng = np.random.default_rng(32)
     q = cs.Q @ rng.standard_normal(pair.coarse.n_dofs)
     w, _ = saddle.solve(forms.K_A @ rng.standard_normal(pair.fine.n_dofs))
@@ -106,9 +102,9 @@ def test_a_only_orthogonality(problem44):
 
 
 def test_corrector_support(problem44):
-    pair, forms, interp = problem44.pair, problem44.forms, problem44.interp
+    pair, forms = problem44.pair, problem44.forms
     cfg = CorrectorConfig(k=1, tau=TAU)
-    cs = build_corrector_set(pair, interp, forms, cfg)
+    cs = build_corrector_set(forms, cfg)
     coarse = pair.coarse
     for dof in (0, pair.coarse.n_dofs // 2):
         vertex = coarse.interior_nodes[dof]
@@ -141,8 +137,7 @@ def test_each_distinct_patch_factored_once(problem44, monkeypatch, k):
     coarse = pair.coarse
     k = k or saturating_k(coarse)
     calls = _counting_factor_saddle(monkeypatch)
-    build_corrector_set(pair, problem44.interp, problem44.forms,
-                        CorrectorConfig(k=k, tau=TAU))
+    build_corrector_set(problem44.forms, CorrectorConfig(k=k, tau=TAU))
     patches = {patch_fine_dofs(pair, element_patch(coarse, t, k)).tobytes()
                for t in range(coarse.n_elements)
                if np.any(coarse.dof_index[coarse.triangles[t]] >= 0)}
@@ -168,8 +163,7 @@ def test_element_patch_freed_after_its_element(problem44, monkeypatch):
             counts.append(len(live))
 
     monkeypatch.setattr(lod, "Patch", CountedPatch)
-    build_corrector_set(pair, problem44.interp, problem44.forms,
-                        CorrectorConfig(k=1, tau=TAU))
+    build_corrector_set(problem44.forms, CorrectorConfig(k=1, tau=TAU))
     assert len(counts) == coarse.n_elements
     assert max(counts) <= 2
 
@@ -189,7 +183,7 @@ def _assert_same_csr(a, b):
 
 
 def test_patch_blocks_equal_direct_slices(problem44, node_dofs):
-    forms, interp, pair = problem44.forms, problem44.interp, problem44.pair
+    forms, pair = problem44.forms, problem44.pair
     coarse = pair.coarse
     dof_sets = [node_dofs]
     for k in (1, 2, saturating_k(coarse)):
@@ -197,11 +191,11 @@ def test_patch_blocks_equal_direct_slices(problem44, node_dofs):
                      for t in (0, 5, coarse.n_elements - 1)]
     from sdwave.interpolation import kernel_constraints
     for dofs in dof_sets:
-        patch = Patch(interp, forms, dofs)
+        patch = Patch(forms, dofs)
         for block, full in ((patch.k_tilde, forms.K_tilde), (patch.k_a, forms.K_A),
                             (patch.k_b, forms.K_B), (patch.h1, forms.K_1 + forms.M)):
             _assert_same_csr(block, full[dofs][:, dofs].tocsr())
-        _assert_same_csr(patch.C, kernel_constraints(interp, dofs))
+        _assert_same_csr(patch.C, kernel_constraints(forms.interp, dofs))
 
 
 @pytest.mark.parametrize("dofs", [
@@ -211,12 +205,12 @@ def test_patch_blocks_equal_direct_slices(problem44, node_dofs):
 def test_patch_rejects_malformed_dofs(problem44, dofs):
     # the blocks are gathered, and element blocks placed, by ascending dofs
     with pytest.raises(ValueError, match="patch dofs"):
-        Patch(problem44.interp, problem44.forms, np.array(dofs))
+        Patch(problem44.forms, np.array(dofs))
 
 
 def test_patch_reading_blocks_does_not_factor(problem44, node_dofs, monkeypatch):
     calls = _counting_factor_saddle(monkeypatch)
-    patch = Patch(problem44.interp, problem44.forms, node_dofs)
+    patch = Patch(problem44.forms, node_dofs)
     assert patch.k_a.nnz > 0 and patch.h1.nnz > 0
     assert calls == []
 
@@ -225,9 +219,9 @@ def test_patch_reading_blocks_does_not_factor(problem44, node_dofs, monkeypatch)
                                            ("a_only", "k_a"), ("b_only", "k_b")])
 def test_patch_factors_once_for_many_solves(problem44, node_dofs, monkeypatch,
                                             choice, block):
-    forms, interp = problem44.forms, problem44.interp
+    forms = problem44.forms
     calls = _counting_factor_saddle(monkeypatch)
-    patch = Patch(interp, forms, node_dofs, choice)
+    patch = Patch(forms, node_dofs, choice)
     rng = np.random.default_rng(36)
     for _ in range(5):
         r = rng.standard_normal(node_dofs.size)
@@ -240,14 +234,13 @@ def test_patch_factors_once_for_many_solves(problem44, node_dofs, monkeypatch,
 
 def test_patch_rejects_unknown_form(problem44, node_dofs):
     with pytest.raises(ValueError):
-        Patch(problem44.interp, problem44.forms, node_dofs, "c_only")
+        Patch(problem44.forms, node_dofs, "c_only")
 
 
 def test_transients_vanish_at_r1(problem81):
     cfg = CorrectorConfig(k=2, tau=TAU)
-    cs = build_corrector_set(problem81.pair, problem81.interp, problem81.forms, cfg)
-    tc = compute_transient_correctors(problem81.pair, problem81.interp,
-                                      problem81.forms, cs,
+    cs = build_corrector_set(problem81.forms, cfg)
+    tc = compute_transient_correctors(problem81.forms, cs,
                                       problem81.n_coarse_dofs // 2, horizon=5)
     assert np.abs(tc.xi).max() <= 1e-12
 
@@ -255,34 +248,33 @@ def test_transients_vanish_at_r1(problem81):
 @pytest.fixture(scope="module")
 def transient_node(problem44):
     cfg = CorrectorConfig(k=2, tau=TAU)
-    cs = build_corrector_set(problem44.pair, problem44.interp, problem44.forms, cfg)
-    tc = compute_transient_correctors(problem44.pair, problem44.interp,
-                                      problem44.forms, cs,
-                                      problem44.n_coarse_dofs // 2,
-                                      horizon=25, stop_tol=0.0)
-    return cs, tc
+    cs = build_corrector_set(problem44.forms, cfg)
+    x_dof = problem44.n_coarse_dofs // 2
+    tc = compute_transient_correctors(problem44.forms, cs, x_dof, horizon=25,
+                                      stop_tol=0.0)
+    return cs, x_dof, tc
 
 
 def test_transient_decay_and_membership(problem44, transient_node):
-    _, tc = transient_node
-    forms, interp = problem44.forms, problem44.interp
+    _, _, tc = transient_node
+    forms = problem44.forms
     H1p = (forms.K_1 + forms.M)[tc.dofs][:, tc.dofs]
     h1s = np.array([np.sqrt(x @ (H1p @ x)) for x in tc.xi])
     assert np.all(h1s[1:] < h1s[:-1])
     full = np.zeros(problem44.n_fine_dofs)
     full[tc.dofs] = tc.xi[0]
-    assert np.abs(interp @ full).max() <= 1e-10
+    assert np.abs(forms.interp @ full).max() <= 1e-10
 
 
 def test_first_step_matches_direct_global_solve(problem44):
     # with a saturated patch the recursion's first step is one projection solve
-    pair, forms, interp = problem44.pair, problem44.forms, problem44.interp
+    pair, forms = problem44.pair, problem44.forms
     cfg = CorrectorConfig(k=saturating_k(pair.coarse), tau=TAU)
-    cs = build_corrector_set(pair, interp, forms, cfg)
+    cs = build_corrector_set(forms, cfg)
     dof = pair.coarse.n_dofs // 2
-    tc = compute_transient_correctors(pair, interp, forms, cs, dof, horizon=2)
+    tc = compute_transient_correctors(forms, cs, dof, horizon=2)
     q_x = np.asarray(cs.Q[:, dof].todense()).ravel()
-    w, _ = factor_saddle(forms.K_tilde, interp).solve(forms.K_A @ q_x)
+    w, _ = factor_saddle(forms.K_tilde, forms.interp).solve(forms.K_A @ q_x)
     xi1 = np.zeros(pair.fine.n_dofs)
     xi1[tc.dofs] = tc.xi[0]
     assert h1_norms(forms, [xi1 - w])[0] <= 1e-9 * h1_norms(forms, [w])[0]
@@ -291,11 +283,11 @@ def test_first_step_matches_direct_global_solve(problem44):
 def test_a_only_first_step_degenerates(problem44):
     # pure a-Ritz correctors make the first right-hand side a-orthogonal to
     # the fine-scale space, so the recursion starts from (almost) nothing
-    pair, forms, interp = problem44.pair, problem44.forms, problem44.interp
+    pair, forms = problem44.pair, problem44.forms
     cfg = CorrectorConfig(k=saturating_k(pair.coarse), tau=TAU, form_choice="a_only")
-    cs = build_corrector_set(pair, interp, forms, cfg)
+    cs = build_corrector_set(forms, cfg)
     dof = pair.coarse.n_dofs // 2
-    tc = compute_transient_correctors(pair, interp, forms, cs, dof, horizon=2)
+    tc = compute_transient_correctors(forms, cs, dof, horizon=2)
     xi1 = np.zeros(pair.fine.n_dofs)
     xi1[tc.dofs] = tc.xi[0]
     q_x = np.asarray(cs.Q[:, dof].todense()).ravel()
@@ -305,11 +297,11 @@ def test_a_only_first_step_degenerates(problem44):
 def test_superposition_identity_scripted(problem44, transient_node):
     # scripted coarse coefficients: the weighted sum of stored corrections
     # reproduces the per-step fine-scale solves
-    cs, tc = transient_node
-    pair, forms, interp = problem44.pair, problem44.forms, problem44.interp
-    solver = Patch(interp, forms, tc.dofs, cs.config.form_choice)
+    cs, x_dof, tc = transient_node
+    forms = problem44.forms
+    solver = Patch(forms, tc.dofs, cs.config.form_choice)
     K_A_patch = forms.K_A[tc.dofs][:, tc.dofs]
-    q_x = np.asarray(cs.Q[:, tc.x_dof].todense()).ravel()
+    q_x = np.asarray(cs.Q[:, x_dof].todense()).ravel()
     r1 = (forms.K_A @ q_x)[tc.dofs]
 
     rng = np.random.default_rng(33)
@@ -345,8 +337,7 @@ def _assert_bitwise(a, b):
 
 @pytest.fixture(scope="module")
 def k2_set(problem44):
-    return build_corrector_set(problem44.pair, problem44.interp, problem44.forms,
-                               CorrectorConfig(k=2, tau=TAU))
+    return build_corrector_set(problem44.forms, CorrectorConfig(k=2, tau=TAU))
 
 
 def test_transient_patch_first_rhs_is_the_whole_grid_product(problem44, k2_set):
@@ -355,13 +346,12 @@ def test_transient_patch_first_rhs_is_the_whole_grid_product(problem44, k2_set):
     for x_dof in (0, pair.coarse.n_dofs // 2, pair.coarse.n_dofs - 1):
         q_x = np.asarray(k2_set.Q[:, x_dof].todense()).ravel()
         for csc in (None, Q_csc):
-            patch, rhs = transient_patch(pair, problem44.interp, forms, k2_set, x_dof, csc)
+            patch, rhs = transient_patch(forms, k2_set, x_dof, csc)
             _assert_bitwise(rhs, (forms.K_A @ q_x)[patch.dofs])
 
 
 def _blocked_and_per_step(problem, correctors, horizon, stop_tol):
-    args = (problem.pair, problem.interp, problem.forms, correctors,
-            problem.n_coarse_dofs // 2)
+    args = (problem.forms, correctors, problem.n_coarse_dofs // 2)
     tc = compute_transient_correctors(*args, horizon=horizon, stop_tol=stop_tol)
     patch, rhs = lod.transient_patch(*args)
     return tc.xi, _per_step_sequence(patch, rhs, horizon, stop_tol)
@@ -376,8 +366,7 @@ def test_blocked_sequence_equals_per_step(problem44, k2_set, horizon):
 
 def _mid_block_stop_tol(problem, correctors, member):
     # a stop_tol that stops the sequence at the given member (1-based)
-    patch, rhs = transient_patch(problem.pair, problem.interp, problem.forms,
-                                 correctors, problem.n_coarse_dofs // 2)
+    patch, rhs = transient_patch(problem.forms, correctors, problem.n_coarse_dofs // 2)
     steps = _per_step_sequence(patch, rhs, member + 5, 0.0)
     norms = np.sqrt(np.einsum("li,li->l", steps, (patch.h1 @ steps.T).T))
     return 0.5 * (norms[member - 2] + norms[member - 1]) / norms[0]
@@ -433,8 +422,7 @@ def test_blocked_sequence_replays_a_residual_miss(problem44, k2_set, monkeypatch
     # member 1 is the first raw solve, so call 20 is member 20, mid-block
     _, per_step = _blocked_and_per_step(problem44, k2_set, 33, 0.0)
     checked = _perturb_bare_solve(monkeypatch, 20, _shift_first)
-    args = (problem44.pair, problem44.interp, problem44.forms, k2_set,
-            problem44.n_coarse_dofs // 2)
+    args = (problem44.forms, k2_set, problem44.n_coarse_dofs // 2)
     tc = compute_transient_correctors(*args, horizon=33, stop_tol=0.0)
     # member 1 and the replayed member 20 went through the checked solve
     assert len(checked) == 2
@@ -455,8 +443,7 @@ def test_blocked_sequence_drops_members_past_the_stop_unchecked(problem44, k2_se
         _pass_every_residual_test(monkeypatch)
     # member 25 lies in the stop's block; corrupt it so that it fails the test
     checked = _perturb_bare_solve(monkeypatch, 25, lambda x: np.full_like(x, 1.0))
-    args = (problem44.pair, problem44.interp, problem44.forms, k2_set,
-            problem44.n_coarse_dofs // 2)
+    args = (problem44.forms, k2_set, problem44.n_coarse_dofs // 2)
     tc = compute_transient_correctors(*args, horizon=40, stop_tol=stop_tol)
     assert len(checked) == 1
     _assert_bitwise(tc.xi, per_step)
@@ -468,8 +455,7 @@ def test_blocked_sequence_raises_on_a_kept_constraint_violation(problem44, k2_se
     # catch a corrupted member
     _pass_every_residual_test(monkeypatch)
     _perturb_bare_solve(monkeypatch, 5, lambda x: np.full_like(x, 1.0))
-    args = (problem44.pair, problem44.interp, problem44.forms, k2_set,
-            problem44.n_coarse_dofs // 2)
+    args = (problem44.forms, k2_set, problem44.n_coarse_dofs // 2)
     with pytest.raises(ConstraintViolationError):
         compute_transient_correctors(*args, horizon=16, stop_tol=0.0)
 
@@ -498,9 +484,8 @@ def test_element_block_solve_equals_per_vertex_solves(problem44, k):
     P = prolongation(pair)
     tilde = form_values(forms, "a_plus_tau_b")
     for t in (0, 5, coarse.n_elements // 2):
-        patch = Patch(problem44.interp, forms,
-                      patch_fine_dofs(pair, element_patch(coarse, t, k)))
-        got = compute_element_correctors(pair, forms, t, patch)
+        patch = Patch(forms, patch_fine_dofs(pair, element_patch(coarse, t, k)))
+        got = compute_element_correctors(patch, t)
         dofs = [d for d in coarse.dof_index[coarse.triangles[t]] if d >= 0]
         assert list(got) == dofs
         for dof in dofs:
@@ -530,25 +515,25 @@ def test_fine_mask_matches_fiber_loop(problem44):
 
 
 def test_decay_profile_examples(problem44, transient_node):
-    cs, tc = transient_node
+    cs, x_dof, tc = transient_node
     pair = problem44.pair
     xi1 = np.zeros(problem44.n_fine_dofs)
     xi1[tc.dofs] = tc.xi[0]
-    prof = decay_profile(xi1, pair, tc.x_dof)
+    prof = decay_profile(xi1, pair, x_dof)
     assert np.all(np.diff(prof[:, 1]) <= 1e-14)
     assert prof[-1, 1] == 0.0
     # support inside N^2(x) means the profile vanishes from j = 2 on
     assert prof[prof[:, 0] >= 2, 1].max() <= 1e-12
 
-    phi = np.asarray(cs.phi[:, tc.x_dof].todense()).ravel()
-    prof_phi = decay_profile(phi, pair, tc.x_dof)
+    phi = np.asarray(cs.phi[:, x_dof].todense()).ravel()
+    prof_phi = decay_profile(phi, pair, x_dof)
     mask = prof_phi[:, 1] > 1e-12
     slope = np.polyfit(prof_phi[mask, 0], np.log(prof_phi[mask, 1]), 1)[0]
     assert slope < 0.0
 
 
 def test_project_initial_data(problem44, saturated_set):
-    interp = problem44.interp
+    interp = problem44.forms.interp
     assert np.all(saturated_set.Q @ np.zeros(problem44.n_coarse_dofs) == 0.0)
     rng = np.random.default_rng(34)
     u = rng.standard_normal(problem44.n_coarse_dofs)
@@ -558,7 +543,7 @@ def test_project_initial_data(problem44, saturated_set):
 
 def test_project_initial_data_r1(problem81):
     cfg = CorrectorConfig(k=2, tau=TAU)
-    cs = build_corrector_set(problem81.pair, problem81.interp, problem81.forms, cfg)
+    cs = build_corrector_set(problem81.forms, cfg)
     P = prolongation(problem81.pair)
     rng = np.random.default_rng(35)
     u = rng.standard_normal(problem81.n_coarse_dofs)
@@ -566,17 +551,17 @@ def test_project_initial_data_r1(problem81):
 
 
 def test_cache_roundtrip(tmp_path, problem44, transient_node):
-    cs, tc = transient_node
+    cs, x_dof, tc = transient_node
     key = cache_key(problem44.forms, cs.config, 25, 0.0)
-    path = save_corrector_cache(tmp_path, key, cs, {tc.x_dof: tc})
+    path = save_corrector_cache(tmp_path, key, cs, {x_dof: tc})
     loaded = load_corrector_cache(tmp_path, key, problem44.pair, cs.config)
     assert loaded is not None
     cs2, transients2 = loaded
     assert cs2.config == cs.config
     assert np.abs((cs2.Q - cs.Q).toarray()).max() == 0.0
     np.testing.assert_array_equal(cs2.A_ms, cs.A_ms)
-    np.testing.assert_array_equal(transients2[tc.x_dof].xi, tc.xi)
-    np.testing.assert_array_equal(transients2[tc.x_dof].dofs, tc.dofs)
+    np.testing.assert_array_equal(transients2[x_dof].xi, tc.xi)
+    np.testing.assert_array_equal(transients2[x_dof].dofs, tc.dofs)
     assert load_corrector_cache(tmp_path, "missing", problem44.pair, cs.config) is None
     # a file copied under another key is not served for it
     other = cache_key(problem44.forms, cs.config, 26, 0.0)
@@ -593,9 +578,9 @@ def test_cache_roundtrip(tmp_path, problem44, transient_node):
 def test_cache_miss_closes_the_file(tmp_path, problem44, transient_node,
                                     monkeypatch):
     # a truncated entry fails inside np.load, after the file was opened
-    cs, tc = transient_node
+    cs, x_dof, tc = transient_node
     key = cache_key(problem44.forms, cs.config, 25, 0.0)
-    path = save_corrector_cache(tmp_path, key, cs, {tc.x_dof: tc})
+    path = save_corrector_cache(tmp_path, key, cs, {x_dof: tc})
     data = Path(path).read_bytes()
     opened = []
     real_open = builtins.open

@@ -15,16 +15,14 @@ TAU = 0.02
 @pytest.fixture(scope="module")
 def snapshots44(problem44):
     cfg = CorrectorConfig(k=2, tau=TAU)
-    cs = build_corrector_set(problem44.pair, problem44.interp, problem44.forms, cfg)
-    tc = compute_transient_correctors(problem44.pair, problem44.interp,
-                                      problem44.forms, cs,
-                                      problem44.n_coarse_dofs // 2,
+    cs = build_corrector_set(problem44.forms, cfg)
+    tc = compute_transient_correctors(problem44.forms, cs, problem44.n_coarse_dofs // 2,
                                       horizon=20, stop_tol=0.0)
     return cs, tc
 
 
 def _patch(problem, tc):
-    return Patch(problem.interp, problem.forms, tc.dofs)
+    return Patch(problem.forms, tc.dofs)
 
 
 def _patch_norm(problem, dofs):
@@ -64,13 +62,12 @@ def test_zero_first_snapshot_rejected(problem44, snapshots44):
     with pytest.raises(EmptyBasisError):
         build_rb(np.zeros((1, tc.dofs.size)), _patch(problem44, tc))
     # a node whose sequence carries no energy keeps its stored members only
-    zero = TransientCorrectors(tc.x_dof, tc.dofs, np.zeros((6, tc.dofs.size)),
-                               tc.config)
-    reductions = node_reductions({tc.x_dof: zero}, problem44.interp,
-                                 problem44.forms, (2, 4))
-    assert reductions[tc.x_dof].basis is None
-    compressed = compress_transients({tc.x_dof: zero}, reductions, 2, horizon=6)
-    assert compressed[tc.x_dof].xi.shape == (2, tc.dofs.size)
+    zero = {problem44.n_coarse_dofs // 2: TransientCorrectors(
+        tc.dofs, np.zeros((6, tc.dofs.size)), tc.config)}
+    reductions = node_reductions(zero, problem44.forms, (2, 4))
+    assert all(node.basis is None for node in reductions.values())
+    compressed = compress_transients(zero, reductions, 2, horizon=6)
+    assert [c.xi.shape for c in compressed.values()] == [(2, tc.dofs.size)]
 
 
 def test_basis_prefix_is_the_smaller_basis(problem44, snapshots44):
@@ -90,7 +87,7 @@ def test_basis_invariants(problem44, snapshots44):
     m = basis.Z.shape[1]
     assert np.abs(basis.a_hat - np.eye(m)).max() <= 1e-10
     # basis columns stay fine-scale
-    IH = problem44.interp
+    IH = problem44.forms.interp
     for j in range(m):
         full = np.zeros(problem44.n_fine_dofs)
         full[tc.dofs] = basis.Z[:, j]
@@ -148,9 +145,8 @@ def test_singular_values(problem44, snapshots44):
 @pytest.fixture(scope="module")
 def localized44(problem44):
     cfg = CorrectorConfig(k=2, tau=TAU)
-    cs = build_corrector_set(problem44.pair, problem44.interp, problem44.forms, cfg)
-    seq = transients_for_all_nodes(problem44.pair, problem44.interp,
-                                   problem44.forms, cs, horizon=20, stop_tol=0.0)
+    cs = build_corrector_set(problem44.forms, cfg)
+    seq = transients_for_all_nodes(problem44.forms, cs, horizon=20, stop_tol=0.0)
     grid = TimeGrid(TAU, 20)
     zc = np.zeros(problem44.n_coarse_dofs)
     reference = localized_gfem_solve(cs, seq, problem44.forms, 1.0, grid, zc, zc)
@@ -160,8 +156,7 @@ def localized44(problem44):
 def test_rb_gfem_uncompressed_is_identical(problem44, localized44):
     cs, seq, grid, reference = localized44
     zc = np.zeros(problem44.n_coarse_dofs)
-    reductions = node_reductions(seq, problem44.interp, problem44.forms,
-                                 (grid.n_steps,))
+    reductions = node_reductions(seq, problem44.forms, (grid.n_steps,))
     traj = rb_gfem_solve(cs, seq, reductions, problem44.forms, 1.0, grid, zc, zc,
                          m_max=grid.n_steps)
     assert rel_h1_final(problem44.forms, traj, reference) <= 1e-12
@@ -172,7 +167,7 @@ def test_rb_gfem_gap_shrinks_with_m(problem44, localized44):
     zc = np.zeros(problem44.n_coarse_dofs)
     gaps = []
     for m in (1, 5, 10):
-        reductions = node_reductions(seq, problem44.interp, problem44.forms, (m,))
+        reductions = node_reductions(seq, problem44.forms, (m,))
         traj = rb_gfem_solve(cs, seq, reductions, problem44.forms, 1.0, grid, zc, zc,
                              m_max=m)
         gaps.append(rel_h1_final(problem44.forms, traj, reference))
@@ -199,7 +194,7 @@ def _oracle_sequence(problem, tc, m, horizon, stop_tol=1e-12):
 
 def test_shared_basis_compression_matches_oracle(problem44, localized44):
     _, seq, grid, _ = localized44
-    reductions = node_reductions(seq, problem44.interp, problem44.forms, (1, 5, 10))
+    reductions = node_reductions(seq, problem44.forms, (1, 5, 10))
     assert set(reductions) == set(seq)
     for m in (1, 5, 10):
         compressed = compress_transients(seq, reductions, m, horizon=grid.n_steps)
@@ -214,7 +209,7 @@ def test_shared_basis_compression_matches_oracle(problem44, localized44):
 
 def test_compression_rejects_bases_built_too_small(problem44, localized44):
     _, seq, grid, _ = localized44
-    reductions = node_reductions(seq, problem44.interp, problem44.forms, (1, 5))
+    reductions = node_reductions(seq, problem44.forms, (1, 5))
     with pytest.raises(ValueError):
         compress_transients(seq, reductions, 10, horizon=grid.n_steps)
     with pytest.raises(ValueError):
@@ -225,6 +220,7 @@ def test_node_reductions_reject_corrupt_dofs(problem44, snapshots44):
     # patch dofs read back from a corrupt cache, out of order or out of range
     _, tc = snapshots44
     for dofs in (tc.dofs[::-1], tc.dofs + problem44.n_fine_dofs):
-        corrupt = TransientCorrectors(tc.x_dof, dofs, tc.xi, tc.config)
+        corrupt = TransientCorrectors(dofs, tc.xi, tc.config)
         with pytest.raises(ValueError, match="patch dofs"):
-            node_reductions({tc.x_dof: corrupt}, problem44.interp, problem44.forms, (5,))
+            node_reductions({problem44.n_coarse_dofs // 2: corrupt}, problem44.forms,
+                            (5,))

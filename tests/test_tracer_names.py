@@ -13,7 +13,6 @@ import numpy as np
 from sdwave.assembly import DiscreteForms
 from sdwave.evolution import TimeGrid, localized_gfem_solve
 from sdwave.harness import random_field
-from sdwave.interpolation import build_interpolator
 from sdwave.linalg import Factorization
 from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
                         build_corrector_set, cache_key, load_corrector_cache,
@@ -54,7 +53,6 @@ def test_observers_read_what_the_functions_return(tmp_path):
     pair = NestedMeshPair(Mesh(4), 2)
     forms = DiscreteForms(pair, random_field(pair.fine, 0.1, 10.0, 1),
                           random_field(pair.fine, 0.1, 10.0, 2), 0.1)
-    interp = build_interpolator(pair)
     config = CorrectorConfig(k=2, tau=0.1)
     tracer = layertrace.Tracer(run_id=0)
     seen = set()
@@ -63,8 +61,8 @@ def test_observers_read_what_the_functions_return(tmp_path):
         layertrace.OBSERVERS[name](tracer, args, result)
         seen.add(name)
 
-    correctors = build_corrector_set(pair, interp, forms, config)
-    seq = transients_for_all_nodes(pair, interp, forms, correctors, horizon=5)
+    correctors = build_corrector_set(forms, config)
+    seq = transients_for_all_nodes(forms, correctors, horizon=5)
     rows = sum(tc.xi.shape[0] for tc in seq.values())
     observe("lod.transients_for_all_nodes", (), seq)
     assert rows > 0 and tracer.count["lod.transient_rows"] == rows
@@ -92,7 +90,7 @@ def test_observers_read_what_the_functions_return(tmp_path):
     assert tracer.patch_dof_sets == {dofs.tobytes()}
 
     tc = seq[0]
-    basis = build_rb(tc.xi, Patch(interp, forms, tc.dofs))
+    basis = build_rb(tc.xi, Patch(forms, tc.dofs))
     observe("rb.build_rb", (), basis)
     assert tracer.m_selected == [basis.m_selected] and tracer.count["rb.basis_mb"] > 0
 
