@@ -125,11 +125,12 @@ def element_rhs_block(pair, tilde_values, t_coarse, V, columns):
 
 
 class DiscreteForms:
-    """Assembled fine-grid forms and interpolator for one coefficient pair and time step."""
+    """Assembled fine-grid forms and interpolator for one coefficient pair and
+    time step; tau is the one step every corrector and solver reads."""
 
     def __init__(self, pair, field_a, field_b, tau):
-        if tau <= 0.0:
-            raise ValueError("time step must be positive")
+        if not 0.0 < tau < np.inf:
+            raise ValueError("time step must be positive and finite, got %r" % (tau,))
         fine = pair.fine
         self.pair = pair
         self.tau = tau

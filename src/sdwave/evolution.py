@@ -1,5 +1,6 @@
 """Backward Euler time steppers: fine FEM, ideal and localized GFEM, auxiliary problem."""
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,12 +13,16 @@ from .lod import transient_patch
 
 @dataclass(frozen=True)
 class TimeGrid:
+    """The steps of one trajectory; every solver builds it from forms.tau and
+    its n_steps before any work."""
     tau: float
     n_steps: int
 
     def __post_init__(self):
         if self.tau <= 0.0:
             raise ValueError("time step must be positive")
+        if not isinstance(self.n_steps, numbers.Integral) or isinstance(self.n_steps, bool):
+            raise ValueError("n_steps must be an integer, got %r" % (self.n_steps,))
         if self.n_steps < 2:
             raise ValueError("need at least two time steps")
 
@@ -41,8 +46,9 @@ def _load(forms, f, project=lambda fine: fine):
     return lambda t: constant
 
 
-def fine_fem_solve(forms, f, u0, u1, grid):
+def fine_fem_solve(forms, f, u0, u1, n_steps):
     """Reference backward Euler FEM for the damped wave equation."""
+    grid = TimeGrid(forms.tau, n_steps)
     tau = grid.tau
     lhs = (forms.M / tau**2 + forms.K_A / tau + forms.K_B).tocsc()
     fact = linalg.Factorization(lhs)
@@ -199,36 +205,40 @@ def _multiscale(correctors):
     return correctors.Q, correctors.M_ms, correctors.A_ms, correctors.B_ms
 
 
-def galerkin_wave_solve(basis, forms, f, grid, alpha0, alpha1):
+def galerkin_wave_solve(basis, forms, f, n_steps, alpha0, alpha1):
     """Damped wave scheme posed in the span of the given basis, no fine correction.
 
     Used for the coarse FEM baseline (basis = prolongation) and for the
     single-coefficient corrected bases.
     """
+    grid = TimeGrid(forms.tau, n_steps)
     grams = [(basis.T @ mat @ basis).toarray() for mat in (forms.M, forms.K_A, forms.K_B)]
     return _gfem_steps(basis, *grams, forms, f, grid, alpha0, alpha1)
 
 
-def ideal_gfem_solve(correctors, forms, f, grid, alpha0, alpha1):
+def ideal_gfem_solve(correctors, forms, f, n_steps, alpha0, alpha1):
     """GFEM with global correctors: coarse multiscale step plus one fine-scale
     solve per time step; initial data lives in the multiscale space."""
+    grid = TimeGrid(forms.tau, n_steps)
     saddle = linalg.factor_saddle(forms.K_tilde, forms.interp)
     return _gfem_steps(*_multiscale(correctors), forms, f, grid, alpha0, alpha1,
                        _PerStep(correctors.Q, forms, grid,
                                 lambda n, alpha, memory: saddle.solve(memory)[0]))
 
 
-def localized_gfem_solve(correctors, transients, forms, f, grid, alpha0, alpha1):
+def localized_gfem_solve(correctors, transients, forms, f, n_steps, alpha0, alpha1):
     """Localized GFEM: the fine-scale part is superposed from the stored
     per-node correction sequences weighted by the coarse coefficient history."""
+    grid = TimeGrid(forms.tau, n_steps)
     if any(tc.config != correctors.config for tc in transients.values()):
         raise ValueError("transient correctors were built for another config")
     return _gfem_steps(*_multiscale(correctors), forms, f, grid, alpha0, alpha1,
                        _Superposition(correctors, transients, forms, grid))
 
 
-def localized_gfem_solve_direct(correctors, forms, f, grid, alpha0, alpha1):
+def localized_gfem_solve_direct(correctors, forms, f, n_steps, alpha0, alpha1):
     """Debug variant: per-node fine-scale systems solved directly in every step."""
+    grid = TimeGrid(forms.tau, n_steps)
     Q_csc = correctors.Q.tocsc()
     patches = [transient_patch(forms, correctors, d, Q_csc)
                for d in range(forms.pair.coarse.n_dofs)]
@@ -245,8 +255,9 @@ def localized_gfem_solve_direct(correctors, forms, f, grid, alpha0, alpha1):
                        _PerStep(correctors.Q, forms, grid, patch_solves))
 
 
-def aux_fine_solve(forms, f, z0, grid):
+def aux_fine_solve(forms, f, z0, n_steps):
     """First-order auxiliary problem on the fine mesh."""
+    grid = TimeGrid(forms.tau, n_steps)
     tau = grid.tau
     fact = linalg.Factorization(forms.K_tilde)
     load = _load(forms, f)
@@ -257,8 +268,9 @@ def aux_fine_solve(forms, f, z0, grid):
     return Trajectory(grid, states)
 
 
-def aux_gfem_solve(correctors, forms, f, alpha0, grid):
+def aux_gfem_solve(correctors, forms, f, alpha0, n_steps):
     """GFEM for the auxiliary problem; reproduces the fine solution when f = 0."""
+    grid = TimeGrid(forms.tau, n_steps)
     tau = grid.tau
     Q = correctors.Q
     QT = Q.T

@@ -12,9 +12,8 @@ from xml.etree import ElementTree
 import numpy as np
 
 from .assembly import CoefficientField, DiscreteForms
-from .evolution import (TimeGrid, fine_fem_solve, galerkin_wave_solve,
-                        ideal_gfem_solve, localized_gfem_solve, rel_h1_final,
-                        rel_l2h1)
+from .evolution import (fine_fem_solve, galerkin_wave_solve, ideal_gfem_solve,
+                        localized_gfem_solve, rel_h1_final, rel_l2h1)
 from .lod import (STOP_TOL, CorrectorConfig, build_corrector_set, cache_key,
                   load_corrector_cache, save_corrector_cache,
                   transients_for_all_nodes)
@@ -51,6 +50,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError("%s must be an integer, got %r" % (name, value))
+        for name in ("tau", "T", "lo", "hi"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise ValueError("%s must be a finite real number, got %r" % (name, value))
+        if not isinstance(self.svg, bool):
+            raise ValueError("svg must be true or false, got %r" % (self.svg,))
         if self.p < self.q or self.q < 1:
             raise ValueError("need p >= q >= 1")
         if self.lo <= 0 or self.lo >= self.hi:
@@ -97,6 +103,9 @@ def config_from_sources(experiment, json_path=None, overrides=None):
     if json_path:
         with open(json_path) as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError("config file %s must hold a JSON object, got %s"
+                             % (json_path, type(file_values).__name__))
     scale = (overrides or {}).get("scale") or file_values.get("scale") or "desk"
     values.update(scale_preset(experiment, scale))
     values.update(file_values)
@@ -144,7 +153,8 @@ def random_field(mesh, lo, hi, seed, law="loguniform", block=0):
 
 
 class _Problem:
-    """Shared per-experiment state: meshes, coefficients, forms, time grid."""
+    """Shared per-experiment state: meshes, coefficients, forms (which hold the
+    time step)."""
 
     def __init__(self, cfg, q=None):
         q = cfg.q if q is None else q
@@ -154,13 +164,12 @@ class _Problem:
         self.field_b = random_field(self.pair.fine, cfg.lo, cfg.hi, cfg.seed + 1,
                                     cfg.law, cfg.block)
         self.forms = DiscreteForms(self.pair, self.field_a, self.field_b, cfg.tau)
-        self.grid = TimeGrid(cfg.tau, cfg.n_steps)
         self.zeros = np.zeros(self.pair.coarse.n_dofs)
 
 
 def _corrector_pipeline(cfg, problem, k, form_choice, counters, transients=True):
     """Correctors (and transient sequences) with optional disk caching."""
-    config = CorrectorConfig(k=k, tau=cfg.tau, form_choice=form_choice)
+    config = CorrectorConfig(k=k, form_choice=form_choice)
     key = cache_key(problem.forms, config, cfg.n_steps, STOP_TOL)
     if cfg.cache:
         cached = load_corrector_cache(cfg.cache, key, problem.pair, config)
@@ -197,7 +206,7 @@ def run_exp_k(cfg):
 
     sat, _ = _corrector_pipeline(cfg, problem, saturating_k(problem.pair.coarse),
                                  "a_plus_tau_b", counters, transients=False)
-    reference = ideal_gfem_solve(sat, problem.forms, 1.0, problem.grid, problem.zeros,
+    reference = ideal_gfem_solve(sat, problem.forms, 1.0, cfg.n_steps, problem.zeros,
                                  problem.zeros)
 
     rows = []
@@ -214,7 +223,7 @@ def _exp_k_row(cfg, problem, k, reference, counters):
     tic = time.perf_counter()
     correctors, seq = _corrector_pipeline(cfg, problem, k, "a_plus_tau_b", counters)
     trajectory = localized_gfem_solve(correctors, seq, problem.forms, 1.0,
-                                      problem.grid, problem.zeros, problem.zeros)
+                                      cfg.n_steps, problem.zeros, problem.zeros)
     return _row(problem, reference, k, "gfem_k", trajectory, tic)
 
 
@@ -229,7 +238,7 @@ def run_exp_H(cfg):
     reference = fine_fem_solve(fine_problem.forms, 1.0,
                                np.zeros(fine_problem.pair.fine.n_dofs),
                                np.zeros(fine_problem.pair.fine.n_dofs),
-                               fine_problem.grid)
+                               cfg.n_steps)
 
     for q in range(2, cfg.q + 1):
         rows += _exp_H_level(cfg, q, fine_problem, reference, counters)
@@ -248,19 +257,19 @@ def _exp_H_level(cfg, q, fine_problem, reference, counters):
     tic = time.perf_counter()
     correctors, seq = _corrector_pipeline(cfg, problem, k, "a_plus_tau_b", counters)
     trajectory = localized_gfem_solve(correctors, seq, problem.forms, 1.0,
-                                      problem.grid, problem.zeros, problem.zeros)
+                                      cfg.n_steps, problem.zeros, problem.zeros)
     rows.append(_row(problem, reference, param, "gfem", trajectory, tic))
 
     tic = time.perf_counter()
     trajectory = galerkin_wave_solve(prolongation(problem.pair), problem.forms, 1.0,
-                                     problem.grid, problem.zeros, problem.zeros)
+                                     cfg.n_steps, problem.zeros, problem.zeros)
     rows.append(_row(problem, reference, param, "fem", trajectory, tic))
 
     for choice, method in (("a_only", "lod_a"), ("b_only", "lod_b")):
         tic = time.perf_counter()
         single, _ = _corrector_pipeline(cfg, problem, k, choice, counters,
                                         transients=False)
-        trajectory = galerkin_wave_solve(single.Q, problem.forms, 1.0, problem.grid,
+        trajectory = galerkin_wave_solve(single.Q, problem.forms, 1.0, cfg.n_steps,
                                          problem.zeros, problem.zeros)
         rows.append(_row(problem, reference, param, method, trajectory, tic))
     for row in rows:
@@ -278,7 +287,7 @@ def run_exp_rb(cfg):
 
     correctors, seq = _corrector_pipeline(cfg, problem, k, "a_plus_tau_b", counters)
     reference = localized_gfem_solve(correctors, seq, problem.forms, 1.0,
-                                     problem.grid, problem.zeros, problem.zeros)
+                                     cfg.n_steps, problem.zeros, problem.zeros)
 
     # one basis per node, built from max(M) snapshots; each M takes its prefix
     reductions = node_reductions(seq, problem.forms, cfg.M)
@@ -286,7 +295,7 @@ def run_exp_rb(cfg):
     for m in cfg.M:
         tic = time.perf_counter()
         trajectory = rb_gfem_solve(correctors, seq, reductions, problem.forms, 1.0,
-                                   problem.grid, problem.zeros, problem.zeros, m)
+                                   cfg.n_steps, problem.zeros, problem.zeros, m)
         rows.append(_row(problem, reference, m, "rb", trajectory, tic))
         log.info("exp-rb M=%d gap=%.3e", m, rows[-1]["rel_h1_final"])
     meta = dict(counters, wall_s=time.perf_counter() - started)

@@ -22,15 +22,13 @@ STOP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CorrectorConfig:
+    """Patch size and corrector form; the time step is the forms' own, forms.tau."""
     k: int
-    tau: float
     form_choice: str = "a_plus_tau_b"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("patch size k must be >= 1")
-        if self.tau <= 0.0:
-            raise ValueError("time step must be positive")
         if self.form_choice not in FORM_CHOICES:
             raise ValueError("unknown form choice %r" % (self.form_choice,))
 
@@ -150,8 +148,6 @@ class CorrectorSet:
 
 def build_corrector_set(forms, config):
     """Assemble all element correctors and the modified coarse basis."""
-    if abs(config.tau - forms.tau) > 1e-15 * max(1.0, forms.tau):
-        raise ValueError("corrector config and forms disagree on the time step")
     pair = forms.pair
     coarse = pair.coarse
 
@@ -321,14 +317,14 @@ def cache_key(forms, config, horizon, stop_tol):
     """File key for a corrector set (and its transients) built from these inputs.
 
     The digest covers everything the cached arrays depend on: both coefficient
-    arrays, the exact time step, the patch size, the form, the mesh pair, and
-    the transient horizon and stop tolerance.
+    arrays, the exact time step forms.tau, the patch size, the form, the mesh
+    pair, and the transient horizon and stop tolerance.
     """
     pair = forms.pair
     digest = hashlib.sha256()
     digest.update(forms.a_values.tobytes())
     digest.update(forms.b_values.tobytes())
-    digest.update(repr((float(config.tau).hex(), config.k, config.form_choice,
+    digest.update(repr((float(forms.tau).hex(), config.k, config.form_choice,
                         pair.coarse.n, pair.r, horizon, float(stop_tol).hex())).encode())
     return "k%d_%s_%s" % (config.k, config.form_choice, digest.hexdigest())
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .evolution import localized_gfem_solve
+from .evolution import TimeGrid, localized_gfem_solve
 from .lod import STOP_TOL, Patch, TransientCorrectors
 
 # Gram-Schmidt stops at a remainder of RB_TOL times its snapshot's energy norm
@@ -122,12 +122,12 @@ class NodeReduction:
     norm1: float           # H1 norm of the first snapshot
 
 
-def node_reductions(transients, forms, m_values, tol_rel=RB_TOL):
+def node_reductions(transients, forms, m_values):
     """Per-node reduced bases for a sweep over the snapshot counts m_values.
 
-    Each node whose sequence is longer than the smallest count gets one basis
-    from its first min(max(m_values), length) snapshots; compress_transients
-    takes the prefix of it for each count.
+    Each node whose sequence is longer than the smallest count gets one basis,
+    at the tolerance RB_TOL, from its first min(max(m_values), length)
+    snapshots; compress_transients takes the prefix of it for each count.
     """
     m_values = tuple(m_values)
     if not m_values or min(m_values) < 1:
@@ -140,7 +140,7 @@ def node_reductions(transients, forms, m_values, tol_rel=RB_TOL):
         n = min(max(m_values), length)
         patch = Patch(forms, tc.dofs)
         try:
-            basis = build_rb(tc.xi[:n], patch, tol_rel=tol_rel)
+            basis = build_rb(tc.xi[:n], patch)
         except EmptyBasisError:
             out[d] = NodeReduction(n, patch.k_tilde, None, None, 0.0)
             continue
@@ -151,12 +151,12 @@ def node_reductions(transients, forms, m_values, tol_rel=RB_TOL):
     return out
 
 
-def _continuation(node, kept, steps, stop_tol):
+def _continuation(node, kept, steps):
     """Up to `steps` members after `kept`, stepped in basis coordinates as
     c <- a_hat^-1 k_hat c and lifted with one product at the end.
 
     The sequence ends with the first member whose H1 norm, c^T (Z^T H1 Z) c,
-    falls to stop_tol times that of the first snapshot.
+    falls to STOP_TOL times that of the first snapshot.
     """
     basis = node.basis.prefix(kept.shape[0])
     m = basis.m_selected
@@ -167,12 +167,12 @@ def _continuation(node, kept, steps, stop_tol):
         c = G @ c
         coeffs[:, j] = c
     energy = np.einsum("ij,ij->j", coeffs, node.w_h1[:m, :m] @ coeffs)
-    below = np.flatnonzero(np.sqrt(np.maximum(energy, 0.0)) <= stop_tol * node.norm1)
+    below = np.flatnonzero(np.sqrt(np.maximum(energy, 0.0)) <= STOP_TOL * node.norm1)
     n = below[0] + 1 if below.size else steps
     return (basis.Z @ coeffs[:, :n]).T
 
 
-def compress_transients(transients, reductions, m_max, horizon, stop_tol=STOP_TOL):
+def compress_transients(transients, reductions, m_max, horizon):
     """Replace each correction sequence by its first m_max members plus
     reduced-basis continuations up to the horizon; returns the sequences per
     node.
@@ -196,16 +196,15 @@ def compress_transients(transients, reductions, m_max, horizon, stop_tol=STOP_TO
                              % (m_avail, d))
         rows = kept
         if node.basis is not None and horizon > m_avail:
-            rows = np.vstack([kept, _continuation(node, kept, horizon - m_avail,
-                                                  stop_tol)])
+            rows = np.vstack([kept, _continuation(node, kept, horizon - m_avail)])
         compressed[d] = TransientCorrectors(tc.dofs, rows, tc.config)
     return compressed
 
 
-def rb_gfem_solve(correctors, transients, reductions, forms, f, grid, alpha0,
-                  alpha1, m_max, stop_tol=STOP_TOL):
+def rb_gfem_solve(correctors, transients, reductions, forms, f, n_steps, alpha0,
+                  alpha1, m_max):
     """Localized GFEM where corrections beyond the first m_max steps come from
     the per-node reduced bases in reductions (from node_reductions)."""
-    compressed = compress_transients(transients, reductions, m_max, grid.n_steps,
-                                     stop_tol=stop_tol)
-    return localized_gfem_solve(correctors, compressed, forms, f, grid, alpha0, alpha1)
+    TimeGrid(forms.tau, n_steps)  # rejects a bad n_steps before the compression
+    compressed = compress_transients(transients, reductions, m_max, n_steps)
+    return localized_gfem_solve(correctors, compressed, forms, f, n_steps, alpha0, alpha1)

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from sdwave.assembly import DiscreteForms, h1_norms
-from sdwave.evolution import (TimeGrid, aux_fine_solve, aux_gfem_solve,
-                              discrete_energy, fine_fem_solve,
-                              localized_gfem_solve, rel_l2h1)
+from sdwave.evolution import (aux_fine_solve, aux_gfem_solve, discrete_energy,
+                              fine_fem_solve, localized_gfem_solve, rel_l2h1)
 from sdwave.harness import ExperimentConfig, random_field, run_exp_H, \
     run_exp_k, run_exp_rb
 from sdwave.lod import (CorrectorConfig, build_corrector_set,
@@ -52,13 +51,13 @@ def prob_q4():
 
 @pytest.fixture(scope="session")
 def sat_q4(prob_q4):
-    cfg = CorrectorConfig(k=saturating_k(prob_q4.pair.coarse), tau=TAU)
+    cfg = CorrectorConfig(k=saturating_k(prob_q4.pair.coarse))
     return build_corrector_set(prob_q4.forms, cfg)
 
 
 @pytest.fixture(scope="session")
 def transient_center_q4(prob_q4):
-    cfg = CorrectorConfig(k=4, tau=TAU)
+    cfg = CorrectorConfig(k=4)
     cs = build_corrector_set(prob_q4.forms, cfg)
     coarse = prob_q4.pair.coarse
     center = (coarse.n // 2) * (coarse.n + 1) + coarse.n // 2
@@ -81,13 +80,12 @@ def test_criterion_1_oracle_collapse():
     field_a = random_field(pair.fine, 1e-1, 1e3, SEED)
     field_b = random_field(pair.fine, 1e-1, 1e3, SEED + 1)
     forms = DiscreteForms(pair, field_a, field_b, TAU)
-    grid = TimeGrid(TAU, 25)
-    cs = build_corrector_set(forms, CorrectorConfig(k=2, tau=TAU))
+    cs = build_corrector_set(forms, CorrectorConfig(k=2))
     seq = transients_for_all_nodes(forms, cs, horizon=25)
     zc = np.zeros(pair.coarse.n_dofs)
-    lod = localized_gfem_solve(cs, seq, forms, 1.0, grid, zc, zc)
+    lod = localized_gfem_solve(cs, seq, forms, 1.0, 25, zc, zc)
     ref = fine_fem_solve(forms, 1.0, np.zeros(pair.fine.n_dofs),
-                         np.zeros(pair.fine.n_dofs), grid)
+                         np.zeros(pair.fine.n_dofs), 25)
     gap = rel_l2h1(forms, lod, ref)
     _report(1, "oracle collapse at r=1", gap <= 1e-8,
             "rel L2(H1) gap %.2e <= 1e-8" % gap, time.perf_counter() - tic, 10.0)
@@ -100,12 +98,12 @@ def test_criterion_2_auxiliary_exactness(request):
     rng = np.random.default_rng(SEED)
     alpha0 = rng.standard_normal(prob.pair.coarse.n_dofs)
     z0 = sat.Q @ alpha0
-    grid = TimeGrid(TAU, 25)
-    fine = aux_fine_solve(prob.forms, 0.0, z0, grid)
-    gfem = aux_gfem_solve(sat, prob.forms, 0.0, alpha0, grid)
+    n_steps = 25
+    fine = aux_fine_solve(prob.forms, 0.0, z0, n_steps)
+    gfem = aux_gfem_solve(sat, prob.forms, 0.0, alpha0, n_steps)
     worst = max(h1_norms(prob.forms, [fine.states[n] - gfem.states[n]])[0]
                 / h1_norms(prob.forms, [fine.states[n]])[0]
-                for n in range(1, grid.n_steps + 1))
+                for n in range(1, n_steps + 1))
     _report(2, "auxiliary problem reproduced exactly", worst <= 1e-9,
             "max per-step rel err %.2e <= 1e-9" % worst,
             time.perf_counter() - tic, 10.0)
@@ -117,7 +115,7 @@ def test_criterion_3_superposition_identity():
     field_a = random_field(pair.fine, 1e-1, 1e3, SEED)
     field_b = random_field(pair.fine, 1e-1, 1e3, SEED + 1)
     forms = DiscreteForms(pair, field_a, field_b, TAU)
-    cfg = CorrectorConfig(k=2, tau=TAU)
+    cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(forms, cfg)
     n_steps = 20
     rng = np.random.default_rng(7)
@@ -223,7 +221,7 @@ def test_criterion_8_energy_dissipation(request):
     rng = np.random.default_rng(SEED)
     u0 = rng.standard_normal(prob.pair.fine.n_dofs)
     u1 = u0 + 0.01 * rng.standard_normal(prob.pair.fine.n_dofs)
-    traj = fine_fem_solve(prob.forms, 0.0, u0, u1, TimeGrid(TAU, 100))
+    traj = fine_fem_solve(prob.forms, 0.0, u0, u1, 100)
     E = discrete_energy(prob.forms, traj)
     ok = bool(np.all(np.diff(E) <= 1e-12 * E[0]))
     _report(8, "energy dissipation without source", ok,

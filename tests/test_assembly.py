@@ -88,6 +88,16 @@ def test_coefficient_field_validation():
         assemble_stiffness(m, np.full(m.n_elements, np.inf))
 
 
+@pytest.mark.parametrize("tau", [-1.0, 0.0, np.nan, np.inf, -np.inf],
+                         ids=["negative", "zero", "nan", "inf", "minus-inf"])
+def test_forms_reject_a_bad_time_step(tau):
+    # the forms hold the one time step every corrector and solver reads
+    pair = NestedMeshPair(Mesh(2), 1)
+    ones = np.ones(pair.fine.n_elements)
+    with pytest.raises(ValueError, match="time step"):
+        DiscreteForms(pair, ones, ones, tau)
+
+
 def test_mismatched_mesh_rejected():
     m = Mesh(4)
     other = random_field(Mesh(8), 0.5, 2.0, 0)

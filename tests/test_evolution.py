@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from sdwave import linalg
 from sdwave.assembly import DiscreteForms, assemble_load, h1_norms
 from sdwave.evolution import (_BLOCK, TimeGrid, Trajectory, aux_fine_solve,
                               aux_gfem_solve, discrete_energy, fine_fem_solve,
@@ -31,9 +32,8 @@ def test_trajectory_rejects_nonfinite():
 
 
 def test_fine_fem_zero_data_zero_source(problem44):
-    grid = TimeGrid(TAU, 5)
     zeros = np.zeros(problem44.n_fine_dofs)
-    traj = fine_fem_solve(problem44.forms, 0.0, zeros, zeros, grid)
+    traj = fine_fem_solve(problem44.forms, 0.0, zeros, zeros, 5)
     assert np.all(traj.states == 0.0)
 
 
@@ -43,8 +43,7 @@ def test_fine_fem_single_dof_recurrence():
     pair = NestedMeshPair(Mesh(2), 1)
     ones = np.ones(pair.fine.n_elements)
     forms = DiscreteForms(pair, ones, ones, TAU)
-    grid = TimeGrid(TAU, 600)
-    traj = fine_fem_solve(forms, 1.0, np.zeros(1), np.zeros(1), grid)
+    traj = fine_fem_solve(forms, 1.0, np.zeros(1), np.zeros(1), 600)
     u = [0.0, 0.0]
     for n in range(2, 601):
         lhs = (1 / 8) / TAU ** 2 + 4 / TAU + 4
@@ -58,60 +57,59 @@ def test_energy_dissipation(problem44):
     rng = np.random.default_rng(40)
     u0 = rng.standard_normal(problem44.n_fine_dofs)
     u1 = u0 + 0.01 * rng.standard_normal(problem44.n_fine_dofs)
-    traj = fine_fem_solve(problem44.forms, 0.0, u0, u1, TimeGrid(TAU, 60))
+    traj = fine_fem_solve(problem44.forms, 0.0, u0, u1, 60)
     E = discrete_energy(problem44.forms, traj)
     assert np.all(np.diff(E) <= 1e-12 * E[0])
 
 
 @pytest.fixture(scope="module")
 def saturated44(problem44):
-    cfg = CorrectorConfig(k=saturating_k(problem44.pair.coarse), tau=TAU)
+    cfg = CorrectorConfig(k=saturating_k(problem44.pair.coarse))
     return build_corrector_set(problem44.forms, cfg)
 
 
 def test_ideal_gfem_zero_problem(problem44, saturated44):
-    grid = TimeGrid(TAU, 5)
     zc = np.zeros(problem44.n_coarse_dofs)
-    traj = ideal_gfem_solve(saturated44, problem44.forms, 0.0, grid, zc, zc)
+    traj = ideal_gfem_solve(saturated44, problem44.forms, 0.0, 5, zc, zc)
     assert np.all(traj.states == 0.0)
 
 
 def test_oracle_collapse_at_r1(problem81):
-    cfg = CorrectorConfig(k=2, tau=TAU)
+    cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem81.forms, cfg)
-    grid = TimeGrid(TAU, 10)
+    n_steps = 10
     zc = np.zeros(problem81.n_coarse_dofs)
     seq = transients_for_all_nodes(problem81.forms, cs, horizon=10)
-    loc = localized_gfem_solve(cs, seq, problem81.forms, 1.0, grid, zc, zc)
+    loc = localized_gfem_solve(cs, seq, problem81.forms, 1.0, n_steps, zc, zc)
     zeros = np.zeros(problem81.n_fine_dofs)
-    ref = fine_fem_solve(problem81.forms, 1.0, zeros, zeros, grid)
+    ref = fine_fem_solve(problem81.forms, 1.0, zeros, zeros, n_steps)
     assert rel_l2h1(problem81.forms, loc, ref) <= 1e-8
 
 
 def test_localized_saturated_matches_ideal(problem44, saturated44):
-    grid = TimeGrid(TAU, 12)
+    n_steps = 12
     zc = np.zeros(problem44.n_coarse_dofs)
     seq = transients_for_all_nodes(problem44.forms, saturated44,
                                    horizon=12, stop_tol=0.0)
-    loc = localized_gfem_solve(saturated44, seq, problem44.forms, 1.0, grid, zc, zc)
-    ideal = ideal_gfem_solve(saturated44, problem44.forms, 1.0, grid, zc, zc)
+    loc = localized_gfem_solve(saturated44, seq, problem44.forms, 1.0, n_steps, zc, zc)
+    ideal = ideal_gfem_solve(saturated44, problem44.forms, 1.0, n_steps, zc, zc)
     assert rel_l2h1(problem44.forms, loc, ideal) <= 1e-8
 
 
 def test_superposition_path_matches_direct_debug_path(problem44):
-    cfg = CorrectorConfig(k=2, tau=TAU)
+    cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
     seq = transients_for_all_nodes(problem44.forms, cs, horizon=12, stop_tol=0.0)
-    grid = TimeGrid(TAU, 12)
+    n_steps = 12
     zc = np.zeros(problem44.n_coarse_dofs)
-    loc = localized_gfem_solve(cs, seq, problem44.forms, 1.0, grid, zc, zc)
-    direct = localized_gfem_solve_direct(cs, problem44.forms, 1.0, grid, zc, zc)
+    loc = localized_gfem_solve(cs, seq, problem44.forms, 1.0, n_steps, zc, zc)
+    direct = localized_gfem_solve_direct(cs, problem44.forms, 1.0, n_steps, zc, zc)
     assert rel_l2h1(problem44.forms, loc, direct) <= 1e-9
 
 
 @pytest.fixture(scope="module")
 def k2_44(problem44):
-    return build_corrector_set(problem44.forms, CorrectorConfig(k=2, tau=TAU))
+    return build_corrector_set(problem44.forms, CorrectorConfig(k=2))
 
 
 def test_localized_nonzero_initial_data_matches_direct_and_ideal(problem44, k2_44,
@@ -120,17 +118,17 @@ def test_localized_nonzero_initial_data_matches_direct_and_ideal(problem44, k2_4
     # sums the lags l <= n - 1 only, as the direct and ideal schemes do
     rng = np.random.default_rng(43)
     alpha0, alpha1 = rng.standard_normal((2, problem44.n_coarse_dofs))
-    grid = TimeGrid(TAU, 12)
+    n_steps = 12
     forms = problem44.forms
 
     seq = transients_for_all_nodes(forms, k2_44, horizon=12, stop_tol=0.0)
-    loc = localized_gfem_solve(k2_44, seq, forms, 1.0, grid, alpha0, alpha1)
-    direct = localized_gfem_solve_direct(k2_44, forms, 1.0, grid, alpha0, alpha1)
+    loc = localized_gfem_solve(k2_44, seq, forms, 1.0, n_steps, alpha0, alpha1)
+    direct = localized_gfem_solve_direct(k2_44, forms, 1.0, n_steps, alpha0, alpha1)
     assert rel_l2h1(forms, loc, direct) <= 1e-9
 
     seq = transients_for_all_nodes(forms, saturated44, horizon=12, stop_tol=0.0)
-    loc = localized_gfem_solve(saturated44, seq, forms, 1.0, grid, alpha0, alpha1)
-    ideal = ideal_gfem_solve(saturated44, forms, 1.0, grid, alpha0, alpha1)
+    loc = localized_gfem_solve(saturated44, seq, forms, 1.0, n_steps, alpha0, alpha1)
+    ideal = ideal_gfem_solve(saturated44, forms, 1.0, n_steps, alpha0, alpha1)
     assert rel_l2h1(forms, loc, ideal) <= 1e-8
 
 
@@ -158,21 +156,21 @@ def test_error_norms_equal_per_state_h1_norms(problem44):
     assert h1_norms(forms, [reference.states[3]])[0] == norm(reference.states[3])
 
 
-def _per_step_superposition(correctors, transients, forms, f, grid, alpha0, alpha1):
+def _per_step_superposition(correctors, transients, forms, f, n_steps, alpha0, alpha1):
     """Oracle for localized_gfem_solve: the fine-scale part re-summed from every
     stored sequence in every step, w^n = sum_x sum_{l=1}^{n-1} alpha_x^{n-l} xi_x^l,
     and fed back through Q^T K_A u^{n-1}."""
-    tau = grid.tau
+    tau = forms.tau
     Q = correctors.Q
     lhs = scipy.linalg.lu_factor(correctors.M_ms / tau + correctors.A_ms
                                  + tau * correctors.B_ms)
-    alpha = np.zeros((grid.n_steps + 1, Q.shape[1]))
+    alpha = np.zeros((n_steps + 1, Q.shape[1]))
     alpha[0] = alpha0
     alpha[1] = alpha1
-    states = np.zeros((grid.n_steps + 1, forms.fine.n_dofs))
+    states = np.zeros((n_steps + 1, forms.fine.n_dofs))
     states[0] = Q @ alpha0
     states[1] = Q @ alpha1
-    for n in range(2, grid.n_steps + 1):
+    for n in range(2, n_steps + 1):
         rhs = (tau * (Q.T @ assemble_load(forms.fine, f, n * tau))
                + Q.T @ (forms.K_A @ states[n - 1])
                + correctors.M_ms @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau)
@@ -206,12 +204,11 @@ MULTI_BLOCK = 2 * _BLOCK + 5
         "multi-block-long-sequences", "two-steps"])
 def test_localized_matches_per_step_superposition(problem44, k2_44, n_steps, horizon,
                                                   stop_tol, f, data):
-    grid = TimeGrid(TAU, n_steps)
     forms = problem44.forms
     seq = transients_for_all_nodes(forms, k2_44, horizon=horizon, stop_tol=stop_tol)
     lengths = sorted(tc.xi.shape[0] for tc in seq.values())
     if stop_tol > 0:
-        assert lengths[0] < grid.n_steps and lengths[0] < lengths[-1]
+        assert lengths[0] < n_steps and lengths[0] < lengths[-1]
     if n_steps == MULTI_BLOCK:
         # blocks cut through sequences shorter than one block and longer than N
         assert lengths[-1] > n_steps
@@ -220,28 +217,29 @@ def test_localized_matches_per_step_superposition(problem44, k2_44, n_steps, hor
     alpha0, alpha1 = (rng.standard_normal((2, problem44.n_coarse_dofs)) if data
                       else np.zeros((2, problem44.n_coarse_dofs)))
 
-    loc = localized_gfem_solve(k2_44, seq, forms, f, grid, alpha0, alpha1)
-    alpha, states = _per_step_superposition(k2_44, seq, forms, f, grid,
+    loc = localized_gfem_solve(k2_44, seq, forms, f, n_steps, alpha0, alpha1)
+    alpha, states = _per_step_superposition(k2_44, seq, forms, f, n_steps,
                                             alpha0, alpha1)
     assert np.linalg.norm(loc.alpha - alpha) <= 1e-12 * np.linalg.norm(alpha)
     assert np.linalg.norm(loc.states - states) <= 1e-12 * np.linalg.norm(states)
 
 
 def test_transient_config_mismatch_rejected(problem44, saturated44):
-    other = build_corrector_set(problem44.forms, CorrectorConfig(k=2, tau=TAU))
+    other = build_corrector_set(problem44.forms, CorrectorConfig(k=2))
     seq = transients_for_all_nodes(problem44.forms, other, horizon=4)
-    grid = TimeGrid(TAU, 4)
     zc = np.zeros(problem44.n_coarse_dofs)
     with pytest.raises(ValueError):
-        localized_gfem_solve(saturated44, seq, problem44.forms, 1.0, grid, zc, zc)
+        localized_gfem_solve(saturated44, seq, problem44.forms, 1.0, 4, zc, zc)
 
 
-def test_steady_state_b_orthogonality(problem44, saturated44):
-    # the solution drifts toward b-orthogonality against the fine-scale space
-    forms = problem44.forms
-    grid = TimeGrid(0.05, 200)
+def test_steady_state_b_orthogonality(problem44):
+    # the solution drifts toward b-orthogonality against the fine-scale space;
+    # forms and correctors are built at the step of the run
+    pair = problem44.pair
+    forms = DiscreteForms(pair, problem44.field_a, problem44.field_b, 0.05)
+    saturated = build_corrector_set(forms, CorrectorConfig(k=saturating_k(pair.coarse)))
     zc = np.zeros(problem44.n_coarse_dofs)
-    traj = ideal_gfem_solve(saturated44, forms, 1.0, grid, zc, zc)
+    traj = ideal_gfem_solve(saturated, forms, 1.0, 200, zc, zc)
     saddle = factor_saddle(forms.K_tilde, forms.interp)
     rng = np.random.default_rng(41)
 
@@ -261,21 +259,21 @@ def test_aux_exactness_without_source(problem44, saturated44):
     rng = np.random.default_rng(42)
     alpha0 = rng.standard_normal(problem44.n_coarse_dofs)
     z0 = saturated44.Q @ alpha0
-    grid = TimeGrid(TAU, 20)
-    fine = aux_fine_solve(problem44.forms, 0.0, z0, grid)
-    gfem = aux_gfem_solve(saturated44, problem44.forms, 0.0, alpha0, grid)
+    n_steps = 20
+    fine = aux_fine_solve(problem44.forms, 0.0, z0, n_steps)
+    gfem = aux_gfem_solve(saturated44, problem44.forms, 0.0, alpha0, n_steps)
     for n in range(1, 21):
         err = h1_norms(problem44.forms, [fine.states[n] - gfem.states[n]])[0]
         assert err <= 1e-9 * h1_norms(problem44.forms, [fine.states[n]])[0]
 
 
 def test_aux_zero(problem44, saturated44):
-    grid = TimeGrid(TAU, 4)
+    n_steps = 4
     fine = aux_fine_solve(problem44.forms, 0.0,
-                          np.zeros(problem44.n_fine_dofs), grid)
+                          np.zeros(problem44.n_fine_dofs), n_steps)
     assert np.all(fine.states == 0.0)
     gfem = aux_gfem_solve(saturated44, problem44.forms, 0.0,
-                          np.zeros(problem44.n_coarse_dofs), grid)
+                          np.zeros(problem44.n_coarse_dofs), n_steps)
     assert np.all(gfem.states == 0.0)
 
 
@@ -287,10 +285,10 @@ def test_aux_convergence_rate():
         A = random_field(pair.fine, 0.1, 1000.0, 1)
         B = random_field(pair.fine, 0.1, 1000.0, 2)
         forms = DiscreteForms(pair, A, B, TAU)
-        cs = build_corrector_set(forms, CorrectorConfig(k=saturating_k(pair.coarse), tau=TAU))
-        grid = TimeGrid(TAU, 25)
-        fine = aux_fine_solve(forms, 1.0, np.zeros(pair.fine.n_dofs), grid)
-        gfem = aux_gfem_solve(cs, forms, 1.0, np.zeros(pair.coarse.n_dofs), grid)
+        cs = build_corrector_set(forms, CorrectorConfig(k=saturating_k(pair.coarse)))
+        n_steps = 25
+        fine = aux_fine_solve(forms, 1.0, np.zeros(pair.fine.n_dofs), n_steps)
+        gfem = aux_gfem_solve(cs, forms, 1.0, np.zeros(pair.coarse.n_dofs), n_steps)
         errs.append(h1_norms(forms, [fine.states[-1] - gfem.states[-1]])[0]
                     / h1_norms(forms, [fine.states[-1]])[0])
     rate = -np.polyfit(np.arange(2, 5), np.log2(errs), 1)[0]
@@ -298,18 +296,54 @@ def test_aux_convergence_rate():
 
 
 def test_fem_baseline_collapses_at_r1(problem81):
-    grid = TimeGrid(TAU, 8)
+    n_steps = 8
     zc = np.zeros(problem81.n_coarse_dofs)
     P = prolongation(problem81.pair)
-    fem = galerkin_wave_solve(P, problem81.forms, 1.0, grid, zc, zc)
+    fem = galerkin_wave_solve(P, problem81.forms, 1.0, n_steps, zc, zc)
     zeros = np.zeros(problem81.n_fine_dofs)
-    ref = fine_fem_solve(problem81.forms, 1.0, zeros, zeros, grid)
+    ref = fine_fem_solve(problem81.forms, 1.0, zeros, zeros, n_steps)
     assert rel_l2h1(problem81.forms, fem, ref) <= 1e-10
 
 
 def test_error_norms_zero_for_identical(problem44):
-    grid = TimeGrid(TAU, 4)
     zeros = np.zeros(problem44.n_fine_dofs)
-    traj = fine_fem_solve(problem44.forms, 1.0, zeros, zeros, grid)
+    traj = fine_fem_solve(problem44.forms, 1.0, zeros, zeros, 4)
     assert rel_h1_final(problem44.forms, traj, traj) == 0.0
     assert rel_l2h1(problem44.forms, traj, traj) == 0.0
+
+
+def test_every_solver_steps_at_forms_tau(problem44):
+    # no solver takes a step: each trajectory's grid is the forms' step
+    pair = problem44.pair
+    forms = DiscreteForms(pair, problem44.field_a, problem44.field_b, 0.05)
+    cs = build_corrector_set(forms, CorrectorConfig(k=2))
+    seq = transients_for_all_nodes(forms, cs, horizon=3)
+    zc = np.zeros(problem44.n_coarse_dofs)
+    zf = np.zeros(problem44.n_fine_dofs)
+    trajectories = [
+        fine_fem_solve(forms, 1.0, zf, zf, 3),
+        galerkin_wave_solve(prolongation(pair), forms, 1.0, 3, zc, zc),
+        ideal_gfem_solve(cs, forms, 1.0, 3, zc, zc),
+        localized_gfem_solve(cs, seq, forms, 1.0, 3, zc, zc),
+        localized_gfem_solve_direct(cs, forms, 1.0, 3, zc, zc),
+        aux_fine_solve(forms, 1.0, zf, 3),
+        aux_gfem_solve(cs, forms, 1.0, zc, 3),
+    ]
+    for trajectory in trajectories:
+        assert trajectory.grid == TimeGrid(forms.tau, 3)
+        assert trajectory.states.shape[0] == 4
+
+
+@pytest.mark.parametrize("n_steps", [1, 2.0, True], ids=["one", "float", "bool"])
+def test_solvers_reject_a_bad_step_count(problem44, monkeypatch, n_steps):
+    # rejected before any factorization
+    def no_factor(*args):
+        raise AssertionError("factored before checking n_steps")
+
+    monkeypatch.setattr(linalg, "Factorization", no_factor)
+    monkeypatch.setattr(linalg, "factor_saddle", no_factor)
+    zf = np.zeros(problem44.n_fine_dofs)
+    with pytest.raises(ValueError, match="n_steps|two time steps"):
+        fine_fem_solve(problem44.forms, 1.0, zf, zf, n_steps)
+    with pytest.raises(ValueError, match="n_steps|two time steps"):
+        aux_fine_solve(problem44.forms, 1.0, zf, n_steps)

@@ -95,9 +95,8 @@ def test_near_constant_field_gfem_error_matches_fem_level():
     # without coefficient variation the coarse FEM has no multiscale handicap,
     # so the two methods land at the same error level against the fine solve
     from sdwave.assembly import DiscreteForms
-    from sdwave.evolution import (TimeGrid, fine_fem_solve,
-                                  galerkin_wave_solve, localized_gfem_solve,
-                                  rel_l2h1)
+    from sdwave.evolution import (fine_fem_solve, galerkin_wave_solve,
+                                  localized_gfem_solve, rel_l2h1)
     from sdwave.lod import (CorrectorConfig, build_corrector_set,
                             transients_for_all_nodes)
     from sdwave.mesh import NestedMeshPair, prolongation
@@ -106,14 +105,13 @@ def test_near_constant_field_gfem_error_matches_fem_level():
     A = random_field(pair.fine, 1.0, 1.0 + 1e-9, 1)
     B = random_field(pair.fine, 1.0, 1.0 + 1e-9, 2)
     forms = DiscreteForms(pair, A, B, 0.02)
-    cs = build_corrector_set(forms, CorrectorConfig(k=2, tau=0.02))
+    cs = build_corrector_set(forms, CorrectorConfig(k=2))
     seq = transients_for_all_nodes(forms, cs, horizon=10)
-    grid = TimeGrid(0.02, 10)
     zc = np.zeros(pair.coarse.n_dofs)
     ref = fine_fem_solve(forms, 1.0, np.zeros(pair.fine.n_dofs),
-                         np.zeros(pair.fine.n_dofs), grid)
-    gfem = localized_gfem_solve(cs, seq, forms, 1.0, grid, zc, zc)
-    fem = galerkin_wave_solve(prolongation(pair), forms, 1.0, grid, zc, zc)
+                         np.zeros(pair.fine.n_dofs), 10)
+    gfem = localized_gfem_solve(cs, seq, forms, 1.0, 10, zc, zc)
+    fem = galerkin_wave_solve(prolongation(pair), forms, 1.0, 10, zc, zc)
     e_gfem = rel_l2h1(forms, gfem, ref)
     e_fem = rel_l2h1(forms, fem, ref)
     assert e_gfem <= 1.2 * e_fem
@@ -172,13 +170,39 @@ def test_config_rejects_unknown_law(tmp_path, law):
                               "rb_tol-nan", "stop_tol-negative", "stop_tol-nan",
                               "block-negative"])
 def test_config_rejects_bad_tolerances(tmp_path, bad):
-    # block = -1 ran as 0; rb_tol and stop_tol are no config keys (the
-    # defaults of node_reductions and lod.STOP_TOL), so a file that sets one
-    # is rejected as naming an unknown key
+    # block = -1 ran as 0; rb_tol and stop_tol are no config keys (they are
+    # rb.RB_TOL and lod.STOP_TOL), so a file that sets one is rejected as
+    # naming an unknown key
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(bad))
     with pytest.raises(ValueError, match=next(iter(bad))):
         config_from_sources("exp-rb", str(path), dict(MICRO))
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", "3", '"exp-k"', "null"],
+                         ids=["list", "number", "string", "null"])
+def test_config_file_must_hold_an_object(tmp_path, content):
+    # a file whose top level was no object raised AttributeError
+    path = tmp_path / "cfg.json"
+    path.write_text(content)
+    with pytest.raises(ValueError, match="JSON object"):
+        config_from_sources("exp-k", str(path), dict(MICRO))
+
+
+@pytest.mark.parametrize("bad", [
+    dict(tau="0.1"), dict(T="1"), dict(lo="0.1"), dict(hi="1e3"),
+    dict(lo=float("nan")), dict(hi=float("nan")), dict(hi=float("inf")),
+    dict(lo=True), dict(T=True), dict(svg="no"), dict(svg=1),
+], ids=["tau-string", "T-string", "lo-string", "hi-string", "lo-nan", "hi-nan",
+        "hi-inf", "lo-bool", "T-bool", "svg-string", "svg-int"])
+def test_config_rejects_non_numbers_and_non_bools(tmp_path, bad):
+    # strings raised TypeError; NaN and inf bounds, booleans as numbers and
+    # any svg value were accepted
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(bad))
+    overrides = {k: v for k, v in MICRO.items() if k not in bad}
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        config_from_sources("exp-k", str(path), overrides)
 
 
 def test_config_accepts_whole_step_counts():

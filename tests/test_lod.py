@@ -15,23 +15,17 @@ from sdwave.lod import (CorrectorConfig, Patch, build_corrector_set, cache_key,
                         compute_transient_correctors, decay_profile,
                         form_values, load_corrector_cache, patch_fine_dofs,
                         save_corrector_cache, transient_patch)
-from sdwave.mesh import element_patch, node_patch, prolongation, saturating_k
+from sdwave.mesh import (Mesh, NestedMeshPair, element_patch, node_patch,
+                         prolongation, saturating_k)
 
 TAU = 0.02
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        CorrectorConfig(k=0, tau=TAU)
+        CorrectorConfig(k=0)
     with pytest.raises(ValueError):
-        CorrectorConfig(k=1, tau=-1.0)
-    with pytest.raises(ValueError):
-        CorrectorConfig(k=1, tau=TAU, form_choice="c_only")
-
-
-def test_tau_mismatch_rejected(problem44):
-    with pytest.raises(ValueError):
-        build_corrector_set(problem44.forms, CorrectorConfig(k=2, tau=0.5))
+        CorrectorConfig(k=1, form_choice="c_only")
 
 
 def test_element_correctors_vanish_at_r1(problem81):
@@ -54,7 +48,7 @@ def test_constant_on_element_gives_zero_rhs(problem44):
 
 @pytest.fixture(scope="module")
 def saturated_set(problem44):
-    cfg = CorrectorConfig(k=saturating_k(problem44.pair.coarse), tau=TAU)
+    cfg = CorrectorConfig(k=saturating_k(problem44.pair.coarse))
     return build_corrector_set(problem44.forms, cfg)
 
 
@@ -91,7 +85,7 @@ def test_saturated_energy_orthogonality(problem44, saturated_set):
 
 def test_a_only_orthogonality(problem44):
     pair, forms = problem44.pair, problem44.forms
-    cfg = CorrectorConfig(k=saturating_k(pair.coarse), tau=TAU, form_choice="a_only")
+    cfg = CorrectorConfig(k=saturating_k(pair.coarse), form_choice="a_only")
     cs = build_corrector_set(forms, cfg)
     saddle = factor_saddle(forms.K_A, forms.interp)
     rng = np.random.default_rng(32)
@@ -103,7 +97,7 @@ def test_a_only_orthogonality(problem44):
 
 def test_corrector_support(problem44):
     pair, forms = problem44.pair, problem44.forms
-    cfg = CorrectorConfig(k=1, tau=TAU)
+    cfg = CorrectorConfig(k=1)
     cs = build_corrector_set(forms, cfg)
     coarse = pair.coarse
     for dof in (0, pair.coarse.n_dofs // 2):
@@ -137,7 +131,7 @@ def test_each_distinct_patch_factored_once(problem44, monkeypatch, k):
     coarse = pair.coarse
     k = k or saturating_k(coarse)
     calls = _counting_factor_saddle(monkeypatch)
-    build_corrector_set(problem44.forms, CorrectorConfig(k=k, tau=TAU))
+    build_corrector_set(problem44.forms, CorrectorConfig(k=k))
     patches = {patch_fine_dofs(pair, element_patch(coarse, t, k)).tobytes()
                for t in range(coarse.n_elements)
                if np.any(coarse.dof_index[coarse.triangles[t]] >= 0)}
@@ -163,7 +157,7 @@ def test_element_patch_freed_after_its_element(problem44, monkeypatch):
             counts.append(len(live))
 
     monkeypatch.setattr(lod, "Patch", CountedPatch)
-    build_corrector_set(problem44.forms, CorrectorConfig(k=1, tau=TAU))
+    build_corrector_set(problem44.forms, CorrectorConfig(k=1))
     assert len(counts) == coarse.n_elements
     assert max(counts) <= 2
 
@@ -238,7 +232,7 @@ def test_patch_rejects_unknown_form(problem44, node_dofs):
 
 
 def test_transients_vanish_at_r1(problem81):
-    cfg = CorrectorConfig(k=2, tau=TAU)
+    cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem81.forms, cfg)
     tc = compute_transient_correctors(problem81.forms, cs,
                                       problem81.n_coarse_dofs // 2, horizon=5)
@@ -247,7 +241,7 @@ def test_transients_vanish_at_r1(problem81):
 
 @pytest.fixture(scope="module")
 def transient_node(problem44):
-    cfg = CorrectorConfig(k=2, tau=TAU)
+    cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
     x_dof = problem44.n_coarse_dofs // 2
     tc = compute_transient_correctors(problem44.forms, cs, x_dof, horizon=25,
@@ -269,7 +263,7 @@ def test_transient_decay_and_membership(problem44, transient_node):
 def test_first_step_matches_direct_global_solve(problem44):
     # with a saturated patch the recursion's first step is one projection solve
     pair, forms = problem44.pair, problem44.forms
-    cfg = CorrectorConfig(k=saturating_k(pair.coarse), tau=TAU)
+    cfg = CorrectorConfig(k=saturating_k(pair.coarse))
     cs = build_corrector_set(forms, cfg)
     dof = pair.coarse.n_dofs // 2
     tc = compute_transient_correctors(forms, cs, dof, horizon=2)
@@ -284,7 +278,7 @@ def test_a_only_first_step_degenerates(problem44):
     # pure a-Ritz correctors make the first right-hand side a-orthogonal to
     # the fine-scale space, so the recursion starts from (almost) nothing
     pair, forms = problem44.pair, problem44.forms
-    cfg = CorrectorConfig(k=saturating_k(pair.coarse), tau=TAU, form_choice="a_only")
+    cfg = CorrectorConfig(k=saturating_k(pair.coarse), form_choice="a_only")
     cs = build_corrector_set(forms, cfg)
     dof = pair.coarse.n_dofs // 2
     tc = compute_transient_correctors(forms, cs, dof, horizon=2)
@@ -337,7 +331,7 @@ def _assert_bitwise(a, b):
 
 @pytest.fixture(scope="module")
 def k2_set(problem44):
-    return build_corrector_set(problem44.forms, CorrectorConfig(k=2, tau=TAU))
+    return build_corrector_set(problem44.forms, CorrectorConfig(k=2))
 
 
 def test_transient_patch_first_rhs_is_the_whole_grid_product(problem44, k2_set):
@@ -542,7 +536,7 @@ def test_project_initial_data(problem44, saturated_set):
 
 
 def test_project_initial_data_r1(problem81):
-    cfg = CorrectorConfig(k=2, tau=TAU)
+    cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem81.forms, cfg)
     P = prolongation(problem81.pair)
     rng = np.random.default_rng(35)
@@ -600,17 +594,32 @@ def test_cache_miss_closes_the_file(tmp_path, problem44, transient_node,
 
 def test_cache_key_covers_every_input(problem44):
     forms = problem44.forms
-    config = CorrectorConfig(k=2, tau=TAU)
+    config = CorrectorConfig(k=2)
     base = cache_key(forms, config, 10, 1e-12)
-    assert cache_key(forms, CorrectorConfig(k=2, tau=TAU), 10, 1e-12) == base
+    assert cache_key(forms, CorrectorConfig(k=2), 10, 1e-12) == base
     scaled = DiscreteForms(problem44.pair, 10.0 * problem44.field_a.values,
                            problem44.field_b, TAU)
+    stepped = DiscreteForms(problem44.pair, problem44.field_a, problem44.field_b,
+                            TAU * (1 + 1e-12))
     variants = [
         cache_key(scaled, config, 10, 1e-12),
-        cache_key(forms, CorrectorConfig(k=3, tau=TAU), 10, 1e-12),
-        cache_key(forms, CorrectorConfig(k=2, tau=TAU, form_choice="a_only"), 10, 1e-12),
-        cache_key(forms, CorrectorConfig(k=2, tau=TAU * (1 + 1e-12)), 10, 1e-12),
+        cache_key(forms, CorrectorConfig(k=3), 10, 1e-12),
+        cache_key(forms, CorrectorConfig(k=2, form_choice="a_only"), 10, 1e-12),
+        cache_key(stepped, config, 10, 1e-12),
         cache_key(forms, config, 11, 1e-12),
         cache_key(forms, config, 10, 1e-10),
     ]
     assert len(set(variants + [base])) == len(variants) + 1
+
+
+def test_cache_key_is_pinned():
+    # cache file names stay those of earlier versions, so existing caches hit;
+    # the coefficients are exact binary fractions, the same on every platform
+    pair = NestedMeshPair(Mesh(4), 2)
+    n = pair.fine.n_elements
+    forms = DiscreteForms(pair, 1.0 + np.arange(n) % 3, 0.5 * (1.0 + np.arange(n) % 5),
+                          0.02)
+    assert cache_key(forms, CorrectorConfig(k=2), 10, 1e-12) == (
+        "k2_a_plus_tau_b_83cb82afdb841db22410a0051edd26196a527870d92008061cf1786f89587295")
+    assert cache_key(forms, CorrectorConfig(k=3, form_choice="a_only"), 50, 1e-12) == (
+        "k3_a_only_902e923463c53ffa528ba8e907ef843a6ce9a0b7a99621cf97a57ae315aa22b7")

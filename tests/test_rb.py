@@ -9,12 +9,12 @@ from sdwave.rb import (EmptyBasisError, build_rb, compress_transients, lift,
                        node_reductions, rb_gfem_solve, rb_step,
                        snapshot_singular_values)
 
-TAU = 0.02
+N_STEPS = 20
 
 
 @pytest.fixture(scope="module")
 def snapshots44(problem44):
-    cfg = CorrectorConfig(k=2, tau=TAU)
+    cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
     tc = compute_transient_correctors(problem44.forms, cs, problem44.n_coarse_dofs // 2,
                                       horizon=20, stop_tol=0.0)
@@ -144,31 +144,41 @@ def test_singular_values(problem44, snapshots44):
 
 @pytest.fixture(scope="module")
 def localized44(problem44):
-    cfg = CorrectorConfig(k=2, tau=TAU)
+    cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
-    seq = transients_for_all_nodes(problem44.forms, cs, horizon=20, stop_tol=0.0)
-    grid = TimeGrid(TAU, 20)
+    seq = transients_for_all_nodes(problem44.forms, cs, horizon=N_STEPS, stop_tol=0.0)
     zc = np.zeros(problem44.n_coarse_dofs)
-    reference = localized_gfem_solve(cs, seq, problem44.forms, 1.0, grid, zc, zc)
-    return cs, seq, grid, reference
+    reference = localized_gfem_solve(cs, seq, problem44.forms, 1.0, N_STEPS, zc, zc)
+    return cs, seq, reference
 
 
 def test_rb_gfem_uncompressed_is_identical(problem44, localized44):
-    cs, seq, grid, reference = localized44
+    cs, seq, reference = localized44
     zc = np.zeros(problem44.n_coarse_dofs)
-    reductions = node_reductions(seq, problem44.forms, (grid.n_steps,))
-    traj = rb_gfem_solve(cs, seq, reductions, problem44.forms, 1.0, grid, zc, zc,
-                         m_max=grid.n_steps)
+    reductions = node_reductions(seq, problem44.forms, (N_STEPS,))
+    traj = rb_gfem_solve(cs, seq, reductions, problem44.forms, 1.0, N_STEPS, zc, zc,
+                         m_max=N_STEPS)
     assert rel_h1_final(problem44.forms, traj, reference) <= 1e-12
 
 
+def test_rb_gfem_steps_at_forms_tau(problem44, localized44):
+    cs, seq, _ = localized44
+    zc = np.zeros(problem44.n_coarse_dofs)
+    reductions = node_reductions(seq, problem44.forms, (5,))
+    traj = rb_gfem_solve(cs, seq, reductions, problem44.forms, 1.0, N_STEPS, zc, zc,
+                         m_max=5)
+    assert traj.grid == TimeGrid(problem44.forms.tau, N_STEPS)
+    with pytest.raises(ValueError, match="two time steps"):
+        rb_gfem_solve(cs, seq, reductions, problem44.forms, 1.0, 1, zc, zc, m_max=5)
+
+
 def test_rb_gfem_gap_shrinks_with_m(problem44, localized44):
-    cs, seq, grid, reference = localized44
+    cs, seq, reference = localized44
     zc = np.zeros(problem44.n_coarse_dofs)
     gaps = []
     for m in (1, 5, 10):
         reductions = node_reductions(seq, problem44.forms, (m,))
-        traj = rb_gfem_solve(cs, seq, reductions, problem44.forms, 1.0, grid, zc, zc,
+        traj = rb_gfem_solve(cs, seq, reductions, problem44.forms, 1.0, N_STEPS, zc, zc,
                              m_max=m)
         gaps.append(rel_h1_final(problem44.forms, traj, reference))
     assert gaps[2] < gaps[1] < gaps[0]
@@ -193,13 +203,13 @@ def _oracle_sequence(problem, tc, m, horizon, stop_tol=1e-12):
 
 
 def test_shared_basis_compression_matches_oracle(problem44, localized44):
-    _, seq, grid, _ = localized44
+    _, seq, _ = localized44
     reductions = node_reductions(seq, problem44.forms, (1, 5, 10))
     assert set(reductions) == set(seq)
     for m in (1, 5, 10):
-        compressed = compress_transients(seq, reductions, m, horizon=grid.n_steps)
+        compressed = compress_transients(seq, reductions, m, horizon=N_STEPS)
         for d, tc in seq.items():
-            expected = _oracle_sequence(problem44, tc, m, grid.n_steps)
+            expected = _oracle_sequence(problem44, tc, m, N_STEPS)
             got = compressed[d].xi
             assert got.shape == expected.shape
             np.testing.assert_array_equal(got[:m], tc.xi[:m])
@@ -208,12 +218,12 @@ def test_shared_basis_compression_matches_oracle(problem44, localized44):
 
 
 def test_compression_rejects_bases_built_too_small(problem44, localized44):
-    _, seq, grid, _ = localized44
+    _, seq, _ = localized44
     reductions = node_reductions(seq, problem44.forms, (1, 5))
     with pytest.raises(ValueError):
-        compress_transients(seq, reductions, 10, horizon=grid.n_steps)
+        compress_transients(seq, reductions, 10, horizon=N_STEPS)
     with pytest.raises(ValueError):
-        compress_transients(seq, reductions, 0, horizon=grid.n_steps)
+        compress_transients(seq, reductions, 0, horizon=N_STEPS)
 
 
 def test_node_reductions_reject_corrupt_dofs(problem44, snapshots44):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from sdwave.assembly import DiscreteForms
-from sdwave.evolution import TimeGrid, localized_gfem_solve
+from sdwave.evolution import localized_gfem_solve
 from sdwave.harness import random_field
 from sdwave.linalg import Factorization
 from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
@@ -53,7 +53,7 @@ def test_observers_read_what_the_functions_return(tmp_path):
     pair = NestedMeshPair(Mesh(4), 2)
     forms = DiscreteForms(pair, random_field(pair.fine, 0.1, 10.0, 1),
                           random_field(pair.fine, 0.1, 10.0, 2), 0.1)
-    config = CorrectorConfig(k=2, tau=0.1)
+    config = CorrectorConfig(k=2)
     tracer = layertrace.Tracer(run_id=0)
     seen = set()
 
@@ -76,8 +76,7 @@ def test_observers_read_what_the_functions_return(tmp_path):
     assert tracer.count["lod.transient_rows"] == 2 * rows
 
     zeros = np.zeros(pair.coarse.n_dofs)
-    trajectory = localized_gfem_solve(correctors, seq, forms, 1.0, TimeGrid(0.1, 5),
-                                      zeros, zeros)
+    trajectory = localized_gfem_solve(correctors, seq, forms, 1.0, 5, zeros, zeros)
     observe("evolution.localized_gfem_solve", (), trajectory)
     assert tracer.count["online_steps"] == 4
 
