@@ -4,7 +4,7 @@ from .assembly import (CoefficientField, DiscreteForms, assemble_load,
                        assemble_mass, assemble_stiffness)
 from .evolution import (TimeGrid, Trajectory, aux_fine_solve, aux_gfem_solve,
                         fine_fem_solve, galerkin_wave_solve, ideal_gfem_solve,
-                        localized_gfem_solve)
+                        localized_gfem_solve, transient_horizon)
 from .harness import ExperimentConfig, random_field, run_exp_H, run_exp_k, run_exp_rb
 from .interpolation import build_interpolator, kernel_constraints
 from .linalg import (ConstraintViolationError, DegenerateConstraintError,

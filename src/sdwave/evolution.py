@@ -76,12 +76,12 @@ def discrete_energy(forms, trajectory):
     return np.array(out)
 
 
-def _gfem_steps(Q, M_ms, A_ms, B_ms, forms, f, grid, alpha0, alpha1,
-                fine_scale=None):
+def _gfem_steps(Q, M_ms, A_ms, B_ms, forms, f, grid, initial, fine_scale=None):
     """Backward Euler in the span of Q, the one loop behind every coarse-space scheme.
 
     Step n solves (M/tau + A + tau B) alpha^n = tau Q^T F^n + Q^T K_A u^{n-1}
-    + M (2 alpha^{n-1} - alpha^{n-2}) / tau, where u^n = Q alpha^n + w^n. The
+    + M (2 alpha^{n-1} - alpha^{n-2}) / tau, where u^n = Q alpha^n + w^n, after
+    the initial coefficients (alpha^0, alpha^1), or (alpha^0,) with M = 0. The
     fine-scale part w enters only through fine_scale: fine_scale.memory(n, alpha)
     returns Q^T K_A u^{n-1} and fine_scale.states(alpha) the fine states after
     the loop. Without one, w = 0.
@@ -94,9 +94,8 @@ def _gfem_steps(Q, M_ms, A_ms, B_ms, forms, f, grid, alpha0, alpha1,
     load = _load(forms, f, lambda fine: tau * (QT @ fine))
 
     alpha = np.zeros((grid.n_steps + 1, Q.shape[1]))
-    alpha[0] = alpha0
-    alpha[1] = alpha1
-    for n in range(2, grid.n_steps + 1):
+    alpha[:len(initial)] = initial
+    for n in range(len(initial), grid.n_steps + 1):
         rhs = (load(n * tau)
                + fine_scale.memory(n, alpha)
                + M_ms @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau)
@@ -141,7 +140,7 @@ class _Superposition:
     states are filled once after it, one triangular Toeplitz product per node.
     """
 
-    def __init__(self, correctors, transients, forms, grid):
+    def __init__(self, correctors, transients, grid):
         Q = self.Q = correctors.Q
         n_coarse = Q.shape[1]
         self.items = [(x, tc.dofs, tc.xi) for x, tc in transients.items()]
@@ -150,7 +149,7 @@ class _Superposition:
         # lag-major, gamma[l, x] = Gamma_l[:, x]; lag 0 is the coarse part A_ms
         self.gamma = np.zeros((lags + 1, n_coarse, n_coarse))
         self.gamma[0] = correctors.A_ms.T
-        QT_K_A = (Q.T @ forms.K_A).toarray()
+        QT_K_A = (Q.T @ correctors.forms.K_A).toarray()
         for x, dofs, xi in self.items:
             length = min(xi.shape[0], lags)
             self.gamma[1:length + 1, x] = xi[:length] @ QT_K_A[:, dofs].T
@@ -201,8 +200,23 @@ class _Superposition:
         return np.ascontiguousarray(states.T)
 
 
+def transient_horizon(n_steps):
+    """The length of the correction sequences a run of n_steps reads: the
+    superposition takes xi^1 .. xi^{n_steps - 1}."""
+    return n_steps - 1
+
+
 def _multiscale(correctors):
-    return correctors.Q, correctors.M_ms, correctors.A_ms, correctors.B_ms
+    return correctors.Q, correctors.M_ms, correctors.A_ms, correctors.B_ms, correctors.forms
+
+
+def _global_saddle(correctors, grid):
+    """The fine-scale hook of the ideal and auxiliary GFEM: one global saddle
+    solve per step."""
+    forms = correctors.forms
+    saddle = linalg.factor_saddle(forms.K_tilde, forms.interp)
+    return _PerStep(correctors.Q, forms, grid,
+                    lambda n, alpha, memory: saddle.solve(memory)[0])
 
 
 def galerkin_wave_solve(basis, forms, f, n_steps, alpha0, alpha1):
@@ -213,34 +227,33 @@ def galerkin_wave_solve(basis, forms, f, n_steps, alpha0, alpha1):
     """
     grid = TimeGrid(forms.tau, n_steps)
     grams = [(basis.T @ mat @ basis).toarray() for mat in (forms.M, forms.K_A, forms.K_B)]
-    return _gfem_steps(basis, *grams, forms, f, grid, alpha0, alpha1)
+    return _gfem_steps(basis, *grams, forms, f, grid, (alpha0, alpha1))
 
 
-def ideal_gfem_solve(correctors, forms, f, n_steps, alpha0, alpha1):
+def ideal_gfem_solve(correctors, f, n_steps, alpha0, alpha1):
     """GFEM with global correctors: coarse multiscale step plus one fine-scale
     solve per time step; initial data lives in the multiscale space."""
-    grid = TimeGrid(forms.tau, n_steps)
-    saddle = linalg.factor_saddle(forms.K_tilde, forms.interp)
-    return _gfem_steps(*_multiscale(correctors), forms, f, grid, alpha0, alpha1,
-                       _PerStep(correctors.Q, forms, grid,
-                                lambda n, alpha, memory: saddle.solve(memory)[0]))
+    grid = TimeGrid(correctors.forms.tau, n_steps)
+    return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
+                       _global_saddle(correctors, grid))
 
 
-def localized_gfem_solve(correctors, transients, forms, f, n_steps, alpha0, alpha1):
+def localized_gfem_solve(correctors, transients, f, n_steps, alpha0, alpha1):
     """Localized GFEM: the fine-scale part is superposed from the stored
     per-node correction sequences weighted by the coarse coefficient history."""
-    grid = TimeGrid(forms.tau, n_steps)
-    if any(tc.config != correctors.config for tc in transients.values()):
-        raise ValueError("transient correctors were built for another config")
-    return _gfem_steps(*_multiscale(correctors), forms, f, grid, alpha0, alpha1,
-                       _Superposition(correctors, transients, forms, grid))
+    grid = TimeGrid(correctors.forms.tau, n_steps)
+    if any(tc.correctors is not correctors for tc in transients.values()):
+        raise ValueError("transient correctors were built from another corrector set")
+    return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
+                       _Superposition(correctors, transients, grid))
 
 
-def localized_gfem_solve_direct(correctors, forms, f, n_steps, alpha0, alpha1):
+def localized_gfem_solve_direct(correctors, f, n_steps, alpha0, alpha1):
     """Debug variant: per-node fine-scale systems solved directly in every step."""
+    forms = correctors.forms
     grid = TimeGrid(forms.tau, n_steps)
     Q_csc = correctors.Q.tocsc()
-    patches = [transient_patch(forms, correctors, d, Q_csc)
+    patches = [transient_patch(correctors, d, Q_csc)
                for d in range(forms.pair.coarse.n_dofs)]
     w_prev = [np.zeros(patch.dofs.size) for patch, _ in patches]
 
@@ -251,7 +264,7 @@ def localized_gfem_solve_direct(correctors, forms, f, n_steps, alpha0, alpha1):
             w[patch.dofs] += w_prev[d]
         return w
 
-    return _gfem_steps(*_multiscale(correctors), forms, f, grid, alpha0, alpha1,
+    return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
                        _PerStep(correctors.Q, forms, grid, patch_solves))
 
 
@@ -268,26 +281,12 @@ def aux_fine_solve(forms, f, z0, n_steps):
     return Trajectory(grid, states)
 
 
-def aux_gfem_solve(correctors, forms, f, alpha0, n_steps):
+def aux_gfem_solve(correctors, f, alpha0, n_steps):
     """GFEM for the auxiliary problem; reproduces the fine solution when f = 0."""
-    grid = TimeGrid(forms.tau, n_steps)
-    tau = grid.tau
-    Q = correctors.Q
-    QT = Q.T
-    lhs = scipy.linalg.lu_factor(correctors.A_ms + tau * correctors.B_ms)
-    saddle = linalg.factor_saddle(forms.K_tilde, forms.interp)
-    load = _load(forms, f, lambda fine: tau * (QT @ fine))
-
-    alpha = np.zeros((grid.n_steps + 1, Q.shape[1]))
-    alpha[0] = alpha0
-    states = np.zeros((grid.n_steps + 1, forms.fine.n_dofs))
-    states[0] = Q @ alpha[0]
-    for n in range(1, grid.n_steps + 1):
-        memory = forms.K_A @ states[n - 1]
-        alpha[n] = scipy.linalg.lu_solve(lhs, load(n * tau) + QT @ memory)
-        w, _ = saddle.solve(memory)
-        states[n] = Q @ alpha[n] + w
-    return Trajectory(grid, states, alpha=alpha)
+    grid = TimeGrid(correctors.forms.tau, n_steps)
+    Q, _, A_ms, B_ms, forms = _multiscale(correctors)
+    return _gfem_steps(Q, np.zeros_like(A_ms), A_ms, B_ms, forms, f, grid, (alpha0,),
+                       _global_saddle(correctors, grid))
 
 
 # ----------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 
 from .assembly import CoefficientField, DiscreteForms
 from .evolution import (fine_fem_solve, galerkin_wave_solve, ideal_gfem_solve,
-                        localized_gfem_solve, rel_h1_final, rel_l2h1)
+                        localized_gfem_solve, rel_h1_final, rel_l2h1, transient_horizon)
 from .lod import (STOP_TOL, CorrectorConfig, build_corrector_set, cache_key,
                   load_corrector_cache, save_corrector_cache,
                   transients_for_all_nodes)
@@ -57,6 +57,10 @@ class ExperimentConfig:
                 raise ValueError("%s must be a finite real number, got %r" % (name, value))
         if not isinstance(self.svg, bool):
             raise ValueError("svg must be true or false, got %r" % (self.svg,))
+        if not isinstance(self.out, (str, os.PathLike)):
+            raise ValueError("out must be a path, got %r" % (self.out,))
+        if not isinstance(self.cache, (type(None), str, os.PathLike)):
+            raise ValueError("cache must be a path or null, got %r" % (self.cache,))
         if self.p < self.q or self.q < 1:
             raise ValueError("need p >= q >= 1")
         if self.lo <= 0 or self.lo >= self.hi:
@@ -152,47 +156,41 @@ def random_field(mesh, lo, hi, seed, law="loguniform", block=0):
     return CoefficientField(mesh, values)
 
 
-class _Problem:
-    """Shared per-experiment state: meshes, coefficients, forms (which hold the
-    time step)."""
-
-    def __init__(self, cfg, q=None):
-        q = cfg.q if q is None else q
-        self.pair = NestedMeshPair(Mesh(2 ** q), 2 ** (cfg.p - q))
-        self.field_a = random_field(self.pair.fine, cfg.lo, cfg.hi, cfg.seed,
-                                    cfg.law, cfg.block)
-        self.field_b = random_field(self.pair.fine, cfg.lo, cfg.hi, cfg.seed + 1,
-                                    cfg.law, cfg.block)
-        self.forms = DiscreteForms(self.pair, self.field_a, self.field_b, cfg.tau)
-        self.zeros = np.zeros(self.pair.coarse.n_dofs)
+def _forms(cfg, q):
+    """The forms of coarse level q: mesh pair, seeded coefficients, step cfg.tau."""
+    pair = NestedMeshPair(Mesh(2 ** q), 2 ** (cfg.p - q))
+    field_a = random_field(pair.fine, cfg.lo, cfg.hi, cfg.seed, cfg.law, cfg.block)
+    field_b = random_field(pair.fine, cfg.lo, cfg.hi, cfg.seed + 1, cfg.law, cfg.block)
+    return DiscreteForms(pair, field_a, field_b, cfg.tau)
 
 
-def _corrector_pipeline(cfg, problem, k, form_choice, counters, transients=True):
+def _corrector_pipeline(cfg, forms, k, form_choice, counters, transients=True):
     """Correctors (and transient sequences) with optional disk caching."""
     config = CorrectorConfig(k=k, form_choice=form_choice)
-    key = cache_key(problem.forms, config, cfg.n_steps, STOP_TOL)
+    horizon = transient_horizon(cfg.n_steps)
+    key = cache_key(forms, config, horizon, STOP_TOL)
     if cfg.cache:
-        cached = load_corrector_cache(cfg.cache, key, problem.pair, config)
+        cached = load_corrector_cache(cfg.cache, key, forms, config)
         if cached is not None and (cached[1] is not None or not transients):
             counters["cache_hits"] += 1
             return cached
     counters["cache_misses"] += 1
-    correctors = build_corrector_set(problem.forms, config)
+    correctors = build_corrector_set(forms, config)
     seq = None
     if transients:
-        seq = transients_for_all_nodes(problem.forms, correctors, horizon=cfg.n_steps)
+        seq = transients_for_all_nodes(correctors, horizon)
     if cfg.cache:
         save_corrector_cache(cfg.cache, key, correctors, seq)
     return correctors, seq
 
 
-def _row(problem, reference, param, method, trajectory, tic):
+def _row(forms, reference, param, method, trajectory, tic):
     """The CSV row of trajectory: its errors against reference, then the
     seconds since tic, read after the error norms."""
     return {
         "param": param,
-        "rel_h1_final": rel_h1_final(problem.forms, trajectory, reference),
-        "rel_l2h1": rel_l2h1(problem.forms, trajectory, reference),
+        "rel_h1_final": rel_h1_final(forms, trajectory, reference),
+        "rel_l2h1": rel_l2h1(forms, trajectory, reference),
         "runtime_s": time.perf_counter() - tic,
         "method": method,
     }
@@ -202,29 +200,29 @@ def run_exp_k(cfg):
     """Localization error against the ideal method as the patch size grows."""
     started = time.perf_counter()
     counters = {"cache_hits": 0, "cache_misses": 0}
-    problem = _Problem(cfg)
+    forms = _forms(cfg, cfg.q)
+    zeros = np.zeros(forms.pair.coarse.n_dofs)
 
-    sat, _ = _corrector_pipeline(cfg, problem, saturating_k(problem.pair.coarse),
+    sat, _ = _corrector_pipeline(cfg, forms, saturating_k(forms.pair.coarse),
                                  "a_plus_tau_b", counters, transients=False)
-    reference = ideal_gfem_solve(sat, problem.forms, 1.0, cfg.n_steps, problem.zeros,
-                                 problem.zeros)
+    reference = ideal_gfem_solve(sat, 1.0, cfg.n_steps, zeros, zeros)
 
     rows = []
     for k in range(2, cfg.kmax + 1):
-        rows.append(_exp_k_row(cfg, problem, k, reference, counters))
+        rows.append(_exp_k_row(cfg, forms, k, reference, counters))
         log.info("exp-k k=%d rel_h1=%.3e", k, rows[-1]["rel_h1_final"])
     meta = dict(counters, wall_s=time.perf_counter() - started)
     return rows, meta
 
 
-def _exp_k_row(cfg, problem, k, reference, counters):
+def _exp_k_row(cfg, forms, k, reference, counters):
     """The exp-k row of patch size k; its correctors and sequences are freed on
     return, before the next patch size loads its own."""
     tic = time.perf_counter()
-    correctors, seq = _corrector_pipeline(cfg, problem, k, "a_plus_tau_b", counters)
-    trajectory = localized_gfem_solve(correctors, seq, problem.forms, 1.0,
-                                      cfg.n_steps, problem.zeros, problem.zeros)
-    return _row(problem, reference, k, "gfem_k", trajectory, tic)
+    zeros = np.zeros(forms.pair.coarse.n_dofs)
+    correctors, seq = _corrector_pipeline(cfg, forms, k, "a_plus_tau_b", counters)
+    trajectory = localized_gfem_solve(correctors, seq, 1.0, cfg.n_steps, zeros, zeros)
+    return _row(forms, reference, k, "gfem_k", trajectory, tic)
 
 
 def run_exp_H(cfg):
@@ -233,45 +231,41 @@ def run_exp_H(cfg):
     counters = {"cache_hits": 0, "cache_misses": 0}
     rows = []
 
-    # the reference's problem is also the sweep's last, at q = cfg.q
-    fine_problem = _Problem(cfg)
-    reference = fine_fem_solve(fine_problem.forms, 1.0,
-                               np.zeros(fine_problem.pair.fine.n_dofs),
-                               np.zeros(fine_problem.pair.fine.n_dofs),
-                               cfg.n_steps)
+    # the reference's forms are also the sweep's last, at q = cfg.q
+    fine_forms = _forms(cfg, cfg.q)
+    reference = fine_fem_solve(fine_forms, 1.0, np.zeros(fine_forms.fine.n_dofs),
+                               np.zeros(fine_forms.fine.n_dofs), cfg.n_steps)
 
     for q in range(2, cfg.q + 1):
-        rows += _exp_H_level(cfg, q, fine_problem, reference, counters)
+        rows += _exp_H_level(cfg, q, fine_forms, reference, counters)
     meta = dict(counters, wall_s=time.perf_counter() - started)
     return rows, meta
 
 
-def _exp_H_level(cfg, q, fine_problem, reference, counters):
-    """The exp-H rows of coarse level q; its problem, correctors and sequences
+def _exp_H_level(cfg, q, fine_forms, reference, counters):
+    """The exp-H rows of coarse level q; its forms, correctors and sequences
     are freed on return, before the next level loads its own."""
-    problem = fine_problem if q == cfg.q else _Problem(cfg, q=q)
+    forms = fine_forms if q == cfg.q else _forms(cfg, q)
+    zeros = np.zeros(forms.pair.coarse.n_dofs)
     k = q  # k = log2(1/H)
     param = 2 ** q
     rows = []
 
     tic = time.perf_counter()
-    correctors, seq = _corrector_pipeline(cfg, problem, k, "a_plus_tau_b", counters)
-    trajectory = localized_gfem_solve(correctors, seq, problem.forms, 1.0,
-                                      cfg.n_steps, problem.zeros, problem.zeros)
-    rows.append(_row(problem, reference, param, "gfem", trajectory, tic))
+    correctors, seq = _corrector_pipeline(cfg, forms, k, "a_plus_tau_b", counters)
+    trajectory = localized_gfem_solve(correctors, seq, 1.0, cfg.n_steps, zeros, zeros)
+    rows.append(_row(forms, reference, param, "gfem", trajectory, tic))
 
     tic = time.perf_counter()
-    trajectory = galerkin_wave_solve(prolongation(problem.pair), problem.forms, 1.0,
-                                     cfg.n_steps, problem.zeros, problem.zeros)
-    rows.append(_row(problem, reference, param, "fem", trajectory, tic))
+    trajectory = galerkin_wave_solve(prolongation(forms.pair), forms, 1.0, cfg.n_steps,
+                                     zeros, zeros)
+    rows.append(_row(forms, reference, param, "fem", trajectory, tic))
 
     for choice, method in (("a_only", "lod_a"), ("b_only", "lod_b")):
         tic = time.perf_counter()
-        single, _ = _corrector_pipeline(cfg, problem, k, choice, counters,
-                                        transients=False)
-        trajectory = galerkin_wave_solve(single.Q, problem.forms, 1.0, cfg.n_steps,
-                                         problem.zeros, problem.zeros)
-        rows.append(_row(problem, reference, param, method, trajectory, tic))
+        single, _ = _corrector_pipeline(cfg, forms, k, choice, counters, transients=False)
+        trajectory = galerkin_wave_solve(single.Q, forms, 1.0, cfg.n_steps, zeros, zeros)
+        rows.append(_row(forms, reference, param, method, trajectory, tic))
     for row in rows:
         log.info("exp-H 1/H=%d %s rel_h1=%.3e", param, row["method"],
                  row["rel_h1_final"])
@@ -282,21 +276,21 @@ def run_exp_rb(cfg):
     """Gap between the reduced-basis run and the plain localized method."""
     started = time.perf_counter()
     counters = {"cache_hits": 0, "cache_misses": 0}
-    problem = _Problem(cfg, q=cfg.q)
+    forms = _forms(cfg, cfg.q)
+    zeros = np.zeros(forms.pair.coarse.n_dofs)
     k = cfg.q
 
-    correctors, seq = _corrector_pipeline(cfg, problem, k, "a_plus_tau_b", counters)
-    reference = localized_gfem_solve(correctors, seq, problem.forms, 1.0,
-                                     cfg.n_steps, problem.zeros, problem.zeros)
+    correctors, seq = _corrector_pipeline(cfg, forms, k, "a_plus_tau_b", counters)
+    reference = localized_gfem_solve(correctors, seq, 1.0, cfg.n_steps, zeros, zeros)
 
     # one basis per node, built from max(M) snapshots; each M takes its prefix
-    reductions = node_reductions(seq, problem.forms, cfg.M)
+    reductions = node_reductions(seq, cfg.M)
     rows = []
     for m in cfg.M:
         tic = time.perf_counter()
-        trajectory = rb_gfem_solve(correctors, seq, reductions, problem.forms, 1.0,
-                                   cfg.n_steps, problem.zeros, problem.zeros, m)
-        rows.append(_row(problem, reference, m, "rb", trajectory, tic))
+        trajectory = rb_gfem_solve(correctors, seq, reductions, 1.0, cfg.n_steps,
+                                   zeros, zeros, m)
+        rows.append(_row(forms, reference, m, "rb", trajectory, tic))
         log.info("exp-rb M=%d gap=%.3e", m, rows[-1]["rel_h1_final"])
     meta = dict(counters, wall_s=time.perf_counter() - started)
     return rows, meta

@@ -134,7 +134,7 @@ def compute_element_correctors(patch, t_coarse):
 @dataclass
 class CorrectorSet:
     config: CorrectorConfig
-    pair: object
+    forms: object               # the DiscreteForms the set was built on
     Q: sparse.csr_matrix        # modified basis, columns lambda_x - phi_x
     M_ms: np.ndarray
     A_ms: np.ndarray
@@ -143,7 +143,7 @@ class CorrectorSet:
     @property
     def phi(self):
         """The correctors, fine dofs x coarse dofs: prolongation minus Q."""
-        return (prolongation(self.pair) - self.Q).tocsr()
+        return (prolongation(self.forms.pair) - self.Q).tocsr()
 
 
 def build_corrector_set(forms, config):
@@ -184,23 +184,23 @@ def build_corrector_set(forms, config):
     M_ms = (Q.T @ forms.M @ Q).toarray()
     A_ms = (Q.T @ forms.K_A @ Q).toarray()
     B_ms = (Q.T @ forms.K_B @ Q).toarray()
-    return CorrectorSet(config, pair, Q, M_ms, A_ms, B_ms)
+    return CorrectorSet(config, forms, Q, M_ms, A_ms, B_ms)
 
 
 @dataclass
 class TransientCorrectors:
     dofs: np.ndarray
     xi: np.ndarray              # (steps, patch dofs)
-    config: CorrectorConfig
+    correctors: CorrectorSet    # the set the sequence was built from
 
 
-def transient_patch(forms, correctors, x_dof, Q_csc=None):
+def transient_patch(correctors, x_dof, Q_csc=None):
     """The Patch of coarse node x_dof and the first right-hand side
     (K_A q_x)[patch.dofs] of its fine-scale correction sequence.
 
     Q_csc is correctors.Q in CSC, made once by callers that build many nodes.
     """
-    config = correctors.config
+    forms, config = correctors.forms, correctors.config
     pair = forms.pair
     vertex = pair.coarse.interior_nodes[x_dof]
     patch = Patch(forms, patch_fine_dofs(pair, node_patch(pair.coarse, vertex, config.k)),
@@ -218,8 +218,7 @@ def transient_patch(forms, correctors, x_dof, Q_csc=None):
 _BLOCK = 16
 
 
-def compute_transient_correctors(forms, correctors, x_dof, horizon, stop_tol=STOP_TOL,
-                                 Q_csc=None):
+def compute_transient_correctors(correctors, x_dof, horizon, stop_tol=STOP_TOL, Q_csc=None):
     """Fine-scale correction sequence of one coarse node on its patch.
 
     The first step projects the modified hat function, later steps reuse the
@@ -233,7 +232,7 @@ def compute_transient_correctors(forms, correctors, x_dof, horizon, stop_tol=STO
     test, starts a block through the checked solve, so the kept members are
     those of one checked solve per step. Q_csc is as for transient_patch.
     """
-    patch, first = transient_patch(forms, correctors, x_dof, Q_csc)
+    patch, first = transient_patch(correctors, x_dof, Q_csc)
     saddle = patch.saddle
     solve_bare = saddle._fact._raw_solve
     n = patch.dofs.size
@@ -272,14 +271,14 @@ def compute_transient_correctors(forms, correctors, x_dof, horizon, stop_tol=STO
         if stop or length == horizon:
             break
     xi = xi if length == horizon else xi[:length].copy()
-    return TransientCorrectors(patch.dofs, xi, correctors.config)
+    return TransientCorrectors(patch.dofs, xi, correctors)
 
 
-def transients_for_all_nodes(forms, correctors, horizon, stop_tol=STOP_TOL):
+def transients_for_all_nodes(correctors, horizon, stop_tol=STOP_TOL):
     """Transient correctors for every interior coarse node, keyed by its dof."""
     Q_csc = correctors.Q.tocsc()
-    return {d: compute_transient_correctors(forms, correctors, d, horizon, stop_tol, Q_csc)
-            for d in range(forms.pair.coarse.n_dofs)}
+    return {d: compute_transient_correctors(correctors, d, horizon, stop_tol, Q_csc)
+            for d in range(correctors.Q.shape[1])}
 
 
 def _element_h1_energies(mesh, v_full):
@@ -355,12 +354,12 @@ def save_corrector_cache(cache_dir, key, correctors, transients=None):
     return path
 
 
-def load_corrector_cache(cache_dir, key, pair, config):
+def load_corrector_cache(cache_dir, key, forms, config):
     """(correctors, transients or None) stored under key, or None on a miss.
 
-    key must be the cache_key built from config, which the file does not
-    repeat. A file that was written under another key or cannot be read in
-    full (corrupt, truncated) is a miss.
+    key must be the cache_key built from forms and config, which the file
+    does not repeat; the loaded set carries forms. A file that was written
+    under another key or cannot be read in full (corrupt, truncated) is a miss.
     """
     path = os.path.join(cache_dir, key + ".npz")
     if not os.path.exists(path):
@@ -373,7 +372,7 @@ def load_corrector_cache(cache_dir, key, pair, config):
                 (data["Q_data"], data["Q_indices"], data["Q_indptr"]),
                 shape=tuple(data["Q_shape"]),
             )
-            correctors = CorrectorSet(config, pair, Q,
+            correctors = CorrectorSet(config, forms, Q,
                                       data["M_ms"], data["A_ms"], data["B_ms"])
             transients = None
             if "transient_dofs_list" in data:
@@ -381,7 +380,7 @@ def load_corrector_cache(cache_dir, key, pair, config):
                 for d in data["transient_dofs_list"]:
                     d = int(d)
                     transients[d] = TransientCorrectors(
-                        data["dofs_%d" % d], data["xi_%d" % d], config
+                        data["dofs_%d" % d], data["xi_%d" % d], correctors
                     )
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .evolution import TimeGrid, localized_gfem_solve
+from .evolution import TimeGrid, localized_gfem_solve, transient_horizon
 from .lod import STOP_TOL, Patch, TransientCorrectors
 
 # Gram-Schmidt stops at a remainder of RB_TOL times its snapshot's energy norm
@@ -122,7 +122,7 @@ class NodeReduction:
     norm1: float           # H1 norm of the first snapshot
 
 
-def node_reductions(transients, forms, m_values):
+def node_reductions(transients, m_values):
     """Per-node reduced bases for a sweep over the snapshot counts m_values.
 
     Each node whose sequence is longer than the smallest count gets one basis,
@@ -138,7 +138,7 @@ def node_reductions(transients, forms, m_values):
         if min(m_values) >= length:
             continue
         n = min(max(m_values), length)
-        patch = Patch(forms, tc.dofs)
+        patch = Patch(tc.correctors.forms, tc.dofs)
         try:
             basis = build_rb(tc.xi[:n], patch)
         except EmptyBasisError:
@@ -188,7 +188,7 @@ def compress_transients(transients, reductions, m_max, horizon):
         m_avail = min(m_max, stored.shape[0])
         kept = stored[:m_avail]
         if m_avail >= stored.shape[0]:
-            compressed[d] = TransientCorrectors(tc.dofs, kept, tc.config)
+            compressed[d] = TransientCorrectors(tc.dofs, kept, tc.correctors)
             continue
         node = reductions.get(d)
         if node is None or node.n_snapshots < m_avail:
@@ -197,14 +197,14 @@ def compress_transients(transients, reductions, m_max, horizon):
         rows = kept
         if node.basis is not None and horizon > m_avail:
             rows = np.vstack([kept, _continuation(node, kept, horizon - m_avail)])
-        compressed[d] = TransientCorrectors(tc.dofs, rows, tc.config)
+        compressed[d] = TransientCorrectors(tc.dofs, rows, tc.correctors)
     return compressed
 
 
-def rb_gfem_solve(correctors, transients, reductions, forms, f, n_steps, alpha0,
-                  alpha1, m_max):
+def rb_gfem_solve(correctors, transients, reductions, f, n_steps, alpha0, alpha1, m_max):
     """Localized GFEM where corrections beyond the first m_max steps come from
     the per-node reduced bases in reductions (from node_reductions)."""
-    TimeGrid(forms.tau, n_steps)  # rejects a bad n_steps before the compression
-    compressed = compress_transients(transients, reductions, m_max, n_steps)
-    return localized_gfem_solve(correctors, compressed, forms, f, n_steps, alpha0, alpha1)
+    TimeGrid(correctors.forms.tau, n_steps)  # rejects a bad n_steps before the compression
+    compressed = compress_transients(transients, reductions, m_max,
+                                     transient_horizon(n_steps))
+    return localized_gfem_solve(correctors, compressed, f, n_steps, alpha0, alpha1)

@@ -2,6 +2,7 @@ import pytest
 
 from sdwave.assembly import DiscreteForms
 from sdwave.harness import random_field
+from sdwave.lod import CorrectorConfig, build_corrector_set
 from sdwave.mesh import Mesh, NestedMeshPair
 
 TAU = 0.02
@@ -39,3 +40,15 @@ def problem81():
 @pytest.fixture(scope="session")
 def problem82():
     return ProblemBundle(8, 2)
+
+
+@pytest.fixture(scope="session", params=["tau", "coefficients"])
+def foreign_k2_44(request, problem44):
+    """A k = 2 corrector set whose config equals problem44's k = 2 one, built
+    at another step or on other coefficients."""
+    p = problem44
+    if request.param == "tau":
+        forms = DiscreteForms(p.pair, p.field_a, p.field_b, 2.5 * p.tau)
+    else:
+        forms = DiscreteForms(p.pair, p.field_b, p.field_a, p.tau)
+    return build_corrector_set(forms, CorrectorConfig(k=2))

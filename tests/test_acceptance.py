@@ -62,8 +62,7 @@ def transient_center_q4(prob_q4):
     coarse = prob_q4.pair.coarse
     center = (coarse.n // 2) * (coarse.n + 1) + coarse.n // 2
     x_dof = int(coarse.dof_index[center])
-    tc = compute_transient_correctors(prob_q4.forms, cs, x_dof,
-                                      horizon=100, stop_tol=0.0)
+    tc = compute_transient_correctors(cs, x_dof, horizon=100, stop_tol=0.0)
     return x_dof, tc
 
 
@@ -81,9 +80,9 @@ def test_criterion_1_oracle_collapse():
     field_b = random_field(pair.fine, 1e-1, 1e3, SEED + 1)
     forms = DiscreteForms(pair, field_a, field_b, TAU)
     cs = build_corrector_set(forms, CorrectorConfig(k=2))
-    seq = transients_for_all_nodes(forms, cs, horizon=25)
+    seq = transients_for_all_nodes(cs, horizon=25)
     zc = np.zeros(pair.coarse.n_dofs)
-    lod = localized_gfem_solve(cs, seq, forms, 1.0, 25, zc, zc)
+    lod = localized_gfem_solve(cs, seq, 1.0, 25, zc, zc)
     ref = fine_fem_solve(forms, 1.0, np.zeros(pair.fine.n_dofs),
                          np.zeros(pair.fine.n_dofs), 25)
     gap = rel_l2h1(forms, lod, ref)
@@ -100,7 +99,7 @@ def test_criterion_2_auxiliary_exactness(request):
     z0 = sat.Q @ alpha0
     n_steps = 25
     fine = aux_fine_solve(prob.forms, 0.0, z0, n_steps)
-    gfem = aux_gfem_solve(sat, prob.forms, 0.0, alpha0, n_steps)
+    gfem = aux_gfem_solve(sat, 0.0, alpha0, n_steps)
     worst = max(h1_norms(prob.forms, [fine.states[n] - gfem.states[n]])[0]
                 / h1_norms(prob.forms, [fine.states[n]])[0]
                 for n in range(1, n_steps + 1))
@@ -123,8 +122,7 @@ def test_criterion_3_superposition_identity():
 
     worst = 0.0
     for x_dof in range(pair.coarse.n_dofs):
-        tc = compute_transient_correctors(forms, cs, x_dof,
-                                          horizon=n_steps, stop_tol=0.0)
+        tc = compute_transient_correctors(cs, x_dof, horizon=n_steps, stop_tol=0.0)
         solver = Patch(forms, tc.dofs, cfg.form_choice)
         K_A_patch = forms.K_A[tc.dofs][:, tc.dofs]
         H1p = (forms.K_1 + forms.M)[tc.dofs][:, tc.dofs]

@@ -70,7 +70,7 @@ def saturated44(problem44):
 
 def test_ideal_gfem_zero_problem(problem44, saturated44):
     zc = np.zeros(problem44.n_coarse_dofs)
-    traj = ideal_gfem_solve(saturated44, problem44.forms, 0.0, 5, zc, zc)
+    traj = ideal_gfem_solve(saturated44, 0.0, 5, zc, zc)
     assert np.all(traj.states == 0.0)
 
 
@@ -79,8 +79,8 @@ def test_oracle_collapse_at_r1(problem81):
     cs = build_corrector_set(problem81.forms, cfg)
     n_steps = 10
     zc = np.zeros(problem81.n_coarse_dofs)
-    seq = transients_for_all_nodes(problem81.forms, cs, horizon=10)
-    loc = localized_gfem_solve(cs, seq, problem81.forms, 1.0, n_steps, zc, zc)
+    seq = transients_for_all_nodes(cs, horizon=10)
+    loc = localized_gfem_solve(cs, seq, 1.0, n_steps, zc, zc)
     zeros = np.zeros(problem81.n_fine_dofs)
     ref = fine_fem_solve(problem81.forms, 1.0, zeros, zeros, n_steps)
     assert rel_l2h1(problem81.forms, loc, ref) <= 1e-8
@@ -89,21 +89,20 @@ def test_oracle_collapse_at_r1(problem81):
 def test_localized_saturated_matches_ideal(problem44, saturated44):
     n_steps = 12
     zc = np.zeros(problem44.n_coarse_dofs)
-    seq = transients_for_all_nodes(problem44.forms, saturated44,
-                                   horizon=12, stop_tol=0.0)
-    loc = localized_gfem_solve(saturated44, seq, problem44.forms, 1.0, n_steps, zc, zc)
-    ideal = ideal_gfem_solve(saturated44, problem44.forms, 1.0, n_steps, zc, zc)
+    seq = transients_for_all_nodes(saturated44, horizon=12, stop_tol=0.0)
+    loc = localized_gfem_solve(saturated44, seq, 1.0, n_steps, zc, zc)
+    ideal = ideal_gfem_solve(saturated44, 1.0, n_steps, zc, zc)
     assert rel_l2h1(problem44.forms, loc, ideal) <= 1e-8
 
 
 def test_superposition_path_matches_direct_debug_path(problem44):
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
-    seq = transients_for_all_nodes(problem44.forms, cs, horizon=12, stop_tol=0.0)
+    seq = transients_for_all_nodes(cs, horizon=12, stop_tol=0.0)
     n_steps = 12
     zc = np.zeros(problem44.n_coarse_dofs)
-    loc = localized_gfem_solve(cs, seq, problem44.forms, 1.0, n_steps, zc, zc)
-    direct = localized_gfem_solve_direct(cs, problem44.forms, 1.0, n_steps, zc, zc)
+    loc = localized_gfem_solve(cs, seq, 1.0, n_steps, zc, zc)
+    direct = localized_gfem_solve_direct(cs, 1.0, n_steps, zc, zc)
     assert rel_l2h1(problem44.forms, loc, direct) <= 1e-9
 
 
@@ -121,14 +120,14 @@ def test_localized_nonzero_initial_data_matches_direct_and_ideal(problem44, k2_4
     n_steps = 12
     forms = problem44.forms
 
-    seq = transients_for_all_nodes(forms, k2_44, horizon=12, stop_tol=0.0)
-    loc = localized_gfem_solve(k2_44, seq, forms, 1.0, n_steps, alpha0, alpha1)
-    direct = localized_gfem_solve_direct(k2_44, forms, 1.0, n_steps, alpha0, alpha1)
+    seq = transients_for_all_nodes(k2_44, horizon=12, stop_tol=0.0)
+    loc = localized_gfem_solve(k2_44, seq, 1.0, n_steps, alpha0, alpha1)
+    direct = localized_gfem_solve_direct(k2_44, 1.0, n_steps, alpha0, alpha1)
     assert rel_l2h1(forms, loc, direct) <= 1e-9
 
-    seq = transients_for_all_nodes(forms, saturated44, horizon=12, stop_tol=0.0)
-    loc = localized_gfem_solve(saturated44, seq, forms, 1.0, n_steps, alpha0, alpha1)
-    ideal = ideal_gfem_solve(saturated44, forms, 1.0, n_steps, alpha0, alpha1)
+    seq = transients_for_all_nodes(saturated44, horizon=12, stop_tol=0.0)
+    loc = localized_gfem_solve(saturated44, seq, 1.0, n_steps, alpha0, alpha1)
+    ideal = ideal_gfem_solve(saturated44, 1.0, n_steps, alpha0, alpha1)
     assert rel_l2h1(forms, loc, ideal) <= 1e-8
 
 
@@ -205,7 +204,7 @@ MULTI_BLOCK = 2 * _BLOCK + 5
 def test_localized_matches_per_step_superposition(problem44, k2_44, n_steps, horizon,
                                                   stop_tol, f, data):
     forms = problem44.forms
-    seq = transients_for_all_nodes(forms, k2_44, horizon=horizon, stop_tol=stop_tol)
+    seq = transients_for_all_nodes(k2_44, horizon=horizon, stop_tol=stop_tol)
     lengths = sorted(tc.xi.shape[0] for tc in seq.values())
     if stop_tol > 0:
         assert lengths[0] < n_steps and lengths[0] < lengths[-1]
@@ -217,7 +216,7 @@ def test_localized_matches_per_step_superposition(problem44, k2_44, n_steps, hor
     alpha0, alpha1 = (rng.standard_normal((2, problem44.n_coarse_dofs)) if data
                       else np.zeros((2, problem44.n_coarse_dofs)))
 
-    loc = localized_gfem_solve(k2_44, seq, forms, f, n_steps, alpha0, alpha1)
+    loc = localized_gfem_solve(k2_44, seq, f, n_steps, alpha0, alpha1)
     alpha, states = _per_step_superposition(k2_44, seq, forms, f, n_steps,
                                             alpha0, alpha1)
     assert np.linalg.norm(loc.alpha - alpha) <= 1e-12 * np.linalg.norm(alpha)
@@ -226,10 +225,19 @@ def test_localized_matches_per_step_superposition(problem44, k2_44, n_steps, hor
 
 def test_transient_config_mismatch_rejected(problem44, saturated44):
     other = build_corrector_set(problem44.forms, CorrectorConfig(k=2))
-    seq = transients_for_all_nodes(problem44.forms, other, horizon=4)
+    seq = transients_for_all_nodes(other, horizon=4)
     zc = np.zeros(problem44.n_coarse_dofs)
     with pytest.raises(ValueError):
-        localized_gfem_solve(saturated44, seq, problem44.forms, 1.0, 4, zc, zc)
+        localized_gfem_solve(saturated44, seq, 1.0, 4, zc, zc)
+
+
+def test_transients_of_another_corrector_set_rejected(problem44, k2_44, foreign_k2_44):
+    # an equal config passed the old check, so the solve superposed sequences
+    # built at another step or on other coefficients
+    seq = transients_for_all_nodes(foreign_k2_44, horizon=4)
+    zc = np.zeros(problem44.n_coarse_dofs)
+    with pytest.raises(ValueError, match="another corrector set"):
+        localized_gfem_solve(k2_44, seq, 1.0, 5, zc, zc)
 
 
 def test_steady_state_b_orthogonality(problem44):
@@ -239,7 +247,7 @@ def test_steady_state_b_orthogonality(problem44):
     forms = DiscreteForms(pair, problem44.field_a, problem44.field_b, 0.05)
     saturated = build_corrector_set(forms, CorrectorConfig(k=saturating_k(pair.coarse)))
     zc = np.zeros(problem44.n_coarse_dofs)
-    traj = ideal_gfem_solve(saturated, forms, 1.0, 200, zc, zc)
+    traj = ideal_gfem_solve(saturated, 1.0, 200, zc, zc)
     saddle = factor_saddle(forms.K_tilde, forms.interp)
     rng = np.random.default_rng(41)
 
@@ -261,7 +269,7 @@ def test_aux_exactness_without_source(problem44, saturated44):
     z0 = saturated44.Q @ alpha0
     n_steps = 20
     fine = aux_fine_solve(problem44.forms, 0.0, z0, n_steps)
-    gfem = aux_gfem_solve(saturated44, problem44.forms, 0.0, alpha0, n_steps)
+    gfem = aux_gfem_solve(saturated44, 0.0, alpha0, n_steps)
     for n in range(1, 21):
         err = h1_norms(problem44.forms, [fine.states[n] - gfem.states[n]])[0]
         assert err <= 1e-9 * h1_norms(problem44.forms, [fine.states[n]])[0]
@@ -272,8 +280,7 @@ def test_aux_zero(problem44, saturated44):
     fine = aux_fine_solve(problem44.forms, 0.0,
                           np.zeros(problem44.n_fine_dofs), n_steps)
     assert np.all(fine.states == 0.0)
-    gfem = aux_gfem_solve(saturated44, problem44.forms, 0.0,
-                          np.zeros(problem44.n_coarse_dofs), n_steps)
+    gfem = aux_gfem_solve(saturated44, 0.0, np.zeros(problem44.n_coarse_dofs), n_steps)
     assert np.all(gfem.states == 0.0)
 
 
@@ -288,7 +295,7 @@ def test_aux_convergence_rate():
         cs = build_corrector_set(forms, CorrectorConfig(k=saturating_k(pair.coarse)))
         n_steps = 25
         fine = aux_fine_solve(forms, 1.0, np.zeros(pair.fine.n_dofs), n_steps)
-        gfem = aux_gfem_solve(cs, forms, 1.0, np.zeros(pair.coarse.n_dofs), n_steps)
+        gfem = aux_gfem_solve(cs, 1.0, np.zeros(pair.coarse.n_dofs), n_steps)
         errs.append(h1_norms(forms, [fine.states[-1] - gfem.states[-1]])[0]
                     / h1_norms(forms, [fine.states[-1]])[0])
     rate = -np.polyfit(np.arange(2, 5), np.log2(errs), 1)[0]
@@ -317,17 +324,17 @@ def test_every_solver_steps_at_forms_tau(problem44):
     pair = problem44.pair
     forms = DiscreteForms(pair, problem44.field_a, problem44.field_b, 0.05)
     cs = build_corrector_set(forms, CorrectorConfig(k=2))
-    seq = transients_for_all_nodes(forms, cs, horizon=3)
+    seq = transients_for_all_nodes(cs, horizon=3)
     zc = np.zeros(problem44.n_coarse_dofs)
     zf = np.zeros(problem44.n_fine_dofs)
     trajectories = [
         fine_fem_solve(forms, 1.0, zf, zf, 3),
         galerkin_wave_solve(prolongation(pair), forms, 1.0, 3, zc, zc),
-        ideal_gfem_solve(cs, forms, 1.0, 3, zc, zc),
-        localized_gfem_solve(cs, seq, forms, 1.0, 3, zc, zc),
-        localized_gfem_solve_direct(cs, forms, 1.0, 3, zc, zc),
+        ideal_gfem_solve(cs, 1.0, 3, zc, zc),
+        localized_gfem_solve(cs, seq, 1.0, 3, zc, zc),
+        localized_gfem_solve_direct(cs, 1.0, 3, zc, zc),
         aux_fine_solve(forms, 1.0, zf, 3),
-        aux_gfem_solve(cs, forms, 1.0, zc, 3),
+        aux_gfem_solve(cs, 1.0, zc, 3),
     ]
     for trajectory in trajectories:
         assert trajectory.grid == TimeGrid(forms.tau, 3)

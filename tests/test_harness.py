@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from sdwave import cli, harness, interpolation
+from sdwave.assembly import DiscreteForms
 from sdwave.cli import main
 from sdwave.harness import (CSV_HEADER, ExperimentConfig, config_from_sources,
                             emit, random_field, run_exp_H, run_exp_k,
@@ -106,11 +107,11 @@ def test_near_constant_field_gfem_error_matches_fem_level():
     B = random_field(pair.fine, 1.0, 1.0 + 1e-9, 2)
     forms = DiscreteForms(pair, A, B, 0.02)
     cs = build_corrector_set(forms, CorrectorConfig(k=2))
-    seq = transients_for_all_nodes(forms, cs, horizon=10)
+    seq = transients_for_all_nodes(cs, horizon=10)
     zc = np.zeros(pair.coarse.n_dofs)
     ref = fine_fem_solve(forms, 1.0, np.zeros(pair.fine.n_dofs),
                          np.zeros(pair.fine.n_dofs), 10)
-    gfem = localized_gfem_solve(cs, seq, forms, 1.0, 10, zc, zc)
+    gfem = localized_gfem_solve(cs, seq, 1.0, 10, zc, zc)
     fem = galerkin_wave_solve(prolongation(pair), forms, 1.0, 10, zc, zc)
     e_gfem = rel_l2h1(forms, gfem, ref)
     e_fem = rel_l2h1(forms, fem, ref)
@@ -193,11 +194,14 @@ def test_config_file_must_hold_an_object(tmp_path, content):
     dict(tau="0.1"), dict(T="1"), dict(lo="0.1"), dict(hi="1e3"),
     dict(lo=float("nan")), dict(hi=float("nan")), dict(hi=float("inf")),
     dict(lo=True), dict(T=True), dict(svg="no"), dict(svg=1),
+    dict(out=5), dict(out=None), dict(out=["o"]), dict(cache=5), dict(cache=True),
 ], ids=["tau-string", "T-string", "lo-string", "hi-string", "lo-nan", "hi-nan",
-        "hi-inf", "lo-bool", "T-bool", "svg-string", "svg-int"])
+        "hi-inf", "lo-bool", "T-bool", "svg-string", "svg-int", "out-int", "out-null",
+        "out-list", "cache-int", "cache-bool"])
 def test_config_rejects_non_numbers_and_non_bools(tmp_path, bad):
     # strings raised TypeError; NaN and inf bounds, booleans as numbers and
-    # any svg value were accepted
+    # any svg value were accepted; an out or cache that is no path ran the
+    # whole experiment and then failed in emit or in the cache write
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(bad))
     overrides = {k: v for k, v in MICRO.items() if k not in bad}
@@ -331,12 +335,12 @@ def test_exp_k_frees_each_patch_size_before_the_next(monkeypatch):
     previous = []
     checked = []
 
-    def tracked(cfg, problem, k, form_choice, counters, transients=True):
+    def tracked(cfg, forms, k, form_choice, counters, transients=True):
         if transients and previous:
             gc.collect()
             checked.append(k)
             assert all(ref() is None for ref in previous), k
-        correctors, seq = pipeline(cfg, problem, k, form_choice, counters, transients)
+        correctors, seq = pipeline(cfg, forms, k, form_choice, counters, transients)
         if transients:
             previous[:] = [weakref.ref(correctors)] + [weakref.ref(tc)
                                                       for tc in seq.values()]
@@ -348,26 +352,26 @@ def test_exp_k_frees_each_patch_size_before_the_next(monkeypatch):
 
 
 def test_exp_H_frees_each_level_before_the_next(monkeypatch):
-    # level q's problem, correctors and sequences used to stay bound while
+    # level q's forms, correctors and sequences used to stay bound while
     # level q + 1 loaded its own
     pipeline = harness._corrector_pipeline
     levels = []     # weak references to what each level's pipeline calls made
 
-    def tracked(cfg, problem, k, form_choice, counters, transients=True):
+    def tracked(cfg, forms, k, form_choice, counters, transients=True):
         if transients:      # a level's first call
             gc.collect()
             assert all(ref() is None for ref in (levels[-1] if levels else [])), k
             levels.append([])
-        correctors, seq = pipeline(cfg, problem, k, form_choice, counters, transients)
+        correctors, seq = pipeline(cfg, forms, k, form_choice, counters, transients)
         levels[-1].append(weakref.ref(correctors))
         levels[-1].extend(weakref.ref(tc) for tc in (seq or {}).values())
-        if k < cfg.q:       # the last level's problem is the reference's
-            levels[-1].append(weakref.ref(problem))
+        if k < cfg.q:       # the last level's forms are the reference's
+            levels[-1].append(weakref.ref(forms))
         return correctors, seq
 
     monkeypatch.setattr(harness, "_corrector_pipeline", tracked)
     run_exp_H(ExperimentConfig(p=4, q=4, tau=0.1, T=0.5, seed=1))
-    # correctors, sequences, the two single-form sets and one problem per call
+    # correctors, sequences, the two single-form sets and one forms per call
     assert [len(refs) for refs in levels] == [1 + 9 + 2 + 3, 1 + 49 + 2 + 3, 1 + 225 + 2]
 
 
@@ -512,24 +516,24 @@ def test_cli_flag_reaches_config(tmp_path, monkeypatch, name):
                          ids=["exp-k", "exp-H"])
 def test_one_interpolator_per_problem(monkeypatch, run, cfg, problems):
     # the forms build the interpolator; the drivers and solvers read forms.interp
-    counts = {"interp": 0, "problem": 0}
-    build, init = interpolation.build_interpolator, harness._Problem.__init__
+    counts = {"interp": 0, "forms": 0}
+    build, init = interpolation.build_interpolator, DiscreteForms.__init__
 
     def counted_build(pair):
         counts["interp"] += 1
         return build(pair)
 
     def counted_init(self, *args, **kwargs):
-        counts["problem"] += 1
+        counts["forms"] += 1
         init(self, *args, **kwargs)
 
     # every name an sdwave module could call it by
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "sdwave" and getattr(module, "build_interpolator", None) is build:
             monkeypatch.setattr(module, "build_interpolator", counted_build)
-    monkeypatch.setattr(harness._Problem, "__init__", counted_init)
+    monkeypatch.setattr(DiscreteForms, "__init__", counted_init)
     run(ExperimentConfig(**cfg))
-    assert counts == {"interp": problems, "problem": problems}
+    assert counts == {"interp": problems, "forms": problems}
 
 
 def test_cli_config_file(tmp_path, capsys):

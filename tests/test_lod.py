@@ -234,8 +234,7 @@ def test_patch_rejects_unknown_form(problem44, node_dofs):
 def test_transients_vanish_at_r1(problem81):
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem81.forms, cfg)
-    tc = compute_transient_correctors(problem81.forms, cs,
-                                      problem81.n_coarse_dofs // 2, horizon=5)
+    tc = compute_transient_correctors(cs, problem81.n_coarse_dofs // 2, horizon=5)
     assert np.abs(tc.xi).max() <= 1e-12
 
 
@@ -244,8 +243,7 @@ def transient_node(problem44):
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
     x_dof = problem44.n_coarse_dofs // 2
-    tc = compute_transient_correctors(problem44.forms, cs, x_dof, horizon=25,
-                                      stop_tol=0.0)
+    tc = compute_transient_correctors(cs, x_dof, horizon=25, stop_tol=0.0)
     return cs, x_dof, tc
 
 
@@ -266,7 +264,7 @@ def test_first_step_matches_direct_global_solve(problem44):
     cfg = CorrectorConfig(k=saturating_k(pair.coarse))
     cs = build_corrector_set(forms, cfg)
     dof = pair.coarse.n_dofs // 2
-    tc = compute_transient_correctors(forms, cs, dof, horizon=2)
+    tc = compute_transient_correctors(cs, dof, horizon=2)
     q_x = np.asarray(cs.Q[:, dof].todense()).ravel()
     w, _ = factor_saddle(forms.K_tilde, forms.interp).solve(forms.K_A @ q_x)
     xi1 = np.zeros(pair.fine.n_dofs)
@@ -281,7 +279,7 @@ def test_a_only_first_step_degenerates(problem44):
     cfg = CorrectorConfig(k=saturating_k(pair.coarse), form_choice="a_only")
     cs = build_corrector_set(forms, cfg)
     dof = pair.coarse.n_dofs // 2
-    tc = compute_transient_correctors(forms, cs, dof, horizon=2)
+    tc = compute_transient_correctors(cs, dof, horizon=2)
     xi1 = np.zeros(pair.fine.n_dofs)
     xi1[tc.dofs] = tc.xi[0]
     q_x = np.asarray(cs.Q[:, dof].todense()).ravel()
@@ -340,12 +338,12 @@ def test_transient_patch_first_rhs_is_the_whole_grid_product(problem44, k2_set):
     for x_dof in (0, pair.coarse.n_dofs // 2, pair.coarse.n_dofs - 1):
         q_x = np.asarray(k2_set.Q[:, x_dof].todense()).ravel()
         for csc in (None, Q_csc):
-            patch, rhs = transient_patch(forms, k2_set, x_dof, csc)
+            patch, rhs = transient_patch(k2_set, x_dof, csc)
             _assert_bitwise(rhs, (forms.K_A @ q_x)[patch.dofs])
 
 
 def _blocked_and_per_step(problem, correctors, horizon, stop_tol):
-    args = (problem.forms, correctors, problem.n_coarse_dofs // 2)
+    args = (correctors, problem.n_coarse_dofs // 2)
     tc = compute_transient_correctors(*args, horizon=horizon, stop_tol=stop_tol)
     patch, rhs = lod.transient_patch(*args)
     return tc.xi, _per_step_sequence(patch, rhs, horizon, stop_tol)
@@ -360,7 +358,7 @@ def test_blocked_sequence_equals_per_step(problem44, k2_set, horizon):
 
 def _mid_block_stop_tol(problem, correctors, member):
     # a stop_tol that stops the sequence at the given member (1-based)
-    patch, rhs = transient_patch(problem.forms, correctors, problem.n_coarse_dofs // 2)
+    patch, rhs = transient_patch(correctors, problem.n_coarse_dofs // 2)
     steps = _per_step_sequence(patch, rhs, member + 5, 0.0)
     norms = np.sqrt(np.einsum("li,li->l", steps, (patch.h1 @ steps.T).T))
     return 0.5 * (norms[member - 2] + norms[member - 1]) / norms[0]
@@ -416,7 +414,7 @@ def test_blocked_sequence_replays_a_residual_miss(problem44, k2_set, monkeypatch
     # member 1 is the first raw solve, so call 20 is member 20, mid-block
     _, per_step = _blocked_and_per_step(problem44, k2_set, 33, 0.0)
     checked = _perturb_bare_solve(monkeypatch, 20, _shift_first)
-    args = (problem44.forms, k2_set, problem44.n_coarse_dofs // 2)
+    args = (k2_set, problem44.n_coarse_dofs // 2)
     tc = compute_transient_correctors(*args, horizon=33, stop_tol=0.0)
     # member 1 and the replayed member 20 went through the checked solve
     assert len(checked) == 2
@@ -437,7 +435,7 @@ def test_blocked_sequence_drops_members_past_the_stop_unchecked(problem44, k2_se
         _pass_every_residual_test(monkeypatch)
     # member 25 lies in the stop's block; corrupt it so that it fails the test
     checked = _perturb_bare_solve(monkeypatch, 25, lambda x: np.full_like(x, 1.0))
-    args = (problem44.forms, k2_set, problem44.n_coarse_dofs // 2)
+    args = (k2_set, problem44.n_coarse_dofs // 2)
     tc = compute_transient_correctors(*args, horizon=40, stop_tol=stop_tol)
     assert len(checked) == 1
     _assert_bitwise(tc.xi, per_step)
@@ -449,7 +447,7 @@ def test_blocked_sequence_raises_on_a_kept_constraint_violation(problem44, k2_se
     # catch a corrupted member
     _pass_every_residual_test(monkeypatch)
     _perturb_bare_solve(monkeypatch, 5, lambda x: np.full_like(x, 1.0))
-    args = (problem44.forms, k2_set, problem44.n_coarse_dofs // 2)
+    args = (k2_set, problem44.n_coarse_dofs // 2)
     with pytest.raises(ConstraintViolationError):
         compute_transient_correctors(*args, horizon=16, stop_tol=0.0)
 
@@ -548,25 +546,28 @@ def test_cache_roundtrip(tmp_path, problem44, transient_node):
     cs, x_dof, tc = transient_node
     key = cache_key(problem44.forms, cs.config, 25, 0.0)
     path = save_corrector_cache(tmp_path, key, cs, {x_dof: tc})
-    loaded = load_corrector_cache(tmp_path, key, problem44.pair, cs.config)
+    loaded = load_corrector_cache(tmp_path, key, problem44.forms, cs.config)
     assert loaded is not None
     cs2, transients2 = loaded
     assert cs2.config == cs.config
+    # the set is tied to the forms it was loaded for, each sequence to the set
+    assert cs2.forms is problem44.forms
+    assert transients2[x_dof].correctors is cs2
     assert np.abs((cs2.Q - cs.Q).toarray()).max() == 0.0
     np.testing.assert_array_equal(cs2.A_ms, cs.A_ms)
     np.testing.assert_array_equal(transients2[x_dof].xi, tc.xi)
     np.testing.assert_array_equal(transients2[x_dof].dofs, tc.dofs)
-    assert load_corrector_cache(tmp_path, "missing", problem44.pair, cs.config) is None
+    assert load_corrector_cache(tmp_path, "missing", problem44.forms, cs.config) is None
     # a file copied under another key is not served for it
     other = cache_key(problem44.forms, cs.config, 26, 0.0)
     shutil.copy(path, tmp_path / (other + ".npz"))
-    assert load_corrector_cache(tmp_path, other, problem44.pair, cs.config) is None
+    assert load_corrector_cache(tmp_path, other, problem44.forms, cs.config) is None
     # neither is an unreadable one
     data = Path(path).read_bytes()
     for size in (0, 10, len(data) // 2, len(data) - 1):
         with open(path, "wb") as fh:
             fh.write(data[:size])
-        assert load_corrector_cache(tmp_path, key, problem44.pair, cs.config) is None
+        assert load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None
 
 
 def test_cache_miss_closes_the_file(tmp_path, problem44, transient_node,
@@ -588,7 +589,7 @@ def test_cache_miss_closes_the_file(tmp_path, problem44, transient_node,
         Path(path).write_bytes(data[:size])
         with monkeypatch.context() as patched:
             patched.setattr(builtins, "open", recording_open)
-            assert load_corrector_cache(tmp_path, key, problem44.pair, cs.config) is None
+            assert load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None
     assert opened and all(fh.closed for fh in opened)
 
 

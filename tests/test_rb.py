@@ -16,8 +16,8 @@ N_STEPS = 20
 def snapshots44(problem44):
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
-    tc = compute_transient_correctors(problem44.forms, cs, problem44.n_coarse_dofs // 2,
-                                      horizon=20, stop_tol=0.0)
+    tc = compute_transient_correctors(cs, problem44.n_coarse_dofs // 2, horizon=20,
+                                      stop_tol=0.0)
     return cs, tc
 
 
@@ -63,8 +63,8 @@ def test_zero_first_snapshot_rejected(problem44, snapshots44):
         build_rb(np.zeros((1, tc.dofs.size)), _patch(problem44, tc))
     # a node whose sequence carries no energy keeps its stored members only
     zero = {problem44.n_coarse_dofs // 2: TransientCorrectors(
-        tc.dofs, np.zeros((6, tc.dofs.size)), tc.config)}
-    reductions = node_reductions(zero, problem44.forms, (2, 4))
+        tc.dofs, np.zeros((6, tc.dofs.size)), tc.correctors)}
+    reductions = node_reductions(zero, (2, 4))
     assert all(node.basis is None for node in reductions.values())
     compressed = compress_transients(zero, reductions, 2, horizon=6)
     assert [c.xi.shape for c in compressed.values()] == [(2, tc.dofs.size)]
@@ -146,30 +146,39 @@ def test_singular_values(problem44, snapshots44):
 def localized44(problem44):
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
-    seq = transients_for_all_nodes(problem44.forms, cs, horizon=N_STEPS, stop_tol=0.0)
+    seq = transients_for_all_nodes(cs, horizon=N_STEPS, stop_tol=0.0)
     zc = np.zeros(problem44.n_coarse_dofs)
-    reference = localized_gfem_solve(cs, seq, problem44.forms, 1.0, N_STEPS, zc, zc)
+    reference = localized_gfem_solve(cs, seq, 1.0, N_STEPS, zc, zc)
     return cs, seq, reference
+
+
+def test_rb_rejects_transients_of_another_corrector_set(problem44, localized44,
+                                                       foreign_k2_44):
+    # an equal config passed the old check of the localized solve
+    cs, _, _ = localized44
+    seq = transients_for_all_nodes(foreign_k2_44, horizon=N_STEPS - 1)
+    reductions = node_reductions(seq, (5,))
+    zc = np.zeros(problem44.n_coarse_dofs)
+    with pytest.raises(ValueError, match="another corrector set"):
+        rb_gfem_solve(cs, seq, reductions, 1.0, N_STEPS, zc, zc, m_max=5)
 
 
 def test_rb_gfem_uncompressed_is_identical(problem44, localized44):
     cs, seq, reference = localized44
     zc = np.zeros(problem44.n_coarse_dofs)
-    reductions = node_reductions(seq, problem44.forms, (N_STEPS,))
-    traj = rb_gfem_solve(cs, seq, reductions, problem44.forms, 1.0, N_STEPS, zc, zc,
-                         m_max=N_STEPS)
+    reductions = node_reductions(seq, (N_STEPS,))
+    traj = rb_gfem_solve(cs, seq, reductions, 1.0, N_STEPS, zc, zc, m_max=N_STEPS)
     assert rel_h1_final(problem44.forms, traj, reference) <= 1e-12
 
 
 def test_rb_gfem_steps_at_forms_tau(problem44, localized44):
     cs, seq, _ = localized44
     zc = np.zeros(problem44.n_coarse_dofs)
-    reductions = node_reductions(seq, problem44.forms, (5,))
-    traj = rb_gfem_solve(cs, seq, reductions, problem44.forms, 1.0, N_STEPS, zc, zc,
-                         m_max=5)
+    reductions = node_reductions(seq, (5,))
+    traj = rb_gfem_solve(cs, seq, reductions, 1.0, N_STEPS, zc, zc, m_max=5)
     assert traj.grid == TimeGrid(problem44.forms.tau, N_STEPS)
     with pytest.raises(ValueError, match="two time steps"):
-        rb_gfem_solve(cs, seq, reductions, problem44.forms, 1.0, 1, zc, zc, m_max=5)
+        rb_gfem_solve(cs, seq, reductions, 1.0, 1, zc, zc, m_max=5)
 
 
 def test_rb_gfem_gap_shrinks_with_m(problem44, localized44):
@@ -177,9 +186,8 @@ def test_rb_gfem_gap_shrinks_with_m(problem44, localized44):
     zc = np.zeros(problem44.n_coarse_dofs)
     gaps = []
     for m in (1, 5, 10):
-        reductions = node_reductions(seq, problem44.forms, (m,))
-        traj = rb_gfem_solve(cs, seq, reductions, problem44.forms, 1.0, N_STEPS, zc, zc,
-                             m_max=m)
+        reductions = node_reductions(seq, (m,))
+        traj = rb_gfem_solve(cs, seq, reductions, 1.0, N_STEPS, zc, zc, m_max=m)
         gaps.append(rel_h1_final(problem44.forms, traj, reference))
     assert gaps[2] < gaps[1] < gaps[0]
 
@@ -204,7 +212,7 @@ def _oracle_sequence(problem, tc, m, horizon, stop_tol=1e-12):
 
 def test_shared_basis_compression_matches_oracle(problem44, localized44):
     _, seq, _ = localized44
-    reductions = node_reductions(seq, problem44.forms, (1, 5, 10))
+    reductions = node_reductions(seq, (1, 5, 10))
     assert set(reductions) == set(seq)
     for m in (1, 5, 10):
         compressed = compress_transients(seq, reductions, m, horizon=N_STEPS)
@@ -219,7 +227,7 @@ def test_shared_basis_compression_matches_oracle(problem44, localized44):
 
 def test_compression_rejects_bases_built_too_small(problem44, localized44):
     _, seq, _ = localized44
-    reductions = node_reductions(seq, problem44.forms, (1, 5))
+    reductions = node_reductions(seq, (1, 5))
     with pytest.raises(ValueError):
         compress_transients(seq, reductions, 10, horizon=N_STEPS)
     with pytest.raises(ValueError):
@@ -230,7 +238,6 @@ def test_node_reductions_reject_corrupt_dofs(problem44, snapshots44):
     # patch dofs read back from a corrupt cache, out of order or out of range
     _, tc = snapshots44
     for dofs in (tc.dofs[::-1], tc.dofs + problem44.n_fine_dofs):
-        corrupt = TransientCorrectors(dofs, tc.xi, tc.config)
+        corrupt = TransientCorrectors(dofs, tc.xi, tc.correctors)
         with pytest.raises(ValueError, match="patch dofs"):
-            node_reductions({problem44.n_coarse_dofs // 2: corrupt}, problem44.forms,
-                            (5,))
+            node_reductions({problem44.n_coarse_dofs // 2: corrupt}, (5,))

@@ -62,21 +62,21 @@ def test_observers_read_what_the_functions_return(tmp_path):
         seen.add(name)
 
     correctors = build_corrector_set(forms, config)
-    seq = transients_for_all_nodes(forms, correctors, horizon=5)
+    seq = transients_for_all_nodes(correctors, horizon=5)
     rows = sum(tc.xi.shape[0] for tc in seq.values())
     observe("lod.transients_for_all_nodes", (), seq)
     assert rows > 0 and tracer.count["lod.transient_rows"] == rows
 
     key = cache_key(forms, config, 5, 1e-12)
     save_corrector_cache(tmp_path, key, correctors, seq)
-    loaded = load_corrector_cache(tmp_path, key, pair, config)
+    loaded = load_corrector_cache(tmp_path, key, forms, config)
     assert isinstance(loaded[1], dict) and set(loaded[1]) == set(seq)
     assert all(isinstance(tc, TransientCorrectors) for tc in loaded[1].values())
-    observe("lod.load_corrector_cache", (tmp_path, key, pair, config), loaded)
+    observe("lod.load_corrector_cache", (tmp_path, key, forms, config), loaded)
     assert tracer.count["lod.transient_rows"] == 2 * rows
 
     zeros = np.zeros(pair.coarse.n_dofs)
-    trajectory = localized_gfem_solve(correctors, seq, forms, 1.0, 5, zeros, zeros)
+    trajectory = localized_gfem_solve(correctors, seq, 1.0, 5, zeros, zeros)
     observe("evolution.localized_gfem_solve", (), trajectory)
     assert tracer.count["online_steps"] == 4
 
