@@ -1,6 +1,7 @@
 """Patch-localized correctors, multiscale basis, transient corrections, decay diagnostics."""
 
 import hashlib
+import numbers
 import os
 import zipfile
 from dataclasses import dataclass
@@ -27,6 +28,10 @@ class CorrectorConfig:
     form_choice: str = "a_plus_tau_b"
 
     def __post_init__(self):
+        if not isinstance(self.k, numbers.Integral) or isinstance(self.k, bool):
+            raise ValueError("patch size k must be an integer, got %r" % (self.k,))
+        # a numpy integer is stored as the int, whose repr the cache key hashes
+        object.__setattr__(self, "k", int(self.k))
         if self.k < 1:
             raise ValueError("patch size k must be >= 1")
         if self.form_choice not in FORM_CHOICES:
@@ -147,19 +152,40 @@ class CorrectorSet:
 
 
 def build_corrector_set(forms, config):
-    """Assemble all element correctors and the modified coarse basis."""
+    """Assemble all element correctors and the modified coarse basis.
+
+    The nonzeros of phi go into triplet arrays allocated once, at their bound
+    of |patch dofs| per interior vertex of each element, in element order:
+    that order fixes the round-off of the repeated entries scipy sums as it
+    builds phi.
+    """
     pair = forms.pair
     coarse = pair.coarse
 
+    # the fine dofs of each distinct coarse patch are found once and shared
+    # by its elements
+    dofs_of = {}
+    element_dofs = []
+    for t in range(coarse.n_elements):
+        elements = element_patch(coarse, t, config.k)
+        key = elements.tobytes()
+        if key not in dofs_of:
+            dofs_of[key] = patch_fine_dofs(pair, elements)
+        element_dofs.append(dofs_of[key])
+
+    shape = (pair.fine.n_dofs, coarse.n_dofs)
+    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    n_vertices = (coarse.dof_index[coarse.triangles] >= 0).sum(axis=1)
+    size = int(sum(dofs.size * m for dofs, m in zip(element_dofs, n_vertices)))
+    rows = np.empty(size, dtype=index)
+    cols = np.empty(size, dtype=index)
+    vals = np.empty(size)
+    end = 0
+
     # elements with the same patch dofs share one Patch, so each is factored
     # once, and it is dropped after its last element
-    element_dofs = [patch_fine_dofs(pair, element_patch(coarse, t, config.k))
-                    for t in range(coarse.n_elements)]
     last = {dofs.tobytes(): t for t, dofs in enumerate(element_dofs)}
     patches = {}
-    rows = []
-    cols = []
-    vals = []
     for t, dofs in enumerate(element_dofs):
         key = dofs.tobytes()
         if key not in patches:
@@ -167,16 +193,12 @@ def build_corrector_set(forms, config):
         patch = patches.pop(key) if last[key] == t else patches[key]
         for dof, w in compute_element_correctors(patch, t).items():
             nz = np.flatnonzero(w)
-            rows.append(patch.dofs[nz])
-            cols.append(np.full(nz.size, dof, dtype=np.int64))
-            vals.append(w[nz])
-    if rows:
-        phi = sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(pair.fine.n_dofs, coarse.n_dofs),
-        )
-    else:
-        phi = sparse.csr_matrix((pair.fine.n_dofs, coarse.n_dofs))
+            start, end = end, end + nz.size
+            rows[start:end] = patch.dofs[nz]
+            cols[start:end] = dof
+            vals[start:end] = w[nz]
+    phi = sparse.csr_matrix((vals[:end], (rows[:end], cols[:end])), shape=shape)
+    del rows, cols, vals
     phi.sum_duplicates()
 
     P = prolongation(pair)

@@ -32,6 +32,12 @@ def problem44():
 
 
 @pytest.fixture(scope="session")
+def problem84():
+    # coarse 8x8, refinement 4: the mesh pair of the benchmark (p=5, q=3)
+    return ProblemBundle(8, 4)
+
+
+@pytest.fixture(scope="session")
 def problem81():
     # h = H: the fine-scale space is trivial
     return ProblemBundle(8, 1)

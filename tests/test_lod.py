@@ -1,10 +1,12 @@
 import builtins
 import shutil
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from sdwave import linalg, lod
 from sdwave.assembly import DiscreteForms, element_rhs_block, h1_norms
@@ -26,6 +28,13 @@ def test_config_validation():
         CorrectorConfig(k=0)
     with pytest.raises(ValueError):
         CorrectorConfig(k=1, form_choice="c_only")
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, np.bool_(True), "2"],
+                         ids=["float", "whole_float", "bool", "numpy_bool", "str"])
+def test_config_rejects_non_integer_k(k):
+    with pytest.raises(ValueError, match="integer"):
+        CorrectorConfig(k=k)
 
 
 def test_element_correctors_vanish_at_r1(problem81):
@@ -160,6 +169,63 @@ def test_element_patch_freed_after_its_element(problem44, monkeypatch):
     build_corrector_set(problem44.forms, CorrectorConfig(k=1))
     assert len(counts) == coarse.n_elements
     assert max(counts) <= 2
+
+
+def _list_and_concatenate_corrector_set(forms, config):
+    """Q, M_ms, A_ms and B_ms with phi's triplets gathered in per-element
+    lists and joined by np.concatenate: the reference order of its entries."""
+    pair = forms.pair
+    coarse = pair.coarse
+    patches = {}
+    rows, cols, vals = [], [], []
+    for t in range(coarse.n_elements):
+        dofs = patch_fine_dofs(pair, element_patch(coarse, t, config.k))
+        patch = patches.setdefault(dofs.tobytes(), Patch(forms, dofs, config.form_choice))
+        for dof, w in compute_element_correctors(patch, t).items():
+            nz = np.flatnonzero(w)
+            rows.append(patch.dofs[nz])
+            cols.append(np.full(nz.size, dof, dtype=np.int64))
+            vals.append(w[nz])
+    phi = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(pair.fine.n_dofs, coarse.n_dofs),
+    )
+    phi.sum_duplicates()
+    Q = (prolongation(pair) - phi).tocsr()
+    return Q, [(Q.T @ m @ Q).toarray() for m in (forms.M, forms.K_A, forms.K_B)]
+
+
+@pytest.mark.parametrize("form_choice", lod.FORM_CHOICES)
+@pytest.mark.parametrize("k", [1, 2, None], ids=["k1", "k2", "saturating"])
+def test_corrector_set_bitwise_equals_list_and_concatenate(problem44, k, form_choice):
+    forms = problem44.forms
+    config = CorrectorConfig(k=k or saturating_k(forms.pair.coarse), form_choice=form_choice)
+    cs = build_corrector_set(forms, config)
+    Q, galerkin = _list_and_concatenate_corrector_set(forms, config)
+    _assert_same_csr(cs.Q, Q)
+    for got, want in zip((cs.M_ms, cs.A_ms, cs.B_ms), galerkin):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_corrector_set_peak_memory_per_triplet_entry(problem84):
+    # phi's triplets take 16 B an entry and scipy's CSR copy of them 12 B more;
+    # the bound leaves room for the smaller temporaries of the build
+    pair = problem84.pair
+    coarse = pair.coarse
+    prolongation(pair)  # cached on the pair, so built outside the trace
+    # at saturation every element's patch holds every fine dof
+    entries = pair.fine.n_dofs * int((coarse.dof_index[coarse.triangles] >= 0).sum())
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        build_corrector_set(problem84.forms, CorrectorConfig(k=saturating_k(coarse)))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 40 * entries
 
 
 @pytest.fixture
@@ -598,6 +664,8 @@ def test_cache_key_covers_every_input(problem44):
     config = CorrectorConfig(k=2)
     base = cache_key(forms, config, 10, 1e-12)
     assert cache_key(forms, CorrectorConfig(k=2), 10, 1e-12) == base
+    # a numpy integer k is accepted and keys the same file as the Python int
+    assert cache_key(forms, CorrectorConfig(k=np.int64(2)), 10, 1e-12) == base
     scaled = DiscreteForms(problem44.pair, 10.0 * problem44.field_a.values,
                            problem44.field_b, TAU)
     stepped = DiscreteForms(problem44.pair, problem44.field_a, problem44.field_b,
