@@ -164,11 +164,20 @@ def _forms(cfg, q):
     return DiscreteForms(pair, field_a, field_b, cfg.tau)
 
 
-def _corrector_pipeline(cfg, forms, k, form_choice, counters, transients=True):
-    """Correctors (and transient sequences) with optional disk caching."""
+def _counters():
+    """A run's counters: cache hits and misses, the saddle solves spent on
+    transient sequences and the worst certified bound of one (lod.TransientCorrectors)."""
+    return {"cache_hits": 0, "cache_misses": 0, "transient_solves": 0,
+            "transient_bound": 0.0}
+
+
+def _corrector_pipeline(cfg, forms, k, form_choice, counters, transients=True,
+                        generator="lanczos"):
+    """Correctors (and transient sequences of the generator) with optional
+    disk caching."""
     config = CorrectorConfig(k=k, form_choice=form_choice)
     horizon = transient_horizon(cfg.n_steps)
-    key = cache_key(forms, config, horizon, STOP_TOL)
+    key = cache_key(forms, config, horizon, STOP_TOL, generator)
     if cfg.cache:
         cached = load_corrector_cache(cfg.cache, key, forms, config)
         if cached is not None and (cached[1] is not None or not transients):
@@ -178,7 +187,10 @@ def _corrector_pipeline(cfg, forms, k, form_choice, counters, transients=True):
     correctors = build_corrector_set(forms, config)
     seq = None
     if transients:
-        seq = transients_for_all_nodes(correctors, horizon)
+        seq = transients_for_all_nodes(correctors, horizon, generator=generator)
+        counters["transient_solves"] += sum(tc.solves for tc in seq.values())
+        counters["transient_bound"] = max([counters["transient_bound"]]
+                                          + [tc.bound for tc in seq.values()])
     if cfg.cache:
         save_corrector_cache(cfg.cache, key, correctors, seq)
     return correctors, seq
@@ -199,7 +211,7 @@ def _row(forms, reference, param, method, trajectory, tic):
 def run_exp_k(cfg):
     """Localization error against the ideal method as the patch size grows."""
     started = time.perf_counter()
-    counters = {"cache_hits": 0, "cache_misses": 0}
+    counters = _counters()
     forms = _forms(cfg, cfg.q)
     zeros = np.zeros(forms.pair.coarse.n_dofs)
 
@@ -228,7 +240,7 @@ def _exp_k_row(cfg, forms, k, reference, counters):
 def run_exp_H(cfg):
     """Errors against the fine FEM reference over the coarse mesh sweep."""
     started = time.perf_counter()
-    counters = {"cache_hits": 0, "cache_misses": 0}
+    counters = _counters()
     rows = []
 
     # the reference's forms are also the sweep's last, at q = cfg.q
@@ -275,12 +287,14 @@ def _exp_H_level(cfg, q, fine_forms, reference, counters):
 def run_exp_rb(cfg):
     """Gap between the reduced-basis run and the plain localized method."""
     started = time.perf_counter()
-    counters = {"cache_hits": 0, "cache_misses": 0}
+    counters = _counters()
     forms = _forms(cfg, cfg.q)
     zeros = np.zeros(forms.pair.coarse.n_dofs)
     k = cfg.q
 
-    correctors, seq = _corrector_pipeline(cfg, forms, k, "a_plus_tau_b", counters)
+    # the power iterates: build_rb amplifies the round-off of its snapshots
+    correctors, seq = _corrector_pipeline(cfg, forms, k, "a_plus_tau_b", counters,
+                                          generator="power")
     reference = localized_gfem_solve(correctors, seq, 1.0, cfg.n_steps, zeros, zeros)
 
     # one basis per node, built from max(M) snapshots; each M takes its prefix
@@ -317,9 +331,10 @@ def emit(rows, outdir, name, svg=False, meta=None):
         _write_svg(ordered, svg_path, name)
         paths.append(svg_path)
     if meta:
-        log.info("%s: wall=%.1fs cache hits=%d misses=%d", name,
-                 meta.get("wall_s", 0.0), meta.get("cache_hits", 0),
-                 meta.get("cache_misses", 0))
+        log.info("%s: wall=%.1fs cache hits=%d misses=%d transient solves=%d "
+                 "worst certified bound=%.2e", name, meta.get("wall_s", 0.0),
+                 meta.get("cache_hits", 0), meta.get("cache_misses", 0),
+                 meta.get("transient_solves", 0), meta.get("transient_bound", 0.0))
     return paths
 
 

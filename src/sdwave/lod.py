@@ -1,6 +1,7 @@
 """Patch-localized correctors, multiscale basis, transient corrections, decay diagnostics."""
 
 import hashlib
+import math
 import numbers
 import os
 import zipfile
@@ -8,6 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
 
 from . import linalg
@@ -19,6 +21,17 @@ FORM_CHOICES = ("a_plus_tau_b", "a_only", "b_only")
 
 # a correction sequence ends once its H1 norm falls to STOP_TOL times its first
 STOP_TOL = 1e-12
+
+# a certified sequence lies within CERTIFY_TOL times the energy norm of its
+# first member of the power iterates, in the energy norm, member by member
+CERTIFY_TOL = 1e-11
+
+# "lanczos": certified members lifted from a Lanczos basis; "power": one
+# saddle solve per member
+GENERATORS = ("lanczos", "power")
+
+# the version of how the cached arrays are computed and stored
+CACHE_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -113,6 +126,25 @@ class Patch:
         w, _ = self.saddle.solve(rhs_patch)
         return w
 
+    @cached_property
+    def _kernel_factors(self):
+        # C^T, made once, and the Cholesky factor of C C^T
+        return self.C.T, scipy.linalg.cho_factor((self.C @ self.C.T).toarray())
+
+    def kernel_project(self, v):
+        """The Euclidean projection of v onto the kernel of C.
+
+        LAPACK's potrs is called directly: it is the solve of
+        scipy.linalg.cho_solve, without its checks of every call.
+        """
+        c_t, (factor, lower) = self._kernel_factors
+        y = self.C @ v
+        if y.size:
+            y, info = scipy.linalg.lapack.dpotrs(factor, y, lower=lower)
+            if info != 0:
+                raise ValueError("illegal argument %d of potrs" % -info)
+        return v - c_t @ y
+
 
 def compute_element_correctors(patch, t_coarse):
     """Per-vertex corrector contributions of one coarse element on its patch.
@@ -183,10 +215,13 @@ def build_corrector_set(forms, config):
     end = 0
 
     # elements with the same patch dofs share one Patch, so each is factored
-    # once, and it is dropped after its last element
+    # once, and it is dropped after its last element; a patch without fine
+    # dofs (h = H) carries no corrector
     last = {dofs.tobytes(): t for t, dofs in enumerate(element_dofs)}
     patches = {}
     for t, dofs in enumerate(element_dofs):
+        if dofs.size == 0:
+            continue
         key = dofs.tobytes()
         if key not in patches:
             patches[key] = Patch(forms, dofs, config.form_choice)
@@ -214,6 +249,12 @@ class TransientCorrectors:
     dofs: np.ndarray
     xi: np.ndarray              # (steps, patch dofs)
     correctors: CorrectorSet    # the set the sequence was built from
+    # the saddle solves spent building xi, and its certified bound (the
+    # largest energy error of a member, over the energy norm of the first);
+    # both are 0 for a sequence read from the cache, and the bound is 0 for
+    # power iterates
+    solves: int = 0
+    bound: float = 0.0
 
 
 def transient_patch(correctors, x_dof, Q_csc=None):
@@ -264,6 +305,7 @@ def compute_transient_correctors(correctors, x_dof, horizon, stop_tol=STOP_TOL, 
     sol = np.empty_like(rhs)
     length = 0        # members kept so far
     checked = 1       # solve the block's first member through the checked solve
+    solves = 0
     while True:
         size = min(_BLOCK, horizon - length)
         for i in range(size):
@@ -273,6 +315,7 @@ def compute_transient_correctors(correctors, x_dof, horizon, stop_tol=STOP_TOL, 
             else:
                 sol[i] = solve_bare(rhs[i])
                 xi[length + i] = sol[i, :n]
+        solves += size
         members = xi[length:length + size]
         h1_members = np.ascontiguousarray((patch.h1 @ members.T).T)
         kept, stop = size, False
@@ -293,13 +336,181 @@ def compute_transient_correctors(correctors, x_dof, horizon, stop_tol=STOP_TOL, 
         if stop or length == horizon:
             break
     xi = xi if length == horizon else xi[:length].copy()
-    return TransientCorrectors(patch.dofs, xi, correctors)
+    return TransientCorrectors(patch.dofs, xi, correctors, solves)
 
 
-def transients_for_all_nodes(correctors, horizon, stop_tol=STOP_TOL):
-    """Transient correctors for every interior coarse node, keyed by its dof."""
+# the most Lanczos steps between two evaluations of the certified bound
+_BOUND_EVERY = 8
+# a Lanczos remainder below this fraction of ||G z_M|| spans nothing new: the
+# Krylov space is invariant
+_INVARIANT_TOL = 1e-12
+
+
+def _tridiagonal_powers(alpha, beta, count):
+    """The columns T^i e_1, i < count, of the tridiagonal T with diagonal
+    alpha and off-diagonal beta, by doubling: T^(s+c) e_1 = T^s (T^c e_1).
+    Entries below the band of T^i stay exact zeros."""
+    m = alpha.size
+    T = np.zeros((m, m))
+    T.flat[::m + 1] = alpha
+    T.flat[1::m + 1] = beta
+    T.flat[m::m + 1] = beta
+    powers = np.zeros((m, count))
+    powers[0, :1] = 1.0
+    power, filled = T, 1          # power = T^filled
+    while filled < count:
+        take = min(filled, count - filled)
+        powers[:, filled:filled + take] = power @ powers[:, :take]
+        filled += take
+        if filled < count:
+            power = power @ power
+    return powers
+
+
+def _certified_bound(alpha, beta, horizon):
+    """beta_M sum_{i < horizon - 1} |e_M^T T^i e_1|, for the M x M tridiagonal
+    T with diagonal alpha and off-diagonal beta[:-1], and beta_M = beta[-1]."""
+    powers = _tridiagonal_powers(alpha, beta[:-1], horizon - 1)
+    return float(beta[-1] * np.abs(powers[-1]).sum())
+
+
+def _lanczos(patch, first, horizon):
+    """The Lanczos basis, in the K_tilde product, of G = (K_tilde on the
+    interpolation kernel)^-1 K_A from xi^1, the checked solve of first.
+
+    Returns (xi1, norm1, Z, alpha, beta, bound, solves). The M rows of Z are
+    K_tilde-orthonormal and lie in the kernel; z_1 = xi1 / norm1, where norm1
+    is the energy norm of xi1. alpha and beta[:-1] are the diagonal and the
+    off-diagonal of T = Z K_A Z^T, and beta_M = beta[-1] is the norm of the
+    remainder of G z_M. So G Z^T = Z^T T + beta_M z_{M+1} e_M^T, and each
+    member xi^{j+1} = G^j xi1 lies within norm1 * bound, in the energy norm,
+    of norm1 Z^T T^j e_1 for j < horizon, where
+    bound = beta_M sum_{i < horizon - 1} |e_M^T T^i e_1| (G is a contraction).
+
+    Each step is one saddle solve of K_A z_M; its remainder is
+    reorthogonalized against Z twice, projected onto the kernel and
+    normalized. The basis ends at the first M tried whose bound is at most
+    CERTIFY_TOL; at M = horizon, where the bound vanishes; or once the remainder
+    falls below _INVARIANT_TOL times ||G z_M||, where the Krylov space is
+    invariant. The bound falls about geometrically in M, so the next M tried
+    is where the last two tries extrapolate to CERTIFY_TOL, at most _BOUND_EVERY
+    steps on (the first try is at M = _BOUND_EVERY). Solves are bare LU
+    solves, checked in blocks of _BLOCK like the power iterates', and a step
+    whose solve misses its check is replayed through the checked solve.
+    """
+    tol = CERTIFY_TOL
+    saddle = patch.saddle
+    solve_bare = saddle._fact._raw_solve
+    X, K = patch.k_tilde, patch.k_a
+    n = patch.dofs.size
+    xi1 = saddle.solve(first)[0]
+    x_xi1 = X @ xi1
+    norm1 = np.sqrt(max(xi1 @ x_xi1, 0.0))
+    if norm1 == 0.0:
+        # a zero first member: the one-vector basis z_1 = 0, T = [0] lifts
+        # the zero members after it
+        return xi1, norm1, np.zeros((1, n)), np.zeros(1), np.zeros(1), 0.0, 1
+    # z_{M+1} and K_tilde z_{M+1} are rows M of Z and XZ
+    Z = np.empty((horizon + 1, n))
+    XZ = np.empty_like(Z)
+    Z[0], XZ[0] = xi1 / norm1, x_xi1 / norm1
+    alpha, beta = np.empty(horizon), np.empty(horizon)
+    rhs = np.zeros((_BLOCK, n + saddle.C.shape[0]))
+    sol = np.empty_like(rhs)
+    M = 0             # steps taken; step s solves for G z_s
+    start = 1         # the step in row 0 of the block
+    checked = 0       # leading rows of the block solved through the checked solve
+    solves = 1
+    tried, tried_bound, next_try = 0, 1.0, _BOUND_EVERY
+    while True:
+        i = M + 1 - start
+        rhs[i, :n] = K @ Z[M]
+        if i < checked:
+            w = saddle.solve(rhs[i, :n])[0]
+        else:
+            sol[i] = solve_bare(rhs[i])
+            w = sol[i, :n].copy()
+        solves += 1
+        M += 1
+        h = XZ[:M] @ w
+        w -= h @ Z[:M]
+        again = XZ[:M] @ w
+        w -= again @ Z[:M]
+        h += again
+        w = patch.kernel_project(w)
+        x_w = X @ w
+        b = math.sqrt(max(w @ x_w, 0.0))
+        alpha[M - 1], beta[M - 1] = h[M - 1], b
+        invariant = b * b <= _INVARIANT_TOL ** 2 * (h @ h + b * b)
+        if not invariant:
+            np.divide(w, b, out=Z[M])
+            np.divide(x_w, b, out=XZ[M])
+        stop = invariant or M == horizon
+        if stop or M >= next_try:
+            bound = _certified_bound(alpha[:M], beta[:M], horizon)
+            stop = stop or bound <= tol
+            if not stop:
+                rate = math.log(bound / tried_bound) / (M - tried)
+                ahead = math.log(tol / bound) / rate if rate < 0.0 else _BOUND_EVERY
+                tried, tried_bound = M, bound
+                next_try = M + min(max(math.ceil(ahead), 1), _BOUND_EVERY)
+        if stop or i + 1 == _BLOCK:
+            accurate = checked + saddle.count_accurate(rhs[checked:i + 1].T,
+                                                        sol[checked:i + 1].T)
+            if accurate <= i:
+                # replay the first step that missed through the checked solve
+                M, start, checked = start + accurate - 1, start + accurate, 1
+                continue
+            if stop:
+                break
+            start, checked = M + 1, 0
+    return xi1, norm1, Z[:M], alpha[:M], beta[:M], bound, solves
+
+
+def _certified_transients(correctors, x_dof, horizon, stop_tol=STOP_TOL, Q_csc=None):
+    """The correction sequence of compute_transient_correctors, each member
+    after the first lifted from the node's Lanczos basis (_lanczos) with one
+    product, within CERTIFY_TOL of the power iterate as the basis certifies.
+
+    The first member is the power iterate's checked solve. The sequence ends
+    where the lifted members' H1 norms meet the stop test of the power
+    iterates.
+    """
+    if correctors.config.form_choice != "a_plus_tau_b":
+        # only K_A + tau K_B makes G a contraction, which the bound needs
+        raise ValueError("certified sequences need the a_plus_tau_b form, got %r"
+                         % (correctors.config.form_choice,))
+    patch, first = transient_patch(correctors, x_dof, Q_csc)
+    # the rows the sequence keeps are allocated before the basis's scratch
+    # arrays, so that these leave no hole in the heap below them when freed
+    # (a hole kept the peak RSS of a kcold run 1 MB higher)
+    xi = np.empty((horizon, patch.dofs.size))
+    xi1, norm1, Z, alpha, beta, bound, solves = _lanczos(patch, first, horizon)
+    powers = _tridiagonal_powers(alpha, beta[:-1], horizon)
+    xi[0] = xi1
+    np.matmul((norm1 * powers[:, 1:]).T, Z, out=xi[1:])
+    h1 = np.einsum("li,li->l", xi, (patch.h1 @ xi.T).T)
+    norms = np.sqrt(np.maximum(h1, 0.0))
+    below = np.flatnonzero(norms[:-1] <= stop_tol * norms[0])
+    length = below[0] + 1 if below.size else horizon
+    xi = xi if length == horizon else xi[:length].copy()
+    return TransientCorrectors(patch.dofs, xi, correctors, solves, bound)
+
+
+def transients_for_all_nodes(correctors, horizon, stop_tol=STOP_TOL, generator="lanczos"):
+    """Transient correctors for every interior coarse node, keyed by its dof.
+
+    The generator (one of GENERATORS) is "lanczos" for certified sequences
+    (_certified_transients) or "power" for the power iterates
+    (compute_transient_correctors).
+    """
+    if generator not in GENERATORS:
+        raise ValueError("generator must be one of %s, got %r" % (GENERATORS, generator))
+    if not isinstance(horizon, numbers.Integral) or isinstance(horizon, bool) or horizon < 1:
+        raise ValueError("horizon must be an integer >= 1, got %r" % (horizon,))
+    build = _certified_transients if generator == "lanczos" else compute_transient_correctors
     Q_csc = correctors.Q.tocsc()
-    return {d: compute_transient_correctors(correctors, d, horizon, stop_tol, Q_csc)
+    return {d: build(correctors, d, horizon, stop_tol, Q_csc)
             for d in range(correctors.Q.shape[1])}
 
 
@@ -334,19 +545,25 @@ def decay_profile(v, pair, x_dof):
 # ----------------------------------------------------------------------------
 # binary corrector cache
 
-def cache_key(forms, config, horizon, stop_tol):
+def cache_key(forms, config, horizon, stop_tol, generator="lanczos"):
     """File key for a corrector set (and its transients) built from these inputs.
 
-    The digest covers everything the cached arrays depend on: both coefficient
-    arrays, the exact time step forms.tau, the patch size, the form, the mesh
-    pair, and the transient horizon and stop tolerance.
+    The digest covers everything the cached arrays depend on: CACHE_FORMAT,
+    both coefficient arrays, the exact time step forms.tau, the patch size,
+    the form, the mesh pair, the transient horizon and stop tolerance, and
+    the generator of the sequences ("power", or "lanczos" with CERTIFY_TOL).
     """
+    if generator not in GENERATORS:
+        raise ValueError("generator must be one of %s, got %r" % (GENERATORS, generator))
+    if generator == "lanczos":
+        generator += ":" + CERTIFY_TOL.hex()
     pair = forms.pair
     digest = hashlib.sha256()
     digest.update(forms.a_values.tobytes())
     digest.update(forms.b_values.tobytes())
-    digest.update(repr((float(forms.tau).hex(), config.k, config.form_choice,
-                        pair.coarse.n, pair.r, horizon, float(stop_tol).hex())).encode())
+    digest.update(repr((CACHE_FORMAT, float(forms.tau).hex(), config.k, config.form_choice,
+                        pair.coarse.n, pair.r, horizon, float(stop_tol).hex(),
+                        generator)).encode())
     return "k%d_%s_%s" % (config.k, config.form_choice, digest.hexdigest())
 
 

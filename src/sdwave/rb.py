@@ -48,11 +48,7 @@ def build_rb(snapshots, patch, tol_rel=RB_TOL):
     snapshots = np.atleast_2d(np.asarray(snapshots, dtype=float))
     if snapshots.shape[0] == 0:
         raise EmptyBasisError("no snapshots supplied")
-    a_tilde, C = patch.k_tilde, patch.C
-    gram_c = scipy.linalg.cho_factor((C @ C.T).toarray())
-
-    def kernel_project(v):
-        return v - C.T @ scipy.linalg.cho_solve(gram_c, C @ v)
+    a_tilde = patch.k_tilde
 
     def dot(u, v):
         return float(u @ (a_tilde @ v))
@@ -72,7 +68,7 @@ def build_rb(snapshots, patch, tol_rel=RB_TOL):
         norm_v = np.sqrt(max(dot(v, v), 0.0))
         if norm_v <= tol_rel * norm_s or norm_v == 0.0:
             break
-        v = kernel_project(v)
+        v = patch.kernel_project(v)
         for z in basis:
             v -= dot(z, v) * z
         v /= np.sqrt(max(dot(v, v), 0.0))

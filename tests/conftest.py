@@ -44,6 +44,12 @@ def problem81():
 
 
 @pytest.fixture(scope="session")
+def problem21():
+    # h = H on a 2x2 coarse mesh: one interior node
+    return ProblemBundle(2, 1)
+
+
+@pytest.fixture(scope="session")
 def problem82():
     return ProblemBundle(8, 2)
 

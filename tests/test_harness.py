@@ -18,6 +18,8 @@ from sdwave.cli import main
 from sdwave.harness import (CSV_HEADER, ExperimentConfig, config_from_sources,
                             emit, random_field, run_exp_H, run_exp_k,
                             run_exp_rb)
+from sdwave.lod import (CERTIFY_TOL, compute_transient_correctors,
+                        transients_for_all_nodes)
 from sdwave.mesh import Mesh
 
 MICRO = dict(p=3, q=2, kmax=2, tau=0.1, T=0.5, seed=1)
@@ -426,6 +428,48 @@ def test_exp_H_micro(tmp_path):
         if r["method"] == "gfem" and r["param"] == 8:  # H = h: oracle collapse
             assert r["rel_h1_final"] <= 1e-8
     assert_pinned(rows, PINNED_H)
+
+
+def test_run_counters_repeat(tmp_path, caplog):
+    # the saddle solves spent on sequences and the worst certified bound are
+    # counted where the work happens: two runs of one config count the same,
+    # and a run served from the cache spends no solves
+    cfg = ExperimentConfig(p=4, q=2, kmax=3, tau=0.1, T=2.0, seed=1,
+                           cache=str(tmp_path / "cache"))
+    rows, meta = run_exp_k(dataclasses.replace(cfg, cache=None))
+    _, again = run_exp_k(dataclasses.replace(cfg, cache=None))
+    counters = ("cache_hits", "cache_misses", "transient_solves", "transient_bound")
+    assert {c: meta[c] for c in counters} == {c: again[c] for c in counters}
+    # k = 2 and 3, nine nodes each, at least two solves per sequence
+    assert 2 * 9 * 2 <= meta["transient_solves"] < 2 * 9 * 19
+    assert 0.0 < meta["transient_bound"] <= CERTIFY_TOL
+    run_exp_k(cfg)
+    _, cached = run_exp_k(cfg)
+    assert cached["cache_misses"] == 0
+    assert cached["transient_solves"] == 0 and cached["transient_bound"] == 0.0
+    with caplog.at_level("INFO", logger="sdwave"):
+        emit(rows, tmp_path, "exp_k", meta=meta)
+    assert "transient solves=%d" % meta["transient_solves"] in caplog.text
+    assert "worst certified bound=%.2e" % meta["transient_bound"] in caplog.text
+
+
+def test_exp_rb_builds_the_power_iterates(monkeypatch):
+    # build_rb amplifies the round-off of its snapshots, so exp-rb's sequences
+    # stay those of compute_transient_correctors, bit for bit
+    built = []
+
+    def capture(correctors, horizon, **kwargs):
+        seq = transients_for_all_nodes(correctors, horizon, **kwargs)
+        built.append((correctors, horizon, seq))
+        return seq
+
+    monkeypatch.setattr(harness, "transients_for_all_nodes", capture)
+    run_exp_rb(ExperimentConfig(p=4, q=2, tau=0.1, T=2.0, seed=1, M=(1, 5)))
+    (correctors, horizon, seq), = built
+    assert horizon == 19
+    for d, tc in seq.items():
+        power = compute_transient_correctors(correctors, d, horizon)
+        assert tc.xi.tobytes() == power.xi.tobytes()
 
 
 def test_exp_rb_micro(tmp_path):

@@ -16,7 +16,8 @@ from sdwave.lod import (CorrectorConfig, Patch, build_corrector_set, cache_key,
                         compute_element_correctors,
                         compute_transient_correctors, decay_profile,
                         form_values, load_corrector_cache, patch_fine_dofs,
-                        save_corrector_cache, transient_patch)
+                        save_corrector_cache, transient_patch,
+                        transients_for_all_nodes)
 from sdwave.mesh import (Mesh, NestedMeshPair, element_patch, node_patch,
                          prolongation, saturating_k)
 
@@ -44,6 +45,20 @@ def test_element_correctors_vanish_at_r1(problem81):
     assert contrib
     for vec in contrib.values():
         assert np.abs(vec).max() <= 1e-12
+
+
+@pytest.mark.parametrize("problem", ["problem21", "problem81"])
+def test_corrector_set_skips_elements_without_patch_dofs(request, problem):
+    # at h = H the k = 1 patches of the corner elements hold no interior fine
+    # dof; such an element contributes nothing, where it used to fail in Patch
+    problem = request.getfixturevalue(problem)
+    coarse = problem.pair.coarse
+    sizes = [patch_fine_dofs(problem.pair, element_patch(coarse, t, 1)).size
+             for t in range(coarse.n_elements)]
+    assert 0 in sizes
+    cs = build_corrector_set(problem.forms, CorrectorConfig(k=1))
+    assert np.abs(cs.phi).max() <= 1e-12
+    assert np.abs((cs.Q - prolongation(problem.pair)).toarray()).max() <= 1e-12
 
 
 def test_constant_on_element_gives_zero_rhs(problem44):
@@ -518,6 +533,192 @@ def test_blocked_sequence_raises_on_a_kept_constraint_violation(problem44, k2_se
         compute_transient_correctors(*args, horizon=16, stop_tol=0.0)
 
 
+# ----------------------------------------------------------------------------
+# certified sequences from the Lanczos basis. Their checks raise through
+# _check, so they stay active under python -O, which strips assert statements.
+
+def _check(ok, what):
+    if not ok:
+        pytest.fail(what)
+
+
+def _energy_norms(patch, rows):
+    rows = np.atleast_2d(rows)
+    return np.sqrt(np.maximum(np.einsum("li,li->l", rows, (patch.k_tilde @ rows.T).T), 0.0))
+
+
+@pytest.fixture(scope="module", params=["problem44", "problem84"])
+def lanczos_set(request):
+    problem = request.getfixturevalue(request.param)
+    return problem, build_corrector_set(problem.forms, CorrectorConfig(k=2))
+
+
+def _nodes(problem):
+    # a corner node and a central one
+    return (0, problem.n_coarse_dofs // 2)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 16, 120])
+def test_certified_members_lie_within_tol_of_the_power_iterates(lanczos_set, horizon):
+    problem, cs = lanczos_set
+    for x_dof in _nodes(problem):
+        power = compute_transient_correctors(cs, x_dof, horizon, stop_tol=0.0)
+        certified = lod._certified_transients(cs, x_dof, horizon, stop_tol=0.0)
+        _check(certified.xi.shape == (horizon, power.dofs.size), "sequence length")
+        _check(certified.xi[0].tobytes() == power.xi[0].tobytes(),
+               "the first member is the checked solve, bit for bit")
+        patch = Patch(problem.forms, power.dofs)
+        norm1 = _energy_norms(patch, power.xi[0])[0]
+        worst = _energy_norms(patch, certified.xi - power.xi).max()
+        _check(worst <= lod.CERTIFY_TOL * norm1,
+               "node %d: member error %.2e of %.2e" % (x_dof, worst, norm1))
+        _check(certified.bound <= lod.CERTIFY_TOL, "bound %.2e" % certified.bound)
+        # the Krylov space of `horizon` members is spanned after horizon steps
+        _check(certified.solves <= horizon + 1, "%d solves" % certified.solves)
+        if horizon <= 2:
+            _check(certified.bound == 0.0, "members before M are exact")
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+def test_certified_bound_covers_the_true_error(lanczos_set, tol, monkeypatch):
+    # a loose tolerance stops the basis early, where the error is well above
+    # the round-off of the power iterates
+    problem, cs = lanczos_set
+    horizon = 120
+    monkeypatch.setattr(lod, "CERTIFY_TOL", tol)
+    for x_dof in _nodes(problem):
+        power = compute_transient_correctors(cs, x_dof, horizon, stop_tol=0.0)
+        certified = lod._certified_transients(cs, x_dof, horizon, stop_tol=0.0)
+        patch = Patch(problem.forms, power.dofs)
+        norm1 = _energy_norms(patch, power.xi[0])[0]
+        worst = _energy_norms(patch, certified.xi - power.xi).max() / norm1
+        _check(certified.bound <= tol, "bound %.2e above tol %.0e" % (certified.bound, tol))
+        _check(worst <= certified.bound + 1e-13,
+               "node %d: error %.2e above the bound %.2e" % (x_dof, worst, certified.bound))
+
+
+def test_certified_members_meet_the_constraints(lanczos_set):
+    problem, cs = lanczos_set
+    for x_dof in _nodes(problem):
+        patch, first = transient_patch(cs, x_dof)
+        xi = lod._certified_transients(cs, x_dof, 120, stop_tol=0.0).xi
+        # each member against the right-hand side of the step that makes it
+        rhs_norms = np.linalg.norm(np.vstack([first, (patch.k_a @ xi[:-1].T).T]), axis=1)
+        violation = np.abs(patch.C @ xi.T).max(axis=0)
+        _check(np.all(violation <= linalg.SADDLE_TOL * rhs_norms),
+               "node %d: worst |C xi| / |rhs| %.2e"
+               % (x_dof, (violation / rhs_norms).max()))
+
+
+def test_lanczos_basis_is_orthonormal_and_T_tridiagonal(lanczos_set):
+    problem, cs = lanczos_set
+    for x_dof in _nodes(problem):
+        patch, first = transient_patch(cs, x_dof)
+        _, _, Z, alpha, beta, _, _ = lod._lanczos(patch, first, 120)
+        m = alpha.size
+        T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+        gram = Z @ (patch.k_tilde @ Z.T)
+        projected = Z @ (patch.k_a @ Z.T)
+        _check(np.abs(gram - np.eye(m)).max() <= 1e-12,
+               "K_tilde-orthonormal to %.1e" % np.abs(gram - np.eye(m)).max())
+        _check(np.abs(projected - T).max() <= 1e-12,
+               "Z K_A Z^T is T to %.1e" % np.abs(projected - T).max())
+        _check(np.abs(patch.C @ Z[1:].T).max() <= 1e-12,
+               "the basis lies in the kernel")
+
+
+def test_invariant_krylov_space_ends_the_basis_early(problem44, monkeypatch):
+    # k = 1 patches are small: the Krylov space of G becomes invariant long
+    # before the horizon, and the basis stops there at a tolerance no bound meets
+    cs = build_corrector_set(problem44.forms, CorrectorConfig(k=1))
+    horizon = 400
+    tol = lod.CERTIFY_TOL
+    monkeypatch.setattr(lod, "CERTIFY_TOL", 1e-300)
+    for x_dof in _nodes(problem44):
+        patch, first = transient_patch(cs, x_dof)
+        kernel = patch.dofs.size - patch.C.shape[0]
+        _, _, Z, _, _, _, solves = lod._lanczos(patch, first, horizon)
+        _check(Z.shape[0] <= kernel < horizon,
+               "%d basis vectors in a kernel of %d" % (Z.shape[0], kernel))
+        power = compute_transient_correctors(cs, x_dof, horizon, stop_tol=0.0)
+        certified = lod._certified_transients(cs, x_dof, horizon, stop_tol=0.0)
+        _check(certified.solves == solves, "solves %d, %d" % (certified.solves, solves))
+        norm1 = _energy_norms(patch, power.xi[0])[0]
+        worst = _energy_norms(patch, certified.xi - power.xi).max()
+        _check(worst <= tol * norm1, "member error %.2e" % (worst / norm1))
+
+
+def test_certified_sequence_keeps_the_power_iterates_length(problem44, k2_set):
+    stop_tol = _mid_block_stop_tol(problem44, k2_set, 20)
+    x_dof = problem44.n_coarse_dofs // 2
+    power = compute_transient_correctors(k2_set, x_dof, 40, stop_tol=stop_tol)
+    certified = lod._certified_transients(k2_set, x_dof, 40, stop_tol=stop_tol)
+    _check(power.xi.shape[0] == certified.xi.shape[0] == 20, "stopped at member 20")
+
+
+def test_certified_sequence_zero_first_rhs(problem44, k2_set, monkeypatch):
+    def zero_rhs(*args):
+        patch, rhs = transient_patch(*args)
+        return patch, np.zeros_like(rhs)
+
+    monkeypatch.setattr(lod, "transient_patch", zero_rhs)
+    tc = lod._certified_transients(k2_set, problem44.n_coarse_dofs // 2, 17)
+    _check(tc.xi.shape[0] == 1 and not tc.xi.any(), "one zero member")
+    _check(tc.solves == 1 and tc.bound == 0.0, "no Lanczos step")
+
+
+def test_certified_sequence_replays_a_residual_miss(problem44, k2_set, monkeypatch):
+    x_dof = problem44.n_coarse_dofs // 2
+    power = compute_transient_correctors(k2_set, x_dof, 120, stop_tol=0.0)
+    clean = lod._certified_transients(k2_set, x_dof, 120, stop_tol=0.0)
+    # call 1 is the checked first member, so call 10 is the bare solve of step 9
+    checked = _perturb_bare_solve(monkeypatch, 10, _shift_first)
+    tc = lod._certified_transients(k2_set, x_dof, 120, stop_tol=0.0)
+    # the first member and the replayed step went through the checked solve
+    _check(len(checked) == 2, "%d checked solves" % len(checked))
+    # the steps after the miss in its block are solved again
+    _check(tc.solves > clean.solves, "%d solves, %d clean" % (tc.solves, clean.solves))
+    patch = Patch(problem44.forms, power.dofs)
+    norm1 = _energy_norms(patch, power.xi[0])[0]
+    worst = _energy_norms(patch, tc.xi - power.xi).max()
+    _check(worst <= lod.CERTIFY_TOL * norm1, "member error %.2e" % (worst / norm1))
+
+
+def test_certified_sequence_raises_on_a_constraint_violation(problem44, k2_set,
+                                                             monkeypatch):
+    _pass_every_residual_test(monkeypatch)
+    _perturb_bare_solve(monkeypatch, 5, lambda x: np.full_like(x, 1.0))
+    with pytest.raises(ConstraintViolationError):
+        lod._certified_transients(k2_set, problem44.n_coarse_dofs // 2, 40)
+
+
+def test_certified_sequences_need_the_damped_form(problem44):
+    cs = build_corrector_set(problem44.forms, CorrectorConfig(k=2, form_choice="a_only"))
+    with pytest.raises(ValueError, match="a_plus_tau_b"):
+        transients_for_all_nodes(cs, 4)
+    with pytest.raises(ValueError, match="generator"):
+        transients_for_all_nodes(cs, 4, generator="arnoldi")
+
+
+@pytest.mark.parametrize("horizon", [0, -1, 2.0, True])
+def test_transients_reject_a_bad_horizon(k2_set, horizon):
+    # the certified path failed with an IndexError at horizon 0
+    for generator in lod.GENERATORS:
+        with pytest.raises(ValueError, match="horizon"):
+            transients_for_all_nodes(k2_set, horizon, generator=generator)
+
+
+def test_transients_for_all_nodes_generators(problem44, k2_set):
+    power = transients_for_all_nodes(k2_set, 20, generator="power")
+    certified = transients_for_all_nodes(k2_set, 20)
+    for d, tc in power.items():
+        _check(tc.xi.tobytes() == compute_transient_correctors(k2_set, d, 20).xi.tobytes(),
+               "the power generator is compute_transient_correctors")
+        _check(tc.solves >= 20 and tc.bound == 0.0, "power iterates are solved")
+        _check(certified[d].xi.shape == tc.xi.shape, "same lengths")
+        _check(certified[d].solves <= 21, "%d solves" % certified[d].solves)
+
+
 def _whole_grid_element_rhs(pair, tilde_values, t_coarse, v):
     # the element right-hand side as it was assembled before it moved onto T:
     # over the whole fine grid, from a full-length v
@@ -677,18 +878,65 @@ def test_cache_key_covers_every_input(problem44):
         cache_key(stepped, config, 10, 1e-12),
         cache_key(forms, config, 11, 1e-12),
         cache_key(forms, config, 10, 1e-10),
+        cache_key(forms, config, 10, 1e-12, "power"),
     ]
     assert len(set(variants + [base])) == len(variants) + 1
+    assert cache_key(forms, config, 10, 1e-12, "lanczos") == base
+    with pytest.raises(ValueError, match="generator"):
+        cache_key(forms, config, 10, 1e-12, "arnoldi")
 
 
-def test_cache_key_is_pinned():
-    # cache file names stay those of earlier versions, so existing caches hit;
+def _pinned_forms():
     # the coefficients are exact binary fractions, the same on every platform
     pair = NestedMeshPair(Mesh(4), 2)
     n = pair.fine.n_elements
-    forms = DiscreteForms(pair, 1.0 + np.arange(n) % 3, 0.5 * (1.0 + np.arange(n) % 5),
-                          0.02)
-    assert cache_key(forms, CorrectorConfig(k=2), 10, 1e-12) == (
-        "k2_a_plus_tau_b_83cb82afdb841db22410a0051edd26196a527870d92008061cf1786f89587295")
-    assert cache_key(forms, CorrectorConfig(k=3, form_choice="a_only"), 50, 1e-12) == (
-        "k3_a_only_902e923463c53ffa528ba8e907ef843a6ce9a0b7a99621cf97a57ae315aa22b7")
+    return DiscreteForms(pair, 1.0 + np.arange(n) % 3, 0.5 * (1.0 + np.arange(n) % 5),
+                         0.02)
+
+
+# the keys of these inputs before the cache format and the generator were
+# keyed: files written under them hold power iterates of the old format
+_OLD_FORMAT_KEYS = (
+    "k2_a_plus_tau_b_83cb82afdb841db22410a0051edd26196a527870d92008061cf1786f89587295",
+    "k3_a_only_902e923463c53ffa528ba8e907ef843a6ce9a0b7a99621cf97a57ae315aa22b7",
+)
+
+
+def test_cache_key_is_pinned():
+    # cache file names change only with CACHE_FORMAT or the keyed inputs
+    forms = _pinned_forms()
+    keys = (cache_key(forms, CorrectorConfig(k=2), 10, 1e-12),
+            cache_key(forms, CorrectorConfig(k=3, form_choice="a_only"), 50, 1e-12),
+            cache_key(forms, CorrectorConfig(k=2), 10, 1e-12, "power"))
+    assert keys == (
+        "k2_a_plus_tau_b_25623439b95b70d725006e8cea7576440f939976fa256bd64dbb3b29ae8843e3",
+        "k3_a_only_9546048526b9d354ceecbce46d39416aef899add6b6cfb859df8326c996f1450",
+        "k2_a_plus_tau_b_b4bfa3a6ed393e378acc83182f391dbc6de0bd6eeba836bd522c6c83fcfb3d56")
+    assert not set(keys) & set(_OLD_FORMAT_KEYS)
+
+
+def test_cache_of_another_generator_or_format_is_a_miss(tmp_path, problem44,
+                                                        transient_node):
+    # exp-k (certified sequences) and exp-rb (power iterates) may share one
+    # cache directory; neither may serve the other's sequences, and a file of
+    # the format before the generator was keyed serves neither
+    cs, x_dof, tc = transient_node
+    forms, config = problem44.forms, cs.config
+    lanczos = cache_key(forms, config, 25, 0.0)
+    power = cache_key(forms, config, 25, 0.0, "power")
+    assert lanczos != power
+    for written, read in ((power, lanczos), (lanczos, power)):
+        path = save_corrector_cache(tmp_path, written, cs, {x_dof: tc})
+        shutil.copy(path, tmp_path / (read + ".npz"))
+        assert load_corrector_cache(tmp_path, read, forms, config) is None
+        assert load_corrector_cache(tmp_path, written, forms, config) is not None
+        for stale in tmp_path.iterdir():
+            stale.unlink()
+    # a file of the old format sits under its old name, which no key gives
+    pinned = _pinned_forms()
+    old = save_corrector_cache(tmp_path, _OLD_FORMAT_KEYS[0], cs, {x_dof: tc})
+    for generator in lod.GENERATORS:
+        key = cache_key(pinned, CorrectorConfig(k=2), 10, 1e-12, generator)
+        assert load_corrector_cache(tmp_path, key, pinned, CorrectorConfig(k=2)) is None
+        shutil.copy(old, tmp_path / (key + ".npz"))
+        assert load_corrector_cache(tmp_path, key, pinned, CorrectorConfig(k=2)) is None
