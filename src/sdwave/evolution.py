@@ -138,21 +138,22 @@ class _Superposition:
     The coarse step sees w only through Q^T K_A w^{n-1}, so the loop runs on
     the coarse memory matrices Gamma_l, column x = Q^T K_A xi_x^l, and the fine
     states are filled once after it, one triangular Toeplitz product per node.
+    It reads the members xi^1 .. xi^{N-1} of each sequence, N = grid.n_steps.
     """
 
     def __init__(self, correctors, transients, grid):
         Q = self.Q = correctors.Q
         n_coarse = Q.shape[1]
-        self.items = [(x, tc.dofs, tc.xi) for x, tc in transients.items()]
-        lags = min(max((xi.shape[0] for _, _, xi in self.items), default=0),
-                   grid.n_steps - 2)
-        # lag-major, gamma[l, x] = Gamma_l[:, x]; lag 0 is the coarse part A_ms
+        horizon = transient_horizon(grid.n_steps)
+        self.items = [(x, tc.dofs, tc.xi[:horizon]) for x, tc in transients.items()]
+        # lag-major, gamma[l, x] = Gamma_l[:, x]; lag 0 is the coarse part A_ms,
+        # and step N reads the lags up to N - 2 from the memory matrices
+        lags = horizon - 1
         self.gamma = np.zeros((lags + 1, n_coarse, n_coarse))
         self.gamma[0] = correctors.A_ms.T
         QT_K_A = (Q.T @ correctors.forms.K_A).toarray()
         for x, dofs, xi in self.items:
-            length = min(xi.shape[0], lags)
-            self.gamma[1:length + 1, x] = xi[:length] @ QT_K_A[:, dofs].T
+            self.gamma[1:, x] = xi[:lags] @ QT_K_A[:, dofs].T
         # reverse time: row N - m holds alpha^m, so the lags 0, 1, ... of step n
         # are consecutive rows; row N (alpha^0, which never enters) and the
         # rows past it stay zero, so a window may run past alpha^1
@@ -188,15 +189,12 @@ class _Superposition:
         states = self.Q @ alpha.T
         n_steps = alpha.shape[0] - 1
         for x, dofs, xi in self.items:
-            length = min(xi.shape[0], n_steps - 1)
             # row i, column l - 1: the weight alpha_x^{i+2-l} of xi^l in w^{i+2};
-            # the leading length x length block T is lower triangular
-            weights = scipy.linalg.toeplitz(alpha[1:n_steps, x], np.zeros(length))
+            # T is lower triangular
+            weights = scipy.linalg.toeplitz(alpha[1:n_steps, x], np.zeros(n_steps - 1))
             # xi^T T^T = (T xi)^T, with xi^T and T^T the Fortran views of xi and T
-            states[dofs, 2:length + 2] += scipy.linalg.blas.dtrmm(
-                1.0, weights[:length].T, xi[:length].T, side=1, lower=0)
-            if length < n_steps - 1:
-                states[dofs, length + 2:] += xi[:length].T @ weights[length:].T
+            states[dofs, 2:] += scipy.linalg.blas.dtrmm(1.0, weights.T, xi.T,
+                                                        side=1, lower=0)
         return np.ascontiguousarray(states.T)
 
 
@@ -240,10 +238,24 @@ def ideal_gfem_solve(correctors, f, n_steps, alpha0, alpha1):
 
 def localized_gfem_solve(correctors, transients, f, n_steps, alpha0, alpha1):
     """Localized GFEM: the fine-scale part is superposed from the stored
-    per-node correction sequences weighted by the coarse coefficient history."""
+    per-node correction sequences weighted by the coarse coefficient history.
+
+    transients holds one sequence per coarse node, keyed 0 .. n_coarse - 1,
+    each of at least transient_horizon(n_steps) members.
+    """
     grid = TimeGrid(correctors.forms.tau, n_steps)
     if any(tc.correctors is not correctors for tc in transients.values()):
         raise ValueError("transient correctors were built from another corrector set")
+    n_coarse = correctors.Q.shape[1]
+    if set(transients) != set(range(n_coarse)):
+        raise ValueError("transients must hold one sequence per coarse node, keyed "
+                         "0 .. %d" % (n_coarse - 1))
+    horizon = transient_horizon(n_steps)
+    for x, tc in transients.items():
+        if tc.xi.shape[0] < horizon:
+            raise ValueError("the sequence of node %d has %d members, fewer than the "
+                             "%d a run of %d steps reads"
+                             % (x, tc.xi.shape[0], horizon, n_steps))
     return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
                        _Superposition(correctors, transients, grid))
 

@@ -14,9 +14,8 @@ import numpy as np
 from .assembly import CoefficientField, DiscreteForms
 from .evolution import (fine_fem_solve, galerkin_wave_solve, ideal_gfem_solve,
                         localized_gfem_solve, rel_h1_final, rel_l2h1, transient_horizon)
-from .lod import (STOP_TOL, CorrectorConfig, build_corrector_set, cache_key,
-                  load_corrector_cache, save_corrector_cache,
-                  transients_for_all_nodes)
+from .lod import (CorrectorConfig, build_corrector_set, cache_key, load_corrector_cache,
+                  save_corrector_cache, transients_for_all_nodes)
 from .mesh import Mesh, NestedMeshPair, prolongation, saturating_k
 from .rb import node_reductions, rb_gfem_solve
 
@@ -177,7 +176,7 @@ def _corrector_pipeline(cfg, forms, k, form_choice, counters, transients=True,
     disk caching."""
     config = CorrectorConfig(k=k, form_choice=form_choice)
     horizon = transient_horizon(cfg.n_steps)
-    key = cache_key(forms, config, horizon, STOP_TOL, generator)
+    key = cache_key(forms, config, horizon, generator)
     if cfg.cache:
         cached = load_corrector_cache(cfg.cache, key, forms, config)
         if cached is not None and (cached[1] is not None or not transients):

@@ -19,9 +19,6 @@ from .mesh import element_patch, node_patch, prolongation
 
 FORM_CHOICES = ("a_plus_tau_b", "a_only", "b_only")
 
-# a correction sequence ends once its H1 norm falls to STOP_TOL times its first
-STOP_TOL = 1e-12
-
 # a certified sequence lies within CERTIFY_TOL times the energy norm of its
 # first member of the power iterates, in the energy norm, member by member
 CERTIFY_TOL = 1e-11
@@ -31,7 +28,7 @@ CERTIFY_TOL = 1e-11
 GENERATORS = ("lanczos", "power")
 
 # the version of how the cached arrays are computed and stored
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -107,10 +104,6 @@ class Patch:
     @cached_property
     def k_b(self):
         return self._restrict(self.forms.K_B)
-
-    @cached_property
-    def h1(self):
-        return self._restrict(self.forms._h1_matrix)
 
     @cached_property
     def C(self):
@@ -281,19 +274,16 @@ def transient_patch(correctors, x_dof, Q_csc=None):
 _BLOCK = 16
 
 
-def compute_transient_correctors(correctors, x_dof, horizon, stop_tol=STOP_TOL, Q_csc=None):
-    """Fine-scale correction sequence of one coarse node on its patch.
+def compute_transient_correctors(correctors, x_dof, horizon, Q_csc=None):
+    """Fine-scale correction sequence of one coarse node on its patch, its
+    `horizon` members xi^1 .. xi^horizon.
 
     The first step projects the modified hat function, later steps reuse the
-    factorized left-hand side; iteration stops at the horizon or once the
-    H1 norm has dropped below stop_tol relative to the first step.
-
-    Members are solved in blocks of _BLOCK with bare LU solves. After a block
-    the stop test picks the members to keep, and only those are checked, with
-    the tolerances of the checked solve; members past the stop are dropped
-    unchecked. The first member, and the first one that misses its residual
-    test, starts a block through the checked solve, so the kept members are
-    those of one checked solve per step. Q_csc is as for transient_patch.
+    factorized left-hand side. Members are solved in blocks of _BLOCK with
+    bare LU solves, and each block is checked with the tolerances of the
+    checked solve. The first member, and the first one that misses its
+    residual test, starts a block through the checked solve, so the members
+    are those of one checked solve per step. Q_csc is as for transient_patch.
     """
     patch, first = transient_patch(correctors, x_dof, Q_csc)
     saddle = patch.saddle
@@ -303,10 +293,10 @@ def compute_transient_correctors(correctors, x_dof, horizon, stop_tol=STOP_TOL, 
     # one full right-hand side [K_A xi^{l-1}; 0] and bare solution per row
     rhs = np.zeros((_BLOCK, n + saddle.C.shape[0]))
     sol = np.empty_like(rhs)
-    length = 0        # members kept so far
+    length = 0        # members accepted so far
     checked = 1       # solve the block's first member through the checked solve
     solves = 0
-    while True:
+    while length < horizon:
         size = min(_BLOCK, horizon - length)
         for i in range(size):
             rhs[i, :n] = first if length + i == 0 else patch.k_a @ xi[length + i - 1]
@@ -316,26 +306,11 @@ def compute_transient_correctors(correctors, x_dof, horizon, stop_tol=STOP_TOL, 
                 sol[i] = solve_bare(rhs[i])
                 xi[length + i] = sol[i, :n]
         solves += size
-        members = xi[length:length + size]
-        h1_members = np.ascontiguousarray((patch.h1 @ members.T).T)
-        kept, stop = size, False
-        for i in range(size):
-            norm = np.sqrt(max(members[i] @ h1_members[i], 0.0))
-            if length + i == 0:
-                norm1 = norm
-            if length + i + 1 < horizon and norm <= stop_tol * norm1:
-                kept, stop = i + 1, True
-                break
-        accurate = checked + saddle.count_accurate(rhs[checked:kept].T,
-                                                    sol[checked:kept].T)
-        if accurate < kept:
-            # replay the first member that missed through the checked solve
-            length, checked = length + accurate, 1
-            continue
-        length, checked = length + kept, 0
-        if stop or length == horizon:
-            break
-    xi = xi if length == horizon else xi[:length].copy()
+        accurate = checked + saddle.count_accurate(rhs[checked:size].T,
+                                                    sol[checked:size].T)
+        # the block ends at its first miss, which the next block replays
+        # through the checked solve
+        length, checked = length + accurate, 1 if accurate < size else 0
     return TransientCorrectors(patch.dofs, xi, correctors, solves)
 
 
@@ -467,21 +442,18 @@ def _lanczos(patch, first, horizon):
     return xi1, norm1, Z[:M], alpha[:M], beta[:M], bound, solves
 
 
-def _certified_transients(correctors, x_dof, horizon, stop_tol=STOP_TOL, Q_csc=None):
+def _certified_transients(correctors, x_dof, horizon, Q_csc=None):
     """The correction sequence of compute_transient_correctors, each member
     after the first lifted from the node's Lanczos basis (_lanczos) with one
     product, within CERTIFY_TOL of the power iterate as the basis certifies.
-
-    The first member is the power iterate's checked solve. The sequence ends
-    where the lifted members' H1 norms meet the stop test of the power
-    iterates.
+    The first member is the power iterate's checked solve.
     """
     if correctors.config.form_choice != "a_plus_tau_b":
         # only K_A + tau K_B makes G a contraction, which the bound needs
         raise ValueError("certified sequences need the a_plus_tau_b form, got %r"
                          % (correctors.config.form_choice,))
     patch, first = transient_patch(correctors, x_dof, Q_csc)
-    # the rows the sequence keeps are allocated before the basis's scratch
+    # the rows of the sequence are allocated before the basis's scratch
     # arrays, so that these leave no hole in the heap below them when freed
     # (a hole kept the peak RSS of a kcold run 1 MB higher)
     xi = np.empty((horizon, patch.dofs.size))
@@ -489,16 +461,12 @@ def _certified_transients(correctors, x_dof, horizon, stop_tol=STOP_TOL, Q_csc=N
     powers = _tridiagonal_powers(alpha, beta[:-1], horizon)
     xi[0] = xi1
     np.matmul((norm1 * powers[:, 1:]).T, Z, out=xi[1:])
-    h1 = np.einsum("li,li->l", xi, (patch.h1 @ xi.T).T)
-    norms = np.sqrt(np.maximum(h1, 0.0))
-    below = np.flatnonzero(norms[:-1] <= stop_tol * norms[0])
-    length = below[0] + 1 if below.size else horizon
-    xi = xi if length == horizon else xi[:length].copy()
     return TransientCorrectors(patch.dofs, xi, correctors, solves, bound)
 
 
-def transients_for_all_nodes(correctors, horizon, stop_tol=STOP_TOL, generator="lanczos"):
-    """Transient correctors for every interior coarse node, keyed by its dof.
+def transients_for_all_nodes(correctors, horizon, generator="lanczos"):
+    """Transient correctors for every interior coarse node, keyed by its dof,
+    each of `horizon` members.
 
     The generator (one of GENERATORS) is "lanczos" for certified sequences
     (_certified_transients) or "power" for the power iterates
@@ -510,7 +478,7 @@ def transients_for_all_nodes(correctors, horizon, stop_tol=STOP_TOL, generator="
         raise ValueError("horizon must be an integer >= 1, got %r" % (horizon,))
     build = _certified_transients if generator == "lanczos" else compute_transient_correctors
     Q_csc = correctors.Q.tocsc()
-    return {d: build(correctors, d, horizon, stop_tol, Q_csc)
+    return {d: build(correctors, d, horizon, Q_csc)
             for d in range(correctors.Q.shape[1])}
 
 
@@ -545,13 +513,13 @@ def decay_profile(v, pair, x_dof):
 # ----------------------------------------------------------------------------
 # binary corrector cache
 
-def cache_key(forms, config, horizon, stop_tol, generator="lanczos"):
+def cache_key(forms, config, horizon, generator="lanczos"):
     """File key for a corrector set (and its transients) built from these inputs.
 
     The digest covers everything the cached arrays depend on: CACHE_FORMAT,
     both coefficient arrays, the exact time step forms.tau, the patch size,
-    the form, the mesh pair, the transient horizon and stop tolerance, and
-    the generator of the sequences ("power", or "lanczos" with CERTIFY_TOL).
+    the form, the mesh pair, the transient horizon, and the generator of the
+    sequences ("power", or "lanczos" with CERTIFY_TOL).
     """
     if generator not in GENERATORS:
         raise ValueError("generator must be one of %s, got %r" % (GENERATORS, generator))
@@ -562,8 +530,7 @@ def cache_key(forms, config, horizon, stop_tol, generator="lanczos"):
     digest.update(forms.a_values.tobytes())
     digest.update(forms.b_values.tobytes())
     digest.update(repr((CACHE_FORMAT, float(forms.tau).hex(), config.k, config.form_choice,
-                        pair.coarse.n, pair.r, horizon, float(stop_tol).hex(),
-                        generator)).encode())
+                        pair.coarse.n, pair.r, horizon, generator)).encode())
     return "k%d_%s_%s" % (config.k, config.form_choice, digest.hexdigest())
 
 

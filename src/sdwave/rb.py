@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg
 
 from .evolution import TimeGrid, localized_gfem_solve, transient_horizon
-from .lod import STOP_TOL, Patch, TransientCorrectors
+from .lod import Patch, TransientCorrectors
 
 # Gram-Schmidt stops at a remainder of RB_TOL times its snapshot's energy norm
 RB_TOL = 1e-10
@@ -114,8 +114,6 @@ class NodeReduction:
     n_snapshots: int       # leading snapshots the basis was built from
     a_tilde: object        # patch block of K_A + tau K_B, for the projection
     basis: ReducedBasis    # None when the first snapshot carries no energy
-    w_h1: np.ndarray       # Z^T H1 Z, for the stop test in coordinates
-    norm1: float           # H1 norm of the first snapshot
 
 
 def node_reductions(transients, m_values):
@@ -138,34 +136,22 @@ def node_reductions(transients, m_values):
         try:
             basis = build_rb(tc.xi[:n], patch)
         except EmptyBasisError:
-            out[d] = NodeReduction(n, patch.k_tilde, None, None, 0.0)
-            continue
-        first = tc.xi[0]
-        out[d] = NodeReduction(n, patch.k_tilde, basis,
-                               basis.Z.T @ (patch.h1 @ basis.Z),
-                               np.sqrt(max(first @ (patch.h1 @ first), 0.0)))
+            basis = None
+        out[d] = NodeReduction(n, patch.k_tilde, basis)
     return out
 
 
 def _continuation(node, kept, steps):
-    """Up to `steps` members after `kept`, stepped in basis coordinates as
-    c <- a_hat^-1 k_hat c and lifted with one product at the end.
-
-    The sequence ends with the first member whose H1 norm, c^T (Z^T H1 Z) c,
-    falls to STOP_TOL times that of the first snapshot.
-    """
+    """The `steps` members after `kept`, stepped in basis coordinates as
+    c <- a_hat^-1 k_hat c and lifted with one product at the end."""
     basis = node.basis.prefix(kept.shape[0])
-    m = basis.m_selected
     G = np.linalg.solve(basis.a_hat, basis.k_hat)
     c = basis.Z.T @ (node.a_tilde @ kept[-1])
-    coeffs = np.empty((m, steps))
+    coeffs = np.empty((basis.m_selected, steps))
     for j in range(steps):
         c = G @ c
         coeffs[:, j] = c
-    energy = np.einsum("ij,ij->j", coeffs, node.w_h1[:m, :m] @ coeffs)
-    below = np.flatnonzero(np.sqrt(np.maximum(energy, 0.0)) <= STOP_TOL * node.norm1)
-    n = below[0] + 1 if below.size else steps
-    return (basis.Z @ coeffs[:, :n]).T
+    return (basis.Z @ coeffs).T
 
 
 def compress_transients(transients, reductions, m_max, horizon):
@@ -174,7 +160,8 @@ def compress_transients(transients, reductions, m_max, horizon):
     node.
 
     reductions (from node_reductions) holds one basis per node, shared by
-    every m_max up to the snapshot count it was built from.
+    every m_max up to the snapshot count it was built from. A node whose
+    first snapshot carries no energy keeps its stored sequence, which is zero.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -182,17 +169,16 @@ def compress_transients(transients, reductions, m_max, horizon):
     for d, tc in transients.items():
         stored = tc.xi
         m_avail = min(m_max, stored.shape[0])
-        kept = stored[:m_avail]
-        if m_avail >= stored.shape[0]:
-            compressed[d] = TransientCorrectors(tc.dofs, kept, tc.correctors)
-            continue
-        node = reductions.get(d)
-        if node is None or node.n_snapshots < m_avail:
-            raise ValueError("no reduced basis of %d snapshots for node %d"
-                             % (m_avail, d))
-        rows = kept
-        if node.basis is not None and horizon > m_avail:
-            rows = np.vstack([kept, _continuation(node, kept, horizon - m_avail)])
+        rows = stored[:m_avail]
+        if m_avail < stored.shape[0]:
+            node = reductions.get(d)
+            if node is None or node.n_snapshots < m_avail:
+                raise ValueError("no reduced basis of %d snapshots for node %d"
+                                 % (m_avail, d))
+            if node.basis is None:
+                rows = stored
+            elif horizon > m_avail:
+                rows = np.vstack([rows, _continuation(node, rows, horizon - m_avail)])
         compressed[d] = TransientCorrectors(tc.dofs, rows, tc.correctors)
     return compressed
 

@@ -62,7 +62,7 @@ def transient_center_q4(prob_q4):
     coarse = prob_q4.pair.coarse
     center = (coarse.n // 2) * (coarse.n + 1) + coarse.n // 2
     x_dof = int(coarse.dof_index[center])
-    tc = compute_transient_correctors(cs, x_dof, horizon=100, stop_tol=0.0)
+    tc = compute_transient_correctors(cs, x_dof, horizon=100)
     return x_dof, tc
 
 
@@ -122,7 +122,7 @@ def test_criterion_3_superposition_identity():
 
     worst = 0.0
     for x_dof in range(pair.coarse.n_dofs):
-        tc = compute_transient_correctors(cs, x_dof, horizon=n_steps, stop_tol=0.0)
+        tc = compute_transient_correctors(cs, x_dof, horizon=n_steps)
         solver = Patch(forms, tc.dofs, cfg.form_choice)
         K_A_patch = forms.K_A[tc.dofs][:, tc.dofs]
         H1p = (forms.K_1 + forms.M)[tc.dofs][:, tc.dofs]

@@ -9,10 +9,10 @@ from sdwave.evolution import (_BLOCK, TimeGrid, Trajectory, aux_fine_solve,
                               galerkin_wave_solve, ideal_gfem_solve,
                               localized_gfem_solve,
                               localized_gfem_solve_direct, rel_h1_final,
-                              rel_l2h1)
+                              rel_l2h1, transient_horizon)
 from sdwave.harness import random_field
 from sdwave.linalg import factor_saddle
-from sdwave.lod import (CorrectorConfig, build_corrector_set,
+from sdwave.lod import (CorrectorConfig, TransientCorrectors, build_corrector_set,
                         transients_for_all_nodes)
 from sdwave.mesh import Mesh, NestedMeshPair, prolongation, saturating_k
 
@@ -89,7 +89,7 @@ def test_oracle_collapse_at_r1(problem81):
 def test_localized_saturated_matches_ideal(problem44, saturated44):
     n_steps = 12
     zc = np.zeros(problem44.n_coarse_dofs)
-    seq = transients_for_all_nodes(saturated44, horizon=12, stop_tol=0.0)
+    seq = transients_for_all_nodes(saturated44, horizon=12)
     loc = localized_gfem_solve(saturated44, seq, 1.0, n_steps, zc, zc)
     ideal = ideal_gfem_solve(saturated44, 1.0, n_steps, zc, zc)
     assert rel_l2h1(problem44.forms, loc, ideal) <= 1e-8
@@ -98,7 +98,7 @@ def test_localized_saturated_matches_ideal(problem44, saturated44):
 def test_superposition_path_matches_direct_debug_path(problem44):
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
-    seq = transients_for_all_nodes(cs, horizon=12, stop_tol=0.0)
+    seq = transients_for_all_nodes(cs, horizon=12)
     n_steps = 12
     zc = np.zeros(problem44.n_coarse_dofs)
     loc = localized_gfem_solve(cs, seq, 1.0, n_steps, zc, zc)
@@ -120,12 +120,12 @@ def test_localized_nonzero_initial_data_matches_direct_and_ideal(problem44, k2_4
     n_steps = 12
     forms = problem44.forms
 
-    seq = transients_for_all_nodes(k2_44, horizon=12, stop_tol=0.0)
+    seq = transients_for_all_nodes(k2_44, horizon=12)
     loc = localized_gfem_solve(k2_44, seq, 1.0, n_steps, alpha0, alpha1)
     direct = localized_gfem_solve_direct(k2_44, 1.0, n_steps, alpha0, alpha1)
     assert rel_l2h1(forms, loc, direct) <= 1e-9
 
-    seq = transients_for_all_nodes(saturated44, horizon=12, stop_tol=0.0)
+    seq = transients_for_all_nodes(saturated44, horizon=12)
     loc = localized_gfem_solve(saturated44, seq, 1.0, n_steps, alpha0, alpha1)
     ideal = ideal_gfem_solve(saturated44, 1.0, n_steps, alpha0, alpha1)
     assert rel_l2h1(forms, loc, ideal) <= 1e-8
@@ -175,8 +175,8 @@ def _per_step_superposition(correctors, transients, forms, f, n_steps, alpha0, a
                + correctors.M_ms @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau)
         alpha[n] = scipy.linalg.lu_solve(lhs, rhs)
         states[n] = Q @ alpha[n]
+        lags = np.arange(1, n)
         for x, tc in transients.items():
-            lags = np.arange(1, min(n - 1, tc.xi.shape[0]) + 1)
             states[n, tc.dofs] += tc.xi[lags - 1].T @ alpha[n - lags, x]
     return alpha, states
 
@@ -189,29 +189,20 @@ def _pulse(x, y, t):
 MULTI_BLOCK = 2 * _BLOCK + 5
 
 
-@pytest.mark.parametrize("n_steps, horizon, stop_tol, f, data", [
-    (12, 12, 0.3, 1.0, False),      # sequences of mixed lengths, some shorter than N
-    (12, 20, 0.0, 1.0, False),      # sequences longer than the time grid
-    (12, 12, 0.0, _pulse, False),   # time-dependent source
-    (12, 12, 0.0, 1.0, True),       # nonzero initial data
-    (MULTI_BLOCK, MULTI_BLOCK + 8, 0.1, 1.0, False),
-    (MULTI_BLOCK, MULTI_BLOCK + 8, 0.1, 1.0, True),
-    (MULTI_BLOCK, MULTI_BLOCK + 8, 0.0, _pulse, True),
-    (2, 12, 0.0, 1.0, True),        # the one step of the shortest grid
-], ids=["mixed-lengths", "long-sequences", "time-dependent-f", "initial-data",
-        "multi-block-mixed-lengths", "multi-block-initial-data",
-        "multi-block-long-sequences", "two-steps"])
+@pytest.mark.parametrize("n_steps, horizon, f, data", [
+    (12, 20, 1.0, False),           # sequences longer than the time grid
+    (12, 12, _pulse, False),        # time-dependent source
+    (12, 12, 1.0, True),            # nonzero initial data
+    (MULTI_BLOCK, MULTI_BLOCK + 8, 1.0, False),
+    (MULTI_BLOCK, MULTI_BLOCK + 8, 1.0, True),
+    (MULTI_BLOCK, MULTI_BLOCK + 8, _pulse, True),
+    (2, 12, 1.0, True),             # the one step of the shortest grid
+], ids=["long-sequences", "time-dependent-f", "initial-data", "multi-block",
+        "multi-block-initial-data", "multi-block-long-sequences", "two-steps"])
 def test_localized_matches_per_step_superposition(problem44, k2_44, n_steps, horizon,
-                                                  stop_tol, f, data):
+                                                  f, data):
     forms = problem44.forms
-    seq = transients_for_all_nodes(k2_44, horizon=horizon, stop_tol=stop_tol)
-    lengths = sorted(tc.xi.shape[0] for tc in seq.values())
-    if stop_tol > 0:
-        assert lengths[0] < n_steps and lengths[0] < lengths[-1]
-    if n_steps == MULTI_BLOCK:
-        # blocks cut through sequences shorter than one block and longer than N
-        assert lengths[-1] > n_steps
-        assert (lengths[0] < _BLOCK) == (stop_tol > 0)
+    seq = transients_for_all_nodes(k2_44, horizon=horizon)
     rng = np.random.default_rng(44)
     alpha0, alpha1 = (rng.standard_normal((2, problem44.n_coarse_dofs)) if data
                       else np.zeros((2, problem44.n_coarse_dofs)))
@@ -238,6 +229,31 @@ def test_transients_of_another_corrector_set_rejected(problem44, k2_44, foreign_
     zc = np.zeros(problem44.n_coarse_dofs)
     with pytest.raises(ValueError, match="another corrector set"):
         localized_gfem_solve(k2_44, seq, 1.0, 5, zc, zc)
+
+
+@pytest.mark.parametrize("change, match", [
+    ("missing", "per coarse node"), ("negative", "per coarse node"),
+    ("beyond", "per coarse node"), ("short", "fewer than")])
+def test_localized_rejects_anything_but_one_full_sequence_per_node(problem44, k2_44,
+                                                                   change, match):
+    # a missing node ran without its correction, and a key of -1 or n_coarse
+    # was superposed as another node's; a short sequence dropped the lags
+    # past its end
+    n_steps = 6
+    seq = transients_for_all_nodes(k2_44, horizon=transient_horizon(n_steps))
+    last = problem44.n_coarse_dofs - 1
+    if change == "missing":
+        del seq[0]
+    elif change == "negative":
+        seq[-1] = seq.pop(last)
+    elif change == "beyond":
+        seq[last + 1] = seq[0]
+    else:
+        tc = seq[last]
+        seq[last] = TransientCorrectors(tc.dofs, tc.xi[:-1], tc.correctors)
+    zc = np.zeros(problem44.n_coarse_dofs)
+    with pytest.raises(ValueError, match=match):
+        localized_gfem_solve(k2_44, seq, 1.0, n_steps, zc, zc)
 
 
 def test_steady_state_b_orthogonality(problem44):

@@ -173,9 +173,9 @@ def test_config_rejects_unknown_law(tmp_path, law):
                               "rb_tol-nan", "stop_tol-negative", "stop_tol-nan",
                               "block-negative"])
 def test_config_rejects_bad_tolerances(tmp_path, bad):
-    # block = -1 ran as 0; rb_tol and stop_tol are no config keys (they are
-    # rb.RB_TOL and lod.STOP_TOL), so a file that sets one is rejected as
-    # naming an unknown key
+    # block = -1 ran as 0; rb_tol and stop_tol are no config keys (the one is
+    # rb.RB_TOL, and no correction sequence stops early), so a file that sets
+    # one is rejected as naming an unknown key
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(bad))
     with pytest.raises(ValueError, match=next(iter(bad))):

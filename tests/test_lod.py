@@ -268,7 +268,7 @@ def test_patch_blocks_equal_direct_slices(problem44, node_dofs):
     for dofs in dof_sets:
         patch = Patch(forms, dofs)
         for block, full in ((patch.k_tilde, forms.K_tilde), (patch.k_a, forms.K_A),
-                            (patch.k_b, forms.K_B), (patch.h1, forms.K_1 + forms.M)):
+                            (patch.k_b, forms.K_B)):
             _assert_same_csr(block, full[dofs][:, dofs].tocsr())
         _assert_same_csr(patch.C, kernel_constraints(forms.interp, dofs))
 
@@ -286,7 +286,7 @@ def test_patch_rejects_malformed_dofs(problem44, dofs):
 def test_patch_reading_blocks_does_not_factor(problem44, node_dofs, monkeypatch):
     calls = _counting_factor_saddle(monkeypatch)
     patch = Patch(problem44.forms, node_dofs)
-    assert patch.k_a.nnz > 0 and patch.h1.nnz > 0
+    assert patch.k_a.nnz > 0 and patch.k_b.nnz > 0
     assert calls == []
 
 
@@ -324,7 +324,7 @@ def transient_node(problem44):
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
     x_dof = problem44.n_coarse_dofs // 2
-    tc = compute_transient_correctors(cs, x_dof, horizon=25, stop_tol=0.0)
+    tc = compute_transient_correctors(cs, x_dof, horizon=25)
     return cs, x_dof, tc
 
 
@@ -391,14 +391,11 @@ def test_superposition_identity_scripted(problem44, transient_node):
         assert err <= 1e-9 * ref
 
 
-def _per_step_sequence(patch, rhs, horizon, stop_tol):
+def _per_step_sequence(patch, rhs, horizon):
     # the sequence as one checked solve per step computes it, the oracle for
     # the blocked loop of compute_transient_correctors
     steps = [patch.solve(rhs)]
-    norm1 = np.sqrt(max(steps[0] @ (patch.h1 @ steps[0]), 0.0))
     for _ in range(1, horizon):
-        if np.sqrt(max(steps[-1] @ (patch.h1 @ steps[-1]), 0.0)) <= stop_tol * norm1:
-            break
         steps.append(patch.solve(patch.k_a @ steps[-1]))
     return np.array(steps)
 
@@ -423,32 +420,17 @@ def test_transient_patch_first_rhs_is_the_whole_grid_product(problem44, k2_set):
             _assert_bitwise(rhs, (forms.K_A @ q_x)[patch.dofs])
 
 
-def _blocked_and_per_step(problem, correctors, horizon, stop_tol):
+def _blocked_and_per_step(problem, correctors, horizon):
     args = (correctors, problem.n_coarse_dofs // 2)
-    tc = compute_transient_correctors(*args, horizon=horizon, stop_tol=stop_tol)
+    tc = compute_transient_correctors(*args, horizon=horizon)
     patch, rhs = lod.transient_patch(*args)
-    return tc.xi, _per_step_sequence(patch, rhs, horizon, stop_tol)
+    return tc.xi, _per_step_sequence(patch, rhs, horizon)
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 16, 17, 33])
 def test_blocked_sequence_equals_per_step(problem44, k2_set, horizon):
-    blocked, per_step = _blocked_and_per_step(problem44, k2_set, horizon, 0.0)
+    blocked, per_step = _blocked_and_per_step(problem44, k2_set, horizon)
     assert blocked.shape[0] == horizon
-    _assert_bitwise(blocked, per_step)
-
-
-def _mid_block_stop_tol(problem, correctors, member):
-    # a stop_tol that stops the sequence at the given member (1-based)
-    patch, rhs = transient_patch(correctors, problem.n_coarse_dofs // 2)
-    steps = _per_step_sequence(patch, rhs, member + 5, 0.0)
-    norms = np.sqrt(np.einsum("li,li->l", steps, (patch.h1 @ steps.T).T))
-    return 0.5 * (norms[member - 2] + norms[member - 1]) / norms[0]
-
-
-def test_blocked_sequence_stops_mid_block(problem44, k2_set):
-    stop_tol = _mid_block_stop_tol(problem44, k2_set, 20)
-    blocked, per_step = _blocked_and_per_step(problem44, k2_set, 40, stop_tol)
-    assert blocked.shape[0] == 20
     _assert_bitwise(blocked, per_step)
 
 
@@ -458,9 +440,11 @@ def test_blocked_sequence_zero_first_rhs(problem44, k2_set, monkeypatch):
         return patch, np.zeros_like(rhs)
 
     monkeypatch.setattr(lod, "transient_patch", zero_rhs)
-    blocked, per_step = _blocked_and_per_step(problem44, k2_set, 17, 1e-12)
-    assert blocked.shape[0] == 1 and not blocked.any()
-    _assert_bitwise(blocked, per_step)
+    blocked, per_step = _blocked_and_per_step(problem44, k2_set, 17)
+    assert blocked.shape[0] == 17 and not blocked.any()
+    # a bare solve of a zero right-hand side may give -0.0 where the checked
+    # solve sets 0.0, so the members are compared by value
+    np.testing.assert_array_equal(blocked, per_step)
 
 
 def _perturb_bare_solve(monkeypatch, call, shift):
@@ -493,10 +477,10 @@ def _shift_first(x):
 
 def test_blocked_sequence_replays_a_residual_miss(problem44, k2_set, monkeypatch):
     # member 1 is the first raw solve, so call 20 is member 20, mid-block
-    _, per_step = _blocked_and_per_step(problem44, k2_set, 33, 0.0)
+    _, per_step = _blocked_and_per_step(problem44, k2_set, 33)
     checked = _perturb_bare_solve(monkeypatch, 20, _shift_first)
     args = (k2_set, problem44.n_coarse_dofs // 2)
-    tc = compute_transient_correctors(*args, horizon=33, stop_tol=0.0)
+    tc = compute_transient_correctors(*args, horizon=33)
     # member 1 and the replayed member 20 went through the checked solve
     assert len(checked) == 2
     _assert_bitwise(tc.xi, per_step)
@@ -507,21 +491,6 @@ def _pass_every_residual_test(monkeypatch):
                         lambda self, b, x, tol: np.zeros(b.shape[1], dtype=bool))
 
 
-@pytest.mark.parametrize("test", ["residual", "constraint"])
-def test_blocked_sequence_drops_members_past_the_stop_unchecked(problem44, k2_set,
-                                                                monkeypatch, test):
-    stop_tol = _mid_block_stop_tol(problem44, k2_set, 20)
-    _, per_step = _blocked_and_per_step(problem44, k2_set, 40, stop_tol)
-    if test == "constraint":
-        _pass_every_residual_test(monkeypatch)
-    # member 25 lies in the stop's block; corrupt it so that it fails the test
-    checked = _perturb_bare_solve(monkeypatch, 25, lambda x: np.full_like(x, 1.0))
-    args = (k2_set, problem44.n_coarse_dofs // 2)
-    tc = compute_transient_correctors(*args, horizon=40, stop_tol=stop_tol)
-    assert len(checked) == 1
-    _assert_bitwise(tc.xi, per_step)
-
-
 def test_blocked_sequence_raises_on_a_kept_constraint_violation(problem44, k2_set,
                                                                 monkeypatch):
     # a residual test that passes everything leaves the constraint test to
@@ -530,7 +499,7 @@ def test_blocked_sequence_raises_on_a_kept_constraint_violation(problem44, k2_se
     _perturb_bare_solve(monkeypatch, 5, lambda x: np.full_like(x, 1.0))
     args = (k2_set, problem44.n_coarse_dofs // 2)
     with pytest.raises(ConstraintViolationError):
-        compute_transient_correctors(*args, horizon=16, stop_tol=0.0)
+        compute_transient_correctors(*args, horizon=16)
 
 
 # ----------------------------------------------------------------------------
@@ -562,8 +531,8 @@ def _nodes(problem):
 def test_certified_members_lie_within_tol_of_the_power_iterates(lanczos_set, horizon):
     problem, cs = lanczos_set
     for x_dof in _nodes(problem):
-        power = compute_transient_correctors(cs, x_dof, horizon, stop_tol=0.0)
-        certified = lod._certified_transients(cs, x_dof, horizon, stop_tol=0.0)
+        power = compute_transient_correctors(cs, x_dof, horizon)
+        certified = lod._certified_transients(cs, x_dof, horizon)
         _check(certified.xi.shape == (horizon, power.dofs.size), "sequence length")
         _check(certified.xi[0].tobytes() == power.xi[0].tobytes(),
                "the first member is the checked solve, bit for bit")
@@ -587,8 +556,8 @@ def test_certified_bound_covers_the_true_error(lanczos_set, tol, monkeypatch):
     horizon = 120
     monkeypatch.setattr(lod, "CERTIFY_TOL", tol)
     for x_dof in _nodes(problem):
-        power = compute_transient_correctors(cs, x_dof, horizon, stop_tol=0.0)
-        certified = lod._certified_transients(cs, x_dof, horizon, stop_tol=0.0)
+        power = compute_transient_correctors(cs, x_dof, horizon)
+        certified = lod._certified_transients(cs, x_dof, horizon)
         patch = Patch(problem.forms, power.dofs)
         norm1 = _energy_norms(patch, power.xi[0])[0]
         worst = _energy_norms(patch, certified.xi - power.xi).max() / norm1
@@ -601,7 +570,7 @@ def test_certified_members_meet_the_constraints(lanczos_set):
     problem, cs = lanczos_set
     for x_dof in _nodes(problem):
         patch, first = transient_patch(cs, x_dof)
-        xi = lod._certified_transients(cs, x_dof, 120, stop_tol=0.0).xi
+        xi = lod._certified_transients(cs, x_dof, 120).xi
         # each member against the right-hand side of the step that makes it
         rhs_norms = np.linalg.norm(np.vstack([first, (patch.k_a @ xi[:-1].T).T]), axis=1)
         violation = np.abs(patch.C @ xi.T).max(axis=0)
@@ -640,20 +609,12 @@ def test_invariant_krylov_space_ends_the_basis_early(problem44, monkeypatch):
         _, _, Z, _, _, _, solves = lod._lanczos(patch, first, horizon)
         _check(Z.shape[0] <= kernel < horizon,
                "%d basis vectors in a kernel of %d" % (Z.shape[0], kernel))
-        power = compute_transient_correctors(cs, x_dof, horizon, stop_tol=0.0)
-        certified = lod._certified_transients(cs, x_dof, horizon, stop_tol=0.0)
+        power = compute_transient_correctors(cs, x_dof, horizon)
+        certified = lod._certified_transients(cs, x_dof, horizon)
         _check(certified.solves == solves, "solves %d, %d" % (certified.solves, solves))
         norm1 = _energy_norms(patch, power.xi[0])[0]
         worst = _energy_norms(patch, certified.xi - power.xi).max()
         _check(worst <= tol * norm1, "member error %.2e" % (worst / norm1))
-
-
-def test_certified_sequence_keeps_the_power_iterates_length(problem44, k2_set):
-    stop_tol = _mid_block_stop_tol(problem44, k2_set, 20)
-    x_dof = problem44.n_coarse_dofs // 2
-    power = compute_transient_correctors(k2_set, x_dof, 40, stop_tol=stop_tol)
-    certified = lod._certified_transients(k2_set, x_dof, 40, stop_tol=stop_tol)
-    _check(power.xi.shape[0] == certified.xi.shape[0] == 20, "stopped at member 20")
 
 
 def test_certified_sequence_zero_first_rhs(problem44, k2_set, monkeypatch):
@@ -663,17 +624,17 @@ def test_certified_sequence_zero_first_rhs(problem44, k2_set, monkeypatch):
 
     monkeypatch.setattr(lod, "transient_patch", zero_rhs)
     tc = lod._certified_transients(k2_set, problem44.n_coarse_dofs // 2, 17)
-    _check(tc.xi.shape[0] == 1 and not tc.xi.any(), "one zero member")
+    _check(tc.xi.shape[0] == 17 and not tc.xi.any(), "17 zero members")
     _check(tc.solves == 1 and tc.bound == 0.0, "no Lanczos step")
 
 
 def test_certified_sequence_replays_a_residual_miss(problem44, k2_set, monkeypatch):
     x_dof = problem44.n_coarse_dofs // 2
-    power = compute_transient_correctors(k2_set, x_dof, 120, stop_tol=0.0)
-    clean = lod._certified_transients(k2_set, x_dof, 120, stop_tol=0.0)
+    power = compute_transient_correctors(k2_set, x_dof, 120)
+    clean = lod._certified_transients(k2_set, x_dof, 120)
     # call 1 is the checked first member, so call 10 is the bare solve of step 9
     checked = _perturb_bare_solve(monkeypatch, 10, _shift_first)
-    tc = lod._certified_transients(k2_set, x_dof, 120, stop_tol=0.0)
+    tc = lod._certified_transients(k2_set, x_dof, 120)
     # the first member and the replayed step went through the checked solve
     _check(len(checked) == 2, "%d checked solves" % len(checked))
     # the steps after the miss in its block are solved again
@@ -811,7 +772,7 @@ def test_project_initial_data_r1(problem81):
 
 def test_cache_roundtrip(tmp_path, problem44, transient_node):
     cs, x_dof, tc = transient_node
-    key = cache_key(problem44.forms, cs.config, 25, 0.0)
+    key = cache_key(problem44.forms, cs.config, 25)
     path = save_corrector_cache(tmp_path, key, cs, {x_dof: tc})
     loaded = load_corrector_cache(tmp_path, key, problem44.forms, cs.config)
     assert loaded is not None
@@ -826,7 +787,7 @@ def test_cache_roundtrip(tmp_path, problem44, transient_node):
     np.testing.assert_array_equal(transients2[x_dof].dofs, tc.dofs)
     assert load_corrector_cache(tmp_path, "missing", problem44.forms, cs.config) is None
     # a file copied under another key is not served for it
-    other = cache_key(problem44.forms, cs.config, 26, 0.0)
+    other = cache_key(problem44.forms, cs.config, 26)
     shutil.copy(path, tmp_path / (other + ".npz"))
     assert load_corrector_cache(tmp_path, other, problem44.forms, cs.config) is None
     # neither is an unreadable one
@@ -841,7 +802,7 @@ def test_cache_miss_closes_the_file(tmp_path, problem44, transient_node,
                                     monkeypatch):
     # a truncated entry fails inside np.load, after the file was opened
     cs, x_dof, tc = transient_node
-    key = cache_key(problem44.forms, cs.config, 25, 0.0)
+    key = cache_key(problem44.forms, cs.config, 25)
     path = save_corrector_cache(tmp_path, key, cs, {x_dof: tc})
     data = Path(path).read_bytes()
     opened = []
@@ -863,27 +824,26 @@ def test_cache_miss_closes_the_file(tmp_path, problem44, transient_node,
 def test_cache_key_covers_every_input(problem44):
     forms = problem44.forms
     config = CorrectorConfig(k=2)
-    base = cache_key(forms, config, 10, 1e-12)
-    assert cache_key(forms, CorrectorConfig(k=2), 10, 1e-12) == base
+    base = cache_key(forms, config, 10)
+    assert cache_key(forms, CorrectorConfig(k=2), 10) == base
     # a numpy integer k is accepted and keys the same file as the Python int
-    assert cache_key(forms, CorrectorConfig(k=np.int64(2)), 10, 1e-12) == base
+    assert cache_key(forms, CorrectorConfig(k=np.int64(2)), 10) == base
     scaled = DiscreteForms(problem44.pair, 10.0 * problem44.field_a.values,
                            problem44.field_b, TAU)
     stepped = DiscreteForms(problem44.pair, problem44.field_a, problem44.field_b,
                             TAU * (1 + 1e-12))
     variants = [
-        cache_key(scaled, config, 10, 1e-12),
-        cache_key(forms, CorrectorConfig(k=3), 10, 1e-12),
-        cache_key(forms, CorrectorConfig(k=2, form_choice="a_only"), 10, 1e-12),
-        cache_key(stepped, config, 10, 1e-12),
-        cache_key(forms, config, 11, 1e-12),
-        cache_key(forms, config, 10, 1e-10),
-        cache_key(forms, config, 10, 1e-12, "power"),
+        cache_key(scaled, config, 10),
+        cache_key(forms, CorrectorConfig(k=3), 10),
+        cache_key(forms, CorrectorConfig(k=2, form_choice="a_only"), 10),
+        cache_key(stepped, config, 10),
+        cache_key(forms, config, 11),
+        cache_key(forms, config, 10, "power"),
     ]
     assert len(set(variants + [base])) == len(variants) + 1
-    assert cache_key(forms, config, 10, 1e-12, "lanczos") == base
+    assert cache_key(forms, config, 10, "lanczos") == base
     with pytest.raises(ValueError, match="generator"):
-        cache_key(forms, config, 10, 1e-12, "arnoldi")
+        cache_key(forms, config, 10, "arnoldi")
 
 
 def _pinned_forms():
@@ -894,24 +854,28 @@ def _pinned_forms():
                          0.02)
 
 
-# the keys of these inputs before the cache format and the generator were
-# keyed: files written under them hold power iterates of the old format
+# the keys of these inputs in earlier cache formats: the first two from
+# before the cache format and the generator were keyed, the last three of
+# format 2, which stored sequences cut short by a stop tolerance it hashed
 _OLD_FORMAT_KEYS = (
     "k2_a_plus_tau_b_83cb82afdb841db22410a0051edd26196a527870d92008061cf1786f89587295",
     "k3_a_only_902e923463c53ffa528ba8e907ef843a6ce9a0b7a99621cf97a57ae315aa22b7",
+    "k2_a_plus_tau_b_25623439b95b70d725006e8cea7576440f939976fa256bd64dbb3b29ae8843e3",
+    "k3_a_only_9546048526b9d354ceecbce46d39416aef899add6b6cfb859df8326c996f1450",
+    "k2_a_plus_tau_b_b4bfa3a6ed393e378acc83182f391dbc6de0bd6eeba836bd522c6c83fcfb3d56",
 )
 
 
 def test_cache_key_is_pinned():
     # cache file names change only with CACHE_FORMAT or the keyed inputs
     forms = _pinned_forms()
-    keys = (cache_key(forms, CorrectorConfig(k=2), 10, 1e-12),
-            cache_key(forms, CorrectorConfig(k=3, form_choice="a_only"), 50, 1e-12),
-            cache_key(forms, CorrectorConfig(k=2), 10, 1e-12, "power"))
+    keys = (cache_key(forms, CorrectorConfig(k=2), 10),
+            cache_key(forms, CorrectorConfig(k=3, form_choice="a_only"), 50),
+            cache_key(forms, CorrectorConfig(k=2), 10, "power"))
     assert keys == (
-        "k2_a_plus_tau_b_25623439b95b70d725006e8cea7576440f939976fa256bd64dbb3b29ae8843e3",
-        "k3_a_only_9546048526b9d354ceecbce46d39416aef899add6b6cfb859df8326c996f1450",
-        "k2_a_plus_tau_b_b4bfa3a6ed393e378acc83182f391dbc6de0bd6eeba836bd522c6c83fcfb3d56")
+        "k2_a_plus_tau_b_f74af52292c8b55980406ef1df53545740e1e21d857125cdf6fc3fc536007726",
+        "k3_a_only_c8fb2474b1ec8427e026b6cf1fea52a9db0903d4b03349eaf5fbebcdabc7f27a",
+        "k2_a_plus_tau_b_adbf64e12aeb7db50d01e7168a9c81d124d25edc58a5dce363656e8738cb7683")
     assert not set(keys) & set(_OLD_FORMAT_KEYS)
 
 
@@ -919,11 +883,11 @@ def test_cache_of_another_generator_or_format_is_a_miss(tmp_path, problem44,
                                                         transient_node):
     # exp-k (certified sequences) and exp-rb (power iterates) may share one
     # cache directory; neither may serve the other's sequences, and a file of
-    # the format before the generator was keyed serves neither
+    # an earlier format serves neither
     cs, x_dof, tc = transient_node
     forms, config = problem44.forms, cs.config
-    lanczos = cache_key(forms, config, 25, 0.0)
-    power = cache_key(forms, config, 25, 0.0, "power")
+    lanczos = cache_key(forms, config, 25)
+    power = cache_key(forms, config, 25, "power")
     assert lanczos != power
     for written, read in ((power, lanczos), (lanczos, power)):
         path = save_corrector_cache(tmp_path, written, cs, {x_dof: tc})
@@ -932,11 +896,13 @@ def test_cache_of_another_generator_or_format_is_a_miss(tmp_path, problem44,
         assert load_corrector_cache(tmp_path, written, forms, config) is not None
         for stale in tmp_path.iterdir():
             stale.unlink()
-    # a file of the old format sits under its old name, which no key gives
+    # a file of an old format sits under its old name, which no key gives
     pinned = _pinned_forms()
-    old = save_corrector_cache(tmp_path, _OLD_FORMAT_KEYS[0], cs, {x_dof: tc})
+    olds = [save_corrector_cache(tmp_path, old_key, cs, {x_dof: tc})
+            for old_key in _OLD_FORMAT_KEYS if old_key.startswith("k2_")]
     for generator in lod.GENERATORS:
-        key = cache_key(pinned, CorrectorConfig(k=2), 10, 1e-12, generator)
+        key = cache_key(pinned, CorrectorConfig(k=2), 10, generator)
         assert load_corrector_cache(tmp_path, key, pinned, CorrectorConfig(k=2)) is None
-        shutil.copy(old, tmp_path / (key + ".npz"))
-        assert load_corrector_cache(tmp_path, key, pinned, CorrectorConfig(k=2)) is None
+        for old in olds:
+            shutil.copy(old, tmp_path / (key + ".npz"))
+            assert load_corrector_cache(tmp_path, key, pinned, CorrectorConfig(k=2)) is None

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from sdwave import lod
 from sdwave.evolution import TimeGrid, localized_gfem_solve, rel_h1_final
 from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
-                        build_corrector_set, compute_transient_correctors,
+                        build_corrector_set, cache_key, compute_transient_correctors,
+                        load_corrector_cache, save_corrector_cache,
                         transients_for_all_nodes)
 from sdwave.rb import (EmptyBasisError, build_rb, compress_transients, lift,
                        node_reductions, rb_gfem_solve, rb_step,
@@ -16,8 +18,7 @@ N_STEPS = 20
 def snapshots44(problem44):
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
-    tc = compute_transient_correctors(cs, problem44.n_coarse_dofs // 2, horizon=20,
-                                      stop_tol=0.0)
+    tc = compute_transient_correctors(cs, problem44.n_coarse_dofs // 2, horizon=20)
     return cs, tc
 
 
@@ -61,13 +62,13 @@ def test_zero_first_snapshot_rejected(problem44, snapshots44):
     _, tc = snapshots44
     with pytest.raises(EmptyBasisError):
         build_rb(np.zeros((1, tc.dofs.size)), _patch(problem44, tc))
-    # a node whose sequence carries no energy keeps its stored members only
+    # a node whose sequence carries no energy keeps its stored zero sequence
     zero = {problem44.n_coarse_dofs // 2: TransientCorrectors(
         tc.dofs, np.zeros((6, tc.dofs.size)), tc.correctors)}
     reductions = node_reductions(zero, (2, 4))
     assert all(node.basis is None for node in reductions.values())
     compressed = compress_transients(zero, reductions, 2, horizon=6)
-    assert [c.xi.shape for c in compressed.values()] == [(2, tc.dofs.size)]
+    assert [c.xi.shape for c in compressed.values()] == [(6, tc.dofs.size)]
 
 
 def test_basis_prefix_is_the_smaller_basis(problem44, snapshots44):
@@ -146,7 +147,7 @@ def test_singular_values(problem44, snapshots44):
 def localized44(problem44):
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
-    seq = transients_for_all_nodes(cs, horizon=N_STEPS, stop_tol=0.0)
+    seq = transients_for_all_nodes(cs, horizon=N_STEPS)
     zc = np.zeros(problem44.n_coarse_dofs)
     reference = localized_gfem_solve(cs, seq, 1.0, N_STEPS, zc, zc)
     return cs, seq, reference
@@ -161,6 +162,16 @@ def test_rb_rejects_transients_of_another_corrector_set(problem44, localized44,
     zc = np.zeros(problem44.n_coarse_dofs)
     with pytest.raises(ValueError, match="another corrector set"):
         rb_gfem_solve(cs, seq, reductions, 1.0, N_STEPS, zc, zc, m_max=5)
+
+
+def test_rb_rejects_a_missing_node(problem44, localized44):
+    # the node went without a fine-scale correction
+    cs, seq, _ = localized44
+    partial = {d: tc for d, tc in seq.items() if d != 0}
+    reductions = node_reductions(partial, (5,))
+    zc = np.zeros(problem44.n_coarse_dofs)
+    with pytest.raises(ValueError, match="per coarse node"):
+        rb_gfem_solve(cs, partial, reductions, 1.0, N_STEPS, zc, zc, m_max=5)
 
 
 def test_rb_gfem_uncompressed_is_identical(problem44, localized44):
@@ -192,21 +203,18 @@ def test_rb_gfem_gap_shrinks_with_m(problem44, localized44):
     assert gaps[2] < gaps[1] < gaps[0]
 
 
-def _oracle_sequence(problem, tc, m, horizon, stop_tol=1e-12):
+def _oracle_sequence(problem, tc, m, horizon):
     """Per-M basis, continuation stepped with rb_step and lifted one by one."""
     kept = tc.xi[:m]
     if m >= tc.xi.shape[0]:
         return kept
     basis = build_rb(kept, _patch(problem, tc))
     atilde = problem.forms.K_tilde[tc.dofs][:, tc.dofs]
-    nrm = _patch_norm(problem, tc.dofs)
     c = basis.Z.T @ (atilde @ kept[-1])
     rows = list(kept)
     for _ in range(m, horizon):
         c = rb_step(basis, c)
         rows.append(lift(basis, c))
-        if nrm(rows[-1]) <= stop_tol * nrm(kept[0]):
-            break
     return np.array(rows)
 
 
@@ -241,3 +249,36 @@ def test_node_reductions_reject_corrupt_dofs(problem44, snapshots44):
         corrupt = TransientCorrectors(dofs, tc.xi, tc.correctors)
         with pytest.raises(ValueError, match="patch dofs"):
             node_reductions({problem44.n_coarse_dofs // 2: corrupt}, (5,))
+
+
+def test_every_sequence_has_exactly_horizon_rows(problem44, tmp_path, monkeypatch):
+    # power, certified, cache-loaded and compressed sequences alike, also at a
+    # node whose first member, and so its first snapshot's energy, is zero
+    forms = problem44.forms
+    cs = build_corrector_set(forms, CorrectorConfig(k=2))
+    horizon = 17
+    zero = problem44.n_coarse_dofs // 2
+    transient_patch = lod.transient_patch
+
+    def zero_rhs_at_one_node(correctors, x_dof, Q_csc=None):
+        patch, rhs = transient_patch(correctors, x_dof, Q_csc)
+        return patch, np.zeros_like(rhs) if x_dof == zero else rhs
+
+    monkeypatch.setattr(lod, "transient_patch", zero_rhs_at_one_node)
+    zc = np.zeros(problem44.n_coarse_dofs)
+    for generator in lod.GENERATORS:
+        seq = transients_for_all_nodes(cs, horizon, generator=generator)
+        assert not seq[zero].xi.any()
+        key = cache_key(forms, cs.config, horizon, generator)
+        save_corrector_cache(tmp_path, key, cs, seq)
+        _, loaded = load_corrector_cache(tmp_path, key, forms, cs.config)
+        reductions = node_reductions(seq, (1, 5))
+        assert reductions[zero].basis is None
+        families = [seq, loaded] + [compress_transients(seq, reductions, m, horizon)
+                                    for m in (1, 5)]
+        for family in families:
+            assert sorted(family) == list(range(problem44.n_coarse_dofs))
+            for tc in family.values():
+                assert tc.xi.shape == (horizon, tc.dofs.size)
+        # and a run of horizon + 1 steps reads every member
+        rb_gfem_solve(cs, seq, reductions, 1.0, horizon + 1, zc, zc, m_max=1)

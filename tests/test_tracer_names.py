@@ -67,7 +67,7 @@ def test_observers_read_what_the_functions_return(tmp_path):
     observe("lod.transients_for_all_nodes", (), seq)
     assert rows > 0 and tracer.count["lod.transient_rows"] == rows
 
-    key = cache_key(forms, config, 5, 1e-12)
+    key = cache_key(forms, config, 5)
     save_corrector_cache(tmp_path, key, correctors, seq)
     loaded = load_corrector_cache(tmp_path, key, forms, config)
     assert isinstance(loaded[1], dict) and set(loaded[1]) == set(seq)
