@@ -198,6 +198,65 @@ class _Superposition:
         return np.ascontiguousarray(states.T)
 
 
+class _Recurrence:
+    """Fine-scale part of certified sequences in their Lanczos form (see
+    lod.TransientCorrectors), stepped in basis coordinates: w^n = sum_x
+    Z_x^T t_x^n, where t_x^{n+1} = T_x t_x^n + norm1_x alpha_x^n e_1 and
+    t^1 = 0, which is the superposition of _Superposition over the members
+    norm1_x Z_x^T T_x^{l-1} e_1.
+
+    The coordinates of all nodes are stacked, so a step is a few vector
+    operations on the stacked tridiagonals. The coarse step reads
+    Q^T K_A u^{n-1} = A_ms alpha^{n-1} + G t^{n-1}, with G = [(Q^T K_A)[:,
+    dofs_x] Z_x^T]_x, and the fine states are filled once after the loop,
+    one product per node.
+    """
+
+    def __init__(self, correctors, transients, grid):
+        self.Q, self.A_ms = correctors.Q, correctors.A_ms
+        seqs = [transients[x] for x in range(self.Q.shape[1])]
+        rows = np.array([tc.xi.shape[0] for tc in seqs])
+        ends = np.cumsum(rows)
+        self.first = ends - rows
+        self.diag = np.concatenate([tc.alpha for tc in seqs])
+        # couples rows i and i + 1; a node's last entry is its beta_M, which
+        # couples it to no row
+        couple = np.concatenate([tc.beta for tc in seqs])
+        self.couple = couple[:-1]
+        self.couple[ends[:-1] - 1] = 0.0
+        self.norm1 = np.array([tc.norm1 for tc in seqs])
+        QT_K_A = (self.Q.T @ correctors.forms.K_A).toarray()
+        self.G = np.empty((self.Q.shape[1], ends[-1]))
+        self.items = []
+        for tc, start, end in zip(seqs, self.first, ends):
+            self.G[:, start:end] = QT_K_A[:, tc.dofs] @ tc.xi.T
+            self.items.append((tc.dofs, tc.xi, slice(start, end)))
+        # t[n] = t^n; t^0 and t^1 stay zero
+        self.t = np.zeros((grid.n_steps + 1, ends[-1]))
+
+    def _advance(self, n, alpha):
+        """t^n from t^{n-1} and alpha^{n-1}, n >= 2."""
+        prev, t = self.t[n - 1], self.t[n]
+        np.multiply(self.diag, prev, out=t)
+        t[1:] += self.couple * prev[:-1]
+        t[:-1] += self.couple * prev[1:]
+        t[self.first] += self.norm1 * alpha[n - 1]
+
+    def memory(self, n, alpha):
+        if n >= 3:
+            self._advance(n - 1, alpha)
+        return self.A_ms @ alpha[n - 1] + self.G @ self.t[n - 1]
+
+    def states(self, alpha):
+        n_steps = alpha.shape[0] - 1
+        self._advance(n_steps, alpha)
+        self.G = None
+        states = self.Q @ alpha.T
+        for dofs, Z, span in self.items:
+            states[dofs, 2:] += Z.T @ self.t[2:, span].T
+        return np.ascontiguousarray(states.T)
+
+
 def transient_horizon(n_steps):
     """The length of the correction sequences a run of n_steps reads: the
     superposition takes xi^1 .. xi^{n_steps - 1}."""
@@ -237,11 +296,13 @@ def ideal_gfem_solve(correctors, f, n_steps, alpha0, alpha1):
 
 
 def localized_gfem_solve(correctors, transients, f, n_steps, alpha0, alpha1):
-    """Localized GFEM: the fine-scale part is superposed from the stored
+    """Localized GFEM: the fine-scale part is the superposition of the
     per-node correction sequences weighted by the coarse coefficient history.
 
     transients holds one sequence per coarse node, keyed 0 .. n_coarse - 1,
-    each of at least transient_horizon(n_steps) members.
+    each of a horizon of at least transient_horizon(n_steps) members, and all
+    of one kind: certified sequences in their Lanczos form run through
+    _Recurrence, stored members (the power iterates) through _Superposition.
     """
     grid = TimeGrid(correctors.forms.tau, n_steps)
     if any(tc.correctors is not correctors for tc in transients.values()):
@@ -252,12 +313,16 @@ def localized_gfem_solve(correctors, transients, f, n_steps, alpha0, alpha1):
                          "0 .. %d" % (n_coarse - 1))
     horizon = transient_horizon(n_steps)
     for x, tc in transients.items():
-        if tc.xi.shape[0] < horizon:
+        if tc.horizon < horizon:
             raise ValueError("the sequence of node %d has %d members, fewer than the "
                              "%d a run of %d steps reads"
-                             % (x, tc.xi.shape[0], horizon, n_steps))
+                             % (x, tc.horizon, horizon, n_steps))
+    kinds = {tc.certified for tc in transients.values()}
+    if len(kinds) > 1:
+        raise ValueError("transients mix certified sequences and stored members")
+    hook = _Recurrence if kinds == {True} else _Superposition
     return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
-                       _Superposition(correctors, transients, grid))
+                       hook(correctors, transients, grid))
 
 
 def localized_gfem_solve_direct(correctors, f, n_steps, alpha0, alpha1):

@@ -165,9 +165,17 @@ def _forms(cfg, q):
 
 def _counters():
     """A run's counters: cache hits and misses, the saddle solves spent on
-    transient sequences and the worst certified bound of one (lod.TransientCorrectors)."""
+    transient sequences, the worst certified bound of one and the rows the
+    sequences store (lod.TransientCorrectors). The bound and the rows count
+    the sequences a run used, built or read from the cache."""
     return {"cache_hits": 0, "cache_misses": 0, "transient_solves": 0,
-            "transient_bound": 0.0}
+            "transient_bound": 0.0, "transient_rows": 0}
+
+
+def _count_sequences(counters, seq):
+    counters["transient_bound"] = max([counters["transient_bound"]]
+                                      + [tc.bound for tc in seq.values()])
+    counters["transient_rows"] += sum(tc.xi.shape[0] for tc in seq.values())
 
 
 def _corrector_pipeline(cfg, forms, k, form_choice, counters, transients=True,
@@ -181,6 +189,8 @@ def _corrector_pipeline(cfg, forms, k, form_choice, counters, transients=True,
         cached = load_corrector_cache(cfg.cache, key, forms, config)
         if cached is not None and (cached[1] is not None or not transients):
             counters["cache_hits"] += 1
+            if transients:
+                _count_sequences(counters, cached[1])
             return cached
     counters["cache_misses"] += 1
     correctors = build_corrector_set(forms, config)
@@ -188,8 +198,7 @@ def _corrector_pipeline(cfg, forms, k, form_choice, counters, transients=True,
     if transients:
         seq = transients_for_all_nodes(correctors, horizon, generator=generator)
         counters["transient_solves"] += sum(tc.solves for tc in seq.values())
-        counters["transient_bound"] = max([counters["transient_bound"]]
-                                          + [tc.bound for tc in seq.values()])
+        _count_sequences(counters, seq)
     if cfg.cache:
         save_corrector_cache(cfg.cache, key, correctors, seq)
     return correctors, seq
@@ -331,9 +340,10 @@ def emit(rows, outdir, name, svg=False, meta=None):
         paths.append(svg_path)
     if meta:
         log.info("%s: wall=%.1fs cache hits=%d misses=%d transient solves=%d "
-                 "worst certified bound=%.2e", name, meta.get("wall_s", 0.0),
+                 "rows=%d worst certified bound=%.2e", name, meta.get("wall_s", 0.0),
                  meta.get("cache_hits", 0), meta.get("cache_misses", 0),
-                 meta.get("transient_solves", 0), meta.get("transient_bound", 0.0))
+                 meta.get("transient_solves", 0), meta.get("transient_rows", 0),
+                 meta.get("transient_bound", 0.0))
     return paths
 
 

@@ -23,12 +23,12 @@ FORM_CHOICES = ("a_plus_tau_b", "a_only", "b_only")
 # first member of the power iterates, in the energy norm, member by member
 CERTIFY_TOL = 1e-11
 
-# "lanczos": certified members lifted from a Lanczos basis; "power": one
+# "lanczos": certified sequences kept as their Lanczos basis; "power": one
 # saddle solve per member
 GENERATORS = ("lanczos", "power")
 
 # the version of how the cached arrays are computed and stored
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,21 @@ def _fine_mask(pair, coarse_elements):
 
 
 def patch_fine_dofs(pair, coarse_elements):
-    """Interior fine dofs of functions supported on the given coarse elements."""
+    """Interior fine dofs of functions supported on the given coarse elements.
+
+    Only the vertices of the patch's fine elements (the fibers of the coarse
+    ones) are candidates, counted over the range of their indices; one of
+    them is interior when the patch holds every element around it.
+    """
     fine = pair.fine
-    mask = _fine_mask(pair, coarse_elements)
-    outside = fine._vert_elem.dot((~mask).astype(np.int8))
-    inside = fine._vert_elem.dot(mask.astype(np.int8))
-    ok = (outside == 0) & (inside > 0) & (fine.dof_index >= 0)
-    return fine.dof_index[np.flatnonzero(ok)]
+    if len(coarse_elements) == 0:
+        return np.empty(0, dtype=fine.dof_index.dtype)
+    elements = np.concatenate([pair.fibers[t] for t in coarse_elements])
+    verts = fine.triangles[elements].ravel()
+    lo, hi = verts.min(), verts.max() + 1
+    inside = np.bincount(verts - lo, minlength=hi - lo)
+    dofs = fine.dof_index[lo:hi]
+    return dofs[(inside == np.diff(fine._vert_elem.indptr[lo:hi + 1])) & (dofs >= 0)]
 
 
 # the patch block each form choice factors
@@ -239,15 +247,52 @@ def build_corrector_set(forms, config):
 
 @dataclass
 class TransientCorrectors:
+    """One coarse node's correction sequence xi^1 .. xi^horizon on its patch.
+
+    Power iterates are stored as their members: the rows of xi. A certified
+    sequence (_certified_transients) is stored in its Lanczos form: the rows
+    of xi are the K_tilde-orthonormal basis Z, alpha and beta[:-1] are the
+    diagonal and off-diagonal of the tridiagonal T, beta[-1] is the remainder
+    norm beta_M, and norm1 is the energy norm of xi^1. Its member j + 1 is
+    norm1 Z^T T^j e_1, for j < horizon (members).
+    """
     dofs: np.ndarray
-    xi: np.ndarray              # (steps, patch dofs)
+    xi: np.ndarray              # (rows, patch dofs): the members, or Z
     correctors: CorrectorSet    # the set the sequence was built from
-    # the saddle solves spent building xi, and its certified bound (the
-    # largest energy error of a member, over the energy norm of the first);
-    # both are 0 for a sequence read from the cache, and the bound is 0 for
-    # power iterates
+    # the saddle solves spent building the sequence, and its certified bound
+    # (the largest energy error of a member, over the energy norm of the
+    # first); the solves are 0 for a sequence read from the cache, and the
+    # bound is 0 for power iterates
     solves: int = 0
     bound: float = 0.0
+    alpha: np.ndarray = None    # the Lanczos form; None for stored members
+    beta: np.ndarray = None
+    norm1: float = 0.0
+    horizon: int = None         # the members served; the rows of stored members
+
+    def __post_init__(self):
+        if self.horizon is None:
+            self.horizon = self.xi.shape[0]
+        elif not self.certified and self.horizon != self.xi.shape[0]:
+            raise ValueError("stored members serve their %d rows, not a horizon of %r"
+                             % (self.xi.shape[0], self.horizon))
+
+    @property
+    def certified(self):
+        """Whether the sequence is in its Lanczos form."""
+        return self.alpha is not None
+
+    def members(self, count=None):
+        """The members xi^1 .. xi^count, (count, patch dofs); count defaults
+        to the horizon. A certified sequence lifts them with one product."""
+        count = self.horizon if count is None else count
+        if not 0 <= count <= self.horizon:
+            raise ValueError("a sequence of horizon %d has no %r members"
+                             % (self.horizon, count))
+        if not self.certified:
+            return self.xi[:count]
+        powers = _tridiagonal_powers(self.alpha, self.beta[:-1], count)
+        return (self.norm1 * powers).T @ self.xi
 
 
 def transient_patch(correctors, x_dof, Q_csc=None):
@@ -353,7 +398,7 @@ def _lanczos(patch, first, horizon):
     """The Lanczos basis, in the K_tilde product, of G = (K_tilde on the
     interpolation kernel)^-1 K_A from xi^1, the checked solve of first.
 
-    Returns (xi1, norm1, Z, alpha, beta, bound, solves). The M rows of Z are
+    Returns (norm1, Z, alpha, beta, bound, solves). The M rows of Z are
     K_tilde-orthonormal and lie in the kernel; z_1 = xi1 / norm1, where norm1
     is the energy norm of xi1. alpha and beta[:-1] are the diagonal and the
     off-diagonal of T = Z K_A Z^T, and beta_M = beta[-1] is the norm of the
@@ -382,9 +427,9 @@ def _lanczos(patch, first, horizon):
     x_xi1 = X @ xi1
     norm1 = np.sqrt(max(xi1 @ x_xi1, 0.0))
     if norm1 == 0.0:
-        # a zero first member: the one-vector basis z_1 = 0, T = [0] lifts
-        # the zero members after it
-        return xi1, norm1, np.zeros((1, n)), np.zeros(1), np.zeros(1), 0.0, 1
+        # a zero first member: the one-vector basis z_1 = 0, T = [0] gives
+        # zero members
+        return norm1, np.zeros((1, n)), np.zeros(1), np.zeros(1), 0.0, 1
     # z_{M+1} and K_tilde z_{M+1} are rows M of Z and XZ
     Z = np.empty((horizon + 1, n))
     XZ = np.empty_like(Z)
@@ -439,38 +484,32 @@ def _lanczos(patch, first, horizon):
             if stop:
                 break
             start, checked = M + 1, 0
-    return xi1, norm1, Z[:M], alpha[:M], beta[:M], bound, solves
+    # copies, so that the horizon-long scratch arrays are freed
+    return norm1, Z[:M].copy(), alpha[:M].copy(), beta[:M].copy(), bound, solves
 
 
 def _certified_transients(correctors, x_dof, horizon, Q_csc=None):
-    """The correction sequence of compute_transient_correctors, each member
-    after the first lifted from the node's Lanczos basis (_lanczos) with one
-    product, within CERTIFY_TOL of the power iterate as the basis certifies.
-    The first member is the power iterate's checked solve.
+    """The correction sequence of compute_transient_correctors in the Lanczos
+    form of the node's basis (_lanczos): every member lies within CERTIFY_TOL
+    of the power iterate, as the basis certifies.
     """
     if correctors.config.form_choice != "a_plus_tau_b":
         # only K_A + tau K_B makes G a contraction, which the bound needs
         raise ValueError("certified sequences need the a_plus_tau_b form, got %r"
                          % (correctors.config.form_choice,))
     patch, first = transient_patch(correctors, x_dof, Q_csc)
-    # the rows of the sequence are allocated before the basis's scratch
-    # arrays, so that these leave no hole in the heap below them when freed
-    # (a hole kept the peak RSS of a kcold run 1 MB higher)
-    xi = np.empty((horizon, patch.dofs.size))
-    xi1, norm1, Z, alpha, beta, bound, solves = _lanczos(patch, first, horizon)
-    powers = _tridiagonal_powers(alpha, beta[:-1], horizon)
-    xi[0] = xi1
-    np.matmul((norm1 * powers[:, 1:]).T, Z, out=xi[1:])
-    return TransientCorrectors(patch.dofs, xi, correctors, solves, bound)
+    norm1, Z, alpha, beta, bound, solves = _lanczos(patch, first, horizon)
+    return TransientCorrectors(patch.dofs, Z, correctors, solves, bound,
+                               alpha, beta, float(norm1), horizon)
 
 
 def transients_for_all_nodes(correctors, horizon, generator="lanczos"):
     """Transient correctors for every interior coarse node, keyed by its dof,
     each of `horizon` members.
 
-    The generator (one of GENERATORS) is "lanczos" for certified sequences
-    (_certified_transients) or "power" for the power iterates
-    (compute_transient_correctors).
+    The generator (one of GENERATORS) is "lanczos" for certified sequences in
+    their Lanczos form (_certified_transients) or "power" for the stored
+    power iterates (compute_transient_correctors).
     """
     if generator not in GENERATORS:
         raise ValueError("generator must be one of %s, got %r" % (GENERATORS, generator))
@@ -535,6 +574,13 @@ def cache_key(forms, config, horizon, generator="lanczos"):
 
 
 def save_corrector_cache(cache_dir, key, correctors, transients=None):
+    """Write the corrector set, and the sequences if given, under key.
+
+    Power iterates are stored as their members. Certified sequences are
+    stored in their Lanczos form: the rows Z of each node, and one array each
+    of the nodes' alpha and beta, concatenated in node order, and of their
+    horizons, norm1 and certified bounds.
+    """
     os.makedirs(cache_dir, exist_ok=True)
     Q = correctors.Q.tocsr()
     payload = {
@@ -548,10 +594,23 @@ def save_corrector_cache(cache_dir, key, correctors, transients=None):
         "Q_shape": np.array(Q.shape),
     }
     if transients is not None:
-        payload["transient_dofs_list"] = np.array(sorted(transients), dtype=np.int64)
-        for d, tc in transients.items():
+        nodes = sorted(transients)
+        seqs = [transients[d] for d in nodes]
+        payload["transient_dofs_list"] = np.array(nodes, dtype=np.int64)
+        for d, tc in zip(nodes, seqs):
             payload["xi_%d" % d] = tc.xi
             payload["dofs_%d" % d] = tc.dofs
+        kinds = {tc.certified for tc in seqs}
+        if len(kinds) > 1:
+            raise ValueError("cannot cache certified sequences and power iterates "
+                             "in one file")
+        if kinds == {True}:
+            payload["transient_horizon"] = np.array([tc.horizon for tc in seqs],
+                                                    dtype=np.int64)
+            payload["transient_norm1"] = np.array([tc.norm1 for tc in seqs])
+            payload["transient_bound"] = np.array([tc.bound for tc in seqs])
+            payload["transient_alpha"] = np.concatenate([tc.alpha for tc in seqs])
+            payload["transient_beta"] = np.concatenate([tc.beta for tc in seqs])
     path = os.path.join(cache_dir, key + ".npz")
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
@@ -565,7 +624,9 @@ def load_corrector_cache(cache_dir, key, forms, config):
 
     key must be the cache_key built from forms and config, which the file
     does not repeat; the loaded set carries forms. A file that was written
-    under another key or cannot be read in full (corrupt, truncated) is a miss.
+    under another key, cannot be read in full (corrupt, truncated) or holds a
+    sequence whose rows do not fit its node's dofs or its tridiagonal is a
+    miss; the checks are not asserts, so they hold under python -O.
     """
     path = os.path.join(cache_dir, key + ".npz")
     if not os.path.exists(path):
@@ -582,12 +643,38 @@ def load_corrector_cache(cache_dir, key, forms, config):
                                       data["M_ms"], data["A_ms"], data["B_ms"])
             transients = None
             if "transient_dofs_list" in data:
-                transients = {}
-                for d in data["transient_dofs_list"]:
-                    d = int(d)
-                    transients[d] = TransientCorrectors(
-                        data["dofs_%d" % d], data["xi_%d" % d], correctors
-                    )
+                transients = _load_transients(data, correctors)
+                if transients is None:
+                    return None
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
     return correctors, transients
+
+
+def _load_transients(data, correctors):
+    """The sequences of an open cache file, or None where the stored rows do
+    not fit their node's dofs or the stored tridiagonals."""
+    nodes = [int(d) for d in data["transient_dofs_list"]]
+    rows = {}
+    for d in nodes:
+        dofs, xi = data["dofs_%d" % d], data["xi_%d" % d]
+        if xi.ndim != 2 or dofs.ndim != 1 or xi.shape[1] != dofs.size:
+            return None
+        rows[d] = (dofs, xi)
+    if "transient_norm1" not in data:
+        return {d: TransientCorrectors(dofs, xi, correctors)
+                for d, (dofs, xi) in rows.items()}
+    horizons, norms, bounds, alphas, betas = (data["transient_" + name] for name in (
+        "horizon", "norm1", "bound", "alpha", "beta"))
+    total = sum(xi.shape[0] for _, xi in rows.values())
+    if not (horizons.shape == norms.shape == bounds.shape == (len(nodes),)
+            and alphas.shape == betas.shape == (total,)):
+        return None
+    transients = {}
+    end = 0
+    for i, (d, (dofs, xi)) in enumerate(rows.items()):
+        start, end = end, end + xi.shape[0]
+        transients[d] = TransientCorrectors(dofs, xi, correctors, 0, float(bounds[i]),
+                                            alphas[start:end], betas[start:end],
+                                            float(norms[i]), int(horizons[i]))
+    return transients

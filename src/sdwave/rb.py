@@ -108,6 +108,14 @@ def snapshot_singular_values(snapshots, patch):
     return scipy.linalg.svdvals(chol @ snapshots.T)
 
 
+def _require_members(transients):
+    """Reject certified sequences: their stored rows are a Lanczos basis, not
+    snapshots."""
+    if any(tc.certified for tc in transients.values()):
+        raise ValueError("reduced bases are built from stored members (the power "
+                         "iterates); got certified sequences in Lanczos form")
+
+
 @dataclass
 class NodeReduction:
     """One node's reduced basis, built once for every M up to n_snapshots."""
@@ -123,6 +131,7 @@ def node_reductions(transients, m_values):
     at the tolerance RB_TOL, from its first min(max(m_values), length)
     snapshots; compress_transients takes the prefix of it for each count.
     """
+    _require_members(transients)
     m_values = tuple(m_values)
     if not m_values or min(m_values) < 1:
         raise ValueError("snapshot counts must be >= 1")
@@ -163,6 +172,7 @@ def compress_transients(transients, reductions, m_max, horizon):
     every m_max up to the snapshot count it was built from. A node whose
     first snapshot carries no energy keeps its stored sequence, which is zero.
     """
+    _require_members(transients)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     compressed = {}
@@ -186,6 +196,7 @@ def compress_transients(transients, reductions, m_max, horizon):
 def rb_gfem_solve(correctors, transients, reductions, f, n_steps, alpha0, alpha1, m_max):
     """Localized GFEM where corrections beyond the first m_max steps come from
     the per-node reduced bases in reductions (from node_reductions)."""
+    _require_members(transients)
     TimeGrid(correctors.forms.tau, n_steps)  # rejects a bad n_steps before the compression
     compressed = compress_transients(transients, reductions, m_max,
                                      transient_horizon(n_steps))

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from sdwave import linalg
+from sdwave import linalg, lod
 from sdwave.assembly import DiscreteForms, assemble_load, h1_norms
 from sdwave.evolution import (_BLOCK, TimeGrid, Trajectory, aux_fine_solve,
                               aux_gfem_solve, discrete_energy, fine_fem_solve,
@@ -156,9 +158,10 @@ def test_error_norms_equal_per_state_h1_norms(problem44):
 
 
 def _per_step_superposition(correctors, transients, forms, f, n_steps, alpha0, alpha1):
-    """Oracle for localized_gfem_solve: the fine-scale part re-summed from every
-    stored sequence in every step, w^n = sum_x sum_{l=1}^{n-1} alpha_x^{n-l} xi_x^l,
-    and fed back through Q^T K_A u^{n-1}."""
+    """Oracle for localized_gfem_solve: the fine-scale part re-summed from the
+    members of every sequence in every step, w^n = sum_x sum_{l=1}^{n-1}
+    alpha_x^{n-l} xi_x^l, and fed back through Q^T K_A u^{n-1}."""
+    members = {x: tc.members(n_steps - 1) for x, tc in transients.items()}
     tau = forms.tau
     Q = correctors.Q
     lhs = scipy.linalg.lu_factor(correctors.M_ms / tau + correctors.A_ms
@@ -177,7 +180,7 @@ def _per_step_superposition(correctors, transients, forms, f, n_steps, alpha0, a
         states[n] = Q @ alpha[n]
         lags = np.arange(1, n)
         for x, tc in transients.items():
-            states[n, tc.dofs] += tc.xi[lags - 1].T @ alpha[n - lags, x]
+            states[n, tc.dofs] += members[x][lags - 1].T @ alpha[n - lags, x]
     return alpha, states
 
 
@@ -201,17 +204,19 @@ MULTI_BLOCK = 2 * _BLOCK + 5
         "multi-block-initial-data", "multi-block-long-sequences", "two-steps"])
 def test_localized_matches_per_step_superposition(problem44, k2_44, n_steps, horizon,
                                                   f, data):
+    # both hooks: the recurrence of the certified sequences and the
+    # superposition of the power iterates
     forms = problem44.forms
-    seq = transients_for_all_nodes(k2_44, horizon=horizon)
     rng = np.random.default_rng(44)
     alpha0, alpha1 = (rng.standard_normal((2, problem44.n_coarse_dofs)) if data
                       else np.zeros((2, problem44.n_coarse_dofs)))
-
-    loc = localized_gfem_solve(k2_44, seq, f, n_steps, alpha0, alpha1)
-    alpha, states = _per_step_superposition(k2_44, seq, forms, f, n_steps,
-                                            alpha0, alpha1)
-    assert np.linalg.norm(loc.alpha - alpha) <= 1e-12 * np.linalg.norm(alpha)
-    assert np.linalg.norm(loc.states - states) <= 1e-12 * np.linalg.norm(states)
+    for generator in lod.GENERATORS:
+        seq = transients_for_all_nodes(k2_44, horizon=horizon, generator=generator)
+        loc = localized_gfem_solve(k2_44, seq, f, n_steps, alpha0, alpha1)
+        alpha, states = _per_step_superposition(k2_44, seq, forms, f, n_steps,
+                                                alpha0, alpha1)
+        assert np.linalg.norm(loc.alpha - alpha) <= 1e-12 * np.linalg.norm(alpha)
+        assert np.linalg.norm(loc.states - states) <= 1e-12 * np.linalg.norm(states)
 
 
 def test_transient_config_mismatch_rejected(problem44, saturated44):
@@ -249,10 +254,104 @@ def test_localized_rejects_anything_but_one_full_sequence_per_node(problem44, k2
     elif change == "beyond":
         seq[last + 1] = seq[0]
     else:
-        tc = seq[last]
-        seq[last] = TransientCorrectors(tc.dofs, tc.xi[:-1], tc.correctors)
+        # a certified sequence serves the horizon it was certified for, which
+        # its basis rows do not tell
+        seq[last] = dataclasses.replace(seq[last], horizon=transient_horizon(n_steps) - 1)
     zc = np.zeros(problem44.n_coarse_dofs)
     with pytest.raises(ValueError, match=match):
+        localized_gfem_solve(k2_44, seq, 1.0, n_steps, zc, zc)
+
+
+def test_localized_rejects_short_stored_members(problem44, k2_44):
+    n_steps = 6
+    seq = transients_for_all_nodes(k2_44, transient_horizon(n_steps), generator="power")
+    tc = seq[0]
+    seq[0] = TransientCorrectors(tc.dofs, tc.xi[:-1], tc.correctors)
+    zc = np.zeros(problem44.n_coarse_dofs)
+    with pytest.raises(ValueError, match="fewer than"):
+        localized_gfem_solve(k2_44, seq, 1.0, n_steps, zc, zc)
+
+
+# ----------------------------------------------------------------------------
+# the recurrence of the certified sequences against the superposition of
+# their members
+
+@pytest.fixture(scope="module", params=["problem44", "problem84"])
+def recurrence_problem(request):
+    problem = request.getfixturevalue(request.param)
+    return problem, build_corrector_set(problem.forms, CorrectorConfig(k=2))
+
+
+def _members_of(seq, horizon):
+    return {x: TransientCorrectors(tc.dofs, tc.members(horizon), tc.correctors)
+            for x, tc in seq.items()}
+
+
+def _assert_recurrence_matches_members(correctors, seq, n_steps):
+    """The certified run against _Superposition fed the lifted members."""
+    assert all(tc.certified for tc in seq.values())
+    rng = np.random.default_rng(45)
+    alpha0, alpha1 = rng.standard_normal((2, correctors.Q.shape[1]))
+    got = localized_gfem_solve(correctors, seq, _pulse, n_steps, alpha0, alpha1)
+    lifted = _members_of(seq, transient_horizon(n_steps))
+    want = localized_gfem_solve(correctors, lifted, _pulse, n_steps, alpha0, alpha1)
+    assert np.linalg.norm(got.states - want.states) <= 1e-12 * np.linalg.norm(want.states)
+    assert np.linalg.norm(got.alpha - want.alpha) <= 1e-12 * np.linalg.norm(want.alpha)
+
+
+@pytest.mark.parametrize("n_steps, horizon", [(2, 1), (12, 30), (MULTI_BLOCK, 60)],
+                         ids=["two-steps", "shorter-run", "multi-block"])
+def test_recurrence_matches_superposition_of_members(recurrence_problem, n_steps, horizon):
+    # a run may be shorter than the horizon its sequences were certified for
+    _, cs = recurrence_problem
+    seq = transients_for_all_nodes(cs, horizon)
+    assert all(tc.horizon == horizon for tc in seq.values())
+    _assert_recurrence_matches_members(cs, seq, n_steps)
+
+
+def test_recurrence_with_a_zero_first_member(recurrence_problem, monkeypatch):
+    problem, cs = recurrence_problem
+    zero = problem.n_coarse_dofs // 2
+    real = lod.transient_patch
+
+    def zero_rhs(correctors, x_dof, Q_csc=None):
+        patch, rhs = real(correctors, x_dof, Q_csc)
+        return patch, (np.zeros_like(rhs) if x_dof == zero else rhs)
+
+    monkeypatch.setattr(lod, "transient_patch", zero_rhs)
+    seq = transients_for_all_nodes(cs, 20)
+    assert seq[zero].norm1 == 0.0 and not seq[zero].members().any()
+    _assert_recurrence_matches_members(cs, seq, 21)
+
+
+def test_recurrence_with_a_full_basis(recurrence_problem, monkeypatch):
+    # at a tolerance no bound meets, each basis runs to M = horizon
+    _, cs = recurrence_problem
+    monkeypatch.setattr(lod, "CERTIFY_TOL", 0.0)
+    horizon = 6
+    seq = transients_for_all_nodes(cs, horizon)
+    assert all(tc.xi.shape[0] == horizon for tc in seq.values())
+    _assert_recurrence_matches_members(cs, seq, horizon + 1)
+
+
+def test_recurrence_on_an_invariant_krylov_space(recurrence_problem, monkeypatch):
+    # k = 1 patches are small: each Krylov space turns invariant long before
+    # the horizon, where the basis ends
+    problem, _ = recurrence_problem
+    cs = build_corrector_set(problem.forms, CorrectorConfig(k=1))
+    monkeypatch.setattr(lod, "CERTIFY_TOL", 1e-300)
+    horizon = 400
+    seq = transients_for_all_nodes(cs, horizon)
+    assert max(tc.xi.shape[0] for tc in seq.values()) < horizon
+    _assert_recurrence_matches_members(cs, seq, horizon + 1)
+
+
+def test_localized_rejects_mixed_kinds(problem44, k2_44):
+    n_steps = 6
+    seq = transients_for_all_nodes(k2_44, transient_horizon(n_steps))
+    seq[0] = _members_of(seq, transient_horizon(n_steps))[0]
+    zc = np.zeros(problem44.n_coarse_dofs)
+    with pytest.raises(ValueError, match="mix"):
         localized_gfem_solve(k2_44, seq, 1.0, n_steps, zc, zc)
 
 

@@ -18,7 +18,7 @@ from sdwave.cli import main
 from sdwave.harness import (CSV_HEADER, ExperimentConfig, config_from_sources,
                             emit, random_field, run_exp_H, run_exp_k,
                             run_exp_rb)
-from sdwave.lod import (CERTIFY_TOL, compute_transient_correctors,
+from sdwave.lod import (CERTIFY_TOL, TransientCorrectors, compute_transient_correctors,
                         transients_for_all_nodes)
 from sdwave.mesh import Mesh
 
@@ -438,19 +438,41 @@ def test_run_counters_repeat(tmp_path, caplog):
                            cache=str(tmp_path / "cache"))
     rows, meta = run_exp_k(dataclasses.replace(cfg, cache=None))
     _, again = run_exp_k(dataclasses.replace(cfg, cache=None))
-    counters = ("cache_hits", "cache_misses", "transient_solves", "transient_bound")
+    counters = ("cache_hits", "cache_misses", "transient_solves", "transient_bound",
+                "transient_rows")
     assert {c: meta[c] for c in counters} == {c: again[c] for c in counters}
     # k = 2 and 3, nine nodes each, at least two solves per sequence
     assert 2 * 9 * 2 <= meta["transient_solves"] < 2 * 9 * 19
     assert 0.0 < meta["transient_bound"] <= CERTIFY_TOL
-    run_exp_k(cfg)
+    # the basis rows stored: fewer than the 19 members of each sequence
+    assert 2 * 9 <= meta["transient_rows"] < 2 * 9 * 19
+    _, fill = run_exp_k(cfg)
     _, cached = run_exp_k(cfg)
-    assert cached["cache_misses"] == 0
-    assert cached["transient_solves"] == 0 and cached["transient_bound"] == 0.0
+    assert cached["cache_misses"] == 0 and cached["transient_solves"] == 0
+    # a run served from the cache reports the bound and rows of the fill's sequences
+    assert cached["transient_bound"] == fill["transient_bound"] == meta["transient_bound"]
+    assert cached["transient_rows"] == fill["transient_rows"] == meta["transient_rows"]
     with caplog.at_level("INFO", logger="sdwave"):
         emit(rows, tmp_path, "exp_k", meta=meta)
     assert "transient solves=%d" % meta["transient_solves"] in caplog.text
+    assert "rows=%d" % meta["transient_rows"] in caplog.text
     assert "worst certified bound=%.2e" % meta["transient_bound"] in caplog.text
+
+
+def test_online_stage_never_lifts_certified_members(tmp_path, monkeypatch):
+    # exp-k and exp-H step the certified sequences in their basis coordinates,
+    # built or served from the cache; no member row is formed
+    def no_lift(self, count=None):
+        raise AssertionError("the members of a sequence were lifted")
+
+    monkeypatch.setattr(TransientCorrectors, "members", no_lift)
+    for cache in (None, str(tmp_path), str(tmp_path)):
+        rows, meta = run_exp_k(ExperimentConfig(p=4, q=2, kmax=3, tau=0.1, T=2.0,
+                                                seed=1, cache=cache))
+        assert len(rows) == 2 and meta["transient_rows"] > 0
+        rows, _ = run_exp_H(ExperimentConfig(p=4, q=3, tau=0.1, T=1.0, seed=1,
+                                             cache=cache))
+        assert {r["method"] for r in rows} >= {"gfem"}
 
 
 def test_exp_rb_builds_the_power_iterates(monkeypatch):

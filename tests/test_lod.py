@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import shutil
 import tracemalloc
 import weakref
@@ -12,7 +13,8 @@ from sdwave import linalg, lod
 from sdwave.assembly import DiscreteForms, element_rhs_block, h1_norms
 from sdwave.linalg import (ConstraintViolationError, Factorization,
                            SaddleFactorization, factor_saddle)
-from sdwave.lod import (CorrectorConfig, Patch, build_corrector_set, cache_key,
+from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
+                        build_corrector_set, cache_key,
                         compute_element_correctors,
                         compute_transient_correctors, decay_profile,
                         form_values, load_corrector_cache, patch_fine_dofs,
@@ -533,12 +535,16 @@ def test_certified_members_lie_within_tol_of_the_power_iterates(lanczos_set, hor
     for x_dof in _nodes(problem):
         power = compute_transient_correctors(cs, x_dof, horizon)
         certified = lod._certified_transients(cs, x_dof, horizon)
-        _check(certified.xi.shape == (horizon, power.dofs.size), "sequence length")
-        _check(certified.xi[0].tobytes() == power.xi[0].tobytes(),
-               "the first member is the checked solve, bit for bit")
+        members = certified.members()
+        _check(certified.horizon == horizon and members.shape == (horizon, power.dofs.size),
+               "sequence length")
         patch = Patch(problem.forms, power.dofs)
         norm1 = _energy_norms(patch, power.xi[0])[0]
-        worst = _energy_norms(patch, certified.xi - power.xi).max()
+        _check(abs(certified.norm1 - norm1) <= 1e-14 * norm1,
+               "norm1 is the energy norm of the checked solve")
+        _check(_energy_norms(patch, members[0] - power.xi[0])[0] <= 1e-15 * norm1,
+               "the first member is the checked solve, to round-off")
+        worst = _energy_norms(patch, members - power.xi).max()
         _check(worst <= lod.CERTIFY_TOL * norm1,
                "node %d: member error %.2e of %.2e" % (x_dof, worst, norm1))
         _check(certified.bound <= lod.CERTIFY_TOL, "bound %.2e" % certified.bound)
@@ -560,7 +566,7 @@ def test_certified_bound_covers_the_true_error(lanczos_set, tol, monkeypatch):
         certified = lod._certified_transients(cs, x_dof, horizon)
         patch = Patch(problem.forms, power.dofs)
         norm1 = _energy_norms(patch, power.xi[0])[0]
-        worst = _energy_norms(patch, certified.xi - power.xi).max() / norm1
+        worst = _energy_norms(patch, certified.members() - power.xi).max() / norm1
         _check(certified.bound <= tol, "bound %.2e above tol %.0e" % (certified.bound, tol))
         _check(worst <= certified.bound + 1e-13,
                "node %d: error %.2e above the bound %.2e" % (x_dof, worst, certified.bound))
@@ -570,7 +576,7 @@ def test_certified_members_meet_the_constraints(lanczos_set):
     problem, cs = lanczos_set
     for x_dof in _nodes(problem):
         patch, first = transient_patch(cs, x_dof)
-        xi = lod._certified_transients(cs, x_dof, 120).xi
+        xi = lod._certified_transients(cs, x_dof, 120).members()
         # each member against the right-hand side of the step that makes it
         rhs_norms = np.linalg.norm(np.vstack([first, (patch.k_a @ xi[:-1].T).T]), axis=1)
         violation = np.abs(patch.C @ xi.T).max(axis=0)
@@ -583,7 +589,7 @@ def test_lanczos_basis_is_orthonormal_and_T_tridiagonal(lanczos_set):
     problem, cs = lanczos_set
     for x_dof in _nodes(problem):
         patch, first = transient_patch(cs, x_dof)
-        _, _, Z, alpha, beta, _, _ = lod._lanczos(patch, first, 120)
+        _, Z, alpha, beta, _, _ = lod._lanczos(patch, first, 120)
         m = alpha.size
         T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
         gram = Z @ (patch.k_tilde @ Z.T)
@@ -606,14 +612,14 @@ def test_invariant_krylov_space_ends_the_basis_early(problem44, monkeypatch):
     for x_dof in _nodes(problem44):
         patch, first = transient_patch(cs, x_dof)
         kernel = patch.dofs.size - patch.C.shape[0]
-        _, _, Z, _, _, _, solves = lod._lanczos(patch, first, horizon)
+        _, Z, _, _, _, solves = lod._lanczos(patch, first, horizon)
         _check(Z.shape[0] <= kernel < horizon,
                "%d basis vectors in a kernel of %d" % (Z.shape[0], kernel))
         power = compute_transient_correctors(cs, x_dof, horizon)
         certified = lod._certified_transients(cs, x_dof, horizon)
         _check(certified.solves == solves, "solves %d, %d" % (certified.solves, solves))
         norm1 = _energy_norms(patch, power.xi[0])[0]
-        worst = _energy_norms(patch, certified.xi - power.xi).max()
+        worst = _energy_norms(patch, certified.members() - power.xi).max()
         _check(worst <= tol * norm1, "member error %.2e" % (worst / norm1))
 
 
@@ -624,7 +630,8 @@ def test_certified_sequence_zero_first_rhs(problem44, k2_set, monkeypatch):
 
     monkeypatch.setattr(lod, "transient_patch", zero_rhs)
     tc = lod._certified_transients(k2_set, problem44.n_coarse_dofs // 2, 17)
-    _check(tc.xi.shape[0] == 17 and not tc.xi.any(), "17 zero members")
+    _check(tc.horizon == 17 and tc.norm1 == 0.0, "a zero first member")
+    _check(tc.members().shape[0] == 17 and not tc.members().any(), "17 zero members")
     _check(tc.solves == 1 and tc.bound == 0.0, "no Lanczos step")
 
 
@@ -641,7 +648,7 @@ def test_certified_sequence_replays_a_residual_miss(problem44, k2_set, monkeypat
     _check(tc.solves > clean.solves, "%d solves, %d clean" % (tc.solves, clean.solves))
     patch = Patch(problem44.forms, power.dofs)
     norm1 = _energy_norms(patch, power.xi[0])[0]
-    worst = _energy_norms(patch, tc.xi - power.xi).max()
+    worst = _energy_norms(patch, tc.members() - power.xi).max()
     _check(worst <= lod.CERTIFY_TOL * norm1, "member error %.2e" % (worst / norm1))
 
 
@@ -676,7 +683,8 @@ def test_transients_for_all_nodes_generators(problem44, k2_set):
         _check(tc.xi.tobytes() == compute_transient_correctors(k2_set, d, 20).xi.tobytes(),
                "the power generator is compute_transient_correctors")
         _check(tc.solves >= 20 and tc.bound == 0.0, "power iterates are solved")
-        _check(certified[d].xi.shape == tc.xi.shape, "same lengths")
+        _check(certified[d].certified and not tc.certified, "the kinds")
+        _check(certified[d].members().shape == tc.xi.shape, "same lengths")
         _check(certified[d].solves <= 21, "%d solves" % certified[d].solves)
 
 
@@ -732,6 +740,28 @@ def test_fine_mask_matches_fiber_loop(problem44):
         for t in elems:
             expected[pair.fibers[t]] = True
         np.testing.assert_array_equal(lod._fine_mask(pair, elems), expected)
+
+
+def _whole_mesh_patch_fine_dofs(pair, coarse_elements):
+    # patch_fine_dofs as it was: two products over every fine vertex
+    fine = pair.fine
+    mask = lod._fine_mask(pair, coarse_elements)
+    outside = fine._vert_elem.dot((~mask).astype(np.int8))
+    inside = fine._vert_elem.dot(mask.astype(np.int8))
+    ok = (outside == 0) & (inside > 0) & (fine.dof_index >= 0)
+    return fine.dof_index[np.flatnonzero(ok)]
+
+
+def test_patch_fine_dofs_match_the_whole_mesh_products(problem84):
+    pair = problem84.pair
+    coarse = pair.coarse
+    for k in range(1, saturating_k(coarse) + 1):
+        patches = [element_patch(coarse, t, k) for t in range(coarse.n_elements)]
+        patches += [node_patch(coarse, x, k) for x in coarse.interior_nodes]
+        for elems in patches + [np.empty(0, dtype=np.int64)]:
+            got = patch_fine_dofs(pair, elems)
+            want = _whole_mesh_patch_fine_dofs(pair, elems)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_decay_profile_examples(problem44, transient_node):
@@ -798,6 +828,74 @@ def test_cache_roundtrip(tmp_path, problem44, transient_node):
         assert load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None
 
 
+@pytest.fixture(scope="module")
+def certified_nodes(problem44):
+    cs = build_corrector_set(problem44.forms, CorrectorConfig(k=2))
+    return cs, transients_for_all_nodes(cs, 25)
+
+
+def test_certified_cache_roundtrip(tmp_path, problem44, certified_nodes):
+    # a certified sequence is stored in its Lanczos form, bit for bit, with
+    # the bound and horizon it was certified for
+    cs, seq = certified_nodes
+    key = cache_key(problem44.forms, cs.config, 25)
+    save_corrector_cache(tmp_path, key, cs, seq)
+    cs2, seq2 = load_corrector_cache(tmp_path, key, problem44.forms, cs.config)
+    assert sorted(seq2) == sorted(seq)
+    assert any(tc.bound > 0.0 for tc in seq.values())
+    for d, tc in seq.items():
+        got = seq2[d]
+        assert got.certified and got.correctors is cs2
+        for name in ("dofs", "xi", "alpha", "beta"):
+            want = getattr(tc, name)
+            assert getattr(got, name).dtype == want.dtype
+            assert getattr(got, name).tobytes() == want.tobytes()
+        assert got.xi.shape[0] < got.horizon == tc.horizon == 25
+        assert (got.norm1, got.bound) == (tc.norm1, tc.bound)
+        assert type(got.norm1) is float and type(got.bound) is float
+        assert got.solves == 0
+
+
+def _misfit(tc, change):
+    if change == "short-alpha":
+        return dataclasses.replace(tc, alpha=tc.alpha[:-1])
+    if change == "long-beta":
+        return dataclasses.replace(tc, beta=np.append(tc.beta, 0.0))
+    if change == "narrow-Z":
+        return dataclasses.replace(tc, xi=tc.xi[:, :-1])
+    return dataclasses.replace(tc, xi=tc.xi[:-1])          # "short-Z"
+
+
+@pytest.mark.parametrize("change", ["short-alpha", "long-beta", "narrow-Z", "short-Z"])
+def test_cache_with_a_basis_that_does_not_fit_is_a_miss(tmp_path, problem44,
+                                                         certified_nodes, change):
+    # checked with if, not assert, so the miss holds under python -O
+    cs, seq = certified_nodes
+    key = cache_key(problem44.forms, cs.config, 25)
+    x_dof = problem44.n_coarse_dofs // 2
+    save_corrector_cache(tmp_path, key, cs, {**seq, x_dof: _misfit(seq[x_dof], change)})
+    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
+           "a file whose basis does not fit was served")
+
+
+def test_cache_with_members_that_do_not_fit_is_a_miss(tmp_path, problem44,
+                                                      transient_node):
+    cs, x_dof, tc = transient_node
+    key = cache_key(problem44.forms, cs.config, 25, "power")
+    narrow = TransientCorrectors(tc.dofs, tc.xi[:, 1:], cs)
+    save_corrector_cache(tmp_path, key, cs, {x_dof: narrow})
+    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
+           "a file whose members do not fit was served")
+
+
+def test_cache_refuses_mixed_kinds(tmp_path, problem44, certified_nodes):
+    cs, seq = certified_nodes
+    members = TransientCorrectors(seq[0].dofs, seq[0].members(), cs)
+    key = cache_key(problem44.forms, cs.config, 25)
+    with pytest.raises(ValueError, match="certified"):
+        save_corrector_cache(tmp_path, key, cs, {**seq, 0: members})
+
+
 def test_cache_miss_closes_the_file(tmp_path, problem44, transient_node,
                                     monkeypatch):
     # a truncated entry fails inside np.load, after the file was opened
@@ -855,14 +953,18 @@ def _pinned_forms():
 
 
 # the keys of these inputs in earlier cache formats: the first two from
-# before the cache format and the generator were keyed, the last three of
-# format 2, which stored sequences cut short by a stop tolerance it hashed
+# before the cache format and the generator were keyed, the next three of
+# format 2, which stored sequences cut short by a stop tolerance it hashed,
+# the last three of format 3, which stored the members of certified sequences
 _OLD_FORMAT_KEYS = (
     "k2_a_plus_tau_b_83cb82afdb841db22410a0051edd26196a527870d92008061cf1786f89587295",
     "k3_a_only_902e923463c53ffa528ba8e907ef843a6ce9a0b7a99621cf97a57ae315aa22b7",
     "k2_a_plus_tau_b_25623439b95b70d725006e8cea7576440f939976fa256bd64dbb3b29ae8843e3",
     "k3_a_only_9546048526b9d354ceecbce46d39416aef899add6b6cfb859df8326c996f1450",
     "k2_a_plus_tau_b_b4bfa3a6ed393e378acc83182f391dbc6de0bd6eeba836bd522c6c83fcfb3d56",
+    "k2_a_plus_tau_b_f74af52292c8b55980406ef1df53545740e1e21d857125cdf6fc3fc536007726",
+    "k3_a_only_c8fb2474b1ec8427e026b6cf1fea52a9db0903d4b03349eaf5fbebcdabc7f27a",
+    "k2_a_plus_tau_b_adbf64e12aeb7db50d01e7168a9c81d124d25edc58a5dce363656e8738cb7683",
 )
 
 
@@ -873,9 +975,9 @@ def test_cache_key_is_pinned():
             cache_key(forms, CorrectorConfig(k=3, form_choice="a_only"), 50),
             cache_key(forms, CorrectorConfig(k=2), 10, "power"))
     assert keys == (
-        "k2_a_plus_tau_b_f74af52292c8b55980406ef1df53545740e1e21d857125cdf6fc3fc536007726",
-        "k3_a_only_c8fb2474b1ec8427e026b6cf1fea52a9db0903d4b03349eaf5fbebcdabc7f27a",
-        "k2_a_plus_tau_b_adbf64e12aeb7db50d01e7168a9c81d124d25edc58a5dce363656e8738cb7683")
+        "k2_a_plus_tau_b_72181747bb422d942816eaf674f1827eda3135a198793a97dff78860107a8c40",
+        "k3_a_only_72c09d5d99cb54d7ac590f60671b16f51517b07634f283453e9b5936dc7f59b2",
+        "k2_a_plus_tau_b_c5418bf262293458ad83ee0a6bf52d07c45115a4cc6f2948c9375adf9e8aa60e")
     assert not set(keys) & set(_OLD_FORMAT_KEYS)
 
 

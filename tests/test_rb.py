@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdwave import lod
+from sdwave import lod, rb
 from sdwave.evolution import TimeGrid, localized_gfem_solve, rel_h1_final
 from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
                         build_corrector_set, cache_key, compute_transient_correctors,
@@ -147,7 +147,7 @@ def test_singular_values(problem44, snapshots44):
 def localized44(problem44):
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
-    seq = transients_for_all_nodes(cs, horizon=N_STEPS)
+    seq = transients_for_all_nodes(cs, horizon=N_STEPS, generator="power")
     zc = np.zeros(problem44.n_coarse_dofs)
     reference = localized_gfem_solve(cs, seq, 1.0, N_STEPS, zc, zc)
     return cs, seq, reference
@@ -157,11 +157,36 @@ def test_rb_rejects_transients_of_another_corrector_set(problem44, localized44,
                                                        foreign_k2_44):
     # an equal config passed the old check of the localized solve
     cs, _, _ = localized44
-    seq = transients_for_all_nodes(foreign_k2_44, horizon=N_STEPS - 1)
+    seq = transients_for_all_nodes(foreign_k2_44, horizon=N_STEPS - 1, generator="power")
     reductions = node_reductions(seq, (5,))
     zc = np.zeros(problem44.n_coarse_dofs)
     with pytest.raises(ValueError, match="another corrector set"):
         rb_gfem_solve(cs, seq, reductions, 1.0, N_STEPS, zc, zc, m_max=5)
+
+
+def test_rb_rejects_certified_sequences(problem44, localized44, monkeypatch):
+    # their stored rows are a Lanczos basis, which would be read as snapshots;
+    # each entry point refuses them before any work
+    cs, power, _ = localized44
+    certified = transients_for_all_nodes(cs, horizon=N_STEPS - 1)
+    reductions = node_reductions(power, (5,))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on certified sequences")
+
+    for name in ("Patch", "build_rb", "localized_gfem_solve", "TimeGrid"):
+        monkeypatch.setattr(rb, name, no_work)
+    zc = np.zeros(problem44.n_coarse_dofs)
+    with pytest.raises(ValueError, match="certified"):
+        node_reductions(certified, (5,))
+    with pytest.raises(ValueError, match="certified"):
+        compress_transients(certified, reductions, 5, N_STEPS - 1)
+    with pytest.raises(ValueError, match="certified"):
+        rb_gfem_solve(cs, certified, reductions, 1.0, N_STEPS, zc, zc, m_max=5)
+    # one certified node among power iterates is refused as well
+    mixed = {**power, 0: certified[0]}
+    with pytest.raises(ValueError, match="certified"):
+        node_reductions(mixed, (5,))
 
 
 def test_rb_rejects_a_missing_node(problem44, localized44):
@@ -268,17 +293,20 @@ def test_every_sequence_has_exactly_horizon_rows(problem44, tmp_path, monkeypatc
     zc = np.zeros(problem44.n_coarse_dofs)
     for generator in lod.GENERATORS:
         seq = transients_for_all_nodes(cs, horizon, generator=generator)
-        assert not seq[zero].xi.any()
+        assert not seq[zero].members().any()
         key = cache_key(forms, cs.config, horizon, generator)
         save_corrector_cache(tmp_path, key, cs, seq)
-        _, loaded = load_corrector_cache(tmp_path, key, forms, cs.config)
-        reductions = node_reductions(seq, (1, 5))
-        assert reductions[zero].basis is None
-        families = [seq, loaded] + [compress_transients(seq, reductions, m, horizon)
-                                    for m in (1, 5)]
+        cs_loaded, loaded = load_corrector_cache(tmp_path, key, forms, cs.config)
+        families = [seq, loaded]
+        if generator == "power":
+            reductions = node_reductions(seq, (1, 5))
+            assert reductions[zero].basis is None
+            families += [compress_transients(seq, reductions, m, horizon) for m in (1, 5)]
+            # and a run of horizon + 1 steps reads every member
+            rb_gfem_solve(cs, seq, reductions, 1.0, horizon + 1, zc, zc, m_max=1)
         for family in families:
             assert sorted(family) == list(range(problem44.n_coarse_dofs))
             for tc in family.values():
-                assert tc.xi.shape == (horizon, tc.dofs.size)
-        # and a run of horizon + 1 steps reads every member
-        rb_gfem_solve(cs, seq, reductions, 1.0, horizon + 1, zc, zc, m_max=1)
+                assert tc.horizon == horizon
+                assert tc.members().shape == (horizon, tc.dofs.size)
+        localized_gfem_solve(cs_loaded, loaded, 1.0, horizon + 1, zc, zc)
