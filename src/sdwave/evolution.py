@@ -199,38 +199,35 @@ class _Superposition:
 
 
 class _Recurrence:
-    """Fine-scale part of certified sequences in their Lanczos form (see
-    lod.TransientCorrectors), stepped in basis coordinates: w^n = sum_x
-    Z_x^T t_x^n, where t_x^{n+1} = T_x t_x^n + norm1_x alpha_x^n e_1 and
-    t^1 = 0, which is the superposition of _Superposition over the members
-    norm1_x Z_x^T T_x^{l-1} e_1.
+    """Fine-scale part of sequences given as node bands (dofs, R, diag, lower,
+    upper, w), stepped in band coordinates: w^n = sum_x R_x^T t_x^n, where
+    t_x^{n+1} = T_x t_x^n + w_x alpha_x^n e_1 and t^1 = 0, which is the
+    superposition of _Superposition over the members w_x R_x^T T_x^{l-1} e_1.
+    T_x is tridiagonal: diag, lower[i] from row i into row i + 1 and upper[i]
+    from row i + 1 into row i; each last entry couples to no row.
 
     The coordinates of all nodes are stacked, so a step is a few vector
-    operations on the stacked tridiagonals. The coarse step reads
-    Q^T K_A u^{n-1} = A_ms alpha^{n-1} + G t^{n-1}, with G = [(Q^T K_A)[:,
-    dofs_x] Z_x^T]_x, and the fine states are filled once after the loop,
-    one product per node.
+    operations. The coarse step reads Q^T K_A u^{n-1} = A_ms alpha^{n-1} +
+    G t^{n-1}, with G = [(Q^T K_A)[:, dofs_x] R_x^T]_x, and the fine states
+    are filled once after the loop, one product per node.
     """
 
-    def __init__(self, correctors, transients, grid):
+    def __init__(self, correctors, bands, grid):
         self.Q, self.A_ms = correctors.Q, correctors.A_ms
-        seqs = [transients[x] for x in range(self.Q.shape[1])]
-        rows = np.array([tc.xi.shape[0] for tc in seqs])
-        ends = np.cumsum(rows)
-        self.first = ends - rows
-        self.diag = np.concatenate([tc.alpha for tc in seqs])
-        # couples rows i and i + 1; a node's last entry is its beta_M, which
-        # couples it to no row
-        couple = np.concatenate([tc.beta for tc in seqs])
-        self.couple = couple[:-1]
-        self.couple[ends[:-1] - 1] = 0.0
-        self.norm1 = np.array([tc.norm1 for tc in seqs])
+        dofs, rows, diag, lower, upper, weight = zip(*bands)
+        counts = [R.shape[0] for R in rows]
+        ends = np.cumsum(counts)
+        self.first = ends - counts
+        self.diag, self.weight = np.concatenate(diag), np.array(weight)
+        # no coupling crosses a node boundary
+        self.lower, self.upper = np.concatenate(lower)[:-1], np.concatenate(upper)[:-1]
+        self.lower[ends[:-1] - 1] = self.upper[ends[:-1] - 1] = 0.0
         QT_K_A = (self.Q.T @ correctors.forms.K_A).toarray()
         self.G = np.empty((self.Q.shape[1], ends[-1]))
-        self.items = []
-        for tc, start, end in zip(seqs, self.first, ends):
-            self.G[:, start:end] = QT_K_A[:, tc.dofs] @ tc.xi.T
-            self.items.append((tc.dofs, tc.xi, slice(start, end)))
+        self.items = [(d, R, slice(end - R.shape[0], end))
+                      for d, R, end in zip(dofs, rows, ends)]
+        for d, R, span in self.items:
+            self.G[:, span] = QT_K_A[:, d] @ R.T
         # t[n] = t^n; t^0 and t^1 stay zero
         self.t = np.zeros((grid.n_steps + 1, ends[-1]))
 
@@ -238,9 +235,9 @@ class _Recurrence:
         """t^n from t^{n-1} and alpha^{n-1}, n >= 2."""
         prev, t = self.t[n - 1], self.t[n]
         np.multiply(self.diag, prev, out=t)
-        t[1:] += self.couple * prev[:-1]
-        t[:-1] += self.couple * prev[1:]
-        t[self.first] += self.norm1 * alpha[n - 1]
+        t[1:] += self.lower * prev[:-1]
+        t[:-1] += self.upper * prev[1:]
+        t[self.first] += self.weight * alpha[n - 1]
 
     def memory(self, n, alpha):
         if n >= 3:
@@ -252,8 +249,8 @@ class _Recurrence:
         self._advance(n_steps, alpha)
         self.G = None
         states = self.Q @ alpha.T
-        for dofs, Z, span in self.items:
-            states[dofs, 2:] += Z.T @ self.t[2:, span].T
+        for dofs, R, span in self.items:
+            states[dofs, 2:] += R.T @ self.t[2:, span].T
         return np.ascontiguousarray(states.T)
 
 
@@ -295,15 +292,10 @@ def ideal_gfem_solve(correctors, f, n_steps, alpha0, alpha1):
                        _global_saddle(correctors, grid))
 
 
-def localized_gfem_solve(correctors, transients, f, n_steps, alpha0, alpha1):
-    """Localized GFEM: the fine-scale part is the superposition of the
-    per-node correction sequences weighted by the coarse coefficient history.
-
-    transients holds one sequence per coarse node, keyed 0 .. n_coarse - 1,
-    each of a horizon of at least transient_horizon(n_steps) members, and all
-    of one kind: certified sequences in their Lanczos form run through
-    _Recurrence, stored members (the power iterates) through _Superposition.
-    """
+def _check_transients(correctors, transients, n_steps):
+    """The TimeGrid of n_steps, after checking that transients hold one sequence
+    of correctors per coarse node, keyed 0 .. n_coarse - 1, each of a horizon
+    of at least transient_horizon(n_steps) members."""
     grid = TimeGrid(correctors.forms.tau, n_steps)
     if any(tc.correctors is not correctors for tc in transients.values()):
         raise ValueError("transient correctors were built from another corrector set")
@@ -317,12 +309,23 @@ def localized_gfem_solve(correctors, transients, f, n_steps, alpha0, alpha1):
             raise ValueError("the sequence of node %d has %d members, fewer than the "
                              "%d a run of %d steps reads"
                              % (x, tc.horizon, horizon, n_steps))
+    return grid
+
+
+def localized_gfem_solve(correctors, transients, f, n_steps, alpha0, alpha1):
+    """Localized GFEM: the fine-scale part is the superposition of the
+    per-node correction sequences (see _check_transients) weighted by the
+    coarse coefficient history. Certified sequences run through _Recurrence,
+    each as the band (dofs, Z, alpha, beta, beta, norm1), stored members (the
+    power iterates) through _Superposition; a mix of the two is rejected."""
+    grid = _check_transients(correctors, transients, n_steps)
     kinds = {tc.certified for tc in transients.values()}
     if len(kinds) > 1:
         raise ValueError("transients mix certified sequences and stored members")
-    hook = _Recurrence if kinds == {True} else _Superposition
-    return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
-                       hook(correctors, transients, grid))
+    hook = (_Recurrence(correctors, [(tc.dofs, tc.xi, tc.alpha, tc.beta, tc.beta, tc.norm1)
+                                     for _, tc in sorted(transients.items())], grid)
+            if kinds == {True} else _Superposition(correctors, transients, grid))
+    return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1), hook)
 
 
 def localized_gfem_solve_direct(correctors, f, n_steps, alpha0, alpha1):

@@ -49,6 +49,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError("%s must be an integer, got %r" % (name, value))
+        if not isinstance(self.M, (list, tuple)) or not all(
+                isinstance(m, numbers.Integral) and not isinstance(m, bool) for m in self.M):
+            raise ValueError("M must be a list of integers, got %r" % (self.M,))
+        self.M = tuple(int(m) for m in self.M)
         for name in ("tau", "T", "lo", "hi"):
             value = getattr(self, name)
             if (not isinstance(value, numbers.Real) or isinstance(value, bool)
@@ -119,12 +123,6 @@ def config_from_sources(experiment, json_path=None, overrides=None):
     unknown = set(values) - known
     if unknown:
         raise ValueError("unknown config keys: %s" % ", ".join(sorted(unknown)))
-    if "M" in values:
-        M = values["M"]
-        if not isinstance(M, (list, tuple)) or not all(
-                isinstance(m, int) and not isinstance(m, bool) for m in M):
-            raise ValueError("M must be a list of integers, got %r" % (M,))
-        values["M"] = tuple(M)
     return ExperimentConfig(**values)
 
 

@@ -1,12 +1,14 @@
 """Reduced-basis compression of the transient correction sequences."""
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .evolution import TimeGrid, localized_gfem_solve, transient_horizon
-from .lod import Patch, TransientCorrectors
+from .evolution import (_check_transients, _gfem_steps, _multiscale, _Recurrence,
+                        localized_gfem_solve, transient_horizon)
+from .lod import Patch
 
 # Gram-Schmidt stops at a remainder of RB_TOL times its snapshot's energy norm
 RB_TOL = 1e-10
@@ -129,7 +131,7 @@ def node_reductions(transients, m_values):
 
     Each node whose sequence is longer than the smallest count gets one basis,
     at the tolerance RB_TOL, from its first min(max(m_values), length)
-    snapshots; compress_transients takes the prefix of it for each count.
+    snapshots; rb_gfem_solve takes the prefix of it for each count.
     """
     _require_members(transients)
     m_values = tuple(m_values)
@@ -150,54 +152,48 @@ def node_reductions(transients, m_values):
     return out
 
 
-def _continuation(node, kept, steps):
-    """The `steps` members after `kept`, stepped in basis coordinates as
-    c <- a_hat^-1 k_hat c and lifted with one product at the end."""
-    basis = node.basis.prefix(kept.shape[0])
-    G = np.linalg.solve(basis.a_hat, basis.k_hat)
-    c = basis.Z.T @ (node.a_tilde @ kept[-1])
-    coeffs = np.empty((basis.m_selected, steps))
-    for j in range(steps):
-        c = G @ c
-        coeffs[:, j] = c
-    return (basis.Z @ coeffs).T
+def _band(x, tc, node, m):
+    """The node band (see evolution._Recurrence) of tc's first m members and
+    their continuation xi^{m+1+j} = Z G^j v in node's reduced basis, where
+    G = a_hat^-1 k_hat and v = G Z^T a_tilde xi^m.
 
-
-def compress_transients(transients, reductions, m_max, horizon):
-    """Replace each correction sequence by its first m_max members plus
-    reduced-basis continuations up to the horizon; returns the sequences per
-    node.
-
-    reductions (from node_reductions) holds one basis per node, shared by
-    every m_max up to the snapshot count it was built from. A node whose
-    first snapshot carries no energy keeps its stored sequence, which is zero.
+    The m members are rows kept exact as a shift register. For the tail,
+    a_hat = L L^T and L^T v = r P e_1 (a Householder QR); W = L^-T P is
+    a_hat-orthonormal, and W^T k_hat W = Q_h H Q_h^T with Q_h e_1 = e_1. So
+    xi^{m+1+j} = r Z W Q_h H^j e_1: row m feeds the tail rows (Z W Q_h)^T
+    with r, and the tridiagonal of H couples them (the rest is round-off). A
+    node whose first snapshot carries no energy has one zero row.
     """
-    _require_members(transients)
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    compressed = {}
-    for d, tc in transients.items():
-        stored = tc.xi
-        m_avail = min(m_max, stored.shape[0])
-        rows = stored[:m_avail]
-        if m_avail < stored.shape[0]:
-            node = reductions.get(d)
-            if node is None or node.n_snapshots < m_avail:
-                raise ValueError("no reduced basis of %d snapshots for node %d"
-                                 % (m_avail, d))
-            if node.basis is None:
-                rows = stored
-            elif horizon > m_avail:
-                rows = np.vstack([rows, _continuation(node, rows, horizon - m_avail)])
-        compressed[d] = TransientCorrectors(tc.dofs, rows, tc.correctors)
-    return compressed
+    if node is None or node.n_snapshots < m:
+        raise ValueError("no reduced basis of %d snapshots for node %d" % (m, x))
+    if node.basis is None:
+        return tc.dofs, np.zeros((1, tc.dofs.size)), *np.zeros((3, 1)), 1.0
+    stored = tc.xi[:m]
+    basis = node.basis.prefix(m)
+    v = np.linalg.solve(basis.a_hat, basis.k_hat) @ (basis.Z.T @ (node.a_tilde @ stored[-1]))
+    if not v.any():
+        return tc.dofs, stored, np.zeros(m), np.ones(m), np.zeros(m), 1.0
+    L = scipy.linalg.cholesky(basis.a_hat, lower=True, check_finite=False)
+    P, r = np.linalg.qr((L.T @ v)[:, None], mode="complete")
+    W = scipy.linalg.solve_triangular(L.T, P, lower=False, check_finite=False)
+    H, Q_h = scipy.linalg.hessenberg(W.T @ basis.k_hat @ W, calc_q=True, check_finite=False)
+    return (tc.dofs, np.concatenate([stored, (W @ Q_h).T @ basis.Z.T]),
+            np.concatenate([np.zeros(m), np.diag(H)]),
+            np.concatenate([np.ones(m - 1), r[0], np.diag(H, -1), [0.0]]),
+            np.concatenate([np.zeros(m), np.diag(H, 1), [0.0]]), 1.0)
 
 
 def rb_gfem_solve(correctors, transients, reductions, f, n_steps, alpha0, alpha1, m_max):
     """Localized GFEM where corrections beyond the first m_max steps come from
-    the per-node reduced bases in reductions (from node_reductions)."""
+    the per-node reduced bases in reductions (from node_reductions), each node
+    one band of evolution._Recurrence; from m_max = transient_horizon(n_steps)
+    on, the stored members run through localized_gfem_solve."""
+    if not isinstance(m_max, numbers.Integral) or isinstance(m_max, bool) or m_max < 1:
+        raise ValueError("m_max must be an integer >= 1, got %r" % (m_max,))
     _require_members(transients)
-    TimeGrid(correctors.forms.tau, n_steps)  # rejects a bad n_steps before the compression
-    compressed = compress_transients(transients, reductions, m_max,
-                                     transient_horizon(n_steps))
-    return localized_gfem_solve(correctors, compressed, f, n_steps, alpha0, alpha1)
+    grid = _check_transients(correctors, transients, n_steps)
+    if m_max >= transient_horizon(n_steps):
+        return localized_gfem_solve(correctors, transients, f, n_steps, alpha0, alpha1)
+    bands = [_band(x, tc, reductions.get(x), m_max) for x, tc in sorted(transients.items())]
+    return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
+                       _Recurrence(correctors, bands, grid))

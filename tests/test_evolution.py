@@ -6,10 +6,10 @@ import scipy.linalg
 
 from sdwave import linalg, lod
 from sdwave.assembly import DiscreteForms, assemble_load, h1_norms
-from sdwave.evolution import (_BLOCK, TimeGrid, Trajectory, aux_fine_solve,
-                              aux_gfem_solve, discrete_energy, fine_fem_solve,
-                              galerkin_wave_solve, ideal_gfem_solve,
-                              localized_gfem_solve,
+from sdwave.evolution import (_BLOCK, TimeGrid, Trajectory, _gfem_steps, _multiscale,
+                              _Recurrence, aux_fine_solve, aux_gfem_solve,
+                              discrete_energy, fine_fem_solve, galerkin_wave_solve,
+                              ideal_gfem_solve, localized_gfem_solve,
                               localized_gfem_solve_direct, rel_h1_final,
                               rel_l2h1, transient_horizon)
 from sdwave.harness import random_field
@@ -344,6 +344,44 @@ def test_recurrence_on_an_invariant_krylov_space(recurrence_problem, monkeypatch
     seq = transients_for_all_nodes(cs, horizon)
     assert max(tc.xi.shape[0] for tc in seq.values()) < horizon
     _assert_recurrence_matches_members(cs, seq, horizon + 1)
+
+
+class _CoupledRecurrence(_Recurrence):
+    """The recurrence as it stepped certified sequences before node bands: one
+    array couple, beta, for both off-diagonals."""
+
+    def __init__(self, correctors, transients, grid):
+        seqs = [transients[x] for x in range(correctors.Q.shape[1])]
+        super().__init__(correctors, [(tc.dofs, tc.xi, tc.alpha, tc.beta, tc.beta,
+                                       tc.norm1) for tc in seqs], grid)
+        ends = np.cumsum([tc.xi.shape[0] for tc in seqs])
+        couple = np.concatenate([tc.beta for tc in seqs])
+        self.couple = couple[:-1]
+        self.couple[ends[:-1] - 1] = 0.0
+        self.lower = self.upper = None
+
+    def _advance(self, n, alpha):
+        prev, t = self.t[n - 1], self.t[n]
+        np.multiply(self.diag, prev, out=t)
+        t[1:] += self.couple * prev[:-1]
+        t[:-1] += self.couple * prev[1:]
+        t[self.first] += self.weight * alpha[n - 1]
+
+
+def test_certified_band_steps_as_one_coupling(recurrence_problem):
+    # a certified band has lower = upper = beta: the same arithmetic, bit for
+    # bit, as the single coupling array it replaces
+    _, cs = recurrence_problem
+    n_steps = MULTI_BLOCK
+    seq = transients_for_all_nodes(cs, transient_horizon(n_steps))
+    rng = np.random.default_rng(46)
+    alpha0, alpha1 = rng.standard_normal((2, cs.Q.shape[1]))
+    got = localized_gfem_solve(cs, seq, _pulse, n_steps, alpha0, alpha1)
+    grid = TimeGrid(cs.forms.tau, n_steps)
+    want = _gfem_steps(*_multiscale(cs), _pulse, grid, (alpha0, alpha1),
+                       _CoupledRecurrence(cs, seq, grid))
+    np.testing.assert_array_equal(got.states, want.states)
+    np.testing.assert_array_equal(got.alpha, want.alpha)
 
 
 def test_localized_rejects_mixed_kinds(problem44, k2_44):

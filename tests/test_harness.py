@@ -233,13 +233,26 @@ def test_config_rejects_unknown_scale(tmp_path, sources):
 
 @pytest.mark.parametrize("M", ["15", 15, [1.5, 5], [True, 5], [1, "5"]],
                          ids=["string", "scalar", "float", "bool", "mixed"])
-def test_config_rejects_M_not_a_list_of_integers(tmp_path, M):
-    # "M": "15" used to be read digit by digit as (1, 5)
+def test_config_rejects_M_not_a_list_of_integers(tmp_path, monkeypatch, M):
+    # "M": "15" used to be read digit by digit as (1, 5); built directly, (1.5,)
+    # failed in slicing after the corrector set and every power sequence, and
+    # (True, 2) ran and wrote True as a CSV param
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built before the config was checked")
+
+    monkeypatch.setattr(harness, "Mesh", no_mesh)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"M": M}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="M must be a list of integers"):
         config_from_sources("exp-rb", str(path))
+    for direct in (M, (1.5,), (True, 2), (np.float64(2.0),), {1, 5}, None):
+        with pytest.raises(ValueError, match="M must be a list of integers"):
+            run_exp_rb(ExperimentConfig(p=3, q=2, M=direct, T=1, tau=0.1))
+    with pytest.raises(ValueError, match="M must be >= 1"):
+        ExperimentConfig(p=3, q=2, M=(0, 5), T=1, tau=0.1)
     assert config_from_sources("exp-rb", None, {"M": [1, 15]}).M == (1, 15)
+    M = ExperimentConfig(p=3, q=2, M=[np.int64(5), 1], T=1, tau=0.1).M
+    assert M == (5, 1) and all(type(m) is int for m in M)
 
 
 @pytest.mark.parametrize("bad", [dict(kmax=2.5), dict(p=5.0), dict(q=True),

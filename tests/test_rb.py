@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from sdwave import lod, rb
+from sdwave import evolution, lod, rb
 from sdwave.evolution import TimeGrid, localized_gfem_solve, rel_h1_final
 from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
                         build_corrector_set, cache_key, compute_transient_correctors,
                         load_corrector_cache, save_corrector_cache,
                         transients_for_all_nodes)
-from sdwave.rb import (EmptyBasisError, build_rb, compress_transients, lift,
-                       node_reductions, rb_gfem_solve, rb_step,
-                       snapshot_singular_values)
+from sdwave.rb import (EmptyBasisError, build_rb, lift, node_reductions,
+                       rb_gfem_solve, rb_step, snapshot_singular_values)
 
 N_STEPS = 20
 
@@ -62,13 +61,13 @@ def test_zero_first_snapshot_rejected(problem44, snapshots44):
     _, tc = snapshots44
     with pytest.raises(EmptyBasisError):
         build_rb(np.zeros((1, tc.dofs.size)), _patch(problem44, tc))
-    # a node whose sequence carries no energy keeps its stored zero sequence
-    zero = {problem44.n_coarse_dofs // 2: TransientCorrectors(
-        tc.dofs, np.zeros((6, tc.dofs.size)), tc.correctors)}
+    # a node whose sequence carries no energy runs as one zero row
+    x = problem44.n_coarse_dofs // 2
+    zero = {x: TransientCorrectors(tc.dofs, np.zeros((6, tc.dofs.size)), tc.correctors)}
     reductions = node_reductions(zero, (2, 4))
     assert all(node.basis is None for node in reductions.values())
-    compressed = compress_transients(zero, reductions, 2, horizon=6)
-    assert [c.xi.shape for c in compressed.values()] == [(6, tc.dofs.size)]
+    rows = rb._band(x, zero[x], reductions[x], 2)[1]
+    assert rows.shape == (1, tc.dofs.size) and not rows.any()
 
 
 def test_basis_prefix_is_the_smaller_basis(problem44, snapshots44):
@@ -174,13 +173,12 @@ def test_rb_rejects_certified_sequences(problem44, localized44, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("worked on certified sequences")
 
-    for name in ("Patch", "build_rb", "localized_gfem_solve", "TimeGrid"):
+    for name in ("Patch", "build_rb", "localized_gfem_solve", "_check_transients",
+                 "_Recurrence", "_gfem_steps"):
         monkeypatch.setattr(rb, name, no_work)
     zc = np.zeros(problem44.n_coarse_dofs)
     with pytest.raises(ValueError, match="certified"):
         node_reductions(certified, (5,))
-    with pytest.raises(ValueError, match="certified"):
-        compress_transients(certified, reductions, 5, N_STEPS - 1)
     with pytest.raises(ValueError, match="certified"):
         rb_gfem_solve(cs, certified, reductions, 1.0, N_STEPS, zc, zc, m_max=5)
     # one certified node among power iterates is refused as well
@@ -229,11 +227,15 @@ def test_rb_gfem_gap_shrinks_with_m(problem44, localized44):
 
 
 def _oracle_sequence(problem, tc, m, horizon):
-    """Per-M basis, continuation stepped with rb_step and lifted one by one."""
+    """Per-M basis, continuation stepped with rb_step and lifted one by one; a
+    node whose first snapshot carries no energy keeps its zero sequence."""
     kept = tc.xi[:m]
     if m >= tc.xi.shape[0]:
         return kept
-    basis = build_rb(kept, _patch(problem, tc))
+    try:
+        basis = build_rb(kept, _patch(problem, tc))
+    except EmptyBasisError:
+        return tc.xi[:horizon]
     atilde = problem.forms.K_tilde[tc.dofs][:, tc.dofs]
     c = basis.Z.T @ (atilde @ kept[-1])
     rows = list(kept)
@@ -243,28 +245,94 @@ def _oracle_sequence(problem, tc, m, horizon):
     return np.array(rows)
 
 
-def test_shared_basis_compression_matches_oracle(problem44, localized44):
-    _, seq, _ = localized44
+@pytest.fixture(scope="module")
+def zero_node44(problem44, localized44):
+    """localized44's corrector set with power iterates whose middle node has
+    a zero first member, and so a first snapshot without energy."""
+    cs, _, _ = localized44
+    zero = problem44.n_coarse_dofs // 2
+    transient_patch = lod.transient_patch
+
+    def zero_rhs_at_one_node(correctors, x_dof, Q_csc=None):
+        patch, rhs = transient_patch(correctors, x_dof, Q_csc)
+        return patch, np.zeros_like(rhs) if x_dof == zero else rhs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lod, "transient_patch", zero_rhs_at_one_node)
+        seq = transients_for_all_nodes(cs, horizon=N_STEPS, generator="power")
+    assert not seq[zero].xi.any()
+    return seq
+
+
+def test_shared_basis_compression_matches_oracle(problem44, localized44, zero_node44):
+    # the bands of rb_gfem_solve against the lifted rows of the oracle, run
+    # through the superposition of stored members, also with a zero node; a
+    # band keeps the first m members exact
+    cs, seq, _ = localized44
+    rng = np.random.default_rng(7)
+    alpha0, alpha1 = rng.standard_normal((2, problem44.n_coarse_dofs))
+    for family in (seq, zero_node44):
+        reductions = node_reductions(family, (1, 5, 10))
+        assert set(reductions) == set(family)
+        for m in (1, 5, 10, N_STEPS):
+            got = rb_gfem_solve(cs, family, reductions, 1.0, N_STEPS, alpha0, alpha1,
+                                m_max=m)
+            lifted = {d: TransientCorrectors(
+                tc.dofs, _oracle_sequence(problem44, tc, m, N_STEPS), cs)
+                for d, tc in family.items()}
+            want = localized_gfem_solve(cs, lifted, 1.0, N_STEPS, alpha0, alpha1)
+            for d, tc in family.items():
+                if m < N_STEPS and reductions[d].basis is not None:
+                    rows = rb._band(d, tc, reductions[d], m)[1]
+                    np.testing.assert_array_equal(rows[:m], tc.xi[:m])
+            for name in ("states", "alpha"):
+                error = np.linalg.norm(getattr(got, name) - getattr(want, name))
+                assert error <= 1e-12 * np.linalg.norm(getattr(want, name)), (name, m)
+
+
+def test_rb_gfem_never_builds_the_superposition(problem44, localized44, monkeypatch):
+    # below the horizon each node runs as a band of the recurrence; nothing
+    # lifts a continuation to member rows
+    cs, seq, _ = localized44
+
+    def no_superposition(*args, **kwargs):
+        raise AssertionError("built the superposition of lifted members")
+
+    monkeypatch.setattr(evolution, "_Superposition", no_superposition)
     reductions = node_reductions(seq, (1, 5, 10))
-    assert set(reductions) == set(seq)
+    zc = np.zeros(problem44.n_coarse_dofs)
     for m in (1, 5, 10):
-        compressed = compress_transients(seq, reductions, m, horizon=N_STEPS)
-        for d, tc in seq.items():
-            expected = _oracle_sequence(problem44, tc, m, N_STEPS)
-            got = compressed[d].xi
-            assert got.shape == expected.shape
-            np.testing.assert_array_equal(got[:m], tc.xi[:m])
-            scale = np.abs(expected).max()
-            assert np.abs(got - expected).max() <= 1e-10 * scale, (d, m)
+        rb_gfem_solve(cs, seq, reductions, 1.0, N_STEPS, zc, zc, m_max=m)
 
 
 def test_compression_rejects_bases_built_too_small(problem44, localized44):
-    _, seq, _ = localized44
+    cs, seq, _ = localized44
     reductions = node_reductions(seq, (1, 5))
-    with pytest.raises(ValueError):
-        compress_transients(seq, reductions, 10, horizon=N_STEPS)
-    with pytest.raises(ValueError):
-        compress_transients(seq, reductions, 0, horizon=N_STEPS)
+    zc = np.zeros(problem44.n_coarse_dofs)
+    with pytest.raises(ValueError, match="no reduced basis of 10"):
+        rb_gfem_solve(cs, seq, reductions, 1.0, N_STEPS, zc, zc, m_max=10)
+    with pytest.raises(ValueError, match="m_max"):
+        rb_gfem_solve(cs, seq, reductions, 1.0, N_STEPS, zc, zc, m_max=0)
+
+
+@pytest.mark.parametrize("m_max", [0, -1, 1.5, True, "5", None, np.float64(5.0)],
+                         ids=["zero", "negative", "float", "bool", "string", "none",
+                              "numpy-float"])
+def test_rb_gfem_rejects_a_bad_m_max_before_any_work(problem44, localized44, monkeypatch,
+                                                     m_max):
+    # 1.5 failed in slicing after the bases were read, and True ran as 1
+    cs, seq, _ = localized44
+    reductions = node_reductions(seq, (1, 5))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a bad m_max")
+
+    for name in ("localized_gfem_solve", "_check_transients", "_band", "_Recurrence",
+                 "_gfem_steps"):
+        monkeypatch.setattr(rb, name, no_work)
+    zc = np.zeros(problem44.n_coarse_dofs)
+    with pytest.raises(ValueError, match="m_max"):
+        rb_gfem_solve(cs, seq, reductions, 1.0, N_STEPS, zc, zc, m_max=m_max)
 
 
 def test_node_reductions_reject_corrupt_dofs(problem44, snapshots44):
@@ -277,8 +345,8 @@ def test_node_reductions_reject_corrupt_dofs(problem44, snapshots44):
 
 
 def test_every_sequence_has_exactly_horizon_rows(problem44, tmp_path, monkeypatch):
-    # power, certified, cache-loaded and compressed sequences alike, also at a
-    # node whose first member, and so its first snapshot's energy, is zero
+    # power, certified and cache-loaded sequences alike, also at a node whose
+    # first member, and so its first snapshot's energy, is zero
     forms = problem44.forms
     cs = build_corrector_set(forms, CorrectorConfig(k=2))
     horizon = 17
@@ -301,7 +369,6 @@ def test_every_sequence_has_exactly_horizon_rows(problem44, tmp_path, monkeypatc
         if generator == "power":
             reductions = node_reductions(seq, (1, 5))
             assert reductions[zero].basis is None
-            families += [compress_transients(seq, reductions, m, horizon) for m in (1, 5)]
             # and a run of horizon + 1 steps reads every member
             rb_gfem_solve(cs, seq, reductions, 1.0, horizon + 1, zc, zc, m_max=1)
         for family in families:
