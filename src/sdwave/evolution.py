@@ -83,8 +83,9 @@ def _gfem_steps(Q, M_ms, A_ms, B_ms, forms, f, grid, initial, fine_scale=None):
     + M (2 alpha^{n-1} - alpha^{n-2}) / tau, where u^n = Q alpha^n + w^n, after
     the initial coefficients (alpha^0, alpha^1), or (alpha^0,) with M = 0. The
     fine-scale part w enters only through fine_scale: fine_scale.memory(n, alpha)
-    returns Q^T K_A u^{n-1} and fine_scale.states(alpha) the fine states after
-    the loop. Without one, w = 0.
+    returns Q^T K_A u^{n-1}, fine_scale.resume(n) the step to take after step
+    n, and fine_scale.states(alpha) the fine states after the loop. Without
+    one, w = 0.
     """
     tau = grid.tau
     QT = Q.T
@@ -95,15 +96,24 @@ def _gfem_steps(Q, M_ms, A_ms, B_ms, forms, f, grid, initial, fine_scale=None):
 
     alpha = np.zeros((grid.n_steps + 1, Q.shape[1]))
     alpha[:len(initial)] = initial
-    for n in range(len(initial), grid.n_steps + 1):
+    n = len(initial)
+    while n <= grid.n_steps:
         rhs = (load(n * tau)
                + fine_scale.memory(n, alpha)
                + M_ms @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau)
         alpha[n] = scipy.linalg.lu_solve(lhs, rhs)
+        n = fine_scale.resume(n)
     return Trajectory(grid, fine_scale.states(alpha), alpha=alpha)
 
 
-class _PerStep:
+class _StepOn:
+    """A fine-scale hook whose steps stand: the loop always steps on."""
+
+    def resume(self, n):
+        return n + 1
+
+
+class _PerStep(_StepOn):
     """Fine-scale part computed in every step as w^n = correct(n, alpha, K_A u^{n-1});
     w = 0 without correct. Initial states carry no fine-scale part.
 
@@ -126,12 +136,64 @@ class _PerStep:
         return self.w
 
 
-# steps per block: the memory term reads Gamma once per block, and the error
-# norms take one sparse product per block, which bounds their temporaries
+# steps per block: the global saddle solves are checked once per block, the
+# memory term reads Gamma once per block, and the error norms take one sparse
+# product per block, which bounds their temporaries
 _BLOCK = 16
 
 
-class _Superposition:
+class _GlobalSaddle(_PerStep):
+    """Fine-scale part of the ideal and auxiliary GFEM: w^n is the global
+    saddle solve of K_A u^{n-1} = KQ alpha^{n-1} + K_A w^{n-1}, and the coarse
+    step reads Q^T K_A u^{n-1} = A_ms alpha^{n-1} + KQ^T w^{n-1}, with the
+    dense coupling KQ = K_A Q.
+
+    The saddle system is factored once in symmetric mode (linalg falls back to
+    the default factorization). Steps are bare LU solves, each block of _BLOCK
+    steps is checked with the tolerances of the checked solve, and the loop
+    is sent back to the block's first miss, which is replayed through the
+    checked solve; so the states are those of one checked solve per step.
+    """
+
+    def __init__(self, correctors, grid):
+        forms = correctors.forms
+        super().__init__(correctors.Q, forms, grid)
+        self.A_ms = correctors.A_ms
+        self.KQ = (forms.K_A @ self.Q).toarray()
+        self.saddle = linalg.factor_saddle(forms.K_tilde, forms.interp, _symmetric=True)
+        self.n_steps = grid.n_steps
+        # one full right-hand side [K_A u^{n-1}; 0] and bare solution per row
+        self.rhs = np.zeros((_BLOCK, self.Q.shape[0] + self.saddle.C.shape[0]))
+        self.sol = np.empty_like(self.rhs)
+        self.start = None     # the step in row 0 of the block, from the first step on
+        self.checked = 0      # leading rows of the block solved through the checked solve
+
+    def memory(self, n, alpha):
+        if self.start is None:
+            self.start = n
+        i = n - self.start
+        r = self.rhs[i, :self.Q.shape[0]]
+        r[:] = self.KQ @ alpha[n - 1] + self.K_A @ self.w[n - 1]
+        if i < self.checked:
+            self.w[n] = self.saddle.solve(r)[0]
+        else:
+            self.sol[i] = self.saddle._fact._raw_solve(self.rhs[i])
+            self.w[n] = self.sol[i, :r.size]
+        return self.A_ms @ alpha[n - 1] + self.KQ.T @ self.w[n - 1]
+
+    def resume(self, n):
+        i = n - self.start
+        if i + 1 < _BLOCK and n < self.n_steps:
+            return n + 1
+        accurate = self.checked + self.saddle.count_accurate(
+            self.rhs[self.checked:i + 1].T, self.sol[self.checked:i + 1].T)
+        # the block ends at its first miss, which the next block replays
+        # through the checked solve
+        self.start, self.checked = self.start + accurate, 1 if accurate <= i else 0
+        return self.start
+
+
+class _Superposition(_StepOn):
     """Fine-scale part superposed from stored per-node correction sequences,
     w^n = sum_x sum_{l=1}^{n-1} alpha_x^{n-l} xi_x^l (alpha^0 never enters).
 
@@ -198,7 +260,7 @@ class _Superposition:
         return np.ascontiguousarray(states.T)
 
 
-class _Recurrence:
+class _Recurrence(_StepOn):
     """Fine-scale part of sequences given as node bands (dofs, R, diag, lower,
     upper, w), stepped in band coordinates: w^n = sum_x R_x^T t_x^n, where
     t_x^{n+1} = T_x t_x^n + w_x alpha_x^n e_1 and t^1 = 0, which is the
@@ -264,15 +326,6 @@ def _multiscale(correctors):
     return correctors.Q, correctors.M_ms, correctors.A_ms, correctors.B_ms, correctors.forms
 
 
-def _global_saddle(correctors, grid):
-    """The fine-scale hook of the ideal and auxiliary GFEM: one global saddle
-    solve per step."""
-    forms = correctors.forms
-    saddle = linalg.factor_saddle(forms.K_tilde, forms.interp)
-    return _PerStep(correctors.Q, forms, grid,
-                    lambda n, alpha, memory: saddle.solve(memory)[0])
-
-
 def galerkin_wave_solve(basis, forms, f, n_steps, alpha0, alpha1):
     """Damped wave scheme posed in the span of the given basis, no fine correction.
 
@@ -289,7 +342,7 @@ def ideal_gfem_solve(correctors, f, n_steps, alpha0, alpha1):
     solve per time step; initial data lives in the multiscale space."""
     grid = TimeGrid(correctors.forms.tau, n_steps)
     return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
-                       _global_saddle(correctors, grid))
+                       _GlobalSaddle(correctors, grid))
 
 
 def _check_transients(correctors, transients, n_steps):
@@ -366,7 +419,7 @@ def aux_gfem_solve(correctors, f, alpha0, n_steps):
     grid = TimeGrid(correctors.forms.tau, n_steps)
     Q, _, A_ms, B_ms, forms = _multiscale(correctors)
     return _gfem_steps(Q, np.zeros_like(A_ms), A_ms, B_ms, forms, f, grid, (alpha0,),
-                       _global_saddle(correctors, grid))
+                       _GlobalSaddle(correctors, grid))
 
 
 # ----------------------------------------------------------------------------

@@ -46,13 +46,21 @@ def _find_pivot(matrix):
     return int(perm[small[0]])
 
 
-def _splu(matrix):
+# the SuperLU options of symmetric mode: a minimum-degree ordering on A^T + A
+# and diagonal pivots (X. S. Li, SuperLU users' guide)
+_SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
+
+
+def _splu(matrix, symmetric=False):
     try:
-        return spla.splu(matrix)
+        return spla.splu(matrix, **(_SYMMETRIC if symmetric else {}))
     except RuntimeError as err:
         if "singular" in str(err).lower():
+            # a symmetric-mode failure is refactored in the default mode, so
+            # its pivot is not searched for
             raise SingularSystemError(
-                "singular system", pivot=_find_pivot(matrix)
+                "singular system", pivot=None if symmetric else _find_pivot(matrix)
             ) from err
         raise
 
@@ -124,16 +132,20 @@ def _saddle_matrix(A, C):
 
 
 class Factorization:
-    """Reusable direct factorization; solves are serialized by a lock."""
+    """Reusable direct factorization; solves are serialized by a lock.
 
-    def __init__(self, matrix):
+    _symmetric factors in SuperLU's symmetric mode (_SYMMETRIC), which has no
+    fallback of its own: SaddleFactorization supplies it.
+    """
+
+    def __init__(self, matrix, _symmetric=False):
         # SuperLU and the residuals share one CSC copy: a CSC matvec adds each
         # row's products in the same column order as a CSR one
         matrix = matrix.tocsc()
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
         self.matrix = matrix
-        self._lu = _splu(matrix)
+        self._lu = _splu(matrix, _symmetric)
         self._lock = threading.Lock()
 
     def _raw_solve(self, b):
@@ -168,21 +180,39 @@ class Factorization:
 
 class SaddleFactorization:
     """Factorization of [[A, C^T], [C, 0]]; every row of C must be nonzero.
-    A C without rows leaves the system unconstrained."""
+    A C without rows leaves the system unconstrained.
 
-    def __init__(self, A, C):
+    _symmetric factors in symmetric mode, and falls back to the default
+    factorization (SuperLU's COLAMD ordering and partial pivoting) where that
+    raises SingularSystemError or a checked solve misses its residual or
+    constraint test after refinement; the solve is then repeated. The
+    argument goes once symmetric mode is the only ordering.
+    """
+
+    def __init__(self, A, C, _symmetric=False):
         C = C.tocsr()
         self.n = A.shape[0]
         self.C = C
         kkt = _saddle_matrix(A.tocsc(), C)
+        self._symmetric = _symmetric
         try:
-            self._fact = Factorization(kkt)
+            self._fact = self._factor(kkt)
         except SingularSystemError as err:
             if factorizes(A):
                 raise DegenerateConstraintError(
                     "degenerate constraint rows in saddle system"
                 ) from err
             raise
+
+    def _factor(self, kkt):
+        """kkt factored in symmetric mode while that is chosen and does not
+        raise SingularSystemError, else in the default one."""
+        if self._symmetric:
+            try:
+                return Factorization(kkt, _symmetric=True)
+            except SingularSystemError:
+                self._symmetric = False
+        return Factorization(kkt)
 
     def _check_constraints(self, r, w, tol):
         # r and w are (n, c) blocks; a zero column of r, or a C without rows,
@@ -197,9 +227,16 @@ class SaddleFactorization:
         """(w, mu) for a vector r or column by column of an (n, c) block."""
         r = np.asarray(r, dtype=float)
         rhs = np.concatenate([r, np.zeros((self.C.shape[0],) + r.shape[1:])])
-        sol = self._fact.solve(rhs, tol=tol)
-        w = sol[: self.n]
-        self._check_constraints(r.reshape(self.n, -1), w.reshape(self.n, -1), tol)
+        try:
+            sol = self._fact.solve(rhs, tol=tol)
+            w = sol[: self.n]
+            self._check_constraints(r.reshape(self.n, -1), w.reshape(self.n, -1), tol)
+        except InaccurateSolveError:
+            if not self._symmetric:
+                raise
+            self._symmetric = False
+            self._fact = self._factor(self._fact.matrix)
+            return self.solve(r, tol)
         return w, sol[self.n :]
 
     def count_accurate(self, rhs, sol, tol=SADDLE_TOL):
@@ -221,6 +258,6 @@ def factorizes(matrix):
         return False
 
 
-def factor_saddle(A, C):
+def factor_saddle(A, C, _symmetric=False):
     """Factor the saddle system once for repeated right-hand sides."""
-    return SaddleFactorization(A, C)
+    return SaddleFactorization(A, C, _symmetric)

@@ -624,9 +624,11 @@ def load_corrector_cache(cache_dir, key, forms, config):
 
     key must be the cache_key built from forms and config, which the file
     does not repeat; the loaded set carries forms. A file that was written
-    under another key, cannot be read in full (corrupt, truncated) or holds a
-    sequence whose rows do not fit its node's dofs or its tridiagonal is a
-    miss; the checks are not asserts, so they hold under python -O.
+    under another key, cannot be read in full (corrupt, truncated), holds a Q
+    that is not fine dofs x coarse dofs or an M_ms, A_ms or B_ms that is not
+    a finite float coarse x coarse array, or holds a sequence whose rows do
+    not fit its node's dofs or its tridiagonal is a miss; the checks are not
+    asserts, so they hold under python -O.
     """
     path = os.path.join(cache_dir, key + ".npz")
     if not os.path.exists(path):
@@ -639,8 +641,13 @@ def load_corrector_cache(cache_dir, key, forms, config):
                 (data["Q_data"], data["Q_indices"], data["Q_indptr"]),
                 shape=tuple(data["Q_shape"]),
             )
-            correctors = CorrectorSet(config, forms, Q,
-                                      data["M_ms"], data["A_ms"], data["B_ms"])
+            n_coarse = forms.pair.coarse.n_dofs
+            grams = [data[name] for name in ("M_ms", "A_ms", "B_ms")]
+            if Q.shape != (forms.pair.fine.n_dofs, n_coarse) or not all(
+                    g.shape == (n_coarse, n_coarse) and g.dtype == np.float64
+                    and np.isfinite(g).all() for g in grams):
+                return None
+            correctors = CorrectorSet(config, forms, Q, *grams)
             transients = None
             if "transient_dofs_list" in data:
                 transients = _load_transients(data, correctors)

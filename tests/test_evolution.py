@@ -7,13 +7,13 @@ import scipy.linalg
 from sdwave import linalg, lod
 from sdwave.assembly import DiscreteForms, assemble_load, h1_norms
 from sdwave.evolution import (_BLOCK, TimeGrid, Trajectory, _gfem_steps, _multiscale,
-                              _Recurrence, aux_fine_solve, aux_gfem_solve,
+                              _PerStep, _Recurrence, aux_fine_solve, aux_gfem_solve,
                               discrete_energy, fine_fem_solve, galerkin_wave_solve,
                               ideal_gfem_solve, localized_gfem_solve,
                               localized_gfem_solve_direct, rel_h1_final,
                               rel_l2h1, transient_horizon)
 from sdwave.harness import random_field
-from sdwave.linalg import factor_saddle
+from sdwave.linalg import InaccurateSolveError, SingularSystemError, factor_saddle
 from sdwave.lod import (CorrectorConfig, TransientCorrectors, build_corrector_set,
                         transients_for_all_nodes)
 from sdwave.mesh import Mesh, NestedMeshPair, prolongation, saturating_k
@@ -217,6 +217,116 @@ def test_localized_matches_per_step_superposition(problem44, k2_44, n_steps, hor
                                                 alpha0, alpha1)
         assert np.linalg.norm(loc.alpha - alpha) <= 1e-12 * np.linalg.norm(alpha)
         assert np.linalg.norm(loc.states - states) <= 1e-12 * np.linalg.norm(states)
+
+
+# ----------------------------------------------------------------------------
+# the global stepper of the ideal and auxiliary GFEM
+
+def _checked_oracle(correctors, grid):
+    """The fine-scale hook the global stepper replaces: one checked saddle
+    solve per step, in the default factorization, of K_A u^{n-1} = K_A (Q
+    alpha^{n-1} + w^{n-1})."""
+    forms = correctors.forms
+    saddle = factor_saddle(forms.K_tilde, forms.interp)
+    return _PerStep(correctors.Q, forms, grid,
+                    lambda n, alpha, memory: saddle.solve(memory)[0])
+
+
+def _ideal_oracle(correctors, f, n_steps, alpha0, alpha1):
+    grid = TimeGrid(correctors.forms.tau, n_steps)
+    return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
+                       _checked_oracle(correctors, grid))
+
+
+def _aux_oracle(correctors, f, alpha0, n_steps):
+    grid = TimeGrid(correctors.forms.tau, n_steps)
+    Q, _, A_ms, B_ms, forms = _multiscale(correctors)
+    return _gfem_steps(Q, np.zeros_like(A_ms), A_ms, B_ms, forms, f, grid, (alpha0,),
+                       _checked_oracle(correctors, grid))
+
+
+def _assert_same_trajectory(got, want, rtol=1e-12):
+    assert np.linalg.norm(got.alpha - want.alpha) <= rtol * np.linalg.norm(want.alpha)
+    assert np.linalg.norm(got.states - want.states) <= rtol * np.linalg.norm(want.states)
+
+
+@pytest.fixture(scope="module")
+def initial_data(problem44):
+    return np.random.default_rng(45).standard_normal((2, problem44.n_coarse_dofs))
+
+
+@pytest.mark.parametrize("n_steps", [2, _BLOCK + 1, MULTI_BLOCK],
+                         ids=["one-step", "block-and-one", "multi-block"])
+def test_global_stepper_matches_per_step_checked_solves(saturated44, initial_data,
+                                                        n_steps):
+    alpha0, alpha1 = initial_data
+    _assert_same_trajectory(ideal_gfem_solve(saturated44, 1.0, n_steps, alpha0, alpha1),
+                            _ideal_oracle(saturated44, 1.0, n_steps, alpha0, alpha1))
+    _assert_same_trajectory(aux_gfem_solve(saturated44, 1.0, alpha0, n_steps),
+                            _aux_oracle(saturated44, 1.0, alpha0, n_steps))
+
+
+def test_global_stepper_replays_a_missed_bare_solve(saturated44, initial_data,
+                                                    monkeypatch):
+    alpha0, alpha1 = initial_data
+    want = ideal_gfem_solve(saturated44, 1.0, MULTI_BLOCK, alpha0, alpha1)
+    raw_solve = linalg.Factorization._raw_solve
+    checked_solve = linalg.SaddleFactorization.solve
+    bare, checked = [], []
+
+    def perturbed(self, b):
+        bare.append(b.copy())
+        x = raw_solve(self, b)
+        # steps 2 .. 17 fill the first block; this is step 22 of the second
+        return x * (1.0 + 1e-6) if len(bare) == _BLOCK + 5 else x
+
+    def counted(self, r, tol=linalg.SADDLE_TOL):
+        checked.append(r)
+        return checked_solve(self, r, tol)
+
+    monkeypatch.setattr(linalg.Factorization, "_raw_solve", perturbed)
+    monkeypatch.setattr(linalg.SaddleFactorization, "solve", counted)
+    got = ideal_gfem_solve(saturated44, 1.0, MULTI_BLOCK, alpha0, alpha1)
+    # step 22 is solved again through the checked solve, and the steps after
+    # it are solved again from its state
+    assert len(checked) == 1
+    np.testing.assert_array_equal(checked[0], bare[_BLOCK + 4][:checked[0].size])
+    np.testing.assert_array_equal(got.alpha, want.alpha)
+    np.testing.assert_array_equal(got.states, want.states)
+
+
+def test_global_stepper_raises_where_refinement_cannot_mend(saturated44, initial_data,
+                                                             monkeypatch):
+    # every solve, the refinement's and the fallback factorization's too, is
+    # 1.5 times the solution: the replay misses in both orderings
+    alpha0, alpha1 = initial_data
+    raw_solve = linalg.Factorization._raw_solve
+    monkeypatch.setattr(linalg.Factorization, "_raw_solve",
+                        lambda self, b: 1.5 * raw_solve(self, b))
+    with pytest.raises(InaccurateSolveError):
+        ideal_gfem_solve(saturated44, 1.0, MULTI_BLOCK, alpha0, alpha1)
+    with pytest.raises(InaccurateSolveError):
+        aux_gfem_solve(saturated44, 1.0, alpha0, MULTI_BLOCK)
+
+
+def test_global_stepper_falls_back_from_a_singular_symmetric_mode(saturated44,
+                                                                  initial_data,
+                                                                  monkeypatch):
+    alpha0, alpha1 = initial_data
+    want = _ideal_oracle(saturated44, 1.0, MULTI_BLOCK, alpha0, alpha1)
+    splu = linalg._splu
+    modes = []
+
+    def singular_symmetric(matrix, symmetric=False):
+        modes.append(symmetric)
+        if symmetric:
+            raise SingularSystemError("singular system")
+        return splu(matrix, symmetric)
+
+    monkeypatch.setattr(linalg, "_splu", singular_symmetric)
+    got = ideal_gfem_solve(saturated44, 1.0, MULTI_BLOCK, alpha0, alpha1)
+    assert modes == [True, False]
+    _assert_same_trajectory(got, want)
 
 
 def test_transient_config_mismatch_rejected(problem44, saturated44):

@@ -108,6 +108,71 @@ def test_saddle_constraint_residual():
     assert np.linalg.norm(A @ w + C.T @ mu - r) <= 1e-10 * norm_r
 
 
+def _saddle_problem():
+    rng = np.random.default_rng(3)
+    R = rng.standard_normal((30, 30))
+    A = sparse.csc_matrix(R @ R.T + 30.0 * np.eye(30))
+    C = sparse.csr_matrix(rng.standard_normal((4, 30)))
+    return A, C, rng.standard_normal(30)
+
+
+def test_symmetric_mode_saddle_solve():
+    # the same residual and constraint checks hold in symmetric mode
+    A, C, r = _saddle_problem()
+    saddle = factor_saddle(A, C, _symmetric=True)
+    w, mu = saddle.solve(r)
+    assert saddle._symmetric
+    norm_r = np.linalg.norm(r)
+    assert np.max(np.abs(C @ w)) <= 1e-10 * norm_r
+    assert np.linalg.norm(A @ w + C.T @ mu - r) <= 1e-10 * norm_r
+    np.testing.assert_allclose(w, factor_saddle(A, C).solve(r)[0], rtol=0, atol=1e-12)
+
+
+def test_symmetric_mode_falls_back_on_a_singular_factorization(monkeypatch):
+    A, C, r = _saddle_problem()
+    splu = linalg._splu
+    modes = []
+
+    def singular_symmetric(matrix, symmetric=False):
+        modes.append(symmetric)
+        if symmetric:
+            raise SingularSystemError("singular system")
+        return splu(matrix, symmetric)
+
+    monkeypatch.setattr(linalg, "_splu", singular_symmetric)
+    saddle = factor_saddle(A, C, _symmetric=True)
+    assert modes == [True, False] and not saddle._symmetric
+    monkeypatch.undo()
+    np.testing.assert_array_equal(saddle.solve(r)[0], factor_saddle(A, C).solve(r)[0])
+
+
+def _corrupt(fact, how):
+    """Make the solves of fact miss: each bare solve 1.5 times the solution,
+    which one step of refinement cannot mend, or a checked solve of ones,
+    which breaks the constraints."""
+    if how == "residual":
+        raw_solve = fact._raw_solve
+        fact._raw_solve = lambda b: 1.5 * raw_solve(b)
+    else:
+        fact.solve = lambda rhs, tol: np.ones(rhs.shape)
+
+
+@pytest.mark.parametrize("how, error", [("residual", InaccurateSolveError),
+                                        ("constraints", ConstraintViolationError)])
+def test_symmetric_mode_falls_back_when_a_checked_solve_misses(how, error):
+    A, C, r = _saddle_problem()
+    saddle = factor_saddle(A, C, _symmetric=True)
+    symmetric = saddle._fact
+    _corrupt(symmetric, how)
+    w, _ = saddle.solve(r)
+    assert saddle._fact is not symmetric and not saddle._symmetric
+    np.testing.assert_array_equal(w, factor_saddle(A, C).solve(r)[0])
+    # the default factorization has no fallback: a miss there raises
+    _corrupt(saddle._fact, how)
+    with pytest.raises(error):
+        saddle.solve(r)
+
+
 def _parent_saddle_matrix(A, C):
     # the saddle matrix as sparse.bmat builds it, the reference for the gather
     A = A.tocsr()

@@ -878,6 +878,32 @@ def test_cache_with_a_basis_that_does_not_fit_is_a_miss(tmp_path, problem44,
            "a file whose basis does not fit was served")
 
 
+@pytest.mark.parametrize("change", ["wide-Q", "trimmed-A_ms", "nan-M_ms", "inf-B_ms",
+                                    "integer-A_ms", "vector-M_ms"])
+def test_cache_with_a_set_that_does_not_fit_is_a_miss(tmp_path, problem44,
+                                                      certified_nodes, change):
+    # the coarse step reads A_ms in every memory term: a misfit set would fail
+    # there with an untyped numpy error, or step on NaN
+    cs, seq = certified_nodes
+    name = change.split("-")[1]
+    gram = getattr(cs, name)
+    if change == "wide-Q":
+        misfit = dataclasses.replace(cs, Q=sparse.hstack([cs.Q, cs.Q[:, :1]]).tocsr())
+    elif change == "trimmed-A_ms":
+        misfit = dataclasses.replace(cs, A_ms=gram[:, :-1])
+    elif change == "integer-A_ms":
+        misfit = dataclasses.replace(cs, A_ms=gram.astype(np.int64))
+    elif change == "vector-M_ms":
+        misfit = dataclasses.replace(cs, M_ms=gram[0])
+    else:
+        value = np.nan if change.startswith("nan") else np.inf
+        misfit = dataclasses.replace(cs, **{name: np.full_like(gram, value)})
+    key = cache_key(problem44.forms, cs.config, 25)
+    save_corrector_cache(tmp_path, key, misfit, seq)
+    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
+           "a file whose corrector set does not fit was served")
+
+
 def test_cache_with_members_that_do_not_fit_is_a_miss(tmp_path, problem44,
                                                       transient_node):
     cs, x_dof, tc = transient_node
