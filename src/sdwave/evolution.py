@@ -85,13 +85,15 @@ def _gfem_steps(Q, M_ms, A_ms, B_ms, forms, f, grid, initial, fine_scale=None):
     fine-scale part w enters only through fine_scale: fine_scale.memory(n, alpha)
     returns Q^T K_A u^{n-1}, fine_scale.resume(n) the step to take after step
     n, and fine_scale.states(alpha) the fine states after the loop. Without
-    one, w = 0.
+    one, w = 0. LAPACK's getrs is called directly: it is the solve of
+    scipy.linalg.lu_solve, without its checks of every call; Trajectory
+    rejects a non-finite state.
     """
     tau = grid.tau
     QT = Q.T
     if fine_scale is None:
         fine_scale = _PerStep(Q, forms, grid)
-    lhs = scipy.linalg.lu_factor(M_ms / tau + A_ms + tau * B_ms)
+    lu, piv = scipy.linalg.lu_factor(M_ms / tau + A_ms + tau * B_ms)
     load = _load(forms, f, lambda fine: tau * (QT @ fine))
 
     alpha = np.zeros((grid.n_steps + 1, Q.shape[1]))
@@ -101,7 +103,9 @@ def _gfem_steps(Q, M_ms, A_ms, B_ms, forms, f, grid, initial, fine_scale=None):
         rhs = (load(n * tau)
                + fine_scale.memory(n, alpha)
                + M_ms @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau)
-        alpha[n] = scipy.linalg.lu_solve(lhs, rhs)
+        alpha[n], info = scipy.linalg.lapack.dgetrs(lu, piv, rhs)
+        if info != 0:
+            raise ValueError("illegal argument %d of getrs" % -info)
         n = fine_scale.resume(n)
     return Trajectory(grid, fine_scale.states(alpha), alpha=alpha)
 
@@ -136,9 +140,9 @@ class _PerStep(_StepOn):
         return self.w
 
 
-# steps per block: the global saddle solves are checked once per block, the
-# memory term reads Gamma once per block, and the error norms take one sparse
-# product per block, which bounds their temporaries
+# steps per block of the superposition's memory term, which reads Gamma once
+# per block, and of the error norms, which take one sparse product per block
+# to bound their temporaries
 _BLOCK = 16
 
 
@@ -149,10 +153,9 @@ class _GlobalSaddle(_PerStep):
     dense coupling KQ = K_A Q.
 
     The saddle system is factored once in symmetric mode (linalg falls back to
-    the default factorization). Steps are bare LU solves, each block of _BLOCK
-    steps is checked with the tolerances of the checked solve, and the loop
-    is sent back to the block's first miss, which is replayed through the
-    checked solve; so the states are those of one checked solve per step.
+    the default factorization). The time steps are the steps of
+    linalg._CheckedSteps, so the states are those of one checked solve per
+    step.
     """
 
     def __init__(self, correctors, grid):
@@ -160,37 +163,16 @@ class _GlobalSaddle(_PerStep):
         super().__init__(correctors.Q, forms, grid)
         self.A_ms = correctors.A_ms
         self.KQ = (forms.K_A @ self.Q).toarray()
-        self.saddle = linalg.factor_saddle(forms.K_tilde, forms.interp, _symmetric=True)
+        self.steps = linalg._CheckedSteps(
+            linalg.factor_saddle(forms.K_tilde, forms.interp, _symmetric=True))
         self.n_steps = grid.n_steps
-        # one full right-hand side [K_A u^{n-1}; 0] and bare solution per row
-        self.rhs = np.zeros((_BLOCK, self.Q.shape[0] + self.saddle.C.shape[0]))
-        self.sol = np.empty_like(self.rhs)
-        self.start = None     # the step in row 0 of the block, from the first step on
-        self.checked = 0      # leading rows of the block solved through the checked solve
 
     def memory(self, n, alpha):
-        if self.start is None:
-            self.start = n
-        i = n - self.start
-        r = self.rhs[i, :self.Q.shape[0]]
-        r[:] = self.KQ @ alpha[n - 1] + self.K_A @ self.w[n - 1]
-        if i < self.checked:
-            self.w[n] = self.saddle.solve(r)[0]
-        else:
-            self.sol[i] = self.saddle._fact._raw_solve(self.rhs[i])
-            self.w[n] = self.sol[i, :r.size]
+        self.w[n] = self.steps.solve(n, self.KQ @ alpha[n - 1] + self.K_A @ self.w[n - 1])
         return self.A_ms @ alpha[n - 1] + self.KQ.T @ self.w[n - 1]
 
     def resume(self, n):
-        i = n - self.start
-        if i + 1 < _BLOCK and n < self.n_steps:
-            return n + 1
-        accurate = self.checked + self.saddle.count_accurate(
-            self.rhs[self.checked:i + 1].T, self.sol[self.checked:i + 1].T)
-        # the block ends at its first miss, which the next block replays
-        # through the checked solve
-        self.start, self.checked = self.start + accurate, 1 if accurate <= i else 0
-        return self.start
+        return self.steps.next(n, last=n == self.n_steps)
 
 
 class _Superposition(_StepOn):

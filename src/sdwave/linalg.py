@@ -250,6 +250,56 @@ class SaddleFactorization:
         return int(good)
 
 
+# steps of a _CheckedSteps recurrence solved between two checks
+_BLOCK = 16
+
+
+class _CheckedSteps:
+    """One checked saddle solve per step of a recurrence whose right-hand
+    side comes from the previous step, made from bare LU solves: the steps
+    are checked together (count_accurate) once per block of _BLOCK and at the
+    last step, and the `checked` leading steps, and a block's first miss,
+    which the loop is sent back to, go through the checked solve. A bare
+    solve reads saddle._fact at each call, so the factors of a symmetric-mode
+    fallback serve every later step. solves counts every solve, replays too.
+    """
+
+    def __init__(self, saddle, checked=0):
+        self.saddle = saddle
+        # one full right-hand side [r; 0] and bare solution per row
+        self.rhs = np.zeros((_BLOCK, saddle.n + saddle.C.shape[0]))
+        self.sol = np.empty_like(self.rhs)
+        self.start = None           # the step in row 0 of the block, from the first solve
+        self.checked = checked      # leading rows of the block solved through the checked solve
+        self.solves = 0
+
+    def solve(self, step, r):
+        """w of the saddle solve of step, with right-hand side r."""
+        if self.start is None:
+            self.start = step
+        i, n = step - self.start, self.saddle.n
+        self.rhs[i, :n] = r
+        self.solves += 1
+        if i < self.checked:
+            return self.saddle.solve(self.rhs[i, :n])[0]
+        self.sol[i] = self.saddle._fact._raw_solve(self.rhs[i])
+        return self.sol[i, :n].copy()
+
+    def next(self, step, last=False):
+        """The step to solve after step: step + 1, or at the end of a block,
+        or at the last step, the block's first miss, if any."""
+        i = step - self.start
+        if i + 1 < _BLOCK and not last:
+            return step + 1
+        checked = self.checked
+        accurate = checked + self.saddle.count_accurate(self.rhs[checked:i + 1].T,
+                                                        self.sol[checked:i + 1].T)
+        # the next block starts at the first miss, replayed through the
+        # checked solve
+        self.start, self.checked = self.start + accurate, 1 if accurate <= i else 0
+        return self.start
+
+
 def factorizes(matrix):
     try:
         spla.splu(matrix.tocsc())

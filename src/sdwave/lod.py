@@ -28,7 +28,7 @@ CERTIFY_TOL = 1e-11
 GENERATORS = ("lanczos", "power")
 
 # the version of how the cached arrays are computed and stored
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 
 
 @dataclass(frozen=True)
@@ -315,48 +315,22 @@ def transient_patch(correctors, x_dof, Q_csc=None):
     return patch, k_a_rows @ q_x
 
 
-# members of a transient sequence solved between two checks
-_BLOCK = 16
-
-
 def compute_transient_correctors(correctors, x_dof, horizon, Q_csc=None):
     """Fine-scale correction sequence of one coarse node on its patch, its
     `horizon` members xi^1 .. xi^horizon.
 
     The first step projects the modified hat function, later steps reuse the
-    factorized left-hand side. Members are solved in blocks of _BLOCK with
-    bare LU solves, and each block is checked with the tolerances of the
-    checked solve. The first member, and the first one that misses its
-    residual test, starts a block through the checked solve, so the members
-    are those of one checked solve per step. Q_csc is as for transient_patch.
+    factorized left-hand side. The members are steps of linalg._CheckedSteps,
+    the first through the checked solve, so they are those of one checked
+    solve per step. Q_csc is as for transient_patch.
     """
     patch, first = transient_patch(correctors, x_dof, Q_csc)
-    saddle = patch.saddle
-    solve_bare = saddle._fact._raw_solve
-    n = patch.dofs.size
-    xi = np.empty((horizon, n))
-    # one full right-hand side [K_A xi^{l-1}; 0] and bare solution per row
-    rhs = np.zeros((_BLOCK, n + saddle.C.shape[0]))
-    sol = np.empty_like(rhs)
-    length = 0        # members accepted so far
-    checked = 1       # solve the block's first member through the checked solve
-    solves = 0
-    while length < horizon:
-        size = min(_BLOCK, horizon - length)
-        for i in range(size):
-            rhs[i, :n] = first if length + i == 0 else patch.k_a @ xi[length + i - 1]
-            if i < checked:
-                xi[length + i] = saddle.solve(rhs[i, :n])[0]
-            else:
-                sol[i] = solve_bare(rhs[i])
-                xi[length + i] = sol[i, :n]
-        solves += size
-        accurate = checked + saddle.count_accurate(rhs[checked:size].T,
-                                                    sol[checked:size].T)
-        # the block ends at its first miss, which the next block replays
-        # through the checked solve
-        length, checked = length + accurate, 1 if accurate < size else 0
-    return TransientCorrectors(patch.dofs, xi, correctors, solves)
+    xi = np.empty((horizon, patch.dofs.size))
+    steps, l = linalg._CheckedSteps(patch.saddle, checked=1), 0
+    while l < horizon:
+        xi[l] = steps.solve(l, first if l == 0 else patch.k_a @ xi[l - 1])
+        l = steps.next(l, last=l + 1 == horizon)
+    return TransientCorrectors(patch.dofs, xi, correctors, steps.solves)
 
 
 # the most Lanczos steps between two evaluations of the certified bound
@@ -414,13 +388,12 @@ def _lanczos(patch, first, horizon):
     falls below _INVARIANT_TOL times ||G z_M||, where the Krylov space is
     invariant. The bound falls about geometrically in M, so the next M tried
     is where the last two tries extrapolate to CERTIFY_TOL, at most _BOUND_EVERY
-    steps on (the first try is at M = _BOUND_EVERY). Solves are bare LU
-    solves, checked in blocks of _BLOCK like the power iterates', and a step
-    whose solve misses its check is replayed through the checked solve.
+    steps on (the first try is at M = _BOUND_EVERY). The steps' solves are
+    those of linalg._CheckedSteps, like the power iterates', so a step whose
+    bare solve misses its check is replayed through the checked solve.
     """
     tol = CERTIFY_TOL
     saddle = patch.saddle
-    solve_bare = saddle._fact._raw_solve
     X, K = patch.k_tilde, patch.k_a
     n = patch.dofs.size
     xi1 = saddle.solve(first)[0]
@@ -435,22 +408,11 @@ def _lanczos(patch, first, horizon):
     XZ = np.empty_like(Z)
     Z[0], XZ[0] = xi1 / norm1, x_xi1 / norm1
     alpha, beta = np.empty(horizon), np.empty(horizon)
-    rhs = np.zeros((_BLOCK, n + saddle.C.shape[0]))
-    sol = np.empty_like(rhs)
+    steps = linalg._CheckedSteps(saddle)
     M = 0             # steps taken; step s solves for G z_s
-    start = 1         # the step in row 0 of the block
-    checked = 0       # leading rows of the block solved through the checked solve
-    solves = 1
     tried, tried_bound, next_try = 0, 1.0, _BOUND_EVERY
     while True:
-        i = M + 1 - start
-        rhs[i, :n] = K @ Z[M]
-        if i < checked:
-            w = saddle.solve(rhs[i, :n])[0]
-        else:
-            sol[i] = solve_bare(rhs[i])
-            w = sol[i, :n].copy()
-        solves += 1
+        w = steps.solve(M + 1, K @ Z[M])
         M += 1
         h = XZ[:M] @ w
         w -= h @ Z[:M]
@@ -474,18 +436,14 @@ def _lanczos(patch, first, horizon):
                 ahead = math.log(tol / bound) / rate if rate < 0.0 else _BOUND_EVERY
                 tried, tried_bound = M, bound
                 next_try = M + min(max(math.ceil(ahead), 1), _BOUND_EVERY)
-        if stop or i + 1 == _BLOCK:
-            accurate = checked + saddle.count_accurate(rhs[checked:i + 1].T,
-                                                        sol[checked:i + 1].T)
-            if accurate <= i:
-                # replay the first step that missed through the checked solve
-                M, start, checked = start + accurate - 1, start + accurate, 1
-                continue
-            if stop:
-                break
-            start, checked = M + 1, 0
+        resume = steps.next(M, last=stop)
+        if stop and resume > M:
+            break
+        # M stays, or goes back to just before a missed step, taken again
+        M = resume - 1
     # copies, so that the horizon-long scratch arrays are freed
-    return norm1, Z[:M].copy(), alpha[:M].copy(), beta[:M].copy(), bound, solves
+    return (norm1, Z[:M].copy(), alpha[:M].copy(), beta[:M].copy(), bound,
+            1 + steps.solves)
 
 
 def _certified_transients(correctors, x_dof, horizon, Q_csc=None):
@@ -576,10 +534,12 @@ def cache_key(forms, config, horizon, generator="lanczos"):
 def save_corrector_cache(cache_dir, key, correctors, transients=None):
     """Write the corrector set, and the sequences if given, under key.
 
-    Power iterates are stored as their members. Certified sequences are
-    stored in their Lanczos form: the rows Z of each node, and one array each
-    of the nodes' alpha and beta, concatenated in node order, and of their
-    horizons, norm1 and certified bounds.
+    The nodes' dofs are stored as one array, concatenated in node order,
+    with the count of each node. Power iterates are stored as their members,
+    one entry per node. Certified sequences are stored in their Lanczos form:
+    the rows Z of each node, and one array each of the nodes' alpha and beta,
+    concatenated in node order, and of their horizons, norm1 and certified
+    bounds.
     """
     os.makedirs(cache_dir, exist_ok=True)
     Q = correctors.Q.tocsr()
@@ -597,9 +557,12 @@ def save_corrector_cache(cache_dir, key, correctors, transients=None):
         nodes = sorted(transients)
         seqs = [transients[d] for d in nodes]
         payload["transient_dofs_list"] = np.array(nodes, dtype=np.int64)
+        payload["transient_dofs"] = np.concatenate([tc.dofs for tc in seqs]
+                                                   or [np.empty(0, dtype=np.int64)])
+        payload["transient_dof_counts"] = np.array([tc.dofs.size for tc in seqs],
+                                                   dtype=np.int64)
         for d, tc in zip(nodes, seqs):
             payload["xi_%d" % d] = tc.xi
-            payload["dofs_%d" % d] = tc.dofs
         kinds = {tc.certified for tc in seqs}
         if len(kinds) > 1:
             raise ValueError("cannot cache certified sequences and power iterates "
@@ -626,9 +589,10 @@ def load_corrector_cache(cache_dir, key, forms, config):
     does not repeat; the loaded set carries forms. A file that was written
     under another key, cannot be read in full (corrupt, truncated), holds a Q
     that is not fine dofs x coarse dofs or an M_ms, A_ms or B_ms that is not
-    a finite float coarse x coarse array, or holds a sequence whose rows do
-    not fit its node's dofs or its tridiagonal is a miss; the checks are not
-    asserts, so they hold under python -O.
+    a finite float coarse x coarse array, or holds node dof counts that do
+    not split its dofs, or a sequence whose rows do not fit its node's dofs
+    or its tridiagonal is a miss; the checks are not asserts, so they hold
+    under python -O.
     """
     path = os.path.join(cache_dir, key + ".npz")
     if not os.path.exists(path):
@@ -659,13 +623,19 @@ def load_corrector_cache(cache_dir, key, forms, config):
 
 
 def _load_transients(data, correctors):
-    """The sequences of an open cache file, or None where the stored rows do
-    not fit their node's dofs or the stored tridiagonals."""
+    """The sequences of an open cache file, or None where the stored counts
+    do not split the stored dofs, or the stored rows do not fit their node's
+    dofs or the stored tridiagonals."""
     nodes = [int(d) for d in data["transient_dofs_list"]]
+    all_dofs, counts = data["transient_dofs"], data["transient_dof_counts"]
+    if not (all_dofs.ndim == 1 and counts.shape == (len(nodes),)
+            and np.issubdtype(counts.dtype, np.integer) and np.all(counts >= 0)
+            and counts.sum() == all_dofs.size):
+        return None
     rows = {}
-    for d in nodes:
-        dofs, xi = data["dofs_%d" % d], data["xi_%d" % d]
-        if xi.ndim != 2 or dofs.ndim != 1 or xi.shape[1] != dofs.size:
+    for d, dofs in zip(nodes, np.split(all_dofs, np.cumsum(counts)[:-1])):
+        xi = data["xi_%d" % d]
+        if xi.ndim != 2 or xi.shape[1] != dofs.size:
             return None
         rows[d] = (dofs, xi)
     if "transient_norm1" not in data:

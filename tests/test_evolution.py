@@ -188,8 +188,9 @@ def _pulse(x, y, t):
     return np.sin(20.0 * t) * (1.0 + x * y)
 
 
-# two whole blocks of the memory term and a remainder
-MULTI_BLOCK = 2 * _BLOCK + 5
+# two whole blocks of the checked saddle steps (linalg._BLOCK), and of the
+# memory term (evolution._BLOCK, of the same size), and a remainder
+MULTI_BLOCK = 2 * linalg._BLOCK + 5
 
 
 @pytest.mark.parametrize("n_steps, horizon, f, data", [
@@ -255,7 +256,7 @@ def initial_data(problem44):
     return np.random.default_rng(45).standard_normal((2, problem44.n_coarse_dofs))
 
 
-@pytest.mark.parametrize("n_steps", [2, _BLOCK + 1, MULTI_BLOCK],
+@pytest.mark.parametrize("n_steps", [2, linalg._BLOCK + 1, MULTI_BLOCK],
                          ids=["one-step", "block-and-one", "multi-block"])
 def test_global_stepper_matches_per_step_checked_solves(saturated44, initial_data,
                                                         n_steps):
@@ -278,7 +279,7 @@ def test_global_stepper_replays_a_missed_bare_solve(saturated44, initial_data,
         bare.append(b.copy())
         x = raw_solve(self, b)
         # steps 2 .. 17 fill the first block; this is step 22 of the second
-        return x * (1.0 + 1e-6) if len(bare) == _BLOCK + 5 else x
+        return x * (1.0 + 1e-6) if len(bare) == linalg._BLOCK + 5 else x
 
     def counted(self, r, tol=linalg.SADDLE_TOL):
         checked.append(r)
@@ -290,7 +291,7 @@ def test_global_stepper_replays_a_missed_bare_solve(saturated44, initial_data,
     # step 22 is solved again through the checked solve, and the steps after
     # it are solved again from its state
     assert len(checked) == 1
-    np.testing.assert_array_equal(checked[0], bare[_BLOCK + 4][:checked[0].size])
+    np.testing.assert_array_equal(checked[0], bare[linalg._BLOCK + 4][:checked[0].size])
     np.testing.assert_array_equal(got.alpha, want.alpha)
     np.testing.assert_array_equal(got.states, want.states)
 

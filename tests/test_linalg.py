@@ -173,6 +173,112 @@ def test_symmetric_mode_falls_back_when_a_checked_solve_misses(how, error):
         saddle.solve(r)
 
 
+# ----------------------------------------------------------------------------
+# the checked-steps rule of repeated saddle solves
+
+def _count_checked_solves(saddle):
+    """Record the right-hand side of every checked solve of saddle."""
+    solve = saddle.solve
+    checked = []
+
+    def counted(r, tol=linalg.SADDLE_TOL):
+        checked.append(np.array(r))
+        return solve(r, tol)
+
+    saddle.solve = counted
+    return checked
+
+
+def _perturb_bare_call(saddle, call):
+    """Make the given call (1-based) of the current factors' raw solve return
+    1 + 1e-6 times its solution, which misses the residual test."""
+    raw_solve = saddle._fact._raw_solve
+    calls = []
+
+    def perturbed(b):
+        calls.append(None)
+        x = raw_solve(b)
+        return x * (1.0 + 1e-6) if len(calls) == call else x
+
+    saddle._fact._raw_solve = perturbed
+
+
+def _stepped(saddle, A, r, count, checked=0):
+    """w_0 .. w_{count-1} of the recurrence r_0 = r, r_s = A w_{s-1}, solved
+    as _CheckedSteps, and the steps."""
+    steps = linalg._CheckedSteps(saddle, checked)
+    w = np.empty((count, r.size))
+    s = 0
+    while s < count:
+        w[s] = steps.solve(s, r if s == 0 else A @ w[s - 1])
+        s = steps.next(s, last=s + 1 == count)
+    return w, steps
+
+
+def _per_step(A, C, r, count):
+    # the oracle: one checked solve per step
+    saddle = factor_saddle(A, C)
+    w = [saddle.solve(r)[0]]
+    for _ in range(1, count):
+        w.append(saddle.solve(A @ w[-1])[0])
+    return np.array(w)
+
+
+def test_checked_steps_replay_a_mid_block_miss_once():
+    A, C, r = _saddle_problem()
+    count = 2 * linalg._BLOCK + 5
+    saddle = factor_saddle(A, C)
+    checked = _count_checked_solves(saddle)
+    # call 20 is the bare solve of step 19, the fourth of the second block
+    _perturb_bare_call(saddle, 20)
+    w, steps = _stepped(saddle, A, r, count)
+    np.testing.assert_array_equal(w, _per_step(A, C, r, count))
+    assert len(checked) == 1
+    np.testing.assert_array_equal(checked[0], A @ w[18])
+    # steps 19 .. 31 are solved twice
+    assert steps.solves == count + 13
+
+
+def test_checked_steps_check_a_short_last_block():
+    A, C, r = _saddle_problem()
+    count = linalg._BLOCK + 3
+    saddle = factor_saddle(A, C)
+    checked = _count_checked_solves(saddle)
+    # the bare solve of the last step, in a last block of three
+    _perturb_bare_call(saddle, count)
+    w, steps = _stepped(saddle, A, r, count)
+    np.testing.assert_array_equal(w, _per_step(A, C, r, count))
+    assert len(checked) == 1 and steps.solves == count + 1
+
+
+def test_checked_steps_solve_the_leading_rows_checked():
+    A, C, r = _saddle_problem()
+    count = linalg._BLOCK + 5
+    saddle = factor_saddle(A, C)
+    checked = _count_checked_solves(saddle)
+    w, steps = _stepped(saddle, A, r, count, checked=3)
+    np.testing.assert_array_equal(w, _per_step(A, C, r, count))
+    # steps 0, 1 and 2 of the first block only
+    assert len(checked) == 3 and steps.solves == count
+    np.testing.assert_array_equal(checked[0], r)
+    np.testing.assert_array_equal(checked[2], A @ w[1])
+
+
+def test_checked_steps_bare_solve_on_the_fallback_factors():
+    # a symmetric-mode solve that refinement cannot mend: the first checked
+    # solve falls back, and every bare solve after it uses the new factors
+    A, C, r = _saddle_problem()
+    count = 2 * linalg._BLOCK + 5
+    saddle = factor_saddle(A, C, _symmetric=True)
+    _corrupt(saddle._fact, "residual")
+    checked = _count_checked_solves(saddle)
+    w, steps = _stepped(saddle, A, r, count, checked=1)
+    assert not saddle._symmetric
+    np.testing.assert_array_equal(w, _per_step(A, C, r, count))
+    # step 0, solved again after the fallback; no bare solve misses
+    assert len(checked) == 2 and steps.solves == count
+
+
 def _parent_saddle_matrix(A, C):
     # the saddle matrix as sparse.bmat builds it, the reference for the gather
     A = A.tocsr()

@@ -3,6 +3,7 @@ import dataclasses
 import shutil
 import tracemalloc
 import weakref
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -449,26 +450,32 @@ def test_blocked_sequence_zero_first_rhs(problem44, k2_set, monkeypatch):
     np.testing.assert_array_equal(blocked, per_step)
 
 
+def _count_checked_solves(monkeypatch):
+    """The list that records every checked saddle solve."""
+    saddle_solve = SaddleFactorization.solve
+    checked = []
+
+    def counted(self, r, tol=linalg.SADDLE_TOL):
+        checked.append(None)
+        return saddle_solve(self, r, tol)
+
+    monkeypatch.setattr(SaddleFactorization, "solve", counted)
+    return checked
+
+
 def _perturb_bare_solve(monkeypatch, call, shift):
     """Make the given call of Factorization._raw_solve (1-based) return its
     solution plus shift(solution); returns the list of checked saddle solves."""
     raw_solve = Factorization._raw_solve
-    saddle_solve = SaddleFactorization.solve
     calls = []
-    checked = []
 
     def perturbed(self, b):
         x = raw_solve(self, b)
         calls.append(None)
         return x + shift(x) if len(calls) == call else x
 
-    def counted(self, r, tol=linalg.SADDLE_TOL):
-        checked.append(None)
-        return saddle_solve(self, r, tol)
-
     monkeypatch.setattr(Factorization, "_raw_solve", perturbed)
-    monkeypatch.setattr(SaddleFactorization, "solve", counted)
-    return checked
+    return _count_checked_solves(monkeypatch)
 
 
 def _shift_first(x):
@@ -502,6 +509,39 @@ def test_blocked_sequence_raises_on_a_kept_constraint_violation(problem44, k2_se
     args = (k2_set, problem44.n_coarse_dofs // 2)
     with pytest.raises(ConstraintViolationError):
         compute_transient_correctors(*args, horizon=16)
+
+
+def _fall_back_at_the_first_checked_solve(monkeypatch):
+    """Give every Patch a symmetric-mode saddle factorization whose solves are
+    1.5 times the solution, which one refinement step cannot mend, so that
+    its first checked solve falls back to the default factorization."""
+    def saddle(patch):
+        block = getattr(patch, lod._FORM_BLOCKS[patch.form_choice])
+        fact = factor_saddle(block, patch.C, _symmetric=True)
+        raw_solve = fact._fact._raw_solve
+        fact._fact._raw_solve = lambda b: 1.5 * raw_solve(b)
+        return fact
+
+    prop = cached_property(saddle)
+    prop.__set_name__(Patch, "saddle")
+    monkeypatch.setattr(Patch, "saddle", prop)
+
+
+@pytest.mark.parametrize("build", [compute_transient_correctors, lod._certified_transients],
+                         ids=["power", "lanczos"])
+def test_sequence_bare_solves_on_the_fallback_factors(k2_set, monkeypatch, build):
+    # a sequence that binds the bare solve before its loop keeps solving on
+    # the discarded symmetric-mode factors, so every block's first bare solve
+    # misses and is replayed: 520 solves and 41 checked solves for the power
+    # iterates, 281 and 26 for Lanczos
+    clean = build(k2_set, 1, 40)
+    _fall_back_at_the_first_checked_solve(monkeypatch)
+    checked = _count_checked_solves(monkeypatch)
+    tc = build(k2_set, 1, 40)
+    # the first checked solve, and its repetition after the fallback
+    _check(len(checked) == 2, "%d checked solves" % len(checked))
+    _check(tc.solves == clean.solves, "%d solves, %d clean" % (tc.solves, clean.solves))
+    _assert_bitwise(tc.members(), clean.members())
 
 
 # ----------------------------------------------------------------------------
@@ -914,6 +954,31 @@ def test_cache_with_members_that_do_not_fit_is_a_miss(tmp_path, problem44,
            "a file whose members do not fit was served")
 
 
+@pytest.mark.parametrize("counts", ["one-short", "one-over", "negative", "fewer-nodes"])
+def test_cache_whose_dof_counts_do_not_split_the_dofs_is_a_miss(tmp_path, problem44,
+                                                                certified_nodes, counts):
+    cs, seq = certified_nodes
+    key = cache_key(problem44.forms, cs.config, 25)
+    path = save_corrector_cache(tmp_path, key, cs, seq)
+    with np.load(path) as data:
+        payload = dict(data)
+    stored = payload["transient_dof_counts"]
+    _check(stored.sum() == payload["transient_dofs"].size, "the saved counts split the dofs")
+    if counts == "one-short":
+        stored[-1] -= 1
+    elif counts == "one-over":
+        stored[0] += 1
+    elif counts == "negative":
+        # the sum still fits
+        stored[0] += stored[1] + 1
+        stored[1] = -1
+    else:
+        payload["transient_dof_counts"] = stored[1:]
+    np.savez(path, **payload)
+    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
+           "a file whose dof counts do not split its dofs was served")
+
+
 def test_cache_refuses_mixed_kinds(tmp_path, problem44, certified_nodes):
     cs, seq = certified_nodes
     members = TransientCorrectors(seq[0].dofs, seq[0].members(), cs)
@@ -981,7 +1046,9 @@ def _pinned_forms():
 # the keys of these inputs in earlier cache formats: the first two from
 # before the cache format and the generator were keyed, the next three of
 # format 2, which stored sequences cut short by a stop tolerance it hashed,
-# the last three of format 3, which stored the members of certified sequences
+# the next three of format 3, which stored the members of certified
+# sequences, the last three of format 4, which stored each node's dofs as
+# an entry of its own
 _OLD_FORMAT_KEYS = (
     "k2_a_plus_tau_b_83cb82afdb841db22410a0051edd26196a527870d92008061cf1786f89587295",
     "k3_a_only_902e923463c53ffa528ba8e907ef843a6ce9a0b7a99621cf97a57ae315aa22b7",
@@ -991,6 +1058,9 @@ _OLD_FORMAT_KEYS = (
     "k2_a_plus_tau_b_f74af52292c8b55980406ef1df53545740e1e21d857125cdf6fc3fc536007726",
     "k3_a_only_c8fb2474b1ec8427e026b6cf1fea52a9db0903d4b03349eaf5fbebcdabc7f27a",
     "k2_a_plus_tau_b_adbf64e12aeb7db50d01e7168a9c81d124d25edc58a5dce363656e8738cb7683",
+    "k2_a_plus_tau_b_72181747bb422d942816eaf674f1827eda3135a198793a97dff78860107a8c40",
+    "k3_a_only_72c09d5d99cb54d7ac590f60671b16f51517b07634f283453e9b5936dc7f59b2",
+    "k2_a_plus_tau_b_c5418bf262293458ad83ee0a6bf52d07c45115a4cc6f2948c9375adf9e8aa60e",
 )
 
 
@@ -1001,9 +1071,9 @@ def test_cache_key_is_pinned():
             cache_key(forms, CorrectorConfig(k=3, form_choice="a_only"), 50),
             cache_key(forms, CorrectorConfig(k=2), 10, "power"))
     assert keys == (
-        "k2_a_plus_tau_b_72181747bb422d942816eaf674f1827eda3135a198793a97dff78860107a8c40",
-        "k3_a_only_72c09d5d99cb54d7ac590f60671b16f51517b07634f283453e9b5936dc7f59b2",
-        "k2_a_plus_tau_b_c5418bf262293458ad83ee0a6bf52d07c45115a4cc6f2948c9375adf9e8aa60e")
+        "k2_a_plus_tau_b_c15bb7864ad50aa2d342d467f8d41f9484f5ce209b52408213c0d33ccc11cca3",
+        "k3_a_only_4f8c4794cf4f8a6bb4c99eb46c866a185bfb5b1073dec0795d5d15fa5ad32a78",
+        "k2_a_plus_tau_b_cbbf73ebdb219c63910e6d4a1f79ac28a00f6045b3eb71949820e72b804a6e87")
     assert not set(keys) & set(_OLD_FORMAT_KEYS)
 
 
