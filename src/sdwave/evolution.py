@@ -9,6 +9,7 @@ import scipy.linalg
 from . import linalg
 from .assembly import assemble_load, h1_norms
 from .lod import transient_patch
+from .mesh import prolongation
 
 
 @dataclass(frozen=True)
@@ -147,24 +148,30 @@ _BLOCK = 16
 
 
 class _GlobalSaddle(_PerStep):
-    """Fine-scale part of the ideal and auxiliary GFEM: w^n is the global
-    saddle solve of K_A u^{n-1} = KQ alpha^{n-1} + K_A w^{n-1}, and the coarse
-    step reads Q^T K_A u^{n-1} = A_ms alpha^{n-1} + KQ^T w^{n-1}, with the
-    dense coupling KQ = K_A Q.
+    """The ideal method on the one global saddle system S of K_tilde over the
+    interpolation kernel, factored once in symmetric mode (linalg falls back
+    to the default factorization).
 
-    The saddle system is factored once in symmetric mode (linalg falls back to
-    the default factorization). The time steps are the steps of
-    linalg._CheckedSteps, so the states are those of one checked solve per
-    step.
+    Its basis is Q = P - S^-1 (K_tilde P), dense: the prolongation P minus the
+    fine-scale part of one checked block solve of all coarse columns, with
+    the grams M_ms, A_ms, B_ms and the dense coupling KQ = K_A Q. Its
+    fine-scale part w^n is the saddle solve of K_A u^{n-1} = KQ alpha^{n-1} +
+    K_A w^{n-1}, and the coarse step reads Q^T K_A u^{n-1} = A_ms alpha^{n-1}
+    + KQ^T w^{n-1}. The time steps are the steps of linalg._CheckedSteps, so
+    the states are those of one checked solve per step.
     """
 
-    def __init__(self, correctors, grid):
-        forms = correctors.forms
-        super().__init__(correctors.Q, forms, grid)
-        self.A_ms = correctors.A_ms
-        self.KQ = (forms.K_A @ self.Q).toarray()
-        self.steps = linalg._CheckedSteps(
-            linalg.factor_saddle(forms.K_tilde, forms.interp, _symmetric=True))
+    def __init__(self, forms, grid):
+        saddle = linalg.factor_saddle(forms.K_tilde, forms.interp, _symmetric=True)
+        P = prolongation(forms.pair)
+        Q = P.toarray() - saddle.solve((forms.K_tilde @ P).toarray())[0]
+        super().__init__(Q, forms, grid)
+        self.forms = forms
+        self.KQ = forms.K_A @ Q
+        self.M_ms = Q.T @ (forms.M @ Q)
+        self.A_ms = Q.T @ self.KQ
+        self.B_ms = Q.T @ (forms.K_B @ Q)
+        self.steps = linalg._CheckedSteps(saddle)
         self.n_steps = grid.n_steps
 
     def memory(self, n, alpha):
@@ -305,6 +312,7 @@ def transient_horizon(n_steps):
 
 
 def _multiscale(correctors):
+    """The basis, grams and forms of a corrector set or of _GlobalSaddle."""
     return correctors.Q, correctors.M_ms, correctors.A_ms, correctors.B_ms, correctors.forms
 
 
@@ -319,12 +327,13 @@ def galerkin_wave_solve(basis, forms, f, n_steps, alpha0, alpha1):
     return _gfem_steps(basis, *grams, forms, f, grid, (alpha0, alpha1))
 
 
-def ideal_gfem_solve(correctors, f, n_steps, alpha0, alpha1):
+def ideal_gfem_solve(forms, f, n_steps, alpha0, alpha1):
     """GFEM with global correctors: coarse multiscale step plus one fine-scale
-    solve per time step; initial data lives in the multiscale space."""
-    grid = TimeGrid(correctors.forms.tau, n_steps)
-    return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
-                       _GlobalSaddle(correctors, grid))
+    solve per time step, both on the one global saddle factorization
+    (_GlobalSaddle); initial data lives in the multiscale space."""
+    grid = TimeGrid(forms.tau, n_steps)
+    ideal = _GlobalSaddle(forms, grid)
+    return _gfem_steps(*_multiscale(ideal), f, grid, (alpha0, alpha1), ideal)
 
 
 def _check_transients(correctors, transients, n_steps):
@@ -396,12 +405,13 @@ def aux_fine_solve(forms, f, z0, n_steps):
     return Trajectory(grid, states)
 
 
-def aux_gfem_solve(correctors, f, alpha0, n_steps):
-    """GFEM for the auxiliary problem; reproduces the fine solution when f = 0."""
-    grid = TimeGrid(correctors.forms.tau, n_steps)
-    Q, _, A_ms, B_ms, forms = _multiscale(correctors)
-    return _gfem_steps(Q, np.zeros_like(A_ms), A_ms, B_ms, forms, f, grid, (alpha0,),
-                       _GlobalSaddle(correctors, grid))
+def aux_gfem_solve(forms, f, alpha0, n_steps):
+    """GFEM for the auxiliary problem on the basis and global saddle
+    factorization of the ideal method; reproduces the fine solution when f = 0."""
+    grid = TimeGrid(forms.tau, n_steps)
+    ideal = _GlobalSaddle(forms, grid)
+    return _gfem_steps(ideal.Q, np.zeros_like(ideal.A_ms), ideal.A_ms, ideal.B_ms, forms,
+                       f, grid, (alpha0,), ideal)
 
 
 # ----------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import scipy.sparse as sparse
 from . import linalg
 from .assembly import MASS_PATTERN, element_rhs_block
 from .interpolation import kernel_constraints
-from .mesh import element_patch, node_patch, prolongation
+from .mesh import element_patch, node_patch, prolongation, saturating_k
 
 FORM_CHOICES = ("a_plus_tau_b", "a_only", "b_only")
 
@@ -491,14 +491,15 @@ def _element_h1_energies(mesh, v_full):
 
 
 def decay_profile(v, pair, x_dof):
-    """H1 norm of v outside growing node patches, as (j, value) rows."""
+    """H1 norm of v outside growing node patches, as (j, value) rows, up to
+    the first j whose patch covers the mesh."""
     coarse = pair.coarse
     fine = pair.fine
     vertex = coarse.interior_nodes[x_dof]
     energies = _element_h1_energies(fine, fine.expand(np.asarray(v, dtype=float)))
 
     rows = []
-    for j in range(1, coarse.n + 1):
+    for j in range(1, saturating_k(coarse) + 1):
         patch = node_patch(coarse, vertex, j)
         outside = float(energies[~_fine_mask(pair, patch)].sum())
         rows.append((j, np.sqrt(max(outside, 0.0))))

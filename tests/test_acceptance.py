@@ -99,7 +99,7 @@ def test_criterion_2_auxiliary_exactness(request):
     z0 = sat.Q @ alpha0
     n_steps = 25
     fine = aux_fine_solve(prob.forms, 0.0, z0, n_steps)
-    gfem = aux_gfem_solve(sat, 0.0, alpha0, n_steps)
+    gfem = aux_gfem_solve(prob.forms, 0.0, alpha0, n_steps)
     worst = max(h1_norms(prob.forms, [fine.states[n] - gfem.states[n]])[0]
                 / h1_norms(prob.forms, [fine.states[n]])[0]
                 for n in range(1, n_steps + 1))

@@ -70,9 +70,9 @@ def saturated44(problem44):
     return build_corrector_set(problem44.forms, cfg)
 
 
-def test_ideal_gfem_zero_problem(problem44, saturated44):
+def test_ideal_gfem_zero_problem(problem44):
     zc = np.zeros(problem44.n_coarse_dofs)
-    traj = ideal_gfem_solve(saturated44, 0.0, 5, zc, zc)
+    traj = ideal_gfem_solve(problem44.forms, 0.0, 5, zc, zc)
     assert np.all(traj.states == 0.0)
 
 
@@ -93,7 +93,7 @@ def test_localized_saturated_matches_ideal(problem44, saturated44):
     zc = np.zeros(problem44.n_coarse_dofs)
     seq = transients_for_all_nodes(saturated44, horizon=12)
     loc = localized_gfem_solve(saturated44, seq, 1.0, n_steps, zc, zc)
-    ideal = ideal_gfem_solve(saturated44, 1.0, n_steps, zc, zc)
+    ideal = ideal_gfem_solve(problem44.forms, 1.0, n_steps, zc, zc)
     assert rel_l2h1(problem44.forms, loc, ideal) <= 1e-8
 
 
@@ -129,7 +129,7 @@ def test_localized_nonzero_initial_data_matches_direct_and_ideal(problem44, k2_4
 
     seq = transients_for_all_nodes(saturated44, horizon=12)
     loc = localized_gfem_solve(saturated44, seq, 1.0, n_steps, alpha0, alpha1)
-    ideal = ideal_gfem_solve(saturated44, 1.0, n_steps, alpha0, alpha1)
+    ideal = ideal_gfem_solve(forms, 1.0, n_steps, alpha0, alpha1)
     assert rel_l2h1(forms, loc, ideal) <= 1e-8
 
 
@@ -258,24 +258,31 @@ def initial_data(problem44):
 
 @pytest.mark.parametrize("n_steps", [2, linalg._BLOCK + 1, MULTI_BLOCK],
                          ids=["one-step", "block-and-one", "multi-block"])
-def test_global_stepper_matches_per_step_checked_solves(saturated44, initial_data,
-                                                        n_steps):
+def test_global_stepper_matches_per_step_checked_solves(problem44, saturated44,
+                                                        initial_data, n_steps):
+    # the oracle steps on the element-loop saturated set, the solvers on the
+    # basis of their own global factorization
+    forms = problem44.forms
     alpha0, alpha1 = initial_data
-    _assert_same_trajectory(ideal_gfem_solve(saturated44, 1.0, n_steps, alpha0, alpha1),
+    _assert_same_trajectory(ideal_gfem_solve(forms, 1.0, n_steps, alpha0, alpha1),
                             _ideal_oracle(saturated44, 1.0, n_steps, alpha0, alpha1))
-    _assert_same_trajectory(aux_gfem_solve(saturated44, 1.0, alpha0, n_steps),
+    _assert_same_trajectory(aux_gfem_solve(forms, 1.0, alpha0, n_steps),
                             _aux_oracle(saturated44, 1.0, alpha0, n_steps))
 
 
-def test_global_stepper_replays_a_missed_bare_solve(saturated44, initial_data,
+def test_global_stepper_replays_a_missed_bare_solve(problem44, initial_data,
                                                     monkeypatch):
+    forms = problem44.forms
     alpha0, alpha1 = initial_data
-    want = ideal_gfem_solve(saturated44, 1.0, MULTI_BLOCK, alpha0, alpha1)
+    want = ideal_gfem_solve(forms, 1.0, MULTI_BLOCK, alpha0, alpha1)
     raw_solve = linalg.Factorization._raw_solve
     checked_solve = linalg.SaddleFactorization.solve
     bare, checked = [], []
 
     def perturbed(self, b):
+        if b.ndim == 2:
+            # the basis block solve and its refinement
+            return raw_solve(self, b)
         bare.append(b.copy())
         x = raw_solve(self, b)
         # steps 2 .. 17 fill the first block; this is step 22 of the second
@@ -287,30 +294,85 @@ def test_global_stepper_replays_a_missed_bare_solve(saturated44, initial_data,
 
     monkeypatch.setattr(linalg.Factorization, "_raw_solve", perturbed)
     monkeypatch.setattr(linalg.SaddleFactorization, "solve", counted)
-    got = ideal_gfem_solve(saturated44, 1.0, MULTI_BLOCK, alpha0, alpha1)
-    # step 22 is solved again through the checked solve, and the steps after
-    # it are solved again from its state
-    assert len(checked) == 1
-    np.testing.assert_array_equal(checked[0], bare[linalg._BLOCK + 4][:checked[0].size])
+    got = ideal_gfem_solve(forms, 1.0, MULTI_BLOCK, alpha0, alpha1)
+    # the basis is one checked block solve of every coarse column; of the
+    # steps, step 22 is solved again through the checked solve, and the steps
+    # after it are solved again from its state
+    basis, *steps = checked
+    assert basis.shape == (problem44.n_fine_dofs, problem44.n_coarse_dofs)
+    assert len(steps) == 1
+    np.testing.assert_array_equal(steps[0], bare[linalg._BLOCK + 4][:steps[0].size])
     np.testing.assert_array_equal(got.alpha, want.alpha)
     np.testing.assert_array_equal(got.states, want.states)
 
 
-def test_global_stepper_raises_where_refinement_cannot_mend(saturated44, initial_data,
+def _scale_solves(monkeypatch, steps_only=False):
+    """Make every bare solve 1.5 times the solution, or with steps_only those
+    from the first linalg._CheckedSteps on, after the basis is built. Returns
+    the list that marks the steps begun; clearing it restarts the wait."""
+    raw_solve = linalg.Factorization._raw_solve
+    steps_init = linalg._CheckedSteps.__init__
+    stepping = []
+
+    def scaled_solve(self, b):
+        x = raw_solve(self, b)
+        return 1.5 * x if stepping or not steps_only else x
+
+    def steps_begin(self, *args):
+        stepping.append(True)
+        steps_init(self, *args)
+
+    monkeypatch.setattr(linalg.Factorization, "_raw_solve", scaled_solve)
+    monkeypatch.setattr(linalg._CheckedSteps, "__init__", steps_begin)
+    return stepping
+
+
+def test_global_stepper_raises_where_refinement_cannot_mend(problem44, initial_data,
                                                              monkeypatch):
     # every solve, the refinement's and the fallback factorization's too, is
-    # 1.5 times the solution: the replay misses in both orderings
+    # 1.5 times the solution: the basis block solve misses in both orderings
     alpha0, alpha1 = initial_data
-    raw_solve = linalg.Factorization._raw_solve
-    monkeypatch.setattr(linalg.Factorization, "_raw_solve",
-                        lambda self, b: 1.5 * raw_solve(self, b))
+    _scale_solves(monkeypatch)
     with pytest.raises(InaccurateSolveError):
-        ideal_gfem_solve(saturated44, 1.0, MULTI_BLOCK, alpha0, alpha1)
+        ideal_gfem_solve(problem44.forms, 1.0, MULTI_BLOCK, alpha0, alpha1)
     with pytest.raises(InaccurateSolveError):
-        aux_gfem_solve(saturated44, 1.0, alpha0, MULTI_BLOCK)
+        aux_gfem_solve(problem44.forms, 1.0, alpha0, MULTI_BLOCK)
 
 
-def test_global_stepper_falls_back_from_a_singular_symmetric_mode(saturated44,
+def test_global_steps_raise_where_refinement_cannot_mend(problem44, initial_data,
+                                                         monkeypatch):
+    # as above, from the time steps on: the basis is accurate, and the replay
+    # of the first step misses in both orderings
+    alpha0, alpha1 = initial_data
+    stepping = _scale_solves(monkeypatch, steps_only=True)
+    with pytest.raises(InaccurateSolveError):
+        ideal_gfem_solve(problem44.forms, 1.0, MULTI_BLOCK, alpha0, alpha1)
+    assert stepping
+    stepping.clear()
+    with pytest.raises(InaccurateSolveError):
+        aux_gfem_solve(problem44.forms, 1.0, alpha0, MULTI_BLOCK)
+
+
+def test_global_solvers_factor_once(problem44, initial_data, monkeypatch):
+    # the basis and the time steps share one symmetric-mode factorization
+    forms = problem44.forms
+    alpha0, alpha1 = initial_data
+    splu = linalg._splu
+    modes = []
+
+    def counted(matrix, symmetric=False):
+        modes.append(symmetric)
+        return splu(matrix, symmetric)
+
+    monkeypatch.setattr(linalg, "_splu", counted)
+    ideal_gfem_solve(forms, 1.0, MULTI_BLOCK, alpha0, alpha1)
+    assert modes == [True]
+    modes.clear()
+    aux_gfem_solve(forms, 1.0, alpha0, MULTI_BLOCK)
+    assert modes == [True]
+
+
+def test_global_stepper_falls_back_from_a_singular_symmetric_mode(problem44, saturated44,
                                                                   initial_data,
                                                                   monkeypatch):
     alpha0, alpha1 = initial_data
@@ -325,7 +387,7 @@ def test_global_stepper_falls_back_from_a_singular_symmetric_mode(saturated44,
         return splu(matrix, symmetric)
 
     monkeypatch.setattr(linalg, "_splu", singular_symmetric)
-    got = ideal_gfem_solve(saturated44, 1.0, MULTI_BLOCK, alpha0, alpha1)
+    got = ideal_gfem_solve(problem44.forms, 1.0, MULTI_BLOCK, alpha0, alpha1)
     assert modes == [True, False]
     _assert_same_trajectory(got, want)
 
@@ -509,9 +571,8 @@ def test_steady_state_b_orthogonality(problem44):
     # forms and correctors are built at the step of the run
     pair = problem44.pair
     forms = DiscreteForms(pair, problem44.field_a, problem44.field_b, 0.05)
-    saturated = build_corrector_set(forms, CorrectorConfig(k=saturating_k(pair.coarse)))
     zc = np.zeros(problem44.n_coarse_dofs)
-    traj = ideal_gfem_solve(saturated, 1.0, 200, zc, zc)
+    traj = ideal_gfem_solve(forms, 1.0, 200, zc, zc)
     saddle = factor_saddle(forms.K_tilde, forms.interp)
     rng = np.random.default_rng(41)
 
@@ -533,18 +594,19 @@ def test_aux_exactness_without_source(problem44, saturated44):
     z0 = saturated44.Q @ alpha0
     n_steps = 20
     fine = aux_fine_solve(problem44.forms, 0.0, z0, n_steps)
-    gfem = aux_gfem_solve(saturated44, 0.0, alpha0, n_steps)
+    gfem = aux_gfem_solve(problem44.forms, 0.0, alpha0, n_steps)
     for n in range(1, 21):
         err = h1_norms(problem44.forms, [fine.states[n] - gfem.states[n]])[0]
         assert err <= 1e-9 * h1_norms(problem44.forms, [fine.states[n]])[0]
 
 
-def test_aux_zero(problem44, saturated44):
+def test_aux_zero(problem44):
     n_steps = 4
     fine = aux_fine_solve(problem44.forms, 0.0,
                           np.zeros(problem44.n_fine_dofs), n_steps)
     assert np.all(fine.states == 0.0)
-    gfem = aux_gfem_solve(saturated44, 0.0, np.zeros(problem44.n_coarse_dofs), n_steps)
+    gfem = aux_gfem_solve(problem44.forms, 0.0, np.zeros(problem44.n_coarse_dofs),
+                          n_steps)
     assert np.all(gfem.states == 0.0)
 
 
@@ -556,10 +618,9 @@ def test_aux_convergence_rate():
         A = random_field(pair.fine, 0.1, 1000.0, 1)
         B = random_field(pair.fine, 0.1, 1000.0, 2)
         forms = DiscreteForms(pair, A, B, TAU)
-        cs = build_corrector_set(forms, CorrectorConfig(k=saturating_k(pair.coarse)))
         n_steps = 25
         fine = aux_fine_solve(forms, 1.0, np.zeros(pair.fine.n_dofs), n_steps)
-        gfem = aux_gfem_solve(cs, 1.0, np.zeros(pair.coarse.n_dofs), n_steps)
+        gfem = aux_gfem_solve(forms, 1.0, np.zeros(pair.coarse.n_dofs), n_steps)
         errs.append(h1_norms(forms, [fine.states[-1] - gfem.states[-1]])[0]
                     / h1_norms(forms, [fine.states[-1]])[0])
     rate = -np.polyfit(np.arange(2, 5), np.log2(errs), 1)[0]
@@ -594,11 +655,11 @@ def test_every_solver_steps_at_forms_tau(problem44):
     trajectories = [
         fine_fem_solve(forms, 1.0, zf, zf, 3),
         galerkin_wave_solve(prolongation(pair), forms, 1.0, 3, zc, zc),
-        ideal_gfem_solve(cs, 1.0, 3, zc, zc),
+        ideal_gfem_solve(forms, 1.0, 3, zc, zc),
         localized_gfem_solve(cs, seq, 1.0, 3, zc, zc),
         localized_gfem_solve_direct(cs, 1.0, 3, zc, zc),
         aux_fine_solve(forms, 1.0, zf, 3),
-        aux_gfem_solve(cs, 1.0, zc, 3),
+        aux_gfem_solve(forms, 1.0, zc, 3),
     ]
     for trajectory in trajectories:
         assert trajectory.grid == TimeGrid(forms.tau, 3)
@@ -614,7 +675,12 @@ def test_solvers_reject_a_bad_step_count(problem44, monkeypatch, n_steps):
     monkeypatch.setattr(linalg, "Factorization", no_factor)
     monkeypatch.setattr(linalg, "factor_saddle", no_factor)
     zf = np.zeros(problem44.n_fine_dofs)
+    zc = np.zeros(problem44.n_coarse_dofs)
     with pytest.raises(ValueError, match="n_steps|two time steps"):
         fine_fem_solve(problem44.forms, 1.0, zf, zf, n_steps)
     with pytest.raises(ValueError, match="n_steps|two time steps"):
         aux_fine_solve(problem44.forms, 1.0, zf, n_steps)
+    with pytest.raises(ValueError, match="n_steps|two time steps"):
+        ideal_gfem_solve(problem44.forms, 1.0, n_steps, zc, zc)
+    with pytest.raises(ValueError, match="n_steps|two time steps"):
+        aux_gfem_solve(problem44.forms, 1.0, zc, n_steps)

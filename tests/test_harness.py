@@ -12,9 +12,10 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from sdwave import cli, harness, interpolation
+from sdwave import cli, evolution, harness, interpolation, linalg
 from sdwave.assembly import DiscreteForms
 from sdwave.cli import main
+from sdwave.evolution import localized_gfem_solve
 from sdwave.harness import (CSV_HEADER, ExperimentConfig, config_from_sources,
                             emit, random_field, run_exp_H, run_exp_k,
                             run_exp_rb)
@@ -391,13 +392,20 @@ def test_exp_H_frees_each_level_before_the_next(monkeypatch):
 
 
 def test_exp_k_cache_hit(tmp_path):
-    cfg = ExperimentConfig(cache=str(tmp_path / "cache"), **MICRO)
+    # only the patch sizes k = 2 .. kmax are cached: the ideal reference
+    # builds its basis on its own global factorization, and no saturated set
+    # is written
+    cache = tmp_path / "cache"
+    cfg = ExperimentConfig(cache=str(cache), **dict(MICRO, kmax=3))
+    patch_sizes = cfg.kmax - 1
     rows1, meta1 = run_exp_k(cfg)
+    assert len(list(cache.iterdir())) == patch_sizes
+    assert (meta1["cache_hits"], meta1["cache_misses"]) == (0, patch_sizes)
     rows2, meta2 = run_exp_k(cfg)
-    assert meta1["cache_hits"] == 0
-    assert meta2["cache_hits"] > 0
-    for r1, r2 in zip(rows1, rows2):
-        assert r1["rel_h1_final"] == r2["rel_h1_final"]
+    assert (meta2["cache_hits"], meta2["cache_misses"]) == (patch_sizes, 0)
+    emit(rows1, tmp_path, "cold")
+    emit(rows2, tmp_path, "warm")
+    assert _strip_runtime(tmp_path / "cold.csv") == _strip_runtime(tmp_path / "warm.csv")
 
 
 @pytest.mark.parametrize("change", [dict(hi=1e1), dict(T=1.0)],
@@ -529,14 +537,51 @@ def test_high_contrast_runs(run, extra):
         assert np.all(np.isfinite(errors)) and np.all(errors > 0.0), r
 
 
-def test_exp_k_saturated_patch_matches_ideal():
-    # once the patches cover the domain the sweep hits the reference itself
+def test_exp_k_saturated_patch_matches_ideal(monkeypatch):
+    # once the patches cover the domain the sweep hits the reference itself;
+    # the saturated set of the sweep's last k, built through the element loop,
+    # is an independent oracle of the reference's basis
     from sdwave.mesh import saturating_k
-    cfg = ExperimentConfig(p=4, q=2, kmax=saturating_k(Mesh(4)), tau=0.1, T=0.4,
-                           seed=1)
+    ideal, correctors = [], {}
+
+    class Recorded(evolution._GlobalSaddle):
+        def __init__(self, forms, grid):
+            super().__init__(forms, grid)
+            ideal.append(self)
+
+    def recorded(cs, *args):
+        correctors[cs.config.k] = cs
+        return localized_gfem_solve(cs, *args)
+
+    monkeypatch.setattr(evolution, "_GlobalSaddle", Recorded)
+    monkeypatch.setattr(harness, "localized_gfem_solve", recorded)
+    kmax = saturating_k(Mesh(4))
+    cfg = ExperimentConfig(p=4, q=2, kmax=kmax, tau=0.1, T=0.4, seed=1)
     rows, _ = run_exp_k(cfg)
     last = max(rows, key=lambda r: r["param"])
     assert last["rel_h1_final"] <= 1e-8
+    (basis,), saturated = ideal, correctors[kmax]
+    for got, want in ((basis.Q, saturated.Q.toarray()), (basis.M_ms, saturated.M_ms),
+                      (basis.A_ms, saturated.A_ms), (basis.B_ms, saturated.B_ms)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_exp_k_factors_the_global_saddle_once(monkeypatch):
+    # the reference's basis and time steps share one factorization; a
+    # saturated corrector set factored the same system a second time
+    cfg = ExperimentConfig(p=4, q=2, kmax=2, tau=0.1, T=0.4, seed=1)
+    global_size = (2 ** cfg.p - 1) ** 2 + (2 ** cfg.q - 1) ** 2
+    splu = linalg._splu
+    sizes = []
+
+    def counted(matrix, symmetric=False):
+        sizes.append(matrix.shape[0])
+        return splu(matrix, symmetric)
+
+    monkeypatch.setattr(linalg, "_splu", counted)
+    run_exp_k(cfg)
+    assert sizes.count(global_size) == 1
+    assert max(sizes) == global_size
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -12,6 +12,7 @@ import scipy.sparse as sparse
 
 from sdwave import linalg, lod
 from sdwave.assembly import DiscreteForms, element_rhs_block, h1_norms
+from sdwave.evolution import TimeGrid, _GlobalSaddle
 from sdwave.linalg import (ConstraintViolationError, Factorization,
                            SaddleFactorization, factor_saddle)
 from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
@@ -79,15 +80,26 @@ def saturated_set(problem44):
     return build_corrector_set(problem44.forms, cfg)
 
 
-def test_saturated_matches_global_solve(problem44, saturated_set):
-    pair, forms = problem44.pair, problem44.forms
-    P = prolongation(pair)
-    saddle = factor_saddle(forms.K_tilde, forms.interp)
-    for dof in range(0, pair.coarse.n_dofs, 2):
-        lam = np.asarray(P[:, dof].todense()).ravel()
-        w, _ = saddle.solve(forms.K_tilde @ lam)
-        phi = np.asarray(saturated_set.phi[:, dof].todense()).ravel()
-        assert h1_norms(forms, [w - phi])[0] <= 1e-9 * h1_norms(forms, [w])[0]
+def test_saturated_matches_global_solve(request, saturated_set):
+    # the element loop at a saturating k against one global saddle solve per
+    # column, and against the ideal method's basis, built with one block
+    # solve of every coarse column on its global factorization
+    for name in ("problem44", "problem84"):
+        problem = request.getfixturevalue(name)
+        pair, forms = problem.pair, problem.forms
+        saturated = (saturated_set if name == "problem44" else build_corrector_set(
+            forms, CorrectorConfig(k=saturating_k(pair.coarse))))
+        P = prolongation(pair)
+        saddle = factor_saddle(forms.K_tilde, forms.interp)
+        for dof in range(0, pair.coarse.n_dofs, 2):
+            lam = np.asarray(P[:, dof].todense()).ravel()
+            w, _ = saddle.solve(forms.K_tilde @ lam)
+            phi = np.asarray(saturated.phi[:, dof].todense()).ravel()
+            assert h1_norms(forms, [w - phi])[0] <= 1e-9 * h1_norms(forms, [w])[0]
+        ideal = _GlobalSaddle(forms, TimeGrid(forms.tau, 2))
+        for got, want in ((ideal.Q, saturated.Q.toarray()), (ideal.M_ms, saturated.M_ms),
+                          (ideal.A_ms, saturated.A_ms), (ideal.B_ms, saturated.B_ms)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
 
 
 def test_fine_scale_membership(problem44, saturated_set):
@@ -820,6 +832,21 @@ def test_decay_profile_examples(problem44, transient_node):
     mask = prof_phi[:, 1] > 1e-12
     slope = np.polyfit(prof_phi[mask, 0], np.log(prof_phi[mask, 1]), 1)[0]
     assert slope < 0.0
+
+
+def test_decay_profile_runs_until_the_patch_covers_the_mesh(problem84):
+    # node (n - 1, 1) of the 8 x 8 coarse mesh needs 14 layers; the profile
+    # used to stop at j = n = 8, with energy still outside the patch
+    pair = problem84.pair
+    coarse = pair.coarse
+    vertex = coarse.n + 1 + coarse.n - 1
+    covering = [j for j in range(1, saturating_k(coarse) + 1)
+                if node_patch(coarse, vertex, j).size == coarse.n_elements]
+    assert covering[0] == 14
+    prof = decay_profile(np.ones(pair.fine.n_dofs), pair, int(coarse.dof_index[vertex]))
+    np.testing.assert_array_equal(prof[:, 0], np.arange(1, covering[0] + 1))
+    np.testing.assert_array_equal(prof[-1], (covering[0], 0.0))
+    assert np.all(prof[:-1, 1] > 0.0)
 
 
 def test_project_initial_data(problem44, saturated_set):

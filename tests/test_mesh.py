@@ -94,6 +94,23 @@ def test_node_patch_incidence():
     assert node_patch(m, center, saturating_k(m)).size == m.n_elements
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_patch_builders_reject_k_below_one(k):
+    m = Mesh(4)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        element_patch(m, 0, k)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        node_patch(m, 6, k)
+
+
+def test_every_node_patch_covers_the_mesh_at_saturating_k():
+    # lod.decay_profile grows node patches up to saturating_k
+    for n in (2, 5, 8):
+        m = Mesh(n)
+        for x in m.interior_nodes:
+            assert node_patch(m, x, saturating_k(m)).size == m.n_elements
+
+
 def test_prolongation_identity_at_r1():
     pair = NestedMeshPair(Mesh(4), 1)
     P = prolongation(pair)
