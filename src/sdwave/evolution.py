@@ -137,7 +137,8 @@ class _PerStep(_StepOn):
         return self.QT @ fine
 
     def states(self, alpha):
-        self.w += (self.Q @ alpha.T).T
+        for lo in range(0, alpha.shape[0], _WINDOW):
+            self.w[lo:lo + _WINDOW] += (self.Q @ alpha[lo:lo + _WINDOW].T).T
         return self.w
 
 
@@ -145,6 +146,10 @@ class _PerStep(_StepOn):
 # per block, and of the error norms, which take one sparse product per block
 # to bound their temporaries
 _BLOCK = 16
+
+# steps of band coordinates that _Recurrence keeps, and steps per block in
+# which it and _PerStep add Q alpha to the fine states
+_WINDOW = 64
 
 
 class _GlobalSaddle(_PerStep):
@@ -259,8 +264,10 @@ class _Recurrence(_StepOn):
 
     The coordinates of all nodes are stacked, so a step is a few vector
     operations. The coarse step reads Q^T K_A u^{n-1} = A_ms alpha^{n-1} +
-    G t^{n-1}, with G = [(Q^T K_A)[:, dofs_x] R_x^T]_x, and the fine states
-    are filled once after the loop, one product per node.
+    G t^{n-1}, with G = [(Q^T K_A)[:, dofs_x] R_x^T]_x. Only a window of
+    min(_WINDOW, N + 1) steps of t is kept, t^n in row n mod its length; the
+    fine states of a window's steps are filled when it is full, during the
+    loop, and those of the last steps after it, one product per node each.
     """
 
     def __init__(self, correctors, bands, grid):
@@ -273,36 +280,52 @@ class _Recurrence(_StepOn):
         # no coupling crosses a node boundary
         self.lower, self.upper = np.concatenate(lower)[:-1], np.concatenate(upper)[:-1]
         self.lower[ends[:-1] - 1] = self.upper[ends[:-1] - 1] = 0.0
-        QT_K_A = (self.Q.T @ correctors.forms.K_A).toarray()
+        # the columns of each node are gathered from one sparse product
+        QT_K_A = (self.Q.T @ correctors.forms.K_A).tocsc()
         self.G = np.empty((self.Q.shape[1], ends[-1]))
         self.items = [(d, R, slice(end - R.shape[0], end))
                       for d, R, end in zip(dofs, rows, ends)]
         for d, R, span in self.items:
-            self.G[:, span] = QT_K_A[:, d] @ R.T
-        # t[n] = t^n; t^0 and t^1 stay zero
-        self.t = np.zeros((grid.n_steps + 1, ends[-1]))
+            self.G[:, span] = QT_K_A[:, d].toarray() @ R.T
+        # t[n % window] = t^n; t^0 and t^1 stay zero
+        self.t = np.zeros((min(_WINDOW, grid.n_steps + 1), ends[-1]))
 
     def _advance(self, n, alpha):
         """t^n from t^{n-1} and alpha^{n-1}, n >= 2."""
-        prev, t = self.t[n - 1], self.t[n]
+        window = self.t.shape[0]
+        prev, t = self.t[(n - 1) % window], self.t[n % window]
         np.multiply(self.diag, prev, out=t)
         t[1:] += self.lower * prev[:-1]
         t[:-1] += self.upper * prev[1:]
         t[self.first] += self.weight * alpha[n - 1]
 
+    def _fill(self, n, alpha):
+        """The fine states of the window's steps lo .. n, in its rows 0 .. n - lo."""
+        lo = n - n % self.t.shape[0]
+        block = self.Q @ alpha[lo:n + 1].T
+        for dofs, R, span in self.items:
+            block[dofs] += R.T @ self.t[:n + 1 - lo, span].T
+        if lo == 0:
+            # the states are allocated at the first fill, not held through
+            # the set-up and the first window's steps
+            self.filled = np.empty((alpha.shape[0], block.shape[0]))
+        self.filled[lo:n + 1] = block.T
+
     def memory(self, n, alpha):
+        window = self.t.shape[0]
         if n >= 3:
             self._advance(n - 1, alpha)
-        return self.A_ms @ alpha[n - 1] + self.G @ self.t[n - 1]
+            # alpha^{n-1} is solved, so a window that ends at step n - 1 is full
+            if n % window == 0:
+                self._fill(n - 1, alpha)
+        return self.A_ms @ alpha[n - 1] + self.G @ self.t[(n - 1) % window]
 
     def states(self, alpha):
         n_steps = alpha.shape[0] - 1
         self._advance(n_steps, alpha)
         self.G = None
-        states = self.Q @ alpha.T
-        for dofs, R, span in self.items:
-            states[dofs, 2:] += R.T @ self.t[2:, span].T
-        return np.ascontiguousarray(states.T)
+        self._fill(n_steps, alpha)
+        return self.filled
 
 
 def transient_horizon(n_steps):
@@ -417,15 +440,24 @@ def aux_gfem_solve(forms, f, alpha0, n_steps):
 # ----------------------------------------------------------------------------
 # error norms
 
+def _check_grids(trajectory, reference):
+    if trajectory.grid != reference.grid:
+        raise ValueError("the trajectory steps on %s, its reference on %s"
+                         % (trajectory.grid, reference.grid))
+
+
 def rel_h1_final(forms, trajectory, reference):
-    """Relative H1 distance of the final states."""
+    """Relative H1 distance of the final states, of trajectories on one TimeGrid."""
+    _check_grids(trajectory, reference)
     final = reference.states[-1]
     error, denom = h1_norms(forms, [trajectory.states[-1] - final, final])
     return error / denom if denom > 0 else error
 
 
 def rel_l2h1(forms, trajectory, reference):
-    """Relative time-integrated H1 error, (sum tau ||e^n||^2)^(1/2), n >= 1."""
+    """Relative time-integrated H1 error, (sum tau ||e^n||^2)^(1/2), n >= 1,
+    of trajectories on one TimeGrid."""
+    _check_grids(trajectory, reference)
     tau = trajectory.grid.tau
     num = 0.0
     den = 0.0

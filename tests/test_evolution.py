@@ -6,8 +6,9 @@ import scipy.linalg
 
 from sdwave import linalg, lod
 from sdwave.assembly import DiscreteForms, assemble_load, h1_norms
-from sdwave.evolution import (_BLOCK, TimeGrid, Trajectory, _gfem_steps, _multiscale,
-                              _PerStep, _Recurrence, aux_fine_solve, aux_gfem_solve,
+from sdwave.evolution import (_BLOCK, _WINDOW, TimeGrid, Trajectory, _GlobalSaddle,
+                              _gfem_steps, _multiscale, _PerStep, _Recurrence,
+                              aux_fine_solve, aux_gfem_solve,
                               discrete_energy, fine_fem_solve, galerkin_wave_solve,
                               ideal_gfem_solve, localized_gfem_solve,
                               localized_gfem_solve_direct, rel_h1_final,
@@ -534,27 +535,111 @@ class _CoupledRecurrence(_Recurrence):
         self.lower = self.upper = None
 
     def _advance(self, n, alpha):
-        prev, t = self.t[n - 1], self.t[n]
+        window = self.t.shape[0]
+        prev, t = self.t[(n - 1) % window], self.t[n % window]
         np.multiply(self.diag, prev, out=t)
         t[1:] += self.couple * prev[:-1]
         t[:-1] += self.couple * prev[1:]
         t[self.first] += self.weight * alpha[n - 1]
 
 
+# a run whose band coordinates wrap the window twice, with N + 1 = 150 not a
+# multiple of the window
+WRAPS = 2 * _WINDOW + 21
+
+
 def test_certified_band_steps_as_one_coupling(recurrence_problem):
     # a certified band has lower = upper = beta: the same arithmetic, bit for
-    # bit, as the single coupling array it replaces
+    # bit, as the single coupling array it replaces, also where the run wraps
+    # the window of band coordinates
     _, cs = recurrence_problem
-    n_steps = MULTI_BLOCK
-    seq = transients_for_all_nodes(cs, transient_horizon(n_steps))
     rng = np.random.default_rng(46)
     alpha0, alpha1 = rng.standard_normal((2, cs.Q.shape[1]))
-    got = localized_gfem_solve(cs, seq, _pulse, n_steps, alpha0, alpha1)
+    for n_steps in (MULTI_BLOCK, WRAPS):
+        seq = transients_for_all_nodes(cs, transient_horizon(n_steps))
+        got = localized_gfem_solve(cs, seq, _pulse, n_steps, alpha0, alpha1)
+        grid = TimeGrid(cs.forms.tau, n_steps)
+        want = _gfem_steps(*_multiscale(cs), _pulse, grid, (alpha0, alpha1),
+                           _CoupledRecurrence(cs, seq, grid))
+        np.testing.assert_array_equal(got.states, want.states)
+        np.testing.assert_array_equal(got.alpha, want.alpha)
+
+
+class _SingleFill(_Recurrence):
+    """The recurrence as it filled the fine states before the window: the
+    band coordinates of every step kept, t[n] = t^n, and the states filled
+    once after the loop, one product per node."""
+
+    def __init__(self, correctors, bands, grid):
+        super().__init__(correctors, bands, grid)
+        self.t = np.zeros((grid.n_steps + 1, self.t.shape[1]))
+
+    def _advance(self, n, alpha):
+        prev, t = self.t[n - 1], self.t[n]
+        np.multiply(self.diag, prev, out=t)
+        t[1:] += self.lower * prev[:-1]
+        t[:-1] += self.upper * prev[1:]
+        t[self.first] += self.weight * alpha[n - 1]
+
+    def memory(self, n, alpha):
+        if n >= 3:
+            self._advance(n - 1, alpha)
+        return self.A_ms @ alpha[n - 1] + self.G @ self.t[n - 1]
+
+    def states(self, alpha):
+        n_steps = alpha.shape[0] - 1
+        self._advance(n_steps, alpha)
+        states = self.Q @ alpha.T
+        for dofs, R, span in self.items:
+            states[dofs, 2:] += R.T @ self.t[2:, span].T
+        return np.ascontiguousarray(states.T)
+
+
+def _bands(seq):
+    """The node bands localized_gfem_solve steps certified sequences as."""
+    return [(tc.dofs, tc.xi, tc.alpha, tc.beta, tc.beta, tc.norm1)
+            for _, tc in sorted(seq.items())]
+
+
+@pytest.fixture(scope="module")
+def wrapping_sequences(recurrence_problem):
+    _, cs = recurrence_problem
+    return transients_for_all_nodes(cs, transient_horizon(WRAPS))
+
+
+# N + 1 = 3 (the shortest grid), below the window, one window, two windows,
+# and a last window cut short
+@pytest.mark.parametrize("n_steps", [2, _WINDOW // 2, _WINDOW - 1, 2 * _WINDOW - 1,
+                                     WRAPS],
+                         ids=["two-steps", "below", "one-window", "two-windows", "cut"])
+def test_window_fills_the_states_of_the_single_fill(recurrence_problem,
+                                                     wrapping_sequences, n_steps):
+    # the window keeps min(_WINDOW, N + 1) steps of band coordinates and fills
+    # the states during the loop; only the blocking of the fill products moves
+    # the states, and the coefficients are the same
+    _, cs = recurrence_problem
+    bands = _bands(wrapping_sequences)
+    rng = np.random.default_rng(47)
+    alpha0, alpha1 = rng.standard_normal((2, cs.Q.shape[1]))
     grid = TimeGrid(cs.forms.tau, n_steps)
+    hook = _Recurrence(cs, bands, grid)
+    got = _gfem_steps(*_multiscale(cs), _pulse, grid, (alpha0, alpha1), hook)
+    assert hook.t.shape[0] == min(_WINDOW, n_steps + 1)
     want = _gfem_steps(*_multiscale(cs), _pulse, grid, (alpha0, alpha1),
-                       _CoupledRecurrence(cs, seq, grid))
-    np.testing.assert_array_equal(got.states, want.states)
+                       _SingleFill(cs, bands, grid))
     np.testing.assert_array_equal(got.alpha, want.alpha)
+    assert np.linalg.norm(got.states - want.states) <= 1e-13 * np.linalg.norm(want.states)
+
+
+def test_recurrence_couples_through_the_dense_product(recurrence_problem):
+    # G is gathered node by node from the sparse Q^T K_A; its columns are those
+    # of the dense product
+    _, cs = recurrence_problem
+    seq = transients_for_all_nodes(cs, 12)
+    hook = _Recurrence(cs, _bands(seq), TimeGrid(cs.forms.tau, 13))
+    QT_K_A = (cs.Q.T @ cs.forms.K_A).toarray()
+    want = np.hstack([QT_K_A[:, tc.dofs] @ tc.xi.T for _, tc in sorted(seq.items())])
+    assert np.linalg.norm(hook.G - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_localized_rejects_mixed_kinds(problem44, k2_44):
@@ -642,6 +727,52 @@ def test_error_norms_zero_for_identical(problem44):
     traj = fine_fem_solve(problem44.forms, 1.0, zeros, zeros, 4)
     assert rel_h1_final(problem44.forms, traj, traj) == 0.0
     assert rel_l2h1(problem44.forms, traj, traj) == 0.0
+
+
+@pytest.mark.parametrize("case", ["longer", "half-step"])
+@pytest.mark.parametrize("norm", [rel_h1_final, rel_l2h1], ids=["final", "l2h1"])
+def test_error_norms_reject_another_time_grid(problem44, norm, case):
+    # a 10-step run against a 20-step reference compared the states of two
+    # different times, and the same states on half the step read 0
+    forms = problem44.forms
+    zeros = np.zeros(problem44.n_fine_dofs)
+    run = fine_fem_solve(forms, 1.0, zeros, zeros, 10)
+    reference = (fine_fem_solve(forms, 1.0, zeros, zeros, 20) if case == "longer"
+                 else Trajectory(TimeGrid(forms.tau / 2, 10), run.states))
+    with pytest.raises(ValueError, match="steps on"):
+        norm(forms, run, reference)
+
+
+class _OneProduct(_PerStep):
+    """_PerStep as it added Q alpha to the states, one product of all steps."""
+
+    def states(self, alpha):
+        self.w += (self.Q @ alpha.T).T
+        return self.w
+
+
+class _GlobalOneProduct(_GlobalSaddle):
+    states = _OneProduct.states
+
+
+def test_per_step_adds_the_coarse_part_in_blocks(problem44, initial_data):
+    # Q alpha, added _WINDOW steps at a time, gives the states of one product
+    # over all steps, for the sparse basis of the coarse FEM and the dense
+    # basis of the ideal method
+    forms = problem44.forms
+    grid = TimeGrid(forms.tau, WRAPS)
+    P = prolongation(forms.pair)
+    grams = [(P.T @ mat @ P).toarray() for mat in (forms.M, forms.K_A, forms.K_B)]
+    fem = [_gfem_steps(P, *grams, forms, _pulse, grid, tuple(initial_data), hook)
+           for hook in (None, _OneProduct(P, forms, grid))]
+    ideal = []
+    for cls in (_GlobalSaddle, _GlobalOneProduct):
+        hook = cls(forms, grid)
+        ideal.append(_gfem_steps(*_multiscale(hook), _pulse, grid, tuple(initial_data),
+                                 hook))
+    for got, want in (fem, ideal):
+        np.testing.assert_array_equal(got.alpha, want.alpha)
+        assert np.linalg.norm(got.states - want.states) <= 1e-14 * np.linalg.norm(want.states)
 
 
 def test_every_solver_steps_at_forms_tau(problem44):
