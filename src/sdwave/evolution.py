@@ -137,18 +137,17 @@ class _PerStep(_StepOn):
         return self.QT @ fine
 
     def states(self, alpha):
-        for lo in range(0, alpha.shape[0], _WINDOW):
-            self.w[lo:lo + _WINDOW] += (self.Q @ alpha[lo:lo + _WINDOW].T).T
+        for lo in range(0, alpha.shape[0], _BLOCK):
+            self.w[lo:lo + _BLOCK] += (self.Q @ alpha[lo:lo + _BLOCK].T).T
         return self.w
 
 
 # steps per block of the superposition's memory term, which reads Gamma once
-# per block, and of the error norms, which take one sparse product per block
-# to bound their temporaries
+# per block, and of the error norms and _PerStep's Q alpha, which take one
+# product per block to bound their temporaries
 _BLOCK = 16
 
-# steps of band coordinates that _Recurrence keeps, and steps per block in
-# which it and _PerStep add Q alpha to the fine states
+# steps of band coordinates that _Recurrence keeps
 _WINDOW = 64
 
 
@@ -280,13 +279,12 @@ class _Recurrence(_StepOn):
         # no coupling crosses a node boundary
         self.lower, self.upper = np.concatenate(lower)[:-1], np.concatenate(upper)[:-1]
         self.lower[ends[:-1] - 1] = self.upper[ends[:-1] - 1] = 0.0
-        # the columns of each node are gathered from one sparse product
-        QT_K_A = (self.Q.T @ correctors.forms.K_A).tocsc()
+        QT_K_A = (self.Q.T @ correctors.forms.K_A).toarray()
         self.G = np.empty((self.Q.shape[1], ends[-1]))
         self.items = [(d, R, slice(end - R.shape[0], end))
                       for d, R, end in zip(dofs, rows, ends)]
         for d, R, span in self.items:
-            self.G[:, span] = QT_K_A[:, d].toarray() @ R.T
+            self.G[:, span] = QT_K_A[:, d] @ R.T
         # t[n % window] = t^n; t^0 and t^1 stay zero
         self.t = np.zeros((min(_WINDOW, grid.n_steps + 1), ends[-1]))
 

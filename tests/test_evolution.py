@@ -631,17 +631,6 @@ def test_window_fills_the_states_of_the_single_fill(recurrence_problem,
     assert np.linalg.norm(got.states - want.states) <= 1e-13 * np.linalg.norm(want.states)
 
 
-def test_recurrence_couples_through_the_dense_product(recurrence_problem):
-    # G is gathered node by node from the sparse Q^T K_A; its columns are those
-    # of the dense product
-    _, cs = recurrence_problem
-    seq = transients_for_all_nodes(cs, 12)
-    hook = _Recurrence(cs, _bands(seq), TimeGrid(cs.forms.tau, 13))
-    QT_K_A = (cs.Q.T @ cs.forms.K_A).toarray()
-    want = np.hstack([QT_K_A[:, tc.dofs] @ tc.xi.T for _, tc in sorted(seq.items())])
-    assert np.linalg.norm(hook.G - want) <= 1e-14 * np.linalg.norm(want)
-
-
 def test_localized_rejects_mixed_kinds(problem44, k2_44):
     n_steps = 6
     seq = transients_for_all_nodes(k2_44, transient_horizon(n_steps))
@@ -756,9 +745,9 @@ class _GlobalOneProduct(_GlobalSaddle):
 
 
 def test_per_step_adds_the_coarse_part_in_blocks(problem44, initial_data):
-    # Q alpha, added _WINDOW steps at a time, gives the states of one product
+    # Q alpha, added _BLOCK steps at a time, gives the states of one product
     # over all steps, for the sparse basis of the coarse FEM and the dense
-    # basis of the ideal method
+    # basis of the ideal method; WRAPS + 1 steps are no multiple of _BLOCK
     forms = problem44.forms
     grid = TimeGrid(forms.tau, WRAPS)
     P = prolongation(forms.pair)
