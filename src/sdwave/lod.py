@@ -28,7 +28,7 @@ CERTIFY_TOL = 1e-11
 GENERATORS = ("lanczos", "power")
 
 # the version of how the cached arrays are computed and stored
-CACHE_FORMAT = 5
+CACHE_FORMAT = 6
 
 
 @dataclass(frozen=True)
@@ -295,6 +295,12 @@ class TransientCorrectors:
         return (self.norm1 * powers).T @ self.xi
 
 
+def _node_dofs(pair, x_dof, k):
+    """The fine dofs of coarse node x_dof's patch of size k, on which its
+    correction sequence lives."""
+    return patch_fine_dofs(pair, node_patch(pair.coarse, pair.coarse.interior_nodes[x_dof], k))
+
+
 def transient_patch(correctors, x_dof, Q_csc=None):
     """The Patch of coarse node x_dof and the first right-hand side
     (K_A q_x)[patch.dofs] of its fine-scale correction sequence.
@@ -302,10 +308,7 @@ def transient_patch(correctors, x_dof, Q_csc=None):
     Q_csc is correctors.Q in CSC, made once by callers that build many nodes.
     """
     forms, config = correctors.forms, correctors.config
-    pair = forms.pair
-    vertex = pair.coarse.interior_nodes[x_dof]
-    patch = Patch(forms, patch_fine_dofs(pair, node_patch(pair.coarse, vertex, config.k)),
-                  config.form_choice)
+    patch = Patch(forms, _node_dofs(forms.pair, x_dof, config.k), config.form_choice)
     Q = correctors.Q.tocsc() if Q_csc is None else Q_csc
     span = slice(Q.indptr[x_dof], Q.indptr[x_dof + 1])
     q_x = np.zeros(Q.shape[0])
@@ -368,6 +371,20 @@ def _certified_bound(alpha, beta, horizon):
     return float(beta[-1] * np.abs(powers[-1]).sum())
 
 
+def _shortest_certified(alpha, beta, horizon, bound):
+    """(M', its bound) for the Lanczos basis of M = alpha.size rows and
+    bound `bound`: scanned back from M, the shortest prefix whose bound is
+    still at most CERTIFY_TOL. The prefix of M' rows is the basis after step
+    M', with the remainder norm beta[M' - 1]."""
+    M = alpha.size
+    while M > 1:
+        shorter = _certified_bound(alpha[:M - 1], beta[:M - 1], horizon)
+        if shorter > CERTIFY_TOL:
+            break
+        M, bound = M - 1, shorter
+    return M, bound
+
+
 def _lanczos(patch, first, horizon):
     """The Lanczos basis, in the K_tilde product, of G = (K_tilde on the
     interpolation kernel)^-1 K_A from xi^1, the checked solve of first.
@@ -383,12 +400,14 @@ def _lanczos(patch, first, horizon):
 
     Each step is one saddle solve of K_A z_M; its remainder is
     reorthogonalized against Z twice, projected onto the kernel and
-    normalized. The basis ends at the first M tried whose bound is at most
+    normalized. The steps end at the first M tried whose bound is at most
     CERTIFY_TOL; at M = horizon, where the bound vanishes; or once the remainder
     falls below _INVARIANT_TOL times ||G z_M||, where the Krylov space is
     invariant. The bound falls about geometrically in M, so the next M tried
     is where the last two tries extrapolate to CERTIFY_TOL, at most _BOUND_EVERY
-    steps on (the first try is at M = _BOUND_EVERY). The steps' solves are
+    steps on (the first try is at M = _BOUND_EVERY). The basis returned is
+    then the shortest prefix whose bound is still at most CERTIFY_TOL
+    (_shortest_certified), so the cut adds no solve. The steps' solves are
     those of linalg._CheckedSteps, like the power iterates', so a step whose
     bare solve misses its check is replayed through the checked solve.
     """
@@ -441,6 +460,7 @@ def _lanczos(patch, first, horizon):
             break
         # M stays, or goes back to just before a missed step, taken again
         M = resume - 1
+    M, bound = _shortest_certified(alpha[:M], beta[:M], horizon, bound)
     # copies, so that the horizon-long scratch arrays are freed
     return (norm1, Z[:M].copy(), alpha[:M].copy(), beta[:M].copy(), bound,
             1 + steps.solves)
@@ -535,12 +555,12 @@ def cache_key(forms, config, horizon, generator="lanczos"):
 def save_corrector_cache(cache_dir, key, correctors, transients=None):
     """Write the corrector set, and the sequences if given, under key.
 
-    The nodes' dofs are stored as one array, concatenated in node order,
-    with the count of each node. Power iterates are stored as their members,
-    one entry per node. Certified sequences are stored in their Lanczos form:
-    the rows Z of each node, and one array each of the nodes' alpha and beta,
-    concatenated in node order, and of their horizons, norm1 and certified
-    bounds.
+    The sequences are stored by node, in ascending order: the nodes, and
+    each node's rows (its members, or the Lanczos basis Z) in one entry,
+    flattened and concatenated, with one count of rows per node. The nodes'
+    dofs are not stored: the key fixes them (_node_dofs). Certified sequences
+    also store one array each of the nodes' alpha and beta, concatenated,
+    and of their horizons, norm1 and certified bounds.
     """
     os.makedirs(cache_dir, exist_ok=True)
     Q = correctors.Q.tocsr()
@@ -554,20 +574,17 @@ def save_corrector_cache(cache_dir, key, correctors, transients=None):
         "Q_indptr": Q.indptr,
         "Q_shape": np.array(Q.shape),
     }
+    seqs = []
     if transients is not None:
         nodes = sorted(transients)
         seqs = [transients[d] for d in nodes]
-        payload["transient_dofs_list"] = np.array(nodes, dtype=np.int64)
-        payload["transient_dofs"] = np.concatenate([tc.dofs for tc in seqs]
-                                                   or [np.empty(0, dtype=np.int64)])
-        payload["transient_dof_counts"] = np.array([tc.dofs.size for tc in seqs],
-                                                   dtype=np.int64)
-        for d, tc in zip(nodes, seqs):
-            payload["xi_%d" % d] = tc.xi
         kinds = {tc.certified for tc in seqs}
         if len(kinds) > 1:
             raise ValueError("cannot cache certified sequences and power iterates "
                              "in one file")
+        payload["transient_nodes"] = np.array(nodes, dtype=np.int64)
+        payload["transient_row_counts"] = np.array([tc.xi.shape[0] for tc in seqs],
+                                                   dtype=np.int64)
         if kinds == {True}:
             payload["transient_horizon"] = np.array([tc.horizon for tc in seqs],
                                                     dtype=np.int64)
@@ -577,23 +594,42 @@ def save_corrector_cache(cache_dir, key, correctors, transients=None):
             payload["transient_beta"] = np.concatenate([tc.beta for tc in seqs])
     path = os.path.join(cache_dir, key + ".npz")
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        np.savez(fh, **payload)
+    # the layout of np.savez: one .npy entry per array, stored uncompressed
+    with open(tmp, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
+        for name, array in payload.items():
+            with archive.open(name + ".npy", "w", force_zip64=True) as entry:
+                np.lib.format.write_array(entry, array, allow_pickle=False)
+        if transients is not None:
+            _write_rows(archive, "transient_rows.npy", [tc.xi for tc in seqs])
     os.replace(tmp, path)
     return path
+
+
+def _write_rows(archive, name, blocks):
+    """One 1-D float entry of the blocks, each flattened, in order: one
+    header, then each block's bytes, so no concatenated copy is made."""
+    blocks = [np.ascontiguousarray(block, dtype=np.float64) for block in blocks]
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+              "fortran_order": False, "shape": (sum(block.size for block in blocks),)}
+    with archive.open(name, "w", force_zip64=True) as entry:
+        np.lib.format.write_array_header_1_0(entry, header)
+        for block in blocks:
+            entry.write(memoryview(block).cast("B"))
 
 
 def load_corrector_cache(cache_dir, key, forms, config):
     """(correctors, transients or None) stored under key, or None on a miss.
 
     key must be the cache_key built from forms and config, which the file
-    does not repeat; the loaded set carries forms. A file that was written
-    under another key, cannot be read in full (corrupt, truncated), holds a Q
-    that is not fine dofs x coarse dofs or an M_ms, A_ms or B_ms that is not
-    a finite float coarse x coarse array, or holds node dof counts that do
-    not split its dofs, or a sequence whose rows do not fit its node's dofs
-    or its tridiagonal is a miss; the checks are not asserts, so they hold
-    under python -O.
+    does not repeat; the loaded set carries forms, and each sequence the
+    dofs of its node's patch (_node_dofs). A file is a miss where it was
+    written under another key; cannot be read in full (corrupt, truncated);
+    holds a Q that is not fine dofs x coarse dofs, or an M_ms, A_ms or B_ms
+    that is not a finite float coarse x coarse array; holds nodes that are
+    not ascending coarse dofs, or row counts that do not split its rows into
+    blocks of the nodes' dofs; or holds rows or a Lanczos form that is not
+    finite or does not fit the counts. The checks are not asserts, so they
+    hold under python -O.
     """
     path = os.path.join(cache_dir, key + ".npz")
     if not os.path.exists(path):
@@ -614,7 +650,7 @@ def load_corrector_cache(cache_dir, key, forms, config):
                 return None
             correctors = CorrectorSet(config, forms, Q, *grams)
             transients = None
-            if "transient_dofs_list" in data:
+            if "transient_nodes" in data:
                 transients = _load_transients(data, correctors)
                 if transients is None:
                     return None
@@ -623,36 +659,45 @@ def load_corrector_cache(cache_dir, key, forms, config):
     return correctors, transients
 
 
+def _finite_floats(array):
+    """Whether array is float64 with finite entries only."""
+    return array.dtype == np.float64 and bool(np.isfinite(array).all())
+
+
 def _load_transients(data, correctors):
-    """The sequences of an open cache file, or None where the stored counts
-    do not split the stored dofs, or the stored rows do not fit their node's
-    dofs or the stored tridiagonals."""
-    nodes = [int(d) for d in data["transient_dofs_list"]]
-    all_dofs, counts = data["transient_dofs"], data["transient_dof_counts"]
-    if not (all_dofs.ndim == 1 and counts.shape == (len(nodes),)
+    """The sequences of an open cache file, each node's rows a view of the
+    one rows entry, or None where the file does not fit (load_corrector_cache)."""
+    pair, k = correctors.forms.pair, correctors.config.k
+    nodes, counts = data["transient_nodes"], data["transient_row_counts"]
+    if not (nodes.ndim == 1 and counts.shape == nodes.shape
+            and np.issubdtype(nodes.dtype, np.integer)
             and np.issubdtype(counts.dtype, np.integer) and np.all(counts >= 0)
-            and counts.sum() == all_dofs.size):
+            and np.all(np.diff(nodes) > 0)
+            and (nodes.size == 0 or (nodes[0] >= 0 and nodes[-1] < pair.coarse.n_dofs))):
         return None
-    rows = {}
-    for d, dofs in zip(nodes, np.split(all_dofs, np.cumsum(counts)[:-1])):
-        xi = data["xi_%d" % d]
-        if xi.ndim != 2 or xi.shape[1] != dofs.size:
-            return None
-        rows[d] = (dofs, xi)
+    dofs = [_node_dofs(pair, d, k) for d in nodes]
+    sizes = counts * np.array([node_dofs.size for node_dofs in dofs], dtype=np.int64)
+    rows = data["transient_rows"]
+    if not (rows.ndim == 1 and rows.size == sizes.sum() and _finite_floats(rows)):
+        return None
+    ends = np.cumsum(sizes)
+    xis = [rows[end - size:end].reshape(count, node_dofs.size)
+           for end, size, count, node_dofs in zip(ends, sizes, counts, dofs)]
     if "transient_norm1" not in data:
-        return {d: TransientCorrectors(dofs, xi, correctors)
-                for d, (dofs, xi) in rows.items()}
+        return {int(d): TransientCorrectors(dofs[i], xis[i], correctors)
+                for i, d in enumerate(nodes)}
     horizons, norms, bounds, alphas, betas = (data["transient_" + name] for name in (
         "horizon", "norm1", "bound", "alpha", "beta"))
-    total = sum(xi.shape[0] for _, xi in rows.values())
-    if not (horizons.shape == norms.shape == bounds.shape == (len(nodes),)
-            and alphas.shape == betas.shape == (total,)):
+    if not (horizons.shape == norms.shape == bounds.shape == nodes.shape
+            and alphas.shape == betas.shape == (counts.sum(),)
+            and all(_finite_floats(a) for a in (norms, bounds, alphas, betas))):
         return None
     transients = {}
     end = 0
-    for i, (d, (dofs, xi)) in enumerate(rows.items()):
-        start, end = end, end + xi.shape[0]
-        transients[d] = TransientCorrectors(dofs, xi, correctors, 0, float(bounds[i]),
-                                            alphas[start:end], betas[start:end],
-                                            float(norms[i]), int(horizons[i]))
+    for i, d in enumerate(nodes):
+        start, end = end, end + counts[i]
+        transients[int(d)] = TransientCorrectors(dofs[i], xis[i], correctors, 0,
+                                                 float(bounds[i]), alphas[start:end],
+                                                 betas[start:end], float(norms[i]),
+                                                 int(horizons[i]))
     return transients

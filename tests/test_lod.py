@@ -3,6 +3,7 @@ import dataclasses
 import shutil
 import tracemalloc
 import weakref
+import zipfile
 from functools import cached_property
 from pathlib import Path
 
@@ -624,6 +625,41 @@ def test_certified_bound_covers_the_true_error(lanczos_set, tol, monkeypatch):
                "node %d: error %.2e above the bound %.2e" % (x_dof, worst, certified.bound))
 
 
+def _uncut(monkeypatch):
+    # the basis of the step the loop stopped at, as kept before the cut
+    monkeypatch.setattr(lod, "_shortest_certified",
+                        lambda alpha, beta, horizon, bound: (alpha.size, bound))
+
+
+@pytest.mark.parametrize("horizon", [16, 400])
+def test_certified_basis_is_its_smallest_certified_prefix(lanczos_set, horizon,
+                                                          monkeypatch):
+    problem, cs = lanczos_set
+    cut = transients_for_all_nodes(cs, horizon)
+    with monkeypatch.context() as patched:
+        _uncut(patched)
+        uncut = transients_for_all_nodes(cs, horizon)
+    shorter = 0
+    for d, tc in cut.items():
+        rows = tc.xi.shape[0]
+        _check(tc.bound <= lod.CERTIFY_TOL, "node %d: bound %.2e" % (d, tc.bound))
+        _check(tc.bound == lod._certified_bound(tc.alpha, tc.beta, horizon),
+               "node %d: the bound is the prefix's own" % d)
+        if rows > 1:
+            one_less = lod._certified_bound(tc.alpha[:-1], tc.beta[:-1], horizon)
+            _check(one_less > lod.CERTIFY_TOL,
+                   "node %d: %d rows, one less is certified at %.2e" % (d, rows, one_less))
+        whole = uncut[d]
+        _check(rows <= whole.xi.shape[0] and tc.solves == whole.solves,
+               "node %d: the cut takes no step" % d)
+        for name in ("xi", "alpha", "beta"):
+            _check(getattr(tc, name).tobytes() == getattr(whole, name)[:rows].tobytes(),
+                   "node %d: %s is the leading part of the uncut basis" % (d, name))
+        _check(tc.norm1 == whole.norm1, "node %d: norm1" % d)
+        shorter += rows < whole.xi.shape[0]
+    _check(shorter > 0, "no basis was cut")
+
+
 def test_certified_members_meet_the_constraints(lanczos_set):
     problem, cs = lanczos_set
     for x_dof in _nodes(problem):
@@ -981,29 +1017,113 @@ def test_cache_with_members_that_do_not_fit_is_a_miss(tmp_path, problem44,
            "a file whose members do not fit was served")
 
 
-@pytest.mark.parametrize("counts", ["one-short", "one-over", "negative", "fewer-nodes"])
-def test_cache_whose_dof_counts_do_not_split_the_dofs_is_a_miss(tmp_path, problem44,
-                                                                certified_nodes, counts):
+def _as_members(seq):
+    # the members of certified sequences, stored as power iterates are
+    return {d: TransientCorrectors(tc.dofs, tc.members(), tc.correctors)
+            for d, tc in seq.items()}
+
+
+@pytest.mark.parametrize("kind", ["lanczos", "power"])
+@pytest.mark.parametrize("counts", ["one-short", "one-over", "negative", "moved",
+                                    "fewer-nodes"])
+def test_cache_whose_row_counts_do_not_split_the_rows_is_a_miss(tmp_path, problem44,
+                                                                certified_nodes, counts,
+                                                                kind):
+    # the rows of every node are one entry, cut into blocks of the node's
+    # dofs, which the key fixes; a power file has no tridiagonal to misfit
     cs, seq = certified_nodes
-    key = cache_key(problem44.forms, cs.config, 25)
-    path = save_corrector_cache(tmp_path, key, cs, seq)
+    key = cache_key(problem44.forms, cs.config, 25, kind)
+    path = save_corrector_cache(tmp_path, key, cs,
+                                seq if kind == "lanczos" else _as_members(seq))
     with np.load(path) as data:
         payload = dict(data)
-    stored = payload["transient_dof_counts"]
-    _check(stored.sum() == payload["transient_dofs"].size, "the saved counts split the dofs")
+    stored = payload["transient_row_counts"]
+    widths = np.array([seq[d].dofs.size for d in payload["transient_nodes"]])
+    _check(stored @ widths == payload["transient_rows"].size,
+           "the saved counts split the rows")
     if counts == "one-short":
         stored[-1] -= 1
     elif counts == "one-over":
         stored[0] += 1
     elif counts == "negative":
-        # the sum still fits
+        # the count of rows still fits
         stored[0] += stored[1] + 1
         stored[1] = -1
+    elif counts == "moved":
+        # so does the count of rows: a row moves to a node of another width
+        other = np.flatnonzero(widths != widths[0])[0]
+        stored[0] -= 1
+        stored[other] += 1
     else:
-        payload["transient_dof_counts"] = stored[1:]
+        payload["transient_row_counts"] = stored[1:]
     np.savez(path, **payload)
     _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
-           "a file whose dof counts do not split its dofs was served")
+           "a file whose row counts do not split its rows was served")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["xi", "alpha", "beta", "norm1", "bound"])
+def test_cache_with_a_non_finite_sequence_is_a_miss(tmp_path, problem44, certified_nodes,
+                                                    name, value):
+    # a NaN row was served, and the online stage failed on non-finite states
+    cs, seq = certified_nodes
+    x_dof = problem44.n_coarse_dofs // 2
+    tc = seq[x_dof]
+    spoiled = getattr(tc, name)
+    if isinstance(spoiled, np.ndarray):
+        spoiled = spoiled.copy()
+        spoiled.flat[spoiled.size // 2] = value
+    else:
+        spoiled = value
+    key = cache_key(problem44.forms, cs.config, 25)
+    save_corrector_cache(tmp_path, key, cs,
+                         {**seq, x_dof: dataclasses.replace(tc, **{name: spoiled})})
+    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
+           "a file with a non-finite %s was served" % name)
+    if name == "xi":
+        key = cache_key(problem44.forms, cs.config, 25, "power")
+        members = _as_members(seq)
+        members[x_dof].xi[0, 0] = value
+        save_corrector_cache(tmp_path, key, cs, members)
+        _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
+               "a file with a non-finite member was served")
+
+
+@pytest.mark.parametrize("kind", ["lanczos", "power"])
+def test_loaded_rows_are_views_of_one_entry(tmp_path, problem44, certified_nodes, kind):
+    cs, seq = certified_nodes
+    if kind == "power":
+        seq = _as_members(seq)
+    key = cache_key(problem44.forms, cs.config, 25, kind)
+    save_corrector_cache(tmp_path, key, cs, seq)
+    _, loaded = load_corrector_cache(tmp_path, key, problem44.forms, cs.config)
+    buffer = loaded[0].xi.base
+    _check(buffer is not None and buffer.ndim == 1
+           and buffer.size == sum(tc.xi.size for tc in seq.values()), "one rows entry")
+    for d, tc in loaded.items():
+        _check(np.shares_memory(tc.xi, buffer) and tc.xi.base is buffer,
+               "node %d: its rows are a view of the entry" % d)
+        _check(tc.xi.tobytes() == seq[d].xi.tobytes(), "node %d: its rows" % d)
+
+
+def test_loaded_dofs_are_derived_from_the_key(tmp_path, problem84, monkeypatch):
+    # the file stores no dofs: each node's are those of its patch, as built
+    cs = build_corrector_set(problem84.forms, CorrectorConfig(k=3))
+    seq = transients_for_all_nodes(cs, 3, generator="power")
+    key = cache_key(problem84.forms, cs.config, 3, "power")
+    path = save_corrector_cache(tmp_path, key, cs, seq)
+    with zipfile.ZipFile(path) as archive:
+        names = archive.namelist()
+    _check(not any("dofs" in name for name in names), "stored entries %s" % names)
+    _, loaded = load_corrector_cache(tmp_path, key, problem84.forms, cs.config)
+    _check(sorted(loaded) == list(range(problem84.n_coarse_dofs)), "every node")
+    for d, tc in seq.items():
+        _check(loaded[d].dofs.dtype == tc.dofs.dtype
+               and loaded[d].dofs.tobytes() == tc.dofs.tobytes(), "node %d: dofs" % d)
+    # the loader derives them: rows that do not fit the derived widths miss
+    monkeypatch.setattr(lod, "_node_dofs", lambda pair, x_dof, k: tc.dofs[:-1])
+    _check(load_corrector_cache(tmp_path, key, problem84.forms, cs.config) is None,
+           "rows served on dofs they do not fit")
 
 
 def test_cache_refuses_mixed_kinds(tmp_path, problem44, certified_nodes):
@@ -1074,8 +1194,9 @@ def _pinned_forms():
 # before the cache format and the generator were keyed, the next three of
 # format 2, which stored sequences cut short by a stop tolerance it hashed,
 # the next three of format 3, which stored the members of certified
-# sequences, the last three of format 4, which stored each node's dofs as
-# an entry of its own
+# sequences, the next three of format 4, which stored each node's dofs as
+# an entry of its own, the last three of format 5, which stored each node's
+# rows as an entry of its own, and the dofs the key fixes
 _OLD_FORMAT_KEYS = (
     "k2_a_plus_tau_b_83cb82afdb841db22410a0051edd26196a527870d92008061cf1786f89587295",
     "k3_a_only_902e923463c53ffa528ba8e907ef843a6ce9a0b7a99621cf97a57ae315aa22b7",
@@ -1088,6 +1209,9 @@ _OLD_FORMAT_KEYS = (
     "k2_a_plus_tau_b_72181747bb422d942816eaf674f1827eda3135a198793a97dff78860107a8c40",
     "k3_a_only_72c09d5d99cb54d7ac590f60671b16f51517b07634f283453e9b5936dc7f59b2",
     "k2_a_plus_tau_b_c5418bf262293458ad83ee0a6bf52d07c45115a4cc6f2948c9375adf9e8aa60e",
+    "k2_a_plus_tau_b_c15bb7864ad50aa2d342d467f8d41f9484f5ce209b52408213c0d33ccc11cca3",
+    "k3_a_only_4f8c4794cf4f8a6bb4c99eb46c866a185bfb5b1073dec0795d5d15fa5ad32a78",
+    "k2_a_plus_tau_b_cbbf73ebdb219c63910e6d4a1f79ac28a00f6045b3eb71949820e72b804a6e87",
 )
 
 
@@ -1098,9 +1222,9 @@ def test_cache_key_is_pinned():
             cache_key(forms, CorrectorConfig(k=3, form_choice="a_only"), 50),
             cache_key(forms, CorrectorConfig(k=2), 10, "power"))
     assert keys == (
-        "k2_a_plus_tau_b_c15bb7864ad50aa2d342d467f8d41f9484f5ce209b52408213c0d33ccc11cca3",
-        "k3_a_only_4f8c4794cf4f8a6bb4c99eb46c866a185bfb5b1073dec0795d5d15fa5ad32a78",
-        "k2_a_plus_tau_b_cbbf73ebdb219c63910e6d4a1f79ac28a00f6045b3eb71949820e72b804a6e87")
+        "k2_a_plus_tau_b_718a84c9c4e941c295623ddada746c63418ff8a075a756cb5d02576012e9d0ab",
+        "k3_a_only_a2cb7d2bc06dbd0cc8ff4651fa39ba852a43c1209024147509b51c4e91c34986",
+        "k2_a_plus_tau_b_8ffcd5d7330a4cefa3869f626c47f80f6863143509d657aa18b9b419ea46bf3e")
     assert not set(keys) & set(_OLD_FORMAT_KEYS)
 
 
