@@ -142,8 +142,7 @@ class _PerStep(_StepOn):
         return self.w
 
 
-# steps per block of the superposition's memory term, which reads Gamma once
-# per block, and of the error norms and _PerStep's Q alpha, which take one
+# steps per block of the error norms and of _PerStep's Q alpha, which take one
 # product per block to bound their temporaries
 _BLOCK = 16
 
@@ -186,78 +185,12 @@ class _GlobalSaddle(_PerStep):
         return self.steps.next(n, last=n == self.n_steps)
 
 
-class _Superposition(_StepOn):
-    """Fine-scale part superposed from stored per-node correction sequences,
-    w^n = sum_x sum_{l=1}^{n-1} alpha_x^{n-l} xi_x^l (alpha^0 never enters).
-
-    The coarse step sees w only through Q^T K_A w^{n-1}, so the loop runs on
-    the coarse memory matrices Gamma_l, column x = Q^T K_A xi_x^l, and the fine
-    states are filled once after it, one triangular Toeplitz product per node.
-    It reads the members xi^1 .. xi^{N-1} of each sequence, N = grid.n_steps.
-    """
-
-    def __init__(self, correctors, transients, grid):
-        Q = self.Q = correctors.Q
-        n_coarse = Q.shape[1]
-        horizon = transient_horizon(grid.n_steps)
-        self.items = [(x, tc.dofs, tc.xi[:horizon]) for x, tc in transients.items()]
-        # lag-major, gamma[l, x] = Gamma_l[:, x]; lag 0 is the coarse part A_ms,
-        # and step N reads the lags up to N - 2 from the memory matrices
-        lags = horizon - 1
-        self.gamma = np.zeros((lags + 1, n_coarse, n_coarse))
-        self.gamma[0] = correctors.A_ms.T
-        QT_K_A = (Q.T @ correctors.forms.K_A).toarray()
-        for x, dofs, xi in self.items:
-            self.gamma[1:, x] = xi[:lags] @ QT_K_A[:, dofs].T
-        # reverse time: row N - m holds alpha^m, so the lags 0, 1, ... of step n
-        # are consecutive rows; row N (alpha^0, which never enters) and the
-        # rows past it stay zero, so a window may run past alpha^1
-        self.n_steps = grid.n_steps
-        self.past = np.zeros((grid.n_steps + _BLOCK, n_coarse))
-        self.known = None
-
-    def memory(self, n, alpha):
-        n_coarse = self.past.shape[1]
-        row = self.n_steps - (n - 1)
-        self.past[row] = alpha[n - 1]
-        lags = self.gamma.shape[0]
-        gamma = self.gamma.reshape(-1, n_coarse)
-        j = (n - 2) % _BLOCK
-        if j == 0:
-            # one product gives steps n .. n + b - 1 every term whose alpha is
-            # known now: the window of step n + i starts i rows early, on rows
-            # of alphas still to come, which read zero
-            b = min(_BLOCK, self.n_steps - n + 1)
-            terms = min(n + b - 2, lags)
-            flat = self.past.ravel()
-            windows = np.stack([flat[(row - i) * n_coarse:(row - i + terms) * n_coarse]
-                                for i in range(b)])
-            self.known = windows @ gamma[:terms * n_coarse]
-        # the lags inside the block, alpha^{n-1} .. alpha^{n-j}
-        inner = min(j, lags)
-        return (self.known[j]
-                + gamma[:inner * n_coarse].T @ self.past[row:row + inner].ravel())
-
-    def states(self, alpha):
-        self.gamma = self.past = self.known = None
-        # time runs along the rows of one fine dof, so a node adds contiguous runs
-        states = self.Q @ alpha.T
-        n_steps = alpha.shape[0] - 1
-        for x, dofs, xi in self.items:
-            # row i, column l - 1: the weight alpha_x^{i+2-l} of xi^l in w^{i+2};
-            # T is lower triangular
-            weights = scipy.linalg.toeplitz(alpha[1:n_steps, x], np.zeros(n_steps - 1))
-            # xi^T T^T = (T xi)^T, with xi^T and T^T the Fortran views of xi and T
-            states[dofs, 2:] += scipy.linalg.blas.dtrmm(1.0, weights.T, xi.T,
-                                                        side=1, lower=0)
-        return np.ascontiguousarray(states.T)
-
-
 class _Recurrence(_StepOn):
     """Fine-scale part of sequences given as node bands (dofs, R, diag, lower,
     upper, w), stepped in band coordinates: w^n = sum_x R_x^T t_x^n, where
     t_x^{n+1} = T_x t_x^n + w_x alpha_x^n e_1 and t^1 = 0, which is the
-    superposition of _Superposition over the members w_x R_x^T T_x^{l-1} e_1.
+    superposition w^n = sum_x sum_{l=1}^{n-1} alpha_x^{n-l} xi_x^l of the
+    members xi_x^l = w_x R_x^T T_x^{l-1} e_1 (alpha^0 never enters).
     T_x is tridiagonal: diag, lower[i] from row i into row i + 1 and upper[i]
     from row i + 1 into row i; each last entry couples to no row.
 
@@ -380,17 +313,22 @@ def _check_transients(correctors, transients, n_steps):
 def localized_gfem_solve(correctors, transients, f, n_steps, alpha0, alpha1):
     """Localized GFEM: the fine-scale part is the superposition of the
     per-node correction sequences (see _check_transients) weighted by the
-    coarse coefficient history. Certified sequences run through _Recurrence,
-    each as the band (dofs, Z, alpha, beta, beta, norm1), stored members (the
-    power iterates) through _Superposition; a mix of the two is rejected."""
+    coarse coefficient history, stepped by _Recurrence. A certified sequence
+    runs as the band (dofs, Z, alpha, beta, beta, norm1); stored members (the
+    power iterates) xi^1 .. xi^h, h = transient_horizon(n_steps), run as a
+    shift register, the band (dofs, xi[:h], 0, 1, 0, 1) whose lower couplings
+    carry row i into row i + 1, so that member l is exactly xi^l. A mix of
+    the two kinds is rejected."""
     grid = _check_transients(correctors, transients, n_steps)
     kinds = {tc.certified for tc in transients.values()}
     if len(kinds) > 1:
         raise ValueError("transients mix certified sequences and stored members")
-    hook = (_Recurrence(correctors, [(tc.dofs, tc.xi, tc.alpha, tc.beta, tc.beta, tc.norm1)
-                                     for _, tc in sorted(transients.items())], grid)
-            if kinds == {True} else _Superposition(correctors, transients, grid))
-    return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1), hook)
+    h = transient_horizon(n_steps)
+    bands = [(tc.dofs, tc.xi, tc.alpha, tc.beta, tc.beta, tc.norm1) if tc.certified
+             else (tc.dofs, tc.xi[:h], np.zeros(h), np.ones(h), np.zeros(h), 1.0)
+             for _, tc in sorted(transients.items())]
+    return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
+                       _Recurrence(correctors, bands, grid))
 
 
 def localized_gfem_solve_direct(correctors, f, n_steps, alpha0, alpha1):

@@ -626,10 +626,11 @@ def load_corrector_cache(cache_dir, key, forms, config):
     written under another key; cannot be read in full (corrupt, truncated);
     holds a Q that is not fine dofs x coarse dofs, or an M_ms, A_ms or B_ms
     that is not a finite float coarse x coarse array; holds nodes that are
-    not ascending coarse dofs, or row counts that do not split its rows into
-    blocks of the nodes' dofs; or holds rows or a Lanczos form that is not
-    finite or does not fit the counts. The checks are not asserts, so they
-    hold under python -O.
+    not ascending coarse dofs, or row counts that are not positive or do not
+    split its rows into blocks of the nodes' dofs (every sequence keeps at
+    least one row: a Lanczos basis its first, power iterates their horizon
+    >= 1); or holds rows or a Lanczos form that is not finite or does not
+    fit the counts. The checks are not asserts, so they hold under python -O.
     """
     path = os.path.join(cache_dir, key + ".npz")
     if not os.path.exists(path):
@@ -671,7 +672,7 @@ def _load_transients(data, correctors):
     nodes, counts = data["transient_nodes"], data["transient_row_counts"]
     if not (nodes.ndim == 1 and counts.shape == nodes.shape
             and np.issubdtype(nodes.dtype, np.integer)
-            and np.issubdtype(counts.dtype, np.integer) and np.all(counts >= 0)
+            and np.issubdtype(counts.dtype, np.integer) and np.all(counts >= 1)
             and np.all(np.diff(nodes) > 0)
             and (nodes.size == 0 or (nodes[0] >= 0 and nodes[-1] < pair.coarse.n_dofs))):
         return None

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
+import scipy.linalg
 
-from sdwave.assembly import DiscreteForms
+from sdwave.assembly import DiscreteForms, assemble_load
 from sdwave.harness import random_field
 from sdwave.lod import CorrectorConfig, build_corrector_set
 from sdwave.mesh import Mesh, NestedMeshPair
@@ -64,3 +66,30 @@ def foreign_k2_44(request, problem44):
     else:
         forms = DiscreteForms(p.pair, p.field_b, p.field_a, p.tau)
     return build_corrector_set(forms, CorrectorConfig(k=2))
+
+
+def _per_step_superposition(correctors, transients, forms, f, n_steps, alpha0, alpha1):
+    """Oracle for localized_gfem_solve: the fine-scale part re-summed from the
+    members of every sequence in every step, w^n = sum_x sum_{l=1}^{n-1}
+    alpha_x^{n-l} xi_x^l, and fed back through Q^T K_A u^{n-1}."""
+    members = {x: tc.members(n_steps - 1) for x, tc in transients.items()}
+    tau = forms.tau
+    Q = correctors.Q
+    lhs = scipy.linalg.lu_factor(correctors.M_ms / tau + correctors.A_ms
+                                 + tau * correctors.B_ms)
+    alpha = np.zeros((n_steps + 1, Q.shape[1]))
+    alpha[0] = alpha0
+    alpha[1] = alpha1
+    states = np.zeros((n_steps + 1, forms.fine.n_dofs))
+    states[0] = Q @ alpha0
+    states[1] = Q @ alpha1
+    for n in range(2, n_steps + 1):
+        rhs = (tau * (Q.T @ assemble_load(forms.fine, f, n * tau))
+               + Q.T @ (forms.K_A @ states[n - 1])
+               + correctors.M_ms @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau)
+        alpha[n] = scipy.linalg.lu_solve(lhs, rhs)
+        states[n] = Q @ alpha[n]
+        lags = np.arange(1, n)
+        for x, tc in transients.items():
+            states[n, tc.dofs] += members[x][lags - 1].T @ alpha[n - lags, x]
+    return alpha, states

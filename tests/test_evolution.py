@@ -2,10 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from sdwave import linalg, lod
-from sdwave.assembly import DiscreteForms, assemble_load, h1_norms
+from sdwave.assembly import DiscreteForms, h1_norms
 from sdwave.evolution import (_BLOCK, _WINDOW, TimeGrid, Trajectory, _GlobalSaddle,
                               _gfem_steps, _multiscale, _PerStep, _Recurrence,
                               aux_fine_solve, aux_gfem_solve,
@@ -18,6 +17,8 @@ from sdwave.linalg import InaccurateSolveError, SingularSystemError, factor_sadd
 from sdwave.lod import (CorrectorConfig, TransientCorrectors, build_corrector_set,
                         transients_for_all_nodes)
 from sdwave.mesh import Mesh, NestedMeshPair, prolongation, saturating_k
+
+from conftest import _per_step_superposition
 
 TAU = 0.02
 
@@ -158,33 +159,6 @@ def test_error_norms_equal_per_state_h1_norms(problem44):
     assert h1_norms(forms, [reference.states[3]])[0] == norm(reference.states[3])
 
 
-def _per_step_superposition(correctors, transients, forms, f, n_steps, alpha0, alpha1):
-    """Oracle for localized_gfem_solve: the fine-scale part re-summed from the
-    members of every sequence in every step, w^n = sum_x sum_{l=1}^{n-1}
-    alpha_x^{n-l} xi_x^l, and fed back through Q^T K_A u^{n-1}."""
-    members = {x: tc.members(n_steps - 1) for x, tc in transients.items()}
-    tau = forms.tau
-    Q = correctors.Q
-    lhs = scipy.linalg.lu_factor(correctors.M_ms / tau + correctors.A_ms
-                                 + tau * correctors.B_ms)
-    alpha = np.zeros((n_steps + 1, Q.shape[1]))
-    alpha[0] = alpha0
-    alpha[1] = alpha1
-    states = np.zeros((n_steps + 1, forms.fine.n_dofs))
-    states[0] = Q @ alpha0
-    states[1] = Q @ alpha1
-    for n in range(2, n_steps + 1):
-        rhs = (tau * (Q.T @ assemble_load(forms.fine, f, n * tau))
-               + Q.T @ (forms.K_A @ states[n - 1])
-               + correctors.M_ms @ (2.0 * alpha[n - 1] - alpha[n - 2]) / tau)
-        alpha[n] = scipy.linalg.lu_solve(lhs, rhs)
-        states[n] = Q @ alpha[n]
-        lags = np.arange(1, n)
-        for x, tc in transients.items():
-            states[n, tc.dofs] += members[x][lags - 1].T @ alpha[n - lags, x]
-    return alpha, states
-
-
 def _pulse(x, y, t):
     return np.sin(20.0 * t) * (1.0 + x * y)
 
@@ -193,27 +167,46 @@ def _pulse(x, y, t):
 # memory term (evolution._BLOCK, of the same size), and a remainder
 MULTI_BLOCK = 2 * linalg._BLOCK + 5
 
+# a run whose band coordinates wrap the window twice, with N + 1 = 150 not a
+# multiple of the window
+WRAPS = 2 * _WINDOW + 21
 
-@pytest.mark.parametrize("n_steps, horizon, f, data", [
-    (12, 20, 1.0, False),           # sequences longer than the time grid
-    (12, 12, _pulse, False),        # time-dependent source
-    (12, 12, 1.0, True),            # nonzero initial data
-    (MULTI_BLOCK, MULTI_BLOCK + 8, 1.0, False),
-    (MULTI_BLOCK, MULTI_BLOCK + 8, 1.0, True),
-    (MULTI_BLOCK, MULTI_BLOCK + 8, _pulse, True),
-    (2, 12, 1.0, True),             # the one step of the shortest grid
+
+@pytest.mark.parametrize("n_steps, horizon, f, data, zero", [
+    (12, 20, 1.0, False, False),            # sequences longer than the time grid
+    (12, 12, _pulse, False, False),         # time-dependent source
+    (12, 12, 1.0, True, False),             # nonzero initial data
+    (MULTI_BLOCK, MULTI_BLOCK + 8, 1.0, False, False),
+    (MULTI_BLOCK, MULTI_BLOCK + 8, 1.0, True, False),
+    (MULTI_BLOCK, MULTI_BLOCK + 8, _pulse, True, False),
+    (2, 12, 1.0, True, False),              # the one step of the shortest grid
+    (WRAPS, WRAPS - 1, _pulse, True, False),
+    (MULTI_BLOCK, MULTI_BLOCK, _pulse, True, True),
 ], ids=["long-sequences", "time-dependent-f", "initial-data", "multi-block",
-        "multi-block-initial-data", "multi-block-long-sequences", "two-steps"])
-def test_localized_matches_per_step_superposition(problem44, k2_44, n_steps, horizon,
-                                                  f, data):
-    # both hooks: the recurrence of the certified sequences and the
-    # superposition of the power iterates
+        "multi-block-initial-data", "multi-block-long-sequences", "two-steps",
+        "wraps-the-window", "zero-first-member"])
+def test_localized_matches_per_step_superposition(problem44, k2_44, monkeypatch, n_steps,
+                                                  horizon, f, data, zero):
+    # both kinds run through the recurrence: the certified sequences as
+    # Lanczos bands, the power iterates as shift registers, also where a run
+    # wraps the window of band coordinates and where the middle node's first
+    # member is zero
     forms = problem44.forms
     rng = np.random.default_rng(44)
     alpha0, alpha1 = (rng.standard_normal((2, problem44.n_coarse_dofs)) if data
                       else np.zeros((2, problem44.n_coarse_dofs)))
+    if zero:
+        middle = problem44.n_coarse_dofs // 2
+        real = lod.transient_patch
+
+        def zero_rhs(correctors, x_dof, Q_csc=None):
+            patch, rhs = real(correctors, x_dof, Q_csc)
+            return patch, (np.zeros_like(rhs) if x_dof == middle else rhs)
+
+        monkeypatch.setattr(lod, "transient_patch", zero_rhs)
     for generator in lod.GENERATORS:
         seq = transients_for_all_nodes(k2_44, horizon=horizon, generator=generator)
+        assert not zero or not seq[middle].members().any()
         loc = localized_gfem_solve(k2_44, seq, f, n_steps, alpha0, alpha1)
         alpha, states = _per_step_superposition(k2_44, seq, forms, f, n_steps,
                                                 alpha0, alpha1)
@@ -447,8 +440,8 @@ def test_localized_rejects_short_stored_members(problem44, k2_44):
 
 
 # ----------------------------------------------------------------------------
-# the recurrence of the certified sequences against the superposition of
-# their members
+# the recurrence of the certified sequences against the per-step
+# superposition of their members
 
 @pytest.fixture(scope="module", params=["problem44", "problem84"])
 def recurrence_problem(request):
@@ -456,21 +449,17 @@ def recurrence_problem(request):
     return problem, build_corrector_set(problem.forms, CorrectorConfig(k=2))
 
 
-def _members_of(seq, horizon):
-    return {x: TransientCorrectors(tc.dofs, tc.members(horizon), tc.correctors)
-            for x, tc in seq.items()}
-
-
 def _assert_recurrence_matches_members(correctors, seq, n_steps):
-    """The certified run against _Superposition fed the lifted members."""
+    """The certified run against the per-step superposition of its lifted
+    members."""
     assert all(tc.certified for tc in seq.values())
     rng = np.random.default_rng(45)
     alpha0, alpha1 = rng.standard_normal((2, correctors.Q.shape[1]))
     got = localized_gfem_solve(correctors, seq, _pulse, n_steps, alpha0, alpha1)
-    lifted = _members_of(seq, transient_horizon(n_steps))
-    want = localized_gfem_solve(correctors, lifted, _pulse, n_steps, alpha0, alpha1)
-    assert np.linalg.norm(got.states - want.states) <= 1e-12 * np.linalg.norm(want.states)
-    assert np.linalg.norm(got.alpha - want.alpha) <= 1e-12 * np.linalg.norm(want.alpha)
+    alpha, states = _per_step_superposition(correctors, seq, correctors.forms, _pulse,
+                                            n_steps, alpha0, alpha1)
+    assert np.linalg.norm(got.states - states) <= 1e-12 * np.linalg.norm(states)
+    assert np.linalg.norm(got.alpha - alpha) <= 1e-12 * np.linalg.norm(alpha)
 
 
 @pytest.mark.parametrize("n_steps, horizon", [(2, 1), (12, 30), (MULTI_BLOCK, 60)],
@@ -541,11 +530,6 @@ class _CoupledRecurrence(_Recurrence):
         t[1:] += self.couple * prev[:-1]
         t[:-1] += self.couple * prev[1:]
         t[self.first] += self.weight * alpha[n - 1]
-
-
-# a run whose band coordinates wrap the window twice, with N + 1 = 150 not a
-# multiple of the window
-WRAPS = 2 * _WINDOW + 21
 
 
 def test_certified_band_steps_as_one_coupling(recurrence_problem):
@@ -634,7 +618,9 @@ def test_window_fills_the_states_of_the_single_fill(recurrence_problem,
 def test_localized_rejects_mixed_kinds(problem44, k2_44):
     n_steps = 6
     seq = transients_for_all_nodes(k2_44, transient_horizon(n_steps))
-    seq[0] = _members_of(seq, transient_horizon(n_steps))[0]
+    tc = seq[0]
+    seq[0] = TransientCorrectors(tc.dofs, tc.members(transient_horizon(n_steps)),
+                                 tc.correctors)
     zc = np.zeros(problem44.n_coarse_dofs)
     with pytest.raises(ValueError, match="mix"):
         localized_gfem_solve(k2_44, seq, 1.0, n_steps, zc, zc)

@@ -12,10 +12,10 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from sdwave import cli, evolution, harness, interpolation, linalg
+from sdwave import cli, evolution, harness, interpolation, linalg, rb
 from sdwave.assembly import DiscreteForms
 from sdwave.cli import main
-from sdwave.evolution import localized_gfem_solve
+from sdwave.evolution import localized_gfem_solve, transient_horizon
 from sdwave.harness import (CSV_HEADER, ExperimentConfig, config_from_sources,
                             emit, random_field, run_exp_H, run_exp_k,
                             run_exp_rb)
@@ -536,6 +536,25 @@ def test_exp_rb_micro(tmp_path):
     gaps = {r["param"]: r["rel_h1_final"] for r in rows}
     assert gaps[5] == 0.0  # horizon reached, nothing to compress
     assert_pinned(rows, PINNED_RB)
+
+
+def test_exp_rb_rows_at_the_horizon_take_the_reference(monkeypatch):
+    # from M = horizon on, the row runs the stored members unreduced, which is
+    # the reference trajectory: it used to be solved a second time
+    calls = []
+
+    def count(*args):
+        calls.append(args)
+        return localized_gfem_solve(*args)
+
+    monkeypatch.setattr(harness, "localized_gfem_solve", count)
+    monkeypatch.setattr(rb, "localized_gfem_solve", count)
+    cfg = ExperimentConfig(p=3, q=2, tau=0.1, T=0.5, seed=1, M=(1, 4, 5))
+    rows, _ = run_exp_rb(cfg)
+    assert len(calls) == 1
+    for row in rows:
+        if row["param"] >= transient_horizon(cfg.n_steps):
+            assert (row["rel_h1_final"], row["rel_l2h1"]) == (0.0, 0.0), row
 
 
 @pytest.mark.parametrize("run, extra", [(run_exp_k, dict(kmax=2)),

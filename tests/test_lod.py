@@ -1061,6 +1061,34 @@ def test_cache_whose_row_counts_do_not_split_the_rows_is_a_miss(tmp_path, proble
            "a file whose row counts do not split its rows was served")
 
 
+@pytest.mark.parametrize("kind", ["lanczos", "power"])
+def test_cache_with_a_node_of_no_rows_is_a_miss(tmp_path, problem44, certified_nodes,
+                                                kind):
+    # one node's count set to 0, and its rows (and its alpha and beta) cut to
+    # fit, was served: the recurrence then added that node's weight into the
+    # first row of the next node. Every sequence keeps at least one row
+    cs, seq = certified_nodes
+    key = cache_key(problem44.forms, cs.config, 25, kind)
+    path = save_corrector_cache(tmp_path, key, cs,
+                                seq if kind == "lanczos" else _as_members(seq))
+    with np.load(path) as data:
+        payload = dict(data)
+    counts = payload["transient_row_counts"]
+    i = problem44.n_coarse_dofs // 2
+    widths = np.array([seq[d].dofs.size for d in payload["transient_nodes"]])
+    start = counts[:i] @ widths[:i]
+    payload["transient_rows"] = np.delete(payload["transient_rows"],
+                                          np.s_[start:start + counts[i] * widths[i]])
+    if kind == "lanczos":
+        first = counts[:i].sum()
+        for name in ("transient_alpha", "transient_beta"):
+            payload[name] = np.delete(payload[name], np.s_[first:first + counts[i]])
+    counts[i] = 0
+    np.savez(path, **payload)
+    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
+           "a file with a node of no rows was served")
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("name", ["xi", "alpha", "beta", "norm1", "bound"])
 def test_cache_with_a_non_finite_sequence_is_a_miss(tmp_path, problem44, certified_nodes,

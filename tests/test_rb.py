@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdwave import evolution, lod, rb
+from sdwave import lod, rb
 from sdwave.evolution import TimeGrid, localized_gfem_solve, rel_h1_final
 from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
                         build_corrector_set, cache_key, compute_transient_correctors,
@@ -9,6 +9,8 @@ from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
                         transients_for_all_nodes)
 from sdwave.rb import (EmptyBasisError, build_rb, lift, node_reductions,
                        rb_gfem_solve, rb_step, snapshot_singular_values)
+
+from conftest import _per_step_superposition
 
 N_STEPS = 20
 
@@ -265,9 +267,8 @@ def zero_node44(problem44, localized44):
 
 
 def test_shared_basis_compression_matches_oracle(problem44, localized44, zero_node44):
-    # the bands of rb_gfem_solve against the lifted rows of the oracle, run
-    # through the superposition of stored members, also with a zero node; a
-    # band keeps the first m members exact
+    # the bands of rb_gfem_solve against the lifted rows of the oracle, summed
+    # per step, also with a zero node; a band keeps the first m members exact
     cs, seq, _ = localized44
     rng = np.random.default_rng(7)
     alpha0, alpha1 = rng.standard_normal((2, problem44.n_coarse_dofs))
@@ -280,29 +281,15 @@ def test_shared_basis_compression_matches_oracle(problem44, localized44, zero_no
             lifted = {d: TransientCorrectors(
                 tc.dofs, _oracle_sequence(problem44, tc, m, N_STEPS), cs)
                 for d, tc in family.items()}
-            want = localized_gfem_solve(cs, lifted, 1.0, N_STEPS, alpha0, alpha1)
+            alpha, states = _per_step_superposition(cs, lifted, problem44.forms, 1.0,
+                                                    N_STEPS, alpha0, alpha1)
             for d, tc in family.items():
                 if m < N_STEPS and reductions[d].basis is not None:
                     rows = rb._band(d, tc, reductions[d], m)[1]
                     np.testing.assert_array_equal(rows[:m], tc.xi[:m])
-            for name in ("states", "alpha"):
-                error = np.linalg.norm(getattr(got, name) - getattr(want, name))
-                assert error <= 1e-12 * np.linalg.norm(getattr(want, name)), (name, m)
-
-
-def test_rb_gfem_never_builds_the_superposition(problem44, localized44, monkeypatch):
-    # below the horizon each node runs as a band of the recurrence; nothing
-    # lifts a continuation to member rows
-    cs, seq, _ = localized44
-
-    def no_superposition(*args, **kwargs):
-        raise AssertionError("built the superposition of lifted members")
-
-    monkeypatch.setattr(evolution, "_Superposition", no_superposition)
-    reductions = node_reductions(seq, (1, 5, 10))
-    zc = np.zeros(problem44.n_coarse_dofs)
-    for m in (1, 5, 10):
-        rb_gfem_solve(cs, seq, reductions, 1.0, N_STEPS, zc, zc, m_max=m)
+            for name, want in (("states", states), ("alpha", alpha)):
+                error = np.linalg.norm(getattr(got, name) - want)
+                assert error <= 1e-12 * np.linalg.norm(want), (name, m)
 
 
 def test_compression_rejects_bases_built_too_small(problem44, localized44):
