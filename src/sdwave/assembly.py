@@ -3,6 +3,7 @@
 import numpy as np
 import scipy.sparse as sparse
 
+from . import linalg
 from .interpolation import build_interpolator
 
 # consistent P1 mass matrix is area/12 * MASS_PATTERN
@@ -101,7 +102,8 @@ def element_rhs_block(pair, tilde_values, t_coarse, V, columns):
     dofs x any, dense or sparse), assembled on the fine elements of T only.
 
     Reads only the rows of V at the interior fine dofs of T's closure, and
-    returns those dofs (ascending) with the (dofs, columns) block there.
+    returns those dofs (ascending) with the (dofs, columns) block there. The
+    entries of a CSR V are added into zeros, as its toarray adds them.
     """
     fine = pair.fine
     elems = pair.fibers[t_coarse]
@@ -111,8 +113,16 @@ def element_rhs_block(pair, tilde_values, t_coarse, V, columns):
     dofs = fine.dof_index[verts]
     inside = dofs >= 0
     values = np.zeros((verts.size, len(columns)))
-    rows = V[dofs[inside]]
-    values[inside] = (rows.toarray() if sparse.issparse(rows) else rows)[:, columns]
+    if sparse.issparse(V):
+        where = np.full(V.shape[1], -1, dtype=np.int64)
+        where[columns] = np.arange(len(columns))
+        pos, ends = linalg._row_positions(V, dofs[inside])
+        cols = where[V.indices[pos]]
+        keep = cols >= 0
+        rows = np.repeat(np.flatnonzero(inside), np.diff(ends, prepend=0))
+        values[rows[keep], cols[keep]] += V.data[pos[keep]]
+    else:
+        values[inside] = V[dofs[inside]][:, columns]
     g = fine.gradients()[elems]  # (m, 3, 2)
     weight = (tilde_values[elems] * fine.areas()[elems])[:, None]
 
@@ -145,10 +155,23 @@ class DiscreteForms:
         self.K_tilde = (self.K_A + tau * self.K_B).tocsr()
         self._h1_matrix = (self.K_1 + self.M).tocsr()
         self.interp = build_interpolator(pair)
+        self._saddles = {}
 
     @property
     def fine(self):
         return self.pair.fine
+
+    def saddle_matrix(self, name):
+        """The CSC of [[K, I^T], [I, 0]] (linalg._saddle_matrix), for K the
+        form `name` ("K_tilde", "K_A" or "K_B") and I the interpolator: the
+        saddle system over the interpolation kernel, built on first use.
+        Every patch gathers its own system from it."""
+        if name not in ("K_tilde", "K_A", "K_B"):
+            raise ValueError("no saddle matrix of %r" % (name,))
+        if name not in self._saddles:
+            self._saddles[name] = linalg._saddle_matrix(getattr(self, name).tocsc(),
+                                                        self.interp)
+        return self._saddles[name]
 
 
 def h1_norms(forms, states):

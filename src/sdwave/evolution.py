@@ -8,7 +8,7 @@ import scipy.linalg
 
 from . import linalg
 from .assembly import assemble_load, h1_norms
-from .lod import transient_patch
+from .lod import _k_a_q, transient_patch
 from .mesh import prolongation
 
 
@@ -152,8 +152,9 @@ _WINDOW = 64
 
 class _GlobalSaddle(_PerStep):
     """The ideal method on the one global saddle system S of K_tilde over the
-    interpolation kernel, factored once in symmetric mode (linalg falls back
-    to the default factorization).
+    interpolation kernel, the forms' saddle matrix that the patches gather
+    from, factored once in symmetric mode (linalg falls back to the default
+    factorization).
 
     Its basis is Q = P - S^-1 (K_tilde P), dense: the prolongation P minus the
     fine-scale part of one checked block solve of all coarse columns, with
@@ -165,7 +166,8 @@ class _GlobalSaddle(_PerStep):
     """
 
     def __init__(self, forms, grid):
-        saddle = linalg.factor_saddle(forms.K_tilde, forms.interp, _symmetric=True)
+        saddle = linalg.factor_saddle(forms.saddle_matrix("K_tilde"), forms.fine.n_dofs,
+                                      _symmetric=True)
         P = prolongation(forms.pair)
         Q = P.toarray() - saddle.solve((forms.K_tilde @ P).toarray())[0]
         super().__init__(Q, forms, grid)
@@ -335,8 +337,8 @@ def localized_gfem_solve_direct(correctors, f, n_steps, alpha0, alpha1):
     """Debug variant: per-node fine-scale systems solved directly in every step."""
     forms = correctors.forms
     grid = TimeGrid(forms.tau, n_steps)
-    Q_csc = correctors.Q.tocsc()
-    patches = [transient_patch(correctors, d, Q_csc)
+    KQ = _k_a_q(correctors)
+    patches = [transient_patch(correctors, d, KQ)
                for d in range(forms.pair.coarse.n_dofs)]
     w_prev = [np.zeros(patch.dofs.size) for patch, _ in patches]
 

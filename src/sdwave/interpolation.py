@@ -91,7 +91,8 @@ def kernel_constraints(interp, patch_dofs):
     """Rows of the interpolation matrix restricted to a patch, zero rows removed.
 
     C w = 0 characterizes the fine-scale functions supported on the patch.
-    patch_dofs must be ascending fine dofs.
+    patch_dofs must be ascending fine dofs. lod.Patch gathers the same rows
+    with its saddle system.
     """
     patch_dofs = linalg._check_indices(patch_dofs, interp.shape[1], "patch dofs")
     in_patch = np.zeros(interp.shape[1], dtype=bool)

@@ -77,26 +77,41 @@ def _check_indices(index, size, what):
     return index
 
 
+def _row_positions(A, rows):
+    """(pos, ends) for the rows (the columns of a CSC) `rows` of a compressed
+    A: pos are the positions in A of their entries, row after row, and ends
+    the end of each row's run in pos."""
+    starts = A.indptr[rows]
+    counts = A.indptr[rows + 1] - starts
+    ends = np.cumsum(counts, dtype=np.int64)
+    pos = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
+    return pos, ends
+
+
 def _submatrix(A, rows, cols):
     """A[rows][:, cols] of a canonical CSR A, gathered through a column map.
+    A canonical CSC A is gathered the same way by its columns: rows picks
+    its columns and cols its rows, so the result is the CSC of
+    A[cols][:, rows].
 
     cols must be strictly ascending; rows may be any row indices. The
     indptr, indices and data are those scipy's fancy indexing gives,
     explicit zeros included.
     """
     rows = np.asarray(rows)
-    where = np.full(A.shape[1], -1, dtype=np.int64)
+    csr = A.format == "csr"
+    # in A's index dtypes, which hold every value of the result, so that the
+    # constructor neither scans nor casts them where they are scipy's choice
+    where = np.full(A.shape[1] if csr else A.shape[0], -1, dtype=A.indices.dtype)
     where[cols] = np.arange(len(cols))
-    starts = A.indptr[rows]
-    counts = A.indptr[rows + 1] - starts
-    ends = np.cumsum(counts, dtype=np.int64)
-    # positions in A of the rows' entries, row after row
-    pos = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
+    pos, ends = _row_positions(A, rows)
     new_cols = where[A.indices[pos]]
     keep = new_cols >= 0
-    indptr = np.concatenate(([0], np.cumsum(keep)))[np.concatenate(([0], ends))]
-    return sparse.csr_matrix((A.data[pos[keep]], new_cols[keep], indptr),
-                             shape=(len(rows), len(cols)))
+    kept = np.zeros(keep.size + 1, dtype=A.indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    indptr = kept[np.concatenate(([0], ends))]
+    shape = (len(rows), len(cols)) if csr else (len(cols), len(rows))
+    return A.__class__((A.data[pos[keep]], new_cols[keep], indptr), shape=shape)
 
 
 def _saddle_matrix(A, C):
@@ -178,9 +193,24 @@ class Factorization:
         return x
 
 
+def _saddle_constraints(kkt, n):
+    """The CSR of C in the CSC kkt = [[A, C^T], [C, 0]] of an n x n A, its
+    data and indices views of kkt's: row i of C is column n + i of kkt, whose
+    entries all lie above its zero block."""
+    start = kkt.indptr[n]
+    data, indices = kkt.data[start:], kkt.indices[start:]
+    C = sparse.csr_matrix((data, indices, kkt.indptr[n:] - start),
+                          shape=(kkt.shape[0] - n, n))
+    # the constructor copies a view of a much larger array; the view holds
+    # the same entries
+    C.data, C.indices = data, indices
+    return C
+
+
 class SaddleFactorization:
-    """Factorization of [[A, C^T], [C, 0]]; every row of C must be nonzero.
-    A C without rows leaves the system unconstrained.
+    """Factorization of the CSC kkt = [[A, C^T], [C, 0]] of an n x n A, as
+    _saddle_matrix builds it; every row of C must be nonzero. A C without
+    rows leaves the system unconstrained.
 
     _symmetric factors in symmetric mode, and falls back to the default
     factorization (SuperLU's COLAMD ordering and partial pivoting) where that
@@ -189,16 +219,14 @@ class SaddleFactorization:
     argument goes once symmetric mode is the only ordering.
     """
 
-    def __init__(self, A, C, _symmetric=False):
-        C = C.tocsr()
-        self.n = A.shape[0]
-        self.C = C
-        kkt = _saddle_matrix(A.tocsc(), C)
+    def __init__(self, kkt, n, _symmetric=False):
+        self.n = n
+        self.C = _saddle_constraints(kkt, n)
         self._symmetric = _symmetric
         try:
             self._fact = self._factor(kkt)
         except SingularSystemError as err:
-            if factorizes(A):
+            if factorizes(kkt[:n, :n]):
                 raise DegenerateConstraintError(
                     "degenerate constraint rows in saddle system"
                 ) from err
@@ -308,6 +336,7 @@ def factorizes(matrix):
         return False
 
 
-def factor_saddle(A, C, _symmetric=False):
-    """Factor the saddle system once for repeated right-hand sides."""
-    return SaddleFactorization(A, C, _symmetric)
+def factor_saddle(kkt, n, _symmetric=False):
+    """Factor the saddle system kkt (SaddleFactorization) once for repeated
+    right-hand sides."""
+    return SaddleFactorization(kkt, n, _symmetric)

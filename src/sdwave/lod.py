@@ -14,7 +14,6 @@ import scipy.sparse as sparse
 
 from . import linalg
 from .assembly import MASS_PATTERN, element_rhs_block
-from .interpolation import kernel_constraints
 from .mesh import element_patch, node_patch, prolongation, saturating_k
 
 FORM_CHOICES = ("a_plus_tau_b", "a_only", "b_only")
@@ -81,14 +80,16 @@ def patch_fine_dofs(pair, coarse_elements):
     return dofs[(inside == np.diff(fine._vert_elem.indptr[lo:hi + 1])) & (dofs >= 0)]
 
 
-# the patch block each form choice factors
-_FORM_BLOCKS = dict(zip(FORM_CHOICES, ("k_tilde", "k_a", "k_b")))
+# the form whose saddle system each form choice solves
+_FORM_BLOCKS = dict(zip(FORM_CHOICES, ("K_tilde", "K_A", "K_B")))
 
 
 class Patch:
-    """The forms and the fine-scale kernel constraints restricted to the fine
-    dofs of one coarse patch, each built on first use, and the saddle
-    factorization of the chosen form's block for the patch solves."""
+    """The forms restricted to the fine dofs of one coarse patch, and the
+    saddle system of the chosen form there with its factorization, each
+    built on first use. The system is gathered from the forms' global saddle
+    matrix (DiscreteForms.saddle_matrix) at the patch dofs and the rows of
+    their kernel constraints; C is a view of its trailing columns."""
 
     def __init__(self, forms, dofs, form_choice="a_plus_tau_b"):
         if form_choice not in FORM_CHOICES:
@@ -114,13 +115,29 @@ class Patch:
         return self._restrict(self.forms.K_B)
 
     @cached_property
+    def kkt(self):
+        """The CSC of [[block, C^T], [C, 0]] for the chosen form's block: the
+        global saddle matrix at the patch dofs, then at n + the rows of the
+        interpolator with a nonzero entry in a patch column (those of
+        interpolation.kernel_constraints), with n the fine dofs."""
+        full = self.forms.saddle_matrix(_FORM_BLOCKS[self.form_choice])
+        n = self.forms.fine.n_dofs
+        # the patch columns' entries below row n are the interpolator's
+        pos, _ = linalg._row_positions(full, self.dofs)
+        rows = full.indices[pos]
+        index = np.zeros(full.shape[0], dtype=bool)
+        index[self.dofs] = True
+        index[rows[(rows >= n) & (full.data[pos] != 0.0)]] = True
+        index = np.flatnonzero(index)
+        return linalg._submatrix(full, index, index)
+
+    @cached_property
     def C(self):
-        return kernel_constraints(self.forms.interp, self.dofs)
+        return linalg._saddle_constraints(self.kkt, self.dofs.size)
 
     @cached_property
     def saddle(self):
-        block = getattr(self, _FORM_BLOCKS[self.form_choice])
-        return linalg.factor_saddle(block, self.C)
+        return linalg.factor_saddle(self.kkt, self.dofs.size)
 
     def solve(self, rhs_patch):
         """The fine-scale part w of the saddle solve with patch right-hand side."""
@@ -129,8 +146,11 @@ class Patch:
 
     @cached_property
     def _kernel_factors(self):
-        # C^T, made once, and the Cholesky factor of C C^T
-        return self.C.T, scipy.linalg.cho_factor((self.C @ self.C.T).toarray())
+        # C^T, made once, and the Cholesky factor of C C^T. C times the dense
+        # C^T adds each entry's terms in the order of the sparse product
+        # C C^T, at about a quarter of its cost
+        C = self.C
+        return C.T, scipy.linalg.cho_factor(C @ C.toarray().T)
 
     def kernel_project(self, v):
         """The Euclidean projection of v onto the kernel of C.
@@ -301,33 +321,39 @@ def _node_dofs(pair, x_dof, k):
     return patch_fine_dofs(pair, node_patch(pair.coarse, pair.coarse.interior_nodes[x_dof], k))
 
 
-def transient_patch(correctors, x_dof, Q_csc=None):
+def _k_a_q(correctors):
+    """K_A Q in CSC, for transient_patch."""
+    return (correctors.forms.K_A @ correctors.Q).tocsc()
+
+
+def transient_patch(correctors, x_dof, KQ=None):
     """The Patch of coarse node x_dof and the first right-hand side
     (K_A q_x)[patch.dofs] of its fine-scale correction sequence.
 
-    Q_csc is correctors.Q in CSC, made once by callers that build many nodes.
+    The right-hand side is read from column x_dof of KQ = _k_a_q(correctors),
+    which callers that build many nodes make once. Each entry is the sum of
+    a whole-grid product K_A q_x, in the same order: the terms at the zeros
+    of q_x, which that product adds too, change no sum.
     """
     forms, config = correctors.forms, correctors.config
     patch = Patch(forms, _node_dofs(forms.pair, x_dof, config.k), config.form_choice)
-    Q = correctors.Q.tocsc() if Q_csc is None else Q_csc
-    span = slice(Q.indptr[x_dof], Q.indptr[x_dof + 1])
-    q_x = np.zeros(Q.shape[0])
-    q_x[Q.indices[span]] = Q.data[span]
-    # the patch rows of K_A, each summed in the order of a whole-grid product
-    k_a_rows = linalg._submatrix(forms.K_A, patch.dofs, np.arange(forms.K_A.shape[1]))
-    return patch, k_a_rows @ q_x
+    KQ = _k_a_q(correctors) if KQ is None else KQ
+    span = slice(KQ.indptr[x_dof], KQ.indptr[x_dof + 1])
+    column = np.zeros(KQ.shape[0])
+    column[KQ.indices[span]] = KQ.data[span]
+    return patch, column[patch.dofs]
 
 
-def compute_transient_correctors(correctors, x_dof, horizon, Q_csc=None):
+def compute_transient_correctors(correctors, x_dof, horizon, KQ=None):
     """Fine-scale correction sequence of one coarse node on its patch, its
     `horizon` members xi^1 .. xi^horizon.
 
     The first step projects the modified hat function, later steps reuse the
     factorized left-hand side. The members are steps of linalg._CheckedSteps,
     the first through the checked solve, so they are those of one checked
-    solve per step. Q_csc is as for transient_patch.
+    solve per step. KQ is as for transient_patch.
     """
-    patch, first = transient_patch(correctors, x_dof, Q_csc)
+    patch, first = transient_patch(correctors, x_dof, KQ)
     xi = np.empty((horizon, patch.dofs.size))
     steps, l = linalg._CheckedSteps(patch.saddle, checked=1), 0
     while l < horizon:
@@ -466,7 +492,7 @@ def _lanczos(patch, first, horizon):
             1 + steps.solves)
 
 
-def _certified_transients(correctors, x_dof, horizon, Q_csc=None):
+def _certified_transients(correctors, x_dof, horizon, KQ=None):
     """The correction sequence of compute_transient_correctors in the Lanczos
     form of the node's basis (_lanczos): every member lies within CERTIFY_TOL
     of the power iterate, as the basis certifies.
@@ -475,7 +501,7 @@ def _certified_transients(correctors, x_dof, horizon, Q_csc=None):
         # only K_A + tau K_B makes G a contraction, which the bound needs
         raise ValueError("certified sequences need the a_plus_tau_b form, got %r"
                          % (correctors.config.form_choice,))
-    patch, first = transient_patch(correctors, x_dof, Q_csc)
+    patch, first = transient_patch(correctors, x_dof, KQ)
     norm1, Z, alpha, beta, bound, solves = _lanczos(patch, first, horizon)
     return TransientCorrectors(patch.dofs, Z, correctors, solves, bound,
                                alpha, beta, float(norm1), horizon)
@@ -494,8 +520,8 @@ def transients_for_all_nodes(correctors, horizon, generator="lanczos"):
     if not isinstance(horizon, numbers.Integral) or isinstance(horizon, bool) or horizon < 1:
         raise ValueError("horizon must be an integer >= 1, got %r" % (horizon,))
     build = _certified_transients if generator == "lanczos" else compute_transient_correctors
-    Q_csc = correctors.Q.tocsc()
-    return {d: build(correctors, d, horizon, Q_csc)
+    KQ = _k_a_q(correctors)
+    return {d: build(correctors, d, horizon, KQ)
             for d in range(correctors.Q.shape[1])}
 
 
@@ -624,13 +650,16 @@ def load_corrector_cache(cache_dir, key, forms, config):
     does not repeat; the loaded set carries forms, and each sequence the
     dofs of its node's patch (_node_dofs). A file is a miss where it was
     written under another key; cannot be read in full (corrupt, truncated);
-    holds a Q that is not fine dofs x coarse dofs, or an M_ms, A_ms or B_ms
-    that is not a finite float coarse x coarse array; holds nodes that are
-    not ascending coarse dofs, or row counts that are not positive or do not
-    split its rows into blocks of the nodes' dofs (every sequence keeps at
-    least one row: a Lanczos basis its first, power iterates their horizon
-    >= 1); or holds rows or a Lanczos form that is not finite or does not
-    fit the counts. The checks are not asserts, so they hold under python -O.
+    holds a Q that is not fine dofs x coarse dofs, whose data are not finite
+    float64, or that fails scipy's full CSR format check (integer indices
+    within the columns, indptr ascending within the entries), or an M_ms,
+    A_ms or B_ms that is not a finite float coarse x coarse array; holds
+    nodes that are not ascending coarse dofs, or row counts that are not
+    positive or do not split its rows into blocks of the nodes' dofs (every
+    sequence keeps at least one row: a Lanczos basis its first, power
+    iterates their horizon >= 1); or holds rows or a Lanczos form that is
+    not finite or does not fit the counts. The checks are not asserts, so
+    they hold under python -O.
     """
     path = os.path.join(cache_dir, key + ".npz")
     if not os.path.exists(path):
@@ -639,10 +668,16 @@ def load_corrector_cache(cache_dir, key, forms, config):
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             if str(data["key"]) != key:
                 return None
-            Q = sparse.csr_matrix(
-                (data["Q_data"], data["Q_indices"], data["Q_indptr"]),
-                shape=tuple(data["Q_shape"]),
-            )
+            q_data, q_indices, q_indptr = (data[name] for name in (
+                "Q_data", "Q_indices", "Q_indptr"))
+            if not (_finite_floats(q_data)
+                    and q_indices.dtype.kind == q_indptr.dtype.kind == "i"):
+                return None
+            Q = sparse.csr_matrix((q_data, q_indices, q_indptr),
+                                  shape=tuple(data["Q_shape"]))
+            # indices within the columns, and indptr ascending within the
+            # entries; a ValueError is a miss
+            Q.check_format(full_check=True)
             n_coarse = forms.pair.coarse.n_dofs
             grams = [data[name] for name in ("M_ms", "A_ms", "B_ms")]
             if Q.shape != (forms.pair.fine.n_dofs, n_coarse) or not all(

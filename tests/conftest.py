@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sparse
 
+from sdwave import linalg
 from sdwave.assembly import DiscreteForms, assemble_load
 from sdwave.harness import random_field
+from sdwave.linalg import factor_saddle
 from sdwave.lod import CorrectorConfig, build_corrector_set
 from sdwave.mesh import Mesh, NestedMeshPair
 
@@ -93,3 +96,12 @@ def _per_step_superposition(correctors, transients, forms, f, n_steps, alpha0, a
         for x, tc in transients.items():
             states[n, tc.dofs] += members[x][lags - 1].T @ alpha[n - lags, x]
     return alpha, states
+
+
+def saddle_of(A, C, _symmetric=False):
+    """factor_saddle of the saddle matrix [[A, C^T], [C, 0]] of the blocks A
+    and C, built from them by linalg._saddle_matrix; bound at import, so a
+    test that counts the factorizations of linalg.factor_saddle does not
+    count this one."""
+    kkt = linalg._saddle_matrix(sparse.csc_matrix(A), sparse.csr_matrix(C))
+    return factor_saddle(kkt, A.shape[0], _symmetric)

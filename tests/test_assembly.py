@@ -141,3 +141,41 @@ def test_forms_energy_and_coefficient_bounds(problem44):
     lo, hi = problem44.field_a.values.min(), problem44.field_a.values.max()
     k1 = v @ (forms.K_1 @ v)
     assert lo * k1 <= a <= hi * k1
+
+
+def test_element_rhs_block_reads_sparse_rows_as_their_dense_copy(problem44):
+    # the rows of a CSR V are gathered entry by entry, stored zeros too, into
+    # the values its dense copy holds, for any order of the columns
+    from sdwave.mesh import prolongation
+    pair, forms = problem44.pair, problem44.forms
+    P = prolongation(pair)
+    stored = P.copy()
+    stored.data[::4] = 0.0
+    coarse = pair.coarse
+    for V in (P, stored):
+        dense = V.toarray()
+        for t in range(coarse.n_elements):
+            columns = coarse.dof_index[coarse.triangles[t]]
+            columns = columns[columns >= 0][::-1]
+            if columns.size == 0:
+                continue
+            got = element_rhs_block(pair, forms.tilde_values, t, V, columns)
+            want = element_rhs_block(pair, forms.tilde_values, t, dense, columns)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_saddle_matrix_is_built_once_per_form(problem44):
+    from sdwave import linalg
+    pair = problem44.pair
+    forms = DiscreteForms(pair, problem44.field_a, problem44.field_b, problem44.tau)
+    for name in ("K_tilde", "K_A", "K_B"):
+        full = forms.saddle_matrix(name)
+        assert forms.saddle_matrix(name) is full
+        want = linalg._saddle_matrix(getattr(forms, name).tocsc(), forms.interp)
+        assert full.format == want.format == "csc"
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(full, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError, match="saddle matrix"):
+        forms.saddle_matrix("M")

@@ -13,12 +13,12 @@ from sdwave.evolution import (_BLOCK, _WINDOW, TimeGrid, Trajectory, _GlobalSadd
                               localized_gfem_solve_direct, rel_h1_final,
                               rel_l2h1, transient_horizon)
 from sdwave.harness import random_field
-from sdwave.linalg import InaccurateSolveError, SingularSystemError, factor_saddle
+from sdwave.linalg import InaccurateSolveError, SingularSystemError
 from sdwave.lod import (CorrectorConfig, TransientCorrectors, build_corrector_set,
                         transients_for_all_nodes)
 from sdwave.mesh import Mesh, NestedMeshPair, prolongation, saturating_k
 
-from conftest import _per_step_superposition
+from conftest import _per_step_superposition, saddle_of
 
 TAU = 0.02
 
@@ -199,8 +199,8 @@ def test_localized_matches_per_step_superposition(problem44, k2_44, monkeypatch,
         middle = problem44.n_coarse_dofs // 2
         real = lod.transient_patch
 
-        def zero_rhs(correctors, x_dof, Q_csc=None):
-            patch, rhs = real(correctors, x_dof, Q_csc)
+        def zero_rhs(correctors, x_dof, KQ=None):
+            patch, rhs = real(correctors, x_dof, KQ)
             return patch, (np.zeros_like(rhs) if x_dof == middle else rhs)
 
         monkeypatch.setattr(lod, "transient_patch", zero_rhs)
@@ -222,7 +222,7 @@ def _checked_oracle(correctors, grid):
     solve per step, in the default factorization, of K_A u^{n-1} = K_A (Q
     alpha^{n-1} + w^{n-1})."""
     forms = correctors.forms
-    saddle = factor_saddle(forms.K_tilde, forms.interp)
+    saddle = saddle_of(forms.K_tilde, forms.interp)
     return _PerStep(correctors.Q, forms, grid,
                     lambda n, alpha, memory: saddle.solve(memory)[0])
 
@@ -386,6 +386,28 @@ def test_global_stepper_falls_back_from_a_singular_symmetric_mode(problem44, sat
     _assert_same_trajectory(got, want)
 
 
+def test_global_stepper_factors_the_forms_saddle_matrix(problem44, initial_data,
+                                                        monkeypatch):
+    # the one saddle matrix the patches gather from is factored whole, in
+    # symmetric mode and, where that is singular, in the default one
+    forms = problem44.forms
+    alpha0, alpha1 = initial_data
+    splu = linalg._splu
+    factored = []
+
+    def singular_symmetric(matrix, symmetric=False):
+        factored.append((matrix, symmetric))
+        if symmetric:
+            raise SingularSystemError("singular system")
+        return splu(matrix, symmetric)
+
+    monkeypatch.setattr(linalg, "_splu", singular_symmetric)
+    ideal_gfem_solve(forms, 1.0, MULTI_BLOCK, alpha0, alpha1)
+    full = forms.saddle_matrix("K_tilde")
+    assert [mode for _, mode in factored] == [True, False]
+    assert all(matrix is full for matrix, _ in factored)
+
+
 def test_transient_config_mismatch_rejected(problem44, saturated44):
     other = build_corrector_set(problem44.forms, CorrectorConfig(k=2))
     seq = transients_for_all_nodes(other, horizon=4)
@@ -477,8 +499,8 @@ def test_recurrence_with_a_zero_first_member(recurrence_problem, monkeypatch):
     zero = problem.n_coarse_dofs // 2
     real = lod.transient_patch
 
-    def zero_rhs(correctors, x_dof, Q_csc=None):
-        patch, rhs = real(correctors, x_dof, Q_csc)
+    def zero_rhs(correctors, x_dof, KQ=None):
+        patch, rhs = real(correctors, x_dof, KQ)
         return patch, (np.zeros_like(rhs) if x_dof == zero else rhs)
 
     monkeypatch.setattr(lod, "transient_patch", zero_rhs)
@@ -633,7 +655,7 @@ def test_steady_state_b_orthogonality(problem44):
     forms = DiscreteForms(pair, problem44.field_a, problem44.field_b, 0.05)
     zc = np.zeros(problem44.n_coarse_dofs)
     traj = ideal_gfem_solve(forms, 1.0, 200, zc, zc)
-    saddle = factor_saddle(forms.K_tilde, forms.interp)
+    saddle = saddle_of(forms.K_tilde, forms.interp)
     rng = np.random.default_rng(41)
 
     def residual(u):

@@ -449,6 +449,23 @@ def test_cache_file_with_a_non_finite_row_is_a_miss(tmp_path):
     assert [r["rel_h1_final"] for r in rows2] == [r["rel_h1_final"] for r in rows1]
 
 
+def test_cache_file_with_a_non_finite_Q_is_a_miss(tmp_path):
+    # the warm run stepped on the NaN, and failed on non-finite states
+    cache = tmp_path / "cache"
+    cfg = ExperimentConfig(cache=str(cache), **MICRO)
+    rows1, _ = run_exp_k(cfg)
+    for path in cache.glob("*.npz"):
+        with np.load(path) as data:
+            payload = dict(data)
+        payload["Q_data"][payload["Q_data"].size // 2] = np.nan
+        np.savez(path, **payload)
+    rows2, meta2 = run_exp_k(cfg)
+    assert (meta2["cache_hits"], meta2["cache_misses"]) == (0, 1)
+    emit(rows1, tmp_path, "cold")
+    emit(rows2, tmp_path, "warm")
+    assert _strip_runtime(tmp_path / "cold.csv") == _strip_runtime(tmp_path / "warm.csv")
+
+
 def test_exp_H_micro(tmp_path):
     cfg = ExperimentConfig(p=3, q=3, tau=0.1, T=0.5, seed=1)
     rows, _ = run_exp_H(cfg)

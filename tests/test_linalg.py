@@ -13,7 +13,9 @@ from sdwave import linalg
 from sdwave.interpolation import kernel_constraints
 from sdwave.linalg import (ConstraintViolationError, DegenerateConstraintError,
                            Factorization, InaccurateSolveError,
-                           SingularSystemError, factor_saddle)
+                           SingularSystemError)
+
+from conftest import saddle_of
 
 
 def test_identity_solve():
@@ -57,7 +59,7 @@ def test_saddle_hand_example():
     # eliminate by hand: w1 = 0 from the constraint, then w2 = 1 and mu = 1
     A = sparse.eye(2, format="csr")
     C = sparse.csr_matrix(np.array([[1.0, 0.0]]))
-    w, mu = factor_saddle(A, C).solve(np.array([1.0, 1.0]))
+    w, mu = saddle_of(A, C).solve(np.array([1.0, 1.0]))
     np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(mu, [1.0], atol=1e-12)
 
@@ -65,7 +67,7 @@ def test_saddle_hand_example():
 def test_saddle_zero_rhs():
     A = sparse.eye(3, format="csr")
     C = sparse.csr_matrix(np.array([[1.0, 1.0, 0.0]]))
-    w, mu = factor_saddle(A, C).solve(np.zeros(3))
+    w, mu = saddle_of(A, C).solve(np.zeros(3))
     assert np.all(w == 0.0) and np.all(mu == 0.0)
 
 
@@ -74,7 +76,7 @@ def test_saddle_rejects_zero_rows():
     A = sparse.eye(2, format="csr")
     C = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(DegenerateConstraintError):
-        factor_saddle(A, C)
+        saddle_of(A, C)
 
 
 def test_saddle_without_constraint_rows():
@@ -83,7 +85,7 @@ def test_saddle_without_constraint_rows():
     interp = sparse.csr_matrix(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0]]))
     C = kernel_constraints(interp, np.array([1, 3]))
     assert C.shape == (0, 2)
-    saddle = factor_saddle(sparse.eye(2, format="csr"), C)
+    saddle = saddle_of(sparse.eye(2, format="csr"), C)
     r = np.array([3.0, -2.0])
     w, mu = saddle.solve(r)
     np.testing.assert_array_equal(w, r)
@@ -102,7 +104,7 @@ def test_saddle_constraint_residual():
     A = sparse.csc_matrix(R @ R.T + 30.0 * np.eye(30))
     C = sparse.csr_matrix(rng.standard_normal((4, 30)))
     r = rng.standard_normal(30)
-    w, mu = factor_saddle(A, C).solve(r)
+    w, mu = saddle_of(A, C).solve(r)
     norm_r = np.linalg.norm(r)
     assert np.max(np.abs(C @ w)) <= 1e-10 * norm_r
     assert np.linalg.norm(A @ w + C.T @ mu - r) <= 1e-10 * norm_r
@@ -119,13 +121,13 @@ def _saddle_problem():
 def test_symmetric_mode_saddle_solve():
     # the same residual and constraint checks hold in symmetric mode
     A, C, r = _saddle_problem()
-    saddle = factor_saddle(A, C, _symmetric=True)
+    saddle = saddle_of(A, C, _symmetric=True)
     w, mu = saddle.solve(r)
     assert saddle._symmetric
     norm_r = np.linalg.norm(r)
     assert np.max(np.abs(C @ w)) <= 1e-10 * norm_r
     assert np.linalg.norm(A @ w + C.T @ mu - r) <= 1e-10 * norm_r
-    np.testing.assert_allclose(w, factor_saddle(A, C).solve(r)[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w, saddle_of(A, C).solve(r)[0], rtol=0, atol=1e-12)
 
 
 def test_symmetric_mode_falls_back_on_a_singular_factorization(monkeypatch):
@@ -140,10 +142,10 @@ def test_symmetric_mode_falls_back_on_a_singular_factorization(monkeypatch):
         return splu(matrix, symmetric)
 
     monkeypatch.setattr(linalg, "_splu", singular_symmetric)
-    saddle = factor_saddle(A, C, _symmetric=True)
+    saddle = saddle_of(A, C, _symmetric=True)
     assert modes == [True, False] and not saddle._symmetric
     monkeypatch.undo()
-    np.testing.assert_array_equal(saddle.solve(r)[0], factor_saddle(A, C).solve(r)[0])
+    np.testing.assert_array_equal(saddle.solve(r)[0], saddle_of(A, C).solve(r)[0])
 
 
 def _corrupt(fact, how):
@@ -161,12 +163,12 @@ def _corrupt(fact, how):
                                         ("constraints", ConstraintViolationError)])
 def test_symmetric_mode_falls_back_when_a_checked_solve_misses(how, error):
     A, C, r = _saddle_problem()
-    saddle = factor_saddle(A, C, _symmetric=True)
+    saddle = saddle_of(A, C, _symmetric=True)
     symmetric = saddle._fact
     _corrupt(symmetric, how)
     w, _ = saddle.solve(r)
     assert saddle._fact is not symmetric and not saddle._symmetric
-    np.testing.assert_array_equal(w, factor_saddle(A, C).solve(r)[0])
+    np.testing.assert_array_equal(w, saddle_of(A, C).solve(r)[0])
     # the default factorization has no fallback: a miss there raises
     _corrupt(saddle._fact, how)
     with pytest.raises(error):
@@ -217,7 +219,7 @@ def _stepped(saddle, A, r, count, checked=0):
 
 def _per_step(A, C, r, count):
     # the oracle: one checked solve per step
-    saddle = factor_saddle(A, C)
+    saddle = saddle_of(A, C)
     w = [saddle.solve(r)[0]]
     for _ in range(1, count):
         w.append(saddle.solve(A @ w[-1])[0])
@@ -227,7 +229,7 @@ def _per_step(A, C, r, count):
 def test_checked_steps_replay_a_mid_block_miss_once():
     A, C, r = _saddle_problem()
     count = 2 * linalg._BLOCK + 5
-    saddle = factor_saddle(A, C)
+    saddle = saddle_of(A, C)
     checked = _count_checked_solves(saddle)
     # call 20 is the bare solve of step 19, the fourth of the second block
     _perturb_bare_call(saddle, 20)
@@ -242,7 +244,7 @@ def test_checked_steps_replay_a_mid_block_miss_once():
 def test_checked_steps_check_a_short_last_block():
     A, C, r = _saddle_problem()
     count = linalg._BLOCK + 3
-    saddle = factor_saddle(A, C)
+    saddle = saddle_of(A, C)
     checked = _count_checked_solves(saddle)
     # the bare solve of the last step, in a last block of three
     _perturb_bare_call(saddle, count)
@@ -254,7 +256,7 @@ def test_checked_steps_check_a_short_last_block():
 def test_checked_steps_solve_the_leading_rows_checked():
     A, C, r = _saddle_problem()
     count = linalg._BLOCK + 5
-    saddle = factor_saddle(A, C)
+    saddle = saddle_of(A, C)
     checked = _count_checked_solves(saddle)
     w, steps = _stepped(saddle, A, r, count, checked=3)
     np.testing.assert_array_equal(w, _per_step(A, C, r, count))
@@ -269,7 +271,7 @@ def test_checked_steps_bare_solve_on_the_fallback_factors():
     # solve falls back, and every bare solve after it uses the new factors
     A, C, r = _saddle_problem()
     count = 2 * linalg._BLOCK + 5
-    saddle = factor_saddle(A, C, _symmetric=True)
+    saddle = saddle_of(A, C, _symmetric=True)
     _corrupt(saddle._fact, "residual")
     checked = _count_checked_solves(saddle)
     w, steps = _stepped(saddle, A, r, count, checked=1)
@@ -316,7 +318,7 @@ def test_saddle_matrix_equals_bmat(case):
     reference = _parent_saddle_matrix(A, C)
     _assert_same_csc(linalg._saddle_matrix(A.tocsc(), C), reference)
     # what SuperLU factors
-    _assert_same_csc(factor_saddle(A, C)._fact.matrix, reference)
+    _assert_same_csc(saddle_of(A, C)._fact.matrix, reference)
 
 
 @pytest.mark.parametrize("stored", [False, True], ids=["empty-row", "stored-zero-row"])
@@ -331,14 +333,14 @@ def test_saddle_matrix_with_zero_constraint_row(stored):
                                np.array([0, 1, 2, 3])), shape=(3, 6))
     _assert_same_csc(linalg._saddle_matrix(A.tocsc(), C), _parent_saddle_matrix(A, C))
     with pytest.raises(DegenerateConstraintError):
-        factor_saddle(A, C)
+        saddle_of(A, C)
 
 
 def test_degenerate_constraints_detected():
     A = sparse.eye(3, format="csr")
     C = sparse.csr_matrix(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
     with pytest.raises(DegenerateConstraintError):
-        factor_saddle(A, C)
+        saddle_of(A, C)
 
 
 def test_concurrent_solves_deterministic():
@@ -365,7 +367,8 @@ def test_accuracy_checks_survive_python_O():
         import numpy as np
         import scipy.sparse as sparse
         from sdwave.linalg import (ConstraintViolationError, Factorization,
-                                   InaccurateSolveError, SaddleFactorization)
+                                   InaccurateSolveError, SaddleFactorization,
+                                   _saddle_matrix)
 
         def attempt(label, call, error):
             try:
@@ -386,7 +389,8 @@ def test_accuracy_checks_survive_python_O():
         attempt("block solve", lambda: fact.solve(block), InaccurateSolveError)
 
         C = sparse.csr_matrix(np.array([[1.0, 0.0]]))
-        saddle = SaddleFactorization(sparse.eye(2, format="csr"), C)
+        kkt = _saddle_matrix(sparse.eye(2, format="csc"), C)
+        saddle = SaddleFactorization(kkt, 2)
         saddle._fact.solve = lambda rhs, tol: np.array([1.0, 1.0, 0.0])
         attempt("saddle", lambda: saddle.solve(np.array([1.0, 1.0]))[0],
                 ConstraintViolationError)
@@ -397,7 +401,7 @@ def test_accuracy_checks_survive_python_O():
                 ConstraintViolationError)
 
         # bare solves of [r; 0]: column 0 exact, column 1 off by 14 in w_2
-        saddle = SaddleFactorization(sparse.eye(2, format="csr"), C)
+        saddle = SaddleFactorization(kkt, 2)
         rhs = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
         sol = np.array([[0.0, 0.0], [1.0, 15.0], [1.0, 1.0]])
         attempt("count", lambda: saddle.count_accurate(rhs, sol), InaccurateSolveError)

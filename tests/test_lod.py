@@ -9,11 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 
 from sdwave import linalg, lod
 from sdwave.assembly import DiscreteForms, element_rhs_block, h1_norms
 from sdwave.evolution import TimeGrid, _GlobalSaddle
+from sdwave.interpolation import kernel_constraints
 from sdwave.linalg import (ConstraintViolationError, Factorization,
                            SaddleFactorization, factor_saddle)
 from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
@@ -25,6 +27,8 @@ from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
                         transients_for_all_nodes)
 from sdwave.mesh import (Mesh, NestedMeshPair, element_patch, node_patch,
                          prolongation, saturating_k)
+
+from conftest import saddle_of
 
 TAU = 0.02
 
@@ -91,7 +95,7 @@ def test_saturated_matches_global_solve(request, saturated_set):
         saturated = (saturated_set if name == "problem44" else build_corrector_set(
             forms, CorrectorConfig(k=saturating_k(pair.coarse))))
         P = prolongation(pair)
-        saddle = factor_saddle(forms.K_tilde, forms.interp)
+        saddle = saddle_of(forms.K_tilde, forms.interp)
         for dof in range(0, pair.coarse.n_dofs, 2):
             lam = np.asarray(P[:, dof].todense()).ravel()
             w, _ = saddle.solve(forms.K_tilde @ lam)
@@ -115,7 +119,7 @@ def test_modified_basis_has_full_rank(problem44, saturated_set):
 
 def test_saturated_energy_orthogonality(problem44, saturated_set):
     pair, forms = problem44.pair, problem44.forms
-    saddle = factor_saddle(forms.K_tilde, forms.interp)
+    saddle = saddle_of(forms.K_tilde, forms.interp)
     rng = np.random.default_rng(31)
     q = saturated_set.Q @ rng.standard_normal(pair.coarse.n_dofs)
     w, _ = saddle.solve(forms.K_tilde @ rng.standard_normal(pair.fine.n_dofs))
@@ -127,7 +131,7 @@ def test_a_only_orthogonality(problem44):
     pair, forms = problem44.pair, problem44.forms
     cfg = CorrectorConfig(k=saturating_k(pair.coarse), form_choice="a_only")
     cs = build_corrector_set(forms, cfg)
-    saddle = factor_saddle(forms.K_A, forms.interp)
+    saddle = saddle_of(forms.K_A, forms.interp)
     rng = np.random.default_rng(32)
     q = cs.Q @ rng.standard_normal(pair.coarse.n_dofs)
     w, _ = saddle.solve(forms.K_A @ rng.standard_normal(pair.fine.n_dofs))
@@ -154,9 +158,9 @@ def _counting_factor_saddle(monkeypatch):
     from sdwave import linalg
     calls = []
 
-    def counting(A, C):
-        calls.append(A.shape[0])
-        return factor_saddle(A, C)
+    def counting(kkt, n):
+        calls.append(n)
+        return factor_saddle(kkt, n)
 
     monkeypatch.setattr(linalg, "factor_saddle", counting)
     return calls
@@ -266,11 +270,16 @@ def node_dofs(problem44):
     return patch_fine_dofs(problem44.pair, node_patch(coarse, vertex, 2))
 
 
-def _assert_same_csr(a, b):
-    assert a.format == b.format == "csr" and a.shape == b.shape
+def _assert_same_compressed(a, b):
+    assert a.format == b.format and a.shape == b.shape
     for name in ("indptr", "indices", "data"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def _assert_same_csr(a, b):
+    assert a.format == "csr"
+    _assert_same_compressed(a, b)
 
 
 def test_patch_blocks_equal_direct_slices(problem44, node_dofs):
@@ -280,13 +289,51 @@ def test_patch_blocks_equal_direct_slices(problem44, node_dofs):
     for k in (1, 2, saturating_k(coarse)):
         dof_sets += [patch_fine_dofs(pair, element_patch(coarse, t, k))
                      for t in (0, 5, coarse.n_elements - 1)]
-    from sdwave.interpolation import kernel_constraints
     for dofs in dof_sets:
         patch = Patch(forms, dofs)
         for block, full in ((patch.k_tilde, forms.K_tilde), (patch.k_a, forms.K_A),
                             (patch.k_b, forms.K_B)):
             _assert_same_csr(block, full[dofs][:, dofs].tocsr())
         _assert_same_csr(patch.C, kernel_constraints(forms.interp, dofs))
+
+
+def _stored_zeros_forms(problem):
+    """Forms of problem whose interpolator holds explicit zeros, one row
+    nothing else, set before any saddle matrix is built from it."""
+    forms = DiscreteForms(problem.pair, problem.field_a, problem.field_b, problem.tau)
+    interp = forms.interp.copy()
+    interp.data[::3] = 0.0
+    interp.data[interp.indptr[1]:interp.indptr[2]] = 0.0
+    forms.interp = interp
+    return forms
+
+
+@pytest.mark.parametrize("form_choice", lod.FORM_CHOICES)
+@pytest.mark.parametrize("case", ["problem44", "problem84", "stored-zeros"])
+def test_gathered_patch_systems_equal_the_assembled_ones(request, case, form_choice):
+    # one gather from the forms' saddle matrix gives the bytes of the system
+    # assembled from the patch block and kernel_constraints, and C is a view
+    # of its trailing columns
+    problem = request.getfixturevalue("problem44" if case == "stored-zeros" else case)
+    forms = _stored_zeros_forms(problem) if case == "stored-zeros" else problem.forms
+    pair, coarse = problem.pair, problem.pair.coarse
+    full = getattr(forms, lod._FORM_BLOCKS[form_choice])
+    stride = 1 if case != "problem84" else 5
+    for k in range(1, saturating_k(coarse) + 1):
+        sets = [patch_fine_dofs(pair, element_patch(coarse, t, k))
+                for t in range(k % stride, coarse.n_elements, stride)]
+        sets += [patch_fine_dofs(pair, node_patch(coarse, coarse.interior_nodes[x], k))
+                 for x in range(k % stride, coarse.n_dofs, stride)]
+        for dofs in sets:
+            if dofs.size == 0:
+                continue
+            patch = Patch(forms, dofs, form_choice)
+            C = kernel_constraints(forms.interp, dofs)
+            _assert_same_compressed(patch.kkt, linalg._saddle_matrix(
+                full[dofs][:, dofs].tocsc(), C))
+            _assert_same_compressed(patch.C, C)
+            assert np.shares_memory(patch.C.data, patch.kkt.data)
+            assert np.shares_memory(patch.C.indices, patch.kkt.indices)
 
 
 @pytest.mark.parametrize("dofs", [
@@ -318,7 +365,7 @@ def test_patch_factors_once_for_many_solves(problem44, node_dofs, monkeypatch,
         r = rng.standard_normal(node_dofs.size)
         w = patch.solve(r)
         # the fine-scale part of the saddle solve on the chosen form's block
-        expected, _ = factor_saddle(getattr(patch, block), patch.C).solve(r)
+        expected, _ = saddle_of(getattr(patch, block), patch.C).solve(r)
         np.testing.assert_array_equal(w, expected)
     assert calls == [node_dofs.size]
 
@@ -326,6 +373,96 @@ def test_patch_factors_once_for_many_solves(problem44, node_dofs, monkeypatch,
 def test_patch_rejects_unknown_form(problem44, node_dofs):
     with pytest.raises(ValueError):
         Patch(problem44.forms, node_dofs, "c_only")
+
+
+class _AssembledPatch(Patch):
+    """A Patch whose saddle system is assembled from its block and
+    kernel_constraints, and whose C C^T is the sparse product: each patch as
+    it was built before the gather."""
+
+    @cached_property
+    def kkt(self):
+        block = self._restrict(getattr(self.forms, lod._FORM_BLOCKS[self.form_choice]))
+        return linalg._saddle_matrix(block.tocsc(),
+                                     kernel_constraints(self.forms.interp, self.dofs))
+
+    @cached_property
+    def _kernel_factors(self):
+        return self.C.T, scipy.linalg.cho_factor((self.C @ self.C.T).toarray())
+
+
+def _assembled_transient_patch(correctors, x_dof, KQ=None):
+    # the first right-hand side from the patch rows of K_A times q_x
+    forms, config = correctors.forms, correctors.config
+    patch = _AssembledPatch(forms, lod._node_dofs(forms.pair, x_dof, config.k),
+                            config.form_choice)
+    q_x = np.asarray(correctors.Q[:, x_dof].todense()).ravel()
+    rows = linalg._submatrix(forms.K_A, patch.dofs, np.arange(forms.K_A.shape[1]))
+    return patch, rows @ q_x
+
+
+def _assembled_element_rhs_block(pair, tilde_values, t_coarse, V, columns):
+    # the rows of the prolongation, read from its dense copy
+    return element_rhs_block(pair, tilde_values, t_coarse, V.toarray(), columns)
+
+
+@pytest.mark.parametrize("form_choice", lod.FORM_CHOICES)
+def test_gathered_build_equals_the_assembled_build(problem44, monkeypatch, form_choice):
+    # the corrector set, its sequences of both generators and the ideal
+    # method's basis, each built through the gathered patch systems, against
+    # the same builds on patches assembled from their blocks
+    forms = problem44.forms
+    config = CorrectorConfig(k=2, form_choice=form_choice)
+    generators = lod.GENERATORS if form_choice == "a_plus_tau_b" else ("power",)
+
+    def build():
+        cs = build_corrector_set(forms, config)
+        return cs, {g: transients_for_all_nodes(cs, 12, g) for g in generators}
+
+    gathered, gathered_seq = build()
+    ideal = _GlobalSaddle(forms, TimeGrid(forms.tau, 2))
+    with monkeypatch.context() as m:
+        m.setattr(lod, "Patch", _AssembledPatch)
+        m.setattr(lod, "transient_patch", _assembled_transient_patch)
+        m.setattr(lod, "element_rhs_block", _assembled_element_rhs_block)
+        assembled, assembled_seq = build()
+    _assert_same_csr(gathered.Q, assembled.Q)
+    for name in ("M_ms", "A_ms", "B_ms"):
+        np.testing.assert_array_equal(getattr(gathered, name), getattr(assembled, name))
+    for g in generators:
+        for d, tc in assembled_seq[g].items():
+            got = gathered_seq[g][d]
+            np.testing.assert_array_equal(got.dofs, tc.dofs)
+            np.testing.assert_array_equal(got.xi, tc.xi)
+            assert got.solves == tc.solves and got.bound == tc.bound
+            if g == "lanczos":
+                np.testing.assert_array_equal(got.alpha, tc.alpha)
+                np.testing.assert_array_equal(got.beta, tc.beta)
+                assert got.norm1 == tc.norm1
+    # the ideal basis on the global system assembled from K_tilde and the
+    # interpolator, as the solver built it before it factored the forms' one
+    saddle = factor_saddle(linalg._saddle_matrix(forms.K_tilde.tocsc(), forms.interp),
+                           forms.fine.n_dofs, _symmetric=True)
+    P = prolongation(forms.pair)
+    np.testing.assert_array_equal(
+        ideal.Q, P.toarray() - saddle.solve((forms.K_tilde @ P).toarray())[0])
+
+
+def test_gathered_system_with_a_zero_constraint_row_is_degenerate(problem44):
+    # a constraint row with no entry in the patch columns, gathered with the
+    # patch's own, leaves a zero row in C, which the factorization rejects
+    forms = problem44.forms
+    n = forms.fine.n_dofs
+    dofs = patch_fine_dofs(problem44.pair, element_patch(problem44.pair.coarse, 0, 1))
+    weight = np.asarray(abs(forms.interp[:, dofs]).sum(axis=1)).ravel()
+    own, far = np.flatnonzero(weight > 0.0), np.flatnonzero(weight == 0.0)
+    assert own.size > 0 and far.size > 0
+    index = np.concatenate((dofs, n + np.union1d(own, far[:1])))
+    kkt = linalg._submatrix(forms.saddle_matrix("K_tilde"), index, index)
+    C = linalg._saddle_constraints(kkt, dofs.size)
+    assert C.shape[0] == own.size + 1 and np.diff(C.indptr).min() == 0
+    with pytest.raises(linalg.DegenerateConstraintError):
+        factor_saddle(kkt, dofs.size)
 
 
 def test_transients_vanish_at_r1(problem81):
@@ -363,7 +500,7 @@ def test_first_step_matches_direct_global_solve(problem44):
     dof = pair.coarse.n_dofs // 2
     tc = compute_transient_correctors(cs, dof, horizon=2)
     q_x = np.asarray(cs.Q[:, dof].todense()).ravel()
-    w, _ = factor_saddle(forms.K_tilde, forms.interp).solve(forms.K_A @ q_x)
+    w, _ = saddle_of(forms.K_tilde, forms.interp).solve(forms.K_A @ q_x)
     xi1 = np.zeros(pair.fine.n_dofs)
     xi1[tc.dofs] = tc.xi[0]
     assert h1_norms(forms, [xi1 - w])[0] <= 1e-9 * h1_norms(forms, [w])[0]
@@ -428,11 +565,11 @@ def k2_set(problem44):
 
 def test_transient_patch_first_rhs_is_the_whole_grid_product(problem44, k2_set):
     pair, forms = problem44.pair, problem44.forms
-    Q_csc = k2_set.Q.tocsc()
+    KQ = lod._k_a_q(k2_set)
     for x_dof in (0, pair.coarse.n_dofs // 2, pair.coarse.n_dofs - 1):
         q_x = np.asarray(k2_set.Q[:, x_dof].todense()).ravel()
-        for csc in (None, Q_csc):
-            patch, rhs = transient_patch(k2_set, x_dof, csc)
+        for kq in (None, KQ):
+            patch, rhs = transient_patch(k2_set, x_dof, kq)
             _assert_bitwise(rhs, (forms.K_A @ q_x)[patch.dofs])
 
 
@@ -529,8 +666,7 @@ def _fall_back_at_the_first_checked_solve(monkeypatch):
     1.5 times the solution, which one refinement step cannot mend, so that
     its first checked solve falls back to the default factorization."""
     def saddle(patch):
-        block = getattr(patch, lod._FORM_BLOCKS[patch.form_choice])
-        fact = factor_saddle(block, patch.C, _symmetric=True)
+        fact = factor_saddle(patch.kkt, patch.dofs.size, _symmetric=True)
         raw_solve = fact._fact._raw_solve
         fact._fact._raw_solve = lambda b: 1.5 * raw_solve(b)
         return fact
@@ -1087,6 +1223,32 @@ def test_cache_with_a_node_of_no_rows_is_a_miss(tmp_path, problem44, certified_n
     np.savez(path, **payload)
     _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
            "a file with a node of no rows was served")
+
+
+@pytest.mark.parametrize("kind", ["lanczos", "power"])
+@pytest.mark.parametrize("corruption", ["nan-data", "index-beyond", "indptr-beyond"])
+def test_cache_with_a_corrupt_Q_is_a_miss(tmp_path, problem44, certified_nodes, kind,
+                                          corruption):
+    # each was served: the online stage then stepped on a NaN and failed on
+    # non-finite states, or read far outside Q's columns and segfaulted, or
+    # read entries past Q's data
+    cs, seq = certified_nodes
+    key = cache_key(problem44.forms, cs.config, 25, kind)
+    path = save_corrector_cache(tmp_path, key, cs,
+                                seq if kind == "lanczos" else _as_members(seq))
+    with np.load(path) as data:
+        payload = dict(data)
+    middle = payload["Q_data"].size // 2
+    if corruption == "nan-data":
+        payload["Q_data"][middle] = np.nan
+    elif corruption == "index-beyond":
+        payload["Q_indices"][middle] = 10**6
+    else:
+        # an inner entry, so that the last still ends the data
+        payload["Q_indptr"][payload["Q_indptr"].size // 2] = payload["Q_data"].size + 1
+    np.savez(path, **payload)
+    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
+           "a file with a corrupt Q (%s) was served" % corruption)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -255,8 +255,8 @@ def zero_node44(problem44, localized44):
     zero = problem44.n_coarse_dofs // 2
     transient_patch = lod.transient_patch
 
-    def zero_rhs_at_one_node(correctors, x_dof, Q_csc=None):
-        patch, rhs = transient_patch(correctors, x_dof, Q_csc)
+    def zero_rhs_at_one_node(correctors, x_dof, KQ=None):
+        patch, rhs = transient_patch(correctors, x_dof, KQ)
         return patch, np.zeros_like(rhs) if x_dof == zero else rhs
 
     with pytest.MonkeyPatch.context() as mp:
@@ -340,8 +340,8 @@ def test_every_sequence_has_exactly_horizon_rows(problem44, tmp_path, monkeypatc
     zero = problem44.n_coarse_dofs // 2
     transient_patch = lod.transient_patch
 
-    def zero_rhs_at_one_node(correctors, x_dof, Q_csc=None):
-        patch, rhs = transient_patch(correctors, x_dof, Q_csc)
+    def zero_rhs_at_one_node(correctors, x_dof, KQ=None):
+        patch, rhs = transient_patch(correctors, x_dof, KQ)
         return patch, np.zeros_like(rhs) if x_dof == zero else rhs
 
     monkeypatch.setattr(lod, "transient_patch", zero_rhs_at_one_node)
