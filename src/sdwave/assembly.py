@@ -162,15 +162,15 @@ class DiscreteForms:
         return self.pair.fine
 
     def saddle_matrix(self, name):
-        """The CSC of [[K, I^T], [I, 0]] (linalg._saddle_matrix), for K the
-        form `name` ("K_tilde", "K_A" or "K_B") and I the interpolator: the
-        saddle system over the interpolation kernel, built on first use.
-        Every patch gathers its own system from it."""
+        """The CSC of [[K, I^T], [I, 0]], for K the form `name` ("K_tilde",
+        "K_A" or "K_B") and I the interpolator: the saddle system over the
+        interpolation kernel, built on first use. Every patch gathers its own
+        system from it."""
         if name not in ("K_tilde", "K_A", "K_B"):
             raise ValueError("no saddle matrix of %r" % (name,))
         if name not in self._saddles:
-            self._saddles[name] = linalg._saddle_matrix(getattr(self, name).tocsc(),
-                                                        self.interp)
+            K, interp = getattr(self, name), self.interp
+            self._saddles[name] = sparse.bmat([[K, interp.T], [interp, None]], format="csc")
         return self._saddles[name]
 
 

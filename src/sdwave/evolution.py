@@ -8,7 +8,6 @@ import scipy.linalg
 
 from . import linalg
 from .assembly import assemble_load, h1_norms
-from .lod import _k_a_q, transient_patch
 from .mesh import prolongation
 
 
@@ -119,22 +118,19 @@ class _StepOn:
 
 
 class _PerStep(_StepOn):
-    """Fine-scale part computed in every step as w^n = correct(n, alpha, K_A u^{n-1});
-    w = 0 without correct. Initial states carry no fine-scale part.
+    """Fine-scale part w^n held per step, w = 0 here; a subclass sets w^n in
+    memory(n, alpha). Initial states carry no fine-scale part.
 
     w^n depends on step n - 1 alone, so it is computed with the memory term of
     step n, before alpha^n is solved.
     """
 
-    def __init__(self, Q, forms, grid, correct=None):
-        self.Q, self.QT, self.K_A, self.correct = Q, Q.T, forms.K_A, correct
+    def __init__(self, Q, forms, grid):
+        self.Q, self.QT, self.K_A = Q, Q.T, forms.K_A
         self.w = np.zeros((grid.n_steps + 1, Q.shape[0]))
 
     def memory(self, n, alpha):
-        fine = self.K_A @ (self.Q @ alpha[n - 1] + self.w[n - 1])
-        if self.correct is not None:
-            self.w[n] = self.correct(n, alpha, fine)
-        return self.QT @ fine
+        return self.QT @ (self.K_A @ (self.Q @ alpha[n - 1] + self.w[n - 1]))
 
     def states(self, alpha):
         for lo in range(0, alpha.shape[0], _BLOCK):
@@ -331,26 +327,6 @@ def localized_gfem_solve(correctors, transients, f, n_steps, alpha0, alpha1):
              for _, tc in sorted(transients.items())]
     return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
                        _Recurrence(correctors, bands, grid))
-
-
-def localized_gfem_solve_direct(correctors, f, n_steps, alpha0, alpha1):
-    """Debug variant: per-node fine-scale systems solved directly in every step."""
-    forms = correctors.forms
-    grid = TimeGrid(forms.tau, n_steps)
-    KQ = _k_a_q(correctors)
-    patches = [transient_patch(correctors, d, KQ)
-               for d in range(forms.pair.coarse.n_dofs)]
-    w_prev = [np.zeros(patch.dofs.size) for patch, _ in patches]
-
-    def patch_solves(n, alpha, memory):
-        w = np.zeros(forms.fine.n_dofs)
-        for d, (patch, r1) in enumerate(patches):
-            w_prev[d] = patch.solve(patch.k_a @ w_prev[d] + alpha[n - 1, d] * r1)
-            w[patch.dofs] += w_prev[d]
-        return w
-
-    return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
-                       _PerStep(correctors.Q, forms, grid, patch_solves))
 
 
 def aux_fine_solve(forms, f, z0, n_steps):

@@ -184,7 +184,7 @@ def _corrector_pipeline(cfg, forms, k, form_choice, counters, transients=True,
     horizon = transient_horizon(cfg.n_steps)
     key = cache_key(forms, config, horizon, generator)
     if cfg.cache:
-        cached = load_corrector_cache(cfg.cache, key, forms, config)
+        cached = load_corrector_cache(cfg.cache, key, forms, config, horizon)
         if cached is not None and (cached[1] is not None or not transients):
             counters["cache_hits"] += 1
             if transients:

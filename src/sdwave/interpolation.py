@@ -1,4 +1,4 @@
-"""Quasi-interpolation from fine to coarse dofs and its kernel constraints.
+"""Quasi-interpolation from fine to coarse dofs.
 
 The operator composes an element-wise L2 projection onto affine functions with
 arithmetic averaging of the per-element values at every interior coarse node.
@@ -6,8 +6,6 @@ arithmetic averaging of the per-element values at every interior coarse node.
 
 import numpy as np
 import scipy.sparse as sparse
-
-from . import linalg
 
 # inverse of the barycentric Gram pattern [[2,1,1],[1,2,1],[1,1,2]]
 _GRAM_INV_PATTERN = 0.25 * np.array(
@@ -86,18 +84,3 @@ def build_interpolator(pair):
     matrix.sort_indices()
     return matrix
 
-
-def kernel_constraints(interp, patch_dofs):
-    """Rows of the interpolation matrix restricted to a patch, zero rows removed.
-
-    C w = 0 characterizes the fine-scale functions supported on the patch.
-    patch_dofs must be ascending fine dofs. lod.Patch gathers the same rows
-    with its saddle system.
-    """
-    patch_dofs = linalg._check_indices(patch_dofs, interp.shape[1], "patch dofs")
-    in_patch = np.zeros(interp.shape[1], dtype=bool)
-    in_patch[patch_dofs] = True
-    # the rows with a nonzero entry in a patch column
-    hits = np.concatenate(([0], np.cumsum(in_patch[interp.indices] & (interp.data != 0.0))))
-    rows = np.flatnonzero(hits[interp.indptr[1:]] > hits[interp.indptr[:-1]])
-    return linalg._submatrix(interp, rows, patch_dofs)

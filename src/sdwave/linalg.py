@@ -114,38 +114,6 @@ def _submatrix(A, rows, cols):
     return A.__class__((A.data[pos[keep]], new_cols[keep], indptr), shape=shape)
 
 
-def _saddle_matrix(A, C):
-    """The CSC of [[A, C^T], [C, 0]] from the CSC of A and the CSR of C.
-
-    For canonical A and C, indptr, indices and data are those scipy.sparse's
-    block constructor gives, explicit zeros included; splu sums the
-    duplicates of any other input.
-    """
-    n = A.shape[0]
-    if A.shape != (n, n) or C.shape[1] != n:
-        raise ValueError("saddle blocks must be n x n and constraints x n")
-    c_cols = C.tocsc()
-    a_counts = np.diff(A.indptr)
-    c_counts = np.diff(c_cols.indptr)
-    indptr = np.concatenate(([0], np.cumsum(a_counts + c_counts, dtype=np.int64)))
-    indptr = np.concatenate((indptr, indptr[-1] + C.indptr[1:]))
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.empty(indptr[-1], dtype=np.result_type(A.dtype, C.dtype))
-    # column j < n holds A's column j, then C's column j below it; column
-    # n + i holds row i of C
-    a_pos = np.arange(A.nnz) + np.repeat(indptr[:n] - A.indptr[:-1], a_counts)
-    c_pos = np.arange(c_cols.nnz) + np.repeat(indptr[:n] + a_counts - c_cols.indptr[:-1],
-                                              c_counts)
-    indices[a_pos] = A.indices
-    data[a_pos] = A.data
-    indices[c_pos] = c_cols.indices + n
-    data[c_pos] = c_cols.data
-    indices[indptr[n]:] = C.indices
-    data[indptr[n]:] = C.data
-    size = n + C.shape[0]
-    return sparse.csc_matrix((data, indices, indptr), shape=(size, size))
-
-
 class Factorization:
     """Reusable direct factorization; solves are serialized by a lock.
 
@@ -209,7 +177,7 @@ def _saddle_constraints(kkt, n):
 
 class SaddleFactorization:
     """Factorization of the CSC kkt = [[A, C^T], [C, 0]] of an n x n A, as
-    _saddle_matrix builds it; every row of C must be nonzero. A C without
+    scipy.sparse.bmat builds it; every row of C must be nonzero. A C without
     rows leaves the system unconstrained.
 
     _symmetric factors in symmetric mode, and falls back to the default
@@ -242,39 +210,40 @@ class SaddleFactorization:
                 self._symmetric = False
         return Factorization(kkt)
 
-    def _check_constraints(self, r, w, tol):
+    def _check_constraints(self, r, w):
         # r and w are (n, c) blocks; a zero column of r, or a C without rows,
         # constrains nothing
         norm_r = np.linalg.norm(r, axis=0)
         worst = np.max(np.abs(self.C @ w), axis=0, initial=0.0)
-        violated = (norm_r > 0.0) & ~(worst <= tol * norm_r)
+        violated = (norm_r > 0.0) & ~(worst <= SADDLE_TOL * norm_r)
         if violated.any():
             raise ConstraintViolationError("constraint violated")
 
-    def solve(self, r, tol=SADDLE_TOL):
-        """(w, mu) for a vector r or column by column of an (n, c) block."""
+    def solve(self, r):
+        """(w, mu) for a vector r or column by column of an (n, c) block,
+        each column held to SADDLE_TOL."""
         r = np.asarray(r, dtype=float)
         rhs = np.concatenate([r, np.zeros((self.C.shape[0],) + r.shape[1:])])
         try:
-            sol = self._fact.solve(rhs, tol=tol)
+            sol = self._fact.solve(rhs, tol=SADDLE_TOL)
             w = sol[: self.n]
-            self._check_constraints(r.reshape(self.n, -1), w.reshape(self.n, -1), tol)
+            self._check_constraints(r.reshape(self.n, -1), w.reshape(self.n, -1))
         except InaccurateSolveError:
             if not self._symmetric:
                 raise
             self._symmetric = False
             self._fact = self._factor(self._fact.matrix)
-            return self.solve(r, tol)
+            return self.solve(r)
         return w, sol[self.n :]
 
-    def count_accurate(self, rhs, sol, tol=SADDLE_TOL):
+    def count_accurate(self, rhs, sol):
         """How many leading columns of sol, unchecked solves of the full
         right-hand sides rhs = [r; 0] (both (n + constraints, c) blocks), pass
         the residual test of solve. Raises ConstraintViolationError where one
         of those breaks its constraints, as solve would."""
-        miss = np.flatnonzero(self._fact._misses(rhs, sol, tol))
+        miss = np.flatnonzero(self._fact._misses(rhs, sol, SADDLE_TOL))
         good = miss[0] if miss.size else rhs.shape[1]
-        self._check_constraints(rhs[: self.n, :good], sol[: self.n, :good], tol)
+        self._check_constraints(rhs[: self.n, :good], sol[: self.n, :good])
         return int(good)
 
 

@@ -111,15 +111,11 @@ class Patch:
         return self._restrict(self.forms.K_A)
 
     @cached_property
-    def k_b(self):
-        return self._restrict(self.forms.K_B)
-
-    @cached_property
     def kkt(self):
         """The CSC of [[block, C^T], [C, 0]] for the chosen form's block: the
         global saddle matrix at the patch dofs, then at n + the rows of the
-        interpolator with a nonzero entry in a patch column (those of
-        interpolation.kernel_constraints), with n the fine dofs."""
+        interpolator with a nonzero entry in a patch column, with n the fine
+        dofs."""
         full = self.forms.saddle_matrix(_FORM_BLOCKS[self.form_choice])
         n = self.forms.fine.n_dofs
         # the patch columns' entries below row n are the interpolator's
@@ -326,25 +322,24 @@ def _k_a_q(correctors):
     return (correctors.forms.K_A @ correctors.Q).tocsc()
 
 
-def transient_patch(correctors, x_dof, KQ=None):
+def transient_patch(correctors, x_dof, KQ):
     """The Patch of coarse node x_dof and the first right-hand side
     (K_A q_x)[patch.dofs] of its fine-scale correction sequence.
 
     The right-hand side is read from column x_dof of KQ = _k_a_q(correctors),
-    which callers that build many nodes make once. Each entry is the sum of
-    a whole-grid product K_A q_x, in the same order: the terms at the zeros
-    of q_x, which that product adds too, change no sum.
+    which callers make once for all nodes. Each entry is the sum of a
+    whole-grid product K_A q_x, in the same order: the terms at the zeros of
+    q_x, which that product adds too, change no sum.
     """
     forms, config = correctors.forms, correctors.config
     patch = Patch(forms, _node_dofs(forms.pair, x_dof, config.k), config.form_choice)
-    KQ = _k_a_q(correctors) if KQ is None else KQ
     span = slice(KQ.indptr[x_dof], KQ.indptr[x_dof + 1])
     column = np.zeros(KQ.shape[0])
     column[KQ.indices[span]] = KQ.data[span]
     return patch, column[patch.dofs]
 
 
-def compute_transient_correctors(correctors, x_dof, horizon, KQ=None):
+def compute_transient_correctors(correctors, x_dof, horizon, KQ):
     """Fine-scale correction sequence of one coarse node on its patch, its
     `horizon` members xi^1 .. xi^horizon.
 
@@ -492,7 +487,7 @@ def _lanczos(patch, first, horizon):
             1 + steps.solves)
 
 
-def _certified_transients(correctors, x_dof, horizon, KQ=None):
+def _certified_transients(correctors, x_dof, horizon, KQ):
     """The correction sequence of compute_transient_correctors in the Lanczos
     form of the node's basis (_lanczos): every member lies within CERTIFY_TOL
     of the power iterate, as the basis certifies.
@@ -643,23 +638,24 @@ def _write_rows(archive, name, blocks):
             entry.write(memoryview(block).cast("B"))
 
 
-def load_corrector_cache(cache_dir, key, forms, config):
+def load_corrector_cache(cache_dir, key, forms, config, horizon):
     """(correctors, transients or None) stored under key, or None on a miss.
 
-    key must be the cache_key built from forms and config, which the file
-    does not repeat; the loaded set carries forms, and each sequence the
+    key must be the cache_key built from forms, config and horizon, which the
+    file does not repeat; the loaded set carries forms, and each sequence the
     dofs of its node's patch (_node_dofs). A file is a miss where it was
     written under another key; cannot be read in full (corrupt, truncated);
-    holds a Q that is not fine dofs x coarse dofs, whose data are not finite
-    float64, or that fails scipy's full CSR format check (integer indices
-    within the columns, indptr ascending within the entries), or an M_ms,
-    A_ms or B_ms that is not a finite float coarse x coarse array; holds
-    nodes that are not ascending coarse dofs, or row counts that are not
-    positive or do not split its rows into blocks of the nodes' dofs (every
-    sequence keeps at least one row: a Lanczos basis its first, power
-    iterates their horizon >= 1); or holds rows or a Lanczos form that is
-    not finite or does not fit the counts. The checks are not asserts, so
-    they hold under python -O.
+    holds a Q_shape that is not the two integers (fine dofs, coarse dofs), a
+    Q whose data are not finite float64, or that fails scipy's full CSR
+    format check (integer indices within the columns, indptr ascending within
+    the entries), or an M_ms, A_ms or B_ms that is not a finite float coarse
+    x coarse array; holds nodes that are not ascending coarse dofs, or row
+    counts that are not positive or do not split its rows into blocks of the
+    nodes' dofs (every sequence keeps at least one row: a Lanczos basis its
+    first, power iterates their horizon >= 1); holds power iterates whose row
+    counts, or certified sequences whose integer horizons, are not horizon;
+    or holds rows or a Lanczos form that is not finite or does not fit the
+    counts. The checks are not asserts, so they hold under python -O.
     """
     path = os.path.join(cache_dir, key + ".npz")
     if not os.path.exists(path):
@@ -668,26 +664,27 @@ def load_corrector_cache(cache_dir, key, forms, config):
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             if str(data["key"]) != key:
                 return None
-            q_data, q_indices, q_indptr = (data[name] for name in (
-                "Q_data", "Q_indices", "Q_indptr"))
+            q_data, q_indices, q_indptr, q_shape = (data[name] for name in (
+                "Q_data", "Q_indices", "Q_indptr", "Q_shape"))
+            n_coarse = forms.pair.coarse.n_dofs
+            shape = (forms.pair.fine.n_dofs, n_coarse)
             if not (_finite_floats(q_data)
-                    and q_indices.dtype.kind == q_indptr.dtype.kind == "i"):
+                    and q_indices.dtype.kind == q_indptr.dtype.kind == "i"
+                    and q_shape.dtype.kind == "i" and q_shape.shape == (2,)
+                    and tuple(q_shape) == shape):
                 return None
-            Q = sparse.csr_matrix((q_data, q_indices, q_indptr),
-                                  shape=tuple(data["Q_shape"]))
+            Q = sparse.csr_matrix((q_data, q_indices, q_indptr), shape=shape)
             # indices within the columns, and indptr ascending within the
             # entries; a ValueError is a miss
             Q.check_format(full_check=True)
-            n_coarse = forms.pair.coarse.n_dofs
             grams = [data[name] for name in ("M_ms", "A_ms", "B_ms")]
-            if Q.shape != (forms.pair.fine.n_dofs, n_coarse) or not all(
-                    g.shape == (n_coarse, n_coarse) and g.dtype == np.float64
-                    and np.isfinite(g).all() for g in grams):
+            if not all(g.shape == (n_coarse, n_coarse) and g.dtype == np.float64
+                       and np.isfinite(g).all() for g in grams):
                 return None
             correctors = CorrectorSet(config, forms, Q, *grams)
             transients = None
             if "transient_nodes" in data:
-                transients = _load_transients(data, correctors)
+                transients = _load_transients(data, correctors, horizon)
                 if transients is None:
                     return None
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
@@ -700,9 +697,10 @@ def _finite_floats(array):
     return array.dtype == np.float64 and bool(np.isfinite(array).all())
 
 
-def _load_transients(data, correctors):
-    """The sequences of an open cache file, each node's rows a view of the
-    one rows entry, or None where the file does not fit (load_corrector_cache)."""
+def _load_transients(data, correctors, horizon):
+    """The sequences of horizon members of an open cache file, each node's
+    rows a view of the one rows entry, or None where the file does not fit
+    (load_corrector_cache)."""
     pair, k = correctors.forms.pair, correctors.config.k
     nodes, counts = data["transient_nodes"], data["transient_row_counts"]
     if not (nodes.ndim == 1 and counts.shape == nodes.shape
@@ -720,11 +718,14 @@ def _load_transients(data, correctors):
     xis = [rows[end - size:end].reshape(count, node_dofs.size)
            for end, size, count, node_dofs in zip(ends, sizes, counts, dofs)]
     if "transient_norm1" not in data:
+        if not np.all(counts == horizon):
+            return None
         return {int(d): TransientCorrectors(dofs[i], xis[i], correctors)
                 for i, d in enumerate(nodes)}
     horizons, norms, bounds, alphas, betas = (data["transient_" + name] for name in (
         "horizon", "norm1", "bound", "alpha", "beta"))
     if not (horizons.shape == norms.shape == bounds.shape == nodes.shape
+            and horizons.dtype.kind == "i" and np.all(horizons == horizon)
             and alphas.shape == betas.shape == (counts.sum(),)
             and all(_finite_floats(a) for a in (norms, bounds, alphas, betas))):
         return None

@@ -35,18 +35,16 @@ class ReducedBasis:
         return ReducedBasis(self.Z[:, :m], self.a_hat[:m, :m], self.k_hat[:m, :m], m)
 
 
-def build_rb(snapshots, patch, tol_rel=RB_TOL):
+def build_rb(snapshots, patch):
     """Gram-Schmidt in the energy inner product with tolerance-gated truncation.
 
     A snapshot is rejected once its orthogonalized remainder falls below
-    tol_rel times its own energy norm; collection stops at the first
+    RB_TOL times its own energy norm; collection stops at the first
     rejection. Near-dependent snapshots leave rounding noise outside the
     fine-scale space, so accepted directions are projected back onto the
     interpolation kernel before they join the basis. patch (an lod.Patch on
     the snapshots' dofs) supplies the restricted forms and constraints.
     """
-    if not 0.0 <= tol_rel < 1.0:
-        raise ValueError("tol_rel must lie in [0, 1), got %r" % (tol_rel,))
     snapshots = np.atleast_2d(np.asarray(snapshots, dtype=float))
     if snapshots.shape[0] == 0:
         raise EmptyBasisError("no snapshots supplied")
@@ -68,7 +66,7 @@ def build_rb(snapshots, patch, tol_rel=RB_TOL):
             for z in basis:
                 v -= dot(z, v) * z
         norm_v = np.sqrt(max(dot(v, v), 0.0))
-        if norm_v <= tol_rel * norm_s or norm_v == 0.0:
+        if norm_v <= RB_TOL * norm_s or norm_v == 0.0:
             break
         v = patch.kernel_project(v)
         for z in basis:
@@ -81,18 +79,6 @@ def build_rb(snapshots, patch, tol_rel=RB_TOL):
     a_hat = Z.T @ (a_tilde @ Z)
     k_hat = Z.T @ (patch.k_a @ Z)
     return ReducedBasis(Z, a_hat, k_hat, consumed)
-
-
-def rb_step(basis, c_prev):
-    """Advance the projected recursion by one time step."""
-    c_prev = np.asarray(c_prev, dtype=float)
-    if c_prev.shape != (basis.Z.shape[1],):
-        raise ValueError("coefficient vector does not match the basis size")
-    return np.linalg.solve(basis.a_hat, basis.k_hat @ c_prev)
-
-
-def lift(basis, c):
-    return basis.Z @ np.asarray(c, dtype=float)
 
 
 def snapshot_singular_values(snapshots, patch):

@@ -3,8 +3,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 
-from sdwave import linalg
+from sdwave import lod
 from sdwave.assembly import DiscreteForms, assemble_load
+from sdwave.evolution import TimeGrid, _gfem_steps, _multiscale, _PerStep
 from sdwave.harness import random_field
 from sdwave.linalg import factor_saddle
 from sdwave.lod import CorrectorConfig, build_corrector_set
@@ -71,6 +72,17 @@ def foreign_k2_44(request, problem44):
     return build_corrector_set(forms, CorrectorConfig(k=2))
 
 
+def stored_zeros_forms(problem):
+    """Forms of problem whose interpolator holds explicit zeros, one row
+    nothing else, set before any saddle matrix is built from it."""
+    forms = DiscreteForms(problem.pair, problem.field_a, problem.field_b, problem.tau)
+    interp = forms.interp.copy()
+    interp.data[::3] = 0.0
+    interp.data[interp.indptr[1]:interp.indptr[2]] = 0.0
+    forms.interp = interp
+    return forms
+
+
 def _per_step_superposition(correctors, transients, forms, f, n_steps, alpha0, alpha1):
     """Oracle for localized_gfem_solve: the fine-scale part re-summed from the
     members of every sequence in every step, w^n = sum_x sum_{l=1}^{n-1}
@@ -98,10 +110,53 @@ def _per_step_superposition(correctors, transients, forms, f, n_steps, alpha0, a
     return alpha, states
 
 
+class _PerNodeSolves(_PerStep):
+    """Oracle for localized_gfem_solve: every node's fine-scale part solved on
+    its patch in every step, w_x^n = S_x(K_A w_x^{n-1} + alpha_x^{n-1} K_A q_x),
+    and w^n their sum."""
+
+    def __init__(self, correctors, grid):
+        super().__init__(correctors.Q, correctors.forms, grid)
+        KQ = lod._k_a_q(correctors)
+        self.patches = [lod.transient_patch(correctors, d, KQ)
+                        for d in range(correctors.Q.shape[1])]
+        self.w_node = [np.zeros(patch.dofs.size) for patch, _ in self.patches]
+
+    def memory(self, n, alpha):
+        coarse = super().memory(n, alpha)
+        for d, (patch, r1) in enumerate(self.patches):
+            self.w_node[d] = patch.solve(patch.k_a @ self.w_node[d] + alpha[n - 1, d] * r1)
+            self.w[n, patch.dofs] += self.w_node[d]
+        return coarse
+
+
+def localized_gfem_solve_direct(correctors, f, n_steps, alpha0, alpha1):
+    """The localized GFEM with the per-node patch systems solved directly in
+    every step (_PerNodeSolves)."""
+    grid = TimeGrid(correctors.forms.tau, n_steps)
+    return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
+                       _PerNodeSolves(correctors, grid))
+
+
+def saddle_matrix(A, C):
+    """The CSC of the saddle matrix [[A, C^T], [C, 0]] of the blocks A and C,
+    as sparse.bmat builds it."""
+    A, C = sparse.csr_matrix(A), sparse.csr_matrix(C)
+    return sparse.bmat([[A, C.T], [C, None]], format="csc")
+
+
 def saddle_of(A, C, _symmetric=False):
-    """factor_saddle of the saddle matrix [[A, C^T], [C, 0]] of the blocks A
-    and C, built from them by linalg._saddle_matrix; bound at import, so a
-    test that counts the factorizations of linalg.factor_saddle does not
-    count this one."""
-    kkt = linalg._saddle_matrix(sparse.csc_matrix(A), sparse.csr_matrix(C))
-    return factor_saddle(kkt, A.shape[0], _symmetric)
+    """factor_saddle of saddle_matrix(A, C); bound at import, so a test that
+    counts the factorizations of linalg.factor_saddle does not count this
+    one."""
+    return factor_saddle(saddle_matrix(A, C), A.shape[0], _symmetric)
+
+
+def constraint_rows(interp, dofs):
+    """The rows of the interpolator restricted to the patch dofs, zero rows
+    removed, by scipy's fancy indexing: C w = 0 characterizes the
+    fine-scale functions supported on the patch. The reference for the
+    constraint rows lod.Patch gathers."""
+    C = interp[:, dofs].tocsr()
+    row_weight = np.abs(C).sum(axis=1).A.ravel()
+    return C[np.flatnonzero(row_weight > 0.0)].tocsr()

@@ -14,7 +14,7 @@ from sdwave.evolution import (aux_fine_solve, aux_gfem_solve, discrete_energy,
                               fine_fem_solve, localized_gfem_solve, rel_l2h1)
 from sdwave.harness import ExperimentConfig, random_field, run_exp_H, \
     run_exp_k, run_exp_rb
-from sdwave.lod import (CorrectorConfig, build_corrector_set,
+from sdwave.lod import (CorrectorConfig, _k_a_q, build_corrector_set,
                         compute_transient_correctors, decay_profile,
                         transients_for_all_nodes, Patch)
 from sdwave.mesh import Mesh, NestedMeshPair, saturating_k
@@ -62,7 +62,7 @@ def transient_center_q4(prob_q4):
     coarse = prob_q4.pair.coarse
     center = (coarse.n // 2) * (coarse.n + 1) + coarse.n // 2
     x_dof = int(coarse.dof_index[center])
-    tc = compute_transient_correctors(cs, x_dof, horizon=100)
+    tc = compute_transient_correctors(cs, x_dof, 100, _k_a_q(cs))
     return x_dof, tc
 
 
@@ -121,8 +121,9 @@ def test_criterion_3_superposition_identity():
     alpha = rng.uniform(-1.0, 1.0, (n_steps + 1, pair.coarse.n_dofs))
 
     worst = 0.0
+    KQ = _k_a_q(cs)
     for x_dof in range(pair.coarse.n_dofs):
-        tc = compute_transient_correctors(cs, x_dof, horizon=n_steps)
+        tc = compute_transient_correctors(cs, x_dof, n_steps, KQ)
         solver = Patch(forms, tc.dofs, cfg.form_choice)
         K_A_patch = forms.K_A[tc.dofs][:, tc.dofs]
         H1p = (forms.K_1 + forms.M)[tc.dofs][:, tc.dofs]

@@ -6,6 +6,8 @@ from sdwave.assembly import (CoefficientField, DiscreteForms, assemble_load,
 from sdwave.harness import random_field
 from sdwave.mesh import Mesh, NestedMeshPair
 
+from conftest import saddle_matrix
+
 
 def test_unit_stiffness_stencil():
     # closed-form P1 stencil on right triangles: diagonal 4, axis neighbors -1
@@ -166,13 +168,13 @@ def test_element_rhs_block_reads_sparse_rows_as_their_dense_copy(problem44):
 
 
 def test_saddle_matrix_is_built_once_per_form(problem44):
-    from sdwave import linalg
+    # the blocks [[K, I^T], [I, 0]] of each form as sparse.bmat builds them
     pair = problem44.pair
     forms = DiscreteForms(pair, problem44.field_a, problem44.field_b, problem44.tau)
     for name in ("K_tilde", "K_A", "K_B"):
         full = forms.saddle_matrix(name)
         assert forms.saddle_matrix(name) is full
-        want = linalg._saddle_matrix(getattr(forms, name).tocsc(), forms.interp)
+        want = saddle_matrix(getattr(forms, name), forms.interp)
         assert full.format == want.format == "csc"
         for part in ("indptr", "indices", "data"):
             a, b = getattr(full, part), getattr(want, part)

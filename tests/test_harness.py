@@ -19,8 +19,8 @@ from sdwave.evolution import localized_gfem_solve, transient_horizon
 from sdwave.harness import (CSV_HEADER, ExperimentConfig, config_from_sources,
                             emit, random_field, run_exp_H, run_exp_k,
                             run_exp_rb)
-from sdwave.lod import (CERTIFY_TOL, TransientCorrectors, compute_transient_correctors,
-                        transients_for_all_nodes)
+from sdwave.lod import (CERTIFY_TOL, TransientCorrectors, _k_a_q,
+                        compute_transient_correctors, transients_for_all_nodes)
 from sdwave.mesh import Mesh
 
 MICRO = dict(p=3, q=2, kmax=2, tau=0.1, T=0.5, seed=1)
@@ -466,6 +466,24 @@ def test_cache_file_with_a_non_finite_Q_is_a_miss(tmp_path):
     assert _strip_runtime(tmp_path / "cold.csv") == _strip_runtime(tmp_path / "warm.csv")
 
 
+def test_cache_file_of_a_shorter_horizon_is_a_miss(tmp_path):
+    # the warm run loaded the sequences as a hit and failed the online
+    # stage's check that each holds the horizon the run reads
+    cache = tmp_path / "cache"
+    cfg = ExperimentConfig(cache=str(cache), **MICRO)
+    rows1, _ = run_exp_k(cfg)
+    for path in cache.glob("*.npz"):
+        with np.load(path) as data:
+            payload = dict(data)
+        payload["transient_horizon"] -= 3
+        np.savez(path, **payload)
+    rows2, meta2 = run_exp_k(cfg)
+    assert (meta2["cache_hits"], meta2["cache_misses"]) == (0, 1)
+    emit(rows1, tmp_path, "cold")
+    emit(rows2, tmp_path, "warm")
+    assert _strip_runtime(tmp_path / "cold.csv") == _strip_runtime(tmp_path / "warm.csv")
+
+
 def test_exp_H_micro(tmp_path):
     cfg = ExperimentConfig(p=3, q=3, tau=0.1, T=0.5, seed=1)
     rows, _ = run_exp_H(cfg)
@@ -542,8 +560,9 @@ def test_exp_rb_builds_the_power_iterates(monkeypatch):
     run_exp_rb(ExperimentConfig(p=4, q=2, tau=0.1, T=2.0, seed=1, M=(1, 5)))
     (correctors, horizon, seq), = built
     assert horizon == 19
+    KQ = _k_a_q(correctors)
     for d, tc in seq.items():
-        power = compute_transient_correctors(correctors, d, horizon)
+        power = compute_transient_correctors(correctors, d, horizon, KQ)
         assert tc.xi.tobytes() == power.xi.tobytes()
 
 

@@ -3,10 +3,12 @@ import pytest
 import scipy.sparse as sparse
 
 from sdwave.assembly import DiscreteForms, h1_norms
-from sdwave.interpolation import build_interpolator, kernel_constraints
-from sdwave.lod import patch_fine_dofs
+from sdwave.interpolation import build_interpolator
+from sdwave.lod import Patch, patch_fine_dofs
 from sdwave.mesh import (Mesh, NestedMeshPair, element_patch, prolongation,
                          saturating_k)
+
+from conftest import constraint_rows, stored_zeros_forms
 
 
 @pytest.mark.parametrize("q,r", [(2, 2), (4, 4), (8, 2)])
@@ -41,46 +43,36 @@ def test_constants_reproduced_away_from_boundary(problem44):
             assert abs(values[dof] - 1.0) <= 1e-13
 
 
+# the kernel constraints of a patch are the C of its saddle system
+
 def test_kernel_constraints_full_patch(problem44):
-    interp = problem44.forms.interp
+    forms = problem44.forms
     all_dofs = np.arange(problem44.n_fine_dofs)
-    C = kernel_constraints(interp, all_dofs)
-    assert C.shape == interp.shape
+    assert Patch(forms, all_dofs).C.shape == forms.interp.shape
     with pytest.raises(ValueError):
-        kernel_constraints(interp, np.array([], dtype=int))
+        Patch(forms, np.array([], dtype=int))
 
 
 def test_kernel_constraints_are_the_nonzero_patch_rows(problem44):
-    interp = problem44.forms.interp
+    forms = problem44.forms
     dofs = patch_fine_dofs(problem44.pair, element_patch(problem44.pair.coarse, 0, 1))
-    restricted = interp[:, dofs].toarray()
+    restricted = forms.interp[:, dofs].toarray()
     nonzero = np.flatnonzero(np.abs(restricted).sum(axis=1) > 0.0)
-    C = kernel_constraints(interp, dofs)
-    assert C.shape[0] == nonzero.size < interp.shape[0]
+    C = Patch(forms, dofs).C
+    assert C.shape[0] == nonzero.size < forms.interp.shape[0]
     np.testing.assert_array_equal(C.toarray(), restricted[nonzero])
-
-
-def _parent_kernel_constraints(interp, dofs):
-    # the constraint rows by scipy fancy indexing, the reference for the gather
-    C = interp[:, dofs].tocsr()
-    row_weight = np.abs(C).sum(axis=1).A.ravel()
-    return C[np.flatnonzero(row_weight > 0.0)].tocsr()
 
 
 @pytest.mark.parametrize("k", [1, 2, None], ids=["k1", "k2", "saturating"])
 @pytest.mark.parametrize("stored_zeros", [False, True], ids=["plain", "stored-zeros"])
 def test_kernel_constraints_equal_fancy_indexing(problem44, k, stored_zeros):
-    pair, interp = problem44.pair, problem44.forms.interp
-    coarse = pair.coarse
-    if stored_zeros:
-        # explicit zeros, and one row that holds nothing else
-        interp = interp.copy()
-        interp.data[::3] = 0.0
-        interp.data[interp.indptr[1]:interp.indptr[2]] = 0.0
+    pair, coarse = problem44.pair, problem44.pair.coarse
+    forms = stored_zeros_forms(problem44) if stored_zeros else problem44.forms
+    interp = forms.interp
     dropped = 0
     for t in range(coarse.n_elements):
         dofs = patch_fine_dofs(pair, element_patch(coarse, t, k or saturating_k(coarse)))
-        C, ref = kernel_constraints(interp, dofs), _parent_kernel_constraints(interp, dofs)
+        C, ref = Patch(forms, dofs).C, constraint_rows(interp, dofs)
         assert C.format == ref.format == "csr" and C.shape == ref.shape
         for name in ("indptr", "indices", "data"):
             a, b = getattr(C, name), getattr(ref, name)
@@ -96,15 +88,15 @@ def test_kernel_constraints_equal_fancy_indexing(problem44, k, stored_zeros):
                          ids=["2d", "unsorted", "duplicate", "negative", "beyond", "float"])
 def test_kernel_constraints_reject_malformed_dofs(problem44, dofs):
     with pytest.raises(ValueError, match="patch dofs"):
-        kernel_constraints(problem44.forms.interp, np.array(dofs))
+        Patch(problem44.forms, np.array(dofs))
 
 
 def test_coarse_functions_are_not_fine_scale(problem44):
-    pair, interp = problem44.pair, problem44.forms.interp
+    pair = problem44.pair
     P = prolongation(pair)
     patch = element_patch(pair.coarse, 0, 2)
     dofs = patch_fine_dofs(pair, patch)
-    C = kernel_constraints(interp, dofs)
+    C = Patch(problem44.forms, dofs).C
     rng = np.random.default_rng(21)
     y = rng.standard_normal(pair.coarse.n_dofs)
     w = (P @ y)[dofs]
@@ -112,10 +104,10 @@ def test_coarse_functions_are_not_fine_scale(problem44):
 
 
 def test_kernel_trivial_at_r1(problem81):
-    pair, interp = problem81.pair, problem81.forms.interp
+    pair = problem81.pair
     patch = element_patch(pair.coarse, 10, 2)
     dofs = patch_fine_dofs(pair, patch)
-    C = kernel_constraints(interp, dofs).toarray()
+    C = Patch(problem81.forms, dofs).C.toarray()
     assert np.linalg.matrix_rank(C) == dofs.size
 
 

@@ -10,12 +10,11 @@ import scipy.sparse as sparse
 
 import sdwave
 from sdwave import linalg
-from sdwave.interpolation import kernel_constraints
 from sdwave.linalg import (ConstraintViolationError, DegenerateConstraintError,
                            Factorization, InaccurateSolveError,
                            SingularSystemError)
 
-from conftest import saddle_of
+from conftest import constraint_rows, saddle_of
 
 
 def test_identity_solve():
@@ -72,7 +71,7 @@ def test_saddle_zero_rhs():
 
 
 def test_saddle_rejects_zero_rows():
-    # kernel_constraints drops the zero rows; a zero row left in is degenerate
+    # a patch drops the zero rows; a zero row left in is degenerate
     A = sparse.eye(2, format="csr")
     C = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(DegenerateConstraintError):
@@ -83,7 +82,7 @@ def test_saddle_without_constraint_rows():
     # patch dofs that meet no nonzero interpolation entry give a 0-row C; the
     # constraint check raised numpy's ValueError on the empty maximum
     interp = sparse.csr_matrix(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0]]))
-    C = kernel_constraints(interp, np.array([1, 3]))
+    C = constraint_rows(interp, np.array([1, 3]))
     assert C.shape == (0, 2)
     saddle = saddle_of(sparse.eye(2, format="csr"), C)
     r = np.array([3.0, -2.0])
@@ -183,9 +182,9 @@ def _count_checked_solves(saddle):
     solve = saddle.solve
     checked = []
 
-    def counted(r, tol=linalg.SADDLE_TOL):
+    def counted(r):
         checked.append(np.array(r))
-        return solve(r, tol)
+        return solve(r)
 
     saddle.solve = counted
     return checked
@@ -281,44 +280,8 @@ def test_checked_steps_bare_solve_on_the_fallback_factors():
     assert len(checked) == 2 and steps.solves == count
 
 
-def _parent_saddle_matrix(A, C):
-    # the saddle matrix as sparse.bmat builds it, the reference for the gather
-    A = A.tocsr()
-    C = C.tocsr()
-    return sparse.bmat([[A, C.T], [C, None]], format="csc")
-
-
-def _assert_same_csc(a, b):
-    assert a.format == b.format == "csc" and a.shape == b.shape
-    for name in ("indptr", "indices", "data"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-
-
 def _sparse_block(rng, rows, cols, density):
     return rng.standard_normal((rows, cols)) * (rng.random((rows, cols)) < density)
-
-
-@pytest.mark.parametrize("case", ["csr", "csc", "nonsymmetric", "stored-zeros"])
-def test_saddle_matrix_equals_bmat(case):
-    rng = np.random.default_rng(4)
-    dense = _sparse_block(rng, 20, 20, 0.2)
-    if case != "nonsymmetric":
-        dense = dense + dense.T
-    A = sparse.csr_matrix(dense + 20.0 * np.eye(20))
-    if case == "stored-zeros":
-        # zero some off-diagonal entries, keeping them stored
-        rows = np.repeat(np.arange(20), np.diff(A.indptr))
-        off = np.flatnonzero(rows != A.indices)
-        A.data[off[::2]] = 0.0
-        assert A.nnz > np.count_nonzero(A.data)
-    if case == "csc":
-        A = A.tocsc()
-    C = sparse.csr_matrix(_sparse_block(rng, 4, 20, 0.5) + np.eye(4, 20))
-    reference = _parent_saddle_matrix(A, C)
-    _assert_same_csc(linalg._saddle_matrix(A.tocsc(), C), reference)
-    # what SuperLU factors
-    _assert_same_csc(saddle_of(A, C)._fact.matrix, reference)
 
 
 @pytest.mark.parametrize("stored", [False, True], ids=["empty-row", "stored-zero-row"])
@@ -331,7 +294,6 @@ def test_saddle_matrix_with_zero_constraint_row(stored):
     if stored:
         C = sparse.csr_matrix((np.array([1.0, 0.0, 1.0]), np.array([0, 3, 2]),
                                np.array([0, 1, 2, 3])), shape=(3, 6))
-    _assert_same_csc(linalg._saddle_matrix(A.tocsc(), C), _parent_saddle_matrix(A, C))
     with pytest.raises(DegenerateConstraintError):
         saddle_of(A, C)
 
@@ -367,8 +329,7 @@ def test_accuracy_checks_survive_python_O():
         import numpy as np
         import scipy.sparse as sparse
         from sdwave.linalg import (ConstraintViolationError, Factorization,
-                                   InaccurateSolveError, SaddleFactorization,
-                                   _saddle_matrix)
+                                   InaccurateSolveError, SaddleFactorization)
 
         def attempt(label, call, error):
             try:
@@ -389,7 +350,7 @@ def test_accuracy_checks_survive_python_O():
         attempt("block solve", lambda: fact.solve(block), InaccurateSolveError)
 
         C = sparse.csr_matrix(np.array([[1.0, 0.0]]))
-        kkt = _saddle_matrix(sparse.eye(2, format="csc"), C)
+        kkt = sparse.bmat([[sparse.eye(2), C.T], [C, None]], format="csc")
         saddle = SaddleFactorization(kkt, 2)
         saddle._fact.solve = lambda rhs, tol: np.array([1.0, 1.0, 0.0])
         attempt("saddle", lambda: saddle.solve(np.array([1.0, 1.0]))[0],

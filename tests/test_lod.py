@@ -15,7 +15,6 @@ import scipy.sparse as sparse
 from sdwave import linalg, lod
 from sdwave.assembly import DiscreteForms, element_rhs_block, h1_norms
 from sdwave.evolution import TimeGrid, _GlobalSaddle
-from sdwave.interpolation import kernel_constraints
 from sdwave.linalg import (ConstraintViolationError, Factorization,
                            SaddleFactorization, factor_saddle)
 from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
@@ -28,7 +27,7 @@ from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
 from sdwave.mesh import (Mesh, NestedMeshPair, element_patch, node_patch,
                          prolongation, saturating_k)
 
-from conftest import saddle_of
+from conftest import constraint_rows, saddle_matrix, saddle_of, stored_zeros_forms
 
 TAU = 0.02
 
@@ -291,31 +290,19 @@ def test_patch_blocks_equal_direct_slices(problem44, node_dofs):
                      for t in (0, 5, coarse.n_elements - 1)]
     for dofs in dof_sets:
         patch = Patch(forms, dofs)
-        for block, full in ((patch.k_tilde, forms.K_tilde), (patch.k_a, forms.K_A),
-                            (patch.k_b, forms.K_B)):
+        for block, full in ((patch.k_tilde, forms.K_tilde), (patch.k_a, forms.K_A)):
             _assert_same_csr(block, full[dofs][:, dofs].tocsr())
-        _assert_same_csr(patch.C, kernel_constraints(forms.interp, dofs))
-
-
-def _stored_zeros_forms(problem):
-    """Forms of problem whose interpolator holds explicit zeros, one row
-    nothing else, set before any saddle matrix is built from it."""
-    forms = DiscreteForms(problem.pair, problem.field_a, problem.field_b, problem.tau)
-    interp = forms.interp.copy()
-    interp.data[::3] = 0.0
-    interp.data[interp.indptr[1]:interp.indptr[2]] = 0.0
-    forms.interp = interp
-    return forms
+        _assert_same_csr(patch.C, constraint_rows(forms.interp, dofs))
 
 
 @pytest.mark.parametrize("form_choice", lod.FORM_CHOICES)
 @pytest.mark.parametrize("case", ["problem44", "problem84", "stored-zeros"])
 def test_gathered_patch_systems_equal_the_assembled_ones(request, case, form_choice):
     # one gather from the forms' saddle matrix gives the bytes of the system
-    # assembled from the patch block and kernel_constraints, and C is a view
+    # assembled from the patch block and constraint rows, and C is a view
     # of its trailing columns
     problem = request.getfixturevalue("problem44" if case == "stored-zeros" else case)
-    forms = _stored_zeros_forms(problem) if case == "stored-zeros" else problem.forms
+    forms = stored_zeros_forms(problem) if case == "stored-zeros" else problem.forms
     pair, coarse = problem.pair, problem.pair.coarse
     full = getattr(forms, lod._FORM_BLOCKS[form_choice])
     stride = 1 if case != "problem84" else 5
@@ -328,9 +315,8 @@ def test_gathered_patch_systems_equal_the_assembled_ones(request, case, form_cho
             if dofs.size == 0:
                 continue
             patch = Patch(forms, dofs, form_choice)
-            C = kernel_constraints(forms.interp, dofs)
-            _assert_same_compressed(patch.kkt, linalg._saddle_matrix(
-                full[dofs][:, dofs].tocsc(), C))
+            C = constraint_rows(forms.interp, dofs)
+            _assert_same_compressed(patch.kkt, saddle_matrix(full[dofs][:, dofs], C))
             _assert_same_compressed(patch.C, C)
             assert np.shares_memory(patch.C.data, patch.kkt.data)
             assert np.shares_memory(patch.C.indices, patch.kkt.indices)
@@ -349,7 +335,7 @@ def test_patch_rejects_malformed_dofs(problem44, dofs):
 def test_patch_reading_blocks_does_not_factor(problem44, node_dofs, monkeypatch):
     calls = _counting_factor_saddle(monkeypatch)
     patch = Patch(problem44.forms, node_dofs)
-    assert patch.k_a.nnz > 0 and patch.k_b.nnz > 0
+    assert patch.k_a.nnz > 0 and patch.k_tilde.nnz > 0
     assert calls == []
 
 
@@ -358,6 +344,7 @@ def test_patch_reading_blocks_does_not_factor(problem44, node_dofs, monkeypatch)
 def test_patch_factors_once_for_many_solves(problem44, node_dofs, monkeypatch,
                                             choice, block):
     forms = problem44.forms
+    full = {"k_tilde": forms.K_tilde, "k_a": forms.K_A, "k_b": forms.K_B}[block]
     calls = _counting_factor_saddle(monkeypatch)
     patch = Patch(forms, node_dofs, choice)
     rng = np.random.default_rng(36)
@@ -365,7 +352,7 @@ def test_patch_factors_once_for_many_solves(problem44, node_dofs, monkeypatch,
         r = rng.standard_normal(node_dofs.size)
         w = patch.solve(r)
         # the fine-scale part of the saddle solve on the chosen form's block
-        expected, _ = saddle_of(getattr(patch, block), patch.C).solve(r)
+        expected, _ = saddle_of(full[node_dofs][:, node_dofs], patch.C).solve(r)
         np.testing.assert_array_equal(w, expected)
     assert calls == [node_dofs.size]
 
@@ -377,21 +364,20 @@ def test_patch_rejects_unknown_form(problem44, node_dofs):
 
 class _AssembledPatch(Patch):
     """A Patch whose saddle system is assembled from its block and
-    kernel_constraints, and whose C C^T is the sparse product: each patch as
+    its constraint rows, and whose C C^T is the sparse product: each patch as
     it was built before the gather."""
 
     @cached_property
     def kkt(self):
         block = self._restrict(getattr(self.forms, lod._FORM_BLOCKS[self.form_choice]))
-        return linalg._saddle_matrix(block.tocsc(),
-                                     kernel_constraints(self.forms.interp, self.dofs))
+        return saddle_matrix(block, constraint_rows(self.forms.interp, self.dofs))
 
     @cached_property
     def _kernel_factors(self):
         return self.C.T, scipy.linalg.cho_factor((self.C @ self.C.T).toarray())
 
 
-def _assembled_transient_patch(correctors, x_dof, KQ=None):
+def _assembled_transient_patch(correctors, x_dof, KQ):
     # the first right-hand side from the patch rows of K_A times q_x
     forms, config = correctors.forms, correctors.config
     patch = _AssembledPatch(forms, lod._node_dofs(forms.pair, x_dof, config.k),
@@ -441,7 +427,7 @@ def test_gathered_build_equals_the_assembled_build(problem44, monkeypatch, form_
                 assert got.norm1 == tc.norm1
     # the ideal basis on the global system assembled from K_tilde and the
     # interpolator, as the solver built it before it factored the forms' one
-    saddle = factor_saddle(linalg._saddle_matrix(forms.K_tilde.tocsc(), forms.interp),
+    saddle = factor_saddle(saddle_matrix(forms.K_tilde, forms.interp),
                            forms.fine.n_dofs, _symmetric=True)
     P = prolongation(forms.pair)
     np.testing.assert_array_equal(
@@ -468,7 +454,7 @@ def test_gathered_system_with_a_zero_constraint_row_is_degenerate(problem44):
 def test_transients_vanish_at_r1(problem81):
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem81.forms, cfg)
-    tc = compute_transient_correctors(cs, problem81.n_coarse_dofs // 2, horizon=5)
+    tc = compute_transient_correctors(cs, problem81.n_coarse_dofs // 2, 5, lod._k_a_q(cs))
     assert np.abs(tc.xi).max() <= 1e-12
 
 
@@ -477,7 +463,7 @@ def transient_node(problem44):
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
     x_dof = problem44.n_coarse_dofs // 2
-    tc = compute_transient_correctors(cs, x_dof, horizon=25)
+    tc = compute_transient_correctors(cs, x_dof, 25, lod._k_a_q(cs))
     return cs, x_dof, tc
 
 
@@ -498,7 +484,7 @@ def test_first_step_matches_direct_global_solve(problem44):
     cfg = CorrectorConfig(k=saturating_k(pair.coarse))
     cs = build_corrector_set(forms, cfg)
     dof = pair.coarse.n_dofs // 2
-    tc = compute_transient_correctors(cs, dof, horizon=2)
+    tc = compute_transient_correctors(cs, dof, 2, lod._k_a_q(cs))
     q_x = np.asarray(cs.Q[:, dof].todense()).ravel()
     w, _ = saddle_of(forms.K_tilde, forms.interp).solve(forms.K_A @ q_x)
     xi1 = np.zeros(pair.fine.n_dofs)
@@ -513,7 +499,7 @@ def test_a_only_first_step_degenerates(problem44):
     cfg = CorrectorConfig(k=saturating_k(pair.coarse), form_choice="a_only")
     cs = build_corrector_set(forms, cfg)
     dof = pair.coarse.n_dofs // 2
-    tc = compute_transient_correctors(cs, dof, horizon=2)
+    tc = compute_transient_correctors(cs, dof, 2, lod._k_a_q(cs))
     xi1 = np.zeros(pair.fine.n_dofs)
     xi1[tc.dofs] = tc.xi[0]
     q_x = np.asarray(cs.Q[:, dof].todense()).ravel()
@@ -568,15 +554,15 @@ def test_transient_patch_first_rhs_is_the_whole_grid_product(problem44, k2_set):
     KQ = lod._k_a_q(k2_set)
     for x_dof in (0, pair.coarse.n_dofs // 2, pair.coarse.n_dofs - 1):
         q_x = np.asarray(k2_set.Q[:, x_dof].todense()).ravel()
-        for kq in (None, KQ):
-            patch, rhs = transient_patch(k2_set, x_dof, kq)
-            _assert_bitwise(rhs, (forms.K_A @ q_x)[patch.dofs])
+        patch, rhs = transient_patch(k2_set, x_dof, KQ)
+        _assert_bitwise(rhs, (forms.K_A @ q_x)[patch.dofs])
 
 
 def _blocked_and_per_step(problem, correctors, horizon):
     args = (correctors, problem.n_coarse_dofs // 2)
-    tc = compute_transient_correctors(*args, horizon=horizon)
-    patch, rhs = lod.transient_patch(*args)
+    KQ = lod._k_a_q(correctors)
+    tc = compute_transient_correctors(*args, horizon, KQ)
+    patch, rhs = lod.transient_patch(*args, KQ)
     return tc.xi, _per_step_sequence(patch, rhs, horizon)
 
 
@@ -605,9 +591,9 @@ def _count_checked_solves(monkeypatch):
     saddle_solve = SaddleFactorization.solve
     checked = []
 
-    def counted(self, r, tol=linalg.SADDLE_TOL):
+    def counted(self, r):
         checked.append(None)
-        return saddle_solve(self, r, tol)
+        return saddle_solve(self, r)
 
     monkeypatch.setattr(SaddleFactorization, "solve", counted)
     return checked
@@ -639,7 +625,7 @@ def test_blocked_sequence_replays_a_residual_miss(problem44, k2_set, monkeypatch
     _, per_step = _blocked_and_per_step(problem44, k2_set, 33)
     checked = _perturb_bare_solve(monkeypatch, 20, _shift_first)
     args = (k2_set, problem44.n_coarse_dofs // 2)
-    tc = compute_transient_correctors(*args, horizon=33)
+    tc = compute_transient_correctors(*args, 33, lod._k_a_q(k2_set))
     # member 1 and the replayed member 20 went through the checked solve
     assert len(checked) == 2
     _assert_bitwise(tc.xi, per_step)
@@ -658,7 +644,7 @@ def test_blocked_sequence_raises_on_a_kept_constraint_violation(problem44, k2_se
     _perturb_bare_solve(monkeypatch, 5, lambda x: np.full_like(x, 1.0))
     args = (k2_set, problem44.n_coarse_dofs // 2)
     with pytest.raises(ConstraintViolationError):
-        compute_transient_correctors(*args, horizon=16)
+        compute_transient_correctors(*args, 16, lod._k_a_q(k2_set))
 
 
 def _fall_back_at_the_first_checked_solve(monkeypatch):
@@ -683,10 +669,11 @@ def test_sequence_bare_solves_on_the_fallback_factors(k2_set, monkeypatch, build
     # the discarded symmetric-mode factors, so every block's first bare solve
     # misses and is replayed: 520 solves and 41 checked solves for the power
     # iterates, 281 and 26 for Lanczos
-    clean = build(k2_set, 1, 40)
+    KQ = lod._k_a_q(k2_set)
+    clean = build(k2_set, 1, 40, KQ)
     _fall_back_at_the_first_checked_solve(monkeypatch)
     checked = _count_checked_solves(monkeypatch)
-    tc = build(k2_set, 1, 40)
+    tc = build(k2_set, 1, 40, KQ)
     # the first checked solve, and its repetition after the fallback
     _check(len(checked) == 2, "%d checked solves" % len(checked))
     _check(tc.solves == clean.solves, "%d solves, %d clean" % (tc.solves, clean.solves))
@@ -722,8 +709,9 @@ def _nodes(problem):
 def test_certified_members_lie_within_tol_of_the_power_iterates(lanczos_set, horizon):
     problem, cs = lanczos_set
     for x_dof in _nodes(problem):
-        power = compute_transient_correctors(cs, x_dof, horizon)
-        certified = lod._certified_transients(cs, x_dof, horizon)
+        KQ = lod._k_a_q(cs)
+        power = compute_transient_correctors(cs, x_dof, horizon, KQ)
+        certified = lod._certified_transients(cs, x_dof, horizon, KQ)
         members = certified.members()
         _check(certified.horizon == horizon and members.shape == (horizon, power.dofs.size),
                "sequence length")
@@ -751,8 +739,9 @@ def test_certified_bound_covers_the_true_error(lanczos_set, tol, monkeypatch):
     horizon = 120
     monkeypatch.setattr(lod, "CERTIFY_TOL", tol)
     for x_dof in _nodes(problem):
-        power = compute_transient_correctors(cs, x_dof, horizon)
-        certified = lod._certified_transients(cs, x_dof, horizon)
+        KQ = lod._k_a_q(cs)
+        power = compute_transient_correctors(cs, x_dof, horizon, KQ)
+        certified = lod._certified_transients(cs, x_dof, horizon, KQ)
         patch = Patch(problem.forms, power.dofs)
         norm1 = _energy_norms(patch, power.xi[0])[0]
         worst = _energy_norms(patch, certified.members() - power.xi).max() / norm1
@@ -799,8 +788,8 @@ def test_certified_basis_is_its_smallest_certified_prefix(lanczos_set, horizon,
 def test_certified_members_meet_the_constraints(lanczos_set):
     problem, cs = lanczos_set
     for x_dof in _nodes(problem):
-        patch, first = transient_patch(cs, x_dof)
-        xi = lod._certified_transients(cs, x_dof, 120).members()
+        patch, first = transient_patch(cs, x_dof, lod._k_a_q(cs))
+        xi = lod._certified_transients(cs, x_dof, 120, lod._k_a_q(cs)).members()
         # each member against the right-hand side of the step that makes it
         rhs_norms = np.linalg.norm(np.vstack([first, (patch.k_a @ xi[:-1].T).T]), axis=1)
         violation = np.abs(patch.C @ xi.T).max(axis=0)
@@ -812,7 +801,7 @@ def test_certified_members_meet_the_constraints(lanczos_set):
 def test_lanczos_basis_is_orthonormal_and_T_tridiagonal(lanczos_set):
     problem, cs = lanczos_set
     for x_dof in _nodes(problem):
-        patch, first = transient_patch(cs, x_dof)
+        patch, first = transient_patch(cs, x_dof, lod._k_a_q(cs))
         _, Z, alpha, beta, _, _ = lod._lanczos(patch, first, 120)
         m = alpha.size
         T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
@@ -834,13 +823,14 @@ def test_invariant_krylov_space_ends_the_basis_early(problem44, monkeypatch):
     tol = lod.CERTIFY_TOL
     monkeypatch.setattr(lod, "CERTIFY_TOL", 1e-300)
     for x_dof in _nodes(problem44):
-        patch, first = transient_patch(cs, x_dof)
+        patch, first = transient_patch(cs, x_dof, lod._k_a_q(cs))
         kernel = patch.dofs.size - patch.C.shape[0]
         _, Z, _, _, _, solves = lod._lanczos(patch, first, horizon)
         _check(Z.shape[0] <= kernel < horizon,
                "%d basis vectors in a kernel of %d" % (Z.shape[0], kernel))
-        power = compute_transient_correctors(cs, x_dof, horizon)
-        certified = lod._certified_transients(cs, x_dof, horizon)
+        KQ = lod._k_a_q(cs)
+        power = compute_transient_correctors(cs, x_dof, horizon, KQ)
+        certified = lod._certified_transients(cs, x_dof, horizon, KQ)
         _check(certified.solves == solves, "solves %d, %d" % (certified.solves, solves))
         norm1 = _energy_norms(patch, power.xi[0])[0]
         worst = _energy_norms(patch, certified.members() - power.xi).max()
@@ -853,7 +843,8 @@ def test_certified_sequence_zero_first_rhs(problem44, k2_set, monkeypatch):
         return patch, np.zeros_like(rhs)
 
     monkeypatch.setattr(lod, "transient_patch", zero_rhs)
-    tc = lod._certified_transients(k2_set, problem44.n_coarse_dofs // 2, 17)
+    tc = lod._certified_transients(k2_set, problem44.n_coarse_dofs // 2, 17,
+                                   lod._k_a_q(k2_set))
     _check(tc.horizon == 17 and tc.norm1 == 0.0, "a zero first member")
     _check(tc.members().shape[0] == 17 and not tc.members().any(), "17 zero members")
     _check(tc.solves == 1 and tc.bound == 0.0, "no Lanczos step")
@@ -861,11 +852,12 @@ def test_certified_sequence_zero_first_rhs(problem44, k2_set, monkeypatch):
 
 def test_certified_sequence_replays_a_residual_miss(problem44, k2_set, monkeypatch):
     x_dof = problem44.n_coarse_dofs // 2
-    power = compute_transient_correctors(k2_set, x_dof, 120)
-    clean = lod._certified_transients(k2_set, x_dof, 120)
+    KQ = lod._k_a_q(k2_set)
+    power = compute_transient_correctors(k2_set, x_dof, 120, KQ)
+    clean = lod._certified_transients(k2_set, x_dof, 120, KQ)
     # call 1 is the checked first member, so call 10 is the bare solve of step 9
     checked = _perturb_bare_solve(monkeypatch, 10, _shift_first)
-    tc = lod._certified_transients(k2_set, x_dof, 120)
+    tc = lod._certified_transients(k2_set, x_dof, 120, KQ)
     # the first member and the replayed step went through the checked solve
     _check(len(checked) == 2, "%d checked solves" % len(checked))
     # the steps after the miss in its block are solved again
@@ -881,7 +873,8 @@ def test_certified_sequence_raises_on_a_constraint_violation(problem44, k2_set,
     _pass_every_residual_test(monkeypatch)
     _perturb_bare_solve(monkeypatch, 5, lambda x: np.full_like(x, 1.0))
     with pytest.raises(ConstraintViolationError):
-        lod._certified_transients(k2_set, problem44.n_coarse_dofs // 2, 40)
+        lod._certified_transients(k2_set, problem44.n_coarse_dofs // 2, 40,
+                                  lod._k_a_q(k2_set))
 
 
 def test_certified_sequences_need_the_damped_form(problem44):
@@ -903,8 +896,9 @@ def test_transients_reject_a_bad_horizon(k2_set, horizon):
 def test_transients_for_all_nodes_generators(problem44, k2_set):
     power = transients_for_all_nodes(k2_set, 20, generator="power")
     certified = transients_for_all_nodes(k2_set, 20)
+    KQ = lod._k_a_q(k2_set)
     for d, tc in power.items():
-        _check(tc.xi.tobytes() == compute_transient_correctors(k2_set, d, 20).xi.tobytes(),
+        _check(tc.xi.tobytes() == compute_transient_correctors(k2_set, d, 20, KQ).xi.tobytes(),
                "the power generator is compute_transient_correctors")
         _check(tc.solves >= 20 and tc.bound == 0.0, "power iterates are solved")
         _check(certified[d].certified and not tc.certified, "the kinds")
@@ -1043,7 +1037,7 @@ def test_cache_roundtrip(tmp_path, problem44, transient_node):
     cs, x_dof, tc = transient_node
     key = cache_key(problem44.forms, cs.config, 25)
     path = save_corrector_cache(tmp_path, key, cs, {x_dof: tc})
-    loaded = load_corrector_cache(tmp_path, key, problem44.forms, cs.config)
+    loaded = load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25)
     assert loaded is not None
     cs2, transients2 = loaded
     assert cs2.config == cs.config
@@ -1054,17 +1048,17 @@ def test_cache_roundtrip(tmp_path, problem44, transient_node):
     np.testing.assert_array_equal(cs2.A_ms, cs.A_ms)
     np.testing.assert_array_equal(transients2[x_dof].xi, tc.xi)
     np.testing.assert_array_equal(transients2[x_dof].dofs, tc.dofs)
-    assert load_corrector_cache(tmp_path, "missing", problem44.forms, cs.config) is None
+    assert load_corrector_cache(tmp_path, "missing", problem44.forms, cs.config, 25) is None
     # a file copied under another key is not served for it
     other = cache_key(problem44.forms, cs.config, 26)
     shutil.copy(path, tmp_path / (other + ".npz"))
-    assert load_corrector_cache(tmp_path, other, problem44.forms, cs.config) is None
+    assert load_corrector_cache(tmp_path, other, problem44.forms, cs.config, 26) is None
     # neither is an unreadable one
     data = Path(path).read_bytes()
     for size in (0, 10, len(data) // 2, len(data) - 1):
         with open(path, "wb") as fh:
             fh.write(data[:size])
-        assert load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None
+        assert load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25) is None
 
 
 @pytest.fixture(scope="module")
@@ -1079,7 +1073,7 @@ def test_certified_cache_roundtrip(tmp_path, problem44, certified_nodes):
     cs, seq = certified_nodes
     key = cache_key(problem44.forms, cs.config, 25)
     save_corrector_cache(tmp_path, key, cs, seq)
-    cs2, seq2 = load_corrector_cache(tmp_path, key, problem44.forms, cs.config)
+    cs2, seq2 = load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25)
     assert sorted(seq2) == sorted(seq)
     assert any(tc.bound > 0.0 for tc in seq.values())
     for d, tc in seq.items():
@@ -1113,7 +1107,7 @@ def test_cache_with_a_basis_that_does_not_fit_is_a_miss(tmp_path, problem44,
     key = cache_key(problem44.forms, cs.config, 25)
     x_dof = problem44.n_coarse_dofs // 2
     save_corrector_cache(tmp_path, key, cs, {**seq, x_dof: _misfit(seq[x_dof], change)})
-    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
+    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25) is None,
            "a file whose basis does not fit was served")
 
 
@@ -1139,7 +1133,7 @@ def test_cache_with_a_set_that_does_not_fit_is_a_miss(tmp_path, problem44,
         misfit = dataclasses.replace(cs, **{name: np.full_like(gram, value)})
     key = cache_key(problem44.forms, cs.config, 25)
     save_corrector_cache(tmp_path, key, misfit, seq)
-    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
+    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25) is None,
            "a file whose corrector set does not fit was served")
 
 
@@ -1149,7 +1143,7 @@ def test_cache_with_members_that_do_not_fit_is_a_miss(tmp_path, problem44,
     key = cache_key(problem44.forms, cs.config, 25, "power")
     narrow = TransientCorrectors(tc.dofs, tc.xi[:, 1:], cs)
     save_corrector_cache(tmp_path, key, cs, {x_dof: narrow})
-    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
+    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25) is None,
            "a file whose members do not fit was served")
 
 
@@ -1193,7 +1187,7 @@ def test_cache_whose_row_counts_do_not_split_the_rows_is_a_miss(tmp_path, proble
     else:
         payload["transient_row_counts"] = stored[1:]
     np.savez(path, **payload)
-    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
+    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25) is None,
            "a file whose row counts do not split its rows was served")
 
 
@@ -1221,17 +1215,19 @@ def test_cache_with_a_node_of_no_rows_is_a_miss(tmp_path, problem44, certified_n
             payload[name] = np.delete(payload[name], np.s_[first:first + counts[i]])
     counts[i] = 0
     np.savez(path, **payload)
-    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
+    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25) is None,
            "a file with a node of no rows was served")
 
 
 @pytest.mark.parametrize("kind", ["lanczos", "power"])
-@pytest.mark.parametrize("corruption", ["nan-data", "index-beyond", "indptr-beyond"])
+@pytest.mark.parametrize("corruption", ["nan-data", "index-beyond", "indptr-beyond",
+                                        "float-shape", "three-entry-shape"])
 def test_cache_with_a_corrupt_Q_is_a_miss(tmp_path, problem44, certified_nodes, kind,
                                           corruption):
     # each was served: the online stage then stepped on a NaN and failed on
     # non-finite states, or read far outside Q's columns and segfaulted, or
-    # read entries past Q's data
+    # read entries past Q's data; a float shape raised TypeError out of the
+    # loader
     cs, seq = certified_nodes
     key = cache_key(problem44.forms, cs.config, 25, kind)
     path = save_corrector_cache(tmp_path, key, cs,
@@ -1243,12 +1239,42 @@ def test_cache_with_a_corrupt_Q_is_a_miss(tmp_path, problem44, certified_nodes, 
         payload["Q_data"][middle] = np.nan
     elif corruption == "index-beyond":
         payload["Q_indices"][middle] = 10**6
+    elif corruption == "float-shape":
+        payload["Q_shape"] = payload["Q_shape"].astype(float)
+    elif corruption == "three-entry-shape":
+        payload["Q_shape"] = np.append(payload["Q_shape"], 1)
     else:
         # an inner entry, so that the last still ends the data
         payload["Q_indptr"][payload["Q_indptr"].size // 2] = payload["Q_data"].size + 1
     np.savez(path, **payload)
-    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
+    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25) is None,
            "a file with a corrupt Q (%s) was served" % corruption)
+
+
+@pytest.mark.parametrize("change", ["zero", "three-short", "float", "cut-power"])
+def test_cache_of_another_horizon_is_a_miss(tmp_path, problem44, certified_nodes, change):
+    # each was served: a sequence shorter than the key's horizon then failed
+    # the online stage's check of its length, where the run should rebuild it
+    cs, seq = certified_nodes
+    kind = "power" if change == "cut-power" else "lanczos"
+    key = cache_key(problem44.forms, cs.config, 25, kind)
+    if change == "cut-power":
+        # the row counts and the rows cut to 23 members alike, so they fit
+        seq = {d: TransientCorrectors(tc.dofs, tc.xi[:23], cs)
+               for d, tc in _as_members(seq).items()}
+    path = save_corrector_cache(tmp_path, key, cs, seq)
+    with np.load(path) as data:
+        payload = dict(data)
+    middle = problem44.n_coarse_dofs // 2
+    if change == "zero":
+        payload["transient_horizon"][middle] = 0
+    elif change == "three-short":
+        payload["transient_horizon"][middle] -= 3
+    elif change == "float":
+        payload["transient_horizon"] = payload["transient_horizon"].astype(float)
+    np.savez(path, **payload)
+    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25) is None,
+           "a file of another horizon (%s) was served" % change)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -1268,14 +1294,14 @@ def test_cache_with_a_non_finite_sequence_is_a_miss(tmp_path, problem44, certifi
     key = cache_key(problem44.forms, cs.config, 25)
     save_corrector_cache(tmp_path, key, cs,
                          {**seq, x_dof: dataclasses.replace(tc, **{name: spoiled})})
-    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
+    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25) is None,
            "a file with a non-finite %s was served" % name)
     if name == "xi":
         key = cache_key(problem44.forms, cs.config, 25, "power")
         members = _as_members(seq)
         members[x_dof].xi[0, 0] = value
         save_corrector_cache(tmp_path, key, cs, members)
-        _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None,
+        _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25) is None,
                "a file with a non-finite member was served")
 
 
@@ -1286,7 +1312,7 @@ def test_loaded_rows_are_views_of_one_entry(tmp_path, problem44, certified_nodes
         seq = _as_members(seq)
     key = cache_key(problem44.forms, cs.config, 25, kind)
     save_corrector_cache(tmp_path, key, cs, seq)
-    _, loaded = load_corrector_cache(tmp_path, key, problem44.forms, cs.config)
+    _, loaded = load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25)
     buffer = loaded[0].xi.base
     _check(buffer is not None and buffer.ndim == 1
            and buffer.size == sum(tc.xi.size for tc in seq.values()), "one rows entry")
@@ -1305,14 +1331,14 @@ def test_loaded_dofs_are_derived_from_the_key(tmp_path, problem84, monkeypatch):
     with zipfile.ZipFile(path) as archive:
         names = archive.namelist()
     _check(not any("dofs" in name for name in names), "stored entries %s" % names)
-    _, loaded = load_corrector_cache(tmp_path, key, problem84.forms, cs.config)
+    _, loaded = load_corrector_cache(tmp_path, key, problem84.forms, cs.config, 3)
     _check(sorted(loaded) == list(range(problem84.n_coarse_dofs)), "every node")
     for d, tc in seq.items():
         _check(loaded[d].dofs.dtype == tc.dofs.dtype
                and loaded[d].dofs.tobytes() == tc.dofs.tobytes(), "node %d: dofs" % d)
     # the loader derives them: rows that do not fit the derived widths miss
     monkeypatch.setattr(lod, "_node_dofs", lambda pair, x_dof, k: tc.dofs[:-1])
-    _check(load_corrector_cache(tmp_path, key, problem84.forms, cs.config) is None,
+    _check(load_corrector_cache(tmp_path, key, problem84.forms, cs.config, 3) is None,
            "rows served on dofs they do not fit")
 
 
@@ -1343,7 +1369,7 @@ def test_cache_miss_closes_the_file(tmp_path, problem44, transient_node,
         Path(path).write_bytes(data[:size])
         with monkeypatch.context() as patched:
             patched.setattr(builtins, "open", recording_open)
-            assert load_corrector_cache(tmp_path, key, problem44.forms, cs.config) is None
+            assert load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25) is None
     assert opened and all(fh.closed for fh in opened)
 
 
@@ -1431,8 +1457,8 @@ def test_cache_of_another_generator_or_format_is_a_miss(tmp_path, problem44,
     for written, read in ((power, lanczos), (lanczos, power)):
         path = save_corrector_cache(tmp_path, written, cs, {x_dof: tc})
         shutil.copy(path, tmp_path / (read + ".npz"))
-        assert load_corrector_cache(tmp_path, read, forms, config) is None
-        assert load_corrector_cache(tmp_path, written, forms, config) is not None
+        assert load_corrector_cache(tmp_path, read, forms, config, 25) is None
+        assert load_corrector_cache(tmp_path, written, forms, config, 25) is not None
         for stale in tmp_path.iterdir():
             stale.unlink()
     # a file of an old format sits under its old name, which no key gives
@@ -1441,7 +1467,7 @@ def test_cache_of_another_generator_or_format_is_a_miss(tmp_path, problem44,
             for old_key in _OLD_FORMAT_KEYS if old_key.startswith("k2_")]
     for generator in lod.GENERATORS:
         key = cache_key(pinned, CorrectorConfig(k=2), 10, generator)
-        assert load_corrector_cache(tmp_path, key, pinned, CorrectorConfig(k=2)) is None
+        assert load_corrector_cache(tmp_path, key, pinned, CorrectorConfig(k=2), 10) is None
         for old in olds:
             shutil.copy(old, tmp_path / (key + ".npz"))
-            assert load_corrector_cache(tmp_path, key, pinned, CorrectorConfig(k=2)) is None
+            assert load_corrector_cache(tmp_path, key, pinned, CorrectorConfig(k=2), 10) is None

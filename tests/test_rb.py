@@ -7,8 +7,8 @@ from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
                         build_corrector_set, cache_key, compute_transient_correctors,
                         load_corrector_cache, save_corrector_cache,
                         transients_for_all_nodes)
-from sdwave.rb import (EmptyBasisError, build_rb, lift, node_reductions,
-                       rb_gfem_solve, rb_step, snapshot_singular_values)
+from sdwave.rb import (EmptyBasisError, build_rb, node_reductions, rb_gfem_solve,
+                       snapshot_singular_values)
 
 from conftest import _per_step_superposition
 
@@ -19,7 +19,7 @@ N_STEPS = 20
 def snapshots44(problem44):
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
-    tc = compute_transient_correctors(cs, problem44.n_coarse_dofs // 2, horizon=20)
+    tc = compute_transient_correctors(cs, problem44.n_coarse_dofs // 2, 20, lod._k_a_q(cs))
     return cs, tc
 
 
@@ -40,18 +40,16 @@ def test_duplicate_snapshots_collapse(problem44, snapshots44):
     assert basis.m_selected == 1
 
 
-@pytest.mark.parametrize("tol_rel", [-1e-10, 1.0, 2.0, float("nan")],
-                         ids=["negative", "one", "two", "nan"])
-def test_build_rb_rejects_tolerance_outside_unit_interval(problem44, snapshots44,
-                                                          tol_rel):
-    _, tc = snapshots44
-    with pytest.raises(ValueError, match="tol_rel"):
-        build_rb(tc.xi, _patch(problem44, tc), tol_rel=tol_rel)
+def _step(basis, c):
+    """The projected recursion's next coefficients, a_hat^-1 k_hat c."""
+    return np.linalg.solve(basis.a_hat, basis.k_hat @ c)
 
 
-def test_orthonormal_snapshots_all_accepted(problem44, snapshots44):
+def test_orthonormal_snapshots_all_accepted(problem44, snapshots44, monkeypatch):
     _, tc = snapshots44
-    pre = build_rb(tc.xi[:6], _patch(problem44, tc), tol_rel=0.0)
+    with monkeypatch.context() as m:
+        m.setattr(rb, "RB_TOL", 0.0)
+        pre = build_rb(tc.xi[:6], _patch(problem44, tc))
     again = build_rb(pre.Z.T, _patch(problem44, tc))
     assert again.Z.shape[1] == 6
     atilde = problem44.forms.K_tilde[tc.dofs][:, tc.dofs]
@@ -103,26 +101,19 @@ def test_projection_consistency(problem44, snapshots44):
     nrm = _patch_norm(problem44, tc.dofs)
     for l in range(basis.m_selected):
         c = basis.Z.T @ (atilde @ tc.xi[l])
-        assert nrm(lift(basis, c) - tc.xi[l]) <= 1e-9 * nrm(tc.xi[l])
+        assert nrm(basis.Z @ c - tc.xi[l]) <= 1e-9 * nrm(tc.xi[l])
 
 
-def test_rb_step_zero_and_shape(problem44, snapshots44):
+def test_full_basis_recursion_matches_direct(problem44, snapshots44, monkeypatch):
     _, tc = snapshots44
-    basis = build_rb(tc.xi[:5], _patch(problem44, tc))
-    assert np.all(rb_step(basis, np.zeros(basis.Z.shape[1])) == 0.0)
-    with pytest.raises(ValueError):
-        rb_step(basis, np.zeros(basis.Z.shape[1] + 1))
-
-
-def test_full_basis_recursion_matches_direct(problem44, snapshots44):
-    _, tc = snapshots44
-    basis = build_rb(tc.xi, _patch(problem44, tc), tol_rel=0.0)
+    monkeypatch.setattr(rb, "RB_TOL", 0.0)
+    basis = build_rb(tc.xi, _patch(problem44, tc))
     atilde = problem44.forms.K_tilde[tc.dofs][:, tc.dofs]
     nrm = _patch_norm(problem44, tc.dofs)
     c = basis.Z.T @ (atilde @ tc.xi[0])
     for l in range(1, tc.xi.shape[0]):
-        c = rb_step(basis, c)
-        assert nrm(lift(basis, c) - tc.xi[l]) <= 1e-9 * nrm(tc.xi[l])
+        c = _step(basis, c)
+        assert nrm(basis.Z @ c - tc.xi[l]) <= 1e-9 * nrm(tc.xi[l])
 
 
 def test_recursion_contracts(problem44, snapshots44):
@@ -229,7 +220,7 @@ def test_rb_gfem_gap_shrinks_with_m(problem44, localized44):
 
 
 def _oracle_sequence(problem, tc, m, horizon):
-    """Per-M basis, continuation stepped with rb_step and lifted one by one; a
+    """Per-M basis, continuation stepped with _step and lifted one by one; a
     node whose first snapshot carries no energy keeps its zero sequence."""
     kept = tc.xi[:m]
     if m >= tc.xi.shape[0]:
@@ -242,8 +233,8 @@ def _oracle_sequence(problem, tc, m, horizon):
     c = basis.Z.T @ (atilde @ kept[-1])
     rows = list(kept)
     for _ in range(m, horizon):
-        c = rb_step(basis, c)
-        rows.append(lift(basis, c))
+        c = _step(basis, c)
+        rows.append(basis.Z @ c)
     return np.array(rows)
 
 
@@ -255,7 +246,7 @@ def zero_node44(problem44, localized44):
     zero = problem44.n_coarse_dofs // 2
     transient_patch = lod.transient_patch
 
-    def zero_rhs_at_one_node(correctors, x_dof, KQ=None):
+    def zero_rhs_at_one_node(correctors, x_dof, KQ):
         patch, rhs = transient_patch(correctors, x_dof, KQ)
         return patch, np.zeros_like(rhs) if x_dof == zero else rhs
 
@@ -340,7 +331,7 @@ def test_every_sequence_has_exactly_horizon_rows(problem44, tmp_path, monkeypatc
     zero = problem44.n_coarse_dofs // 2
     transient_patch = lod.transient_patch
 
-    def zero_rhs_at_one_node(correctors, x_dof, KQ=None):
+    def zero_rhs_at_one_node(correctors, x_dof, KQ):
         patch, rhs = transient_patch(correctors, x_dof, KQ)
         return patch, np.zeros_like(rhs) if x_dof == zero else rhs
 
@@ -351,7 +342,7 @@ def test_every_sequence_has_exactly_horizon_rows(problem44, tmp_path, monkeypatc
         assert not seq[zero].members().any()
         key = cache_key(forms, cs.config, horizon, generator)
         save_corrector_cache(tmp_path, key, cs, seq)
-        cs_loaded, loaded = load_corrector_cache(tmp_path, key, forms, cs.config)
+        cs_loaded, loaded = load_corrector_cache(tmp_path, key, forms, cs.config, horizon)
         families = [seq, loaded]
         if generator == "power":
             reductions = node_reductions(seq, (1, 5))

@@ -36,8 +36,8 @@ layertrace = _load_layertrace()
 # names the time metrics still list after their functions were deleted; each
 # reads 0, and a name that comes back must leave this set
 GONE = {"assembly.build_forms", "assembly.element_rhs", "assembly.h1_norm",
-        "linalg.factor", "mesh.build_uniform_mesh", "mesh.refine",
-        "rb.compress_transients"}
+        "interpolation.kernel_constraints", "linalg.factor", "mesh.build_uniform_mesh",
+        "mesh.refine", "rb.compress_transients"}
 
 
 def _resolve(name):
@@ -90,10 +90,10 @@ def test_observers_read_what_the_functions_return(tmp_path):
 
     key = cache_key(forms, config, 5)
     save_corrector_cache(tmp_path, key, correctors, seq)
-    loaded = load_corrector_cache(tmp_path, key, forms, config)
+    loaded = load_corrector_cache(tmp_path, key, forms, config, 5)
     assert isinstance(loaded[1], dict) and set(loaded[1]) == set(seq)
     assert all(isinstance(tc, TransientCorrectors) for tc in loaded[1].values())
-    observe("lod.load_corrector_cache", (tmp_path, key, forms, config), loaded)
+    observe("lod.load_corrector_cache", (tmp_path, key, forms, config, 5), loaded)
     assert tracer.count["lod.transient_rows"] == 2 * rows
 
     zeros = np.zeros(pair.coarse.n_dofs)
