@@ -310,20 +310,11 @@ def _check_transients(correctors, transients, n_steps):
 
 def localized_gfem_solve(correctors, transients, f, n_steps, alpha0, alpha1):
     """Localized GFEM: the fine-scale part is the superposition of the
-    per-node correction sequences (see _check_transients) weighted by the
-    coarse coefficient history, stepped by _Recurrence. A certified sequence
-    runs as the band (dofs, Z, alpha, beta, beta, norm1); stored members (the
-    power iterates) xi^1 .. xi^h, h = transient_horizon(n_steps), run as a
-    shift register, the band (dofs, xi[:h], 0, 1, 0, 1) whose lower couplings
-    carry row i into row i + 1, so that member l is exactly xi^l. A mix of
-    the two kinds is rejected."""
+    per-node certified sequences (see _check_transients) weighted by the
+    coarse coefficient history, stepped by _Recurrence, each sequence as the
+    band (dofs, Z, alpha, beta, beta, norm1) of its Lanczos form."""
     grid = _check_transients(correctors, transients, n_steps)
-    kinds = {tc.certified for tc in transients.values()}
-    if len(kinds) > 1:
-        raise ValueError("transients mix certified sequences and stored members")
-    h = transient_horizon(n_steps)
-    bands = [(tc.dofs, tc.xi, tc.alpha, tc.beta, tc.beta, tc.norm1) if tc.certified
-             else (tc.dofs, tc.xi[:h], np.zeros(h), np.ones(h), np.zeros(h), 1.0)
+    bands = [(tc.dofs, tc.xi, tc.alpha, tc.beta, tc.beta, tc.norm1)
              for _, tc in sorted(transients.items())]
     return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
                        _Recurrence(correctors, bands, grid))

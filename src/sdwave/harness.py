@@ -14,8 +14,9 @@ import numpy as np
 from .assembly import CoefficientField, DiscreteForms
 from .evolution import (fine_fem_solve, galerkin_wave_solve, ideal_gfem_solve,
                         localized_gfem_solve, rel_h1_final, rel_l2h1, transient_horizon)
-from .lod import (CorrectorConfig, build_corrector_set, cache_key, load_corrector_cache,
-                  save_corrector_cache, transients_for_all_nodes)
+from .lod import (CorrectorConfig, _k_a_q, build_corrector_set, cache_key,
+                  compute_transient_correctors, load_corrector_cache, save_corrector_cache,
+                  transients_for_all_nodes)
 from .mesh import Mesh, NestedMeshPair, prolongation
 from .rb import node_reductions, rb_gfem_solve
 
@@ -70,8 +71,10 @@ class ExperimentConfig:
             raise ValueError("coefficient range must satisfy 0 < lo < hi")
         if self.tau <= 0:
             raise ValueError("time step must be positive")
-        if not self.M or min(self.M) < 1:
-            raise ValueError("snapshot counts M must be >= 1")
+        if not self.M or min(self.M) < 1 or len(set(self.M)) < len(self.M):
+            raise ValueError("snapshot counts M must be >= 1 and distinct, got %r" % (self.M,))
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0, got %r" % (self.seed,))
         if self.kmax < 2:
             raise ValueError("kmax must be >= 2: the patch sweep starts at k = 2")
         if not self.block >= 0:
@@ -164,25 +167,26 @@ def _forms(cfg, q):
 def _counters():
     """A run's counters: cache hits and misses, the saddle solves spent on
     transient sequences, the worst certified bound of one and the rows the
-    sequences store (lod.TransientCorrectors). The bound and the rows count
-    the sequences a run used, built or read from the cache."""
+    sequences store (lod.TransientCorrectors, or exp-rb's lod.Snapshots). The
+    bound and the rows count the sequences a run used, built or read from
+    the cache."""
     return {"cache_hits": 0, "cache_misses": 0, "transient_solves": 0,
             "transient_bound": 0.0, "transient_rows": 0}
 
 
 def _count_sequences(counters, seq):
+    counters["transient_solves"] += sum(tc.solves for tc in seq.values())
     counters["transient_bound"] = max([counters["transient_bound"]]
                                       + [tc.bound for tc in seq.values()])
     counters["transient_rows"] += sum(tc.xi.shape[0] for tc in seq.values())
 
 
-def _corrector_pipeline(cfg, forms, k, form_choice, counters, transients=True,
-                        generator="lanczos"):
-    """Correctors (and transient sequences of the generator) with optional
-    disk caching."""
+def _corrector_pipeline(cfg, forms, k, form_choice, counters, transients=True):
+    """Correctors (and certified transient sequences) with optional disk
+    caching."""
     config = CorrectorConfig(k=k, form_choice=form_choice)
     horizon = transient_horizon(cfg.n_steps)
-    key = cache_key(forms, config, horizon, generator)
+    key = cache_key(forms, config, horizon)
     if cfg.cache:
         cached = load_corrector_cache(cfg.cache, key, forms, config, horizon)
         if cached is not None and (cached[1] is not None or not transients):
@@ -194,8 +198,7 @@ def _corrector_pipeline(cfg, forms, k, form_choice, counters, transients=True,
     correctors = build_corrector_set(forms, config)
     seq = None
     if transients:
-        seq = transients_for_all_nodes(correctors, horizon, generator=generator)
-        counters["transient_solves"] += sum(tc.solves for tc in seq.values())
+        seq = transients_for_all_nodes(correctors, horizon)
         _count_sequences(counters, seq)
     if cfg.cache:
         save_corrector_cache(cfg.cache, key, correctors, seq)
@@ -245,6 +248,8 @@ def _exp_k_row(cfg, forms, k, reference, counters):
 
 def run_exp_H(cfg):
     """Errors against the fine FEM reference over the coarse mesh sweep."""
+    if cfg.q < 2:
+        raise ValueError("exp-H sweeps q = 2 .. q, so q must be >= 2, got %d" % cfg.q)
     started = time.perf_counter()
     counters = _counters()
     rows = []
@@ -296,22 +301,27 @@ def run_exp_rb(cfg):
     counters = _counters()
     forms = _forms(cfg, cfg.q)
     zeros = np.zeros(forms.pair.coarse.n_dofs)
-    k = cfg.q
+    k, horizon = cfg.q, transient_horizon(cfg.n_steps)
 
-    # the power iterates: build_rb amplifies the round-off of its snapshots
-    correctors, seq = _corrector_pipeline(cfg, forms, k, "a_plus_tau_b", counters,
-                                          generator="power")
-    reference = localized_gfem_solve(correctors, seq, 1.0, cfg.n_steps, zeros, zeros)
-
-    # one basis per node, built from max(M) snapshots; each M takes its prefix.
-    # From M = horizon on, rb_gfem_solve runs the stored members unreduced:
-    # that trajectory is the reference, so those rows take it
-    reductions = node_reductions(seq, cfg.M)
+    # only the corrector set is cached; the snapshots, the power iterates
+    # (build_rb amplifies their round-off), are built every run
+    correctors, _ = _corrector_pipeline(cfg, forms, k, "a_plus_tau_b", counters,
+                                        transients=False)
+    KQ = _k_a_q(correctors)
+    snapshots = {d: compute_transient_correctors(correctors, d, horizon, KQ)
+                 for d in range(correctors.Q.shape[1])}
+    del KQ  # freed before the solves, as transients_for_all_nodes frees its own
+    counters["transient_solves"] += sum(s.solves for s in snapshots.values())
+    counters["transient_rows"] += sum(s.horizon for s in snapshots.values())
+    reference = rb_gfem_solve(correctors, snapshots, {}, 1.0, cfg.n_steps, zeros, zeros,
+                              horizon)
+    # one basis per node, built from max(M) snapshots; each M takes its prefix
+    reductions = node_reductions(snapshots, cfg.M)
     rows = []
     for m in cfg.M:
         tic = time.perf_counter()
-        trajectory = (reference if m >= transient_horizon(cfg.n_steps) else
-                      rb_gfem_solve(correctors, seq, reductions, 1.0, cfg.n_steps,
+        trajectory = (reference if m >= horizon else
+                      rb_gfem_solve(correctors, snapshots, reductions, 1.0, cfg.n_steps,
                                     zeros, zeros, m))
         rows.append(_row(forms, reference, m, "rb", trajectory, tic))
         log.info("exp-rb M=%d gap=%.3e", m, rows[-1]["rel_h1_final"])

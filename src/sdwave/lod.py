@@ -22,10 +22,6 @@ FORM_CHOICES = ("a_plus_tau_b", "a_only", "b_only")
 # first member of the power iterates, in the energy norm, member by member
 CERTIFY_TOL = 1e-11
 
-# "lanczos": certified sequences kept as their Lanczos basis; "power": one
-# saddle solve per member
-GENERATORS = ("lanczos", "power")
-
 # the version of how the cached arrays are computed and stored
 CACHE_FORMAT = 6
 
@@ -263,52 +259,43 @@ def build_corrector_set(forms, config):
 
 @dataclass
 class TransientCorrectors:
-    """One coarse node's correction sequence xi^1 .. xi^horizon on its patch.
-
-    Power iterates are stored as their members: the rows of xi. A certified
-    sequence (_certified_transients) is stored in its Lanczos form: the rows
-    of xi are the K_tilde-orthonormal basis Z, alpha and beta[:-1] are the
-    diagonal and off-diagonal of the tridiagonal T, beta[-1] is the remainder
-    norm beta_M, and norm1 is the energy norm of xi^1. Its member j + 1 is
+    """One coarse node's certified correction sequence xi^1 .. xi^horizon on
+    its patch (_certified_transients), in its Lanczos form: the rows of xi
+    are the K_tilde-orthonormal basis Z, alpha and beta[:-1] are the diagonal
+    and off-diagonal of the tridiagonal T, beta[-1] is the remainder norm
+    beta_M, and norm1 is the energy norm of xi^1. Its member j + 1 is
     norm1 Z^T T^j e_1, for j < horizon (members).
     """
     dofs: np.ndarray
-    xi: np.ndarray              # (rows, patch dofs): the members, or Z
+    xi: np.ndarray              # (rows, patch dofs): the basis Z
     correctors: CorrectorSet    # the set the sequence was built from
-    # the saddle solves spent building the sequence, and its certified bound
-    # (the largest energy error of a member, over the energy norm of the
-    # first); the solves are 0 for a sequence read from the cache, and the
-    # bound is 0 for power iterates
-    solves: int = 0
-    bound: float = 0.0
-    alpha: np.ndarray = None    # the Lanczos form; None for stored members
-    beta: np.ndarray = None
-    norm1: float = 0.0
-    horizon: int = None         # the members served; the rows of stored members
-
-    def __post_init__(self):
-        if self.horizon is None:
-            self.horizon = self.xi.shape[0]
-        elif not self.certified and self.horizon != self.xi.shape[0]:
-            raise ValueError("stored members serve their %d rows, not a horizon of %r"
-                             % (self.xi.shape[0], self.horizon))
-
-    @property
-    def certified(self):
-        """Whether the sequence is in its Lanczos form."""
-        return self.alpha is not None
+    solves: int                 # saddle solves spent; 0 when read from the cache
+    bound: float                # largest member energy error over that of xi^1
+    alpha: np.ndarray
+    beta: np.ndarray
+    norm1: float
+    horizon: int                # the members served
 
     def members(self, count=None):
-        """The members xi^1 .. xi^count, (count, patch dofs); count defaults
-        to the horizon. A certified sequence lifts them with one product."""
+        """The members xi^1 .. xi^count, (count, patch dofs), lifted with one
+        product; count defaults to the horizon."""
         count = self.horizon if count is None else count
         if not 0 <= count <= self.horizon:
             raise ValueError("a sequence of horizon %d has no %r members"
                              % (self.horizon, count))
-        if not self.certified:
-            return self.xi[:count]
         powers = _tridiagonal_powers(self.alpha, self.beta[:-1], count)
         return (self.norm1 * powers).T @ self.xi
+
+
+@dataclass
+class Snapshots:
+    """One coarse node's power iterates xi^1 .. xi^horizon, the rows of xi, on
+    its patch, one checked saddle solve each: rb's snapshots, never cached."""
+    dofs: np.ndarray
+    xi: np.ndarray
+    correctors: CorrectorSet    # the set they were built from
+    solves: int
+    horizon = property(lambda self: self.xi.shape[0])   # the members served
 
 
 def _node_dofs(pair, x_dof, k):
@@ -346,7 +333,7 @@ def compute_transient_correctors(correctors, x_dof, horizon, KQ):
     The first step projects the modified hat function, later steps reuse the
     factorized left-hand side. The members are steps of linalg._CheckedSteps,
     the first through the checked solve, so they are those of one checked
-    solve per step. KQ is as for transient_patch.
+    solve per step. KQ is as for transient_patch. Returns the Snapshots.
     """
     patch, first = transient_patch(correctors, x_dof, KQ)
     xi = np.empty((horizon, patch.dofs.size))
@@ -354,7 +341,7 @@ def compute_transient_correctors(correctors, x_dof, horizon, KQ):
     while l < horizon:
         xi[l] = steps.solve(l, first if l == 0 else patch.k_a @ xi[l - 1])
         l = steps.next(l, last=l + 1 == horizon)
-    return TransientCorrectors(patch.dofs, xi, correctors, steps.solves)
+    return Snapshots(patch.dofs, xi, correctors, steps.solves)
 
 
 # the most Lanczos steps between two evaluations of the certified bound
@@ -502,21 +489,13 @@ def _certified_transients(correctors, x_dof, horizon, KQ):
                                alpha, beta, float(norm1), horizon)
 
 
-def transients_for_all_nodes(correctors, horizon, generator="lanczos"):
-    """Transient correctors for every interior coarse node, keyed by its dof,
-    each of `horizon` members.
-
-    The generator (one of GENERATORS) is "lanczos" for certified sequences in
-    their Lanczos form (_certified_transients) or "power" for the stored
-    power iterates (compute_transient_correctors).
-    """
-    if generator not in GENERATORS:
-        raise ValueError("generator must be one of %s, got %r" % (GENERATORS, generator))
+def transients_for_all_nodes(correctors, horizon):
+    """Certified sequences (_certified_transients) for every interior coarse
+    node, keyed by its dof, each of `horizon` members."""
     if not isinstance(horizon, numbers.Integral) or isinstance(horizon, bool) or horizon < 1:
         raise ValueError("horizon must be an integer >= 1, got %r" % (horizon,))
-    build = _certified_transients if generator == "lanczos" else compute_transient_correctors
     KQ = _k_a_q(correctors)
-    return {d: build(correctors, d, horizon, KQ)
+    return {d: _certified_transients(correctors, d, horizon, KQ)
             for d in range(correctors.Q.shape[1])}
 
 
@@ -552,36 +531,32 @@ def decay_profile(v, pair, x_dof):
 # ----------------------------------------------------------------------------
 # binary corrector cache
 
-def cache_key(forms, config, horizon, generator="lanczos"):
+def cache_key(forms, config, horizon):
     """File key for a corrector set (and its transients) built from these inputs.
 
     The digest covers everything the cached arrays depend on: CACHE_FORMAT,
     both coefficient arrays, the exact time step forms.tau, the patch size,
-    the form, the mesh pair, the transient horizon, and the generator of the
-    sequences ("power", or "lanczos" with CERTIFY_TOL).
+    the form, the mesh pair, the transient horizon, and CERTIFY_TOL (as
+    "lanczos:" + its hex; test_cache_key_is_pinned pins the keys).
     """
-    if generator not in GENERATORS:
-        raise ValueError("generator must be one of %s, got %r" % (GENERATORS, generator))
-    if generator == "lanczos":
-        generator += ":" + CERTIFY_TOL.hex()
     pair = forms.pair
     digest = hashlib.sha256()
     digest.update(forms.a_values.tobytes())
     digest.update(forms.b_values.tobytes())
     digest.update(repr((CACHE_FORMAT, float(forms.tau).hex(), config.k, config.form_choice,
-                        pair.coarse.n, pair.r, horizon, generator)).encode())
+                        pair.coarse.n, pair.r, horizon, "lanczos:" + CERTIFY_TOL.hex())).encode())
     return "k%d_%s_%s" % (config.k, config.form_choice, digest.hexdigest())
 
 
 def save_corrector_cache(cache_dir, key, correctors, transients=None):
-    """Write the corrector set, and the sequences if given, under key.
+    """Write the corrector set, and the certified sequences if given, under key.
 
     The sequences are stored by node, in ascending order: the nodes, and
-    each node's rows (its members, or the Lanczos basis Z) in one entry,
-    flattened and concatenated, with one count of rows per node. The nodes'
-    dofs are not stored: the key fixes them (_node_dofs). Certified sequences
-    also store one array each of the nodes' alpha and beta, concatenated,
-    and of their horizons, norm1 and certified bounds.
+    each node's rows (its Lanczos basis Z) in one entry, flattened and
+    concatenated, with one count of rows per node; one array each of the
+    nodes' alpha and beta, concatenated, and of their horizons, norm1 and
+    certified bounds. The nodes' dofs are not stored: the key fixes them
+    (_node_dofs).
     """
     os.makedirs(cache_dir, exist_ok=True)
     Q = correctors.Q.tocsr()
@@ -599,20 +574,14 @@ def save_corrector_cache(cache_dir, key, correctors, transients=None):
     if transients is not None:
         nodes = sorted(transients)
         seqs = [transients[d] for d in nodes]
-        kinds = {tc.certified for tc in seqs}
-        if len(kinds) > 1:
-            raise ValueError("cannot cache certified sequences and power iterates "
-                             "in one file")
-        payload["transient_nodes"] = np.array(nodes, dtype=np.int64)
-        payload["transient_row_counts"] = np.array([tc.xi.shape[0] for tc in seqs],
-                                                   dtype=np.int64)
-        if kinds == {True}:
-            payload["transient_horizon"] = np.array([tc.horizon for tc in seqs],
-                                                    dtype=np.int64)
-            payload["transient_norm1"] = np.array([tc.norm1 for tc in seqs])
-            payload["transient_bound"] = np.array([tc.bound for tc in seqs])
-            payload["transient_alpha"] = np.concatenate([tc.alpha for tc in seqs])
-            payload["transient_beta"] = np.concatenate([tc.beta for tc in seqs])
+        payload.update(
+            transient_nodes=np.array(nodes, dtype=np.int64),
+            transient_row_counts=np.array([tc.xi.shape[0] for tc in seqs], dtype=np.int64),
+            transient_horizon=np.array([tc.horizon for tc in seqs], dtype=np.int64),
+            transient_norm1=np.array([tc.norm1 for tc in seqs]),
+            transient_bound=np.array([tc.bound for tc in seqs]),
+            transient_alpha=np.concatenate([tc.alpha for tc in seqs]),
+            transient_beta=np.concatenate([tc.beta for tc in seqs]))
     path = os.path.join(cache_dir, key + ".npz")
     tmp = path + ".tmp"
     # the layout of np.savez: one .npy entry per array, stored uncompressed
@@ -651,11 +620,10 @@ def load_corrector_cache(cache_dir, key, forms, config, horizon):
     the entries), or an M_ms, A_ms or B_ms that is not a finite float coarse
     x coarse array; holds nodes that are not ascending coarse dofs, or row
     counts that are not positive or do not split its rows into blocks of the
-    nodes' dofs (every sequence keeps at least one row: a Lanczos basis its
-    first, power iterates their horizon >= 1); holds power iterates whose row
-    counts, or certified sequences whose integer horizons, are not horizon;
-    or holds rows or a Lanczos form that is not finite or does not fit the
-    counts. The checks are not asserts, so they hold under python -O.
+    nodes' dofs (every Lanczos basis keeps at least its first row); holds
+    sequences whose integer horizons are not horizon; or holds rows or a
+    Lanczos form that is not finite or does not fit the counts. The checks
+    are not asserts, so they hold under python -O.
     """
     path = os.path.join(cache_dir, key + ".npz")
     if not os.path.exists(path):
@@ -717,11 +685,6 @@ def _load_transients(data, correctors, horizon):
     ends = np.cumsum(sizes)
     xis = [rows[end - size:end].reshape(count, node_dofs.size)
            for end, size, count, node_dofs in zip(ends, sizes, counts, dofs)]
-    if "transient_norm1" not in data:
-        if not np.all(counts == horizon):
-            return None
-        return {int(d): TransientCorrectors(dofs[i], xis[i], correctors)
-                for i, d in enumerate(nodes)}
     horizons, norms, bounds, alphas, betas = (data["transient_" + name] for name in (
         "horizon", "norm1", "bound", "alpha", "beta"))
     if not (horizons.shape == norms.shape == bounds.shape == nodes.shape

@@ -7,8 +7,8 @@ import numpy as np
 import scipy.linalg
 
 from .evolution import (_check_transients, _gfem_steps, _multiscale, _Recurrence,
-                        localized_gfem_solve, transient_horizon)
-from .lod import Patch
+                        transient_horizon)
+from .lod import Patch, Snapshots
 
 # Gram-Schmidt stops at a remainder of RB_TOL times its snapshot's energy norm
 RB_TOL = 1e-10
@@ -96,12 +96,11 @@ def snapshot_singular_values(snapshots, patch):
     return scipy.linalg.svdvals(chol @ snapshots.T)
 
 
-def _require_members(transients):
-    """Reject certified sequences: their stored rows are a Lanczos basis, not
-    snapshots."""
-    if any(tc.certified for tc in transients.values()):
-        raise ValueError("reduced bases are built from stored members (the power "
-                         "iterates); got certified sequences in Lanczos form")
+def _require_snapshots(snapshots):
+    """Reject sequences other than lod.Snapshots: the rows of a certified
+    sequence are a Lanczos basis, not snapshots."""
+    if not all(isinstance(tc, Snapshots) for tc in snapshots.values()):
+        raise ValueError("reduced bases are built from lod.Snapshots, the power iterates")
 
 
 @dataclass
@@ -112,19 +111,19 @@ class NodeReduction:
     basis: ReducedBasis    # None when the first snapshot carries no energy
 
 
-def node_reductions(transients, m_values):
+def node_reductions(snapshots, m_values):
     """Per-node reduced bases for a sweep over the snapshot counts m_values.
 
     Each node whose sequence is longer than the smallest count gets one basis,
     at the tolerance RB_TOL, from its first min(max(m_values), length)
     snapshots; rb_gfem_solve takes the prefix of it for each count.
     """
-    _require_members(transients)
+    _require_snapshots(snapshots)
     m_values = tuple(m_values)
     if not m_values or min(m_values) < 1:
         raise ValueError("snapshot counts must be >= 1")
     out = {}
-    for d, tc in transients.items():
+    for d, tc in snapshots.items():
         length = tc.xi.shape[0]
         if min(m_values) >= length:
             continue
@@ -169,17 +168,19 @@ def _band(x, tc, node, m):
             np.concatenate([np.zeros(m), np.diag(H, 1), [0.0]]), 1.0)
 
 
-def rb_gfem_solve(correctors, transients, reductions, f, n_steps, alpha0, alpha1, m_max):
-    """Localized GFEM where corrections beyond the first m_max steps come from
-    the per-node reduced bases in reductions (from node_reductions), each node
-    one band of evolution._Recurrence; from m_max = transient_horizon(n_steps)
-    on, the stored members run through localized_gfem_solve."""
+def rb_gfem_solve(correctors, snapshots, reductions, f, n_steps, alpha0, alpha1, m_max):
+    """Localized GFEM on the snapshots (checked as evolution._check_transients
+    checks sequences), each node one band of evolution._Recurrence: beyond
+    the first m_max members, from its reduced basis in reductions (from
+    node_reductions); from m_max = h = transient_horizon(n_steps) on, xi^1 ..
+    xi^h unreduced, as the shift register (dofs, xi[:h], 0, 1, 0, 1)."""
     if not isinstance(m_max, numbers.Integral) or isinstance(m_max, bool) or m_max < 1:
         raise ValueError("m_max must be an integer >= 1, got %r" % (m_max,))
-    _require_members(transients)
-    grid = _check_transients(correctors, transients, n_steps)
-    if m_max >= transient_horizon(n_steps):
-        return localized_gfem_solve(correctors, transients, f, n_steps, alpha0, alpha1)
-    bands = [_band(x, tc, reductions.get(x), m_max) for x, tc in sorted(transients.items())]
+    _require_snapshots(snapshots)
+    grid = _check_transients(correctors, snapshots, n_steps)
+    h = transient_horizon(n_steps)
+    bands = [(tc.dofs, tc.xi[:h], np.zeros(h), np.ones(h), np.zeros(h), 1.0)
+             if m_max >= h else _band(x, tc, reductions.get(x), m_max)
+             for x, tc in sorted(snapshots.items())]
     return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
                        _Recurrence(correctors, bands, grid))

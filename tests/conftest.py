@@ -83,11 +83,26 @@ def stored_zeros_forms(problem):
     return forms
 
 
-def _per_step_superposition(correctors, transients, forms, f, n_steps, alpha0, alpha1):
-    """Oracle for localized_gfem_solve: the fine-scale part re-summed from the
-    members of every sequence in every step, w^n = sum_x sum_{l=1}^{n-1}
-    alpha_x^{n-l} xi_x^l, and fed back through Q^T K_A u^{n-1}."""
-    members = {x: tc.members(n_steps - 1) for x, tc in transients.items()}
+def power_snapshots(correctors, horizon):
+    """The power iterates of every coarse node, keyed by its dof, as exp-rb
+    builds them (lod.compute_transient_correctors)."""
+    KQ = lod._k_a_q(correctors)
+    return {d: lod.compute_transient_correctors(correctors, d, horizon, KQ)
+            for d in range(correctors.Q.shape[1])}
+
+
+def certified_members(transients, n_steps):
+    """(dofs, members xi^1 .. xi^{n_steps - 1}) of each certified sequence,
+    lifted: the members of _per_step_superposition."""
+    return {x: (tc.dofs, tc.members(n_steps - 1)) for x, tc in transients.items()}
+
+
+def _per_step_superposition(correctors, members, forms, f, n_steps, alpha0, alpha1):
+    """Oracle for localized_gfem_solve and rb_gfem_solve: the fine-scale part
+    re-summed from the members of every node in every step, w^n = sum_x
+    sum_{l=1}^{n-1} alpha_x^{n-l} xi_x^l, and fed back through
+    Q^T K_A u^{n-1}. members maps each node to (dofs, its members xi^1 ..,
+    at least n_steps - 1 rows)."""
     tau = forms.tau
     Q = correctors.Q
     lhs = scipy.linalg.lu_factor(correctors.M_ms / tau + correctors.A_ms
@@ -105,8 +120,8 @@ def _per_step_superposition(correctors, transients, forms, f, n_steps, alpha0, a
         alpha[n] = scipy.linalg.lu_solve(lhs, rhs)
         states[n] = Q @ alpha[n]
         lags = np.arange(1, n)
-        for x, tc in transients.items():
-            states[n, tc.dofs] += members[x][lags - 1].T @ alpha[n - lags, x]
+        for x, (dofs, xi) in members.items():
+            states[n, dofs] += xi[lags - 1].T @ alpha[n - lags, x]
     return alpha, states
 
 

@@ -17,7 +17,10 @@ from sdwave.lod import (CorrectorConfig, TransientCorrectors, build_corrector_se
                         transients_for_all_nodes)
 from sdwave.mesh import Mesh, NestedMeshPair, prolongation, saturating_k
 
-from conftest import _per_step_superposition, localized_gfem_solve_direct, saddle_of
+from sdwave.rb import rb_gfem_solve
+
+from conftest import (_per_step_superposition, certified_members, localized_gfem_solve_direct,
+                      power_snapshots, saddle_of)
 
 TAU = 0.02
 
@@ -186,10 +189,11 @@ WRAPS = 2 * _WINDOW + 21
         "wraps-the-window", "zero-first-member"])
 def test_localized_matches_per_step_superposition(problem44, k2_44, monkeypatch, n_steps,
                                                   horizon, f, data, zero):
-    # both kinds run through the recurrence: the certified sequences as
-    # Lanczos bands, the power iterates as shift registers, also where a run
-    # wraps the window of band coordinates and where the middle node's first
-    # member is zero
+    # both kinds of sequence run through the recurrence: the certified
+    # sequences of localized_gfem_solve as Lanczos bands, and the power
+    # iterates of rb_gfem_solve's unreduced run as shift registers, also
+    # where a run wraps the window of band coordinates and where the middle
+    # node's first member is zero
     forms = problem44.forms
     rng = np.random.default_rng(44)
     alpha0, alpha1 = (rng.standard_normal((2, problem44.n_coarse_dofs)) if data
@@ -203,14 +207,19 @@ def test_localized_matches_per_step_superposition(problem44, k2_44, monkeypatch,
             return patch, (np.zeros_like(rhs) if x_dof == middle else rhs)
 
         monkeypatch.setattr(lod, "transient_patch", zero_rhs)
-    for generator in lod.GENERATORS:
-        seq = transients_for_all_nodes(k2_44, horizon=horizon, generator=generator)
-        assert not zero or not seq[middle].members().any()
-        loc = localized_gfem_solve(k2_44, seq, f, n_steps, alpha0, alpha1)
-        alpha, states = _per_step_superposition(k2_44, seq, forms, f, n_steps,
+    seq = transients_for_all_nodes(k2_44, horizon=horizon)
+    snapshots = power_snapshots(k2_44, horizon)
+    assert not zero or not (seq[middle].members().any() or snapshots[middle].xi.any())
+    runs = ((localized_gfem_solve(k2_44, seq, f, n_steps, alpha0, alpha1),
+             certified_members(seq, n_steps)),
+            (rb_gfem_solve(k2_44, snapshots, {}, f, n_steps, alpha0, alpha1,
+                           transient_horizon(n_steps)),
+             {x: (s.dofs, s.xi) for x, s in snapshots.items()}))
+    for got, members in runs:
+        alpha, states = _per_step_superposition(k2_44, members, forms, f, n_steps,
                                                 alpha0, alpha1)
-        assert np.linalg.norm(loc.alpha - alpha) <= 1e-12 * np.linalg.norm(alpha)
-        assert np.linalg.norm(loc.states - states) <= 1e-12 * np.linalg.norm(states)
+        assert np.linalg.norm(got.alpha - alpha) <= 1e-12 * np.linalg.norm(alpha)
+        assert np.linalg.norm(got.states - states) <= 1e-12 * np.linalg.norm(states)
 
 
 # ----------------------------------------------------------------------------
@@ -456,16 +465,6 @@ def test_localized_rejects_anything_but_one_full_sequence_per_node(problem44, k2
         localized_gfem_solve(k2_44, seq, 1.0, n_steps, zc, zc)
 
 
-def test_localized_rejects_short_stored_members(problem44, k2_44):
-    n_steps = 6
-    seq = transients_for_all_nodes(k2_44, transient_horizon(n_steps), generator="power")
-    tc = seq[0]
-    seq[0] = TransientCorrectors(tc.dofs, tc.xi[:-1], tc.correctors)
-    zc = np.zeros(problem44.n_coarse_dofs)
-    with pytest.raises(ValueError, match="fewer than"):
-        localized_gfem_solve(k2_44, seq, 1.0, n_steps, zc, zc)
-
-
 # ----------------------------------------------------------------------------
 # the recurrence of the certified sequences against the per-step
 # superposition of their members
@@ -479,12 +478,13 @@ def recurrence_problem(request):
 def _assert_recurrence_matches_members(correctors, seq, n_steps):
     """The certified run against the per-step superposition of its lifted
     members."""
-    assert all(tc.certified for tc in seq.values())
+    assert all(isinstance(tc, TransientCorrectors) for tc in seq.values())
     rng = np.random.default_rng(45)
     alpha0, alpha1 = rng.standard_normal((2, correctors.Q.shape[1]))
     got = localized_gfem_solve(correctors, seq, _pulse, n_steps, alpha0, alpha1)
-    alpha, states = _per_step_superposition(correctors, seq, correctors.forms, _pulse,
-                                            n_steps, alpha0, alpha1)
+    alpha, states = _per_step_superposition(correctors, certified_members(seq, n_steps),
+                                            correctors.forms, _pulse, n_steps, alpha0,
+                                            alpha1)
     assert np.linalg.norm(got.states - states) <= 1e-12 * np.linalg.norm(states)
     assert np.linalg.norm(got.alpha - alpha) <= 1e-12 * np.linalg.norm(alpha)
 
@@ -640,17 +640,6 @@ def test_window_fills_the_states_of_the_single_fill(recurrence_problem,
                        _SingleFill(cs, bands, grid))
     np.testing.assert_array_equal(got.alpha, want.alpha)
     assert np.linalg.norm(got.states - want.states) <= 1e-13 * np.linalg.norm(want.states)
-
-
-def test_localized_rejects_mixed_kinds(problem44, k2_44):
-    n_steps = 6
-    seq = transients_for_all_nodes(k2_44, transient_horizon(n_steps))
-    tc = seq[0]
-    seq[0] = TransientCorrectors(tc.dofs, tc.members(transient_horizon(n_steps)),
-                                 tc.correctors)
-    zc = np.zeros(problem44.n_coarse_dofs)
-    with pytest.raises(ValueError, match="mix"):
-        localized_gfem_solve(k2_44, seq, 1.0, n_steps, zc, zc)
 
 
 def test_steady_state_b_orthogonality(problem44):

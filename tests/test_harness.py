@@ -20,7 +20,7 @@ from sdwave.harness import (CSV_HEADER, ExperimentConfig, config_from_sources,
                             emit, random_field, run_exp_H, run_exp_k,
                             run_exp_rb)
 from sdwave.lod import (CERTIFY_TOL, TransientCorrectors, _k_a_q,
-                        compute_transient_correctors, transients_for_all_nodes)
+                        compute_transient_correctors)
 from sdwave.mesh import Mesh
 
 MICRO = dict(p=3, q=2, kmax=2, tau=0.1, T=0.5, seed=1)
@@ -254,6 +254,38 @@ def test_config_rejects_M_not_a_list_of_integers(tmp_path, monkeypatch, M):
     assert config_from_sources("exp-rb", None, {"M": [1, 15]}).M == (1, 15)
     M = ExperimentConfig(p=3, q=2, M=[np.int64(5), 1], T=1, tau=0.1).M
     assert M == (5, 1) and all(type(m) is int for m in M)
+
+
+@pytest.mark.parametrize("bad", [dict(seed=-1), dict(M=[3, 3]), dict(M=[1, 5, 1])],
+                         ids=["seed-negative", "M-repeated", "M-repeated-apart"])
+def test_config_rejects_a_negative_seed_or_repeated_snapshot_counts(tmp_path, monkeypatch,
+                                                                    bad):
+    # seed = -1 built the meshes and then failed in numpy; --M 3,3 solved
+    # and wrote one rb row twice
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built before the config was checked")
+
+    monkeypatch.setattr(harness, "Mesh", no_mesh)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(MICRO, out=str(tmp_path / "out"), **bad)))
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        main(["exp-rb", "--config", str(path)])
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ExperimentConfig(**dict(MICRO, **bad))
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_rejects_exp_H_q_below_two(tmp_path, monkeypatch):
+    # exp-H sweeps q = 2 .. q: at q = 1 it solved the fine reference and
+    # wrote a CSV of its header only
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built before the config was checked")
+
+    monkeypatch.setattr(harness, "Mesh", no_mesh)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="q must be >= 2"):
+        main(["exp-H", "--p", "3", "--q", "1", "--T", "0.1", "--out", str(out)])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [dict(kmax=2.5), dict(p=5.0), dict(q=True),
@@ -547,23 +579,61 @@ def test_online_stage_never_lifts_certified_members(tmp_path, monkeypatch):
 
 
 def test_exp_rb_builds_the_power_iterates(monkeypatch):
-    # build_rb amplifies the round-off of its snapshots, so exp-rb's sequences
-    # stay those of compute_transient_correctors, bit for bit
+    # build_rb amplifies the round-off of its snapshots, so exp-rb's snapshots
+    # stay those of compute_transient_correctors, bit for bit, one per node;
+    # it builds no certified sequence
     built = []
 
-    def capture(correctors, horizon, **kwargs):
-        seq = transients_for_all_nodes(correctors, horizon, **kwargs)
-        built.append((correctors, horizon, seq))
-        return seq
+    def capture(correctors, x_dof, horizon, KQ):
+        snapshots = compute_transient_correctors(correctors, x_dof, horizon, KQ)
+        built.append((correctors, x_dof, horizon, snapshots))
+        return snapshots
 
-    monkeypatch.setattr(harness, "transients_for_all_nodes", capture)
+    def no_certified(*args):
+        raise AssertionError("exp-rb built certified sequences")
+
+    monkeypatch.setattr(harness, "compute_transient_correctors", capture)
+    monkeypatch.setattr(harness, "transients_for_all_nodes", no_certified)
     run_exp_rb(ExperimentConfig(p=4, q=2, tau=0.1, T=2.0, seed=1, M=(1, 5)))
-    (correctors, horizon, seq), = built
-    assert horizon == 19
+    correctors = built[0][0]
+    assert [x_dof for _, x_dof, _, _ in built] == list(range(correctors.Q.shape[1]))
     KQ = _k_a_q(correctors)
-    for d, tc in seq.items():
+    for cs, d, horizon, snapshots in built:
+        assert cs is correctors and horizon == 19
         power = compute_transient_correctors(correctors, d, horizon, KQ)
-        assert tc.xi.tobytes() == power.xi.tobytes()
+        assert snapshots.xi.tobytes() == power.xi.tobytes()
+
+
+def _errors(rows):
+    return sorted((r["method"], r["param"], r["rel_h1_final"], r["rel_l2h1"]) for r in rows)
+
+
+def test_exp_rb_caches_its_corrector_set_only(tmp_path):
+    # the file holds the corrector set, under the key of exp-k's certified
+    # sequences at k = q; the snapshots are solved again in every run
+    cache = tmp_path / "cache"
+    cfg = ExperimentConfig(p=4, q=2, tau=0.1, T=2.0, seed=1, M=(1, 5), cache=str(cache))
+    cold_rows, cold = run_exp_rb(cfg)
+    warm_rows, warm = run_exp_rb(cfg)
+    assert (cold["cache_hits"], cold["cache_misses"]) == (0, 1)
+    assert (warm["cache_hits"], warm["cache_misses"]) == (1, 0)
+    assert warm["transient_solves"] == cold["transient_solves"] > 0
+    assert warm["transient_rows"] == cold["transient_rows"] > 0
+    assert _errors(warm_rows) == _errors(cold_rows)
+    path, = cache.iterdir()
+    with np.load(path) as data:
+        assert "Q_data" in data and "transient_nodes" not in data
+    # exp-k at k = q reads that file without error; it holds no sequences, so
+    # the run counts a miss and writes them into it, and its rows are those
+    # of a run without a cache
+    k_cfg = ExperimentConfig(p=4, q=2, kmax=2, tau=0.1, T=2.0, seed=1, cache=str(cache))
+    rows, meta = run_exp_k(k_cfg)
+    assert (meta["cache_hits"], meta["cache_misses"]) == (0, 1)
+    assert _errors(rows) == _errors(run_exp_k(dataclasses.replace(k_cfg, cache=None))[0])
+    assert list(cache.iterdir()) == [path]
+    # and exp-rb hits the file with sequences as it hit the set alone
+    again_rows, again = run_exp_rb(cfg)
+    assert again["cache_hits"] == 1 and _errors(again_rows) == _errors(cold_rows)
 
 
 def test_exp_rb_micro(tmp_path):
@@ -575,19 +645,19 @@ def test_exp_rb_micro(tmp_path):
 
 
 def test_exp_rb_rows_at_the_horizon_take_the_reference(monkeypatch):
-    # from M = horizon on, the row runs the stored members unreduced, which is
-    # the reference trajectory: it used to be solved a second time
+    # from M = horizon on, the row runs the snapshots unreduced, which is the
+    # reference trajectory: it used to be solved a second time
     calls = []
 
     def count(*args):
-        calls.append(args)
-        return localized_gfem_solve(*args)
+        calls.append(args[-1])
+        return rb.rb_gfem_solve(*args)
 
-    monkeypatch.setattr(harness, "localized_gfem_solve", count)
-    monkeypatch.setattr(rb, "localized_gfem_solve", count)
+    monkeypatch.setattr(harness, "rb_gfem_solve", count)
     cfg = ExperimentConfig(p=3, q=2, tau=0.1, T=0.5, seed=1, M=(1, 4, 5))
     rows, _ = run_exp_rb(cfg)
-    assert len(calls) == 1
+    # the reference at m_max = horizon = 4, then the reduced row M = 1
+    assert calls == [transient_horizon(cfg.n_steps), 1]
     for row in rows:
         if row["param"] >= transient_horizon(cfg.n_steps):
             assert (row["rel_h1_final"], row["rel_l2h1"]) == (0.0, 0.0), row

@@ -27,7 +27,8 @@ from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
 from sdwave.mesh import (Mesh, NestedMeshPair, element_patch, node_patch,
                          prolongation, saturating_k)
 
-from conftest import constraint_rows, saddle_matrix, saddle_of, stored_zeros_forms
+from conftest import (constraint_rows, power_snapshots, saddle_matrix, saddle_of,
+                      stored_zeros_forms)
 
 TAU = 0.02
 
@@ -394,16 +395,17 @@ def _assembled_element_rhs_block(pair, tilde_values, t_coarse, V, columns):
 
 @pytest.mark.parametrize("form_choice", lod.FORM_CHOICES)
 def test_gathered_build_equals_the_assembled_build(problem44, monkeypatch, form_choice):
-    # the corrector set, its sequences of both generators and the ideal
-    # method's basis, each built through the gathered patch systems, against
-    # the same builds on patches assembled from their blocks
+    # the corrector set, its power iterates and certified sequences and the
+    # ideal method's basis, each built through the gathered patch systems,
+    # against the same builds on patches assembled from their blocks
     forms = problem44.forms
     config = CorrectorConfig(k=2, form_choice=form_choice)
-    generators = lod.GENERATORS if form_choice == "a_plus_tau_b" else ("power",)
+    kinds = ("power", "lanczos") if form_choice == "a_plus_tau_b" else ("power",)
 
     def build():
         cs = build_corrector_set(forms, config)
-        return cs, {g: transients_for_all_nodes(cs, 12, g) for g in generators}
+        return cs, {g: (power_snapshots(cs, 12) if g == "power"
+                        else transients_for_all_nodes(cs, 12)) for g in kinds}
 
     gathered, gathered_seq = build()
     ideal = _GlobalSaddle(forms, TimeGrid(forms.tau, 2))
@@ -415,16 +417,16 @@ def test_gathered_build_equals_the_assembled_build(problem44, monkeypatch, form_
     _assert_same_csr(gathered.Q, assembled.Q)
     for name in ("M_ms", "A_ms", "B_ms"):
         np.testing.assert_array_equal(getattr(gathered, name), getattr(assembled, name))
-    for g in generators:
+    for g in kinds:
         for d, tc in assembled_seq[g].items():
             got = gathered_seq[g][d]
             np.testing.assert_array_equal(got.dofs, tc.dofs)
             np.testing.assert_array_equal(got.xi, tc.xi)
-            assert got.solves == tc.solves and got.bound == tc.bound
+            assert got.solves == tc.solves
             if g == "lanczos":
                 np.testing.assert_array_equal(got.alpha, tc.alpha)
                 np.testing.assert_array_equal(got.beta, tc.beta)
-                assert got.norm1 == tc.norm1
+                assert (got.norm1, got.bound) == (tc.norm1, tc.bound)
     # the ideal basis on the global system assembled from K_tilde and the
     # interpolator, as the solver built it before it factored the forms' one
     saddle = factor_saddle(saddle_matrix(forms.K_tilde, forms.interp),
@@ -662,9 +664,10 @@ def _fall_back_at_the_first_checked_solve(monkeypatch):
     monkeypatch.setattr(Patch, "saddle", prop)
 
 
-@pytest.mark.parametrize("build", [compute_transient_correctors, lod._certified_transients],
-                         ids=["power", "lanczos"])
-def test_sequence_bare_solves_on_the_fallback_factors(k2_set, monkeypatch, build):
+@pytest.mark.parametrize("build, members", [
+    (compute_transient_correctors, lambda tc: tc.xi),
+    (lod._certified_transients, lambda tc: tc.members())], ids=["power", "lanczos"])
+def test_sequence_bare_solves_on_the_fallback_factors(k2_set, monkeypatch, build, members):
     # a sequence that binds the bare solve before its loop keeps solving on
     # the discarded symmetric-mode factors, so every block's first bare solve
     # misses and is replayed: 520 solves and 41 checked solves for the power
@@ -677,7 +680,7 @@ def test_sequence_bare_solves_on_the_fallback_factors(k2_set, monkeypatch, build
     # the first checked solve, and its repetition after the fallback
     _check(len(checked) == 2, "%d checked solves" % len(checked))
     _check(tc.solves == clean.solves, "%d solves, %d clean" % (tc.solves, clean.solves))
-    _assert_bitwise(tc.members(), clean.members())
+    _assert_bitwise(members(tc), members(clean))
 
 
 # ----------------------------------------------------------------------------
@@ -881,29 +884,28 @@ def test_certified_sequences_need_the_damped_form(problem44):
     cs = build_corrector_set(problem44.forms, CorrectorConfig(k=2, form_choice="a_only"))
     with pytest.raises(ValueError, match="a_plus_tau_b"):
         transients_for_all_nodes(cs, 4)
-    with pytest.raises(ValueError, match="generator"):
-        transients_for_all_nodes(cs, 4, generator="arnoldi")
 
 
 @pytest.mark.parametrize("horizon", [0, -1, 2.0, True])
 def test_transients_reject_a_bad_horizon(k2_set, horizon):
     # the certified path failed with an IndexError at horizon 0
-    for generator in lod.GENERATORS:
-        with pytest.raises(ValueError, match="horizon"):
-            transients_for_all_nodes(k2_set, horizon, generator=generator)
+    with pytest.raises(ValueError, match="horizon"):
+        transients_for_all_nodes(k2_set, horizon)
 
 
-def test_transients_for_all_nodes_generators(problem44, k2_set):
-    power = transients_for_all_nodes(k2_set, 20, generator="power")
+def test_transients_for_all_nodes_are_certified(problem44, k2_set):
+    # every node's sequence is certified, in its Lanczos form; the power
+    # iterates are lod.Snapshots, a record of their own
     certified = transients_for_all_nodes(k2_set, 20)
     KQ = lod._k_a_q(k2_set)
-    for d, tc in power.items():
-        _check(tc.xi.tobytes() == compute_transient_correctors(k2_set, d, 20, KQ).xi.tobytes(),
-               "the power generator is compute_transient_correctors")
-        _check(tc.solves >= 20 and tc.bound == 0.0, "power iterates are solved")
-        _check(certified[d].certified and not tc.certified, "the kinds")
-        _check(certified[d].members().shape == tc.xi.shape, "same lengths")
-        _check(certified[d].solves <= 21, "%d solves" % certified[d].solves)
+    _check(sorted(certified) == list(range(problem44.n_coarse_dofs)), "every node")
+    for d, tc in certified.items():
+        power = compute_transient_correctors(k2_set, d, 20, KQ)
+        _check(type(tc) is TransientCorrectors and type(power) is lod.Snapshots, "the kinds")
+        _check(power.solves >= 20 and power.horizon == 20, "power iterates are solved")
+        _check(tc.horizon == 20 and tc.members().shape == power.xi.shape, "same lengths")
+        _check(tc.bound <= lod.CERTIFY_TOL and tc.solves <= 21,
+               "bound %.2e, %d solves" % (tc.bound, tc.solves))
 
 
 def _whole_grid_element_rhs(pair, tilde_values, t_coarse, v):
@@ -1033,8 +1035,10 @@ def test_project_initial_data_r1(problem81):
     assert np.abs(cs.Q @ u - P @ u).max() <= 1e-12
 
 
-def test_cache_roundtrip(tmp_path, problem44, transient_node):
-    cs, x_dof, tc = transient_node
+def test_cache_roundtrip(tmp_path, problem44, certified_nodes):
+    cs, seq = certified_nodes
+    x_dof = problem44.n_coarse_dofs // 2
+    tc = seq[x_dof]
     key = cache_key(problem44.forms, cs.config, 25)
     path = save_corrector_cache(tmp_path, key, cs, {x_dof: tc})
     loaded = load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25)
@@ -1078,7 +1082,7 @@ def test_certified_cache_roundtrip(tmp_path, problem44, certified_nodes):
     assert any(tc.bound > 0.0 for tc in seq.values())
     for d, tc in seq.items():
         got = seq2[d]
-        assert got.certified and got.correctors is cs2
+        assert type(got) is TransientCorrectors and got.correctors is cs2
         for name in ("dofs", "xi", "alpha", "beta"):
             want = getattr(tc, name)
             assert getattr(got, name).dtype == want.dtype
@@ -1137,34 +1141,19 @@ def test_cache_with_a_set_that_does_not_fit_is_a_miss(tmp_path, problem44,
            "a file whose corrector set does not fit was served")
 
 
-def test_cache_with_members_that_do_not_fit_is_a_miss(tmp_path, problem44,
-                                                      transient_node):
-    cs, x_dof, tc = transient_node
-    key = cache_key(problem44.forms, cs.config, 25, "power")
-    narrow = TransientCorrectors(tc.dofs, tc.xi[:, 1:], cs)
-    save_corrector_cache(tmp_path, key, cs, {x_dof: narrow})
-    _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25) is None,
-           "a file whose members do not fit was served")
-
-
-def _as_members(seq):
-    # the members of certified sequences, stored as power iterates are
-    return {d: TransientCorrectors(tc.dofs, tc.members(), tc.correctors)
-            for d, tc in seq.items()}
-
-
-@pytest.mark.parametrize("kind", ["lanczos", "power"])
+# the cache stores one kind of sequence, the certified one in its Lanczos
+# form: the "lanczos" kind of the tests below
+@pytest.mark.parametrize("kind", ["lanczos"])
 @pytest.mark.parametrize("counts", ["one-short", "one-over", "negative", "moved",
                                     "fewer-nodes"])
 def test_cache_whose_row_counts_do_not_split_the_rows_is_a_miss(tmp_path, problem44,
                                                                 certified_nodes, counts,
                                                                 kind):
     # the rows of every node are one entry, cut into blocks of the node's
-    # dofs, which the key fixes; a power file has no tridiagonal to misfit
+    # dofs, which the key fixes
     cs, seq = certified_nodes
-    key = cache_key(problem44.forms, cs.config, 25, kind)
-    path = save_corrector_cache(tmp_path, key, cs,
-                                seq if kind == "lanczos" else _as_members(seq))
+    key = cache_key(problem44.forms, cs.config, 25)
+    path = save_corrector_cache(tmp_path, key, cs, seq)
     with np.load(path) as data:
         payload = dict(data)
     stored = payload["transient_row_counts"]
@@ -1191,16 +1180,15 @@ def test_cache_whose_row_counts_do_not_split_the_rows_is_a_miss(tmp_path, proble
            "a file whose row counts do not split its rows was served")
 
 
-@pytest.mark.parametrize("kind", ["lanczos", "power"])
+@pytest.mark.parametrize("kind", ["lanczos"])
 def test_cache_with_a_node_of_no_rows_is_a_miss(tmp_path, problem44, certified_nodes,
                                                 kind):
-    # one node's count set to 0, and its rows (and its alpha and beta) cut to
-    # fit, was served: the recurrence then added that node's weight into the
-    # first row of the next node. Every sequence keeps at least one row
+    # one node's count set to 0, and its rows, alpha and beta cut to fit, was
+    # served: the recurrence then added that node's weight into the first row
+    # of the next node. Every sequence keeps at least one row
     cs, seq = certified_nodes
-    key = cache_key(problem44.forms, cs.config, 25, kind)
-    path = save_corrector_cache(tmp_path, key, cs,
-                                seq if kind == "lanczos" else _as_members(seq))
+    key = cache_key(problem44.forms, cs.config, 25)
+    path = save_corrector_cache(tmp_path, key, cs, seq)
     with np.load(path) as data:
         payload = dict(data)
     counts = payload["transient_row_counts"]
@@ -1209,17 +1197,16 @@ def test_cache_with_a_node_of_no_rows_is_a_miss(tmp_path, problem44, certified_n
     start = counts[:i] @ widths[:i]
     payload["transient_rows"] = np.delete(payload["transient_rows"],
                                           np.s_[start:start + counts[i] * widths[i]])
-    if kind == "lanczos":
-        first = counts[:i].sum()
-        for name in ("transient_alpha", "transient_beta"):
-            payload[name] = np.delete(payload[name], np.s_[first:first + counts[i]])
+    first = counts[:i].sum()
+    for name in ("transient_alpha", "transient_beta"):
+        payload[name] = np.delete(payload[name], np.s_[first:first + counts[i]])
     counts[i] = 0
     np.savez(path, **payload)
     _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25) is None,
            "a file with a node of no rows was served")
 
 
-@pytest.mark.parametrize("kind", ["lanczos", "power"])
+@pytest.mark.parametrize("kind", ["lanczos", "set-only"])
 @pytest.mark.parametrize("corruption", ["nan-data", "index-beyond", "indptr-beyond",
                                         "float-shape", "three-entry-shape"])
 def test_cache_with_a_corrupt_Q_is_a_miss(tmp_path, problem44, certified_nodes, kind,
@@ -1227,11 +1214,10 @@ def test_cache_with_a_corrupt_Q_is_a_miss(tmp_path, problem44, certified_nodes, 
     # each was served: the online stage then stepped on a NaN and failed on
     # non-finite states, or read far outside Q's columns and segfaulted, or
     # read entries past Q's data; a float shape raised TypeError out of the
-    # loader
+    # loader. A file of the corrector set only, as exp-rb writes, misses alike
     cs, seq = certified_nodes
-    key = cache_key(problem44.forms, cs.config, 25, kind)
-    path = save_corrector_cache(tmp_path, key, cs,
-                                seq if kind == "lanczos" else _as_members(seq))
+    key = cache_key(problem44.forms, cs.config, 25)
+    path = save_corrector_cache(tmp_path, key, cs, seq if kind == "lanczos" else None)
     with np.load(path) as data:
         payload = dict(data)
     middle = payload["Q_data"].size // 2
@@ -1251,17 +1237,12 @@ def test_cache_with_a_corrupt_Q_is_a_miss(tmp_path, problem44, certified_nodes, 
            "a file with a corrupt Q (%s) was served" % corruption)
 
 
-@pytest.mark.parametrize("change", ["zero", "three-short", "float", "cut-power"])
+@pytest.mark.parametrize("change", ["zero", "three-short", "float"])
 def test_cache_of_another_horizon_is_a_miss(tmp_path, problem44, certified_nodes, change):
     # each was served: a sequence shorter than the key's horizon then failed
     # the online stage's check of its length, where the run should rebuild it
     cs, seq = certified_nodes
-    kind = "power" if change == "cut-power" else "lanczos"
-    key = cache_key(problem44.forms, cs.config, 25, kind)
-    if change == "cut-power":
-        # the row counts and the rows cut to 23 members alike, so they fit
-        seq = {d: TransientCorrectors(tc.dofs, tc.xi[:23], cs)
-               for d, tc in _as_members(seq).items()}
+    key = cache_key(problem44.forms, cs.config, 25)
     path = save_corrector_cache(tmp_path, key, cs, seq)
     with np.load(path) as data:
         payload = dict(data)
@@ -1296,21 +1277,12 @@ def test_cache_with_a_non_finite_sequence_is_a_miss(tmp_path, problem44, certifi
                          {**seq, x_dof: dataclasses.replace(tc, **{name: spoiled})})
     _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25) is None,
            "a file with a non-finite %s was served" % name)
-    if name == "xi":
-        key = cache_key(problem44.forms, cs.config, 25, "power")
-        members = _as_members(seq)
-        members[x_dof].xi[0, 0] = value
-        save_corrector_cache(tmp_path, key, cs, members)
-        _check(load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25) is None,
-               "a file with a non-finite member was served")
 
 
-@pytest.mark.parametrize("kind", ["lanczos", "power"])
+@pytest.mark.parametrize("kind", ["lanczos"])
 def test_loaded_rows_are_views_of_one_entry(tmp_path, problem44, certified_nodes, kind):
     cs, seq = certified_nodes
-    if kind == "power":
-        seq = _as_members(seq)
-    key = cache_key(problem44.forms, cs.config, 25, kind)
+    key = cache_key(problem44.forms, cs.config, 25)
     save_corrector_cache(tmp_path, key, cs, seq)
     _, loaded = load_corrector_cache(tmp_path, key, problem44.forms, cs.config, 25)
     buffer = loaded[0].xi.base
@@ -1325,8 +1297,8 @@ def test_loaded_rows_are_views_of_one_entry(tmp_path, problem44, certified_nodes
 def test_loaded_dofs_are_derived_from_the_key(tmp_path, problem84, monkeypatch):
     # the file stores no dofs: each node's are those of its patch, as built
     cs = build_corrector_set(problem84.forms, CorrectorConfig(k=3))
-    seq = transients_for_all_nodes(cs, 3, generator="power")
-    key = cache_key(problem84.forms, cs.config, 3, "power")
+    seq = transients_for_all_nodes(cs, 3)
+    key = cache_key(problem84.forms, cs.config, 3)
     path = save_corrector_cache(tmp_path, key, cs, seq)
     with zipfile.ZipFile(path) as archive:
         names = archive.namelist()
@@ -1342,20 +1314,12 @@ def test_loaded_dofs_are_derived_from_the_key(tmp_path, problem84, monkeypatch):
            "rows served on dofs they do not fit")
 
 
-def test_cache_refuses_mixed_kinds(tmp_path, problem44, certified_nodes):
-    cs, seq = certified_nodes
-    members = TransientCorrectors(seq[0].dofs, seq[0].members(), cs)
-    key = cache_key(problem44.forms, cs.config, 25)
-    with pytest.raises(ValueError, match="certified"):
-        save_corrector_cache(tmp_path, key, cs, {**seq, 0: members})
-
-
-def test_cache_miss_closes_the_file(tmp_path, problem44, transient_node,
+def test_cache_miss_closes_the_file(tmp_path, problem44, certified_nodes,
                                     monkeypatch):
     # a truncated entry fails inside np.load, after the file was opened
-    cs, x_dof, tc = transient_node
+    cs, seq = certified_nodes
     key = cache_key(problem44.forms, cs.config, 25)
-    path = save_corrector_cache(tmp_path, key, cs, {x_dof: tc})
+    path = save_corrector_cache(tmp_path, key, cs, seq)
     data = Path(path).read_bytes()
     opened = []
     real_open = builtins.open
@@ -1390,12 +1354,8 @@ def test_cache_key_covers_every_input(problem44):
         cache_key(forms, CorrectorConfig(k=2, form_choice="a_only"), 10),
         cache_key(stepped, config, 10),
         cache_key(forms, config, 11),
-        cache_key(forms, config, 10, "power"),
     ]
     assert len(set(variants + [base])) == len(variants) + 1
-    assert cache_key(forms, config, 10, "lanczos") == base
-    with pytest.raises(ValueError, match="generator"):
-        cache_key(forms, config, 10, "arnoldi")
 
 
 def _pinned_forms():
@@ -1435,39 +1395,21 @@ def test_cache_key_is_pinned():
     # cache file names change only with CACHE_FORMAT or the keyed inputs
     forms = _pinned_forms()
     keys = (cache_key(forms, CorrectorConfig(k=2), 10),
-            cache_key(forms, CorrectorConfig(k=3, form_choice="a_only"), 50),
-            cache_key(forms, CorrectorConfig(k=2), 10, "power"))
+            cache_key(forms, CorrectorConfig(k=3, form_choice="a_only"), 50))
     assert keys == (
         "k2_a_plus_tau_b_718a84c9c4e941c295623ddada746c63418ff8a075a756cb5d02576012e9d0ab",
-        "k3_a_only_a2cb7d2bc06dbd0cc8ff4651fa39ba852a43c1209024147509b51c4e91c34986",
-        "k2_a_plus_tau_b_8ffcd5d7330a4cefa3869f626c47f80f6863143509d657aa18b9b419ea46bf3e")
+        "k3_a_only_a2cb7d2bc06dbd0cc8ff4651fa39ba852a43c1209024147509b51c4e91c34986")
     assert not set(keys) & set(_OLD_FORMAT_KEYS)
 
 
-def test_cache_of_another_generator_or_format_is_a_miss(tmp_path, problem44,
-                                                        transient_node):
-    # exp-k (certified sequences) and exp-rb (power iterates) may share one
-    # cache directory; neither may serve the other's sequences, and a file of
-    # an earlier format serves neither
-    cs, x_dof, tc = transient_node
-    forms, config = problem44.forms, cs.config
-    lanczos = cache_key(forms, config, 25)
-    power = cache_key(forms, config, 25, "power")
-    assert lanczos != power
-    for written, read in ((power, lanczos), (lanczos, power)):
-        path = save_corrector_cache(tmp_path, written, cs, {x_dof: tc})
-        shutil.copy(path, tmp_path / (read + ".npz"))
-        assert load_corrector_cache(tmp_path, read, forms, config, 25) is None
-        assert load_corrector_cache(tmp_path, written, forms, config, 25) is not None
-        for stale in tmp_path.iterdir():
-            stale.unlink()
+def test_cache_of_another_format_is_a_miss(tmp_path, certified_nodes):
     # a file of an old format sits under its old name, which no key gives
+    cs, seq = certified_nodes
     pinned = _pinned_forms()
-    olds = [save_corrector_cache(tmp_path, old_key, cs, {x_dof: tc})
+    olds = [save_corrector_cache(tmp_path, old_key, cs, seq)
             for old_key in _OLD_FORMAT_KEYS if old_key.startswith("k2_")]
-    for generator in lod.GENERATORS:
-        key = cache_key(pinned, CorrectorConfig(k=2), 10, generator)
+    key = cache_key(pinned, CorrectorConfig(k=2), 10)
+    assert load_corrector_cache(tmp_path, key, pinned, CorrectorConfig(k=2), 10) is None
+    for old in olds:
+        shutil.copy(old, tmp_path / (key + ".npz"))
         assert load_corrector_cache(tmp_path, key, pinned, CorrectorConfig(k=2), 10) is None
-        for old in olds:
-            shutil.copy(old, tmp_path / (key + ".npz"))
-            assert load_corrector_cache(tmp_path, key, pinned, CorrectorConfig(k=2), 10) is None

@@ -3,14 +3,13 @@ import pytest
 
 from sdwave import lod, rb
 from sdwave.evolution import TimeGrid, localized_gfem_solve, rel_h1_final
-from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors,
-                        build_corrector_set, cache_key, compute_transient_correctors,
-                        load_corrector_cache, save_corrector_cache,
-                        transients_for_all_nodes)
+from sdwave.lod import (CorrectorConfig, Patch, Snapshots, build_corrector_set, cache_key,
+                        compute_transient_correctors, load_corrector_cache,
+                        save_corrector_cache, transients_for_all_nodes)
 from sdwave.rb import (EmptyBasisError, build_rb, node_reductions, rb_gfem_solve,
                        snapshot_singular_values)
 
-from conftest import _per_step_superposition
+from conftest import _per_step_superposition, power_snapshots
 
 N_STEPS = 20
 
@@ -63,7 +62,7 @@ def test_zero_first_snapshot_rejected(problem44, snapshots44):
         build_rb(np.zeros((1, tc.dofs.size)), _patch(problem44, tc))
     # a node whose sequence carries no energy runs as one zero row
     x = problem44.n_coarse_dofs // 2
-    zero = {x: TransientCorrectors(tc.dofs, np.zeros((6, tc.dofs.size)), tc.correctors)}
+    zero = {x: Snapshots(tc.dofs, np.zeros((6, tc.dofs.size)), tc.correctors, 0)}
     reductions = node_reductions(zero, (2, 4))
     assert all(node.basis is None for node in reductions.values())
     rows = rb._band(x, zero[x], reductions[x], 2)[1]
@@ -137,11 +136,12 @@ def test_singular_values(problem44, snapshots44):
 
 @pytest.fixture(scope="module")
 def localized44(problem44):
+    # the power iterates, and exp-rb's reference: their unreduced run
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
-    seq = transients_for_all_nodes(cs, horizon=N_STEPS, generator="power")
+    seq = power_snapshots(cs, N_STEPS)
     zc = np.zeros(problem44.n_coarse_dofs)
-    reference = localized_gfem_solve(cs, seq, 1.0, N_STEPS, zc, zc)
+    reference = rb_gfem_solve(cs, seq, {}, 1.0, N_STEPS, zc, zc, N_STEPS - 1)
     return cs, seq, reference
 
 
@@ -149,7 +149,7 @@ def test_rb_rejects_transients_of_another_corrector_set(problem44, localized44,
                                                        foreign_k2_44):
     # an equal config passed the old check of the localized solve
     cs, _, _ = localized44
-    seq = transients_for_all_nodes(foreign_k2_44, horizon=N_STEPS - 1, generator="power")
+    seq = power_snapshots(foreign_k2_44, N_STEPS - 1)
     reductions = node_reductions(seq, (5,))
     zc = np.zeros(problem44.n_coarse_dofs)
     with pytest.raises(ValueError, match="another corrector set"):
@@ -158,7 +158,7 @@ def test_rb_rejects_transients_of_another_corrector_set(problem44, localized44,
 
 def test_rb_rejects_certified_sequences(problem44, localized44, monkeypatch):
     # their stored rows are a Lanczos basis, which would be read as snapshots;
-    # each entry point refuses them before any work
+    # each entry point refuses them before any work, also unreduced
     cs, power, _ = localized44
     certified = transients_for_all_nodes(cs, horizon=N_STEPS - 1)
     reductions = node_reductions(power, (5,))
@@ -166,18 +166,31 @@ def test_rb_rejects_certified_sequences(problem44, localized44, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("worked on certified sequences")
 
-    for name in ("Patch", "build_rb", "localized_gfem_solve", "_check_transients",
-                 "_Recurrence", "_gfem_steps"):
+    for name in ("Patch", "build_rb", "_check_transients", "_band", "_Recurrence",
+                 "_gfem_steps"):
         monkeypatch.setattr(rb, name, no_work)
     zc = np.zeros(problem44.n_coarse_dofs)
-    with pytest.raises(ValueError, match="certified"):
+    with pytest.raises(ValueError, match="Snapshots"):
         node_reductions(certified, (5,))
-    with pytest.raises(ValueError, match="certified"):
-        rb_gfem_solve(cs, certified, reductions, 1.0, N_STEPS, zc, zc, m_max=5)
+    for m_max in (5, N_STEPS):
+        with pytest.raises(ValueError, match="Snapshots"):
+            rb_gfem_solve(cs, certified, reductions, 1.0, N_STEPS, zc, zc, m_max=m_max)
     # one certified node among power iterates is refused as well
     mixed = {**power, 0: certified[0]}
-    with pytest.raises(ValueError, match="certified"):
+    with pytest.raises(ValueError, match="Snapshots"):
         node_reductions(mixed, (5,))
+
+
+def test_rb_rejects_short_snapshots(problem44, localized44):
+    # reduced or not, a run reads transient_horizon(n_steps) members
+    cs, seq, _ = localized44
+    short = dict(seq)
+    short[0] = Snapshots(seq[0].dofs, seq[0].xi[:N_STEPS - 2], cs, seq[0].solves)
+    reductions = node_reductions(short, (5,))
+    zc = np.zeros(problem44.n_coarse_dofs)
+    for m_max in (5, N_STEPS - 1):
+        with pytest.raises(ValueError, match="fewer than"):
+            rb_gfem_solve(cs, short, reductions, 1.0, N_STEPS, zc, zc, m_max=m_max)
 
 
 def test_rb_rejects_a_missing_node(problem44, localized44):
@@ -191,11 +204,18 @@ def test_rb_rejects_a_missing_node(problem44, localized44):
 
 
 def test_rb_gfem_uncompressed_is_identical(problem44, localized44):
+    # from m_max = horizon on, the run is the per-step superposition of the
+    # snapshots, exactly the reference whatever the reductions hold
     cs, seq, reference = localized44
     zc = np.zeros(problem44.n_coarse_dofs)
     reductions = node_reductions(seq, (N_STEPS,))
     traj = rb_gfem_solve(cs, seq, reductions, 1.0, N_STEPS, zc, zc, m_max=N_STEPS)
-    assert rel_h1_final(problem44.forms, traj, reference) <= 1e-12
+    np.testing.assert_array_equal(traj.states, reference.states)
+    members = {x: (s.dofs, s.xi) for x, s in seq.items()}
+    alpha, states = _per_step_superposition(cs, members, problem44.forms, 1.0, N_STEPS,
+                                            zc, zc)
+    assert np.linalg.norm(traj.alpha - alpha) <= 1e-12 * np.linalg.norm(alpha)
+    assert np.linalg.norm(traj.states - states) <= 1e-12 * np.linalg.norm(states)
 
 
 def test_rb_gfem_steps_at_forms_tau(problem44, localized44):
@@ -252,7 +272,7 @@ def zero_node44(problem44, localized44):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lod, "transient_patch", zero_rhs_at_one_node)
-        seq = transients_for_all_nodes(cs, horizon=N_STEPS, generator="power")
+        seq = power_snapshots(cs, N_STEPS)
     assert not seq[zero].xi.any()
     return seq
 
@@ -269,9 +289,8 @@ def test_shared_basis_compression_matches_oracle(problem44, localized44, zero_no
         for m in (1, 5, 10, N_STEPS):
             got = rb_gfem_solve(cs, family, reductions, 1.0, N_STEPS, alpha0, alpha1,
                                 m_max=m)
-            lifted = {d: TransientCorrectors(
-                tc.dofs, _oracle_sequence(problem44, tc, m, N_STEPS), cs)
-                for d, tc in family.items()}
+            lifted = {d: (tc.dofs, _oracle_sequence(problem44, tc, m, N_STEPS))
+                      for d, tc in family.items()}
             alpha, states = _per_step_superposition(cs, lifted, problem44.forms, 1.0,
                                                     N_STEPS, alpha0, alpha1)
             for d, tc in family.items():
@@ -305,7 +324,7 @@ def test_rb_gfem_rejects_a_bad_m_max_before_any_work(problem44, localized44, mon
     def no_work(*args, **kwargs):
         raise AssertionError("worked on a bad m_max")
 
-    for name in ("localized_gfem_solve", "_check_transients", "_band", "_Recurrence",
+    for name in ("_require_snapshots", "_check_transients", "_band", "_Recurrence",
                  "_gfem_steps"):
         monkeypatch.setattr(rb, name, no_work)
     zc = np.zeros(problem44.n_coarse_dofs)
@@ -317,7 +336,7 @@ def test_node_reductions_reject_corrupt_dofs(problem44, snapshots44):
     # patch dofs read back from a corrupt cache, out of order or out of range
     _, tc = snapshots44
     for dofs in (tc.dofs[::-1], tc.dofs + problem44.n_fine_dofs):
-        corrupt = TransientCorrectors(dofs, tc.xi, tc.correctors)
+        corrupt = Snapshots(dofs, tc.xi, tc.correctors, tc.solves)
         with pytest.raises(ValueError, match="patch dofs"):
             node_reductions({problem44.n_coarse_dofs // 2: corrupt}, (5,))
 
@@ -337,21 +356,21 @@ def test_every_sequence_has_exactly_horizon_rows(problem44, tmp_path, monkeypatc
 
     monkeypatch.setattr(lod, "transient_patch", zero_rhs_at_one_node)
     zc = np.zeros(problem44.n_coarse_dofs)
-    for generator in lod.GENERATORS:
-        seq = transients_for_all_nodes(cs, horizon, generator=generator)
-        assert not seq[zero].members().any()
-        key = cache_key(forms, cs.config, horizon, generator)
-        save_corrector_cache(tmp_path, key, cs, seq)
-        cs_loaded, loaded = load_corrector_cache(tmp_path, key, forms, cs.config, horizon)
-        families = [seq, loaded]
-        if generator == "power":
-            reductions = node_reductions(seq, (1, 5))
-            assert reductions[zero].basis is None
-            # and a run of horizon + 1 steps reads every member
-            rb_gfem_solve(cs, seq, reductions, 1.0, horizon + 1, zc, zc, m_max=1)
-        for family in families:
-            assert sorted(family) == list(range(problem44.n_coarse_dofs))
-            for tc in family.values():
-                assert tc.horizon == horizon
-                assert tc.members().shape == (horizon, tc.dofs.size)
-        localized_gfem_solve(cs_loaded, loaded, 1.0, horizon + 1, zc, zc)
+    power = power_snapshots(cs, horizon)
+    assert not power[zero].xi.any()
+    reductions = node_reductions(power, (1, 5))
+    assert reductions[zero].basis is None
+    # and a run of horizon + 1 steps reads every member
+    rb_gfem_solve(cs, power, reductions, 1.0, horizon + 1, zc, zc, m_max=1)
+    seq = transients_for_all_nodes(cs, horizon)
+    assert not seq[zero].members().any()
+    key = cache_key(forms, cs.config, horizon)
+    save_corrector_cache(tmp_path, key, cs, seq)
+    cs_loaded, loaded = load_corrector_cache(tmp_path, key, forms, cs.config, horizon)
+    for family in (power, seq, loaded):
+        assert sorted(family) == list(range(problem44.n_coarse_dofs))
+        for tc in family.values():
+            assert tc.horizon == horizon
+            rows = tc.xi if family is power else tc.members()
+            assert rows.shape == (horizon, tc.dofs.size)
+    localized_gfem_solve(cs_loaded, loaded, 1.0, horizon + 1, zc, zc)
