@@ -194,10 +194,10 @@ class _Recurrence(_StepOn):
 
     The coordinates of all nodes are stacked, so a step is a few vector
     operations. The coarse step reads Q^T K_A u^{n-1} = A_ms alpha^{n-1} +
-    G t^{n-1}, with G = [(Q^T K_A)[:, dofs_x] R_x^T]_x. Only a window of
-    min(_WINDOW, N + 1) steps of t is kept, t^n in row n mod its length; the
-    fine states of a window's steps are filled when it is full, during the
-    loop, and those of the last steps after it, one product per node each.
+    G t^{n-1}, with G = [(correctors.KQ^T)[:, dofs_x] R_x^T]_x. Only a window
+    of min(_WINDOW, N + 1) steps of t is kept, t^n in row n mod its length;
+    the fine states of a window's steps are filled when it is full, during
+    the loop, and those of the last steps after it, one product per node each.
     """
 
     def __init__(self, correctors, bands, grid):
@@ -210,7 +210,7 @@ class _Recurrence(_StepOn):
         # no coupling crosses a node boundary
         self.lower, self.upper = np.concatenate(lower)[:-1], np.concatenate(upper)[:-1]
         self.lower[ends[:-1] - 1] = self.upper[ends[:-1] - 1] = 0.0
-        QT_K_A = (self.Q.T @ correctors.forms.K_A).toarray()
+        QT_K_A = correctors.KQ.T.toarray()
         self.G = np.empty((self.Q.shape[1], ends[-1]))
         self.items = [(d, R, slice(end - R.shape[0], end))
                       for d, R, end in zip(dofs, rows, ends)]

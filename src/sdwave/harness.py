@@ -14,7 +14,7 @@ import numpy as np
 from .assembly import CoefficientField, DiscreteForms
 from .evolution import (fine_fem_solve, galerkin_wave_solve, ideal_gfem_solve,
                         localized_gfem_solve, rel_h1_final, rel_l2h1, transient_horizon)
-from .lod import (CorrectorConfig, _k_a_q, build_corrector_set, cache_key,
+from .lod import (CorrectorConfig, build_corrector_set, cache_key,
                   compute_transient_correctors, load_corrector_cache, save_corrector_cache,
                   transients_for_all_nodes)
 from .mesh import Mesh, NestedMeshPair, prolongation
@@ -183,24 +183,24 @@ def _count_sequences(counters, seq):
 
 def _corrector_pipeline(cfg, forms, k, form_choice, counters, transients=True):
     """Correctors (and certified transient sequences) with optional disk
-    caching."""
+    caching; a file of the set alone is a hit for the set, whose sequences
+    are then built on it and written into the file."""
     config = CorrectorConfig(k=k, form_choice=form_choice)
     horizon = transient_horizon(cfg.n_steps)
     key = cache_key(forms, config, horizon)
-    if cfg.cache:
-        cached = load_corrector_cache(cfg.cache, key, forms, config, horizon)
-        if cached is not None and (cached[1] is not None or not transients):
-            counters["cache_hits"] += 1
-            if transients:
-                _count_sequences(counters, cached[1])
-            return cached
-    counters["cache_misses"] += 1
-    correctors = build_corrector_set(forms, config)
-    seq = None
-    if transients:
+    cached = load_corrector_cache(cfg.cache, key, forms, config, horizon) if cfg.cache else None
+    if cached is None:
+        counters["cache_misses"] += 1
+        correctors, seq = build_corrector_set(forms, config), None
+    else:
+        counters["cache_hits"] += 1
+        correctors, seq = cached
+    built = transients and seq is None
+    if built:
         seq = transients_for_all_nodes(correctors, horizon)
+    if transients:
         _count_sequences(counters, seq)
-    if cfg.cache:
+    if cfg.cache and (cached is None or built):
         save_corrector_cache(cfg.cache, key, correctors, seq)
     return correctors, seq
 
@@ -307,10 +307,8 @@ def run_exp_rb(cfg):
     # (build_rb amplifies their round-off), are built every run
     correctors, _ = _corrector_pipeline(cfg, forms, k, "a_plus_tau_b", counters,
                                         transients=False)
-    KQ = _k_a_q(correctors)
-    snapshots = {d: compute_transient_correctors(correctors, d, horizon, KQ)
+    snapshots = {d: compute_transient_correctors(correctors, d, horizon)
                  for d in range(correctors.Q.shape[1])}
-    del KQ  # freed before the solves, as transients_for_all_nodes frees its own
     counters["transient_solves"] += sum(s.solves for s in snapshots.values())
     counters["transient_rows"] += sum(s.horizon for s in snapshots.values())
     reference = rb_gfem_solve(correctors, snapshots, {}, 1.0, cfg.n_steps, zeros, zeros,
@@ -366,9 +364,10 @@ def _write_svg(rows, path, title):
     width, height, margin = 640, 420, 60
     methods = sorted({r["method"] for r in rows})
     xs = sorted({float(r["param"]) for r in rows})
-    ys = [max(r["rel_h1_final"], 1e-300) for r in rows] or [1.0]
-    ymin = math.floor(math.log10(min(ys))) if ys else -1
-    ymax = math.ceil(math.log10(max(ys))) if ys else 0
+    # a zero error (exp-rb's rows at M >= horizon) is drawn at the axis floor
+    ys = [r["rel_h1_final"] for r in rows if r["rel_h1_final"] > 0] or [1.0]
+    ymin = math.floor(math.log10(min(ys)))
+    ymax = math.ceil(math.log10(max(ys)))
     if ymax <= ymin:
         ymax = ymin + 1
 
@@ -378,7 +377,7 @@ def _write_svg(rows, path, title):
         return margin + (width - 2 * margin) * (x - xs[0]) / (xs[-1] - xs[0])
 
     def sy(y):
-        ly = math.log10(max(y, 1e-300))
+        ly = math.log10(y) if y > 0 else ymin
         return height - margin - (height - 2 * margin) * (ly - ymin) / (ymax - ymin)
 
     root = ElementTree.Element("svg", xmlns="http://www.w3.org/2000/svg",
@@ -398,8 +397,7 @@ def _write_svg(rows, path, title):
                                attrib={"text-anchor": "end",
                                        "font-size": "11"}).text = "1e%d" % exp
     for i, method in enumerate(methods):
-        pts = [(float(r["param"]), max(r["rel_h1_final"], 1e-300))
-               for r in rows if r["method"] == method]
+        pts = [(float(r["param"]), r["rel_h1_final"]) for r in rows if r["method"] == method]
         pts.sort()
         coords = " ".join("%.1f,%.1f" % (sx(x), sy(y)) for x, y in pts)
         color = _SVG_COLORS[i % len(_SVG_COLORS)]

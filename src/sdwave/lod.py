@@ -195,6 +195,13 @@ class CorrectorSet:
         """The correctors, fine dofs x coarse dofs: prolongation minus Q."""
         return (prolongation(self.forms.pair) - self.Q).tocsr()
 
+    @cached_property
+    def KQ(self):
+        """K_A Q in CSC, made once per set: column x starts node x's correction
+        sequence (transient_patch), and its transpose is the coupling Q^T K_A
+        of the memory term (evolution._Recurrence)."""
+        return (self.forms.K_A @ self.Q).tocsc()
+
 
 def build_corrector_set(forms, config):
     """Assemble all element correctors and the modified coarse basis.
@@ -304,21 +311,15 @@ def _node_dofs(pair, x_dof, k):
     return patch_fine_dofs(pair, node_patch(pair.coarse, pair.coarse.interior_nodes[x_dof], k))
 
 
-def _k_a_q(correctors):
-    """K_A Q in CSC, for transient_patch."""
-    return (correctors.forms.K_A @ correctors.Q).tocsc()
-
-
-def transient_patch(correctors, x_dof, KQ):
+def transient_patch(correctors, x_dof):
     """The Patch of coarse node x_dof and the first right-hand side
     (K_A q_x)[patch.dofs] of its fine-scale correction sequence.
 
-    The right-hand side is read from column x_dof of KQ = _k_a_q(correctors),
-    which callers make once for all nodes. Each entry is the sum of a
-    whole-grid product K_A q_x, in the same order: the terms at the zeros of
-    q_x, which that product adds too, change no sum.
+    The right-hand side is read from column x_dof of correctors.KQ. Each
+    entry is the sum of a whole-grid product K_A q_x, in the same order: the
+    terms at the zeros of q_x, which that product adds too, change no sum.
     """
-    forms, config = correctors.forms, correctors.config
+    forms, config, KQ = correctors.forms, correctors.config, correctors.KQ
     patch = Patch(forms, _node_dofs(forms.pair, x_dof, config.k), config.form_choice)
     span = slice(KQ.indptr[x_dof], KQ.indptr[x_dof + 1])
     column = np.zeros(KQ.shape[0])
@@ -326,16 +327,16 @@ def transient_patch(correctors, x_dof, KQ):
     return patch, column[patch.dofs]
 
 
-def compute_transient_correctors(correctors, x_dof, horizon, KQ):
+def compute_transient_correctors(correctors, x_dof, horizon):
     """Fine-scale correction sequence of one coarse node on its patch, its
     `horizon` members xi^1 .. xi^horizon.
 
     The first step projects the modified hat function, later steps reuse the
     factorized left-hand side. The members are steps of linalg._CheckedSteps,
     the first through the checked solve, so they are those of one checked
-    solve per step. KQ is as for transient_patch. Returns the Snapshots.
+    solve per step. Returns the Snapshots.
     """
-    patch, first = transient_patch(correctors, x_dof, KQ)
+    patch, first = transient_patch(correctors, x_dof)
     xi = np.empty((horizon, patch.dofs.size))
     steps, l = linalg._CheckedSteps(patch.saddle, checked=1), 0
     while l < horizon:
@@ -474,7 +475,7 @@ def _lanczos(patch, first, horizon):
             1 + steps.solves)
 
 
-def _certified_transients(correctors, x_dof, horizon, KQ):
+def _certified_transients(correctors, x_dof, horizon):
     """The correction sequence of compute_transient_correctors in the Lanczos
     form of the node's basis (_lanczos): every member lies within CERTIFY_TOL
     of the power iterate, as the basis certifies.
@@ -483,7 +484,7 @@ def _certified_transients(correctors, x_dof, horizon, KQ):
         # only K_A + tau K_B makes G a contraction, which the bound needs
         raise ValueError("certified sequences need the a_plus_tau_b form, got %r"
                          % (correctors.config.form_choice,))
-    patch, first = transient_patch(correctors, x_dof, KQ)
+    patch, first = transient_patch(correctors, x_dof)
     norm1, Z, alpha, beta, bound, solves = _lanczos(patch, first, horizon)
     return TransientCorrectors(patch.dofs, Z, correctors, solves, bound,
                                alpha, beta, float(norm1), horizon)
@@ -494,8 +495,7 @@ def transients_for_all_nodes(correctors, horizon):
     node, keyed by its dof, each of `horizon` members."""
     if not isinstance(horizon, numbers.Integral) or isinstance(horizon, bool) or horizon < 1:
         raise ValueError("horizon must be an integer >= 1, got %r" % (horizon,))
-    KQ = _k_a_q(correctors)
-    return {d: _certified_transients(correctors, d, horizon, KQ)
+    return {d: _certified_transients(correctors, d, horizon)
             for d in range(correctors.Q.shape[1])}
 
 

@@ -86,8 +86,7 @@ def stored_zeros_forms(problem):
 def power_snapshots(correctors, horizon):
     """The power iterates of every coarse node, keyed by its dof, as exp-rb
     builds them (lod.compute_transient_correctors)."""
-    KQ = lod._k_a_q(correctors)
-    return {d: lod.compute_transient_correctors(correctors, d, horizon, KQ)
+    return {d: lod.compute_transient_correctors(correctors, d, horizon)
             for d in range(correctors.Q.shape[1])}
 
 
@@ -132,8 +131,7 @@ class _PerNodeSolves(_PerStep):
 
     def __init__(self, correctors, grid):
         super().__init__(correctors.Q, correctors.forms, grid)
-        KQ = lod._k_a_q(correctors)
-        self.patches = [lod.transient_patch(correctors, d, KQ)
+        self.patches = [lod.transient_patch(correctors, d)
                         for d in range(correctors.Q.shape[1])]
         self.w_node = [np.zeros(patch.dofs.size) for patch, _ in self.patches]
 

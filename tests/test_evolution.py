@@ -202,8 +202,8 @@ def test_localized_matches_per_step_superposition(problem44, k2_44, monkeypatch,
         middle = problem44.n_coarse_dofs // 2
         real = lod.transient_patch
 
-        def zero_rhs(correctors, x_dof, KQ):
-            patch, rhs = real(correctors, x_dof, KQ)
+        def zero_rhs(correctors, x_dof):
+            patch, rhs = real(correctors, x_dof)
             return patch, (np.zeros_like(rhs) if x_dof == middle else rhs)
 
         monkeypatch.setattr(lod, "transient_patch", zero_rhs)
@@ -504,8 +504,8 @@ def test_recurrence_with_a_zero_first_member(recurrence_problem, monkeypatch):
     zero = problem.n_coarse_dofs // 2
     real = lod.transient_patch
 
-    def zero_rhs(correctors, x_dof, KQ):
-        patch, rhs = real(correctors, x_dof, KQ)
+    def zero_rhs(correctors, x_dof):
+        patch, rhs = real(correctors, x_dof)
         return patch, (np.zeros_like(rhs) if x_dof == zero else rhs)
 
     monkeypatch.setattr(lod, "transient_patch", zero_rhs)

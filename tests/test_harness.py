@@ -19,8 +19,7 @@ from sdwave.evolution import localized_gfem_solve, transient_horizon
 from sdwave.harness import (CSV_HEADER, ExperimentConfig, config_from_sources,
                             emit, random_field, run_exp_H, run_exp_k,
                             run_exp_rb)
-from sdwave.lod import (CERTIFY_TOL, TransientCorrectors, _k_a_q,
-                        compute_transient_correctors)
+from sdwave.lod import CERTIFY_TOL, TransientCorrectors, compute_transient_correctors
 from sdwave.mesh import Mesh
 
 MICRO = dict(p=3, q=2, kmax=2, tau=0.1, T=0.5, seed=1)
@@ -352,6 +351,18 @@ def test_emit_csv_and_svg(tmp_path):
     assert lines[1].startswith("2,") and lines[1].endswith(",fem")
     tree = ElementTree.parse(paths[1])  # well-formed XML
     assert tree.getroot().tag.endswith("svg")
+    # a zero error, as exp-rb's row at M >= horizon, used to pull the axis
+    # down to 1e-300; the axis spans the positive errors, the zero sits at
+    # its floor
+    rows = [{"param": m, "rel_h1_final": gap, "rel_l2h1": gap, "runtime_s": 0.1,
+             "method": "rb"} for m, gap in ((1, 2.97), (5, 0.207), (20, 1.7e-3), (50, 0.0))]
+    root = ElementTree.parse(emit(rows, tmp_path, "zero", svg=True)[1]).getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    labels = [t.text for t in root.iter(ns + "text") if t.text.startswith("1e")]
+    assert labels == ["1e-3", "1e-2", "1e-1", "1e0", "1e1"]
+    line, = root.iter(ns + "polyline")
+    ys = [float(point.split(",")[1]) for point in line.get("points").split()]
+    assert ys[-1] == 360.0 and ys[0] < ys[1] < ys[2] < ys[3] and ys[0] > 60.0
 
 
 def test_emit_empty_report(tmp_path):
@@ -584,8 +595,8 @@ def test_exp_rb_builds_the_power_iterates(monkeypatch):
     # it builds no certified sequence
     built = []
 
-    def capture(correctors, x_dof, horizon, KQ):
-        snapshots = compute_transient_correctors(correctors, x_dof, horizon, KQ)
+    def capture(correctors, x_dof, horizon):
+        snapshots = compute_transient_correctors(correctors, x_dof, horizon)
         built.append((correctors, x_dof, horizon, snapshots))
         return snapshots
 
@@ -597,10 +608,9 @@ def test_exp_rb_builds_the_power_iterates(monkeypatch):
     run_exp_rb(ExperimentConfig(p=4, q=2, tau=0.1, T=2.0, seed=1, M=(1, 5)))
     correctors = built[0][0]
     assert [x_dof for _, x_dof, _, _ in built] == list(range(correctors.Q.shape[1]))
-    KQ = _k_a_q(correctors)
     for cs, d, horizon, snapshots in built:
         assert cs is correctors and horizon == 19
-        power = compute_transient_correctors(correctors, d, horizon, KQ)
+        power = compute_transient_correctors(correctors, d, horizon)
         assert snapshots.xi.tobytes() == power.xi.tobytes()
 
 
@@ -608,7 +618,7 @@ def _errors(rows):
     return sorted((r["method"], r["param"], r["rel_h1_final"], r["rel_l2h1"]) for r in rows)
 
 
-def test_exp_rb_caches_its_corrector_set_only(tmp_path):
+def test_exp_rb_caches_its_corrector_set_only(tmp_path, monkeypatch):
     # the file holds the corrector set, under the key of exp-k's certified
     # sequences at k = q; the snapshots are solved again in every run
     cache = tmp_path / "cache"
@@ -623,14 +633,25 @@ def test_exp_rb_caches_its_corrector_set_only(tmp_path):
     path, = cache.iterdir()
     with np.load(path) as data:
         assert "Q_data" in data and "transient_nodes" not in data
-    # exp-k at k = q reads that file without error; it holds no sequences, so
-    # the run counts a miss and writes them into it, and its rows are those
-    # of a run without a cache
+    # exp-k at k = q hits that file for its set: it builds no set, only the
+    # sequences on the loaded one, and rewrites the file as a cold exp-k run
+    # writes it; its rows are those of a run without a cache
     k_cfg = ExperimentConfig(p=4, q=2, kmax=2, tau=0.1, T=2.0, seed=1, cache=str(cache))
-    rows, meta = run_exp_k(k_cfg)
-    assert (meta["cache_hits"], meta["cache_misses"]) == (0, 1)
-    assert _errors(rows) == _errors(run_exp_k(dataclasses.replace(k_cfg, cache=None))[0])
+    cold_k_rows, _ = run_exp_k(dataclasses.replace(k_cfg, cache=str(tmp_path / "cold")))
+    plain_rows, _ = run_exp_k(dataclasses.replace(k_cfg, cache=None))
+
+    def refuse(*args):
+        raise AssertionError("a cached corrector set was built again")
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "build_corrector_set", refuse)
+        rows, meta = run_exp_k(k_cfg)
+    assert (meta["cache_hits"], meta["cache_misses"]) == (1, 0)
+    assert meta["transient_solves"] > 0
+    assert _errors(rows) == _errors(plain_rows) == _errors(cold_k_rows)
     assert list(cache.iterdir()) == [path]
+    cold_path, = (tmp_path / "cold").iterdir()
+    assert path.read_bytes() == cold_path.read_bytes()
     # and exp-rb hits the file with sequences as it hit the set alone
     again_rows, again = run_exp_rb(cfg)
     assert again["cache_hits"] == 1 and _errors(again_rows) == _errors(cold_rows)

@@ -378,7 +378,7 @@ class _AssembledPatch(Patch):
         return self.C.T, scipy.linalg.cho_factor((self.C @ self.C.T).toarray())
 
 
-def _assembled_transient_patch(correctors, x_dof, KQ):
+def _assembled_transient_patch(correctors, x_dof):
     # the first right-hand side from the patch rows of K_A times q_x
     forms, config = correctors.forms, correctors.config
     patch = _AssembledPatch(forms, lod._node_dofs(forms.pair, x_dof, config.k),
@@ -456,7 +456,7 @@ def test_gathered_system_with_a_zero_constraint_row_is_degenerate(problem44):
 def test_transients_vanish_at_r1(problem81):
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem81.forms, cfg)
-    tc = compute_transient_correctors(cs, problem81.n_coarse_dofs // 2, 5, lod._k_a_q(cs))
+    tc = compute_transient_correctors(cs, problem81.n_coarse_dofs // 2, 5)
     assert np.abs(tc.xi).max() <= 1e-12
 
 
@@ -465,7 +465,7 @@ def transient_node(problem44):
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
     x_dof = problem44.n_coarse_dofs // 2
-    tc = compute_transient_correctors(cs, x_dof, 25, lod._k_a_q(cs))
+    tc = compute_transient_correctors(cs, x_dof, 25)
     return cs, x_dof, tc
 
 
@@ -486,7 +486,7 @@ def test_first_step_matches_direct_global_solve(problem44):
     cfg = CorrectorConfig(k=saturating_k(pair.coarse))
     cs = build_corrector_set(forms, cfg)
     dof = pair.coarse.n_dofs // 2
-    tc = compute_transient_correctors(cs, dof, 2, lod._k_a_q(cs))
+    tc = compute_transient_correctors(cs, dof, 2)
     q_x = np.asarray(cs.Q[:, dof].todense()).ravel()
     w, _ = saddle_of(forms.K_tilde, forms.interp).solve(forms.K_A @ q_x)
     xi1 = np.zeros(pair.fine.n_dofs)
@@ -501,7 +501,7 @@ def test_a_only_first_step_degenerates(problem44):
     cfg = CorrectorConfig(k=saturating_k(pair.coarse), form_choice="a_only")
     cs = build_corrector_set(forms, cfg)
     dof = pair.coarse.n_dofs // 2
-    tc = compute_transient_correctors(cs, dof, 2, lod._k_a_q(cs))
+    tc = compute_transient_correctors(cs, dof, 2)
     xi1 = np.zeros(pair.fine.n_dofs)
     xi1[tc.dofs] = tc.xi[0]
     q_x = np.asarray(cs.Q[:, dof].todense()).ravel()
@@ -553,18 +553,30 @@ def k2_set(problem44):
 
 def test_transient_patch_first_rhs_is_the_whole_grid_product(problem44, k2_set):
     pair, forms = problem44.pair, problem44.forms
-    KQ = lod._k_a_q(k2_set)
     for x_dof in (0, pair.coarse.n_dofs // 2, pair.coarse.n_dofs - 1):
         q_x = np.asarray(k2_set.Q[:, x_dof].todense()).ravel()
-        patch, rhs = transient_patch(k2_set, x_dof, KQ)
+        patch, rhs = transient_patch(k2_set, x_dof)
         _assert_bitwise(rhs, (forms.K_A @ q_x)[patch.dofs])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_set_coupling_is_the_product_of_Q_and_K_A(tmp_path, problem84, k):
+    # a set makes K_A Q once; its transpose is the Q^T K_A that the memory
+    # term reads, entry for entry, for a built and for a loaded set
+    forms = problem84.forms
+    cs = build_corrector_set(forms, CorrectorConfig(k=k))
+    assert cs.KQ is cs.KQ
+    assert np.array_equal(cs.KQ.T.toarray(), (cs.Q.T @ forms.K_A).toarray())
+    key = cache_key(forms, cs.config, 5)
+    save_corrector_cache(tmp_path, key, cs)
+    loaded, _ = load_corrector_cache(tmp_path, key, forms, cs.config, 5)
+    assert np.array_equal(loaded.KQ.toarray(), cs.KQ.toarray())
 
 
 def _blocked_and_per_step(problem, correctors, horizon):
     args = (correctors, problem.n_coarse_dofs // 2)
-    KQ = lod._k_a_q(correctors)
-    tc = compute_transient_correctors(*args, horizon, KQ)
-    patch, rhs = lod.transient_patch(*args, KQ)
+    tc = compute_transient_correctors(*args, horizon)
+    patch, rhs = lod.transient_patch(*args)
     return tc.xi, _per_step_sequence(patch, rhs, horizon)
 
 
@@ -627,7 +639,7 @@ def test_blocked_sequence_replays_a_residual_miss(problem44, k2_set, monkeypatch
     _, per_step = _blocked_and_per_step(problem44, k2_set, 33)
     checked = _perturb_bare_solve(monkeypatch, 20, _shift_first)
     args = (k2_set, problem44.n_coarse_dofs // 2)
-    tc = compute_transient_correctors(*args, 33, lod._k_a_q(k2_set))
+    tc = compute_transient_correctors(*args, 33)
     # member 1 and the replayed member 20 went through the checked solve
     assert len(checked) == 2
     _assert_bitwise(tc.xi, per_step)
@@ -646,7 +658,7 @@ def test_blocked_sequence_raises_on_a_kept_constraint_violation(problem44, k2_se
     _perturb_bare_solve(monkeypatch, 5, lambda x: np.full_like(x, 1.0))
     args = (k2_set, problem44.n_coarse_dofs // 2)
     with pytest.raises(ConstraintViolationError):
-        compute_transient_correctors(*args, 16, lod._k_a_q(k2_set))
+        compute_transient_correctors(*args, 16)
 
 
 def _fall_back_at_the_first_checked_solve(monkeypatch):
@@ -672,11 +684,10 @@ def test_sequence_bare_solves_on_the_fallback_factors(k2_set, monkeypatch, build
     # the discarded symmetric-mode factors, so every block's first bare solve
     # misses and is replayed: 520 solves and 41 checked solves for the power
     # iterates, 281 and 26 for Lanczos
-    KQ = lod._k_a_q(k2_set)
-    clean = build(k2_set, 1, 40, KQ)
+    clean = build(k2_set, 1, 40)
     _fall_back_at_the_first_checked_solve(monkeypatch)
     checked = _count_checked_solves(monkeypatch)
-    tc = build(k2_set, 1, 40, KQ)
+    tc = build(k2_set, 1, 40)
     # the first checked solve, and its repetition after the fallback
     _check(len(checked) == 2, "%d checked solves" % len(checked))
     _check(tc.solves == clean.solves, "%d solves, %d clean" % (tc.solves, clean.solves))
@@ -712,9 +723,8 @@ def _nodes(problem):
 def test_certified_members_lie_within_tol_of_the_power_iterates(lanczos_set, horizon):
     problem, cs = lanczos_set
     for x_dof in _nodes(problem):
-        KQ = lod._k_a_q(cs)
-        power = compute_transient_correctors(cs, x_dof, horizon, KQ)
-        certified = lod._certified_transients(cs, x_dof, horizon, KQ)
+        power = compute_transient_correctors(cs, x_dof, horizon)
+        certified = lod._certified_transients(cs, x_dof, horizon)
         members = certified.members()
         _check(certified.horizon == horizon and members.shape == (horizon, power.dofs.size),
                "sequence length")
@@ -742,9 +752,8 @@ def test_certified_bound_covers_the_true_error(lanczos_set, tol, monkeypatch):
     horizon = 120
     monkeypatch.setattr(lod, "CERTIFY_TOL", tol)
     for x_dof in _nodes(problem):
-        KQ = lod._k_a_q(cs)
-        power = compute_transient_correctors(cs, x_dof, horizon, KQ)
-        certified = lod._certified_transients(cs, x_dof, horizon, KQ)
+        power = compute_transient_correctors(cs, x_dof, horizon)
+        certified = lod._certified_transients(cs, x_dof, horizon)
         patch = Patch(problem.forms, power.dofs)
         norm1 = _energy_norms(patch, power.xi[0])[0]
         worst = _energy_norms(patch, certified.members() - power.xi).max() / norm1
@@ -791,8 +800,8 @@ def test_certified_basis_is_its_smallest_certified_prefix(lanczos_set, horizon,
 def test_certified_members_meet_the_constraints(lanczos_set):
     problem, cs = lanczos_set
     for x_dof in _nodes(problem):
-        patch, first = transient_patch(cs, x_dof, lod._k_a_q(cs))
-        xi = lod._certified_transients(cs, x_dof, 120, lod._k_a_q(cs)).members()
+        patch, first = transient_patch(cs, x_dof)
+        xi = lod._certified_transients(cs, x_dof, 120).members()
         # each member against the right-hand side of the step that makes it
         rhs_norms = np.linalg.norm(np.vstack([first, (patch.k_a @ xi[:-1].T).T]), axis=1)
         violation = np.abs(patch.C @ xi.T).max(axis=0)
@@ -804,7 +813,7 @@ def test_certified_members_meet_the_constraints(lanczos_set):
 def test_lanczos_basis_is_orthonormal_and_T_tridiagonal(lanczos_set):
     problem, cs = lanczos_set
     for x_dof in _nodes(problem):
-        patch, first = transient_patch(cs, x_dof, lod._k_a_q(cs))
+        patch, first = transient_patch(cs, x_dof)
         _, Z, alpha, beta, _, _ = lod._lanczos(patch, first, 120)
         m = alpha.size
         T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
@@ -826,14 +835,13 @@ def test_invariant_krylov_space_ends_the_basis_early(problem44, monkeypatch):
     tol = lod.CERTIFY_TOL
     monkeypatch.setattr(lod, "CERTIFY_TOL", 1e-300)
     for x_dof in _nodes(problem44):
-        patch, first = transient_patch(cs, x_dof, lod._k_a_q(cs))
+        patch, first = transient_patch(cs, x_dof)
         kernel = patch.dofs.size - patch.C.shape[0]
         _, Z, _, _, _, solves = lod._lanczos(patch, first, horizon)
         _check(Z.shape[0] <= kernel < horizon,
                "%d basis vectors in a kernel of %d" % (Z.shape[0], kernel))
-        KQ = lod._k_a_q(cs)
-        power = compute_transient_correctors(cs, x_dof, horizon, KQ)
-        certified = lod._certified_transients(cs, x_dof, horizon, KQ)
+        power = compute_transient_correctors(cs, x_dof, horizon)
+        certified = lod._certified_transients(cs, x_dof, horizon)
         _check(certified.solves == solves, "solves %d, %d" % (certified.solves, solves))
         norm1 = _energy_norms(patch, power.xi[0])[0]
         worst = _energy_norms(patch, certified.members() - power.xi).max()
@@ -846,8 +854,7 @@ def test_certified_sequence_zero_first_rhs(problem44, k2_set, monkeypatch):
         return patch, np.zeros_like(rhs)
 
     monkeypatch.setattr(lod, "transient_patch", zero_rhs)
-    tc = lod._certified_transients(k2_set, problem44.n_coarse_dofs // 2, 17,
-                                   lod._k_a_q(k2_set))
+    tc = lod._certified_transients(k2_set, problem44.n_coarse_dofs // 2, 17)
     _check(tc.horizon == 17 and tc.norm1 == 0.0, "a zero first member")
     _check(tc.members().shape[0] == 17 and not tc.members().any(), "17 zero members")
     _check(tc.solves == 1 and tc.bound == 0.0, "no Lanczos step")
@@ -855,12 +862,11 @@ def test_certified_sequence_zero_first_rhs(problem44, k2_set, monkeypatch):
 
 def test_certified_sequence_replays_a_residual_miss(problem44, k2_set, monkeypatch):
     x_dof = problem44.n_coarse_dofs // 2
-    KQ = lod._k_a_q(k2_set)
-    power = compute_transient_correctors(k2_set, x_dof, 120, KQ)
-    clean = lod._certified_transients(k2_set, x_dof, 120, KQ)
+    power = compute_transient_correctors(k2_set, x_dof, 120)
+    clean = lod._certified_transients(k2_set, x_dof, 120)
     # call 1 is the checked first member, so call 10 is the bare solve of step 9
     checked = _perturb_bare_solve(monkeypatch, 10, _shift_first)
-    tc = lod._certified_transients(k2_set, x_dof, 120, KQ)
+    tc = lod._certified_transients(k2_set, x_dof, 120)
     # the first member and the replayed step went through the checked solve
     _check(len(checked) == 2, "%d checked solves" % len(checked))
     # the steps after the miss in its block are solved again
@@ -876,8 +882,7 @@ def test_certified_sequence_raises_on_a_constraint_violation(problem44, k2_set,
     _pass_every_residual_test(monkeypatch)
     _perturb_bare_solve(monkeypatch, 5, lambda x: np.full_like(x, 1.0))
     with pytest.raises(ConstraintViolationError):
-        lod._certified_transients(k2_set, problem44.n_coarse_dofs // 2, 40,
-                                  lod._k_a_q(k2_set))
+        lod._certified_transients(k2_set, problem44.n_coarse_dofs // 2, 40)
 
 
 def test_certified_sequences_need_the_damped_form(problem44):
@@ -897,10 +902,9 @@ def test_transients_for_all_nodes_are_certified(problem44, k2_set):
     # every node's sequence is certified, in its Lanczos form; the power
     # iterates are lod.Snapshots, a record of their own
     certified = transients_for_all_nodes(k2_set, 20)
-    KQ = lod._k_a_q(k2_set)
     _check(sorted(certified) == list(range(problem44.n_coarse_dofs)), "every node")
     for d, tc in certified.items():
-        power = compute_transient_correctors(k2_set, d, 20, KQ)
+        power = compute_transient_correctors(k2_set, d, 20)
         _check(type(tc) is TransientCorrectors and type(power) is lod.Snapshots, "the kinds")
         _check(power.solves >= 20 and power.horizon == 20, "power iterates are solved")
         _check(tc.horizon == 20 and tc.members().shape == power.xi.shape, "same lengths")

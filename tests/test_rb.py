@@ -18,7 +18,7 @@ N_STEPS = 20
 def snapshots44(problem44):
     cfg = CorrectorConfig(k=2)
     cs = build_corrector_set(problem44.forms, cfg)
-    tc = compute_transient_correctors(cs, problem44.n_coarse_dofs // 2, 20, lod._k_a_q(cs))
+    tc = compute_transient_correctors(cs, problem44.n_coarse_dofs // 2, 20)
     return cs, tc
 
 
@@ -266,8 +266,8 @@ def zero_node44(problem44, localized44):
     zero = problem44.n_coarse_dofs // 2
     transient_patch = lod.transient_patch
 
-    def zero_rhs_at_one_node(correctors, x_dof, KQ):
-        patch, rhs = transient_patch(correctors, x_dof, KQ)
+    def zero_rhs_at_one_node(correctors, x_dof):
+        patch, rhs = transient_patch(correctors, x_dof)
         return patch, np.zeros_like(rhs) if x_dof == zero else rhs
 
     with pytest.MonkeyPatch.context() as mp:
@@ -350,8 +350,8 @@ def test_every_sequence_has_exactly_horizon_rows(problem44, tmp_path, monkeypatc
     zero = problem44.n_coarse_dofs // 2
     transient_patch = lod.transient_patch
 
-    def zero_rhs_at_one_node(correctors, x_dof, KQ):
-        patch, rhs = transient_patch(correctors, x_dof, KQ)
+    def zero_rhs_at_one_node(correctors, x_dof):
+        patch, rhs = transient_patch(correctors, x_dof)
         return patch, np.zeros_like(rhs) if x_dof == zero else rhs
 
     monkeypatch.setattr(lod, "transient_patch", zero_rhs_at_one_node)
