@@ -14,9 +14,8 @@ import numpy as np
 from .assembly import CoefficientField, DiscreteForms
 from .evolution import (fine_fem_solve, galerkin_wave_solve, ideal_gfem_solve,
                         localized_gfem_solve, rel_h1_final, rel_l2h1, transient_horizon)
-from .lod import (CorrectorConfig, build_corrector_set, cache_key,
-                  compute_transient_correctors, load_corrector_cache, save_corrector_cache,
-                  transients_for_all_nodes)
+from .lod import (CorrectorConfig, build_corrector_set, cache_key, load_corrector_cache,
+                  save_corrector_cache, transients_for_all_nodes)
 from .mesh import Mesh, NestedMeshPair, prolongation
 from .rb import node_reductions, rb_gfem_solve
 
@@ -167,7 +166,7 @@ def _forms(cfg, q):
 def _counters():
     """A run's counters: cache hits and misses, the saddle solves spent on
     transient sequences, the worst certified bound of one and the rows the
-    sequences store (lod.TransientCorrectors, or exp-rb's lod.Snapshots). The
+    sequences store (lod.TransientCorrectors, or exp-rb's rb.NodeReduction). The
     bound and the rows count the sequences a run used, built or read from
     the cache."""
     return {"cache_hits": 0, "cache_misses": 0, "transient_solves": 0,
@@ -182,13 +181,15 @@ def _count_sequences(counters, seq):
 
 
 def _corrector_pipeline(cfg, forms, k, form_choice, counters, transients=True):
-    """Correctors (and certified transient sequences) with optional disk
-    caching; a file of the set alone is a hit for the set, whose sequences
-    are then built on it and written into the file."""
+    """Correctors (and, if transients, certified sequences) with optional
+    disk caching; a file of the set alone is a hit for the set, whose
+    sequences are then built on it and written into the file, and a call
+    without sequences reads no sequence of a file."""
     config = CorrectorConfig(k=k, form_choice=form_choice)
     horizon = transient_horizon(cfg.n_steps)
     key = cache_key(forms, config, horizon)
-    cached = load_corrector_cache(cfg.cache, key, forms, config, horizon) if cfg.cache else None
+    cached = (load_corrector_cache(cfg.cache, key, forms, config, horizon, transients)
+              if cfg.cache else None)
     if cached is None:
         counters["cache_misses"] += 1
         correctors, seq = build_corrector_set(forms, config), None
@@ -303,24 +304,19 @@ def run_exp_rb(cfg):
     zeros = np.zeros(forms.pair.coarse.n_dofs)
     k, horizon = cfg.q, transient_horizon(cfg.n_steps)
 
-    # only the corrector set is cached; the snapshots, the power iterates
-    # (build_rb amplifies their round-off), are built every run
+    # only the corrector set is cached; each node's power iterates (build_rb amplifies their
+    # round-off) and its basis from max(M) of them, which each M cuts, are built every run
     correctors, _ = _corrector_pipeline(cfg, forms, k, "a_plus_tau_b", counters,
                                         transients=False)
-    snapshots = {d: compute_transient_correctors(correctors, d, horizon)
-                 for d in range(correctors.Q.shape[1])}
-    counters["transient_solves"] += sum(s.solves for s in snapshots.values())
-    counters["transient_rows"] += sum(s.horizon for s in snapshots.values())
-    reference = rb_gfem_solve(correctors, snapshots, {}, 1.0, cfg.n_steps, zeros, zeros,
-                              horizon)
-    # one basis per node, built from max(M) snapshots; each M takes its prefix
-    reductions = node_reductions(snapshots, cfg.M)
+    nodes = node_reductions(correctors, horizon, cfg.M)
+    counters["transient_solves"] += sum(node.solves for node in nodes.values())
+    counters["transient_rows"] += sum(node.horizon for node in nodes.values())
+    reference = rb_gfem_solve(correctors, nodes, 1.0, cfg.n_steps, zeros, zeros, horizon)
     rows = []
     for m in cfg.M:
         tic = time.perf_counter()
         trajectory = (reference if m >= horizon else
-                      rb_gfem_solve(correctors, snapshots, reductions, 1.0, cfg.n_steps,
-                                    zeros, zeros, m))
+                      rb_gfem_solve(correctors, nodes, 1.0, cfg.n_steps, zeros, zeros, m))
         rows.append(_row(forms, reference, m, "rb", trajectory, tic))
         log.info("exp-rb M=%d gap=%.3e", m, rows[-1]["rel_h1_final"])
     meta = dict(counters, wall_s=time.perf_counter() - started)

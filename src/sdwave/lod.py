@@ -297,7 +297,8 @@ class TransientCorrectors:
 @dataclass
 class Snapshots:
     """One coarse node's power iterates xi^1 .. xi^horizon, the rows of xi, on
-    its patch, one checked saddle solve each: rb's snapshots, never cached."""
+    its patch, one checked saddle solve each, never cached: the record of
+    compute_transient_correctors."""
     dofs: np.ndarray
     xi: np.ndarray
     correctors: CorrectorSet    # the set they were built from
@@ -327,22 +328,25 @@ def transient_patch(correctors, x_dof):
     return patch, column[patch.dofs]
 
 
-def compute_transient_correctors(correctors, x_dof, horizon):
-    """Fine-scale correction sequence of one coarse node on its patch, its
-    `horizon` members xi^1 .. xi^horizon.
-
-    The first step projects the modified hat function, later steps reuse the
-    factorized left-hand side. The members are steps of linalg._CheckedSteps,
-    the first through the checked solve, so they are those of one checked
-    solve per step. Returns the Snapshots.
-    """
-    patch, first = transient_patch(correctors, x_dof)
+def _power_iterates(patch, first, horizon):
+    """(xi, solves): the power iterates xi^1 .. xi^horizon on patch, the rows
+    of xi, from the checked solve of first, and the saddle solves spent. They
+    are steps of linalg._CheckedSteps on the patch's one factorization, so
+    they are those of one checked solve per step."""
     xi = np.empty((horizon, patch.dofs.size))
     steps, l = linalg._CheckedSteps(patch.saddle, checked=1), 0
     while l < horizon:
         xi[l] = steps.solve(l, first if l == 0 else patch.k_a @ xi[l - 1])
         l = steps.next(l, last=l + 1 == horizon)
-    return Snapshots(patch.dofs, xi, correctors, steps.solves)
+    return xi, steps.solves
+
+
+def compute_transient_correctors(correctors, x_dof, horizon):
+    """One coarse node's `horizon` power iterates (_power_iterates) on its patch
+    as Snapshots: the oracle of rb's records and of the certified sequences."""
+    patch, first = transient_patch(correctors, x_dof)
+    xi, solves = _power_iterates(patch, first, horizon)
+    return Snapshots(patch.dofs, xi, correctors, solves)
 
 
 # the most Lanczos steps between two evaluations of the certified bound
@@ -607,8 +611,9 @@ def _write_rows(archive, name, blocks):
             entry.write(memoryview(block).cast("B"))
 
 
-def load_corrector_cache(cache_dir, key, forms, config, horizon):
-    """(correctors, transients or None) stored under key, or None on a miss.
+def load_corrector_cache(cache_dir, key, forms, config, horizon, transients=True):
+    """(correctors, transients or None) stored under key, or None on a miss;
+    with transients false, the set alone, and no sequence entry is read.
 
     key must be the cache_key built from forms, config and horizon, which the
     file does not repeat; the loaded set carries forms, and each sequence the
@@ -650,14 +655,14 @@ def load_corrector_cache(cache_dir, key, forms, config, horizon):
                        and np.isfinite(g).all() for g in grams):
                 return None
             correctors = CorrectorSet(config, forms, Q, *grams)
-            transients = None
-            if "transient_nodes" in data:
-                transients = _load_transients(data, correctors, horizon)
-                if transients is None:
+            seq = None
+            if transients and "transient_nodes" in data:
+                seq = _load_transients(data, correctors, horizon)
+                if seq is None:
                     return None
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
-    return correctors, transients
+    return correctors, seq
 
 
 def _finite_floats(array):

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import lod
 from .evolution import (_check_transients, _gfem_steps, _multiscale, _Recurrence,
                         transient_horizon)
-from .lod import Patch, Snapshots
 
 # Gram-Schmidt stops at a remainder of RB_TOL times its snapshot's energy norm
 RB_TOL = 1e-10
@@ -96,50 +96,48 @@ def snapshot_singular_values(snapshots, patch):
     return scipy.linalg.svdvals(chol @ snapshots.T)
 
 
-def _require_snapshots(snapshots):
-    """Reject sequences other than lod.Snapshots: the rows of a certified
-    sequence are a Lanczos basis, not snapshots."""
-    if not all(isinstance(tc, Snapshots) for tc in snapshots.values()):
-        raise ValueError("reduced bases are built from lod.Snapshots, the power iterates")
-
-
 @dataclass
 class NodeReduction:
-    """One node's reduced basis, built once for every M up to n_snapshots."""
-    n_snapshots: int       # leading snapshots the basis was built from
+    """One coarse node's power iterates and the reduced basis built from their
+    leading n_snapshots, both on the node's one patch (node_reductions)."""
+    dofs: np.ndarray
+    xi: np.ndarray         # (horizon, patch dofs): xi^1 .. xi^horizon
+    correctors: lod.CorrectorSet    # the set they were built from
+    solves: int
+    n_snapshots: int       # 0 where no basis was built
     a_tilde: object        # patch block of K_A + tau K_B, for the projection
-    basis: ReducedBasis    # None when the first snapshot carries no energy
+    basis: ReducedBasis    # None if unbuilt or the first snapshot carries no energy
+    horizon = property(lambda self: self.xi.shape[0])   # the members served
 
 
-def node_reductions(snapshots, m_values):
-    """Per-node reduced bases for a sweep over the snapshot counts m_values.
-
-    Each node whose sequence is longer than the smallest count gets one basis,
-    at the tolerance RB_TOL, from its first min(max(m_values), length)
-    snapshots; rb_gfem_solve takes the prefix of it for each count.
-    """
-    _require_snapshots(snapshots)
+def node_reductions(correctors, horizon, m_values):
+    """Every coarse node's record, keyed by its dof, in one pass per node on
+    the Patch of lod.transient_patch: the power iterates xi^1 .. xi^horizon
+    and, if horizon > min(m_values), one basis at RB_TOL from the first
+    min(max(m_values), horizon), whose prefix rb_gfem_solve takes for each
+    snapshot count. The patch goes before the next node's."""
     m_values = tuple(m_values)
     if not m_values or min(m_values) < 1:
         raise ValueError("snapshot counts must be >= 1")
+    n = min(max(m_values), horizon) if min(m_values) < horizon else 0
     out = {}
-    for d, tc in snapshots.items():
-        length = tc.xi.shape[0]
-        if min(m_values) >= length:
-            continue
-        n = min(max(m_values), length)
-        patch = Patch(tc.correctors.forms, tc.dofs)
-        try:
-            basis = build_rb(tc.xi[:n], patch)
-        except EmptyBasisError:
-            basis = None
-        out[d] = NodeReduction(n, patch.k_tilde, basis)
+    for d in range(correctors.Q.shape[1]):
+        patch, first = lod.transient_patch(correctors, d)
+        xi, solves = lod._power_iterates(patch, first, horizon)
+        a_tilde = basis = None
+        if n:
+            a_tilde = patch.k_tilde
+            try:
+                basis = build_rb(xi[:n], patch)
+            except EmptyBasisError:
+                pass
+        out[d] = NodeReduction(patch.dofs, xi, correctors, solves, n, a_tilde, basis)
     return out
 
 
-def _band(x, tc, node, m):
-    """The node band (see evolution._Recurrence) of tc's first m members and
-    their continuation xi^{m+1+j} = Z G^j v in node's reduced basis, where
+def _band(x, node, m):
+    """The band (see evolution._Recurrence) of node x's first m members and
+    their continuation xi^{m+1+j} = Z G^j v in its reduced basis, where
     G = a_hat^-1 k_hat and v = G Z^T a_tilde xi^m.
 
     The m members are rows kept exact as a shift register. For the tail,
@@ -149,38 +147,39 @@ def _band(x, tc, node, m):
     with r, and the tridiagonal of H couples them (the rest is round-off). A
     node whose first snapshot carries no energy has one zero row.
     """
-    if node is None or node.n_snapshots < m:
+    if node.n_snapshots < m:
         raise ValueError("no reduced basis of %d snapshots for node %d" % (m, x))
     if node.basis is None:
-        return tc.dofs, np.zeros((1, tc.dofs.size)), *np.zeros((3, 1)), 1.0
-    stored = tc.xi[:m]
+        return node.dofs, np.zeros((1, node.dofs.size)), *np.zeros((3, 1)), 1.0
+    stored = node.xi[:m]
     basis = node.basis.prefix(m)
     v = np.linalg.solve(basis.a_hat, basis.k_hat) @ (basis.Z.T @ (node.a_tilde @ stored[-1]))
     if not v.any():
-        return tc.dofs, stored, np.zeros(m), np.ones(m), np.zeros(m), 1.0
+        return node.dofs, stored, np.zeros(m), np.ones(m), np.zeros(m), 1.0
     L = scipy.linalg.cholesky(basis.a_hat, lower=True, check_finite=False)
     P, r = np.linalg.qr((L.T @ v)[:, None], mode="complete")
     W = scipy.linalg.solve_triangular(L.T, P, lower=False, check_finite=False)
     H, Q_h = scipy.linalg.hessenberg(W.T @ basis.k_hat @ W, calc_q=True, check_finite=False)
-    return (tc.dofs, np.concatenate([stored, (W @ Q_h).T @ basis.Z.T]),
+    return (node.dofs, np.concatenate([stored, (W @ Q_h).T @ basis.Z.T]),
             np.concatenate([np.zeros(m), np.diag(H)]),
             np.concatenate([np.ones(m - 1), r[0], np.diag(H, -1), [0.0]]),
             np.concatenate([np.zeros(m), np.diag(H, 1), [0.0]]), 1.0)
 
 
-def rb_gfem_solve(correctors, snapshots, reductions, f, n_steps, alpha0, alpha1, m_max):
-    """Localized GFEM on the snapshots (checked as evolution._check_transients
-    checks sequences), each node one band of evolution._Recurrence: beyond
-    the first m_max members, from its reduced basis in reductions (from
-    node_reductions); from m_max = h = transient_horizon(n_steps) on, xi^1 ..
-    xi^h unreduced, as the shift register (dofs, xi[:h], 0, 1, 0, 1)."""
+def rb_gfem_solve(correctors, nodes, f, n_steps, alpha0, alpha1, m_max):
+    """Localized GFEM on the records of node_reductions, nodes (checked as
+    evolution._check_transients checks sequences), each node one band of
+    evolution._Recurrence: beyond the first m_max members, from its reduced
+    basis; from m_max = h = transient_horizon(n_steps) on, xi^1 .. xi^h
+    unreduced, as the shift register (dofs, xi[:h], 0, 1, 0, 1)."""
     if not isinstance(m_max, numbers.Integral) or isinstance(m_max, bool) or m_max < 1:
         raise ValueError("m_max must be an integer >= 1, got %r" % (m_max,))
-    _require_snapshots(snapshots)
-    grid = _check_transients(correctors, snapshots, n_steps)
+    if not all(isinstance(node, NodeReduction) for node in nodes.values()):
+        raise ValueError("rb_gfem_solve reads the NodeReduction records of node_reductions")
+    grid = _check_transients(correctors, nodes, n_steps)
     h = transient_horizon(n_steps)
-    bands = [(tc.dofs, tc.xi[:h], np.zeros(h), np.ones(h), np.zeros(h), 1.0)
-             if m_max >= h else _band(x, tc, reductions.get(x), m_max)
-             for x, tc in sorted(snapshots.items())]
+    bands = [(node.dofs, node.xi[:h], np.zeros(h), np.ones(h), np.zeros(h), 1.0)
+             if m_max >= h else _band(x, node, m_max)
+             for x, node in sorted(nodes.items())]
     return _gfem_steps(*_multiscale(correctors), f, grid, (alpha0, alpha1),
                        _Recurrence(correctors, bands, grid))

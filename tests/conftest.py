@@ -84,8 +84,8 @@ def stored_zeros_forms(problem):
 
 
 def power_snapshots(correctors, horizon):
-    """The power iterates of every coarse node, keyed by its dof, as exp-rb
-    builds them (lod.compute_transient_correctors)."""
+    """The power iterates of every coarse node, keyed by its dof, from
+    lod.compute_transient_correctors: the oracle of rb.node_reductions."""
     return {d: lod.compute_transient_correctors(correctors, d, horizon)
             for d in range(correctors.Q.shape[1])}
 

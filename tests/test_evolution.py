@@ -17,10 +17,10 @@ from sdwave.lod import (CorrectorConfig, TransientCorrectors, build_corrector_se
                         transients_for_all_nodes)
 from sdwave.mesh import Mesh, NestedMeshPair, prolongation, saturating_k
 
-from sdwave.rb import rb_gfem_solve
+from sdwave.rb import node_reductions, rb_gfem_solve
 
 from conftest import (_per_step_superposition, certified_members, localized_gfem_solve_direct,
-                      power_snapshots, saddle_of)
+                      saddle_of)
 
 TAU = 0.02
 
@@ -208,13 +208,13 @@ def test_localized_matches_per_step_superposition(problem44, k2_44, monkeypatch,
 
         monkeypatch.setattr(lod, "transient_patch", zero_rhs)
     seq = transients_for_all_nodes(k2_44, horizon=horizon)
-    snapshots = power_snapshots(k2_44, horizon)
-    assert not zero or not (seq[middle].members().any() or snapshots[middle].xi.any())
+    nodes = node_reductions(k2_44, horizon, (horizon,))
+    assert not zero or not (seq[middle].members().any() or nodes[middle].xi.any())
     runs = ((localized_gfem_solve(k2_44, seq, f, n_steps, alpha0, alpha1),
              certified_members(seq, n_steps)),
-            (rb_gfem_solve(k2_44, snapshots, {}, f, n_steps, alpha0, alpha1,
+            (rb_gfem_solve(k2_44, nodes, f, n_steps, alpha0, alpha1,
                            transient_horizon(n_steps)),
-             {x: (s.dofs, s.xi) for x, s in snapshots.items()}))
+             {x: (node.dofs, node.xi) for x, node in nodes.items()}))
     for got, members in runs:
         alpha, states = _per_step_superposition(k2_44, members, forms, f, n_steps,
                                                 alpha0, alpha1)

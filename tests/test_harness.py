@@ -12,7 +12,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from sdwave import cli, evolution, harness, interpolation, linalg, rb
+from sdwave import cli, evolution, harness, interpolation, linalg, lod, rb
 from sdwave.assembly import DiscreteForms
 from sdwave.cli import main
 from sdwave.evolution import localized_gfem_solve, transient_horizon
@@ -591,27 +591,45 @@ def test_online_stage_never_lifts_certified_members(tmp_path, monkeypatch):
 
 def test_exp_rb_builds_the_power_iterates(monkeypatch):
     # build_rb amplifies the round-off of its snapshots, so exp-rb's snapshots
-    # stay those of compute_transient_correctors, bit for bit, one per node;
-    # it builds no certified sequence
+    # stay those of compute_transient_correctors, bit for bit, one per node,
+    # built in one node_reductions call; it builds no certified sequence
     built = []
 
-    def capture(correctors, x_dof, horizon):
-        snapshots = compute_transient_correctors(correctors, x_dof, horizon)
-        built.append((correctors, x_dof, horizon, snapshots))
-        return snapshots
+    def capture(correctors, horizon, m_values):
+        nodes = rb.node_reductions(correctors, horizon, m_values)
+        built.append((correctors, horizon, m_values, nodes))
+        return nodes
 
     def no_certified(*args):
         raise AssertionError("exp-rb built certified sequences")
 
-    monkeypatch.setattr(harness, "compute_transient_correctors", capture)
+    monkeypatch.setattr(harness, "node_reductions", capture)
     monkeypatch.setattr(harness, "transients_for_all_nodes", no_certified)
     run_exp_rb(ExperimentConfig(p=4, q=2, tau=0.1, T=2.0, seed=1, M=(1, 5)))
-    correctors = built[0][0]
-    assert [x_dof for _, x_dof, _, _ in built] == list(range(correctors.Q.shape[1]))
-    for cs, d, horizon, snapshots in built:
-        assert cs is correctors and horizon == 19
+    (correctors, horizon, m_values, nodes), = built
+    assert horizon == 19 and m_values == (1, 5)
+    assert sorted(nodes) == list(range(correctors.Q.shape[1]))
+    for d, node in nodes.items():
         power = compute_transient_correctors(correctors, d, horizon)
-        assert snapshots.xi.tobytes() == power.xi.tobytes()
+        assert node.xi.tobytes() == power.xi.tobytes() and node.solves == power.solves
+
+
+def test_warm_exp_rb_builds_one_patch_per_node(tmp_path, monkeypatch):
+    # a node's power iterates and its reduced basis share one lod.Patch; with
+    # the set read from the cache, no element patch is built either
+    cfg = ExperimentConfig(p=4, q=2, tau=0.1, T=2.0, seed=1, M=(1, 5), cache=str(tmp_path))
+    cold_rows, _ = run_exp_rb(cfg)
+    built = []
+    init = lod.Patch.__init__
+
+    def count(self, forms, dofs, *args):
+        built.append(dofs)
+        init(self, forms, dofs, *args)
+
+    monkeypatch.setattr(lod.Patch, "__init__", count)
+    rows, meta = run_exp_rb(cfg)
+    assert meta["cache_hits"] == 1 and _errors(rows) == _errors(cold_rows)
+    assert len(built) == 9    # the interior nodes of the 4 x 4 coarse mesh
 
 
 def _errors(rows):
@@ -652,9 +670,17 @@ def test_exp_rb_caches_its_corrector_set_only(tmp_path, monkeypatch):
     assert list(cache.iterdir()) == [path]
     cold_path, = (tmp_path / "cold").iterdir()
     assert path.read_bytes() == cold_path.read_bytes()
-    # and exp-rb hits the file with sequences as it hit the set alone
-    again_rows, again = run_exp_rb(cfg)
-    assert again["cache_hits"] == 1 and _errors(again_rows) == _errors(cold_rows)
+    # and exp-rb hits the file with sequences as it hit the set alone, reading
+    # no sequence entry of it and leaving it as it is
+    def no_sequences(*args):
+        raise AssertionError("exp-rb read the cached sequences")
+
+    with monkeypatch.context() as m:
+        m.setattr(lod, "_load_transients", no_sequences)
+        again_rows, again = run_exp_rb(cfg)
+    assert (again["cache_hits"], again["cache_misses"]) == (1, 0)
+    assert _errors(again_rows) == _errors(cold_rows)
+    assert path.read_bytes() == cold_path.read_bytes()
 
 
 def test_exp_rb_micro(tmp_path):
