@@ -161,17 +161,22 @@ class DiscreteForms:
     def fine(self):
         return self.pair.fine
 
-    def saddle_matrix(self, name):
+    def saddle_matrix(self, name, keep=True):
         """The CSC of [[K, I^T], [I, 0]], for K the form `name` ("K_tilde",
         "K_A" or "K_B") and I the interpolator: the saddle system over the
-        interpolation kernel, built on first use. Every patch gathers its own
-        system from it."""
+        interpolation kernel, built on first use and kept for the patches,
+        which gather their systems from it. With keep=False (the one global
+        factorization of evolution._GlobalSaddle) a matrix not yet kept is
+        built and not kept."""
         if name not in ("K_tilde", "K_A", "K_B"):
             raise ValueError("no saddle matrix of %r" % (name,))
-        if name not in self._saddles:
-            K, interp = getattr(self, name), self.interp
-            self._saddles[name] = sparse.bmat([[K, interp.T], [interp, None]], format="csc")
-        return self._saddles[name]
+        if name in self._saddles:
+            return self._saddles[name]
+        K, interp = getattr(self, name), self.interp
+        matrix = sparse.bmat([[K, interp.T], [interp, None]], format="csc")
+        if keep:
+            self._saddles[name] = matrix
+        return matrix
 
 
 def h1_norms(forms, states):

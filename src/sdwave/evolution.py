@@ -27,15 +27,36 @@ class TimeGrid:
             raise ValueError("need at least two time steps")
 
 
-@dataclass
 class Trajectory:
-    grid: TimeGrid
-    states: np.ndarray                 # (n_steps + 1, fine dofs)
-    alpha: np.ndarray = None           # coarse coefficients where applicable
+    """The fine states u^0 .. u^N of a run on grid, and its coarse
+    coefficients alpha where applicable.
 
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.states)):
-            raise ValueError("trajectory contains non-finite states")
+    The states are one (N + 1, fine dofs) array, checked here, or, for a
+    localized run longer than one window, a reader that regenerates them
+    window by window (_Recurrence.steps) and checks each window it reads;
+    then alpha is checked here. The error norms read every trajectory
+    through _steps; states holds them all in one array.
+    """
+
+    def __init__(self, grid, states, alpha=None):
+        self.grid, self.alpha, self._states = grid, alpha, states
+        if isinstance(states, np.ndarray):
+            if not np.all(np.isfinite(states)):
+                raise ValueError("trajectory contains non-finite states")
+        elif not np.all(np.isfinite(alpha)):
+            raise ValueError("trajectory contains non-finite coefficients")
+
+    def _steps(self, lo, hi):
+        """The states of steps lo .. min(hi, N + 1) - 1."""
+        hi = min(hi, self.grid.n_steps + 1)
+        if isinstance(self._states, np.ndarray):
+            return self._states[lo:hi]
+        return self._states.steps(lo, hi)
+
+    @property
+    def states(self):
+        """Every state, (N + 1, fine dofs); a reader fills a new array."""
+        return self._steps(0, self.grid.n_steps + 1)
 
 
 def _load(forms, f, project=lambda fine: fine):
@@ -68,11 +89,12 @@ def fine_fem_solve(forms, f, u0, u1, n_steps):
 def discrete_energy(forms, trajectory):
     """E^n = 0.5 ||du^n||_M^2 + 0.5 ||u^n||_b^2 for n = 1..N."""
     tau = trajectory.grid.tau
-    states = trajectory.states
     out = []
-    for n in range(1, states.shape[0]):
-        du = (states[n] - states[n - 1]) / tau
-        out.append(0.5 * du @ (forms.M @ du) + 0.5 * states[n] @ (forms.K_B @ states[n]))
+    for start in range(1, trajectory.grid.n_steps + 1, _BLOCK):
+        states = trajectory._steps(start - 1, start + _BLOCK)
+        for prev, state in zip(states[:-1], states[1:]):
+            du = (state - prev) / tau
+            out.append(0.5 * du @ (forms.M @ du) + 0.5 * state @ (forms.K_B @ state))
     return np.array(out)
 
 
@@ -84,8 +106,9 @@ def _gfem_steps(Q, M_ms, A_ms, B_ms, forms, f, grid, initial, fine_scale=None):
     the initial coefficients (alpha^0, alpha^1), or (alpha^0,) with M = 0. The
     fine-scale part w enters only through fine_scale: fine_scale.memory(n, alpha)
     returns Q^T K_A u^{n-1}, fine_scale.resume(n) the step to take after step
-    n, and fine_scale.states(alpha) the fine states after the loop. Without
-    one, w = 0. LAPACK's getrs is called directly: it is the solve of
+    n, and fine_scale.states(alpha) the fine states after the loop, as one
+    array or as a reader of them (see Trajectory). Without one, w = 0.
+    LAPACK's getrs is called directly: it is the solve of
     scipy.linalg.lu_solve, without its checks of every call; Trajectory
     rejects a non-finite state.
     """
@@ -142,15 +165,16 @@ class _PerStep(_StepOn):
 # product per block to bound their temporaries
 _BLOCK = 16
 
-# steps of band coordinates that _Recurrence keeps
+# steps of band coordinates, and of regenerated fine states, that _Recurrence
+# keeps
 _WINDOW = 64
 
 
 class _GlobalSaddle(_PerStep):
     """The ideal method on the one global saddle system S of K_tilde over the
-    interpolation kernel, the forms' saddle matrix that the patches gather
-    from, factored once in symmetric mode (linalg falls back to the default
-    factorization).
+    interpolation kernel, the forms' saddle matrix, which the forms keep only
+    for the patches that gather from it, factored once in symmetric mode
+    (linalg falls back to the default factorization).
 
     Its basis is Q = P - S^-1 (K_tilde P), dense: the prolongation P minus the
     fine-scale part of one checked block solve of all coarse columns, with
@@ -162,7 +186,8 @@ class _GlobalSaddle(_PerStep):
     """
 
     def __init__(self, forms, grid):
-        saddle = linalg.factor_saddle(forms.saddle_matrix("K_tilde"), forms.fine.n_dofs,
+        saddle = linalg.factor_saddle(forms.saddle_matrix("K_tilde", keep=False),
+                                      forms.fine.n_dofs,
                                       _symmetric=True)
         P = prolongation(forms.pair)
         Q = P.toarray() - saddle.solve((forms.K_tilde @ P).toarray())[0]
@@ -195,9 +220,12 @@ class _Recurrence(_StepOn):
     The coordinates of all nodes are stacked, so a step is a few vector
     operations. The coarse step reads Q^T K_A u^{n-1} = A_ms alpha^{n-1} +
     G t^{n-1}, with G = [(correctors.KQ^T)[:, dofs_x] R_x^T]_x. Only a window
-    of min(_WINDOW, N + 1) steps of t is kept, t^n in row n mod its length;
-    the fine states of a window's steps are filled when it is full, during
-    the loop, and those of the last steps after it, one product per node each.
+    of W = min(_WINDOW, N + 1) steps of t is kept, t^n in row n mod W. A run
+    of one window fills its fine states after the loop, one product per node,
+    as one array. A longer run keeps alpha and the marks t^lo of the first
+    steps lo of its later windows, and its states are this reader (steps):
+    reading a window regenerates its t from its mark by the same steps, and
+    its states by the same products, so they are the states of one fill.
     """
 
     def __init__(self, correctors, bands, grid):
@@ -217,7 +245,10 @@ class _Recurrence(_StepOn):
         for d, R, span in self.items:
             self.G[:, span] = QT_K_A[:, d] @ R.T
         # t[n % window] = t^n; t^0 and t^1 stay zero
-        self.t = np.zeros((min(_WINDOW, grid.n_steps + 1), ends[-1]))
+        window = min(_WINDOW, grid.n_steps + 1)
+        self.t = np.zeros((window, ends[-1]))
+        # marks[j] = t^{(j + 1) window}; none for a run of one window
+        self.marks = np.empty((grid.n_steps // window, ends[-1]))
 
     def _advance(self, n, alpha):
         """t^n from t^{n-1} and alpha^{n-1}, n >= 2."""
@@ -228,33 +259,64 @@ class _Recurrence(_StepOn):
         t[:-1] += self.upper * prev[1:]
         t[self.first] += self.weight * alpha[n - 1]
 
-    def _fill(self, n, alpha):
-        """The fine states of the window's steps lo .. n, in its rows 0 .. n - lo."""
-        lo = n - n % self.t.shape[0]
-        block = self.Q @ alpha[lo:n + 1].T
+    def _step(self, n, alpha):
+        """_advance, keeping t^n as a mark where step n starts a window."""
+        self._advance(n, alpha)
+        window = self.t.shape[0]
+        if n % window == 0:
+            self.marks[n // window - 1] = self.t[0]
+
+    def _fill(self, lo, hi, alpha):
+        """The fine states of steps lo .. hi - 1 of one window, from its rows
+        0 .. hi - lo - 1 of t."""
+        block = self.Q @ alpha[lo:hi].T
         for dofs, R, span in self.items:
-            block[dofs] += R.T @ self.t[:n + 1 - lo, span].T
-        if lo == 0:
-            # the states are allocated at the first fill, not held through
-            # the set-up and the first window's steps
-            self.filled = np.empty((alpha.shape[0], block.shape[0]))
-        self.filled[lo:n + 1] = block.T
+            block[dofs] += R.T @ self.t[:hi - lo, span].T
+        return np.ascontiguousarray(block.T)
 
     def memory(self, n, alpha):
-        window = self.t.shape[0]
         if n >= 3:
-            self._advance(n - 1, alpha)
-            # alpha^{n-1} is solved, so a window that ends at step n - 1 is full
-            if n % window == 0:
-                self._fill(n - 1, alpha)
-        return self.A_ms @ alpha[n - 1] + self.G @ self.t[(n - 1) % window]
+            self._step(n - 1, alpha)
+        return self.A_ms @ alpha[n - 1] + self.G @ self.t[(n - 1) % self.t.shape[0]]
 
     def states(self, alpha):
         n_steps = alpha.shape[0] - 1
-        self._advance(n_steps, alpha)
+        self._step(n_steps, alpha)
         self.G = None
-        self._fill(n_steps, alpha)
-        return self.filled
+        if not self.marks.shape[0]:
+            return self._fill(0, n_steps + 1, alpha)
+        self.alpha, self.held = alpha, (None, None)
+        return self
+
+    def steps(self, lo, hi):
+        """The states of steps lo .. hi - 1, copied from the windows that
+        hold them (_window)."""
+        window = self.t.shape[0]
+        out = np.empty((hi - lo, self.Q.shape[0]))
+        for start in range(lo - lo % window, hi, window):
+            states = self._window(start)
+            a, b = max(lo, start), min(hi, start + window)
+            out[a - lo:b - lo] = states[a - start:b - start]
+        return out
+
+    def _window(self, lo):
+        """The checked states of the window that starts at step lo. Only the
+        last window read is held; another is regenerated from its mark."""
+        if self.held[0] != lo:
+            self.held = None, None      # freed before the next one is filled
+            window, alpha = self.t.shape[0], self.alpha
+            if lo:
+                self.t[0] = self.marks[lo // window - 1]
+            else:
+                self.t[:2] = 0.0
+            hi = min(lo + window, alpha.shape[0])
+            for n in range(max(lo + 1, 2), hi):
+                self._advance(n, alpha)
+            states = self._fill(lo, hi, alpha)
+            if not np.all(np.isfinite(states)):
+                raise ValueError("trajectory contains non-finite states")
+            self.held = lo, states
+        return self.held[1]
 
 
 def transient_horizon(n_steps):
@@ -354,8 +416,9 @@ def _check_grids(trajectory, reference):
 def rel_h1_final(forms, trajectory, reference):
     """Relative H1 distance of the final states, of trajectories on one TimeGrid."""
     _check_grids(trajectory, reference)
-    final = reference.states[-1]
-    error, denom = h1_norms(forms, [trajectory.states[-1] - final, final])
+    last = trajectory.grid.n_steps
+    final = reference._steps(last, last + 1)[0]
+    error, denom = h1_norms(forms, [trajectory._steps(last, last + 1)[0] - final, final])
     return error / denom if denom > 0 else error
 
 
@@ -366,10 +429,10 @@ def rel_l2h1(forms, trajectory, reference):
     tau = trajectory.grid.tau
     num = 0.0
     den = 0.0
-    for start in range(1, trajectory.states.shape[0], _BLOCK):
-        steps = slice(start, start + _BLOCK)
-        errors = h1_norms(forms, trajectory.states[steps] - reference.states[steps])
-        norms = h1_norms(forms, reference.states[steps])
+    for start in range(1, trajectory.grid.n_steps + 1, _BLOCK):
+        want = reference._steps(start, start + _BLOCK)
+        errors = h1_norms(forms, trajectory._steps(start, start + _BLOCK) - want)
+        norms = h1_norms(forms, want)
         for error, norm in zip(errors, norms):
             num += tau * error ** 2
             den += tau * norm ** 2

@@ -341,9 +341,16 @@ def _power_iterates(patch, first, horizon):
     return xi, steps.solves
 
 
+def _check_horizon(horizon):
+    """Refuse a horizon that is not an integer >= 1, before any patch is built."""
+    if not isinstance(horizon, numbers.Integral) or isinstance(horizon, bool) or horizon < 1:
+        raise ValueError("horizon must be an integer >= 1, got %r" % (horizon,))
+
+
 def compute_transient_correctors(correctors, x_dof, horizon):
     """One coarse node's `horizon` power iterates (_power_iterates) on its patch
     as Snapshots: the oracle of rb's records and of the certified sequences."""
+    _check_horizon(horizon)
     patch, first = transient_patch(correctors, x_dof)
     xi, solves = _power_iterates(patch, first, horizon)
     return Snapshots(patch.dofs, xi, correctors, solves)
@@ -497,8 +504,7 @@ def _certified_transients(correctors, x_dof, horizon):
 def transients_for_all_nodes(correctors, horizon):
     """Certified sequences (_certified_transients) for every interior coarse
     node, keyed by its dof, each of `horizon` members."""
-    if not isinstance(horizon, numbers.Integral) or isinstance(horizon, bool) or horizon < 1:
-        raise ValueError("horizon must be an integer >= 1, got %r" % (horizon,))
+    _check_horizon(horizon)
     return {d: _certified_transients(correctors, d, horizon)
             for d in range(correctors.Q.shape[1])}
 

@@ -116,6 +116,7 @@ def node_reductions(correctors, horizon, m_values):
     and, if horizon > min(m_values), one basis at RB_TOL from the first
     min(max(m_values), horizon), whose prefix rb_gfem_solve takes for each
     snapshot count. The patch goes before the next node's."""
+    lod._check_horizon(horizon)
     m_values = tuple(m_values)
     if not m_values or min(m_values) < 1:
         raise ValueError("snapshot counts must be >= 1")

@@ -181,3 +181,17 @@ def test_saddle_matrix_is_built_once_per_form(problem44):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     with pytest.raises(ValueError, match="saddle matrix"):
         forms.saddle_matrix("M")
+
+
+def test_saddle_matrix_not_kept_is_a_copy_until_kept(problem44):
+    # keep=False builds the same matrix and leaves the forms without it; a
+    # matrix already kept is the one returned
+    p = problem44
+    forms = DiscreteForms(p.pair, p.field_a, p.field_b, p.tau)
+    copy = forms.saddle_matrix("K_tilde", keep=False)
+    assert forms._saddles == {}
+    assert forms.saddle_matrix("K_tilde", keep=False) is not copy
+    kept = forms.saddle_matrix("K_tilde")
+    for part in ("indptr", "indices", "data"):
+        assert getattr(copy, part).tobytes() == getattr(kept, part).tobytes()
+    assert forms.saddle_matrix("K_tilde", keep=False) is kept

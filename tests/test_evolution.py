@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sdwave import linalg, lod
+from sdwave import linalg, lod, rb
 from sdwave.assembly import DiscreteForms, h1_norms
 from sdwave.evolution import (_BLOCK, _WINDOW, TimeGrid, Trajectory, _GlobalSaddle,
                               _gfem_steps, _multiscale, _PerStep, _Recurrence,
@@ -402,9 +403,11 @@ def test_global_stepper_falls_back_from_a_singular_symmetric_mode(problem44, sat
 
 def test_global_stepper_factors_the_forms_saddle_matrix(problem44, initial_data,
                                                         monkeypatch):
-    # the one saddle matrix the patches gather from is factored whole, in
-    # symmetric mode and, where that is singular, in the default one
-    forms = problem44.forms
+    # the saddle matrix the patches gather from is factored whole, in
+    # symmetric mode and, where that is singular, in the default one; the
+    # forms do not keep it for the reference, which has no patch
+    p = problem44
+    forms = DiscreteForms(p.pair, p.field_a, p.field_b, p.tau)
     alpha0, alpha1 = initial_data
     splu = linalg._splu
     factored = []
@@ -417,9 +420,12 @@ def test_global_stepper_factors_the_forms_saddle_matrix(problem44, initial_data,
 
     monkeypatch.setattr(linalg, "_splu", singular_symmetric)
     ideal_gfem_solve(forms, 1.0, MULTI_BLOCK, alpha0, alpha1)
+    assert forms._saddles == {}
     full = forms.saddle_matrix("K_tilde")
     assert [mode for _, mode in factored] == [True, False]
-    assert all(matrix is full for matrix, _ in factored)
+    assert factored[0][0] is factored[1][0]
+    for part in ("indptr", "indices", "data"):
+        assert getattr(factored[0][0], part).tobytes() == getattr(full, part).tobytes()
 
 
 def test_transient_config_mismatch_rejected(problem44, saturated44):
@@ -640,6 +646,135 @@ def test_window_fills_the_states_of_the_single_fill(recurrence_problem,
                        _SingleFill(cs, bands, grid))
     np.testing.assert_array_equal(got.alpha, want.alpha)
     assert np.linalg.norm(got.states - want.states) <= 1e-13 * np.linalg.norm(want.states)
+
+
+class _Materialized(_Recurrence):
+    """The recurrence as it held its fine states before they were read by
+    windows: each window filled when full, during the loop, and the last one
+    after it, into one (N + 1, fine dofs) array."""
+
+    def memory(self, n, alpha):
+        coarse = super().memory(n, alpha)
+        window = self.t.shape[0]
+        if n >= 3 and n % window == 0:
+            self._keep(n - window, n, alpha)
+        return coarse
+
+    def _keep(self, lo, hi, alpha):
+        if lo == 0:
+            self.filled = np.empty((alpha.shape[0], self.Q.shape[0]))
+        self.filled[lo:hi] = self._fill(lo, hi, alpha)
+
+    def states(self, alpha):
+        n_steps = alpha.shape[0] - 1
+        self._step(n_steps, alpha)
+        self._keep(n_steps - n_steps % self.t.shape[0], n_steps + 1, alpha)
+        return self.filled
+
+
+# N + 1 one below the window, the window, one above it, and two windows and
+# a cut one
+WINDOWED = [_WINDOW - 2, _WINDOW - 1, _WINDOW, 2 * _WINDOW + 2]
+
+
+@pytest.fixture(scope="module")
+def windowed_nodes(recurrence_problem):
+    _, cs = recurrence_problem
+    return node_reductions(cs, transient_horizon(max(WINDOWED)), (5,))
+
+
+def _assert_bytes_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("solver", ["localized", "rb"])
+@pytest.mark.parametrize("n_steps", WINDOWED, ids=["below", "window", "above", "cut"])
+def test_windowed_states_are_the_materialized_states(recurrence_problem, wrapping_sequences,
+                                                     windowed_nodes, monkeypatch, solver,
+                                                     n_steps):
+    # a run longer than one window regenerates each window from its mark when
+    # it is read: its states, and the error norms and energies read from
+    # them, are byte for byte those of the states filled during the loop
+    _, cs = recurrence_problem
+    forms = cs.forms
+    rng = np.random.default_rng(48)
+    data = rng.standard_normal((2, 2, cs.Q.shape[1]))
+    grid = TimeGrid(forms.tau, n_steps)
+    if solver == "localized":
+        def solve(alpha0, alpha1):
+            return localized_gfem_solve(cs, wrapping_sequences, _pulse, n_steps, alpha0,
+                                        alpha1)
+
+        def materialized(alpha0, alpha1):
+            return _gfem_steps(*_multiscale(cs), _pulse, grid, (alpha0, alpha1),
+                               _Materialized(cs, _bands(wrapping_sequences), grid))
+    else:
+        def solve(alpha0, alpha1):
+            return rb_gfem_solve(cs, windowed_nodes, _pulse, n_steps, alpha0, alpha1, 5)
+
+        def materialized(alpha0, alpha1):
+            with monkeypatch.context() as mp:
+                mp.setattr(rb, "_Recurrence", _Materialized)
+                return solve(alpha0, alpha1)
+
+    got, other = (solve(*pair) for pair in data)
+    want, other_want = (materialized(*pair) for pair in data)
+    assert isinstance(got._states, np.ndarray) == (n_steps + 1 <= _WINDOW)
+    _assert_bytes_equal(got.alpha, want.alpha)
+    # the norms read the windows of both runs in turn, and the last one first
+    for norm in (rel_h1_final, rel_l2h1):
+        assert norm(forms, got, other) == norm(forms, want, other_want)
+    _assert_bytes_equal(discrete_energy(forms, got), discrete_energy(forms, want))
+    _assert_bytes_equal(got.states, want.states)
+    for lo, hi in ((0, 1), (n_steps, n_steps + 1), (_WINDOW - 3, _WINDOW + 2)):
+        _assert_bytes_equal(got._steps(lo, hi), want.states[lo:hi])
+
+
+def test_a_long_localized_run_holds_one_window_of_states(problem44, k2_44):
+    # the solve and both error norms never hold an array of every state: the
+    # traced heap peaks below one, which reading .states allocates
+    n_steps = 20 * _WINDOW
+    forms = problem44.forms
+    seq = transients_for_all_nodes(k2_44, transient_horizon(n_steps))
+    zc = np.zeros(problem44.n_coarse_dofs)
+    reference = ideal_gfem_solve(forms, 1.0, n_steps, zc, zc)
+    every_state = (n_steps + 1) * problem44.n_fine_dofs * 8
+    tracemalloc.start()
+    try:
+        got = localized_gfem_solve(k2_44, seq, 1.0, n_steps, zc, zc)
+        errors = rel_h1_final(forms, got, reference), rel_l2h1(forms, got, reference)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        got.states
+        _, materialized = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < min(errors) and max(errors) < 1.0
+    assert peak < every_state <= materialized, (peak, every_state)
+
+
+def test_a_nan_in_a_band_is_refused_by_every_read(recurrence_problem, wrapping_sequences):
+    # alpha is checked when the solve returns and each window as it is read,
+    # so a non-finite state still raises before any error number is
+    # returned, also under python -O
+    _, cs = recurrence_problem
+    forms = cs.forms
+    seq = {x: dataclasses.replace(tc, xi=tc.xi.copy())
+           for x, tc in wrapping_sequences.items()}
+    n_steps = 2 * _WINDOW + 2
+    zc = np.zeros(cs.Q.shape[1])
+    got = localized_gfem_solve(cs, seq, 1.0, n_steps, zc, zc)
+    reference = Trajectory(got.grid, got.states)
+    # planted after the solve, only the regenerated states read it
+    seq[0].xi[0, 0] = np.nan
+    for read in (lambda: got.states, lambda: rel_h1_final(forms, got, reference),
+                 lambda: rel_l2h1(forms, got, reference)):
+        with pytest.raises(ValueError, match="non-finite states"):
+            read()
+    # planted before it, alpha carries it
+    with pytest.raises(ValueError, match="non-finite coefficients"):
+        localized_gfem_solve(cs, seq, 1.0, n_steps, zc, zc)
 
 
 def test_steady_state_b_orthogonality(problem44):

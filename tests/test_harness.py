@@ -410,6 +410,23 @@ def test_exp_k_frees_each_patch_size_before_the_next(monkeypatch):
     assert checked == [3]
 
 
+def test_exp_k_row_of_a_long_run_fills_each_window_once(monkeypatch):
+    # N + 1 = 71 steps are two windows; rel_h1_final read the last one before
+    # rel_l2h1 read both in step order, which filled it twice
+    fill = evolution._Recurrence._fill
+    fills = []
+
+    def counted(self, lo, hi, alpha):
+        fills.append(lo)
+        return fill(self, lo, hi, alpha)
+
+    monkeypatch.setattr(evolution._Recurrence, "_fill", counted)
+    cfg = ExperimentConfig(**dict(MICRO, T=7.0))
+    assert cfg.n_steps + 1 > evolution._WINDOW
+    rows, _ = run_exp_k(cfg)
+    assert len(rows) == 1 and fills == [0, evolution._WINDOW]
+
+
 def test_exp_H_frees_each_level_before_the_next(monkeypatch):
     # level q's forms, correctors and sequences used to stay bound while
     # level q + 1 loaded its own
@@ -689,6 +706,28 @@ def test_exp_rb_micro(tmp_path):
     gaps = {r["param"]: r["rel_h1_final"] for r in rows}
     assert gaps[5] == 0.0  # horizon reached, nothing to compress
     assert_pinned(rows, PINNED_RB)
+
+
+def test_exp_rb_frees_each_row_before_the_next(monkeypatch):
+    # a reduced row's trajectory, and the bands it holds, used to stay bound
+    # while the next row was solved
+    solve = rb.rb_gfem_solve
+    previous = []
+    checked = []
+
+    def tracked(*args):
+        gc.collect()
+        assert all(ref() is None for ref in previous), args[-1]
+        checked.append(args[-1])
+        trajectory = solve(*args)
+        if args[-1] < transient_horizon(cfg.n_steps):
+            previous[:] = [weakref.ref(trajectory)]
+        return trajectory
+
+    monkeypatch.setattr(harness, "rb_gfem_solve", tracked)
+    cfg = ExperimentConfig(p=3, q=2, tau=0.1, T=0.5, seed=1, M=(1, 2, 3))
+    run_exp_rb(cfg)
+    assert checked == [transient_horizon(cfg.n_steps), 1, 2, 3]
 
 
 def test_exp_rb_rows_at_the_horizon_take_the_reference(monkeypatch):

@@ -898,6 +898,27 @@ def test_transients_reject_a_bad_horizon(k2_set, horizon):
         transients_for_all_nodes(k2_set, horizon)
 
 
+@pytest.mark.parametrize("horizon", [0, -1, 2.0, True])
+def test_sequence_builders_reject_a_bad_horizon_before_any_patch(k2_set, monkeypatch,
+                                                                 horizon):
+    # the power iterates took any horizon: 0 gave a sequence of no rows, and
+    # 2.0 a TypeError from the allocation of its rows
+    def no_patch(*args, **kwargs):
+        raise AssertionError("built a patch for a bad horizon")
+
+    monkeypatch.setattr(lod, "Patch", no_patch)
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        transients_for_all_nodes(k2_set, horizon)
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        compute_transient_correctors(k2_set, 0, horizon)
+
+
+def test_sequence_builders_take_a_numpy_horizon(k2_set):
+    certified = transients_for_all_nodes(k2_set, np.int64(3))
+    assert all(tc.horizon == 3 for tc in certified.values())
+    assert compute_transient_correctors(k2_set, 0, np.int64(3)).horizon == 3
+
+
 def test_transients_for_all_nodes_are_certified(problem44, k2_set):
     # every node's sequence is certified, in its Lanczos form; the power
     # iterates are lod.Snapshots, a record of their own

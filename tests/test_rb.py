@@ -366,6 +366,27 @@ def test_rb_gfem_rejects_a_bad_m_max_before_any_work(problem44, localized44, mon
         rb_gfem_solve(cs, nodes, 1.0, N_STEPS, zc, zc, m_max=m_max)
 
 
+@pytest.mark.parametrize("horizon", [0, -1, 2.0, True])
+def test_node_reductions_reject_a_bad_horizon_before_any_patch(localized44, monkeypatch,
+                                                               horizon):
+    # horizon 0 gave records of no rows, which rb_gfem_solve refused only
+    # later as too short, and 2.0 a TypeError
+    cs, _, _ = localized44
+
+    def no_patch(*args, **kwargs):
+        raise AssertionError("built a patch for a bad horizon")
+
+    monkeypatch.setattr(lod, "Patch", no_patch)
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        node_reductions(cs, horizon, (1,))
+
+
+def test_node_reductions_take_a_numpy_horizon(localized44):
+    cs, _, _ = localized44
+    nodes = node_reductions(cs, np.int64(3), (1,))
+    assert all(node.horizon == 3 for node in nodes.values())
+
+
 def test_every_sequence_has_exactly_horizon_rows(problem44, tmp_path, monkeypatch):
     # power, rb's, certified and cache-loaded sequences alike, also at a node
     # whose first member, and so its first snapshot's energy, is zero
