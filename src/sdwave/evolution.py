@@ -32,10 +32,10 @@ class Trajectory:
     coefficients alpha where applicable.
 
     The states are one (N + 1, fine dofs) array, checked here, or, for a
-    localized run longer than one window, a reader that regenerates them
-    window by window (_Recurrence.steps) and checks each window it reads;
-    then alpha is checked here. The error norms read every trajectory
-    through _steps; states holds them all in one array.
+    localized run, a reader that fills them window by window
+    (_Recurrence.steps) and checks each window it reads; then alpha is
+    checked here. The error norms read every trajectory through _steps;
+    states holds them all in one array.
     """
 
     def __init__(self, grid, states, alpha=None):
@@ -165,7 +165,7 @@ class _PerStep(_StepOn):
 # product per block to bound their temporaries
 _BLOCK = 16
 
-# steps of band coordinates, and of regenerated fine states, that _Recurrence
+# steps of band coordinates, and of filled fine states, that _Recurrence
 # keeps
 _WINDOW = 64
 
@@ -220,12 +220,12 @@ class _Recurrence(_StepOn):
     The coordinates of all nodes are stacked, so a step is a few vector
     operations. The coarse step reads Q^T K_A u^{n-1} = A_ms alpha^{n-1} +
     G t^{n-1}, with G = [(correctors.KQ^T)[:, dofs_x] R_x^T]_x. Only a window
-    of W = min(_WINDOW, N + 1) steps of t is kept, t^n in row n mod W. A run
-    of one window fills its fine states after the loop, one product per node,
-    as one array. A longer run keeps alpha and the marks t^lo of the first
-    steps lo of its later windows, and its states are this reader (steps):
-    reading a window regenerates its t from its mark by the same steps, and
-    its states by the same products, so they are the states of one fill.
+    of W = min(_WINDOW, N + 1) steps of t is kept, t^n in row n mod W, up to
+    t^last, the newest step held. The states are this reader (steps): after
+    the loop t holds the last window, and reading a window steps t on to its
+    last step, from t^1 = 0 again if the window lies behind t^last, and fills
+    its states from t; so a run read in step order replays each earlier
+    window once.
     """
 
     def __init__(self, correctors, bands, grid):
@@ -244,27 +244,19 @@ class _Recurrence(_StepOn):
                       for d, R, end in zip(dofs, rows, ends)]
         for d, R, span in self.items:
             self.G[:, span] = QT_K_A[:, d] @ R.T
-        # t[n % window] = t^n; t^0 and t^1 stay zero
-        window = min(_WINDOW, grid.n_steps + 1)
-        self.t = np.zeros((window, ends[-1]))
-        # marks[j] = t^{(j + 1) window}; none for a run of one window
-        self.marks = np.empty((grid.n_steps // window, ends[-1]))
+        # t[n % window] = t^n for n <= last; t^0 and t^1 are zero
+        self.t = np.zeros((min(_WINDOW, grid.n_steps + 1), ends[-1]))
+        self.last = 1
 
-    def _advance(self, n, alpha):
-        """t^n from t^{n-1} and alpha^{n-1}, n >= 2."""
-        window = self.t.shape[0]
-        prev, t = self.t[(n - 1) % window], self.t[n % window]
+    def _advance(self, alpha):
+        """t^{last+1} from t^last and alpha^last."""
+        window, n = self.t.shape[0], self.last
+        prev, t = self.t[n % window], self.t[(n + 1) % window]
         np.multiply(self.diag, prev, out=t)
         t[1:] += self.lower * prev[:-1]
         t[:-1] += self.upper * prev[1:]
-        t[self.first] += self.weight * alpha[n - 1]
-
-    def _step(self, n, alpha):
-        """_advance, keeping t^n as a mark where step n starts a window."""
-        self._advance(n, alpha)
-        window = self.t.shape[0]
-        if n % window == 0:
-            self.marks[n // window - 1] = self.t[0]
+        t[self.first] += self.weight * alpha[n]
+        self.last = n + 1
 
     def _fill(self, lo, hi, alpha):
         """The fine states of steps lo .. hi - 1 of one window, from its rows
@@ -276,15 +268,12 @@ class _Recurrence(_StepOn):
 
     def memory(self, n, alpha):
         if n >= 3:
-            self._step(n - 1, alpha)
+            self._advance(alpha)
         return self.A_ms @ alpha[n - 1] + self.G @ self.t[(n - 1) % self.t.shape[0]]
 
     def states(self, alpha):
-        n_steps = alpha.shape[0] - 1
-        self._step(n_steps, alpha)
+        self._advance(alpha)
         self.G = None
-        if not self.marks.shape[0]:
-            return self._fill(0, n_steps + 1, alpha)
         self.alpha, self.held = alpha, (None, None)
         return self
 
@@ -301,17 +290,15 @@ class _Recurrence(_StepOn):
 
     def _window(self, lo):
         """The checked states of the window that starts at step lo. Only the
-        last window read is held; another is regenerated from its mark."""
+        last window read is held."""
         if self.held[0] != lo:
             self.held = None, None      # freed before the next one is filled
-            window, alpha = self.t.shape[0], self.alpha
-            if lo:
-                self.t[0] = self.marks[lo // window - 1]
-            else:
-                self.t[:2] = 0.0
-            hi = min(lo + window, alpha.shape[0])
-            for n in range(max(lo + 1, 2), hi):
-                self._advance(n, alpha)
+            alpha = self.alpha
+            hi = min(lo + self.t.shape[0], alpha.shape[0])
+            if self.last >= hi:
+                self.t[:2], self.last = 0.0, 1
+            while self.last < hi - 1:
+                self._advance(alpha)
             states = self._fill(lo, hi, alpha)
             if not np.all(np.isfinite(states)):
                 raise ValueError("trajectory contains non-finite states")

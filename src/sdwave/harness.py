@@ -209,8 +209,8 @@ def _corrector_pipeline(cfg, forms, k, form_choice, counters, transients=True):
 def _row(forms, reference, param, method, trajectory, tic):
     """The CSV row of trajectory: its errors against reference, then the
     seconds since tic, read after the error norms. rel_l2h1 reads the states
-    in step order, so a windowed trajectory still holds its last window when
-    rel_h1_final reads the final state."""
+    in step order, so a localized trajectory fills each window once and
+    still holds its last window when rel_h1_final reads the final state."""
     l2h1 = rel_l2h1(forms, trajectory, reference)
     return {
         "param": param,

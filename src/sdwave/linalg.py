@@ -255,19 +255,19 @@ class _CheckedSteps:
     """One checked saddle solve per step of a recurrence whose right-hand
     side comes from the previous step, made from bare LU solves: the steps
     are checked together (count_accurate) once per block of _BLOCK and at the
-    last step, and the `checked` leading steps, and a block's first miss,
-    which the loop is sent back to, go through the checked solve. A bare
-    solve reads saddle._fact at each call, so the factors of a symmetric-mode
-    fallback serve every later step. solves counts every solve, replays too.
+    last step, and a block's first miss, which the loop is sent back to,
+    goes through the checked solve. A bare solve reads saddle._fact at each
+    call, so the factors of a symmetric-mode fallback serve every later step.
+    solves counts every solve, replays too.
     """
 
-    def __init__(self, saddle, checked=0):
+    def __init__(self, saddle):
         self.saddle = saddle
         # one full right-hand side [r; 0] and bare solution per row
         self.rhs = np.zeros((_BLOCK, saddle.n + saddle.C.shape[0]))
         self.sol = np.empty_like(self.rhs)
         self.start = None           # the step in row 0 of the block, from the first solve
-        self.checked = checked      # leading rows of the block solved through the checked solve
+        self.checked = 0            # 1 where row 0 is a replayed miss, solved checked
         self.solves = 0
 
     def solve(self, step, r):

@@ -330,15 +330,16 @@ def transient_patch(correctors, x_dof):
 
 def _power_iterates(patch, first, horizon):
     """(xi, solves): the power iterates xi^1 .. xi^horizon on patch, the rows
-    of xi, from the checked solve of first, and the saddle solves spent. They
-    are steps of linalg._CheckedSteps on the patch's one factorization, so
-    they are those of one checked solve per step."""
+    of xi, from the checked solve of first, and the saddle solves spent. The
+    later ones are steps of linalg._CheckedSteps on the patch's one
+    factorization, so they are those of one checked solve per step."""
     xi = np.empty((horizon, patch.dofs.size))
-    steps, l = linalg._CheckedSteps(patch.saddle, checked=1), 0
+    xi[0] = patch.saddle.solve(first)[0]
+    steps, l = linalg._CheckedSteps(patch.saddle), 1
     while l < horizon:
-        xi[l] = steps.solve(l, first if l == 0 else patch.k_a @ xi[l - 1])
+        xi[l] = steps.solve(l, patch.k_a @ xi[l - 1])
         l = steps.next(l, last=l + 1 == horizon)
-    return xi, steps.solves
+    return xi, 1 + steps.solves
 
 
 def _check_horizon(horizon):

@@ -15,7 +15,7 @@ RB_TOL = 1e-10
 
 
 class EmptyBasisError(ValueError):
-    """Raised when the first snapshot carries no energy."""
+    """Raised when Gram-Schmidt keeps no snapshot."""
 
 
 @dataclass
@@ -42,23 +42,18 @@ def build_rb(snapshots, patch):
     RB_TOL times its own energy norm; collection stops at the first
     rejection. Near-dependent snapshots leave rounding noise outside the
     fine-scale space, so accepted directions are projected back onto the
-    interpolation kernel before they join the basis. patch (an lod.Patch on
-    the snapshots' dofs) supplies the restricted forms and constraints.
+    interpolation kernel before they join the basis; collection also stops
+    where that projection leaves no energy (h = H, whose kernel is empty).
+    EmptyBasisError if no snapshot is kept. patch (an lod.Patch on the
+    snapshots' dofs) supplies the restricted forms and constraints.
     """
     snapshots = np.atleast_2d(np.asarray(snapshots, dtype=float))
-    if snapshots.shape[0] == 0:
-        raise EmptyBasisError("no snapshots supplied")
     a_tilde = patch.k_tilde
 
     def dot(u, v):
         return float(u @ (a_tilde @ v))
 
-    first = np.sqrt(max(dot(snapshots[0], snapshots[0]), 0.0))
-    if first == 0.0:
-        raise EmptyBasisError("empty basis: first snapshot has zero energy")
-
     basis = []
-    consumed = 0
     for s in snapshots:
         norm_s = np.sqrt(max(dot(s, s), 0.0))
         v = s.copy()
@@ -66,19 +61,22 @@ def build_rb(snapshots, patch):
             for z in basis:
                 v -= dot(z, v) * z
         norm_v = np.sqrt(max(dot(v, v), 0.0))
-        if norm_v <= RB_TOL * norm_s or norm_v == 0.0:
+        if norm_v <= RB_TOL * norm_s:
             break
         v = patch.kernel_project(v)
         for z in basis:
             v -= dot(z, v) * z
-        v /= np.sqrt(max(dot(v, v), 0.0))
-        basis.append(v)
-        consumed += 1
+        norm_v = np.sqrt(max(dot(v, v), 0.0))
+        if norm_v == 0.0:
+            break
+        basis.append(v / norm_v)
+    if not basis:
+        raise EmptyBasisError("empty basis: no snapshot carries energy in the kernel")
 
     Z = np.column_stack(basis)
     a_hat = Z.T @ (a_tilde @ Z)
     k_hat = Z.T @ (patch.k_a @ Z)
-    return ReducedBasis(Z, a_hat, k_hat, consumed)
+    return ReducedBasis(Z, a_hat, k_hat, len(basis))
 
 
 def snapshot_singular_values(snapshots, patch):
@@ -106,7 +104,7 @@ class NodeReduction:
     solves: int
     n_snapshots: int       # 0 where no basis was built
     a_tilde: object        # patch block of K_A + tau K_B, for the projection
-    basis: ReducedBasis    # None if unbuilt or the first snapshot carries no energy
+    basis: ReducedBasis    # None if unbuilt or if build_rb kept no snapshot
     horizon = property(lambda self: self.xi.shape[0])   # the members served
 
 
@@ -146,7 +144,7 @@ def _band(x, node, m):
     a_hat-orthonormal, and W^T k_hat W = Q_h H Q_h^T with Q_h e_1 = e_1. So
     xi^{m+1+j} = r Z W Q_h H^j e_1: row m feeds the tail rows (Z W Q_h)^T
     with r, and the tridiagonal of H couples them (the rest is round-off). A
-    node whose first snapshot carries no energy has one zero row.
+    node whose basis kept no snapshot has one zero row.
     """
     if node.n_snapshots < m:
         raise ValueError("no reduced basis of %d snapshots for node %d" % (m, x))

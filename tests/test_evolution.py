@@ -7,7 +7,7 @@ import pytest
 from sdwave import linalg, lod, rb
 from sdwave.assembly import DiscreteForms, h1_norms
 from sdwave.evolution import (_BLOCK, _WINDOW, TimeGrid, Trajectory, _GlobalSaddle,
-                              _gfem_steps, _multiscale, _PerStep, _Recurrence,
+                              _gfem_steps, _multiscale, _PerStep, _Recurrence, _StepOn,
                               aux_fine_solve, aux_gfem_solve,
                               discrete_energy, fine_fem_solve, galerkin_wave_solve,
                               ideal_gfem_solve, localized_gfem_solve,
@@ -542,27 +542,75 @@ def test_recurrence_on_an_invariant_krylov_space(recurrence_problem, monkeypatch
     _assert_recurrence_matches_members(cs, seq, horizon + 1)
 
 
-class _CoupledRecurrence(_Recurrence):
+def _bands(seq):
+    """The node bands localized_gfem_solve steps certified sequences as."""
+    return [(tc.dofs, tc.xi, tc.alpha, tc.beta, tc.beta, tc.norm1)
+            for _, tc in sorted(seq.items())]
+
+
+class _EveryStep(_StepOn):
+    """A standalone stepper of node bands, the oracle of _Recurrence: the band
+    coordinates of every step kept, t[n] = t^n, each step taken once, in the
+    loop, on the stacked arrays of a _Recurrence that never steps itself (its
+    diag, lower, upper, first, weight, G and items). A subclass fills the
+    states from t after the loop (_fill)."""
+
+    def __init__(self, correctors, bands, grid):
+        self.bands = _Recurrence(correctors, bands, grid)
+        self.t = np.zeros((grid.n_steps + 1, self.bands.t.shape[1]))
+
+    def _advance(self, n, alpha):
+        b, prev, t = self.bands, self.t[n - 1], self.t[n]
+        np.multiply(b.diag, prev, out=t)
+        t[1:] += b.lower * prev[:-1]
+        t[:-1] += b.upper * prev[1:]
+        t[b.first] += b.weight * alpha[n - 1]
+
+    def memory(self, n, alpha):
+        if n >= 3:
+            self._advance(n - 1, alpha)
+        return self.bands.A_ms @ alpha[n - 1] + self.bands.G @ self.t[n - 1]
+
+    def states(self, alpha):
+        self._advance(alpha.shape[0] - 1, alpha)
+        return self._fill(alpha)
+
+
+class _Materialized(_EveryStep):
+    """The recurrence as it held its fine states before they were read by
+    windows: every window of min(_WINDOW, N + 1) steps filled with the
+    products of _Recurrence._fill, into one (N + 1, fine dofs) array."""
+
+    def _fill(self, alpha):
+        Q, steps = self.bands.Q, alpha.shape[0]
+        filled = np.empty((steps, Q.shape[0]))
+        for lo in range(0, steps, _WINDOW):
+            hi = min(lo + _WINDOW, steps)
+            block = Q @ alpha[lo:hi].T
+            for dofs, R, span in self.bands.items:
+                block[dofs] += R.T @ self.t[lo:hi, span].T
+            filled[lo:hi] = block.T
+        return filled
+
+
+class _CoupledRecurrence(_Materialized):
     """The recurrence as it stepped certified sequences before node bands: one
     array couple, beta, for both off-diagonals."""
 
     def __init__(self, correctors, transients, grid):
+        super().__init__(correctors, _bands(transients), grid)
         seqs = [transients[x] for x in range(correctors.Q.shape[1])]
-        super().__init__(correctors, [(tc.dofs, tc.xi, tc.alpha, tc.beta, tc.beta,
-                                       tc.norm1) for tc in seqs], grid)
         ends = np.cumsum([tc.xi.shape[0] for tc in seqs])
-        couple = np.concatenate([tc.beta for tc in seqs])
-        self.couple = couple[:-1]
+        self.couple = np.concatenate([tc.beta for tc in seqs])[:-1]
         self.couple[ends[:-1] - 1] = 0.0
-        self.lower = self.upper = None
+        self.bands.lower = self.bands.upper = None
 
     def _advance(self, n, alpha):
-        window = self.t.shape[0]
-        prev, t = self.t[(n - 1) % window], self.t[n % window]
-        np.multiply(self.diag, prev, out=t)
+        b, prev, t = self.bands, self.t[n - 1], self.t[n]
+        np.multiply(b.diag, prev, out=t)
         t[1:] += self.couple * prev[:-1]
         t[:-1] += self.couple * prev[1:]
-        t[self.first] += self.weight * alpha[n - 1]
+        t[b.first] += b.weight * alpha[n - 1]
 
 
 def test_certified_band_steps_as_one_coupling(recurrence_problem):
@@ -582,40 +630,15 @@ def test_certified_band_steps_as_one_coupling(recurrence_problem):
         np.testing.assert_array_equal(got.alpha, want.alpha)
 
 
-class _SingleFill(_Recurrence):
+class _SingleFill(_EveryStep):
     """The recurrence as it filled the fine states before the window: the
-    band coordinates of every step kept, t[n] = t^n, and the states filled
-    once after the loop, one product per node."""
+    states filled once after the loop, one product per node."""
 
-    def __init__(self, correctors, bands, grid):
-        super().__init__(correctors, bands, grid)
-        self.t = np.zeros((grid.n_steps + 1, self.t.shape[1]))
-
-    def _advance(self, n, alpha):
-        prev, t = self.t[n - 1], self.t[n]
-        np.multiply(self.diag, prev, out=t)
-        t[1:] += self.lower * prev[:-1]
-        t[:-1] += self.upper * prev[1:]
-        t[self.first] += self.weight * alpha[n - 1]
-
-    def memory(self, n, alpha):
-        if n >= 3:
-            self._advance(n - 1, alpha)
-        return self.A_ms @ alpha[n - 1] + self.G @ self.t[n - 1]
-
-    def states(self, alpha):
-        n_steps = alpha.shape[0] - 1
-        self._advance(n_steps, alpha)
-        states = self.Q @ alpha.T
-        for dofs, R, span in self.items:
+    def _fill(self, alpha):
+        states = self.bands.Q @ alpha.T
+        for dofs, R, span in self.bands.items:
             states[dofs, 2:] += R.T @ self.t[2:, span].T
         return np.ascontiguousarray(states.T)
-
-
-def _bands(seq):
-    """The node bands localized_gfem_solve steps certified sequences as."""
-    return [(tc.dofs, tc.xi, tc.alpha, tc.beta, tc.beta, tc.norm1)
-            for _, tc in sorted(seq.items())]
 
 
 @pytest.fixture(scope="module")
@@ -648,30 +671,6 @@ def test_window_fills_the_states_of_the_single_fill(recurrence_problem,
     assert np.linalg.norm(got.states - want.states) <= 1e-13 * np.linalg.norm(want.states)
 
 
-class _Materialized(_Recurrence):
-    """The recurrence as it held its fine states before they were read by
-    windows: each window filled when full, during the loop, and the last one
-    after it, into one (N + 1, fine dofs) array."""
-
-    def memory(self, n, alpha):
-        coarse = super().memory(n, alpha)
-        window = self.t.shape[0]
-        if n >= 3 and n % window == 0:
-            self._keep(n - window, n, alpha)
-        return coarse
-
-    def _keep(self, lo, hi, alpha):
-        if lo == 0:
-            self.filled = np.empty((alpha.shape[0], self.Q.shape[0]))
-        self.filled[lo:hi] = self._fill(lo, hi, alpha)
-
-    def states(self, alpha):
-        n_steps = alpha.shape[0] - 1
-        self._step(n_steps, alpha)
-        self._keep(n_steps - n_steps % self.t.shape[0], n_steps + 1, alpha)
-        return self.filled
-
-
 # N + 1 one below the window, the window, one above it, and two windows and
 # a cut one
 WINDOWED = [_WINDOW - 2, _WINDOW - 1, _WINDOW, 2 * _WINDOW + 2]
@@ -693,9 +692,11 @@ def _assert_bytes_equal(got, want):
 def test_windowed_states_are_the_materialized_states(recurrence_problem, wrapping_sequences,
                                                      windowed_nodes, monkeypatch, solver,
                                                      n_steps):
-    # a run longer than one window regenerates each window from its mark when
-    # it is read: its states, and the error norms and energies read from
-    # them, are byte for byte those of the states filled during the loop
+    # every window is filled when it is read, the last from the band
+    # coordinates the loop left, an earlier one by stepping them again from
+    # t^1 = 0: its states, and the error norms and energies read from them,
+    # are byte for byte those of the states filled from every step's
+    # coordinates, kept during the loop
     _, cs = recurrence_problem
     forms = cs.forms
     rng = np.random.default_rng(48)
@@ -720,7 +721,7 @@ def test_windowed_states_are_the_materialized_states(recurrence_problem, wrappin
 
     got, other = (solve(*pair) for pair in data)
     want, other_want = (materialized(*pair) for pair in data)
-    assert isinstance(got._states, np.ndarray) == (n_steps + 1 <= _WINDOW)
+    assert isinstance(got._states, _Recurrence)
     _assert_bytes_equal(got.alpha, want.alpha)
     # the norms read the windows of both runs in turn, and the last one first
     for norm in (rel_h1_final, rel_l2h1):
@@ -729,6 +730,47 @@ def test_windowed_states_are_the_materialized_states(recurrence_problem, wrappin
     _assert_bytes_equal(got.states, want.states)
     for lo, hi in ((0, 1), (n_steps, n_steps + 1), (_WINDOW - 3, _WINDOW + 2)):
         _assert_bytes_equal(got._steps(lo, hi), want.states[lo:hi])
+
+
+def _count_recurrence_calls(monkeypatch):
+    """The lists that record each _Recurrence._advance call and the first
+    step of each window _Recurrence._fill fills."""
+    advance, fill = _Recurrence._advance, _Recurrence._fill
+    advances, fills = [], []
+
+    def counted_advance(self, alpha):
+        advances.append(self.last)
+        advance(self, alpha)
+
+    def counted_fill(self, lo, hi, alpha):
+        fills.append(lo)
+        return fill(self, lo, hi, alpha)
+
+    monkeypatch.setattr(_Recurrence, "_advance", counted_advance)
+    monkeypatch.setattr(_Recurrence, "_fill", counted_fill)
+    return advances, fills
+
+
+@pytest.mark.parametrize("n_steps", [_WINDOW - 1, WRAPS], ids=["one-window", "windows"])
+def test_a_window_is_read_from_where_the_loop_left_its_band_coordinates(
+        recurrence_problem, wrapping_sequences, monkeypatch, n_steps):
+    # the loop leaves t at the last window: reading the final state first
+    # takes no step and fills one window, and a run of one window takes N - 1
+    # steps in all; the earlier windows are stepped again from t^1 = 0 once
+    _, cs = recurrence_problem
+    forms = cs.forms
+    advances, fills = _count_recurrence_calls(monkeypatch)
+    zc = np.zeros(cs.Q.shape[1])
+    got = localized_gfem_solve(cs, wrapping_sequences, _pulse, n_steps, zc, zc)
+    assert advances == list(range(1, n_steps))
+    del advances[:]
+    reference = Trajectory(got.grid, np.zeros((n_steps + 1, forms.fine.n_dofs)))
+    rel_h1_final(forms, got, reference)
+    last = n_steps - n_steps % _WINDOW
+    assert advances == [] and fills == [last]
+    rel_l2h1(forms, got, reference)
+    assert advances == (list(range(1, n_steps)) if last else [])
+    assert fills == ([last] + list(range(0, n_steps + 1, _WINDOW)) if last else [0])
 
 
 def test_a_long_localized_run_holds_one_window_of_states(problem44, k2_44):

@@ -204,12 +204,15 @@ def _perturb_bare_call(saddle, call):
     saddle._fact._raw_solve = perturbed
 
 
-def _stepped(saddle, A, r, count, checked=0):
+def _stepped(saddle, A, r, count, first_checked=False):
     """w_0 .. w_{count-1} of the recurrence r_0 = r, r_s = A w_{s-1}, solved
-    as _CheckedSteps, and the steps."""
-    steps = linalg._CheckedSteps(saddle, checked)
+    as _CheckedSteps, and the steps; with first_checked, w_0 is the checked
+    solve, as lod._power_iterates solves its first member."""
+    steps = linalg._CheckedSteps(saddle)
     w = np.empty((count, r.size))
     s = 0
+    if first_checked:
+        w[0], s = saddle.solve(r)[0], 1
     while s < count:
         w[s] = steps.solve(s, r if s == 0 else A @ w[s - 1])
         s = steps.next(s, last=s + 1 == count)
@@ -252,19 +255,6 @@ def test_checked_steps_check_a_short_last_block():
     assert len(checked) == 1 and steps.solves == count + 1
 
 
-def test_checked_steps_solve_the_leading_rows_checked():
-    A, C, r = _saddle_problem()
-    count = linalg._BLOCK + 5
-    saddle = saddle_of(A, C)
-    checked = _count_checked_solves(saddle)
-    w, steps = _stepped(saddle, A, r, count, checked=3)
-    np.testing.assert_array_equal(w, _per_step(A, C, r, count))
-    # steps 0, 1 and 2 of the first block only
-    assert len(checked) == 3 and steps.solves == count
-    np.testing.assert_array_equal(checked[0], r)
-    np.testing.assert_array_equal(checked[2], A @ w[1])
-
-
 def test_checked_steps_bare_solve_on_the_fallback_factors():
     # a symmetric-mode solve that refinement cannot mend: the first checked
     # solve falls back, and every bare solve after it uses the new factors
@@ -273,11 +263,11 @@ def test_checked_steps_bare_solve_on_the_fallback_factors():
     saddle = saddle_of(A, C, _symmetric=True)
     _corrupt(saddle._fact, "residual")
     checked = _count_checked_solves(saddle)
-    w, steps = _stepped(saddle, A, r, count, checked=1)
+    w, steps = _stepped(saddle, A, r, count, first_checked=True)
     assert not saddle._symmetric
     np.testing.assert_array_equal(w, _per_step(A, C, r, count))
     # step 0, solved again after the fallback; no bare solve misses
-    assert len(checked) == 2 and steps.solves == count
+    assert len(checked) == 2 and 1 + steps.solves == count
 
 
 def _sparse_block(rng, rows, cols, density):

@@ -1,10 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from sdwave import lod, rb
-from sdwave.evolution import TimeGrid, localized_gfem_solve, rel_h1_final
+from sdwave.evolution import TimeGrid, localized_gfem_solve, rel_h1_final, transient_horizon
+from sdwave.harness import ExperimentConfig, _forms, run_exp_rb
 from sdwave.lod import (CorrectorConfig, Patch, TransientCorrectors, build_corrector_set,
                         cache_key, compute_transient_correctors, load_corrector_cache,
                         save_corrector_cache, transients_for_all_nodes)
@@ -80,6 +82,23 @@ def test_zero_first_snapshot_rejected(problem44, snapshots44, zero_node44):
     assert node.basis is None and node.n_snapshots == 10
     rows = rb._band(x, node, 2)[1]
     assert rows.shape == (1, node.dofs.size) and not rows.any()
+
+
+def test_h_equal_H_keeps_no_remainder_the_kernel_projection_zeroed():
+    # at h = H the interpolation kernel is empty and the power iterates are
+    # round-off: build_rb normalized a remainder that the kernel projection
+    # left at zero energy, so exp-rb failed on non-finite states (under
+    # -W error on the RuntimeWarning of the division); such a node now keeps
+    # no snapshot and runs as one zero row
+    cfg = ExperimentConfig(p=3, q=3, M=(1, 2), T=0.2, seed=1)
+    cs = build_corrector_set(_forms(cfg, cfg.q), CorrectorConfig(k=cfg.q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nodes = node_reductions(cs, transient_horizon(cfg.n_steps), cfg.M)
+        rows, _ = run_exp_rb(cfg)
+    assert any(node.basis is None and node.xi.any() for node in nodes.values())
+    gaps = [row[column] for row in rows for column in ("rel_h1_final", "rel_l2h1")]
+    assert len(rows) == 2 and max(gaps) <= 1e-12, gaps
 
 
 def test_basis_prefix_is_the_smaller_basis(problem44, snapshots44):
